@@ -15,6 +15,12 @@ operators ``+ - * / ^`` with integer powers, and parentheses.
 
 A ``;`` separates statements on one line, except after ``domain product``
 where it separates the per-coordinate factors.
+
+An expression may nest at most :data:`MAX_DEPTH` levels, counting both the
+depth of its tree (``let`` names substituted) and the nesting of brackets.
+Deeper input is a :class:`DslError`: the symbolic derivatives and the
+printer recurse over the tree, and the limit keeps them well inside Python's
+recursion limit.
 """
 
 from __future__ import annotations
@@ -25,6 +31,9 @@ from . import expr as ex
 from .domains import Annulus, Ball, Domain, Polydisc, Product
 
 __all__ = ["MetricSpec", "DslError", "parse_metric", "parse_expression", "print_metric"]
+
+#: deepest expression tree, and deepest bracket nesting, the parser accepts
+MAX_DEPTH = 100
 
 _KEYWORDS = {"dim", "let", "g", "domain", "ball", "annulus", "polydisc", "product"}
 _FUNCS = {"conj", "exp", "log"}
@@ -161,20 +170,57 @@ def _coord_index(name: str):
 
 
 class _ExprParser:
-    def __init__(self, ts: _TokStream, n: int, lets: dict):
+    def __init__(self, ts: _TokStream, n: int, lets: dict, depths: dict | None = None):
         self.ts = ts
         self.n = n
         self.lets = lets
+        # id(node) -> (tree depth, node); holding the node keeps its id unique
+        self.depths = {} if depths is None else depths
+        self.nesting = 0
 
     def parse(self) -> ex.Expr:
         return self._expr()
+
+    def _depth(self, e: ex.Expr) -> int:
+        """Tree depth of e, iteratively, memoized in self.depths."""
+        memo = self.depths
+        stack = [e]
+        while stack:
+            x = stack[-1]
+            if id(x) in memo:
+                stack.pop()
+                continue
+            todo = [c for c in x.args if id(c) not in memo]
+            if todo:
+                stack += todo
+                continue
+            stack.pop()
+            memo[id(x)] = (1 + max((memo[id(c)][0] for c in x.args), default=0), x)
+        return memo[id(e)][0]
+
+    def _bounded(self, e: ex.Expr, t: _Tok) -> ex.Expr:
+        if self._depth(e) > MAX_DEPTH:
+            raise DslError(f"expression is nested deeper than {MAX_DEPTH} levels", t.line, t.col)
+        return e
+
+    def _bracketed(self, opening: _Tok) -> ex.Expr:
+        """The expression after an opening bracket, up to its ')'."""
+        self.nesting += 1
+        if self.nesting > MAX_DEPTH:
+            raise DslError(
+                f"brackets are nested deeper than {MAX_DEPTH} levels", opening.line, opening.col
+            )
+        e = self._expr()
+        self.ts.expect(")")
+        self.nesting -= 1
+        return e
 
     def _expr(self) -> ex.Expr:
         e = self._term()
         while (t := self.ts.peek()) is not None and t.type in "+-":
             self.ts.next()
             rhs = self._term()
-            e = ex.add(e, rhs) if t.type == "+" else ex.sub(e, rhs)
+            e = self._bounded(ex.add(e, rhs) if t.type == "+" else ex.sub(e, rhs), t)
         return e
 
     def _term(self) -> ex.Expr:
@@ -182,15 +228,17 @@ class _ExprParser:
         while (t := self.ts.peek()) is not None and t.type in "*/":
             self.ts.next()
             rhs = self._unary()
-            e = ex.mul(e, rhs) if t.type == "*" else ex.div(e, rhs)
+            e = self._bounded(ex.mul(e, rhs) if t.type == "*" else ex.div(e, rhs), t)
         return e
 
     def _unary(self) -> ex.Expr:
-        t = self.ts.peek()
-        if t is not None and t.type == "-":
-            self.ts.next()
-            return ex.neg(self._unary())
-        return self._power()
+        signs = []
+        while (t := self.ts.peek()) is not None and t.type == "-":
+            signs.append(self.ts.next())
+        e = self._power()
+        for t in reversed(signs):
+            e = self._bounded(ex.neg(e), t)
+        return e
 
     def _power(self) -> ex.Expr:
         e = self._atom()
@@ -204,7 +252,7 @@ class _ExprParser:
             num = self.ts.expect("NUM")
             if num.value != int(num.value):
                 raise DslError("exponent must be an integer", num.line, num.col)
-            e = ex.int_pow(e, sign * int(num.value))
+            e = self._bounded(ex.int_pow(e, sign * int(num.value)), t)
         return e
 
     def _atom(self) -> ex.Expr:
@@ -216,9 +264,7 @@ class _ExprParser:
         if t.type == "IMAG":
             return ex.const(t.value * 1j)
         if t.type == "(":
-            e = self._expr()
-            self.ts.expect(")")
-            return e
+            return self._bracketed(t)
         if t.type == "IDENT":
             return self._ident(t)
         raise DslError(f"unexpected {t.text!r} in expression", t.line, t.col)
@@ -227,10 +273,8 @@ class _ExprParser:
         name = t.text
         nxt = self.ts.peek()
         if nxt is not None and nxt.type == "(" and name in _FUNCS:
-            self.ts.next()
-            arg = self._expr()
-            self.ts.expect(")")
-            return {"conj": ex.conj, "exp": ex.exp, "log": ex.log}[name](arg)
+            arg = self._bracketed(self.ts.next())
+            return self._bounded({"conj": ex.conj, "exp": ex.exp, "log": ex.log}[name](arg), t)
         if nxt is not None and nxt.type == "(" and name == "abs2":
             self.ts.next()
             inner = self.ts.peek()
@@ -242,10 +286,9 @@ class _ExprParser:
                     e = ex.ZERO
                     for k in range(1, self.n + 1):
                         e = ex.add(e, ex.mul(ex.coord(k), ex.conj_coord(k)))
-                    return e
-            arg = self._expr()
-            self.ts.expect(")")
-            return ex.mul(arg, ex.conj(arg))
+                    return self._bounded(e, t)
+            arg = self._bracketed(nxt)
+            return self._bounded(ex.mul(arg, ex.conj(arg)), t)
         hit = _coord_index(name)
         if hit is not None:
             kind, k = hit
@@ -255,7 +298,7 @@ class _ExprParser:
                 )
             return ex.coord(k) if kind == "coord" else ex.conj_coord(k)
         if name in self.lets:
-            return self.lets[name]
+            return self._bounded(self.lets[name], t)
         if name == "z":
             raise DslError("bare 'z' is only valid inside abs2(z)", t.line, t.col)
         raise DslError(f"unknown identifier {name!r}", t.line, t.col)
@@ -288,6 +331,7 @@ def parse_metric(source: str, name: str = "metric") -> MetricSpec:
     """
     n = None
     lets: dict = {}
+    depths: dict = {}
     entries = None
     assigned = set()
     domain = None
@@ -318,7 +362,7 @@ def parse_metric(source: str, name: str = "metric") -> MetricSpec:
                 if ident.text in lets:
                     raise DslError(f"duplicate let {ident.text!r}", ident.line, ident.col)
                 ts.expect("=")
-                e = _ExprParser(ts, n, lets).parse()
+                e = _ExprParser(ts, n, lets, depths).parse()
                 _expect_done(ts)
                 lets[ident.text] = e
             elif head.text == "g":
@@ -337,7 +381,7 @@ def parse_metric(source: str, name: str = "metric") -> MetricSpec:
                     )
                 if (i, j) in assigned:
                     raise DslError(f"entry g[{i},{j}] assigned twice", itok.line, itok.col)
-                e = _ExprParser(ts, n, lets).parse()
+                e = _ExprParser(ts, n, lets, depths).parse()
                 _expect_done(ts)
                 entries[i - 1][j - 1] = e
                 assigned.add((i, j))

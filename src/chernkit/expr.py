@@ -37,6 +37,8 @@ __all__ = [
     "int_pow",
     "wirtinger_diff",
     "evaluate",
+    "Program",
+    "compile_program",
     "to_source",
     "fd_residual",
     "max_coord_index",
@@ -276,14 +278,20 @@ def _diff(e: Expr, kind: str, k: int) -> Expr:
 # Evaluation
 
 
-def evaluate(e: Expr, p):
+def evaluate(e, p):
     """Evaluate e at a point (or batch of points) in C^n.
 
     p has shape (n,) for a single point or (m, n) for a batch; the result is
     a complex scalar or an (m,) array.  zbar_k evaluates to conj(p_k).
     Shared subtrees are evaluated once per call.
+
+    e may also be a :class:`Program`; the result then has one trailing
+    column per root, shape (k,) or (m, k), bit-identical to evaluating each
+    root as a tree.
     """
     pts = np.asarray(p, dtype=complex)
+    if isinstance(e, Program):
+        return _run(e, pts) if pts.ndim == 2 else _run(e, pts.reshape(1, -1))[0]
     if pts.ndim == 0:
         pts = pts.reshape(1)
     need = max_coord_index(e)
@@ -337,9 +345,172 @@ def _eval(e: Expr, pts, memo):
 
 def max_coord_index(e: Expr) -> int:
     """Largest coordinate index referenced anywhere in the tree (0 if none)."""
+    best, seen, stack = 0, set(), [e]
+    while stack:
+        x = stack.pop()
+        if id(x) in seen:
+            continue
+        seen.add(id(x))
+        if x.kind in ("coord", "conj_coord"):
+            best = max(best, x.index)
+        stack.extend(x.args)
+    return best
+
+
+# ---------------------------------------------------------------------------
+# Compiled evaluation: one hash-consed straight-line program for many trees
+#
+# compile_program interns every node of its roots by (kind, child slots,
+# payload), so a subtree shared structurally by several trees becomes one
+# instruction (Filliatre & Conchon, "Type-Safe Modular Hash-Consing", 2006),
+# and lists the instructions in evaluation order: a straight-line tape in the
+# sense of Griewank & Walther, "Evaluating Derivatives" (2008).  evaluate()
+# runs the tape over a flat slot array.  Each instruction performs the
+# same numpy operation on the same operands as _eval, so the outputs are
+# bit-identical to evaluate() on every root.
+
+_LEAVES = frozenset({"const", "coord", "conj_coord"})
+_UNARY = frozenset({"neg", "conj", "exp", "log", "int_pow"})
+_BINARY = frozenset({"add", "sub", "mul", "div"})
+_VISIT, _GUARD, _EMIT = 0, 1, 2
+
+
+@dataclass(frozen=True)
+class Program:
+    """A straight-line program evaluating several expression trees at once.
+
+    ``code[s]`` is ``(kind, a, b, payload)`` and fills slot s from the earlier
+    slots a and b.  Besides the Expr kinds there is ``guard``, the
+    division-by-zero test of a denominator.  ``frees[s]`` lists the slots that
+    ``code[s]`` reads for the last time; ``outputs`` holds the slot of each
+    root, in the order the roots were given.
+    """
+
+    code: tuple
+    frees: tuple
+    outputs: tuple
+    n_coords: int
+
+    def __len__(self) -> int:
+        return len(self.code)
+
+
+def _payload(e: Expr):
+    """(payload the runner uses, its interning key) of one node."""
+    if e.kind == "const":
+        # float.hex tells -0.0 from 0.0, which compare equal
+        return e.value, (e.value.real.hex(), e.value.imag.hex())
     if e.kind in ("coord", "conj_coord"):
-        return e.index
-    return max((max_coord_index(a) for a in e.args), default=0)
+        return e.index - 1, e.index
+    if e.kind == "int_pow":
+        return e.power, e.power
+    if e.kind in _UNARY or e.kind in _BINARY:
+        return None, None
+    raise ValueError(f"unknown node kind {e.kind!r}")
+
+
+def compile_program(roots) -> Program:
+    """Compile expression trees into one interned straight-line Program.
+
+    Instructions follow _eval's order: children left to right, except that a
+    division evaluates and guards its denominator before its numerator, so
+    evaluate raises the same EvaluationError as evaluating the roots one
+    after another.  The traversal is iterative: tree depth is not limited by
+    the Python stack.
+    """
+    roots = list(roots)  # slot_of is keyed by id(): keep every node alive
+    code, interned, slot_of, guarded, outputs = [], {}, {}, set(), []
+    for root in roots:
+        stack = [(root, _VISIT)]
+        while stack:
+            e, step = stack.pop()
+            if step == _VISIT:
+                if id(e) in slot_of:
+                    continue
+                stack.append((e, _EMIT))
+                if e.kind == "div":
+                    num, den = e.args
+                    stack += [(num, _VISIT), (den, _GUARD), (den, _VISIT)]
+                else:
+                    stack += [(c, _VISIT) for c in reversed(e.args)]
+            elif step == _GUARD:
+                s = slot_of[id(e)]
+                if s not in guarded:
+                    guarded.add(s)
+                    code.append(("guard", s, 0, None))
+            else:
+                payload, pkey = _payload(e)
+                a = slot_of[id(e.args[0])] if e.args else 0
+                b = slot_of[id(e.args[1])] if len(e.args) > 1 else 0
+                key = (e.kind, a, b, pkey)
+                s = interned.get(key)
+                if s is None:
+                    s = interned[key] = len(code)
+                    code.append((e.kind, a, b, payload))
+                slot_of[id(e)] = s
+        outputs.append(slot_of[id(root)])
+
+    last_use = {}
+    for i, (kind, a, b, _) in enumerate(code):
+        if kind in _BINARY:
+            last_use[a] = last_use[b] = i
+        elif kind not in _LEAVES:  # unary or guard
+            last_use[a] = i
+    for s in outputs:  # roots stay live until the runner collects them
+        last_use.pop(s, None)
+    frees = [[] for _ in code]
+    for s, i in last_use.items():
+        frees[i].append(s)
+    n_coords = max((p + 1 for k, _, _, p in code if k in ("coord", "conj_coord")), default=0)
+    return Program(tuple(code), tuple(map(tuple, frees)), tuple(outputs), n_coords)
+
+
+def _run(prog: Program, pts: np.ndarray) -> np.ndarray:
+    """prog at (m, n) points: an (m, len(prog.outputs)) array, column j for root j."""
+    if prog.n_coords > pts.shape[1]:
+        raise EvaluationError(
+            f"expression references z{prog.n_coords} but the point has {pts.shape[1]} coordinates"
+        )
+    vals = [None] * len(prog.code)
+    for s, ((kind, a, b, payload), free) in enumerate(zip(prog.code, prog.frees)):
+        if kind == "mul":
+            v = vals[a] * vals[b]
+        elif kind == "sub":
+            v = vals[a] - vals[b]
+        elif kind == "div":
+            v = vals[a] / vals[b]
+        elif kind == "neg":
+            v = -vals[a]
+        elif kind == "add":
+            v = vals[a] + vals[b]
+        elif kind == "int_pow":
+            v = vals[a] ** payload
+        elif kind == "guard":
+            if np.any(np.abs(vals[a]) < DIV_EPS):
+                raise EvaluationError("division by zero")
+            v = None
+        elif kind == "const":
+            v = payload
+        elif kind == "coord":
+            v = pts[..., payload]
+        elif kind == "conj_coord":
+            v = np.conj(pts[..., payload])
+        elif kind == "conj":
+            v = np.conj(vals[a])
+        elif kind == "exp":
+            v = np.exp(vals[a])
+        else:  # log
+            x = vals[a]
+            if np.any(np.abs(x) < DIV_EPS):
+                raise EvaluationError("log of zero")
+            v = np.log(x)
+        vals[s] = v
+        for f in free:
+            vals[f] = None
+    out = np.empty((pts.shape[0], len(prog.outputs)), dtype=complex)
+    for j, s in enumerate(prog.outputs):
+        out[:, j] = vals[s]
+    return out
 
 
 # ---------------------------------------------------------------------------

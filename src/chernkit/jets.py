@@ -5,8 +5,13 @@ at one point of
 
     g_{k lbar},   d_i g_{k lbar},   dbar_j g_{k lbar},   d_i dbar_j g_{k lbar}
 
-plus the inverse metric.  The symbolic derivative tables are built once per
-spec and cached on it; evaluation is vectorized over batches of points.
+plus the inverse metric.  The first time a spec is evaluated its derivative
+tables are built symbolically (:func:`expr.wirtinger_diff`) and compiled into
+two interned straight-line programs (:func:`expr.compile_program`): one for
+g, one for all of dg, dbar_g and ddbar_g.  Only the programs stay cached on
+the spec.  Each evaluation runs the g program over the whole batch of points,
+checks g (finite, Hermitian, positive definite), then runs the derivative
+program and checks that its values are finite.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from .dsl import MetricSpec
 
 __all__ = ["MetricJet", "FactorJet", "MetricError", "metric_jet", "metric_jets", "factor_jet"]
 
-HERMITIAN_TOL = 1e-10
+HERMITIAN_TOL = 1e-10  # relative to max(1, max|g|) at each point
 
 
 class MetricError(ValueError):
@@ -59,69 +64,59 @@ class FactorJet:
     hess: np.ndarray       # hess[k, l] = d_k dbar_l F
 
 
-class _Tables:
-    """Symbolic derivative tables of a spec's entries, built once."""
+def _programs(spec: MetricSpec) -> tuple:
+    """(g program, derivative program) of spec, compiled once and cached on it.
 
-    def __init__(self, spec: MetricSpec):
-        n = spec.n
-        E = spec.entries
-        self.n = n
-        self.g = [[E[k][l] for l in range(n)] for k in range(n)]
-        self.dg = [
-            [[ex.wirtinger_diff(E[k][l], "holo", i + 1) for l in range(n)] for k in range(n)]
-            for i in range(n)
-        ]
-        self.dbg = [
-            [[ex.wirtinger_diff(E[k][l], "anti", j + 1) for l in range(n)] for k in range(n)]
-            for j in range(n)
-        ]
-        self.ddg = [
-            [
-                [[ex.wirtinger_diff(self.dg[i][k][l], "anti", j + 1) for l in range(n)] for k in range(n)]
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-
-
-def _tables(spec: MetricSpec) -> _Tables:
+    The derivative program's outputs are dg, dbar_g and ddbar_g, each
+    flattened in C order.  The symbolic tables are dropped after compiling.
+    """
     # idempotent lazy cache; MetricSpec is immutable by convention
     if spec._tables is None:
-        spec._tables = _Tables(spec)
+        n, E, r = spec.n, spec.entries, range(spec.n)
+        dg = [ex.wirtinger_diff(E[k][l], "holo", i + 1) for i in r for k in r for l in r]
+        dbg = [ex.wirtinger_diff(E[k][l], "anti", j + 1) for j in r for k in r for l in r]
+        ddg = [
+            ex.wirtinger_diff(dg[(i * n + k) * n + l], "anti", j + 1)
+            for i in r for j in r for k in r for l in r
+        ]
+        spec._tables = (
+            ex.compile_program([E[k][l] for k in r for l in r]),
+            ex.compile_program(dg + dbg + ddg),
+        )
     return spec._tables
 
 
-def _eval_table(table, pts, shape):
-    """Evaluate a nested list of Expr over (m, n) points -> (m, *shape)."""
-    m = pts.shape[0]
-    out = np.empty((m,) + shape, dtype=complex)
-    for idx in np.ndindex(shape):
-        node = table
-        for i in idx:
-            node = node[i]
-        out[(slice(None),) + idx] = ex.evaluate(node, pts)
-    return out
+def _require_finite(values, pts, what: str):
+    finite = np.isfinite(values).reshape(len(pts), -1).all(axis=1)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise MetricError(f"{what} not finite at {pts[bad]}")
 
 
 def metric_jets(spec: MetricSpec, points) -> list:
     """Jets of spec at a batch of points, shape (m, n).
 
-    One vectorized pass per table entry; raises MetricError when any point
-    fails the Hermitian (1e-10) or positive-definiteness check.
+    One pass of the g program and one of the derivative program over the
+    whole batch.  Raises MetricError when any point has a non-finite g or
+    jet, fails the positive-definiteness check, or fails the Hermitian check:
+    max|g - g^H| must stay below HERMITIAN_TOL * max(1, max|g|) there.
     """
     pts = np.asarray(points, dtype=complex)
     if pts.ndim == 1:
         pts = pts[None, :]
     if pts.shape[1] != spec.n:
         raise ValueError(f"points have {pts.shape[1]} coordinates, metric has n={spec.n}")
-    t = _tables(spec)
-    n = spec.n
-    g = _eval_table(t.g, pts, (n, n))
+    g_prog, d_prog = _programs(spec)
+    m, n = pts.shape
+    with np.errstate(over="ignore", invalid="ignore"):  # reported as MetricError below
+        g = ex.evaluate(g_prog, pts).reshape(m, n, n)
+    _require_finite(g, pts, "metric is")
     herm = np.max(np.abs(g - np.conj(np.swapaxes(g, 1, 2))), axis=(1, 2))
-    bad = np.argmax(herm)
-    if herm[bad] >= HERMITIAN_TOL:
+    tol = HERMITIAN_TOL * np.maximum(1.0, np.max(np.abs(g), axis=(1, 2)))
+    bad = int(np.argmax(herm / tol))
+    if herm[bad] >= tol[bad]:
         raise MetricError(
-            f"metric is not Hermitian at {pts[bad]} (residual {herm[bad]:.3e})"
+            f"metric is not Hermitian at {pts[bad]} (residual {herm[bad]:.3e}, tolerance {tol[bad]:.3e})"
         )
     g = 0.5 * (g + np.conj(np.swapaxes(g, 1, 2)))
     eig = np.linalg.eigvalsh(g)
@@ -130,16 +125,20 @@ def metric_jets(spec: MetricSpec, points) -> list:
         raise MetricError(
             f"metric is not positive definite at {pts[bad]} (min eigenvalue {eig[bad, 0]:.3e})"
         )
-    dg = _eval_table(t.dg, pts, (n, n, n))
-    dbg = _eval_table(t.dbg, pts, (n, n, n))
-    ddg = _eval_table(t.ddg, pts, (n, n, n, n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = ex.evaluate(d_prog, pts)
+    _require_finite(d, pts, "metric derivatives are")
+    n3 = n**3
+    dg = d[:, :n3].reshape(m, n, n, n)
+    dbg = d[:, n3 : 2 * n3].reshape(m, n, n, n)
+    ddg = d[:, 2 * n3 :].reshape(m, n, n, n, n)
     g_inv = np.linalg.inv(g)
     resid = np.max(np.abs(np.einsum("mij,mjk->mik", g_inv, g) - np.eye(n)))
     if resid > 1e-12 * max(1.0, float(np.max(np.abs(g_inv)))):
         raise MetricError(f"inverse-metric residual {resid:.3e} exceeds tolerance")
     return [
-        MetricJet(pts[m], g[m], dg[m], dbg[m], ddg[m], g_inv[m])
-        for m in range(pts.shape[0])
+        MetricJet(pts[k], g[k], dg[k], dbg[k], ddg[k], g_inv[k])
+        for k in range(m)
     ]
 
 

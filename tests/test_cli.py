@@ -149,3 +149,44 @@ def test_report_dumps_17_digits():
     # complex helpers
     assert report.complex_pair(1 + 2j) == [1.0, 2.0]
     assert report.point_json(np.array([1j])) == [[0.0, 1.0]]
+
+
+def test_eval_non_finite_metric_is_an_error_record(tmp_path):
+    # exp(800 |z|^2) overflows at |z| = 0.95: the record must say so, not print nan
+    metric = tmp_path / "overflow.metric"
+    metric.write_text("dim 1\ng[1,1] = exp(800*z1*zbar1)\n")
+    out = tmp_path / "r.json"
+    r = _run("eval", "--metric", str(metric), "--point=0.95+0i", "--out", str(out))
+    assert r.returncode == 2, r.stderr
+    text = out.read_text()
+    assert "nan" not in text.lower() and "inf" not in text.lower()
+    (rec,) = json.loads(text)["records"]
+    assert "not finite" in rec["error"] and "0.95" in rec["error"]
+
+
+def test_eval_scaled_metric_is_accepted(tmp_path):
+    from chernkit import expr as ex
+    from chernkit.catalog import builtin
+    from chernkit.dsl import MetricSpec, print_metric
+
+    spec = builtin("fubini-study-2").spec
+    entries = [[ex.mul(ex.const(1e12), e) for e in row] for row in spec.entries]
+    metric = tmp_path / "scaled.metric"
+    metric.write_text(print_metric(MetricSpec(n=2, entries=entries, domain=spec.domain)))
+    outs = {}
+    for name, source in (("base", "fubini-study-2"), ("scaled", str(metric))):
+        outs[name] = tmp_path / f"{name}.json"
+        r = _run("eval", "--metric", source, "--points", "3", "--seed", "4", "--out", str(outs[name]))
+        assert r.returncode == 0, r.stderr
+    base, scaled = (json.loads(outs[k].read_text())["records"] for k in ("base", "scaled"))
+    for b, s in zip(base, scaled):
+        assert np.allclose(s["g_eigenvalues"], 1e12 * np.array(b["g_eigenvalues"]), rtol=1e-12, atol=0)
+
+
+def test_eval_too_deep_expression_exit_code(tmp_path):
+    metric = tmp_path / "deep.metric"
+    metric.write_text("dim 1\ng[1,1] = " + " + ".join(["z1*zbar1"] * 1500) + "\n")
+    r = _run("eval", "--metric", str(metric), "--points", "1")
+    assert r.returncode == 2
+    assert "line 2" in r.stderr and "nested deeper" in r.stderr
+    assert "Traceback" not in r.stderr

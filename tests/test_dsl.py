@@ -142,3 +142,22 @@ def test_print_parse_round_trip_catalog():
 def test_parse_expression_rejects_trailing_tokens():
     with pytest.raises(DslError, match="after expression"):
         parse_expression("z1 z2", 2)
+
+
+def test_expression_depth_limit():
+    from chernkit.dsl import MAX_DEPTH
+
+    # a long sum is a left-deep tree: one level per term
+    with pytest.raises(DslError, match=r"line 2, col \d+: expression is nested deeper"):
+        parse_metric("dim 1\ng[1,1] = " + " + ".join(["z1*zbar1"] * 1500))
+    with pytest.raises(DslError, match="brackets are nested deeper"):
+        parse_expression("(" * 1000 + "z1" + ")" * 1000, 1)
+    # let names are substituted, so their depth counts too
+    deep_let = "dim 1\nlet a = " + " + ".join(["z1"] * 60) + "\ng[1,1] = " + "*".join(["a"] * 50)
+    with pytest.raises(DslError, match="line 3"):
+        parse_metric(deep_let)
+    # at the limit everything still parses; repeated signs fold and never nest
+    at_limit = " + ".join(["z1"] * MAX_DEPTH)
+    assert abs(ex.evaluate(parse_expression(at_limit, 1), [0.5]) - 0.5 * MAX_DEPTH) < 1e-12
+    assert parse_expression("(" * MAX_DEPTH + "z1" + ")" * MAX_DEPTH, 1) == ex.coord(1)
+    assert parse_expression("-" * 5000 + "z1", 1) == ex.coord(1)

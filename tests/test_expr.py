@@ -152,3 +152,68 @@ def test_coordinate_index_validation():
         ex.wirtinger_diff(Z1, "mixed", 1)
     with pytest.raises(ex.EvaluationError):
         ex.evaluate(Z2, [1.0])  # point has too few coordinates
+
+
+def test_compile_program_interns_structurally_equal_subtrees():
+    # two trees built separately share no nodes by identity, only by structure
+    def tree():
+        w = 1 + Z1 * ZB1 + Z2 * ZB2
+        return ex.exp(Z1 * ZB2) / ex.int_pow(w, 2) - ex.log(w)
+
+    a, b = tree(), tree()
+    prog = ex.compile_program([a, b, ex.wirtinger_diff(a, "anti", 1)])
+    assert prog.outputs[0] == prog.outputs[1]
+    alone = ex.compile_program([a])
+    assert len(ex.compile_program([a, b])) == len(alone)
+    # 1 + Z1*ZB1 + Z2*ZB2 is one instruction per distinct node: 4 leaves + const + 4 ops
+    w_prog = ex.compile_program([1 + Z1 * ZB1 + Z2 * ZB2] * 3)
+    assert len(w_prog) == 9 and w_prog.n_coords == 2
+
+
+def test_compiled_program_bit_identical_to_tree_evaluation():
+    exprs = [
+        Z1 * ZB1 + Z2 * ZB2,
+        ex.exp(Z1 * ZB2) / (2 + Z2 * ZB2) + ex.conj(ex.log(3 + Z1 * ZB1)),
+        (1 - Z1 * ZB1) / ex.int_pow(1 + Z2 * ZB2, 2),
+        ex.neg(Z1 + Z2) * ex.conj(Z1 - 1j * Z2),
+        ex.const(0.5 - 2j),
+    ]
+    exprs += [ex.wirtinger_diff(e, kind, k) for e in exprs[:4] for kind in ("holo", "anti") for k in (1, 2)]
+    pts = _rand_points(2, 9, 11)
+    prog = ex.compile_program(exprs)
+    out = ex.evaluate(prog, pts)
+    assert out.shape == (9, len(exprs))
+    assert np.array_equal(ex.evaluate(prog, pts[3]), out[3])
+    for j, e in enumerate(exprs):
+        assert np.array_equal(out[:, j], np.broadcast_to(ex.evaluate(e, pts), (9,))), j
+
+
+def test_compiled_program_guards_match_tree_evaluation():
+    pts = np.array([[0.5, 1.0], [0.0, 0.0]], dtype=complex)
+    cases = [1 / Z1, ex.log(Z2), ex.log(Z1) / Z2, Z1 / ex.log(1 + Z2)]
+    for e in cases:
+        with pytest.raises(ex.EvaluationError) as want:
+            ex.evaluate(e, pts)
+        with pytest.raises(ex.EvaluationError) as got:
+            ex.evaluate(ex.compile_program([e]), pts)
+        assert str(got.value) == str(want.value)
+    with pytest.raises(ex.EvaluationError, match="z2"):
+        ex.evaluate(ex.compile_program([Z2]), np.zeros((1, 1), dtype=complex))
+
+
+def test_compile_and_run_are_iterative():
+    # far deeper than the recursion limit: evaluate() would overflow the stack
+    e = Z1
+    for _ in range(5000):
+        e = ex.add(e, ZB1)
+    out = ex.evaluate(ex.compile_program([e]), np.array([[0.5 + 0.25j]]))
+    assert abs(out[0, 0] - (0.5 + 0.25j + 5000 * (0.5 - 0.25j))) < 1e-9
+    assert ex.max_coord_index(e) == 1
+
+
+def test_signed_zero_constants_stay_distinct():
+    neg_zero = ex.Expr("const", value=complex(-0.0, -0.0))
+    prog = ex.compile_program([neg_zero, ex.ZERO])
+    assert len(prog) == 2
+    out = ex.evaluate(prog, np.zeros((1, 1), dtype=complex))
+    assert np.signbit(out[0, 0].real) and not np.signbit(out[0, 1].real)

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from chernkit import expr as ex
-from chernkit.catalog import builtin, sample_points
-from chernkit.dsl import parse_metric
-from chernkit.jets import MetricError, factor_jet, metric_jet, metric_jets
+from chernkit.catalog import builtin, names, sample_points
+from chernkit.dsl import MetricSpec, parse_metric
+from chernkit.jets import HERMITIAN_TOL, MetricError, _programs, factor_jet, metric_jet, metric_jets
 
 
 def _fd_entry(spec, i_or_none, j_or_none, k, l, p, h=1e-5):
@@ -152,3 +152,69 @@ def test_factor_jet_rejects_complex_factor():
     F = parse_expression("z1", 1)
     with pytest.raises(ValueError, match="not real"):
         factor_jet(F, [0.3 + 0.2j], 1)
+
+
+def test_compiled_jets_bit_identical_to_tree_evaluation():
+    # reference: every table entry as its own tree, through ex.evaluate
+    for name in names():
+        entry = builtin(name)
+        spec, n = entry.spec, entry.spec.n
+        pts = sample_points(entry, 7, 5)
+        E, r = spec.entries, range(n)
+
+        def ref(e):
+            return np.broadcast_to(ex.evaluate(e, pts), (len(pts),))
+
+        g = ex.evaluate(_programs(spec)[0], pts)
+        for k in r:
+            for l in r:
+                assert np.array_equal(g[:, k * n + l], ref(E[k][l])), (name, k, l)
+        jets = metric_jets(spec, pts)
+        dg = np.stack([j.dg for j in jets])
+        dbg = np.stack([j.dbar_g for j in jets])
+        ddg = np.stack([j.ddbar_g for j in jets])
+        for i in r:
+            for k in r:
+                for l in r:
+                    d_i = ex.wirtinger_diff(E[k][l], "holo", i + 1)
+                    assert np.array_equal(dg[:, i, k, l], ref(d_i)), (name, i, k, l)
+                    db = ex.wirtinger_diff(E[k][l], "anti", i + 1)
+                    assert np.array_equal(dbg[:, i, k, l], ref(db)), (name, i, k, l)
+                    for j in r:
+                        dd = ex.wirtinger_diff(d_i, "anti", j + 1)
+                        assert np.array_equal(ddg[:, i, j, k, l], ref(dd)), (name, i, j, k, l)
+
+
+def test_non_finite_metric_rejected():
+    # g overflows: exp(722) is beyond the largest double
+    spec = parse_metric("dim 1\ng[1,1] = exp(800*z1*zbar1)")
+    with pytest.raises(MetricError, match=r"metric is not finite at \[0.95"):
+        metric_jet(spec, [0.95])
+    # g is finite (about 1.6e306) but d dbar g is 700^2 |z|^2 g, which overflows
+    spec = parse_metric("dim 1\ng[1,1] = exp(700*z1*zbar1)")
+    p = np.sqrt(705 / 700)
+    assert np.isfinite(metric_jet(spec, [0.9]).ddbar_g).all()
+    with pytest.raises(MetricError, match="metric derivatives are not finite"):
+        metric_jets(spec, [[0.9], [p], [0.5]])
+
+
+def test_hermitian_tolerance_is_relative_to_metric_size():
+    entry = builtin("fubini-study-2")
+    spec = entry.spec
+    big = MetricSpec(
+        n=2,
+        entries=[[ex.mul(ex.const(1e12), e) for e in row] for row in spec.entries],
+        name="fubini-study-2-scaled",
+        domain=spec.domain,
+    )
+    pts = sample_points(entry, 20, 9)
+    g = ex.evaluate(_programs(big)[0], pts).reshape(-1, 2, 2)
+    herm = np.max(np.abs(g - np.conj(np.swapaxes(g, 1, 2))), axis=(1, 2))
+    assert np.max(herm) >= HERMITIAN_TOL  # an absolute tolerance would reject it
+    for small, large in zip(metric_jets(spec, pts), metric_jets(big, pts)):
+        want = 1e12 * np.linalg.eigvalsh(small.g)
+        assert np.allclose(np.linalg.eigvalsh(large.g), want, rtol=1e-12, atol=0)
+    # a genuinely non-Hermitian entry stays rejected at any scale
+    skew = parse_metric("dim 2\ng[1,1]=1e12\ng[2,2]=1e12\ng[1,2]=1e12*z1")
+    with pytest.raises(MetricError, match="Hermitian"):
+        metric_jet(skew, [0.5, 0.5])
