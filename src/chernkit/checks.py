@@ -441,18 +441,14 @@ def check_fd(points: int = 20, seed: int = 97, h: float = 1e-5):
         for i in range(entry.spec.n):
             for j in range(entry.spec.n):
                 e = entry.spec.entries[i][j]
-                if e == ex.ZERO:
-                    continue
-                for p in pts:
-                    worst = max(worst, ex.fd_residual(e, p, h))
+                if e != ex.ZERO:
+                    worst = max(worst, ex.fd_residual(e, pts, h))
         out.append(_outcome("fd-cross-check/entries", name, worst, 1e-6, "derived"))
     worst = 0.0
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-0.5, 0.5, size=(points, 6)).view(complex)
     for ftext in _FACTORS:
-        F = parse_expression(ftext, 3)
-        for p in pts:
-            worst = max(worst, ex.fd_residual(F, p, h))
+        worst = max(worst, ex.fd_residual(parse_expression(ftext, 3), pts, h))
     out.append(_outcome("fd-cross-check/conformal-factors", "(factors)", worst, 1e-6, "derived"))
     return out
 

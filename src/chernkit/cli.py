@@ -8,7 +8,9 @@
 
 Exit codes: 0 = success / all checks pass, 1 = verification failures,
 2 = input or parse errors.  CHERNKIT_TOL overrides the default verify
-tolerances when --tol is not given.
+tolerances when --tol is not given.  eval accepts --parallel for
+compatibility; points are always evaluated serially, so the output is the
+same with or without it.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -137,11 +138,7 @@ def cmd_eval(args) -> int:
         spec = conformal_metric(spec, parse_expression(args.conformal, spec.n))
     pts = _points_for(args, spec)
     pairs = _pairs_for(args)
-    if args.parallel:
-        with ThreadPoolExecutor() as pool:
-            records = list(pool.map(lambda p: _eval_record(spec, p, pairs), pts))
-    else:
-        records = [_eval_record(spec, p, pairs) for p in pts]
+    records = [_eval_record(spec, p, pairs) for p in pts]
     doc = {
         "schema": SCHEMA_VERSION,
         "metric": args.metric,
@@ -245,7 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--conformal", help="real DSL expression F; report is for exp(2F) g")
     pe.add_argument("--point", action="append", help='explicit point "a+bi,c+di,..." (repeatable)')
     pe.add_argument("--out", help="write the JSON report here instead of stdout")
-    pe.add_argument("--parallel", action="store_true", help="evaluate points in a thread pool")
+    pe.add_argument(
+        "--parallel", action="store_true", help="accepted for compatibility; points are evaluated serially"
+    )
     pe.set_defaults(func=cmd_eval)
 
     pv = sub.add_parser("verify", help="run the verification battery")

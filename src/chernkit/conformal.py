@@ -19,9 +19,9 @@ import numpy as np
 
 from . import expr as ex
 from .dsl import MetricSpec
-from .geometry import ChernCurvature, chern_curvature, ricci_bundle
+from .geometry import ChernCurvature, _real, _rho1, chern_curvature, ricci_bundle
 from .jets import FactorJet, MetricJet, factor_jet, metric_jet
-from .mixed import MixedParams
+from .mixed import MixedParams, _constancy_residual, _sym
 
 __all__ = [
     "conformal_metric",
@@ -56,10 +56,7 @@ def conformal_curvature_via_formula(
 
 def chern_laplacian(jet: MetricJet, f_jet: FactorJet) -> float:
     """Delta F = g^{k lbar} d_k dbar_l F (real for real F)."""
-    val = complex(np.trace(jet.g_inv @ f_jet.hess))
-    if abs(val.imag) > 1e-10 * max(1.0, abs(val.real)):
-        raise ValueError(f"Laplacian of a real factor should be real, got Im = {val.imag:.3e}")
-    return val.real
+    return _real(np.trace(jet.g_inv @ f_jet.hess), "Laplacian of a real factor")
 
 
 def surface_scalar_relation_residual(spec: MetricSpec, F: ex.Expr, p):
@@ -105,33 +102,6 @@ def conformal_constancy_residual(
     if Rc.frame != "coordinate":
         raise ValueError("the conformal constancy identity uses coordinate components")
     g = jet.g
-    R = Rc.tensor
-    rho = np.einsum("lk,ijkl->ij", jet.g_inv, R)
-    Fh = f_jet.hess
-    a, b = params.alpha, params.beta
-    n = jet.n
-    lhs = a * (
-        np.einsum("ij,kl->ijkl", rho, g)
-        + np.einsum("kj,il->ijkl", rho, g)
-        + np.einsum("il,kj->ijkl", rho, g)
-        + np.einsum("kl,ij->ijkl", rho, g)
-    )
-    lhs = lhs + b * (
-        R
-        + np.transpose(R, (2, 1, 0, 3))
-        + np.transpose(R, (0, 3, 2, 1))
-        + np.transpose(R, (2, 3, 0, 1))
-    )
-    lhs = lhs - 2 * (n * a + b) * (
-        np.einsum("ij,kl->ijkl", g, Fh)
-        + np.einsum("kj,il->ijkl", g, Fh)
-        + np.einsum("il,kj->ijkl", g, Fh)
-        + np.einsum("kl,ij->ijkl", g, Fh)
-    )
-    rhs = (
-        2
-        * f
-        * np.exp(2 * f_jet.value)
-        * (np.einsum("ij,kl->ijkl", g, g) + np.einsum("il,kj->ijkl", g, g))
-    )
-    return float(np.max(np.abs(lhs - rhs)))
+    shift = 2 * (jet.n * params.alpha + params.beta) * _sym(np.einsum("ij,kl->ijkl", g, f_jet.hess))
+    rho = _rho1(jet.g_inv, Rc.tensor)
+    return _constancy_residual(Rc.tensor, rho, g, params, f * np.exp(2 * f_jet.value), shift)

@@ -580,6 +580,8 @@ def fd_residual(e: Expr, p, h: float = 1e-5) -> float:
     For every coordinate k present at the point, compares wirtinger_diff
     against 0.5*(d/dx_k -/+ i d/dy_k) central differences of step h.  Used as
     a validation residual; h must be > 0 and p interior with margin >= 2h.
+    p may be one point (n,) or a batch (m, n); a batch derives each
+    derivative once and returns the maximum over its points.
     """
     if h <= 0:
         raise ValueError("finite-difference step must be positive")
@@ -595,5 +597,5 @@ def fd_residual(e: Expr, p, h: float = 1e-5) -> float:
         fd_anti = 0.5 * (fx + 1j * fy)
         sym_holo = evaluate(wirtinger_diff(e, "holo", k), pt)
         sym_anti = evaluate(wirtinger_diff(e, "anti", k), pt)
-        worst = max(worst, abs(sym_holo - fd_holo), abs(sym_anti - fd_anti))
-    return worst
+        worst = max(worst, np.max(np.abs(sym_holo - fd_holo)), np.max(np.abs(sym_anti - fd_anti)))
+    return float(worst)

@@ -91,6 +91,21 @@ def _real(x, what: str) -> float:
     return x.real
 
 
+def _rho1(g_inv: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """rho1_{i jbar} = g^{k lbar} R_{i jbar k lbar}, with g_inv = G^{-1}."""
+    return np.einsum("lk,ijkl->ij", g_inv, R)
+
+
+def _in_frame(R: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """Components of R in the frame whose columns are E."""
+    return np.einsum("ijkl,ia,jb,kc,ld->abcd", R, E, np.conj(E), E, np.conj(E))
+
+
+def _quartic(R: np.ndarray, X: np.ndarray) -> complex:
+    """R(X, Xbar, X, Xbar), the numerator of H(X)."""
+    return np.einsum("ijkl,i,j,k,l->", R, X, np.conj(X), X, np.conj(X))
+
+
 def chern_curvature(jet: MetricJet) -> ChernCurvature:
     """Coordinate-frame Chern curvature tensor from a metric jet."""
     second = np.einsum("qp,ikq,jpl->ijkl", jet.g_inv, jet.dg, jet.dbar_g)
@@ -124,15 +139,14 @@ def to_unitary_frame(Rc: ChernCurvature, jet: MetricJet) -> ChernCurvature:
     if Rc.frame != "coordinate":
         raise ValueError("to_unitary_frame expects a coordinate-frame tensor")
     E = orthonormal_frame(jet.g)
-    RE = np.einsum("ijkl,ia,jb,kc,ld->abcd", Rc.tensor, E, np.conj(E), E, np.conj(E))
-    return ChernCurvature(RE, "unitary", Rc.point, frame_matrix=E)
+    return ChernCurvature(_in_frame(Rc.tensor, E), "unitary", Rc.point, frame_matrix=E)
 
 
 def ricci_bundle(Rc: ChernCurvature, g: np.ndarray) -> RicciBundle:
     """Four Ricci traces of Rc with respect to g (same frame as Rc)."""
     gi = np.linalg.inv(np.asarray(g, dtype=complex))
     R = Rc.tensor
-    rho1 = np.einsum("lk,ijkl->ij", gi, R)
+    rho1 = _rho1(gi, R)
     rho2 = np.einsum("ji,ijkl->kl", gi, R)
     rho3 = np.einsum("jk,ijkl->il", gi, R)
     rho4 = np.einsum("li,ijkl->kj", gi, R)
@@ -178,8 +192,7 @@ def holomorphic_sectional(Rc: ChernCurvature, g: np.ndarray, X) -> float:
     norm2 = metric_norm_sq(g, X)
     if norm2 < 1e-300:
         raise ValueError("holomorphic sectional curvature of the zero vector")
-    num = np.einsum("ijkl,i,j,k,l->", Rc.tensor, X, np.conj(X), X, np.conj(X))
-    return _real(num, "H(X)") / norm2**2
+    return _real(_quartic(Rc.tensor, X), "H(X)") / norm2**2
 
 
 def hermitian_symmetry_residual(Rc: ChernCurvature) -> float:

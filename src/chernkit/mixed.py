@@ -18,7 +18,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ChernCurvature, RicciBundle, orthonormal_frame
+from .geometry import (
+    ChernCurvature,
+    RicciBundle,
+    _in_frame,
+    _quartic,
+    _rho1,
+    metric_norm_sq,
+    orthonormal_frame,
+)
 
 __all__ = [
     "MixedParams",
@@ -35,12 +43,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class MixedParams:
-    """Interpolation weights; alpha and beta must not both vanish."""
+    """Interpolation weights; finite, and alpha and beta must not both vanish."""
 
     alpha: float
     beta: float
 
     def __post_init__(self):
+        if not (np.isfinite(self.alpha) and np.isfinite(self.beta)):
+            raise ValueError(f"alpha and beta must be finite, got {self.alpha} and {self.beta}")
         if abs(self.alpha) + abs(self.beta) == 0:
             raise ValueError("alpha and beta must not both be zero")
 
@@ -67,8 +77,7 @@ def _unitary_data(Rc: ChernCurvature, g: np.ndarray):
     if Rc.frame == "unitary":
         R = Rc.tensor
     else:
-        E = orthonormal_frame(g)
-        R = np.einsum("ijkl,ia,jb,kc,ld->abcd", Rc.tensor, E, np.conj(E), E, np.conj(E))
+        R = _in_frame(Rc.tensor, orthonormal_frame(g))
     rho = np.einsum("ijkk->ij", R)
     return R, rho
 
@@ -76,13 +85,12 @@ def _unitary_data(Rc: ChernCurvature, g: np.ndarray):
 def mixed_curvature(Rc: ChernCurvature, g: np.ndarray, params: MixedParams, X) -> float:
     """C_{alpha,beta}(X) for a nonzero (1,0)-vector X; scale-invariant in X."""
     X = np.asarray(X, dtype=complex)
-    norm2 = np.einsum("ij,i,j->", g, X, np.conj(X)).real
+    norm2 = metric_norm_sq(g, X)
     if norm2 < 1e-300:
         raise ValueError("mixed curvature of the zero vector")
-    gi = np.linalg.inv(np.asarray(g, dtype=complex))
-    rho1 = np.einsum("lk,ijkl->ij", gi, Rc.tensor)
+    rho1 = _rho1(np.linalg.inv(np.asarray(g, dtype=complex)), Rc.tensor)
     ric = np.einsum("ij,i,j->", rho1, X, np.conj(X)).real
-    h = np.einsum("ijkl,i,j,k,l->", Rc.tensor, X, np.conj(X), X, np.conj(X)).real
+    h = _quartic(Rc.tensor, X).real
     return params.alpha * ric / norm2 + params.beta * h / norm2**2
 
 
@@ -104,20 +112,15 @@ def sphere_average_monte_carlo(
     Directions are complex-normal vectors normalized to the unit sphere in a
     g-orthonormal frame (uniform on the sphere); deterministic given seed.
     """
-    if samples < 1000:
-        raise ValueError("need at least 1000 samples")
-    R, rho = _unitary_data(Rc, g)
-    n = R.shape[0]
-    rng = np.random.default_rng(seed)
-    W = rng.standard_normal((samples, n)) + 1j * rng.standard_normal((samples, n))
-    Z = W / np.linalg.norm(W, axis=1, keepdims=True)
+    return sphere_average_monte_carlo_many(Rc, g, [params], samples, seed)[0]
+
+
+def _ric_hsc(R, rho, Z):
+    """rho(Z, Zbar) and R(Z, Zbar, Z, Zbar) for each row of the batch Z."""
     Zc = np.conj(Z)
     ric = np.einsum("ij,bi,bj->b", rho, Z, Zc).real
     hsc = np.einsum("ijkl,bi,bj,bk,bl->b", R, Z, Zc, Z, Zc).real
-    vals = params.alpha * ric + params.beta * hsc
-    mean = float(np.mean(vals))
-    stderr = float(np.std(vals, ddof=1) / np.sqrt(samples))
-    return mean, stderr
+    return ric, hsc
 
 
 def sphere_average_monte_carlo_many(
@@ -138,10 +141,7 @@ def sphere_average_monte_carlo_many(
     n = R.shape[0]
     rng = np.random.default_rng(seed)
     W = rng.standard_normal((samples, n)) + 1j * rng.standard_normal((samples, n))
-    Z = W / np.linalg.norm(W, axis=1, keepdims=True)
-    Zc = np.conj(Z)
-    ric = np.einsum("ij,bi,bj->b", rho, Z, Zc).real
-    hsc = np.einsum("ijkl,bi,bj,bk,bl->b", R, Z, Zc, Z, Zc).real
+    ric, hsc = _ric_hsc(R, rho, W / np.linalg.norm(W, axis=1, keepdims=True))
     out = []
     for params in params_list:
         vals = params.alpha * ric + params.beta * hsc
@@ -166,9 +166,7 @@ def _axis_and_bisector_seeds(n: int) -> np.ndarray:
 
 
 def _objective(R, rho, params, Z):
-    Zc = np.conj(Z)
-    ric = np.einsum("ij,bi,bj->b", rho, Z, Zc).real
-    hsc = np.einsum("ijkl,bi,bj,bk,bl->b", R, Z, Zc, Z, Zc).real
+    ric, hsc = _ric_hsc(R, rho, Z)
     return params.alpha * ric + params.beta * hsc
 
 
@@ -296,22 +294,18 @@ def constancy_tensor_residual(
     and the returned value is the max absolute component of LHS - RHS.
     """
     g = np.asarray(g, dtype=complex)
-    gi = np.linalg.inv(g)
-    R = Rc.tensor
-    rho = np.einsum("lk,ijkl->ij", gi, R)
-    a, b = params.alpha, params.beta
-    lhs = a * (
-        np.einsum("ij,kl->ijkl", rho, g)
-        + np.einsum("kj,il->ijkl", rho, g)
-        + np.einsum("il,kj->ijkl", rho, g)
-        + np.einsum("kl,ij->ijkl", rho, g)
-    )
-    lhs = lhs + b * (
-        R
-        + np.transpose(R, (2, 1, 0, 3))
-        + np.transpose(R, (0, 3, 2, 1))
-        + np.transpose(R, (2, 3, 0, 1))
-    )
+    return _constancy_residual(Rc.tensor, _rho1(np.linalg.inv(g), Rc.tensor), g, params, c)
+
+
+def _sym(T):
+    """T_{i jbar k lbar} + T_{k jbar i lbar} + T_{i lbar k jbar} + T_{k lbar i jbar}."""
+    return T + T.transpose(2, 1, 0, 3) + T.transpose(0, 3, 2, 1) + T.transpose(2, 3, 0, 1)
+
+
+def _constancy_residual(R, rho, g, params, c, shift=0.0):
+    """The constancy identity: max |alpha sym(rho g) + beta sym(R) - shift - RHS|,
+    RHS = 2 c (g_{i jbar} g_{k lbar} + g_{i lbar} g_{k jbar})."""
+    lhs = params.alpha * _sym(np.einsum("ij,kl->ijkl", rho, g)) + params.beta * _sym(R) - shift
     rhs = 2 * c * (np.einsum("ij,kl->ijkl", g, g) + np.einsum("il,kj->ijkl", g, g))
     return float(np.max(np.abs(lhs - rhs)))
 

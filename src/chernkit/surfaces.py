@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ChernCurvature, RicciBundle
+from .geometry import ChernCurvature, RicciBundle, _real
 
 __all__ = [
     "WeylMinus",
@@ -98,10 +98,8 @@ def form_inner(a: OneOneForm, b: OneOneForm, g: np.ndarray) -> float:
     matrices; the g-contracted expression below is its frame-covariant form.
     """
     gi = np.linalg.inv(np.asarray(g, dtype=complex))
-    val = complex(np.einsum("ki,jl,ij,kl->", gi, gi, a.a, np.conj(b.a)))
-    if abs(val.imag) > 1e-10 * max(1.0, abs(val.real)):
-        raise ValueError(f"inner product of real forms should be real, got Im = {val.imag:.3e}")
-    return val.real
+    val = np.einsum("ki,jl,ij,kl->", gi, gi, a.a, np.conj(b.a))
+    return _real(val, "inner product of real forms")
 
 
 def wedge_ratio(a: OneOneForm, b: OneOneForm, g: np.ndarray) -> float:
@@ -116,10 +114,7 @@ def wedge_ratio(a: OneOneForm, b: OneOneForm, g: np.ndarray) -> float:
     A, B = a.a, b.a
     num = A[0, 0] * B[1, 1] + A[1, 1] * B[0, 0] - A[0, 1] * B[1, 0] - A[1, 0] * B[0, 1]
     den = np.linalg.det(np.asarray(g, dtype=complex))
-    val = complex(num / den)
-    if abs(val.imag) > 1e-10 * max(1.0, abs(val.real)):
-        raise ValueError(f"wedge ratio of real forms should be real, got Im = {val.imag:.3e}")
-    return val.real
+    return _real(num / den, "wedge ratio of real forms")
 
 
 def c1_squared_pointwise_residual(bundle: RicciBundle, g: np.ndarray) -> float:

@@ -164,6 +164,16 @@ def test_eval_non_finite_metric_is_an_error_record(tmp_path):
     assert "not finite" in rec["error"] and "0.95" in rec["error"]
 
 
+@pytest.mark.parametrize("command", ["eval", "extremize"])
+@pytest.mark.parametrize("weights", [("nan", "1"), ("inf", "1"), ("1", "-inf")])
+def test_non_finite_weights_are_input_errors(command, weights):
+    alpha, beta = weights
+    r = _run(command, "--metric", "hopf-2", "--points", "1", f"--alpha={alpha}", f"--beta={beta}")
+    assert r.returncode == 2, r.stdout
+    assert "must be finite" in r.stderr
+    assert r.stdout == ""
+
+
 def test_eval_scaled_metric_is_accepted(tmp_path):
     from chernkit import expr as ex
     from chernkit.catalog import builtin

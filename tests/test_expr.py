@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from chernkit import expr as ex
+from chernkit.catalog import builtin, sample_points
 from chernkit.dsl import parse_expression
 
 Z1, Z2 = ex.coord(1), ex.coord(2)
@@ -127,6 +128,17 @@ def test_fd_residual_generic_trees():
     e = ex.exp(Z1 * ZB2) / (2 + Z2 * ZB2) + ex.conj(ex.log(3 + Z1 * ZB1))
     for p in _rand_points(2, 5, 7):
         assert ex.fd_residual(e, p, 1e-5) < 1e-6
+
+
+def test_fd_residual_batch_is_the_max_over_points():
+    cases = [(ex.exp(Z1 * ZB2) / (2 + Z2 * ZB2) + ex.conj(ex.log(3 + Z1 * ZB1)), _rand_points(2, 20, 8))]
+    entry = builtin("adm-product-surface")
+    pts = sample_points(entry, 20, 9)
+    cases += [(e, pts) for row in entry.spec.entries for e in row if e != ex.ZERO]
+    cases.append((ex.const(5), pts))
+    for e, pts in cases:
+        singles = max(ex.fd_residual(e, p, 1e-5) for p in pts)
+        assert abs(ex.fd_residual(e, pts, 1e-5) - singles) <= 1e-12
 
 
 def test_to_source_round_trip():
