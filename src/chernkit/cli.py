@@ -7,7 +7,7 @@
     chernkit catalog list
 
 Exit codes: 0 = success / all checks pass, 1 = verification failures,
-2 = input or parse errors.  CHERNKIT_TOL overrides the default verify
+2 = input, parse or file errors.  CHERNKIT_TOL overrides the default verify
 tolerances when --tol is not given.  eval accepts --parallel for
 compatibility; points are always evaluated serially, so the output is the
 same with or without it.
@@ -26,7 +26,7 @@ from . import report
 from .catalog import builtin, names
 from .checks import SUITES, run_checks
 from .conformal import conformal_metric
-from .dsl import DslError, MetricSpec, parse_expression, parse_metric
+from .dsl import MetricSpec, parse_expression, parse_metric
 from .expr import EvaluationError
 from .geometry import (
     chern_curvature,
@@ -50,7 +50,7 @@ def _resolve_metric(source: str) -> MetricSpec:
     if source in names():
         return builtin(source).spec
     path = Path(source)
-    if path.exists():
+    if path.is_file():
         return parse_metric(path.read_text(), name=path.stem)
     raise InputError(
         f"{source!r} is neither a catalog metric nor a readable file (see `chernkit catalog list`)"
@@ -89,6 +89,20 @@ def _pairs_for(args, default=((0.0, 1.0),)) -> list:
         raise InputError(str(err)) from err
 
 
+def _mixed_row(params: MixedParams, rep) -> dict:
+    return {
+        "alpha": params.alpha,
+        "beta": params.beta,
+        "min": rep.min_value,
+        "max": rep.max_value,
+        "spread": rep.spread,
+        "argmin": report.point_json(rep.argmin),
+        "argmax": report.point_json(rep.argmax),
+        "restarts_used": rep.restarts_used,
+        "converged": rep.converged,
+    }
+
+
 def _eval_record(spec: MetricSpec, point, pairs) -> dict:
     try:
         jet = metric_jet(spec, point)
@@ -96,7 +110,7 @@ def _eval_record(spec: MetricSpec, point, pairs) -> dict:
         Ru = to_unitary_frame(Rc, jet)
         b = ricci_bundle(Rc, jet.g)
         t = torsion(jet)
-        record = {
+        return {
             "point": report.point_json(point),
             "g_eigenvalues": [float(x) for x in np.linalg.eigvalsh(jet.g)],
             "kahler_defect": kahler_defect(jet),
@@ -110,24 +124,8 @@ def _eval_record(spec: MetricSpec, point, pairs) -> dict:
                 "rho3": report.matrix_json(b.rho3),
                 "rho4": report.matrix_json(b.rho4),
             },
-            "mixed": [],
+            "mixed": [_mixed_row(params, extremize(Ru, np.eye(spec.n), params)) for params in pairs],
         }
-        for params in pairs:
-            rep = extremize(Ru, np.eye(spec.n), params)
-            record["mixed"].append(
-                {
-                    "alpha": params.alpha,
-                    "beta": params.beta,
-                    "min": rep.min_value,
-                    "max": rep.max_value,
-                    "spread": rep.spread,
-                    "argmin": report.point_json(rep.argmin),
-                    "argmax": report.point_json(rep.argmax),
-                    "restarts_used": rep.restarts_used,
-                    "converged": rep.converged,
-                }
-            )
-        return record
     except (MetricError, EvaluationError) as err:
         return {"point": report.point_json(point), "error": str(err)}
 
@@ -200,20 +198,7 @@ def cmd_extremize(args) -> int:
         doc = {
             "schema": SCHEMA_VERSION,
             "metric": args.metric,
-            "rows": [
-                {
-                    "point": report.point_json(p),
-                    "alpha": params.alpha,
-                    "beta": params.beta,
-                    "min": rep.min_value,
-                    "max": rep.max_value,
-                    "spread": rep.spread,
-                    "argmin": report.point_json(rep.argmin),
-                    "argmax": report.point_json(rep.argmax),
-                    "converged": rep.converged,
-                }
-                for p, params, rep in rows
-            ],
+            "rows": [{"point": report.point_json(p), **_mixed_row(params, rep)} for p, params, rep in rows],
         }
         Path(args.out).write_text(report.dumps(doc))
     return 0
@@ -272,7 +257,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, DslError, MetricError, EvaluationError, ValueError) as err:
+    except (ValueError, OSError) as err:  # input, DSL, metric and evaluation errors are ValueErrors
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -20,7 +20,7 @@ import numpy as np
 from . import expr as ex
 from .dsl import MetricSpec
 from .geometry import ChernCurvature, _real, _rho1, chern_curvature, ricci_bundle
-from .jets import FactorJet, MetricJet, factor_jet, metric_jet
+from .jets import FactorJet, MetricJet, _factor_jets, metric_jets
 from .mixed import MixedParams, _constancy_residual, _sym
 
 __all__ = [
@@ -60,23 +60,28 @@ def chern_laplacian(jet: MetricJet, f_jet: FactorJet) -> float:
 
 
 def surface_scalar_relation_residual(spec: MetricSpec, F: ex.Expr, p):
-    """Residuals (r_u, r_v) of the surface scalar laws at p (n = 2 only).
+    """Residuals (r_u, r_v) of the surface scalar laws (n = 2 only).
 
     r_u = |e^{2F} u~ - (u - 4 Delta F)|, r_v = |e^{2F} v~ - (v - 2 Delta F)|,
-    with u~, v~ computed directly on conformal_metric(spec, F).
+    with u~, v~ computed directly on conformal_metric(spec, F), which is
+    built and compiled once per call.  p is one point, shape (2,), giving
+    two floats, or a batch, shape (m, 2), giving two (m,) arrays.
     """
     if spec.n != 2:
         raise ValueError("surface scalar relations require n = 2")
-    jet = metric_jet(spec, p)
-    fj = factor_jet(F, p, spec.n)
-    base = ricci_bundle(chern_curvature(jet), jet.g)
-    lap = chern_laplacian(jet, fj)
-    tilde_jet = metric_jet(conformal_metric(spec, F), p)
-    tilde = ricci_bundle(chern_curvature(tilde_jet), tilde_jet.g)
-    scale = np.exp(2 * fj.value)
-    r_u = abs(scale * tilde.u - (base.u - 4 * lap))
-    r_v = abs(scale * tilde.v - (base.v - 2 * lap))
-    return r_u, r_v
+    pts = np.asarray(p, dtype=complex)
+    batch = np.atleast_2d(pts)
+    tilde_jets = metric_jets(conformal_metric(spec, F), batch)
+    r_u, r_v = [], []
+    for jet, fj, tilde_jet in zip(metric_jets(spec, batch), _factor_jets(F, batch, 2), tilde_jets):
+        base = ricci_bundle(chern_curvature(jet), jet.g)
+        lap = chern_laplacian(jet, fj)
+        tilde = ricci_bundle(chern_curvature(tilde_jet), tilde_jet.g)
+        scale = np.exp(2 * fj.value)
+        r_u.append(abs(scale * tilde.u - (base.u - 4 * lap)))
+        r_v.append(abs(scale * tilde.v - (base.v - 2 * lap)))
+    r_u, r_v = np.array(r_u), np.array(r_v)
+    return (r_u[0], r_v[0]) if pts.ndim == 1 else (r_u, r_v)
 
 
 def conformal_constancy_residual(

@@ -580,22 +580,20 @@ def fd_residual(e: Expr, p, h: float = 1e-5) -> float:
     For every coordinate k present at the point, compares wirtinger_diff
     against 0.5*(d/dx_k -/+ i d/dy_k) central differences of step h.  Used as
     a validation residual; h must be > 0 and p interior with margin >= 2h.
-    p may be one point (n,) or a batch (m, n); a batch derives each
-    derivative once and returns the maximum over its points.
+    p is one point, shape (n,), or a batch, shape (m, n); the result is the
+    maximum over the batch.  The 2n derivatives run as one compiled program
+    over the batch, and e as another over all 4n shifted copies of it.
     """
     if h <= 0:
         raise ValueError("finite-difference step must be positive")
-    pt = np.asarray(p, dtype=complex)
-    n = pt.shape[-1]
-    worst = 0.0
-    for k in range(1, n + 1):
-        ek = np.zeros(n, dtype=complex)
-        ek[k - 1] = 1.0
-        fx = (evaluate(e, pt + h * ek) - evaluate(e, pt - h * ek)) / (2 * h)
-        fy = (evaluate(e, pt + 1j * h * ek) - evaluate(e, pt - 1j * h * ek)) / (2 * h)
-        fd_holo = 0.5 * (fx - 1j * fy)
-        fd_anti = 0.5 * (fx + 1j * fy)
-        sym_holo = evaluate(wirtinger_diff(e, "holo", k), pt)
-        sym_anti = evaluate(wirtinger_diff(e, "anti", k), pt)
-        worst = max(worst, np.max(np.abs(sym_holo - fd_holo)), np.max(np.abs(sym_anti - fd_anti)))
-    return float(worst)
+    pts = np.atleast_2d(np.asarray(p, dtype=complex))
+    m, n = pts.shape
+    derivs = [wirtinger_diff(e, kind, k) for kind in ("holo", "anti") for k in range(1, n + 1)]
+    sym = evaluate(compile_program(derivs), pts).T.reshape(2, n, m)
+    hx, hy = h * np.eye(n, dtype=complex), 1j * h * np.eye(n, dtype=complex)
+    shifted = [pts + d for d in hx] + [pts - d for d in hx] + [pts + d for d in hy] + [pts - d for d in hy]
+    f = evaluate(compile_program([e]), np.concatenate(shifted)).reshape(4, n, m)
+    fx = (f[0] - f[1]) / (2 * h)
+    fy = (f[2] - f[3]) / (2 * h)
+    fd = np.stack([0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)])
+    return float(np.max(np.abs(sym - fd)))

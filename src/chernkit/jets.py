@@ -11,7 +11,9 @@ two interned straight-line programs (:func:`expr.compile_program`): one for
 g, one for all of dg, dbar_g and ddbar_g.  Only the programs stay cached on
 the spec.  Each evaluation runs the g program over the whole batch of points,
 checks g (finite, Hermitian, positive definite), then runs the derivative
-program and checks that its values are finite.
+program and checks that its values are finite.  A conformal factor's jet
+(:func:`factor_jet`) is compiled the same way, by the same function, on
+every call.
 """
 
 from __future__ import annotations
@@ -64,25 +66,33 @@ class FactorJet:
     hess: np.ndarray       # hess[k, l] = d_k dbar_l F
 
 
-def _programs(spec: MetricSpec) -> tuple:
-    """(g program, derivative program) of spec, compiled once and cached on it.
+def _compile_jet(exprs, n: int) -> tuple:
+    """(value program, derivative program) of scalar expressions in n coordinates.
 
-    The derivative program's outputs are dg, dbar_g and ddbar_g, each
-    flattened in C order.  The symbolic tables are dropped after compiling.
+    The derivative program's outputs are d_i e, then dbar_j e, then
+    dbar_j d_i e, in C order over (i, entry), (j, entry) and (i, j, entry);
+    :func:`_split` cuts them back into those three tables.
     """
+    N, r = len(exprs), range(n)
+    d = [ex.wirtinger_diff(e, "holo", i + 1) for i in r for e in exprs]
+    dbar = [ex.wirtinger_diff(e, "anti", j + 1) for j in r for e in exprs]
+    ddbar = [ex.wirtinger_diff(d[i * N + k], "anti", j + 1) for i in r for j in r for k in range(N)]
+    return ex.compile_program(exprs), ex.compile_program(d + dbar + ddbar)
+
+
+def _split(d, n: int, shape: tuple) -> tuple:
+    """The (m, n, *shape), (m, n, *shape) and (m, n, n, *shape) tables in d."""
+    m, k = len(d), n * int(np.prod(shape))
+    a, b, c = np.split(d, [k, 2 * k], axis=1)
+    return a.reshape(m, n, *shape), b.reshape(m, n, *shape), c.reshape(m, n, n, *shape)
+
+
+def _programs(spec: MetricSpec) -> tuple:
+    """(g program, derivative program) of spec's entries, compiled once and cached on it."""
     # idempotent lazy cache; MetricSpec is immutable by convention
     if spec._tables is None:
-        n, E, r = spec.n, spec.entries, range(spec.n)
-        dg = [ex.wirtinger_diff(E[k][l], "holo", i + 1) for i in r for k in r for l in r]
-        dbg = [ex.wirtinger_diff(E[k][l], "anti", j + 1) for j in r for k in r for l in r]
-        ddg = [
-            ex.wirtinger_diff(dg[(i * n + k) * n + l], "anti", j + 1)
-            for i in r for j in r for k in r for l in r
-        ]
-        spec._tables = (
-            ex.compile_program([E[k][l] for k in r for l in r]),
-            ex.compile_program(dg + dbg + ddg),
-        )
+        r = range(spec.n)
+        spec._tables = _compile_jet([spec.entries[k][l] for k in r for l in r], spec.n)
     return spec._tables
 
 
@@ -128,10 +138,7 @@ def metric_jets(spec: MetricSpec, points) -> list:
     with np.errstate(over="ignore", invalid="ignore"):
         d = ex.evaluate(d_prog, pts)
     _require_finite(d, pts, "metric derivatives are")
-    n3 = n**3
-    dg = d[:, :n3].reshape(m, n, n, n)
-    dbg = d[:, n3 : 2 * n3].reshape(m, n, n, n)
-    ddg = d[:, 2 * n3 :].reshape(m, n, n, n, n)
+    dg, dbg, ddg = _split(d, n, (n, n))
     g_inv = np.linalg.inv(g)
     resid = np.max(np.abs(np.einsum("mij,mjk->mik", g_inv, g) - np.eye(n)))
     if resid > 1e-12 * max(1.0, float(np.max(np.abs(g_inv)))):
@@ -149,14 +156,15 @@ def metric_jet(spec: MetricSpec, p) -> MetricJet:
 
 def factor_jet(F: ex.Expr, p, n: int) -> FactorJet:
     """Jet of a real-valued scalar factor F at p (value, gradients, mixed Hessian)."""
-    pt = np.asarray(p, dtype=complex)
-    val = complex(ex.evaluate(F, pt))
-    if abs(val.imag) > 1e-10:
-        raise ValueError(f"conformal factor is not real at {pt} (Im = {val.imag:.3e})")
-    dF = [ex.wirtinger_diff(F, "holo", k + 1) for k in range(n)]
-    grad = np.array([ex.evaluate(d, pt) for d in dF])
-    grad_bar = np.array([ex.evaluate(ex.wirtinger_diff(F, "anti", k + 1), pt) for k in range(n)])
-    hess = np.array(
-        [[ex.evaluate(ex.wirtinger_diff(dF[k], "anti", l + 1), pt) for l in range(n)] for k in range(n)]
-    )
-    return FactorJet(pt, val.real, grad, grad_bar, hess)
+    return _factor_jets(F, np.asarray(p, dtype=complex)[None, :], n)[0]
+
+
+def _factor_jets(F: ex.Expr, pts: np.ndarray, n: int) -> list:
+    """Jets of F at a batch of points, shape (m, n): one compile, one run of each program."""
+    v_prog, d_prog = _compile_jet([F], n)
+    vals = ex.evaluate(v_prog, pts)[:, 0]
+    bad = int(np.argmax(np.abs(vals.imag)))
+    if abs(vals[bad].imag) > 1e-10:
+        raise ValueError(f"conformal factor is not real at {pts[bad]} (Im = {vals[bad].imag:.3e})")
+    tables = _split(ex.evaluate(d_prog, pts), n, ())
+    return [FactorJet(p, float(v.real), *jet) for p, v, *jet in zip(pts, vals, *tables)]

@@ -27,6 +27,7 @@ from .geometry import (
     metric_norm_sq,
     orthonormal_frame,
 )
+from .jets import MetricError
 
 __all__ = [
     "MixedParams",
@@ -264,9 +265,12 @@ def extremize(
         abs(params.beta) * float(np.max(np.abs(R))),
     )
     neg = MixedParams(-params.alpha, -params.beta)
-    max_val, argmax, ok_max = _ascend(R, rho, params, starts.copy(), tol * scale, max_iter)
-    min_neg, argmin, ok_min = _ascend(R, rho, neg, starts.copy(), tol * scale, max_iter)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported as MetricError below
+        max_val, argmax, ok_max = _ascend(R, rho, params, starts.copy(), tol * scale, max_iter)
+        min_neg, argmin, ok_min = _ascend(R, rho, neg, starts.copy(), tol * scale, max_iter)
     min_val = -min_neg
+    if not np.all(np.isfinite([min_val, max_val, max_val - min_val])):
+        raise MetricError(f"mixed curvature extrema not finite for alpha={params.alpha!r}, beta={params.beta!r}")
     return ExtremumReport(
         min_value=min_val,
         max_value=max_val,

@@ -124,6 +124,7 @@ def test_extremize_table_and_json(tmp_path):
     for row in doc["rows"]:
         assert row["spread"] > 1e-2  # H is not constant on the hopf surface
         assert row["converged"] is True
+        assert row["restarts_used"] > 0
 
 
 def test_catalog_list():
@@ -200,3 +201,27 @@ def test_eval_too_deep_expression_exit_code(tmp_path):
     assert r.returncode == 2
     assert "line 2" in r.stderr and "nested deeper" in r.stderr
     assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("case", ["eval-out", "extremize-out", "metric-directory"])
+def test_file_errors_exit_2(tmp_path, case):
+    missing = str(tmp_path / "missing" / "r.json")
+    argv = {
+        "eval-out": ["eval", "--metric", "hopf-2", "--points", "1", "--out", missing],
+        "extremize-out": ["extremize", "--metric", "hopf-2", "--points", "1", "--out", missing],
+        "metric-directory": ["eval", "--metric", str(tmp_path), "--points", "1"],
+    }[case]
+    r = _run(*argv)
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("error: ") and "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("command", ["eval", "extremize"])
+def test_overflowing_weights_are_errors(command):
+    r = _run(command, "--metric", "hopf-2", "--points", "1", "--alpha=1e308", "--beta=1e308")
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert "RuntimeWarning" not in r.stderr
+    assert "not finite" in r.stdout + r.stderr and "alpha=1e+308" in r.stdout + r.stderr
+    if command == "eval":
+        (rec,) = json.loads(r.stdout)["records"]  # valid JSON: no bare inf
+        assert "error" in rec

@@ -132,9 +132,14 @@ def test_surface_scalar_relations():
 
     hopf = builtin("hopf-2")
     F = parse_expression("0.05*z1*zbar1", 2)
-    for p in sample_points(hopf, 5, 6):
-        r_u, r_v = surface_scalar_relation_residual(hopf.spec, F, p)
+    pts = sample_points(hopf, 5, 6)
+    singles = [surface_scalar_relation_residual(hopf.spec, F, p) for p in pts]
+    for r_u, r_v in singles:
         assert r_u < 1e-8 and r_v < 1e-8
+    # a batch gives (m,) arrays equal to the per-point calls
+    r_u, r_v = surface_scalar_relation_residual(hopf.spec, F, pts)
+    assert r_u.shape == r_v.shape == (5,)
+    assert np.array_equal(r_u, [s[0] for s in singles]) and np.array_equal(r_v, [s[1] for s in singles])
 
     # zero factor gives exactly zero residuals
     r_u, r_v = surface_scalar_relation_residual(eu.spec, ex.ZERO, np.array([0.1, 0.2]))
