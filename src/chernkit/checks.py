@@ -45,7 +45,7 @@ from .geometry import (
     to_unitary_frame,
     torsion,
 )
-from .jets import factor_jet, metric_jet, metric_jets
+from .jets import _factor_jets, metric_jet, metric_jets
 from .mixed import (
     MixedParams,
     constancy_tensor_residual,
@@ -259,8 +259,8 @@ def check_conformal_law(points: int = 10, seed: int = 41):
             F = parse_expression(ftext, n)
             tilde = conformal_metric(entry.spec, F)
             res = []
-            for jet, Rc, tjet in zip(jets, curvatures, metric_jets(tilde, pts)):
-                fj = factor_jet(F, jet.point, n)
+            fjets = _factor_jets(F, pts, n)
+            for jet, Rc, tjet, fj in zip(jets, curvatures, metric_jets(tilde, pts), fjets):
                 pred = conformal_curvature_via_formula(Rc, jet, fj)
                 direct = chern_curvature(tjet)
                 scale = max(1.0, float(np.max(np.abs(direct.tensor))))

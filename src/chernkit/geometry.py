@@ -101,9 +101,18 @@ def _in_frame(R: np.ndarray, E: np.ndarray) -> np.ndarray:
     return np.einsum("ijkl,ia,jb,kc,ld->abcd", R, E, np.conj(E), E, np.conj(E))
 
 
-def _quartic(R: np.ndarray, X: np.ndarray) -> complex:
-    """R(X, Xbar, X, Xbar), the numerator of H(X)."""
-    return np.einsum("ijkl,i,j,k,l->", R, X, np.conj(X), X, np.conj(X))
+def _outer(X: np.ndarray) -> np.ndarray:
+    """X (x) Xbar flattened: [..., i*n + j] = X[..., i] conj(X[..., j])."""
+    return (X[..., :, None] * np.conj(X)[..., None, :]).reshape(*X.shape[:-1], -1)
+
+
+def _quartic(R: np.ndarray, X: np.ndarray):
+    """R(X, Xbar, X, Xbar), the numerator of H(X), for a vector or each row of a batch.
+
+    One matmul: sum_{kl} (A R_{(ij),(kl)})_{kl} A_{kl}, with A = X (x) Xbar.
+    """
+    A = _outer(X)
+    return np.einsum("...k,...k->...", A @ R.reshape(A.shape[-1], -1), A)
 
 
 def chern_curvature(jet: MetricJet) -> ChernCurvature:

@@ -10,6 +10,10 @@ the exact sphere average
 a seeded Monte Carlo estimate of the same average, extremization over the
 unit sphere of the g-orthonormal frame, and residuals of the two pointwise
 constancy identities (the symmetrized rank-4 tensor identity and its trace).
+
+The Monte Carlo average and the extremizer take rho(Z, Zbar) as Z @ rho and
+R(Z, Zbar, Z, Zbar) as one matmul of Z (x) Zbar with R reshaped to (n^2, n^2)
+(geometry._quartic), _BLOCK rows of Z at a time to bound the temporaries.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from .geometry import (
     ChernCurvature,
     RicciBundle,
     _in_frame,
+    _outer,
     _quartic,
     _rho1,
     metric_norm_sq,
@@ -75,12 +80,8 @@ class ExtremumReport:
 
 def _unitary_data(Rc: ChernCurvature, g: np.ndarray):
     """(R, rho1) in a unitary frame, whatever frame Rc arrived in."""
-    if Rc.frame == "unitary":
-        R = Rc.tensor
-    else:
-        R = _in_frame(Rc.tensor, orthonormal_frame(g))
-    rho = np.einsum("ijkk->ij", R)
-    return R, rho
+    R = Rc.tensor if Rc.frame == "unitary" else _in_frame(Rc.tensor, orthonormal_frame(g))
+    return R, np.einsum("ijkk->ij", R)
 
 
 def mixed_curvature(Rc: ChernCurvature, g: np.ndarray, params: MixedParams, X) -> float:
@@ -90,8 +91,7 @@ def mixed_curvature(Rc: ChernCurvature, g: np.ndarray, params: MixedParams, X) -
     if norm2 < 1e-300:
         raise ValueError("mixed curvature of the zero vector")
     rho1 = _rho1(np.linalg.inv(np.asarray(g, dtype=complex)), Rc.tensor)
-    ric = np.einsum("ij,i,j->", rho1, X, np.conj(X)).real
-    h = _quartic(Rc.tensor, X).real
+    (ric,), (h,) = _ric_hsc(Rc.tensor, rho1, X[None, :])
     return params.alpha * ric / norm2 + params.beta * h / norm2**2
 
 
@@ -116,11 +116,16 @@ def sphere_average_monte_carlo(
     return sphere_average_monte_carlo_many(Rc, g, [params], samples, seed)[0]
 
 
+_BLOCK = 4096  # rows per block in _ric_hsc; bounds its (rows, n^2) temporaries
+
+
 def _ric_hsc(R, rho, Z):
-    """rho(Z, Zbar) and R(Z, Zbar, Z, Zbar) for each row of the batch Z."""
-    Zc = np.conj(Z)
-    ric = np.einsum("ij,bi,bj->b", rho, Z, Zc).real
-    hsc = np.einsum("ijkl,bi,bj,bk,bl->b", R, Z, Zc, Z, Zc).real
+    """rho(Z, Zbar) and R(Z, Zbar, Z, Zbar) for each row of the batch Z, _BLOCK rows at a time."""
+    ric, hsc = np.empty(len(Z)), np.empty(len(Z))
+    for s in range(0, len(Z), _BLOCK):
+        z = Z[s : s + _BLOCK]
+        ric[s : s + _BLOCK] = np.sum((z @ rho) * np.conj(z), axis=1).real
+        hsc[s : s + _BLOCK] = _quartic(R, z).real
     return ric, hsc
 
 
@@ -142,28 +147,17 @@ def sphere_average_monte_carlo_many(
     n = R.shape[0]
     rng = np.random.default_rng(seed)
     W = rng.standard_normal((samples, n)) + 1j * rng.standard_normal((samples, n))
-    ric, hsc = _ric_hsc(R, rho, W / np.linalg.norm(W, axis=1, keepdims=True))
-    out = []
-    for params in params_list:
-        vals = params.alpha * ric + params.beta * hsc
-        mean = float(np.mean(vals))
-        stderr = float(np.std(vals, ddof=1) / np.sqrt(samples))
-        out.append((mean, stderr))
-    return out
+    W /= np.linalg.norm(W, axis=1, keepdims=True)
+    ric, hsc = _ric_hsc(R, rho, W)
+    vals = (params.alpha * ric + params.beta * hsc for params in params_list)
+    return [(float(np.mean(v)), float(np.std(v, ddof=1) / np.sqrt(samples))) for v in vals]
 
 
 def _axis_and_bisector_seeds(n: int) -> np.ndarray:
     """Frame axes plus, per pair, the bisectors (e_i+e_j)/sqrt2, (e_i+-i e_j)/sqrt2."""
-    seeds = list(np.eye(n, dtype=complex))
-    s = 1 / np.sqrt(2)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for w in (1.0, 1j, -1j):
-                v = np.zeros(n, dtype=complex)
-                v[i] = s
-                v[j] = s * w
-                seeds.append(v)
-    return np.array(seeds)
+    E, s = np.eye(n, dtype=complex), 1 / np.sqrt(2)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    return np.array([*E, *(s * E[i] + s * w * E[j] for i, j in pairs for w in (1.0, 1j, -1j))])
 
 
 def _objective(R, rho, params, Z):
@@ -172,14 +166,15 @@ def _objective(R, rho, params, Z):
 
 
 def _gradient(R, rho, params, Z):
-    """Euclidean gradient 2*dF/dZbar of the (real) objective on C^n."""
-    Zc = np.conj(Z)
-    gr = params.alpha * np.einsum("im,bi->bm", rho, Z)
-    gr = gr + params.beta * (
-        np.einsum("imkl,bi,bk,bl->bm", R, Z, Z, Zc)
-        + np.einsum("ijkm,bi,bj,bk->bm", R, Z, Zc, Z)
-    )
-    return 2.0 * gr
+    """Euclidean gradient 2*dF/dZbar of the (real) objective on C^n.
+
+    dR(Z, Zbar, Z, Zbar)/dZbar_m = sum_i Z_i (A (R + R^T))_{im}, with A = Z (x) Zbar
+    and R reshaped to (n^2, n^2) as in the quartic.
+    """
+    n = R.shape[0]
+    Rm = R.reshape(n * n, n * n)
+    S = (_outer(Z) @ (Rm + Rm.T)).reshape(len(Z), n, n)
+    return 2.0 * (params.alpha * (Z @ rho) + params.beta * np.einsum("bi,bim->bm", Z, S))
 
 
 _LADDER = 2.0 ** (1 - np.arange(12))  # candidate step factors: 2, 1, 1/2, ..., 2^-10
@@ -200,20 +195,18 @@ def _ascend(R, rho, params, starts, tol, max_iter):
     rows = np.arange(B)
     step = np.full(B, 1.0)
     alive = np.ones(B, dtype=bool)
-    for _ in range(max_iter):
+    for it in range(max_iter + 1):  # the last pass only measures the final gradient
         G = _gradient(R, rho, params, Z)
         # tangential component: remove the real-inner-product projection on Z
-        inner = np.sum(G * np.conj(Z), axis=1).real
-        Gt = G - inner[:, None] * Z
+        Gt = G - np.sum(G * np.conj(Z), axis=1).real[:, None] * Z
         grad_norm = np.linalg.norm(Gt, axis=1)
         active = alive & (grad_norm > tol)
-        if not np.any(active):
+        if it == max_iter or not np.any(active):
             break
         cand = step[:, None] * _LADDER[None, :]
         trial = Z[:, None, :] + cand[..., None] * Gt[:, None, :]
         trial = trial / np.linalg.norm(trial, axis=2, keepdims=True)
-        ft = _objective(R, rho, params, trial.reshape(B * len(_LADDER), n))
-        ft = ft.reshape(B, len(_LADDER))
+        ft = _objective(R, rho, params, trial.reshape(-1, n)).reshape(B, len(_LADDER))
         best = np.argmax(ft, axis=1)
         bt = cand[rows, best]
         bf = ft[rows, best]
@@ -223,12 +216,10 @@ def _ascend(R, rho, params, starts, tol, max_iter):
         step[ok] = bt[ok]
         # a start whose whole ladder fails Armijo has no usable ascent left
         alive &= ~(active & ~ok)
-        if not np.any(ok):
+        if not np.any(ok):  # nothing moved, so grad_norm is current
             break
     best = int(np.argmax(f))
-    G = _gradient(R, rho, params, Z[best][None, :])[0]
-    Gt = G - np.sum(G * np.conj(Z[best])).real * Z[best]
-    return float(f[best]), Z[best], bool(np.linalg.norm(Gt) <= tol)
+    return float(f[best]), Z[best], bool(grad_norm[best] <= tol)
 
 
 def extremize(
@@ -259,16 +250,15 @@ def extremize(
     W = rng.standard_normal((restarts, n)) + 1j * rng.standard_normal((restarts, n))
     starts = np.concatenate([_axis_and_bisector_seeds(n), W])
 
-    scale = max(
-        1.0,
-        abs(params.alpha) * float(np.max(np.abs(rho))),
-        abs(params.beta) * float(np.max(np.abs(R))),
-    )
-    neg = MixedParams(-params.alpha, -params.beta)
+    # the ladder's steps are absolute: ascend on weights brought below 2 by an exact power of two
+    unit = 2.0 ** max(0, int(np.frexp(max(abs(params.alpha), abs(params.beta)))[1]) - 1)
+    pos = MixedParams(params.alpha / unit, params.beta / unit)
+    neg = MixedParams(-pos.alpha, -pos.beta)
+    scale = max(1.0, abs(pos.alpha) * np.max(np.abs(rho)), abs(pos.beta) * np.max(np.abs(R)))
     with np.errstate(over="ignore", invalid="ignore"):  # reported as MetricError below
-        max_val, argmax, ok_max = _ascend(R, rho, params, starts.copy(), tol * scale, max_iter)
+        max_val, argmax, ok_max = _ascend(R, rho, pos, starts.copy(), tol * scale, max_iter)
         min_neg, argmin, ok_min = _ascend(R, rho, neg, starts.copy(), tol * scale, max_iter)
-    min_val = -min_neg
+    max_val, min_val = max_val * unit, -min_neg * unit
     if not np.all(np.isfinite([min_val, max_val, max_val - min_val])):
         raise MetricError(f"mixed curvature extrema not finite for alpha={params.alpha!r}, beta={params.beta!r}")
     return ExtremumReport(

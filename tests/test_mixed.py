@@ -1,13 +1,18 @@
 """Mixed curvature: values, averages, extremization vs a dense grid oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from chernkit.catalog import builtin, sample_points
-from chernkit.geometry import chern_curvature, ricci_bundle, to_unitary_frame
+from chernkit.geometry import _quartic, chern_curvature, ricci_bundle, to_unitary_frame
 from chernkit.jets import metric_jet
 from chernkit.mixed import (
+    _BLOCK,
     MixedParams,
+    _gradient,
+    _ric_hsc,
     constancy_tensor_residual,
     extremize,
     mixed_curvature,
@@ -256,3 +261,65 @@ def test_trace_identity_cases():
     f = sphere_average_closed_form(b, params, 3)
     assert trace_identity_residual(b, params, f, 3) < 1e-10
     assert trace_identity_residual(b, params, f + 0.05, 3) > 1e-3
+
+
+def _einsum_reference(R, rho, params, Z):
+    """The contractions written out index by index: rho(Z, Zbar), R(Z, Zbar, Z, Zbar), gradient."""
+    Zc = np.conj(Z)
+    ric = np.einsum("ij,bi,bj->b", rho, Z, Zc).real
+    hsc = np.einsum("ijkl,bi,bj,bk,bl->b", R, Z, Zc, Z, Zc).real
+    grad = 2.0 * (
+        params.alpha * np.einsum("im,bi->bm", rho, Z)
+        + params.beta
+        * (np.einsum("imkl,bi,bk,bl->bm", R, Z, Z, Zc) + np.einsum("ijkm,bi,bj,bk->bm", R, Z, Zc, Z))
+    )
+    return ric, hsc, grad
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_matmul_quartic_matches_einsum(n):
+    # random complex R (no curvature symmetries), across the block boundaries
+    rng = np.random.default_rng(20 + n)
+    R = rng.standard_normal((n,) * 4) + 1j * rng.standard_normal((n,) * 4)
+    rho = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    params = MixedParams(0.7, -1.3)
+
+    def close(x, ref):
+        return np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    for b in (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7):
+        Z = rng.standard_normal((b, n)) + 1j * rng.standard_normal((b, n))
+        ric0, hsc0, grad0 = _einsum_reference(R, rho, params, Z)
+        ric, hsc = _ric_hsc(R, rho, Z)
+        assert close(ric, ric0) and close(hsc, hsc0) and close(_gradient(R, rho, params, Z), grad0), b
+    X = Z[0]
+    single = np.einsum("ijkl,i,j,k,l->", R, X, np.conj(X), X, np.conj(X))
+    assert np.ndim(_quartic(R, X)) == 0
+    assert abs(_quartic(R, X) - single) <= 1e-12 * abs(single)
+
+
+def test_monte_carlo_memory_stays_bounded():
+    # the quartic's (samples, n^2) temporaries are built one block at a time
+    jet, Ru = _unitary_setup("hopf-4", seed=0)
+    tracemalloc.start()
+    try:
+        sphere_average_monte_carlo(Ru, np.eye(4), MixedParams(1.0, 1.0), 100_000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20, peak / 2**20
+
+
+@pytest.mark.parametrize("alpha, beta", [(1.0, 1.0), (0.6, 1.4), (1.0, -2.0), (-0.9, 0.3)])
+def test_extremize_is_invariant_to_the_weights_scale(alpha, beta):
+    entry = builtin("hopf-2")
+    jet = metric_jet(entry.spec, entry.spec.domain.sample(2, 1, np.random.default_rng(0))[0])
+    Ru = to_unitary_frame(chern_curvature(jet), jet)
+    ref = extremize(Ru, np.eye(2), MixedParams(alpha, beta))
+    assert ref.converged
+    size = max(1.0, abs(ref.min_value), abs(ref.max_value))
+    for k in (1e3, 1e6, 1e150):
+        rep = extremize(Ru, np.eye(2), MixedParams(k * alpha, k * beta))
+        assert rep.converged, k
+        for got, want in ((rep.min_value, ref.min_value), (rep.max_value, ref.max_value)):
+            assert abs(got - k * want) <= 1e-9 * k * size, (k, got, want)
