@@ -36,6 +36,7 @@ from .conformal import (
 )
 from .dsl import parse_expression
 from .geometry import (
+    _max_abs,
     chern_curvature,
     hermitian_symmetry_residual,
     holomorphic_sectional,
@@ -45,7 +46,7 @@ from .geometry import (
     to_unitary_frame,
     torsion,
 )
-from .jets import _factor_jets, metric_jet, metric_jets
+from .jets import factor_jet, metric_jets
 from .mixed import (
     MixedParams,
     constancy_tensor_residual,
@@ -79,21 +80,26 @@ class VerificationOutcome:
 
 
 def _outcome(check_id, metric, residual, tolerance, provenance, point=None):
-    residual = float(residual)
-    return VerificationOutcome(
-        check_id=check_id,
-        metric=metric,
-        point=tuple(point) if point is not None else None,
-        residual=residual,
-        tolerance=tolerance,
-        passed=residual <= tolerance,
-        provenance=provenance,
-    )
+    residual, point = float(residual), tuple(point) if point is not None else None
+    return VerificationOutcome(check_id, metric, point, residual, tolerance, residual <= tolerance, provenance)
 
 
-def _max_over_points(values, points):
-    idx = int(np.argmax(values))
-    return values[idx], points[idx]
+def _worst(check_id, metric, residuals, tolerance, provenance, points):
+    """The outcome of the largest of residuals (one per point), witnessed at its point."""
+    k = int(np.argmax(residuals))
+    return _outcome(check_id, metric, residuals[k], tolerance, provenance, points[k])
+
+
+def _directions(rng, count: int, n: int) -> np.ndarray:
+    """count random directions in C^n, each drawn as its real part, then its imaginary part."""
+    return np.array([rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(count)])
+
+
+def _curvatures(entry, pts):
+    """(jets, coordinate-frame and unitary-frame curvature) of entry at pts."""
+    jets = metric_jets(entry.spec, pts)
+    Rc = chern_curvature(jets)
+    return jets, Rc, to_unitary_frame(Rc, jets)
 
 
 # ---------------------------------------------------------------------------
@@ -101,32 +107,26 @@ def _max_over_points(values, points):
 
 
 def _hopf_closed_tensor(z):
-    n = len(z)
-    eye = np.eye(n)
-    r2 = np.vdot(z, z).real
-    return np.einsum("ij,kl->ijkl", eye, eye) - np.einsum("i,j,kl->ijkl", np.conj(z), z, eye) / r2
+    eye = np.eye(z.shape[-1])
+    r2 = np.sum(np.abs(z) ** 2, axis=-1)[..., None, None, None, None]
+    return np.einsum("ij,kl->ijkl", eye, eye) - np.einsum("...i,...j,kl->...ijkl", np.conj(z), z, eye) / r2
 
 
 def check_hopf_closed_form(points: int = 200, seed: int = 11):
     out = []
-    prov = "closed-form"
     for n in (2, 3):
         entry = builtin(f"hopf-{n}")
         pts = sample_points(entry, points, seed + n)
-        jets = metric_jets(entry.spec, pts)
-        r_res, u_res, v_res, rho_res = [], [], [], []
-        for jet in jets:
-            Ru = to_unitary_frame(chern_curvature(jet), jet)
-            closed = _hopf_closed_tensor(jet.point)
-            r_res.append(np.max(np.abs(Ru.tensor - closed)))
-            b = ricci_bundle(Ru, np.eye(n))
-            u_res.append(abs(b.u - (n * n - n)))
-            v_res.append(abs(b.v - (n - 1)))
-            rho_closed = np.einsum("ijkk->ij", closed)
-            rho_res.append(np.max(np.abs(b.rho1 - rho_closed)))
-        for tag, res in (("curvature", r_res), ("u", u_res), ("v", v_res), ("rho1", rho_res)):
-            worst, pt = _max_over_points(res, pts)
-            out.append(_outcome(f"hopf-closed-form/{tag}/n{n}", f"hopf-{n}", worst, 1e-10, prov, pt))
+        Ru = _curvatures(entry, pts)[2]
+        closed = _hopf_closed_tensor(pts)
+        b = ricci_bundle(Ru, np.eye(n))
+        for tag, res in (
+            ("curvature", _max_abs(Ru.tensor - closed, 4)),
+            ("u", np.abs(b.u - (n * n - n))),
+            ("v", np.abs(b.v - (n - 1))),
+            ("rho1", _max_abs(b.rho1 - np.einsum("...ijkk->...ij", closed), 2)),
+        ):
+            out.append(_worst(f"hopf-closed-form/{tag}/n{n}", f"hopf-{n}", res, 1e-10, "closed-form", pts))
     return out
 
 
@@ -141,21 +141,13 @@ def check_hopf_mixed_vanishing(pairs: int = 100, seed: int = 23):
         entry = builtin(f"hopf-{n}")
         params = MixedParams(1.0, -float(n))
         pts = sample_points(entry, pairs, seed + n)
-        jets = metric_jets(entry.spec, pts)
-        mix_res, ten_res = [], []
-        for jet in jets:
-            Rc = chern_curvature(jet)
-            X = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            mix_res.append(abs(mixed_curvature(Rc, jet.g, params, X)))
-            ten_res.append(constancy_tensor_residual(Rc, jet.g, params, 0.0))
-        worst, pt = _max_over_points(mix_res, pts)
-        out.append(
-            _outcome(f"hopf-mixed-vanishing/value/n{n}", f"hopf-{n}", worst, 1e-10, "closed-form", pt)
-        )
-        worst, pt = _max_over_points(ten_res, pts)
-        out.append(
-            _outcome(f"hopf-mixed-vanishing/tensor/n{n}", f"hopf-{n}", worst, 1e-10, "closed-form", pt)
-        )
+        jets, Rc, _ = _curvatures(entry, pts)
+        X = _directions(rng, len(pts), n)
+        for tag, res in (
+            ("value", np.abs(mixed_curvature(Rc, jets.g, params, X))),
+            ("tensor", constancy_tensor_residual(Rc, jets.g, params, 0.0)),
+        ):
+            out.append(_worst(f"hopf-mixed-vanishing/{tag}/n{n}", f"hopf-{n}", res, 1e-10, "closed-form", pts))
     return out
 
 
@@ -169,24 +161,15 @@ def check_euclidean_sanity(points: int = 20, seed: int = 5):
     for n in (2, 3):
         entry = builtin(f"euclidean-{n}")
         pts = sample_points(entry, points, seed + n)
-        worst = 0.0
-        for jet in metric_jets(entry.spec, pts):
-            Rc = chern_curvature(jet)
-            t = torsion(jet)
-            X = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            worst = max(
-                worst,
-                float(np.max(np.abs(Rc.tensor))),
-                float(np.max(np.abs(t.T))),
-                abs(t.eta_norm2),
-                abs(mixed_curvature(Rc, jet.g, MixedParams(0.7, 1.3), X)),
-            )
-            if n == 2:
-                w = weyl_minus(to_unitary_frame(Rc, jet))
-                worst = max(worst, abs(w.w1), abs(w.w2), abs(w.w3))
-        out.append(
-            _outcome(f"euclidean-sanity/n{n}", f"euclidean-{n}", worst, 1e-12, "trivial")
-        )
+        jets, Rc, Ru = _curvatures(entry, pts)
+        t = torsion(jets)
+        X = _directions(rng, len(pts), n)
+        parts = [Rc.tensor, t.T, t.eta_norm2, mixed_curvature(Rc, jets.g, MixedParams(0.7, 1.3), X)]
+        if n == 2:
+            w = weyl_minus(Ru)
+            parts += [w.w1, w.w2, w.w3]
+        worst = max(np.max(np.abs(x)) for x in parts)
+        out.append(_outcome(f"euclidean-sanity/n{n}", f"euclidean-{n}", worst, 1e-12, "trivial"))
     return out
 
 
@@ -196,43 +179,25 @@ def check_euclidean_sanity(points: int = 20, seed: int = 5):
 
 def check_space_forms(points: int = 50, seed: int = 31):
     out = []
-    prov = "derived"
     for name in ("fubini-study-2", "fubini-study-3", "complex-hyperbolic-2", "complex-hyperbolic-3"):
         entry = builtin(name)
         n = entry.spec.n
         pts = sample_points(entry, points, seed)
-        defect, like, ric_eq, uv, spread, mids, herm = [], [], [], [], [], [], []
-        for jet in metric_jets(entry.spec, pts):
-            Rc = chern_curvature(jet)
-            Ru = to_unitary_frame(Rc, jet)
-            herm.append(hermitian_symmetry_residual(Rc))
-            defect.append(kahler_defect(jet))
-            like.append(kahler_like_defect(Ru))
-            b = ricci_bundle(Rc, jet.g)
-            ric_eq.append(
-                max(
-                    float(np.max(np.abs(b.rho1 - b.rho2))),
-                    float(np.max(np.abs(b.rho1 - b.rho3))),
-                    float(np.max(np.abs(b.rho1 - b.rho4))),
-                )
-            )
-            uv.append(abs(b.u - b.v))
-            rep = extremize(Ru, np.eye(n), MixedParams(0.0, 1.0))
-            spread.append(rep.spread)
-            mids.append(0.5 * (rep.min_value + rep.max_value))
-        checks = [
-            ("kahler-defect", defect, 1e-10),
-            ("kahler-like", like, 1e-9),
-            ("ricci-equality", ric_eq, 1e-9),
-            ("u-equals-v", uv, 1e-9),
-            ("hsc-spread", spread, 1e-8),
-            ("hermitian-symmetry", herm, 1e-10),
-        ]
-        for tag, res, tol in checks:
-            worst, pt = _max_over_points(res, pts)
-            out.append(_outcome(f"space-forms/{tag}", name, worst, tol, prov, pt))
-        agree = float(np.max(np.abs(np.asarray(mids) - np.median(mids))))
-        out.append(_outcome("space-forms/hsc-agreement", name, agree, 1e-8, prov))
+        jets, Rc, Ru = _curvatures(entry, pts)
+        b = ricci_bundle(Rc, jets.g)
+        reps = [extremize(R, np.eye(n), MixedParams(0.0, 1.0)) for R in Ru]
+        for tag, res, tol in (
+            ("kahler-defect", kahler_defect(jets), 1e-10),
+            ("kahler-like", kahler_like_defect(Ru), 1e-9),
+            ("ricci-equality", _max_abs(np.stack([b.rho1 - b.rho2, b.rho1 - b.rho3, b.rho1 - b.rho4], 1), 3), 1e-9),
+            ("u-equals-v", np.abs(b.u - b.v), 1e-9),
+            ("hsc-spread", [rep.spread for rep in reps], 1e-8),
+            ("hermitian-symmetry", hermitian_symmetry_residual(Rc), 1e-10),
+        ):
+            out.append(_worst(f"space-forms/{tag}", name, res, tol, "derived", pts))
+        mids = np.array([0.5 * (rep.min_value + rep.max_value) for rep in reps])
+        agree = np.max(np.abs(mids - np.median(mids)))
+        out.append(_outcome("space-forms/hsc-agreement", name, agree, 1e-8, "derived"))
     return out
 
 
@@ -253,31 +218,19 @@ def check_conformal_law(points: int = 10, seed: int = 41):
         entry = builtin(name)
         n = entry.spec.n
         pts = sample_points(entry, points, seed)
-        jets = metric_jets(entry.spec, pts)
-        curvatures = [chern_curvature(jet) for jet in jets]
+        jets, Rc, _ = _curvatures(entry, pts)
         for ftext in _FACTORS:
             F = parse_expression(ftext, n)
-            tilde = conformal_metric(entry.spec, F)
-            res = []
-            fjets = _factor_jets(F, pts, n)
-            for jet, Rc, tjet, fj in zip(jets, curvatures, metric_jets(tilde, pts), fjets):
-                pred = conformal_curvature_via_formula(Rc, jet, fj)
-                direct = chern_curvature(tjet)
-                scale = max(1.0, float(np.max(np.abs(direct.tensor))))
-                res.append(float(np.max(np.abs(pred.tensor - direct.tensor))) / scale)
-            worst, pt = _max_over_points(res, pts)
-            out.append(
-                _outcome(f"conformal-law/equivalence/{ftext}", name, worst, 1e-8, "derived", pt)
-            )
+            pred = conformal_curvature_via_formula(Rc, jets, factor_jet(F, pts, n))
+            direct = chern_curvature(metric_jets(conformal_metric(entry.spec, F), pts)).tensor
+            res = _max_abs(pred.tensor - direct, 4) / np.maximum(1.0, _max_abs(direct, 4))
+            out.append(_worst(f"conformal-law/equivalence/{ftext}", name, res, 1e-8, "derived", pts))
     for name in ("fubini-study-2", "hopf-2"):
         entry = builtin(name)
         pts = sample_points(entry, points, seed + 1)
         for ftext in _FACTORS:
-            r_u, r_v = surface_scalar_relation_residual(entry.spec, parse_expression(ftext, 2), pts)
-            worst, pt = _max_over_points(np.maximum(r_u, r_v), pts)
-            out.append(
-                _outcome(f"conformal-law/scalar-relations/{ftext}", name, worst, 1e-8, "derived", pt)
-            )
+            res = np.maximum(*surface_scalar_relation_residual(entry.spec, parse_expression(ftext, 2), pts))
+            out.append(_worst(f"conformal-law/scalar-relations/{ftext}", name, res, 1e-8, "derived", pts))
     return out
 
 
@@ -299,21 +252,16 @@ def check_surface_identities(points: int = 50, seed: int = 53):
     for name in _SURFACES:
         entry = builtin(name)
         pts = sample_points(entry, points, seed)
-        comb, c1sq, weyl = [], [], []
-        for jet in metric_jets(entry.spec, pts):
-            Ru = to_unitary_frame(chern_curvature(jet), jet)
-            b = ricci_bundle(Ru, np.eye(2))
-            comb.append(ricci_combination_residual(b, np.eye(2)))
-            c1sq.append(c1_squared_pointwise_residual(b, np.eye(2)))
-            w = weyl_minus(Ru)
-            weyl.append(max(abs(w.w1), abs(w.w2), abs(w.w3)))
-        worst, pt = _max_over_points(comb, pts)
-        out.append(_outcome("surface-identities/ricci-combination", name, worst, 1e-8, "derived", pt))
-        worst, pt = _max_over_points(c1sq, pts)
-        out.append(_outcome("surface-identities/c1-squared", name, worst, 1e-8, "derived", pt))
+        Ru = _curvatures(entry, pts)[2]
+        b = ricci_bundle(Ru, np.eye(2))
+        checks = [
+            ("ricci-combination", ricci_combination_residual(b, np.eye(2))),
+            ("c1-squared", c1_squared_pointwise_residual(b, np.eye(2))),
+        ]
         if name in ("fubini-study-2", "hopf-2", "adm-product-surface"):
-            worst, pt = _max_over_points(weyl, pts)
-            out.append(_outcome("surface-identities/weyl-minus", name, worst, 1e-8, "derived", pt))
+            w = weyl_minus(Ru)
+            checks.append(("weyl-minus", np.maximum.reduce([np.abs(w.w1), np.abs(w.w2), np.abs(w.w3)])))
+        out += [_worst(f"surface-identities/{tag}", name, res, 1e-8, "derived", pts) for tag, res in checks]
     return out
 
 
@@ -339,17 +287,11 @@ def check_trace_identity(points: int = 20, seed: int = 61):
         n = entry.spec.n
         params = MixedParams(a, b_)
         pts = sample_points(entry, points, seed)
-        res = []
-        for jet in metric_jets(entry.spec, pts):
-            Ru = to_unitary_frame(chern_curvature(jet), jet)
-            bundle = ricci_bundle(Ru, np.eye(n))
-            # the pointwise-constant value, from the scalar identity
-            f = sphere_average_closed_form(bundle, params, n)
-            res.append(trace_identity_residual(bundle, params, f, n))
-        worst, pt = _max_over_points(res, pts)
-        out.append(
-            _outcome(f"trace-identity/alpha{a}-beta{b_}", name, worst, 1e-8, "closed-form", pt)
-        )
+        bundle = ricci_bundle(_curvatures(entry, pts)[2], np.eye(n))
+        # the pointwise-constant value, from the scalar identity
+        f = sphere_average_closed_form(bundle, params, n)
+        res = trace_identity_residual(bundle, params, f, n)
+        out.append(_worst(f"trace-identity/alpha{a}-beta{b_}", name, res, 1e-8, "closed-form", pts))
     return out
 
 
@@ -373,33 +315,19 @@ def check_sphere_average(samples: int = 100_000, seed: int = 71):
     for name in names():
         entry = builtin(name)
         n = entry.spec.n
-        pt = sample_points(entry, 1, seed)[0]
-        jet = metric_jet(entry.spec, pt)
-        Ru = to_unitary_frame(chern_curvature(jet), jet)
+        pt = sample_points(entry, 1, seed)
+        Ru = _curvatures(entry, pt)[2][0]
         bundle = ricci_bundle(Ru, np.eye(n))
         stats = sphere_average_monte_carlo_many(Ru, np.eye(n), pairs, samples, seed)
         for params, (mean, stderr) in zip(pairs, stats):
             closed = sphere_average_closed_form(bundle, params, n)
             # 1e-12 cushion covers zero-variance configurations (FP noise only)
-            out.append(
-                _outcome(
-                    f"sphere-average/a{params.alpha:+.2f}-b{params.beta:+.2f}",
-                    name,
-                    abs(mean - closed),
-                    3 * stderr + 1e-12,
-                    "derived",
-                    pt,
-                )
-            )
-    entry = builtin("hopf-2")
-    pt = sample_points(entry, 1, seed + 1)[0]
-    jet = metric_jet(entry.spec, pt)
-    Ru = to_unitary_frame(chern_curvature(jet), jet)
-    params = MixedParams(0.0, 1.0)
-    (mean, stderr), = sphere_average_monte_carlo_many(Ru, np.eye(2), [params], samples, seed)
-    out.append(
-        _outcome("sphere-average/hopf-half", "hopf-2", abs(mean - 0.5), 3 * stderr + 1e-12, "derived", pt)
-    )
+            check_id = f"sphere-average/a{params.alpha:+.2f}-b{params.beta:+.2f}"
+            out.append(_outcome(check_id, name, abs(mean - closed), 3 * stderr + 1e-12, "derived", pt[0]))
+    pt = sample_points(builtin("hopf-2"), 1, seed + 1)
+    Ru = _curvatures(builtin("hopf-2"), pt)[2][0]
+    (mean, stderr), = sphere_average_monte_carlo_many(Ru, np.eye(2), [MixedParams(0.0, 1.0)], samples, seed)
+    out.append(_outcome("sphere-average/hopf-half", "hopf-2", abs(mean - 0.5), 3 * stderr + 1e-12, "derived", pt[0]))
     return out
 
 
@@ -412,17 +340,10 @@ def check_hopf_torsion(points: int = 50, seed: int = 83):
     for n in (2, 3):
         entry = builtin(f"hopf-{n}")
         pts = sample_points(entry, points, seed + n)
-        res = []
-        for jet in metric_jets(entry.spec, pts):
-            b = ricci_bundle(chern_curvature(jet), jet.g)
-            t = torsion(jet)
-            res.append(
-                max(abs(b.u - b.v - t.eta_norm2), abs(t.eta_norm2 - (n - 1) ** 2))
-            )
-        worst, pt = _max_over_points(res, pts)
-        out.append(
-            _outcome(f"hopf-torsion/n{n}", f"hopf-{n}", worst, 1e-9, "derived", pt)
-        )
+        jets, Rc, _ = _curvatures(entry, pts)
+        b, t = ricci_bundle(Rc, jets.g), torsion(jets)
+        res = np.maximum(np.abs(b.u - b.v - t.eta_norm2), np.abs(t.eta_norm2 - (n - 1) ** 2))
+        out.append(_worst(f"hopf-torsion/n{n}", f"hopf-{n}", res, 1e-9, "derived", pts))
     return out
 
 
@@ -435,18 +356,12 @@ def check_fd(points: int = 20, seed: int = 97, h: float = 1e-5):
     for name in names():
         entry = builtin(name)
         pts = sample_points(entry, points, seed)
-        worst = 0.0
-        for i in range(entry.spec.n):
-            for j in range(entry.spec.n):
-                e = entry.spec.entries[i][j]
-                if e != ex.ZERO:
-                    worst = max(worst, ex.fd_residual(e, pts, h))
+        entries = [e for row in entry.spec.entries for e in row if e != ex.ZERO]
+        worst = max([0.0] + [ex.fd_residual(e, pts, h) for e in entries])
         out.append(_outcome("fd-cross-check/entries", name, worst, 1e-6, "derived"))
-    worst = 0.0
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-0.5, 0.5, size=(points, 6)).view(complex)
-    for ftext in _FACTORS:
-        worst = max(worst, ex.fd_residual(parse_expression(ftext, 3), pts, h))
+    worst = max(ex.fd_residual(parse_expression(ftext, 3), pts, h) for ftext in _FACTORS)
     out.append(_outcome("fd-cross-check/conformal-factors", "(factors)", worst, 1e-6, "derived"))
     return out
 
@@ -457,21 +372,10 @@ def check_fd(points: int = 20, seed: int = 97, h: float = 1e-5):
 
 def check_nonconstancy_witness(seed: int = 99):
     entry = builtin("hopf-2")
-    pt = sample_points(entry, 1, seed)[0]
-    jet = metric_jet(entry.spec, pt)
-    Ru = to_unitary_frame(chern_curvature(jet), jet)
-    rep = extremize(Ru, np.eye(2), MixedParams(0.0, 1.0))
+    pt = sample_points(entry, 1, seed)
+    rep = extremize(_curvatures(entry, pt)[2][0], np.eye(2), MixedParams(0.0, 1.0))
     # witness check: spread must EXCEED 1e-2, so the residual is the shortfall
-    return [
-        _outcome(
-            "nonconstancy-witness/hopf-hsc-spread",
-            "hopf-2",
-            1e-2 - rep.spread,
-            0.0,
-            "derived",
-            pt,
-        )
-    ]
+    return [_outcome("nonconstancy-witness/hopf-hsc-spread", "hopf-2", 1e-2 - rep.spread, 0.0, "derived", pt[0])]
 
 
 # ---------------------------------------------------------------------------
@@ -484,46 +388,23 @@ def check_catalog_expected(points: int = 50, seed: int = 7):
         entry = builtin(name)
         n = entry.spec.n
         pts = sample_points(entry, points, seed)
-        worst = {key: 0.0 for key in entry.expected}
-        herm = 0.0
-        for jet in metric_jets(entry.spec, pts):
-            Rc = chern_curvature(jet)
-            herm = max(herm, hermitian_symmetry_residual(Rc))
-            b = ricci_bundle(Rc, jet.g)
-            t = torsion(jet)
-            exp_ = entry.expected
-            if "u" in exp_:
-                worst["u"] = max(worst["u"], abs(b.u - exp_["u"].value))
-            if "v" in exp_:
-                worst["v"] = max(worst["v"], abs(b.v - exp_["v"].value))
-            if "eta_norm2" in exp_:
-                worst["eta_norm2"] = max(worst["eta_norm2"], abs(t.eta_norm2 - exp_["eta_norm2"].value))
-            if "hsc" in exp_:
-                X = jet.point + np.linspace(1.0, 2.0, n)  # any nonzero direction
-                worst["hsc"] = max(
-                    worst["hsc"], abs(holomorphic_sectional(Rc, jet.g, X) - exp_["hsc"].value)
-                )
-            if "hsc_axis1" in exp_:
-                worst["hsc_axis1"] = max(
-                    worst["hsc_axis1"],
-                    abs(holomorphic_sectional(Rc, jet.g, [1, 0]) - exp_["hsc_axis1"].value),
-                )
-                worst["hsc_axis2"] = max(
-                    worst["hsc_axis2"],
-                    abs(holomorphic_sectional(Rc, jet.g, [0, 1]) - exp_["hsc_axis2"].value),
-                )
-            if "rho1_unitary" in exp_:
-                Ru = to_unitary_frame(Rc, jet)
-                bu = ricci_bundle(Ru, np.eye(n))
-                worst["rho1_unitary"] = max(
-                    worst["rho1_unitary"],
-                    float(np.max(np.abs(bu.rho1 - np.diag(exp_["rho1_unitary"].value)))),
-                )
-        for key, res in worst.items():
-            tol = 1e-8 if name.startswith(("fubini", "complex")) else 1e-9
-            out.append(
-                _outcome(f"catalog-expected/{key}", name, res, tol, entry.expected[key].provenance)
-            )
+        jets = metric_jets(entry.spec, pts)
+        Rc = chern_curvature(jets)
+        b, t = ricci_bundle(Rc, jets.g), torsion(jets)
+        # "hsc" may use any nonzero direction
+        directions = {"hsc": pts + np.linspace(1.0, 2.0, n), "hsc_axis1": [1, 0], "hsc_axis2": [0, 1]}
+        tol = 1e-8 if name.startswith(("fubini", "complex")) else 1e-9
+        for key, expected in entry.expected.items():
+            target = expected.value
+            if key in directions:
+                value = holomorphic_sectional(Rc, jets.g, directions[key])
+            elif key == "rho1_unitary":
+                value, target = ricci_bundle(to_unitary_frame(Rc, jets), np.eye(n)).rho1, np.diag(target)
+            else:
+                value = getattr(t if key == "eta_norm2" else b, key)
+            res = np.max(np.abs(value - target))
+            out.append(_outcome(f"catalog-expected/{key}", name, res, tol, expected.provenance))
+        herm = np.max(hermitian_symmetry_residual(Rc))
         out.append(_outcome("catalog-expected/hermitian-symmetry", name, herm, 1e-10, "trivial"))
     return out
 

@@ -8,9 +8,12 @@
 
 Exit codes: 0 = success / all checks pass, 1 = verification failures,
 2 = input, parse or file errors.  CHERNKIT_TOL overrides the default verify
-tolerances when --tol is not given.  eval accepts --parallel for
-compatibility; points are always evaluated serially, so the output is the
-same with or without it.
+tolerances when --tol is not given.
+
+eval and extremize evaluate a metric's points as one batch (one jets call,
+one pass of each curvature kernel); only the extremizer runs point by point.
+A point that eval cannot evaluate gets a record with its own error.  eval
+accepts --parallel for compatibility; it changes nothing.
 """
 
 from __future__ import annotations
@@ -36,7 +39,8 @@ from .geometry import (
     to_unitary_frame,
     torsion,
 )
-from .jets import MetricError, metric_jet
+from .jets import MetricError, _jets, metric_jets
+from .jets import metric_jet  # noqa: F401  (perfbench's tracer test reads cli.metric_jet)
 from .mixed import MixedParams, extremize
 
 SCHEMA_VERSION = 1
@@ -103,31 +107,44 @@ def _mixed_row(params: MixedParams, rep) -> dict:
     }
 
 
-def _eval_record(spec: MetricSpec, point, pairs) -> dict:
+def _bodies(jets, pairs) -> list:
+    """One record body per point of the batch; a point that a kernel rejects gets an error body."""
     try:
-        jet = metric_jet(spec, point)
-        Rc = chern_curvature(jet)
-        Ru = to_unitary_frame(Rc, jet)
-        b = ricci_bundle(Rc, jet.g)
-        t = torsion(jet)
-        return {
-            "point": report.point_json(point),
-            "g_eigenvalues": [float(x) for x in np.linalg.eigvalsh(jet.g)],
-            "kahler_defect": kahler_defect(jet),
-            "kahler_like_defect": kahler_like_defect(Ru),
-            "u": b.u,
-            "v": b.v,
-            "eta_norm2": t.eta_norm2,
-            "ricci": {
-                "rho1": report.matrix_json(b.rho1),
-                "rho2": report.matrix_json(b.rho2),
-                "rho3": report.matrix_json(b.rho3),
-                "rho4": report.matrix_json(b.rho4),
-            },
-            "mixed": [_mixed_row(params, extremize(Ru, np.eye(spec.n), params)) for params in pairs],
-        }
-    except (MetricError, EvaluationError) as err:
-        return {"point": report.point_json(point), "error": str(err)}
+        Rc = chern_curvature(jets)
+        Ru = to_unitary_frame(Rc, jets)
+        b = ricci_bundle(Rc, jets.g)
+        t = torsion(jets)
+        eig, kd, kld = np.linalg.eigvalsh(jets.g), kahler_defect(jets), kahler_like_defect(Ru)
+        return [
+            {
+                "g_eigenvalues": [float(x) for x in eig[k]],
+                "kahler_defect": kd[k],
+                "kahler_like_defect": kld[k],
+                "u": b.u[k],
+                "v": b.v[k],
+                "eta_norm2": t.eta_norm2[k],
+                "ricci": {rho: report.matrix_json(getattr(b, rho)[k]) for rho in ("rho1", "rho2", "rho3", "rho4")},
+                "mixed": [_mixed_row(params, extremize(R, np.eye(jets.n), params)) for params in pairs],
+            }
+            for k, R in enumerate(Ru)
+        ]
+    except MetricError as err:
+        if len(jets) == 1:
+            return [{"error": str(err)}]
+        return [body for k in range(len(jets)) for body in _bodies(jets[k : k + 1], pairs)]
+
+
+def _eval_records(spec: MetricSpec, pts, pairs) -> list:
+    """One record per point, from one jets call and one pass of each kernel over the batch."""
+    try:
+        jets, reasons = metric_jets(spec, pts), [None] * len(pts)
+    except (MetricError, EvaluationError):  # name the failing points; the others still evaluate
+        jets, reasons = _jets(spec, pts)
+    bodies = iter(_bodies(jets, pairs))
+    return [
+        {"point": report.point_json(p), **(next(bodies) if why is None else {"error": str(why)})}
+        for p, why in zip(pts, reasons)
+    ]
 
 
 def cmd_eval(args) -> int:
@@ -136,7 +153,7 @@ def cmd_eval(args) -> int:
         spec = conformal_metric(spec, parse_expression(args.conformal, spec.n))
     pts = _points_for(args, spec)
     pairs = _pairs_for(args)
-    records = [_eval_record(spec, p, pairs) for p in pts]
+    records = _eval_records(spec, pts, pairs)
     doc = {
         "schema": SCHEMA_VERSION,
         "metric": args.metric,
@@ -178,13 +195,9 @@ def cmd_extremize(args) -> int:
     spec = _resolve_metric(args.metric)
     pts = _points_for(args, spec)
     pairs = _pairs_for(args)
-    rows = []
-    for p in pts:
-        jet = metric_jet(spec, p)
-        Ru = to_unitary_frame(chern_curvature(jet), jet)
-        for params in pairs:
-            rep = extremize(Ru, np.eye(spec.n), params)
-            rows.append((p, params, rep))
+    jets = metric_jets(spec, pts)
+    Ru = to_unitary_frame(chern_curvature(jets), jets)
+    rows = [(p, params, extremize(R, np.eye(spec.n), params)) for p, R in zip(pts, Ru) for params in pairs]
     header = f"{'point':<40} {'alpha':>7} {'beta':>7} {'min':>13} {'max':>13} {'spread':>12}  conv"
     print(header)
     for p, params, rep in rows:

@@ -10,7 +10,8 @@ where F_{i jbar} = d_i dbar_j F.  Tracing gives, with Delta F = g^{k lbar} F_{k 
 
 which on surfaces (n = 2) read e^{2F} u~ = u - 4 Delta F and
 e^{2F} v~ = v - 2 Delta F.  Everything here is cross-checked against direct
-recomputation of the curvature of e^{2F} g.
+recomputation of the curvature of e^{2F} g.  The kernels take one point or a
+batch of jets, like those of geometry.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 from . import expr as ex
 from .dsl import MetricSpec
 from .geometry import ChernCurvature, _real, _rho1, chern_curvature, ricci_bundle
-from .jets import FactorJet, MetricJet, _factor_jets, metric_jets
+from .jets import FactorJet, MetricJet, factor_jet, metric_jets
 from .mixed import MixedParams, _constancy_residual, _sym
 
 __all__ = [
@@ -49,14 +50,14 @@ def conformal_curvature_via_formula(
     """Predicted coordinate-frame curvature of e^{2F} g, without re-deriving it."""
     if Rc.frame != "coordinate":
         raise ValueError("the conformal law applies to coordinate-frame components")
-    scale = np.exp(2 * f_jet.value)
-    corr = np.einsum("ij,kl->ijkl", f_jet.hess, jet.g)
+    scale = np.exp(2 * np.asarray(f_jet.value))[..., None, None, None, None]
+    corr = np.einsum("...ij,...kl->...ijkl", f_jet.hess, jet.g)
     return ChernCurvature(scale * (Rc.tensor - 2 * corr), "coordinate", Rc.point)
 
 
 def chern_laplacian(jet: MetricJet, f_jet: FactorJet) -> float:
     """Delta F = g^{k lbar} d_k dbar_l F (real for real F)."""
-    return _real(np.trace(jet.g_inv @ f_jet.hess), "Laplacian of a real factor")
+    return _real(np.trace(jet.g_inv @ f_jet.hess, axis1=-2, axis2=-1), "Laplacian of a real factor")
 
 
 def surface_scalar_relation_residual(spec: MetricSpec, F: ex.Expr, p):
@@ -69,19 +70,15 @@ def surface_scalar_relation_residual(spec: MetricSpec, F: ex.Expr, p):
     """
     if spec.n != 2:
         raise ValueError("surface scalar relations require n = 2")
-    pts = np.asarray(p, dtype=complex)
-    batch = np.atleast_2d(pts)
-    tilde_jets = metric_jets(conformal_metric(spec, F), batch)
-    r_u, r_v = [], []
-    for jet, fj, tilde_jet in zip(metric_jets(spec, batch), _factor_jets(F, batch, 2), tilde_jets):
-        base = ricci_bundle(chern_curvature(jet), jet.g)
-        lap = chern_laplacian(jet, fj)
-        tilde = ricci_bundle(chern_curvature(tilde_jet), tilde_jet.g)
-        scale = np.exp(2 * fj.value)
-        r_u.append(abs(scale * tilde.u - (base.u - 4 * lap)))
-        r_v.append(abs(scale * tilde.v - (base.v - 2 * lap)))
-    r_u, r_v = np.array(r_u), np.array(r_v)
-    return (r_u[0], r_v[0]) if pts.ndim == 1 else (r_u, r_v)
+    tilde_jet = metric_jets(conformal_metric(spec, F), p)
+    jet, fj = metric_jets(spec, p), factor_jet(F, p, 2)
+    if np.ndim(p) == 1:
+        tilde_jet, jet = tilde_jet[0], jet[0]
+    base = ricci_bundle(chern_curvature(jet), jet.g)
+    lap = chern_laplacian(jet, fj)
+    tilde = ricci_bundle(chern_curvature(tilde_jet), tilde_jet.g)
+    scale = np.exp(2 * fj.value)
+    return np.abs(scale * tilde.u - (base.u - 4 * lap)), np.abs(scale * tilde.v - (base.v - 2 * lap))
 
 
 def conformal_constancy_residual(
@@ -107,6 +104,6 @@ def conformal_constancy_residual(
     if Rc.frame != "coordinate":
         raise ValueError("the conformal constancy identity uses coordinate components")
     g = jet.g
-    shift = 2 * (jet.n * params.alpha + params.beta) * _sym(np.einsum("ij,kl->ijkl", g, f_jet.hess))
+    shift = 2 * (jet.n * params.alpha + params.beta) * _sym(np.einsum("...ij,...kl->...ijkl", g, f_jet.hess))
     rho = _rho1(jet.g_inv, Rc.tensor)
     return _constancy_residual(Rc.tensor, rho, g, params, f * np.exp(2 * f_jet.value), shift)

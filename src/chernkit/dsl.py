@@ -25,6 +25,7 @@ recursion limit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from . import expr as ex
@@ -409,18 +410,23 @@ def _expect_done(ts: _TokStream):
 
 
 def _parse_domain(ts: _TokStream, n: int) -> Domain:
+    def radius(kind: _Tok, num: _Tok) -> float:
+        if not 0 < num.value < math.inf:
+            raise DslError(f"{kind.text} radius must be positive and finite, got {num.text}", num.line, num.col)
+        return num.value
+
     def atom() -> Domain:
         kind = ts.expect("IDENT")
         if kind.text == "ball":
-            return Ball(ts.expect("NUM").value)
+            return Ball(radius(kind, ts.expect("NUM")))
         if kind.text == "annulus":
             r1 = ts.expect("NUM").value
-            r2 = ts.expect("NUM").value
-            if not 0 < r1 < r2:
+            r2 = ts.expect("NUM")
+            if not 0 < r1 < r2.value:
                 raise DslError("annulus needs 0 < R1 < R2", kind.line, kind.col)
-            return Annulus(r1, r2)
+            return Annulus(r1, radius(kind, r2))
         if kind.text == "polydisc":
-            return Polydisc(ts.expect("NUM").value)
+            return Polydisc(radius(kind, ts.expect("NUM")))
         raise DslError(f"unknown domain {kind.text!r}", kind.line, kind.col)
 
     first = ts.peek()

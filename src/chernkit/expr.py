@@ -291,7 +291,10 @@ def evaluate(e, p):
     """
     pts = np.asarray(p, dtype=complex)
     if isinstance(e, Program):
-        return _run(e, pts) if pts.ndim == 2 else _run(e, pts.reshape(1, -1))[0]
+        out, failed = _run(e, pts if pts.ndim == 2 else pts.reshape(1, -1))
+        if np.any(failed >= 0):
+            raise EvaluationError(_reason(e, failed[failed >= 0].min()))
+        return out if pts.ndim == 2 else out[0]
     if pts.ndim == 0:
         pts = pts.reshape(1)
     need = max_coord_index(e)
@@ -465,13 +468,35 @@ def compile_program(roots) -> Program:
     return Program(tuple(code), tuple(map(tuple, frees)), tuple(outputs), n_coords)
 
 
-def _run(prog: Program, pts: np.ndarray) -> np.ndarray:
-    """prog at (m, n) points: an (m, len(prog.outputs)) array, column j for root j."""
+_REASONS = {"guard": "division by zero", "log": "log of zero"}
+
+
+def _reason(prog: Program, slot: int) -> str:
+    """Why the guard or log in prog's slot failed."""
+    return _REASONS[prog.code[slot][0]]
+
+
+def _mark(failed: np.ndarray, bad, slot: int):
+    """Record slot as the first failure of each point where bad holds."""
+    if np.any(bad):
+        failed[bad & (failed < 0)] = slot
+
+
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def _run(prog: Program, pts: np.ndarray) -> tuple:
+    """prog at (m, n) points: (out, failed).
+
+    out is an (m, len(prog.outputs)) array, column j for root j.  failed[k]
+    is the slot of the first guard or log that failed at point k, or -1.  A
+    failed point does not stop the run: its later values may be inf or nan,
+    and the other points are unaffected.
+    """
     if prog.n_coords > pts.shape[1]:
         raise EvaluationError(
             f"expression references z{prog.n_coords} but the point has {pts.shape[1]} coordinates"
         )
     vals = [None] * len(prog.code)
+    failed = np.full(pts.shape[0], -1)
     for s, ((kind, a, b, payload), free) in enumerate(zip(prog.code, prog.frees)):
         if kind == "mul":
             v = vals[a] * vals[b]
@@ -486,8 +511,7 @@ def _run(prog: Program, pts: np.ndarray) -> np.ndarray:
         elif kind == "int_pow":
             v = vals[a] ** payload
         elif kind == "guard":
-            if np.any(np.abs(vals[a]) < DIV_EPS):
-                raise EvaluationError("division by zero")
+            _mark(failed, np.abs(vals[a]) < DIV_EPS, s)
             v = None
         elif kind == "const":
             v = payload
@@ -500,17 +524,15 @@ def _run(prog: Program, pts: np.ndarray) -> np.ndarray:
         elif kind == "exp":
             v = np.exp(vals[a])
         else:  # log
-            x = vals[a]
-            if np.any(np.abs(x) < DIV_EPS):
-                raise EvaluationError("log of zero")
-            v = np.log(x)
+            _mark(failed, np.abs(vals[a]) < DIV_EPS, s)
+            v = np.log(vals[a])
         vals[s] = v
         for f in free:
             vals[f] = None
     out = np.empty((pts.shape[0], len(prog.outputs)), dtype=complex)
     for j, s in enumerate(prog.outputs):
         out[:, j] = vals[s]
-    return out
+    return out, failed
 
 
 # ---------------------------------------------------------------------------

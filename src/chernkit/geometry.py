@@ -16,6 +16,9 @@ traces and the two scalars are
 
 rho1 equals -d dbar log det g, which pins the inverse pairing.  Unitary
 frames come from the lower-triangular square root of g and are deterministic.
+
+Every kernel takes one point or a batch: the per-point axes come last, and
+its results carry the leading batch axes of its inputs.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import MetricJet, MetricError
+from .jets import MetricError, MetricJet, _PerPoint
 
 __all__ = [
     "ChernCurvature",
@@ -46,13 +49,14 @@ REALNESS_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class ChernCurvature:
-    """Rank-4 curvature array R[i, j, k, l] = R_{i jbar k lbar} at a point.
+class ChernCurvature(_PerPoint):
+    """Rank-4 curvature array R[i, j, k, l] = R_{i jbar k lbar} at a point or a batch.
 
     In the unitary frame the metric used for traces is the identity and
     frame_matrix holds the frame columns in coordinate components.
     """
 
+    _CORE = ("tensor", 4)
     tensor: np.ndarray
     frame: str  # "coordinate" | "unitary"
     point: np.ndarray
@@ -60,13 +64,14 @@ class ChernCurvature:
 
     @property
     def n(self) -> int:
-        return self.tensor.shape[0]
+        return self.tensor.shape[-1]
 
 
 @dataclass(frozen=True)
-class RicciBundle:
+class RicciBundle(_PerPoint):
     """The four Ricci matrices plus scalar and altered scalar curvature."""
 
+    _CORE = ("rho1", 2)
     rho1: np.ndarray
     rho2: np.ndarray
     rho3: np.ndarray
@@ -76,29 +81,37 @@ class RicciBundle:
 
 
 @dataclass(frozen=True)
-class Torsion:
+class Torsion(_PerPoint):
     """Chern torsion T[i, j, k] = T^k_ij, its trace one-form eta, and |eta|^2_g."""
 
+    _CORE = ("T", 3)
     T: np.ndarray
     eta: np.ndarray
     eta_norm2: float
 
 
-def _real(x, what: str) -> float:
-    x = complex(x)
-    if abs(x.imag) > REALNESS_TOL * max(1.0, abs(x.real)):
-        raise MetricError(f"{what} should be real, got imaginary part {x.imag:.3e}")
-    return x.real
+def _real(x, what: str):
+    """The real part of x, a scalar or an array, checking every element's imaginary part."""
+    x = np.asarray(x, dtype=complex)
+    bad = np.abs(x.imag) > REALNESS_TOL * np.maximum(1.0, np.abs(x.real))
+    if np.any(bad):
+        raise MetricError(f"{what} should be real, got imaginary part {x.imag[bad][0]:.3e}")
+    return x.real[()]
+
+
+def _max_abs(x, ndim: int):
+    """max |x| over the last ndim axes: a scalar, or an array of the batch shape."""
+    return np.max(np.abs(x), axis=tuple(range(-ndim, 0)))[()]
 
 
 def _rho1(g_inv: np.ndarray, R: np.ndarray) -> np.ndarray:
     """rho1_{i jbar} = g^{k lbar} R_{i jbar k lbar}, with g_inv = G^{-1}."""
-    return np.einsum("lk,ijkl->ij", g_inv, R)
+    return np.einsum("...lk,...ijkl->...ij", g_inv, R)
 
 
 def _in_frame(R: np.ndarray, E: np.ndarray) -> np.ndarray:
     """Components of R in the frame whose columns are E."""
-    return np.einsum("ijkl,ia,jb,kc,ld->abcd", R, E, np.conj(E), E, np.conj(E))
+    return np.einsum("...ijkl,...ia,...jb,...kc,...ld->...abcd", R, E, np.conj(E), E, np.conj(E))
 
 
 def _outer(X: np.ndarray) -> np.ndarray:
@@ -107,17 +120,20 @@ def _outer(X: np.ndarray) -> np.ndarray:
 
 
 def _quartic(R: np.ndarray, X: np.ndarray):
-    """R(X, Xbar, X, Xbar), the numerator of H(X), for a vector or each row of a batch.
+    """R(X, Xbar, X, Xbar), the numerator of H(X), for one R and a vector or each row of a batch
+    (one 2-D matmul), or for a batch of R and a vector or one row each.
 
     One matmul: sum_{kl} (A R_{(ij),(kl)})_{kl} A_{kl}, with A = X (x) Xbar.
     """
     A = _outer(X)
-    return np.einsum("...k,...k->...", A @ R.reshape(A.shape[-1], -1), A)
+    Rm = R.reshape(*R.shape[:-4], A.shape[-1], -1)
+    AR = A @ Rm if Rm.ndim == 2 else (A[..., None, :] @ Rm)[..., 0, :]
+    return np.einsum("...k,...k->...", AR, A)
 
 
 def chern_curvature(jet: MetricJet) -> ChernCurvature:
     """Coordinate-frame Chern curvature tensor from a metric jet."""
-    second = np.einsum("qp,ikq,jpl->ijkl", jet.g_inv, jet.dg, jet.dbar_g)
+    second = np.einsum("...qp,...ikq,...jpl->...ijkl", jet.g_inv, jet.dg, jet.dbar_g)
     return ChernCurvature(-jet.ddbar_g + second, "coordinate", jet.point)
 
 
@@ -125,15 +141,16 @@ def orthonormal_frame(g: np.ndarray) -> np.ndarray:
     """Deterministic unitary frame E for g: columns satisfy E^T g conj(E) = I.
 
     Built from the lower-triangular Cholesky factor, E = inv(L).T; raises on
-    non-positive-definite input.
+    non-positive-definite input.  A batch of g gives a batch of frames.
     """
+    g = np.asarray(g, dtype=complex)
     try:
-        L = np.linalg.cholesky(np.asarray(g, dtype=complex))
+        L = np.linalg.cholesky(g)
     except np.linalg.LinAlgError as err:
         raise MetricError(f"matrix is not positive definite: {err}") from err
-    E = np.linalg.inv(L).T
-    check = np.einsum("ij,ia,jb->ab", g, E, np.conj(E))
-    if np.max(np.abs(check - np.eye(g.shape[0]))) > 1e-12 * max(1.0, float(np.max(np.abs(E)))**2):
+    E = np.swapaxes(np.linalg.inv(L), -1, -2)
+    check = np.einsum("...ij,...ia,...jb->...ab", g, E, np.conj(E))
+    if np.any(_max_abs(check - np.eye(g.shape[-1]), 2) > 1e-12 * np.maximum(1.0, _max_abs(E, 2)) ** 2):
         raise MetricError("orthonormal frame residual exceeds tolerance")
     return E
 
@@ -156,26 +173,26 @@ def ricci_bundle(Rc: ChernCurvature, g: np.ndarray) -> RicciBundle:
     gi = np.linalg.inv(np.asarray(g, dtype=complex))
     R = Rc.tensor
     rho1 = _rho1(gi, R)
-    rho2 = np.einsum("ji,ijkl->kl", gi, R)
-    rho3 = np.einsum("jk,ijkl->il", gi, R)
-    rho4 = np.einsum("li,ijkl->kj", gi, R)
-    u = _real(np.einsum("ji,ij->", gi, rho1), "scalar curvature u")
-    v = _real(np.einsum("li,il->", gi, rho3), "altered scalar curvature v")
+    rho2 = np.einsum("...ji,...ijkl->...kl", gi, R)
+    rho3 = np.einsum("...jk,...ijkl->...il", gi, R)
+    rho4 = np.einsum("...li,...ijkl->...kj", gi, R)
+    u = _real(np.einsum("...ji,...ij->...", gi, rho1), "scalar curvature u")
+    v = _real(np.einsum("...li,...il->...", gi, rho3), "altered scalar curvature v")
     return RicciBundle(rho1, rho2, rho3, rho4, u, v)
 
 
 def torsion(jet: MetricJet) -> Torsion:
     """Chern torsion T^k_ij = g^{k lbar}(d_i g_{j lbar} - d_j g_{i lbar}) and eta."""
-    anti = jet.dg - np.swapaxes(jet.dg, 0, 1)  # anti[i, j, l] = d_i g_{j lbar} - d_j g_{i lbar}
-    T = np.einsum("lk,ijl->ijk", jet.g_inv, anti)
-    eta = np.einsum("ikk->i", T)
-    norm2 = _real(np.einsum("ji,i,j->", jet.g_inv, eta, np.conj(eta)), "|eta|^2")
+    anti = jet.dg - np.swapaxes(jet.dg, -3, -2)  # anti[i, j, l] = d_i g_{j lbar} - d_j g_{i lbar}
+    T = np.einsum("...lk,...ijl->...ijk", jet.g_inv, anti)
+    eta = np.einsum("...ikk->...i", T)
+    norm2 = _real(np.einsum("...ji,...i,...j->...", jet.g_inv, eta, np.conj(eta)), "|eta|^2")
     return Torsion(T, eta, norm2)
 
 
 def kahler_defect(jet: MetricJet) -> float:
     """max |d_i g_{j lbar} - d_j g_{i lbar}|; zero iff d omega = 0 at the point."""
-    return float(np.max(np.abs(jet.dg - np.swapaxes(jet.dg, 0, 1))))
+    return _max_abs(jet.dg - np.swapaxes(jet.dg, -3, -2), 3)
 
 
 def kahler_like_defect(Rc: ChernCurvature) -> float:
@@ -185,21 +202,21 @@ def kahler_like_defect(Rc: ChernCurvature) -> float:
     |R_{i jbar k lbar} - R_{i lbar k jbar}|.
     """
     R = Rc.tensor
-    swap_holo = np.max(np.abs(R - np.transpose(R, (2, 1, 0, 3))))
-    swap_anti = np.max(np.abs(R - np.transpose(R, (0, 3, 2, 1))))
-    return float(max(swap_holo, swap_anti))
+    swap_holo = _max_abs(R - np.swapaxes(R, -4, -2), 4)
+    swap_anti = _max_abs(R - np.swapaxes(R, -3, -1), 4)
+    return np.maximum(swap_holo, swap_anti)
 
 
 def metric_norm_sq(g: np.ndarray, X: np.ndarray) -> float:
     """|X|^2_g = g_{i jbar} X_i conj(X_j)."""
-    return _real(np.einsum("ij,i,j->", g, X, np.conj(X)), "|X|^2")
+    return _real(np.einsum("...ij,...i,...j->...", g, X, np.conj(X)), "|X|^2")
 
 
 def holomorphic_sectional(Rc: ChernCurvature, g: np.ndarray, X) -> float:
     """H(X) = R(X, Xbar, X, Xbar)/|X|^4_g; scale-invariant, X != 0."""
     X = np.asarray(X, dtype=complex)
     norm2 = metric_norm_sq(g, X)
-    if norm2 < 1e-300:
+    if np.any(norm2 < 1e-300):
         raise ValueError("holomorphic sectional curvature of the zero vector")
     return _real(_quartic(Rc.tensor, X), "H(X)") / norm2**2
 
@@ -207,4 +224,4 @@ def holomorphic_sectional(Rc: ChernCurvature, g: np.ndarray, X) -> float:
 def hermitian_symmetry_residual(Rc: ChernCurvature) -> float:
     """max |R_{i jbar k lbar} - conj(R_{j ibar l kbar})| (should vanish)."""
     R = Rc.tensor
-    return float(np.max(np.abs(R - np.conj(np.transpose(R, (1, 0, 3, 2))))))
+    return _max_abs(R - np.conj(np.swapaxes(np.swapaxes(R, -4, -3), -2, -1)), 4)

@@ -1,24 +1,26 @@
 """Numeric jets of a metric: g, its first and mixed second derivatives.
 
 Every curvature formula downstream consumes a :class:`MetricJet` — the values
-at one point of
+at a batch of points (a leading axis on every array) of
 
     g_{k lbar},   d_i g_{k lbar},   dbar_j g_{k lbar},   d_i dbar_j g_{k lbar}
 
-plus the inverse metric.  The first time a spec is evaluated its derivative
-tables are built symbolically (:func:`expr.wirtinger_diff`) and compiled into
-two interned straight-line programs (:func:`expr.compile_program`): one for
-g, one for all of dg, dbar_g and ddbar_g.  Only the programs stay cached on
-the spec.  Each evaluation runs the g program over the whole batch of points,
-checks g (finite, Hermitian, positive definite), then runs the derivative
-program and checks that its values are finite.  A conformal factor's jet
-(:func:`factor_jet`) is compiled the same way, by the same function, on
-every call.
+plus the inverse metric; ``jets[k]`` is the jet at one point.  The first time
+a spec is evaluated its derivative tables are built symbolically
+(:func:`expr.wirtinger_diff`) and compiled into two interned straight-line
+programs (:func:`expr.compile_program`): one for g, one for all of dg, dbar_g
+and ddbar_g.  Only the programs stay cached on the spec.  Each evaluation
+runs the g program over the whole batch, checks g (finite, Hermitian,
+positive definite), then runs the derivative program and checks that its
+values are finite.  A point that fails a check leaves the batch with its own
+reason, and :func:`metric_jets` raises the first point's.  A conformal
+factor's jet (:func:`factor_jet`) is compiled the same way, by the same
+function, on every call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -34,9 +36,33 @@ class MetricError(ValueError):
     """Metric is not Hermitian/positive definite at an evaluation point."""
 
 
+class _PerPoint:
+    """Indexing over the leading batch axis of a per-point dataclass.
+
+    _CORE names a field and its number of per-point axes; any axis before
+    those is the batch axis.  ``obj[k]`` takes every array field at k and
+    keeps the other fields, so iterating walks the points (until IndexError).
+    A one-point object has no length.
+    """
+
+    _CORE = ("point", 1)
+
+    def __len__(self) -> int:
+        name, ndim = self._CORE
+        shape = np.shape(getattr(self, name))
+        if len(shape) == ndim:
+            raise TypeError(f"{type(self).__name__} holds one point, not a batch")
+        return shape[0]
+
+    def __getitem__(self, k):
+        len(self)  # a one-point object has no batch axis to index
+        arrays = {f.name: getattr(self, f.name) for f in fields(self)}
+        return replace(self, **{name: a[k] for name, a in arrays.items() if isinstance(a, np.ndarray)})
+
+
 @dataclass(frozen=True)
-class MetricJet:
-    """Pointwise data of a metric.
+class MetricJet(_PerPoint):
+    """Pointwise data of a metric, at one point or with a leading batch axis.
 
     dg[i, k, l] = d_i g_{k lbar}; dbar_g[j, k, l] = dbar_j g_{k lbar};
     ddbar_g[i, j, k, l] = d_i dbar_j g_{k lbar}.  Hermitianity gives
@@ -52,12 +78,12 @@ class MetricJet:
 
     @property
     def n(self) -> int:
-        return self.g.shape[0]
+        return self.g.shape[-1]
 
 
 @dataclass(frozen=True)
-class FactorJet:
-    """Pointwise data of a scalar factor F: value, gradients, mixed Hessian."""
+class FactorJet(_PerPoint):
+    """Pointwise data of a scalar factor F, at one point or a batch: value, gradients, mixed Hessian."""
 
     point: np.ndarray
     value: float
@@ -96,20 +122,36 @@ def _programs(spec: MetricSpec) -> tuple:
     return spec._tables
 
 
-def _require_finite(values, pts, what: str):
-    finite = np.isfinite(values).reshape(len(pts), -1).all(axis=1)
-    if not finite.all():
-        bad = int(np.argmin(finite))
-        raise MetricError(f"{what} not finite at {pts[bad]}")
+def _reject(reasons: list, bad, why) -> np.ndarray:
+    """Give each point k where bad holds, and that has no reason yet, MetricError(why(k)).
+
+    Returns the mask of the points that still have none.
+    """
+    for k in np.flatnonzero(bad):
+        reasons[k] = reasons[k] or MetricError(why(k))
+    return np.array([r is None for r in reasons], dtype=bool)
 
 
-def metric_jets(spec: MetricSpec, points) -> list:
-    """Jets of spec at a batch of points, shape (m, n).
+def _evaluate(prog: ex.Program, pts: np.ndarray, reasons: list) -> np.ndarray:
+    """prog at pts; each point where a guard or log fails gets that EvaluationError as its reason."""
+    try:
+        return ex.evaluate(prog, pts)
+    except ex.EvaluationError:  # run again to find the points that failed
+        out, failed = ex._run(prog, pts)
+        for k in np.flatnonzero(failed >= 0):
+            reasons[k] = reasons[k] or ex.EvaluationError(ex._reason(prog, failed[k]))
+        return out
 
-    One pass of the g program and one of the derivative program over the
-    whole batch.  Raises MetricError when any point has a non-finite g or
-    jet, fails the positive-definiteness check, or fails the Hermitian check:
-    max|g - g^H| must stay below HERMITIAN_TOL * max(1, max|g|) there.
+
+def _jets(spec: MetricSpec, points) -> tuple:
+    """(jets of the points that pass every check, one reason per point).
+
+    A point's reason is None, or the EvaluationError or MetricError of the
+    first check it fails, in this order: the g program, g finite, g
+    Hermitian (max|g - g^H| below HERMITIAN_TOL * max(1, max|g|) there), g
+    positive definite, the derivative program, its values finite, and the
+    residual of the inverse metric.  The batch keeps the other points in
+    their order.
     """
     pts = np.asarray(points, dtype=complex)
     if pts.ndim == 1:
@@ -118,35 +160,41 @@ def metric_jets(spec: MetricSpec, points) -> list:
         raise ValueError(f"points have {pts.shape[1]} coordinates, metric has n={spec.n}")
     g_prog, d_prog = _programs(spec)
     m, n = pts.shape
-    with np.errstate(over="ignore", invalid="ignore"):  # reported as MetricError below
-        g = ex.evaluate(g_prog, pts).reshape(m, n, n)
-    _require_finite(g, pts, "metric is")
+    eye, reasons = np.eye(n), [None] * m
+    g = _evaluate(g_prog, pts, reasons).reshape(m, n, n)
+    ok = _reject(reasons, ~np.isfinite(g).all(axis=(1, 2)), lambda k: f"metric is not finite at {pts[k]}")
+    g = np.where(ok[:, None, None], g, eye)  # a failed point's stand-in keeps the checks below finite
     herm = np.max(np.abs(g - np.conj(np.swapaxes(g, 1, 2))), axis=(1, 2))
     tol = HERMITIAN_TOL * np.maximum(1.0, np.max(np.abs(g), axis=(1, 2)))
-    bad = int(np.argmax(herm / tol))
-    if herm[bad] >= tol[bad]:
-        raise MetricError(
-            f"metric is not Hermitian at {pts[bad]} (residual {herm[bad]:.3e}, tolerance {tol[bad]:.3e})"
-        )
+    why = "metric is not Hermitian at {} (residual {:.3e}, tolerance {:.3e})"
+    _reject(reasons, herm >= tol, lambda k: why.format(pts[k], herm[k], tol[k]))
     g = 0.5 * (g + np.conj(np.swapaxes(g, 1, 2)))
-    eig = np.linalg.eigvalsh(g)
-    if np.any(eig <= 0):
-        bad = int(np.argmin(eig[:, 0]))
-        raise MetricError(
-            f"metric is not positive definite at {pts[bad]} (min eigenvalue {eig[bad, 0]:.3e})"
-        )
-    with np.errstate(over="ignore", invalid="ignore"):
-        d = ex.evaluate(d_prog, pts)
-    _require_finite(d, pts, "metric derivatives are")
-    dg, dbg, ddg = _split(d, n, (n, n))
+    eig = np.linalg.eigvalsh(g)[:, 0]
+    why = "metric is not positive definite at {} (min eigenvalue {:.3e})"
+    ok = _reject(reasons, eig <= 0, lambda k: why.format(pts[k], eig[k]))
+    g = np.where(ok[:, None, None], g, eye)
+    d = _evaluate(d_prog, pts, reasons)
+    _reject(reasons, ~np.isfinite(d).all(axis=1), lambda k: f"metric derivatives are not finite at {pts[k]}")
     g_inv = np.linalg.inv(g)
-    resid = np.max(np.abs(np.einsum("mij,mjk->mik", g_inv, g) - np.eye(n)))
-    if resid > 1e-12 * max(1.0, float(np.max(np.abs(g_inv)))):
-        raise MetricError(f"inverse-metric residual {resid:.3e} exceeds tolerance")
-    return [
-        MetricJet(pts[k], g[k], dg[k], dbg[k], ddg[k], g_inv[k])
-        for k in range(m)
-    ]
+    resid = np.max(np.abs(g_inv @ g - eye), axis=(1, 2))
+    bad = resid > 1e-12 * np.maximum(1.0, np.max(np.abs(g_inv), axis=(1, 2)))
+    ok = _reject(reasons, bad, lambda k: f"inverse-metric residual {resid[k]:.3e} exceeds tolerance")
+    dg, dbg, ddg = _split(d[ok], n, (n, n))
+    return MetricJet(pts[ok], g[ok], dg, dbg, ddg, g_inv[ok]), reasons
+
+
+def metric_jets(spec: MetricSpec, points) -> MetricJet:
+    """Jets of spec at a batch of points, shape (m, n), as one batched MetricJet.
+
+    One pass of the g program and one of the derivative program over the
+    whole batch.  Raises the MetricError or EvaluationError of the first
+    point that fails a check (see _jets).
+    """
+    jets, reasons = _jets(spec, points)
+    for why in reasons:
+        if why is not None:
+            raise why
+    return jets
 
 
 def metric_jet(spec: MetricSpec, p) -> MetricJet:
@@ -155,16 +203,17 @@ def metric_jet(spec: MetricSpec, p) -> MetricJet:
 
 
 def factor_jet(F: ex.Expr, p, n: int) -> FactorJet:
-    """Jet of a real-valued scalar factor F at p (value, gradients, mixed Hessian)."""
-    return _factor_jets(F, np.asarray(p, dtype=complex)[None, :], n)[0]
+    """Jet of a real-valued scalar factor F (value, gradients, mixed Hessian).
 
-
-def _factor_jets(F: ex.Expr, pts: np.ndarray, n: int) -> list:
-    """Jets of F at a batch of points, shape (m, n): one compile, one run of each program."""
+    p is one point, shape (n,), or a batch, shape (m, n), giving a batched
+    FactorJet; one compile and one run of each program either way.
+    """
+    pts = np.asarray(p, dtype=complex)
+    batch = pts.reshape(-1, n)
     v_prog, d_prog = _compile_jet([F], n)
-    vals = ex.evaluate(v_prog, pts)[:, 0]
+    vals = ex.evaluate(v_prog, batch)[:, 0]
     bad = int(np.argmax(np.abs(vals.imag)))
     if abs(vals[bad].imag) > 1e-10:
-        raise ValueError(f"conformal factor is not real at {pts[bad]} (Im = {vals[bad].imag:.3e})")
-    tables = _split(ex.evaluate(d_prog, pts), n, ())
-    return [FactorJet(p, float(v.real), *jet) for p, v, *jet in zip(pts, vals, *tables)]
+        raise ValueError(f"conformal factor is not real at {batch[bad]} (Im = {vals[bad].imag:.3e})")
+    jets = FactorJet(batch, vals.real, *_split(ex.evaluate(d_prog, batch), n, ()))
+    return jets if pts.ndim == 2 else jets[0]

@@ -10,6 +10,8 @@ the exact sphere average
 a seeded Monte Carlo estimate of the same average, extremization over the
 unit sphere of the g-orthonormal frame, and residuals of the two pointwise
 constancy identities (the symmetrized rank-4 tensor identity and its trace).
+Pointwise evaluation and the residuals take one point or a batch, like the
+geometry kernels; extremization and the averages work at one point.
 
 The Monte Carlo average and the extremizer take rho(Z, Zbar) as Z @ rho and
 R(Z, Zbar, Z, Zbar) as one matmul of Z (x) Zbar with R reshaped to (n^2, n^2)
@@ -26,6 +28,7 @@ from .geometry import (
     ChernCurvature,
     RicciBundle,
     _in_frame,
+    _max_abs,
     _outer,
     _quartic,
     _rho1,
@@ -88,11 +91,11 @@ def mixed_curvature(Rc: ChernCurvature, g: np.ndarray, params: MixedParams, X) -
     """C_{alpha,beta}(X) for a nonzero (1,0)-vector X; scale-invariant in X."""
     X = np.asarray(X, dtype=complex)
     norm2 = metric_norm_sq(g, X)
-    if norm2 < 1e-300:
+    if np.any(norm2 < 1e-300):
         raise ValueError("mixed curvature of the zero vector")
     rho1 = _rho1(np.linalg.inv(np.asarray(g, dtype=complex)), Rc.tensor)
-    (ric,), (h,) = _ric_hsc(Rc.tensor, rho1, X[None, :])
-    return params.alpha * ric / norm2 + params.beta * h / norm2**2
+    ric = np.einsum("...i,...ij,...j->...", X, rho1, np.conj(X)).real
+    return params.alpha * ric / norm2 + params.beta * _quartic(Rc.tensor, X).real / norm2**2
 
 
 def sphere_average_closed_form(bundle: RicciBundle, params: MixedParams, n: int) -> float:
@@ -293,15 +296,17 @@ def constancy_tensor_residual(
 
 def _sym(T):
     """T_{i jbar k lbar} + T_{k jbar i lbar} + T_{i lbar k jbar} + T_{k lbar i jbar}."""
-    return T + T.transpose(2, 1, 0, 3) + T.transpose(0, 3, 2, 1) + T.transpose(2, 3, 0, 1)
+    swap_holo = np.swapaxes(T, -4, -2)
+    return T + swap_holo + np.swapaxes(T, -3, -1) + np.swapaxes(swap_holo, -3, -1)
 
 
 def _constancy_residual(R, rho, g, params, c, shift=0.0):
     """The constancy identity: max |alpha sym(rho g) + beta sym(R) - shift - RHS|,
     RHS = 2 c (g_{i jbar} g_{k lbar} + g_{i lbar} g_{k jbar})."""
-    lhs = params.alpha * _sym(np.einsum("ij,kl->ijkl", rho, g)) + params.beta * _sym(R) - shift
-    rhs = 2 * c * (np.einsum("ij,kl->ijkl", g, g) + np.einsum("il,kj->ijkl", g, g))
-    return float(np.max(np.abs(lhs - rhs)))
+    c = np.asarray(c)[..., None, None, None, None]
+    lhs = params.alpha * _sym(np.einsum("...ij,...kl->...ijkl", rho, g)) + params.beta * _sym(R) - shift
+    rhs = 2 * c * (np.einsum("...ij,...kl->...ijkl", g, g) + np.einsum("...il,...kj->...ijkl", g, g))
+    return _max_abs(lhs - rhs, 4)
 
 
 def trace_identity_residual(
@@ -325,9 +330,8 @@ def trace_identity_residual(
     if g is None:
         g = np.eye(n)
     a, b = params.alpha, params.beta
-    re3 = 0.5 * (bundle.rho3 + bundle.rho3.conj().T)
+    re3 = 0.5 * (bundle.rho3 + np.conj(np.swapaxes(bundle.rho3, -1, -2)))
     lhs = (a * (n + 2) + b) * bundle.rho1 + b * bundle.rho2 + 2 * b * re3
-    rhs = (2 * (n + 1) * f - a * bundle.u) * np.asarray(g, dtype=complex)
-    matrix_res = float(np.max(np.abs(lhs - rhs)))
-    scalar_res = abs(((n + 1) * a + b) * bundle.u + b * bundle.v - n * (n + 1) * f)
-    return max(matrix_res, scalar_res)
+    rhs = np.asarray(2 * (n + 1) * f - a * bundle.u)[..., None, None] * np.asarray(g, dtype=complex)
+    scalar_res = np.abs(((n + 1) * a + b) * bundle.u + b * bundle.v - n * (n + 1) * f)
+    return np.maximum(_max_abs(lhs - rhs, 2), scalar_res)

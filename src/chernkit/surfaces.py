@@ -12,7 +12,8 @@ basis of a unitary frame, the three components
 Also implemented: the unconditional Ricci combination
 rho1 + rho2 - 2 Re(rho3) = (u - v) g, and the pointwise wedge identity
 rho1 ^ rho1 = (1/2) [u^2 - <rho1, rho1>] omega ^ omega behind the c_1^2
-formula, with <.,.> normalized so that <omega, omega> = n.
+formula, with <.,.> normalized so that <omega, omega> = n.  Each identity
+takes one point or a batch, like the geometry kernels.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ChernCurvature, RicciBundle, _real
+from .geometry import ChernCurvature, RicciBundle, _max_abs, _real
 
 __all__ = [
     "WeylMinus",
@@ -53,9 +54,10 @@ class OneOneForm:
 
     def __post_init__(self):
         if self.is_real:
-            resid = np.max(np.abs(self.a - self.a.conj().T))
-            if resid > 1e-10 * max(1.0, float(np.max(np.abs(self.a)))):
-                raise ValueError(f"real (1,1)-form has non-Hermitian matrix (residual {resid:.3e})")
+            resid = _max_abs(self.a - np.conj(np.swapaxes(self.a, -1, -2)), 2)
+            bad = resid > 1e-10 * np.maximum(1.0, _max_abs(self.a, 2))
+            if np.any(bad):
+                raise ValueError(f"real (1,1)-form has non-Hermitian matrix (residual {np.max(resid * bad):.3e})")
 
 
 def _need_surface(n: int):
@@ -68,7 +70,7 @@ def weyl_minus(Rc: ChernCurvature) -> WeylMinus:
     _need_surface(Rc.n)
     if Rc.frame != "unitary":
         raise ValueError("Weyl components are defined in a unitary frame")
-    R = Rc.tensor
+    R = np.moveaxis(Rc.tensor, (-4, -3, -2, -1), (0, 1, 2, 3))  # R[i, j, k, l] over the batch
     w1 = R[0, 1, 0, 1]
     w2 = (R[0, 1, 1, 1] + R[1, 1, 0, 1] - R[0, 1, 0, 0] - R[0, 0, 0, 1]) / np.sqrt(2)
     w3 = (
@@ -80,15 +82,15 @@ def weyl_minus(Rc: ChernCurvature) -> WeylMinus:
         - R[1, 0, 0, 1]
     ) / 6
     frame = Rc.frame_matrix if Rc.frame_matrix is not None else np.eye(2, dtype=complex)
-    return WeylMinus(complex(w1), complex(w2), complex(w3), frame)
+    return WeylMinus(w1[()], w2[()], w3[()], frame)
 
 
 def ricci_combination_residual(bundle: RicciBundle, g: np.ndarray) -> float:
     """max |rho1 + rho2 - 2 Re(rho3) - (u - v) g| on a surface."""
-    _need_surface(g.shape[0])
-    re3 = 0.5 * (bundle.rho3 + bundle.rho3.conj().T)
+    _need_surface(g.shape[-1])
+    re3 = 0.5 * (bundle.rho3 + np.conj(np.swapaxes(bundle.rho3, -1, -2)))
     lhs = bundle.rho1 + bundle.rho2 - 2 * re3
-    return float(np.max(np.abs(lhs - (bundle.u - bundle.v) * np.asarray(g, dtype=complex))))
+    return _max_abs(lhs - np.asarray(bundle.u - bundle.v)[..., None, None] * np.asarray(g, dtype=complex), 2)
 
 
 def form_inner(a: OneOneForm, b: OneOneForm, g: np.ndarray) -> float:
@@ -98,7 +100,7 @@ def form_inner(a: OneOneForm, b: OneOneForm, g: np.ndarray) -> float:
     matrices; the g-contracted expression below is its frame-covariant form.
     """
     gi = np.linalg.inv(np.asarray(g, dtype=complex))
-    val = np.einsum("ki,jl,ij,kl->", gi, gi, a.a, np.conj(b.a))
+    val = np.einsum("...ki,...jl,...ij,...kl->...", gi, gi, a.a, np.conj(b.a))
     return _real(val, "inner product of real forms")
 
 
@@ -110,8 +112,8 @@ def wedge_ratio(a: OneOneForm, b: OneOneForm, g: np.ndarray) -> float:
               - a_{1 2bar} b_{2 1bar} - a_{2 1bar} b_{1 2bar}) * Phi
     with Phi the coordinate 4-form, and omega^2/2 = -det(g) * Phi.
     """
-    _need_surface(g.shape[0])
-    A, B = a.a, b.a
+    _need_surface(g.shape[-1])
+    A, B = np.moveaxis(a.a, (-2, -1), (0, 1)), np.moveaxis(b.a, (-2, -1), (0, 1))
     num = A[0, 0] * B[1, 1] + A[1, 1] * B[0, 0] - A[0, 1] * B[1, 0] - A[1, 0] * B[0, 1]
     den = np.linalg.det(np.asarray(g, dtype=complex))
     return _real(num / den, "wedge ratio of real forms")
@@ -125,8 +127,8 @@ def c1_squared_pointwise_residual(bundle: RicciBundle, g: np.ndarray) -> float:
     represented by rho1/(2 pi) this is the pointwise content of the c_1^2
     surface formula.
     """
-    _need_surface(g.shape[0])
+    _need_surface(g.shape[-1])
     rho = OneOneForm(bundle.rho1, is_real=True)
     kappa = wedge_ratio(rho, rho, g)
     inner = form_inner(rho, rho, g)
-    return abs(kappa - (bundle.u**2 - inner))
+    return np.abs(kappa - (bundle.u**2 - inner))

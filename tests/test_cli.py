@@ -225,3 +225,40 @@ def test_overflowing_weights_are_errors(command):
     if command == "eval":
         (rec,) = json.loads(r.stdout)["records"]  # valid JSON: no bare inf
         assert "error" in rec
+
+
+def _eval_records(*args):
+    r = _run("eval", *args)
+    return r.returncode, json.loads(r.stdout)["records"]
+
+
+def test_eval_failed_point_gets_its_own_record():
+    # hopf-2 divides by |z|^2: the origin fails, (1, 0) evaluates as if it were alone
+    code, records = _eval_records("--metric", "hopf-2", "--point", "0,0", "--point", "1,0")
+    assert code == 2
+    assert records[0] == {"point": [[0.0, 0.0], [0.0, 0.0]], "error": "division by zero"}
+    alone_code, alone = _eval_records("--metric", "hopf-2", "--point", "1,0")
+    assert alone_code == 0 and records[1] == alone[0]
+
+
+def test_eval_point_rejected_by_a_kernel_gets_its_own_record(tmp_path):
+    # g is Hermitian where z1*z2 is real, but its derivatives are not: u is not real at the middle point
+    metric = tmp_path / "skew.metric"
+    metric.write_text("dim 2\ng[1,1] = 1 + z1*zbar1\ng[2,2] = 1\ng[1,2] = z1*z2\ng[2,1] = z1*z2\n")
+    points = ["0.3,0", "0.3+0.3i,0.3-0.3i", "0.5i,0.5i"]
+    code, records = _eval_records("--metric", str(metric), *(a for p in points for a in ("--point", p)))
+    assert code == 2
+    assert set(records[1]) == {"point", "error"} and "should be real" in records[1]["error"]
+    for k in (0, 2):
+        alone_code, alone = _eval_records("--metric", str(metric), "--point", points[k])
+        assert alone_code == 0 and records[k] == alone[0]
+
+
+@pytest.mark.parametrize("domain", ["ball 1e999", "annulus 1 1e999", "polydisc 0"])
+def test_eval_bad_domain_radius_exit_code(tmp_path, domain):
+    metric = tmp_path / "wide.metric"
+    metric.write_text(f"dim 2\ng[1,1] = 1\ng[2,2] = 1\ndomain {domain}\n")
+    r = _run("eval", "--metric", str(metric), "--points", "2")
+    assert r.returncode == 2, r.stderr
+    assert "line 4" in r.stderr and "radius must be positive and finite" in r.stderr
+    assert "Traceback" not in r.stderr

@@ -117,6 +117,11 @@ def test_domain_errors():
         parse_metric("dim 1\ng[1,1]=1\ndomain annulus 2 0.5")
     with pytest.raises(DslError, match="unknown domain"):
         parse_metric("dim 1\ng[1,1]=1\ndomain cube 1")
+    # radii must be positive and finite; 1e999 reads as inf
+    for domain, col in (("ball 1e999", 13), ("ball 0", 13), ("polydisc 0.0", 17), ("polydisc 1e400", 17),
+                        ("annulus 1 1e999", 18), ("product ball 1; ball 1e999", 29)):
+        with pytest.raises(DslError, match=f"line 3, col {col}: .* radius must be positive and finite"):
+            parse_metric(f"dim {2 if 'product' in domain else 1}\ng[1,1]=1\ndomain {domain}")
 
 
 def test_comments_and_blank_lines():

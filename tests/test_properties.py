@@ -92,3 +92,90 @@ def test_source_round_trip_evaluates_to_the_tree(e):
         again = np.broadcast_to(ex.evaluate(back, PTS), (len(PTS),))
     # the parser groups products and sums left to right, so rounding may differ
     assert np.allclose(again, values, rtol=1e-12, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Curvature identities on random metrics and conformal factors
+
+from chernkit.catalog import builtin, sample_points  # noqa: E402
+from chernkit.conformal import conformal_curvature_via_formula, conformal_metric  # noqa: E402
+from chernkit.dsl import MetricSpec  # noqa: E402
+from chernkit.geometry import (  # noqa: E402
+    chern_curvature,
+    hermitian_symmetry_residual,
+    ricci_bundle,
+    to_unitary_frame,
+)
+from chernkit.jets import factor_jet, metric_jets  # noqa: E402
+
+FEW = settings(DETERMINISTIC, max_examples=40)
+_unit = st.floats(-1, 1, allow_nan=False)
+
+
+def _matrices(n, count):
+    """count complex n x n matrices with entries in the unit square."""
+    return st.lists(st.tuples(_unit, _unit), min_size=count * n * n, max_size=count * n * n).map(
+        lambda xy: np.array([complex(x, y) for x, y in xy]).reshape(count, n, n)
+    )
+
+
+def _linear(row, conj):
+    """sum_i row[i] z_i, or its conjugate sum_i conj(row[i]) zbar_i."""
+    terms = [ex.mul(ex.const(np.conj(c) if conj else c), (ex.conj_coord if conj else ex.coord)(i + 1)) for i, c in enumerate(row)]
+    return sum(terms[1:], terms[0])
+
+
+def _constant_plus_quadratic(A, Ms):
+    """g = A + sum_m (M_m z)(M_m z)^H: Hermitian, and positive definite where A is."""
+    n = len(A)
+    entries = [
+        [sum((ex.mul(_linear(M[k], False), _linear(M[l], True)) for M in Ms), ex.const(A[k, l])) for l in range(n)]
+        for k in range(n)
+    ]
+    return MetricSpec(n=n, entries=entries, name="random-quadratic")
+
+
+@FEW
+@given(st.integers(2, 3).flatmap(lambda n: st.tuples(_matrices(n, 1), _matrices(n, 2))))
+def test_constant_plus_quadratic_metrics_keep_the_curvature_symmetries(drawn):
+    (L,), Ms = drawn
+    n = len(L)
+    A = L @ L.conj().T + np.eye(n)  # Hermitian positive definite
+    pts = np.random.default_rng(n).uniform(-0.4, 0.4, size=(5, 2 * n)).view(complex)
+    jets = metric_jets(_constant_plus_quadratic(A, Ms), pts)
+    Rc = chern_curvature(jets)
+    scale = max(1.0, float(np.max(np.abs(Rc.tensor))))
+    assert np.max(hermitian_symmetry_residual(Rc)) <= 1e-12 * scale
+    b = ricci_bundle(Rc, jets.g)
+    tr_rho2 = np.einsum("...ji,...ij->...", jets.g_inv, b.rho2).real
+    u_unitary = ricci_bundle(to_unitary_frame(Rc, jets), np.eye(n)).u
+    assert np.max(np.abs(tr_rho2 - b.u)) <= 1e-12 * scale
+    assert np.max(np.abs(u_unitary - b.u)) <= 1e-12 * scale
+
+
+def _real_quadratic(H, S, n):
+    """F = sum H_ij z_i zbar_j + 2 Re sum S_ij z_i z_j with H Hermitian: a real quadratic factor."""
+    F = ex.ZERO
+    for i in range(n):
+        for j in range(n):
+            zz = ex.mul(ex.coord(i + 1), ex.coord(j + 1))
+            F = ex.add(F, ex.mul(ex.const(H[i, j]), ex.mul(ex.coord(i + 1), ex.conj_coord(j + 1))))
+            F = ex.add(F, ex.add(ex.mul(ex.const(S[i, j]), zz), ex.mul(ex.const(np.conj(S[i, j])), ex.conj(zz))))
+    return F
+
+
+@FEW
+@given(st.sampled_from(["fubini-study-2", "hopf-2", "complex-hyperbolic-3"]).flatmap(
+    lambda name: st.tuples(st.just(name), _matrices(builtin(name).spec.n, 2))
+))
+def test_real_quadratic_factors_obey_the_conformal_law(drawn):
+    name, (B, S) = drawn
+    entry = builtin(name)
+    n = entry.spec.n
+    H = 0.5 * (B + B.conj().T) / n  # Hermitian, so that F is real
+    F = _real_quadratic(H, S / n, n)
+    pts = sample_points(entry, 4, 3)
+    jets = metric_jets(entry.spec, pts)
+    pred = conformal_curvature_via_formula(chern_curvature(jets), jets, factor_jet(F, pts, n)).tensor
+    direct = chern_curvature(metric_jets(conformal_metric(entry.spec, F), pts)).tensor
+    assert np.max(np.abs(pred - direct)) <= 1e-8 * max(1.0, float(np.max(np.abs(direct))))
