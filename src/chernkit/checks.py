@@ -16,7 +16,7 @@ Criteria (suite assignment in SUITES):
   trace-identity         traced constancy identities on constant-C configurations
   sphere-average         Monte Carlo vs closed-form sphere average
   hopf-torsion           u - v = |eta|^2 = (n-1)^2 on Hopf
-  fd-cross-check         symbolic vs finite-difference derivatives
+  fd-cross-check         jet-run vs finite-difference derivatives
   nonconstancy-witness   detector is not vacuous: H on Hopf has spread > 1e-2
   catalog-expected       every expected-value table is reproduced
 """

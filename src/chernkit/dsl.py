@@ -18,15 +18,16 @@ where it separates the per-coordinate factors.
 
 An expression may nest at most :data:`MAX_DEPTH` levels, counting both the
 depth of its tree (``let`` names substituted) and the nesting of brackets.
-Deeper input is a :class:`DslError`: the symbolic derivatives and the
-printer recurse over the tree, and the limit keeps them well inside Python's
-recursion limit.
+Deeper input is a :class:`DslError`.  Evaluation and differentiation run
+compiled programs and do not recurse, but the printer, tree equality and
+hashing, and the symbolic reference derivative do, and the limit keeps them
+well inside Python's recursion limit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import expr as ex
 from .domains import Annulus, Ball, Domain, Polydisc, Product
@@ -63,7 +64,6 @@ class MetricSpec:
     entries: list
     name: str = "metric"
     domain: Domain = Ball(1.0)
-    _tables: object = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,14 @@ and conjugating an expression swaps the two derivative kinds.
 
 Trees are immutable.  Construction goes through the helpers below, which fold
 constants and drop additive/multiplicative identities (0*e -> 0, e+0 -> e,
-1*e -> e); nothing else is simplified.  Correctness rests on numeric
+1*e -> e); nothing else is simplified.
+
+:func:`compile_program` interns trees into one straight-line program, and
+:func:`evaluate` runs it, for a single tree too.  The same runner can carry,
+with each value, every d_i, dbar_j and d_i dbar_j in one pass (forward-mode
+Wirtinger jets); that is how the package differentiates.
+:func:`wirtinger_diff` builds the exact symbolic derivative tree and is the
+reference the jets are tested against.  Correctness rests on numeric
 cross-checks (see :func:`fd_residual`), not on symbolic normal forms.
 """
 
@@ -282,68 +289,21 @@ def evaluate(e, p):
     """Evaluate e at a point (or batch of points) in C^n.
 
     p has shape (n,) for a single point or (m, n) for a batch; the result is
-    a complex scalar or an (m,) array.  zbar_k evaluates to conj(p_k).
-    Shared subtrees are evaluated once per call.
+    a complex scalar or an (m,) array (any leading axes are kept, as for a
+    batch).  zbar_k evaluates to conj(p_k).
+    A tree is compiled (:func:`compile_program`) and run like any program,
+    so shared subtrees are evaluated once per call.
 
     e may also be a :class:`Program`; the result then has one trailing
     column per root, shape (k,) or (m, k), bit-identical to evaluating each
-    root as a tree.
+    root on its own.
     """
     pts = np.asarray(p, dtype=complex)
-    if isinstance(e, Program):
-        out, failed = _run(e, pts if pts.ndim == 2 else pts.reshape(1, -1))
-        if np.any(failed >= 0):
-            raise EvaluationError(_reason(e, failed[failed >= 0].min()))
-        return out if pts.ndim == 2 else out[0]
-    if pts.ndim == 0:
-        pts = pts.reshape(1)
-    need = max_coord_index(e)
-    if need > pts.shape[-1]:
-        raise EvaluationError(
-            f"expression references z{need} but the point has {pts.shape[-1]} coordinates"
-        )
-    return _eval(e, pts, {})
-
-
-def _eval(e: Expr, pts, memo):
-    got = memo.get(id(e))
-    if got is not None:
-        return got
-    kind = e.kind
-    if kind == "const":
-        v = e.value
-    elif kind == "coord":
-        v = pts[..., e.index - 1]
-    elif kind == "conj_coord":
-        v = np.conj(pts[..., e.index - 1])
-    elif kind == "neg":
-        v = -_eval(e.args[0], pts, memo)
-    elif kind == "conj":
-        v = np.conj(_eval(e.args[0], pts, memo))
-    elif kind == "exp":
-        v = np.exp(_eval(e.args[0], pts, memo))
-    elif kind == "log":
-        a = _eval(e.args[0], pts, memo)
-        if np.any(np.abs(a) < DIV_EPS):
-            raise EvaluationError("log of zero")
-        v = np.log(a)
-    elif kind == "add":
-        v = _eval(e.args[0], pts, memo) + _eval(e.args[1], pts, memo)
-    elif kind == "sub":
-        v = _eval(e.args[0], pts, memo) - _eval(e.args[1], pts, memo)
-    elif kind == "mul":
-        v = _eval(e.args[0], pts, memo) * _eval(e.args[1], pts, memo)
-    elif kind == "div":
-        b = _eval(e.args[1], pts, memo)
-        if np.any(np.abs(b) < DIV_EPS):
-            raise EvaluationError("division by zero")
-        v = _eval(e.args[0], pts, memo) / b
-    elif kind == "int_pow":
-        v = _eval(e.args[0], pts, memo) ** e.power
-    else:
-        raise ValueError(f"unknown node kind {kind!r}")
-    memo[id(e)] = v
-    return v
+    prog = e if isinstance(e, Program) else compile_program([e])
+    out, failed = _run(prog, pts.reshape(-1, pts.shape[-1] if pts.ndim else 1))
+    _raise_failure(prog, failed)
+    out = out.reshape(pts.shape[:-1] + out.shape[1:])
+    return out if prog is e else out[..., 0][()]
 
 
 def max_coord_index(e: Expr) -> int:
@@ -367,10 +327,9 @@ def max_coord_index(e: Expr) -> int:
 # payload), so a subtree shared structurally by several trees becomes one
 # instruction (Filliatre & Conchon, "Type-Safe Modular Hash-Consing", 2006),
 # and lists the instructions in evaluation order: a straight-line tape in the
-# sense of Griewank & Walther, "Evaluating Derivatives" (2008).  evaluate()
-# runs the tape over a flat slot array.  Each instruction performs the
-# same numpy operation on the same operands as _eval, so the outputs are
-# bit-identical to evaluate() on every root.
+# sense of Griewank & Walther, "Evaluating Derivatives" (2008).  _run runs
+# the tape over a flat slot array, one numpy operation per instruction on
+# the value, so a root's outputs do not depend on the other roots.
 
 _LEAVES = frozenset({"const", "coord", "conj_coord"})
 _UNARY = frozenset({"neg", "conj", "exp", "log", "int_pow"})
@@ -415,11 +374,11 @@ def _payload(e: Expr):
 def compile_program(roots) -> Program:
     """Compile expression trees into one interned straight-line Program.
 
-    Instructions follow _eval's order: children left to right, except that a
-    division evaluates and guards its denominator before its numerator, so
-    evaluate raises the same EvaluationError as evaluating the roots one
-    after another.  The traversal is iterative: tree depth is not limited by
-    the Python stack.
+    Instructions list each node after its children, left to right, except
+    that a division evaluates and guards its denominator before its
+    numerator, so evaluate raises the same EvaluationError as evaluating the
+    roots one after another.  The traversal is iterative: tree depth is not
+    limited by the Python stack.
     """
     roots = list(roots)  # slot_of is keyed by id(): keep every node alive
     code, interned, slot_of, guarded, outputs = [], {}, {}, set(), []
@@ -476,6 +435,12 @@ def _reason(prog: Program, slot: int) -> str:
     return _REASONS[prog.code[slot][0]]
 
 
+def _raise_failure(prog: Program, failed: np.ndarray):
+    """Raise the EvaluationError of the earliest failed slot, if any point failed."""
+    if np.any(failed >= 0):
+        raise EvaluationError(_reason(prog, failed[failed >= 0].min()))
+
+
 def _mark(failed: np.ndarray, bad, slot: int):
     """Record slot as the first failure of each point where bad holds."""
     if np.any(bad):
@@ -483,56 +448,101 @@ def _mark(failed: np.ndarray, bad, slot: int):
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def _run(prog: Program, pts: np.ndarray) -> tuple:
+def _run(prog: Program, pts: np.ndarray, jet: bool = False) -> tuple:
     """prog at (m, n) points: (out, failed).
 
     out is an (m, len(prog.outputs)) array, column j for root j.  failed[k]
     is the slot of the first guard or log that failed at point k, or -1.  A
     failed point does not stop the run: its later values may be inf or nan,
     and the other points are unaffected.
+
+    Each slot holds a jet (see _step).  With jet off it is the value alone;
+    with jet on it carries the derivatives too, and out has shape
+    (m, 1 + 2n + n^2, len(prog.outputs)): per root the value, d_i, dbar_j and
+    d_i dbar_j (C order over (i, j)).  The value column is the same either way.
     """
-    if prog.n_coords > pts.shape[1]:
-        raise EvaluationError(
-            f"expression references z{prog.n_coords} but the point has {pts.shape[1]} coordinates"
-        )
-    vals = [None] * len(prog.code)
-    failed = np.full(pts.shape[0], -1)
+    m, n = pts.shape
+    if prog.n_coords > n:
+        raise EvaluationError(f"expression references z{prog.n_coords} but the point has {n} coordinates")
+    vals, failed, d = [None] * len(prog.code), np.full(m, -1), n if jet else 0
     for s, ((kind, a, b, payload), free) in enumerate(zip(prog.code, prog.frees)):
-        if kind == "mul":
-            v = vals[a] * vals[b]
-        elif kind == "sub":
-            v = vals[a] - vals[b]
-        elif kind == "div":
-            v = vals[a] / vals[b]
-        elif kind == "neg":
-            v = -vals[a]
-        elif kind == "add":
-            v = vals[a] + vals[b]
-        elif kind == "int_pow":
-            v = vals[a] ** payload
-        elif kind == "guard":
-            _mark(failed, np.abs(vals[a]) < DIV_EPS, s)
-            v = None
-        elif kind == "const":
-            v = payload
-        elif kind == "coord":
-            v = pts[..., payload]
-        elif kind == "conj_coord":
-            v = np.conj(pts[..., payload])
-        elif kind == "conj":
-            v = np.conj(vals[a])
-        elif kind == "exp":
-            v = np.exp(vals[a])
-        else:  # log
-            _mark(failed, np.abs(vals[a]) < DIV_EPS, s)
-            v = np.log(vals[a])
-        vals[s] = v
+        if kind == "guard" or kind == "log":
+            _mark(failed, np.abs(vals[a][:, 0]) < DIV_EPS, s)
+        if kind != "guard":
+            vals[s] = _step(kind, vals[a], vals[b], payload, pts, d)
         for f in free:
             vals[f] = None
-    out = np.empty((pts.shape[0], len(prog.outputs)), dtype=complex)
+    out = np.empty((m, 1 + 2 * d + d * d, len(prog.outputs)), dtype=complex)
     for j, s in enumerate(prog.outputs):
-        out[:, j] = vals[s]
-    return out, failed
+        out[..., j] = vals[s]
+    return (out if jet else out[:, 0]), failed
+
+
+# Wirtinger jets: truncated Taylor mode (Griewank & Walther, "Evaluating
+# Derivatives", 2008, ch. 13), the mixed d_i dbar_j part carried as in
+# hyper-dual numbers (Fike & Alonso, AIAA 2011-886).  A jet in n coordinates
+# is an (m or 1, 1 + 2n + n^2) array: value, d_i, dbar_j, d_i dbar_j; n = 0
+# keeps the value alone, whose column always takes the plain numpy operation.
+
+
+def _cross(A, B, n: int):
+    """The rows' d_i A * dbar_j B, as an (m, n^2) table in C order over (i, j)."""
+    return (A[:, 1 : n + 1, None] * B[:, None, n + 1 : 2 * n + 1]).reshape(max(len(A), len(B)), n * n)
+
+
+def _step(kind: str, A, B, payload, pts, n: int):
+    """The jet of one instruction on the jets A and B, in n coordinates."""
+    if kind in _LEAVES:
+        J = np.zeros((1 if kind == "const" else len(pts), 1 + 2 * n + n * n), dtype=complex)
+        x = payload if kind == "const" else pts[:, payload]
+        J[:, 0] = np.conj(x) if kind == "conj_coord" else x
+        if kind != "const" and n:
+            J[:, 1 + payload + (n if kind == "conj_coord" else 0)] = 1
+        return J
+    if kind == "add":
+        return A + B
+    if kind == "sub":
+        return A - B
+    if kind == "neg":
+        return -A
+    a, p = A[:, 0], payload
+    if kind == "mul":
+        v = a * B[:, 0]
+    elif kind == "div":
+        v = a / B[:, 0]
+    elif kind == "conj":
+        v = np.conj(a)
+    elif kind == "exp":
+        v = np.exp(a)
+    elif kind == "log":
+        v = np.log(a)
+    else:  # int_pow, p >= 2
+        v = a**p
+    if not n:
+        return v[:, None]
+    mixed = slice(2 * n + 1, None)
+    if kind == "mul":  # product rule, plus the cross terms a_i b_jbar + b_i a_jbar
+        J = A * B[:, :1] + A[:, :1] * B
+        J[:, mixed] += _cross(A, B, n) + _cross(B, A, n)
+    elif kind == "div":  # from A = Q B: Q' = (A' - Q B') / B, then the mixed part likewise
+        J = (A - v[:, None] * B) / B[:, :1]
+        J[:, mixed] -= (_cross(J, B, n) + _cross(B, J, n)) / B[:, :1]
+    elif kind == "conj":  # swap d with dbar; d_i dbar_j conj(A) = conj(d_j dbar_i A)
+        r = range(n)
+        perm = [0, *(1 + n + i for i in r), *(1 + i for i in r), *(1 + 2 * n + j * n + i for i in r for j in r)]
+        return np.conj(A[:, perm])
+    else:  # chain rule: f'(a) a' and f'(a) a_ij + f''(a) a_i a_jbar
+        if kind == "exp":
+            f1 = f2 = v
+        elif kind == "log":
+            f1 = 1 / a
+            f2 = -f1 * f1
+        else:
+            f1, f2 = p * a ** (p - 1), p * (p - 1) * a ** (p - 2)
+        J = A * f1[:, None]
+        J[:, mixed] += f2[:, None] * _cross(A, A, n)
+    J[:, 0] = v
+    return J
 
 
 # ---------------------------------------------------------------------------
@@ -597,24 +607,27 @@ def to_source(e: Expr) -> str:
 
 
 def fd_residual(e: Expr, p, h: float = 1e-5) -> float:
-    """Max deviation between symbolic and central-difference Wirtinger derivatives.
+    """Max deviation between jet and central-difference Wirtinger derivatives.
 
-    For every coordinate k present at the point, compares wirtinger_diff
+    For every coordinate k present at the point, compares the d_k and dbar_k
+    columns of e's jet run, the derivatives the curvature kernels consume,
     against 0.5*(d/dx_k -/+ i d/dy_k) central differences of step h.  Used as
     a validation residual; h must be > 0 and p interior with margin >= 2h.
     p is one point, shape (n,), or a batch, shape (m, n); the result is the
-    maximum over the batch.  The 2n derivatives run as one compiled program
-    over the batch, and e as another over all 4n shifted copies of it.
+    maximum over the batch.  One compiled program of e serves both: its jet
+    run over the batch, and its plain run over all 4n shifted copies of it.
     """
     if h <= 0:
         raise ValueError("finite-difference step must be positive")
     pts = np.atleast_2d(np.asarray(p, dtype=complex))
     m, n = pts.shape
-    derivs = [wirtinger_diff(e, kind, k) for kind in ("holo", "anti") for k in range(1, n + 1)]
-    sym = evaluate(compile_program(derivs), pts).T.reshape(2, n, m)
+    prog = compile_program([e])
+    J, failed = _run(prog, pts, jet=True)
+    _raise_failure(prog, failed)
+    sym = J[:, 1 : 2 * n + 1, 0].T.reshape(2, n, m)
     hx, hy = h * np.eye(n, dtype=complex), 1j * h * np.eye(n, dtype=complex)
     shifted = [pts + d for d in hx] + [pts - d for d in hx] + [pts + d for d in hy] + [pts - d for d in hy]
-    f = evaluate(compile_program([e]), np.concatenate(shifted)).reshape(4, n, m)
+    f = evaluate(prog, np.concatenate(shifted)).reshape(4, n, m)
     fx = (f[0] - f[1]) / (2 * h)
     fy = (f[2] - f[3]) / (2 * h)
     fd = np.stack([0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)])

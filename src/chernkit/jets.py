@@ -5,17 +5,16 @@ at a batch of points (a leading axis on every array) of
 
     g_{k lbar},   d_i g_{k lbar},   dbar_j g_{k lbar},   d_i dbar_j g_{k lbar}
 
-plus the inverse metric; ``jets[k]`` is the jet at one point.  The first time
-a spec is evaluated its derivative tables are built symbolically
-(:func:`expr.wirtinger_diff`) and compiled into two interned straight-line
-programs (:func:`expr.compile_program`): one for g, one for all of dg, dbar_g
-and ddbar_g.  Only the programs stay cached on the spec.  Each evaluation
-runs the g program over the whole batch, checks g (finite, Hermitian,
-positive definite), then runs the derivative program and checks that its
-values are finite.  A point that fails a check leaves the batch with its own
-reason, and :func:`metric_jets` raises the first point's.  A conformal
-factor's jet (:func:`factor_jet`) is compiled the same way, by the same
-function, on every call.
+plus the inverse metric; ``jets[k]`` is the jet at one point.  Each
+evaluation compiles the n^2 entries of g into one interned straight-line
+program (:func:`expr.compile_program`), runs it over the whole batch, checks
+g (finite, Hermitian, positive definite), then runs the same program once in
+Wirtinger jet arithmetic, which carries dg, dbar_g and ddbar_g alongside each
+value, and checks that the derivatives are finite.  Nothing is cached and
+nothing is differentiated symbolically.  A point that fails a check leaves
+the batch with its own reason, and :func:`metric_jets` raises the first
+point's.  A conformal factor's jet (:func:`factor_jet`) is one jet run of
+the factor's program.
 """
 
 from __future__ import annotations
@@ -92,34 +91,11 @@ class FactorJet(_PerPoint):
     hess: np.ndarray       # hess[k, l] = d_k dbar_l F
 
 
-def _compile_jet(exprs, n: int) -> tuple:
-    """(value program, derivative program) of scalar expressions in n coordinates.
-
-    The derivative program's outputs are d_i e, then dbar_j e, then
-    dbar_j d_i e, in C order over (i, entry), (j, entry) and (i, j, entry);
-    :func:`_split` cuts them back into those three tables.
-    """
-    N, r = len(exprs), range(n)
-    d = [ex.wirtinger_diff(e, "holo", i + 1) for i in r for e in exprs]
-    dbar = [ex.wirtinger_diff(e, "anti", j + 1) for j in r for e in exprs]
-    ddbar = [ex.wirtinger_diff(d[i * N + k], "anti", j + 1) for i in r for j in r for k in range(N)]
-    return ex.compile_program(exprs), ex.compile_program(d + dbar + ddbar)
-
-
-def _split(d, n: int, shape: tuple) -> tuple:
-    """The (m, n, *shape), (m, n, *shape) and (m, n, n, *shape) tables in d."""
-    m, k = len(d), n * int(np.prod(shape))
-    a, b, c = np.split(d, [k, 2 * k], axis=1)
-    return a.reshape(m, n, *shape), b.reshape(m, n, *shape), c.reshape(m, n, n, *shape)
-
-
-def _programs(spec: MetricSpec) -> tuple:
-    """(g program, derivative program) of spec's entries, compiled once and cached on it."""
-    # idempotent lazy cache; MetricSpec is immutable by convention
-    if spec._tables is None:
-        r = range(spec.n)
-        spec._tables = _compile_jet([spec.entries[k][l] for k in r for l in r], spec.n)
-    return spec._tables
+def _split(J, n: int, shape: tuple) -> tuple:
+    """The (m, n, *shape), (m, n, *shape) and (m, n, n, *shape) tables d, dbar, d dbar of a jet run."""
+    m, k = len(J), 2 * n + 1
+    d, dbar, ddbar = J[:, 1 : n + 1], J[:, n + 1 : k], J[:, k:]
+    return d.reshape(m, n, *shape), dbar.reshape(m, n, *shape), ddbar.reshape(m, n, n, *shape)
 
 
 def _reject(reasons: list, bad, why) -> np.ndarray:
@@ -149,7 +125,7 @@ def _jets(spec: MetricSpec, points) -> tuple:
     A point's reason is None, or the EvaluationError or MetricError of the
     first check it fails, in this order: the g program, g finite, g
     Hermitian (max|g - g^H| below HERMITIAN_TOL * max(1, max|g|) there), g
-    positive definite, the derivative program, its values finite, and the
+    positive definite, the derivatives of the jet run finite, and the
     residual of the inverse metric.  The batch keeps the other points in
     their order.
     """
@@ -158,10 +134,10 @@ def _jets(spec: MetricSpec, points) -> tuple:
         pts = pts[None, :]
     if pts.shape[1] != spec.n:
         raise ValueError(f"points have {pts.shape[1]} coordinates, metric has n={spec.n}")
-    g_prog, d_prog = _programs(spec)
     m, n = pts.shape
+    prog = ex.compile_program([spec.entries[k][l] for k in range(n) for l in range(n)])
     eye, reasons = np.eye(n), [None] * m
-    g = _evaluate(g_prog, pts, reasons).reshape(m, n, n)
+    g = _evaluate(prog, pts, reasons).reshape(m, n, n)
     ok = _reject(reasons, ~np.isfinite(g).all(axis=(1, 2)), lambda k: f"metric is not finite at {pts[k]}")
     g = np.where(ok[:, None, None], g, eye)  # a failed point's stand-in keeps the checks below finite
     herm = np.max(np.abs(g - np.conj(np.swapaxes(g, 1, 2))), axis=(1, 2))
@@ -173,22 +149,23 @@ def _jets(spec: MetricSpec, points) -> tuple:
     why = "metric is not positive definite at {} (min eigenvalue {:.3e})"
     ok = _reject(reasons, eig <= 0, lambda k: why.format(pts[k], eig[k]))
     g = np.where(ok[:, None, None], g, eye)
-    d = _evaluate(d_prog, pts, reasons)
-    _reject(reasons, ~np.isfinite(d).all(axis=1), lambda k: f"metric derivatives are not finite at {pts[k]}")
+    J = ex._run(prog, pts, jet=True)[0]  # its guards and logs fail where the g run's did
+    why = "metric derivatives are not finite at {}"
+    _reject(reasons, ~np.isfinite(J[:, 1:]).all(axis=(1, 2)), lambda k: why.format(pts[k]))
     g_inv = np.linalg.inv(g)
     resid = np.max(np.abs(g_inv @ g - eye), axis=(1, 2))
     bad = resid > 1e-12 * np.maximum(1.0, np.max(np.abs(g_inv), axis=(1, 2)))
     ok = _reject(reasons, bad, lambda k: f"inverse-metric residual {resid[k]:.3e} exceeds tolerance")
-    dg, dbg, ddg = _split(d[ok], n, (n, n))
+    dg, dbg, ddg = _split(J[ok], n, (n, n))
     return MetricJet(pts[ok], g[ok], dg, dbg, ddg, g_inv[ok]), reasons
 
 
 def metric_jets(spec: MetricSpec, points) -> MetricJet:
     """Jets of spec at a batch of points, shape (m, n), as one batched MetricJet.
 
-    One pass of the g program and one of the derivative program over the
-    whole batch.  Raises the MetricError or EvaluationError of the first
-    point that fails a check (see _jets).
+    One plain run and one jet run of the g program over the whole batch.
+    Raises the MetricError or EvaluationError of the first point that fails
+    a check (see _jets).
     """
     jets, reasons = _jets(spec, points)
     for why in reasons:
@@ -206,14 +183,17 @@ def factor_jet(F: ex.Expr, p, n: int) -> FactorJet:
     """Jet of a real-valued scalar factor F (value, gradients, mixed Hessian).
 
     p is one point, shape (n,), or a batch, shape (m, n), giving a batched
-    FactorJet; one compile and one run of each program either way.
+    FactorJet; one compile and one jet run either way.  Raises the
+    EvaluationError of a division by zero or log of zero at any point.
     """
     pts = np.asarray(p, dtype=complex)
     batch = pts.reshape(-1, n)
-    v_prog, d_prog = _compile_jet([F], n)
-    vals = ex.evaluate(v_prog, batch)[:, 0]
+    prog = ex.compile_program([F])
+    J, failed = ex._run(prog, batch, jet=True)
+    ex._raise_failure(prog, failed)
+    vals = J[:, 0, 0]
     bad = int(np.argmax(np.abs(vals.imag)))
     if abs(vals[bad].imag) > 1e-10:
         raise ValueError(f"conformal factor is not real at {batch[bad]} (Im = {vals[bad].imag:.3e})")
-    jets = FactorJet(batch, vals.real, *_split(ex.evaluate(d_prog, batch), n, ()))
+    jets = FactorJet(batch, vals.real, *_split(J, n, ()))
     return jets if pts.ndim == 2 else jets[0]

@@ -190,7 +190,10 @@ def _ascend(R, rho, params, starts, tol, max_iter):
     per-start step and keeps the best one passing the Armijo test; plain
     first-accept backtracking overshoots the degenerate extremizer circles
     of these quartics and stalls at a 1/t rate.  Returns (best value, best
-    direction, converged) for the maximum.
+    direction, converged) for the maximum.  Starts within tol^2 of the best
+    value reached the same maximum, as far as its accuracy goes; of those the
+    one with the smallest gradient is reported, so that which of them ends a
+    round-off ahead does not decide convergence.
     """
     Z = starts / np.linalg.norm(starts, axis=1, keepdims=True)
     f = _objective(R, rho, params, Z)
@@ -222,6 +225,8 @@ def _ascend(R, rho, params, starts, tol, max_iter):
         if not np.any(ok):  # nothing moved, so grad_norm is current
             break
     best = int(np.argmax(f))
+    tied = np.flatnonzero(f >= f[best] - tol * tol)  # empty if f[best] is nan, which stays reported
+    best = tied[np.argmin(grad_norm[tied])] if len(tied) else best
     return float(f[best]), Z[best], bool(grad_norm[best] <= tol)
 
 

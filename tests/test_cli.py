@@ -48,6 +48,20 @@ def test_eval_explicit_point_and_conformal(tmp_path):
     assert abs(doc["records"][0]["v"] - 1.0) < 1e-10
 
 
+def test_conformal_flat_surface_extremizes_like_hopf():
+    # e^{2F} flat with F = -log|z| is hopf-2; at this point and pair the
+    # conformal metric's extremizer once stopped without converging
+    args = ["--point=-0.2843658045823253-0.5243573351450618i,-0.02594733222948035-0.5106272358322559i",
+            "--alpha=1.379", "--beta=1.338"]
+    runs = [_run("eval", "--metric", *metric, *args) for metric in
+            (["euclidean-2", "--conformal=-0.5*log(abs2(z))"], ["hopf-2"])]
+    assert all(r.returncode == 0 for r in runs), [r.stderr for r in runs]
+    conformal, hopf = (json.loads(r.stdout)["records"][0]["mixed"][0] for r in runs)
+    assert conformal["converged"] and hopf["converged"]
+    for key in ("min", "max"):
+        assert abs(conformal[key] - hopf[key]) <= 1e-9, key
+
+
 def test_eval_parse_error_exit_code(tmp_path):
     bad = tmp_path / "bad.metric"
     bad.write_text("dim 2\ng[1,1]=\n")

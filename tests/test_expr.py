@@ -6,6 +6,7 @@ import pytest
 from chernkit import expr as ex
 from chernkit.catalog import builtin, sample_points
 from chernkit.dsl import parse_expression
+from tree_reference import walk
 
 Z1, Z2 = ex.coord(1), ex.coord(2)
 ZB1, ZB2 = ex.conj_coord(1), ex.conj_coord(2)
@@ -197,18 +198,20 @@ def test_compiled_program_bit_identical_to_tree_evaluation():
     assert out.shape == (9, len(exprs))
     assert np.array_equal(ex.evaluate(prog, pts[3]), out[3])
     for j, e in enumerate(exprs):
-        assert np.array_equal(out[:, j], np.broadcast_to(ex.evaluate(e, pts), (9,))), j
+        assert np.array_equal(out[:, j], np.broadcast_to(walk(e, pts), (9,))), j
+        assert np.array_equal(out[:, j], ex.evaluate(e, pts)), j
 
 
 def test_compiled_program_guards_match_tree_evaluation():
     pts = np.array([[0.5, 1.0], [0.0, 0.0]], dtype=complex)
-    cases = [1 / Z1, ex.log(Z2), ex.log(Z1) / Z2, Z1 / ex.log(1 + Z2)]
+    cases = [1 / Z1, ex.log(Z2), ex.log(Z1) / Z2, Z1 / ex.log(1 + Z2), ex.log(Z1) * (1 / Z2)]
     for e in cases:
         with pytest.raises(ex.EvaluationError) as want:
-            ex.evaluate(e, pts)
-        with pytest.raises(ex.EvaluationError) as got:
-            ex.evaluate(ex.compile_program([e]), pts)
-        assert str(got.value) == str(want.value)
+            walk(e, pts)
+        for run in (e, ex.compile_program([e])):
+            with pytest.raises(ex.EvaluationError) as got:
+                ex.evaluate(run, pts)
+            assert str(got.value) == str(want.value)
     with pytest.raises(ex.EvaluationError, match="z2"):
         ex.evaluate(ex.compile_program([Z2]), np.zeros((1, 1), dtype=complex))
 

@@ -323,3 +323,13 @@ def test_extremize_is_invariant_to_the_weights_scale(alpha, beta):
         assert rep.converged, k
         for got, want in ((rep.min_value, ref.min_value), (rep.max_value, ref.max_value)):
             assert abs(got - k * want) <= 1e-9 * k * size, (k, got, want)
+
+
+def test_extremize_converges_when_starts_tie_at_the_extremum():
+    # many starts reach this maximum; the one that ends a round-off ahead of
+    # the others stalled with its gradient just above tol
+    p = np.array([0.5372320275520067 - 0.3073153121730882j, -0.10585678320766859 - 0.5507707468846207j])
+    jet = metric_jet(builtin("hopf-2").spec, p)
+    rep = extremize(to_unitary_frame(chern_curvature(jet), jet), np.eye(2), MixedParams(0.352, 1.731))
+    assert rep.converged
+    assert abs(rep.max_value - 2.435) < 1e-12 and abs(rep.min_value) < 1e-12

@@ -14,6 +14,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from chernkit import expr as ex  # noqa: E402
 from chernkit.dsl import parse_expression  # noqa: E402
+from tree_reference import walk  # noqa: E402
 
 N = 3
 PTS = np.random.default_rng(0).uniform(-0.5, 0.5, size=(4, 2 * N)).view(complex)
@@ -68,8 +69,36 @@ def test_compiled_program_is_bit_identical_to_trees(roots):
     roots = roots + [ex.wirtinger_diff(e, kind, k) for e in roots for kind in ("holo", "anti") for k in (1, N)]
     with np.errstate(all="ignore"):
         out = ex.evaluate(ex.compile_program(roots), PTS)
-        want = np.stack([np.broadcast_to(ex.evaluate(e, PTS), (len(PTS),)) for e in roots], axis=1)
+        want = np.stack([np.broadcast_to(walk(e, PTS), (len(PTS),)) for e in roots], axis=1)
     assert out.tobytes() == want.tobytes()
+
+
+ORIGIN = np.zeros((1, N), dtype=complex)  # where an unguarded 1/t or log(t) may fail
+
+
+@DETERMINISTIC
+@given(st.lists(trees, min_size=1, max_size=3), trees)
+def test_jet_run_matches_the_symbolic_derivatives(roots, t):
+    assume(t.kind != "const")
+    roots = roots + [ex.div(ex.ONE, t), ex.log(t)]
+    prog, pts = ex.compile_program(roots), np.concatenate([PTS, ORIGIN])
+    with np.errstate(all="ignore"):
+        plain, failed = ex._run(prog, pts)
+        J, jet_failed = ex._run(prog, pts, jet=True)
+    assert J[:, 0].tobytes() == plain.tobytes()
+    assert np.array_equal(jet_failed, failed)
+    # column c of the jet against the symbolic tree for it, at PTS
+    holo = [[ex.wirtinger_diff(e, "holo", i) for i in range(1, N + 1)] for e in roots]
+    anti = [[ex.wirtinger_diff(e, "anti", j) for j in range(1, N + 1)] for e in roots]
+    mixed = [[ex.wirtinger_diff(d, "anti", j) for d in row for j in range(1, N + 1)] for row in holo]
+    refs = [h + a + dd for h, a, dd in zip(holo, anti, mixed)]
+    with np.errstate(all="ignore"):
+        want, want_failed = ex._run(ex.compile_program([d for row in refs for d in row]), PTS)
+    want = want.reshape(len(PTS), len(roots), -1).transpose(0, 2, 1)
+    got = J[: len(PTS), 1:]
+    ok = (failed[: len(PTS)] < 0) & (want_failed < 0)
+    ok = ok[:, None, None] & np.isfinite(want)
+    assert np.all(np.abs(got - want)[ok] <= 1e-13 * np.maximum(1.0, np.abs(want[ok])))
 
 
 @DETERMINISTIC
