@@ -1,9 +1,11 @@
 """The verification battery.
 
-Every numbered criterion below re-derives a closed-form value or checks an
-identity residual against a pinned tolerance, over deterministic point
-samples of the built-in metrics.  The CLI `verify` command and the
-acceptance test suite both run these checks.
+Every criterion below re-derives a closed-form value or checks an identity
+residual against a pinned tolerance, over deterministic point samples of the
+built-in metrics.  Each criterion is a fixed recipe: it takes no arguments,
+and its metrics, sample counts, seeds and tolerances are written where it
+uses them, so every run checks the same points.  The CLI `verify` command
+and the acceptance test suite both run these checks.
 
 Criteria (suite assignment in SUITES):
 
@@ -95,11 +97,13 @@ def _directions(rng, count: int, n: int) -> np.ndarray:
     return np.array([rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(count)])
 
 
-def _curvatures(entry, pts):
-    """(jets, coordinate-frame and unitary-frame curvature) of entry at pts."""
+def _sampled(name: str, count: int, seed: int):
+    """(points, jets, coordinate- and unitary-frame curvature) of a catalog metric at seeded points."""
+    entry = builtin(name)
+    pts = sample_points(entry, count, seed)
     jets = metric_jets(entry.spec, pts)
     Rc = chern_curvature(jets)
-    return jets, Rc, to_unitary_frame(Rc, jets)
+    return pts, jets, Rc, to_unitary_frame(Rc, jets)
 
 
 # ---------------------------------------------------------------------------
@@ -112,12 +116,10 @@ def _hopf_closed_tensor(z):
     return np.einsum("ij,kl->ijkl", eye, eye) - np.einsum("...i,...j,kl->...ijkl", np.conj(z), z, eye) / r2
 
 
-def check_hopf_closed_form(points: int = 200, seed: int = 11):
+def check_hopf_closed_form():
     out = []
     for n in (2, 3):
-        entry = builtin(f"hopf-{n}")
-        pts = sample_points(entry, points, seed + n)
-        Ru = _curvatures(entry, pts)[2]
+        pts, _, _, Ru = _sampled(f"hopf-{n}", 200, 11 + n)
         closed = _hopf_closed_tensor(pts)
         b = ricci_bundle(Ru, np.eye(n))
         for tag, res in (
@@ -134,14 +136,12 @@ def check_hopf_closed_form(points: int = 200, seed: int = 11):
 # criterion: hopf-mixed-vanishing
 
 
-def check_hopf_mixed_vanishing(pairs: int = 100, seed: int = 23):
+def check_hopf_mixed_vanishing():
     out = []
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(23)
     for n in (2, 3):
-        entry = builtin(f"hopf-{n}")
         params = MixedParams(1.0, -float(n))
-        pts = sample_points(entry, pairs, seed + n)
-        jets, Rc, _ = _curvatures(entry, pts)
+        pts, jets, Rc, _ = _sampled(f"hopf-{n}", 100, 23 + n)
         X = _directions(rng, len(pts), n)
         for tag, res in (
             ("value", np.abs(mixed_curvature(Rc, jets.g, params, X))),
@@ -155,13 +155,11 @@ def check_hopf_mixed_vanishing(pairs: int = 100, seed: int = 23):
 # criterion: euclidean-sanity
 
 
-def check_euclidean_sanity(points: int = 20, seed: int = 5):
+def check_euclidean_sanity():
     out = []
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(5)
     for n in (2, 3):
-        entry = builtin(f"euclidean-{n}")
-        pts = sample_points(entry, points, seed + n)
-        jets, Rc, Ru = _curvatures(entry, pts)
+        pts, jets, Rc, Ru = _sampled(f"euclidean-{n}", 20, 5 + n)
         t = torsion(jets)
         X = _directions(rng, len(pts), n)
         parts = [Rc.tensor, t.T, t.eta_norm2, mixed_curvature(Rc, jets.g, MixedParams(0.7, 1.3), X)]
@@ -177,15 +175,12 @@ def check_euclidean_sanity(points: int = 20, seed: int = 5):
 # criterion: space-forms
 
 
-def check_space_forms(points: int = 50, seed: int = 31):
+def check_space_forms():
     out = []
     for name in ("fubini-study-2", "fubini-study-3", "complex-hyperbolic-2", "complex-hyperbolic-3"):
-        entry = builtin(name)
-        n = entry.spec.n
-        pts = sample_points(entry, points, seed)
-        jets, Rc, Ru = _curvatures(entry, pts)
+        pts, jets, Rc, Ru = _sampled(name, 50, 31)
         b = ricci_bundle(Rc, jets.g)
-        reps = [extremize(R, np.eye(n), MixedParams(0.0, 1.0)) for R in Ru]
+        reps = [extremize(R, np.eye(jets.n), MixedParams(0.0, 1.0)) for R in Ru]
         for tag, res, tol in (
             ("kahler-defect", kahler_defect(jets), 1e-10),
             ("kahler-like", kahler_like_defect(Ru), 1e-9),
@@ -212,22 +207,20 @@ _FACTORS = (
 )
 
 
-def check_conformal_law(points: int = 10, seed: int = 41):
+def check_conformal_law():
     out = []
     for name in _LAW_METRICS:
-        entry = builtin(name)
-        n = entry.spec.n
-        pts = sample_points(entry, points, seed)
-        jets, Rc, _ = _curvatures(entry, pts)
+        pts, jets, Rc, _ = _sampled(name, 10, 41)
+        n = jets.n
         for ftext in _FACTORS:
             F = parse_expression(ftext, n)
             pred = conformal_curvature_via_formula(Rc, jets, factor_jet(F, pts, n))
-            direct = chern_curvature(metric_jets(conformal_metric(entry.spec, F), pts)).tensor
+            direct = chern_curvature(metric_jets(conformal_metric(builtin(name).spec, F), pts)).tensor
             res = _max_abs(pred.tensor - direct, 4) / np.maximum(1.0, _max_abs(direct, 4))
             out.append(_worst(f"conformal-law/equivalence/{ftext}", name, res, 1e-8, "derived", pts))
     for name in ("fubini-study-2", "hopf-2"):
         entry = builtin(name)
-        pts = sample_points(entry, points, seed + 1)
+        pts = sample_points(entry, 10, 42)
         for ftext in _FACTORS:
             res = np.maximum(*surface_scalar_relation_residual(entry.spec, parse_expression(ftext, 2), pts))
             out.append(_worst(f"conformal-law/scalar-relations/{ftext}", name, res, 1e-8, "derived", pts))
@@ -247,12 +240,10 @@ _SURFACES = (
 )
 
 
-def check_surface_identities(points: int = 50, seed: int = 53):
+def check_surface_identities():
     out = []
     for name in _SURFACES:
-        entry = builtin(name)
-        pts = sample_points(entry, points, seed)
-        Ru = _curvatures(entry, pts)[2]
+        pts, _, _, Ru = _sampled(name, 50, 53)
         b = ricci_bundle(Ru, np.eye(2))
         checks = [
             ("ricci-combination", ricci_combination_residual(b, np.eye(2))),
@@ -280,14 +271,13 @@ _TRACE_CONFIGS = (
 )
 
 
-def check_trace_identity(points: int = 20, seed: int = 61):
+def check_trace_identity():
     out = []
     for name, (a, b_) in _TRACE_CONFIGS:
-        entry = builtin(name)
-        n = entry.spec.n
         params = MixedParams(a, b_)
-        pts = sample_points(entry, points, seed)
-        bundle = ricci_bundle(_curvatures(entry, pts)[2], np.eye(n))
+        pts, _, _, Ru = _sampled(name, 20, 61)
+        n = Ru.n
+        bundle = ricci_bundle(Ru, np.eye(n))
         # the pointwise-constant value, from the scalar identity
         f = sphere_average_closed_form(bundle, params, n)
         res = trace_identity_residual(bundle, params, f, n)
@@ -299,34 +289,31 @@ def check_trace_identity(points: int = 20, seed: int = 61):
 # criterion: sphere-average
 
 
-def _mc_pairs(seed: int = 71, count: int = 5):
-    rng = np.random.default_rng(seed)
+def _mc_pairs():
+    rng = np.random.default_rng(71)
     pairs = []
-    while len(pairs) < count:
+    while len(pairs) < 5:
         a, b = rng.uniform(-2, 2, size=2)
         if abs(a) + abs(b) > 0.1:
             pairs.append(MixedParams(float(a), float(b)))
     return pairs
 
 
-def check_sphere_average(samples: int = 100_000, seed: int = 71):
+def check_sphere_average():
     out = []
-    pairs = _mc_pairs(seed)
+    pairs = _mc_pairs()
     for name in names():
-        entry = builtin(name)
-        n = entry.spec.n
-        pt = sample_points(entry, 1, seed)
-        Ru = _curvatures(entry, pt)[2][0]
+        pt, _, _, Ru = _sampled(name, 1, 71)
+        Ru, n = Ru[0], Ru.n
         bundle = ricci_bundle(Ru, np.eye(n))
-        stats = sphere_average_monte_carlo_many(Ru, np.eye(n), pairs, samples, seed)
+        stats = sphere_average_monte_carlo_many(Ru, np.eye(n), pairs, 100_000, 71)
         for params, (mean, stderr) in zip(pairs, stats):
             closed = sphere_average_closed_form(bundle, params, n)
             # 1e-12 cushion covers zero-variance configurations (FP noise only)
             check_id = f"sphere-average/a{params.alpha:+.2f}-b{params.beta:+.2f}"
             out.append(_outcome(check_id, name, abs(mean - closed), 3 * stderr + 1e-12, "derived", pt[0]))
-    pt = sample_points(builtin("hopf-2"), 1, seed + 1)
-    Ru = _curvatures(builtin("hopf-2"), pt)[2][0]
-    (mean, stderr), = sphere_average_monte_carlo_many(Ru, np.eye(2), [MixedParams(0.0, 1.0)], samples, seed)
+    pt, _, _, Ru = _sampled("hopf-2", 1, 72)
+    (mean, stderr), = sphere_average_monte_carlo_many(Ru[0], np.eye(2), [MixedParams(0.0, 1.0)], 100_000, 71)
     out.append(_outcome("sphere-average/hopf-half", "hopf-2", abs(mean - 0.5), 3 * stderr + 1e-12, "derived", pt[0]))
     return out
 
@@ -335,12 +322,10 @@ def check_sphere_average(samples: int = 100_000, seed: int = 71):
 # criterion: hopf-torsion
 
 
-def check_hopf_torsion(points: int = 50, seed: int = 83):
+def check_hopf_torsion():
     out = []
     for n in (2, 3):
-        entry = builtin(f"hopf-{n}")
-        pts = sample_points(entry, points, seed + n)
-        jets, Rc, _ = _curvatures(entry, pts)
+        pts, jets, Rc, _ = _sampled(f"hopf-{n}", 50, 83 + n)
         b, t = ricci_bundle(Rc, jets.g), torsion(jets)
         res = np.maximum(np.abs(b.u - b.v - t.eta_norm2), np.abs(t.eta_norm2 - (n - 1) ** 2))
         out.append(_worst(f"hopf-torsion/n{n}", f"hopf-{n}", res, 1e-9, "derived", pts))
@@ -351,16 +336,16 @@ def check_hopf_torsion(points: int = 50, seed: int = 83):
 # criterion: fd-cross-check
 
 
-def check_fd(points: int = 20, seed: int = 97, h: float = 1e-5):
-    out = []
+def check_fd():
+    out, h = [], 1e-5
     for name in names():
         entry = builtin(name)
-        pts = sample_points(entry, points, seed)
+        pts = sample_points(entry, 20, 97)
         entries = [e for row in entry.spec.entries for e in row if e != ex.ZERO]
         worst = max([0.0] + [ex.fd_residual(e, pts, h) for e in entries])
         out.append(_outcome("fd-cross-check/entries", name, worst, 1e-6, "derived"))
-    rng = np.random.default_rng(seed)
-    pts = rng.uniform(-0.5, 0.5, size=(points, 6)).view(complex)
+    rng = np.random.default_rng(97)
+    pts = rng.uniform(-0.5, 0.5, size=(20, 6)).view(complex)
     worst = max(ex.fd_residual(parse_expression(ftext, 3), pts, h) for ftext in _FACTORS)
     out.append(_outcome("fd-cross-check/conformal-factors", "(factors)", worst, 1e-6, "derived"))
     return out
@@ -370,10 +355,9 @@ def check_fd(points: int = 20, seed: int = 97, h: float = 1e-5):
 # criterion: nonconstancy-witness
 
 
-def check_nonconstancy_witness(seed: int = 99):
-    entry = builtin("hopf-2")
-    pt = sample_points(entry, 1, seed)
-    rep = extremize(_curvatures(entry, pt)[2][0], np.eye(2), MixedParams(0.0, 1.0))
+def check_nonconstancy_witness():
+    pt, _, _, Ru = _sampled("hopf-2", 1, 99)
+    rep = extremize(Ru[0], np.eye(2), MixedParams(0.0, 1.0))
     # witness check: spread must EXCEED 1e-2, so the residual is the shortfall
     return [_outcome("nonconstancy-witness/hopf-hsc-spread", "hopf-2", 1e-2 - rep.spread, 0.0, "derived", pt[0])]
 
@@ -382,12 +366,12 @@ def check_nonconstancy_witness(seed: int = 99):
 # criterion: catalog-expected
 
 
-def check_catalog_expected(points: int = 50, seed: int = 7):
+def check_catalog_expected():
     out = []
     for name in names():
         entry = builtin(name)
         n = entry.spec.n
-        pts = sample_points(entry, points, seed)
+        pts = sample_points(entry, 50, 7)
         jets = metric_jets(entry.spec, pts)
         Rc = chern_curvature(jets)
         b, t = ricci_bundle(Rc, jets.g), torsion(jets)
@@ -450,8 +434,5 @@ def run_checks(suite: str = "all", tol_override: float | None = None):
     for name in SUITES[suite]:
         outcomes.extend(run_criterion(name))
     if tol_override is not None:
-        outcomes = [
-            replace(o, tolerance=tol_override, passed=o.residual <= tol_override)
-            for o in outcomes
-        ]
+        outcomes = [replace(o, tolerance=tol_override, passed=o.residual <= tol_override) for o in outcomes]
     return outcomes

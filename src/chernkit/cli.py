@@ -1,9 +1,10 @@
 """Command-line front end.
 
     chernkit eval --metric <name|file> --points N --seed S --alpha A --beta B
-                  [--conformal EXPR] [--point "re+imi,..."] [--out FILE] [--parallel]
+                  [--point "re+imi,..."] [--conformal EXPR] [--out FILE] [--parallel]
     chernkit verify [--suite all|core|mixed|conformal|surface|catalog] [--tol T]
-    chernkit extremize --metric <name|file> --alpha A --beta B --points N --seed S [--out FILE]
+    chernkit extremize --metric <name|file> --points N --seed S --alpha A --beta B
+                       [--point "re+imi,..."] [--out FILE]
     chernkit catalog list
 
 Exit codes: 0 = success / all checks pass, 1 = verification failures,
@@ -66,9 +67,12 @@ def _parse_point(text: str, n: int) -> np.ndarray:
     if len(parts) != n:
         raise InputError(f"point {text!r} has {len(parts)} coordinates, expected {n}")
     try:
-        return np.array([complex(s.replace("i", "j")) for s in parts])
+        z = np.array([complex(s.replace("i", "j")) for s in parts])
     except ValueError as err:
         raise InputError(f"bad point {text!r}: {err}") from err
+    if not np.all(np.isfinite(z)):
+        raise InputError(f"point {text!r} has a coordinate that is not finite")
+    return z
 
 
 def _points_for(args, spec: MetricSpec) -> np.ndarray:
@@ -80,13 +84,12 @@ def _points_for(args, spec: MetricSpec) -> np.ndarray:
     return spec.domain.sample(spec.n, args.points, rng)
 
 
-def _pairs_for(args, default=((0.0, 1.0),)) -> list:
-    alphas = args.alpha or []
-    betas = args.beta or []
+def _pairs_for(args) -> list:
+    alphas, betas = args.alpha or [], args.beta or []
     if len(alphas) != len(betas):
         raise InputError("--alpha and --beta must be given the same number of times")
-    if not alphas:
-        alphas, betas = [p[0] for p in default], [p[1] for p in default]
+    if not alphas:  # the holomorphic sectional curvature H alone
+        alphas, betas = [0.0], [1.0]
     try:
         return [MixedParams(a, b) for a, b in zip(alphas, betas)]
     except ValueError as err:
@@ -176,7 +179,10 @@ def cmd_eval(args) -> int:
 def cmd_verify(args) -> int:
     tol = args.tol
     if tol is None and (env := os.environ.get("CHERNKIT_TOL")):
-        tol = float(env)
+        try:
+            tol = float(env)
+        except ValueError:
+            raise InputError(f"CHERNKIT_TOL={env!r} is not a number") from None
     outcomes = run_checks(args.suite, tol_override=tol)
     width = max(len(o.check_id) for o in outcomes)
     mwidth = max(len(o.metric) for o in outcomes)
@@ -231,18 +237,18 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="chernkit", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
 
-    pe = sub.add_parser("eval", help="curvature report at sampled or given points")
-    pe.add_argument("--metric", required=True, help="catalog name or DSL file path")
-    pe.add_argument("--points", type=int, default=5)
-    pe.add_argument("--seed", type=int, default=0)
-    pe.add_argument("--alpha", type=float, action="append")
-    pe.add_argument("--beta", type=float, action="append")
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--metric", required=True, help="catalog name or DSL file path")
+    shared.add_argument("--points", type=int, default=5, help="number of points sampled from the metric's domain")
+    shared.add_argument("--seed", type=int, default=0, help="seed of the point sample")
+    shared.add_argument("--alpha", type=float, action="append", help="weight of Ric in C_{alpha,beta} (repeatable)")
+    shared.add_argument("--beta", type=float, action="append", help="weight of H in C_{alpha,beta} (repeatable)")
+    shared.add_argument("--point", action="append", help='explicit point "a+bi,c+di,..." (repeatable)')
+
+    pe = sub.add_parser("eval", parents=[shared], help="curvature report at sampled or given points")
     pe.add_argument("--conformal", help="real DSL expression F; report is for exp(2F) g")
-    pe.add_argument("--point", action="append", help='explicit point "a+bi,c+di,..." (repeatable)')
     pe.add_argument("--out", help="write the JSON report here instead of stdout")
-    pe.add_argument(
-        "--parallel", action="store_true", help="accepted for compatibility; points are evaluated serially"
-    )
+    pe.add_argument("--parallel", action="store_true", help="accepted for compatibility; points are evaluated serially")
     pe.set_defaults(func=cmd_eval)
 
     pv = sub.add_parser("verify", help="run the verification battery")
@@ -250,13 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--tol", type=float, help="override every tolerance (also: CHERNKIT_TOL)")
     pv.set_defaults(func=cmd_verify)
 
-    px = sub.add_parser("extremize", help="mixed-curvature extrema over unit directions")
-    px.add_argument("--metric", required=True)
-    px.add_argument("--points", type=int, default=5)
-    px.add_argument("--seed", type=int, default=0)
-    px.add_argument("--alpha", type=float, action="append")
-    px.add_argument("--beta", type=float, action="append")
-    px.add_argument("--point", action="append")
+    px = sub.add_parser("extremize", parents=[shared], help="mixed-curvature extrema over unit directions")
     px.add_argument("--out", help="also write a JSON table here")
     px.set_defaults(func=cmd_extremize)
 

@@ -1,9 +1,12 @@
 """Sampling domains for metric definitions.
 
 A domain knows whether a point of C^n belongs to it and how to draw
-reproducible uniform samples from it.  Sampling is by rejection from a
-bounding cube (per the chunked loop in :func:`_rejection`), so a fixed seed
-always yields the same points in the same order.
+reproducible uniform samples from it.  `contains` takes one point or a batch
+(the coordinates on the last axis) and returns a numpy bool or a bool array
+of the batch shape; it allows 1e-12 of slack at the boundary.  Sampling is
+by rejection from a bounding cube (per the chunked loop in
+:func:`_rejection`), keeping the draws that `contains` accepts, so a fixed
+seed always yields the same points in the same order.
 """
 
 from __future__ import annotations
@@ -17,8 +20,7 @@ __all__ = ["Ball", "Annulus", "Polydisc", "Product", "Domain"]
 
 def _rejection(rng, n, count, half_width, accept):
     """Draw uniform points from [-w, w]^(2n) until `count` pass `accept`."""
-    out = []
-    have = 0
+    out, have = [], 0
     chunk = max(4 * count, 256)
     while have < count:
         xy = rng.uniform(-half_width, half_width, size=(chunk, 2 * n))
@@ -35,12 +37,11 @@ class Ball:
 
     radius: float
 
-    def contains(self, z) -> bool:
-        return float(np.linalg.norm(z)) <= self.radius + 1e-12
+    def contains(self, z):
+        return np.linalg.norm(z, axis=-1) <= self.radius + 1e-12
 
     def sample(self, n: int, count: int, rng) -> np.ndarray:
-        r = self.radius
-        return _rejection(rng, n, count, r, lambda z: np.linalg.norm(z, axis=1) <= r)
+        return _rejection(rng, n, count, self.radius, self.contains)
 
 
 @dataclass(frozen=True)
@@ -50,18 +51,12 @@ class Annulus:
     r_inner: float
     r_outer: float
 
-    def contains(self, z) -> bool:
-        r = float(np.linalg.norm(z))
-        return self.r_inner - 1e-12 <= r <= self.r_outer + 1e-12
+    def contains(self, z):
+        r = np.linalg.norm(z, axis=-1)
+        return (self.r_inner - 1e-12 <= r) & (r <= self.r_outer + 1e-12)
 
     def sample(self, n: int, count: int, rng) -> np.ndarray:
-        lo, hi = self.r_inner, self.r_outer
-
-        def ok(z):
-            r = np.linalg.norm(z, axis=1)
-            return (r >= lo) & (r <= hi)
-
-        return _rejection(rng, n, count, hi, ok)
+        return _rejection(rng, n, count, self.r_outer, self.contains)
 
 
 @dataclass(frozen=True)
@@ -70,14 +65,11 @@ class Polydisc:
 
     radius: float
 
-    def contains(self, z) -> bool:
-        return bool(np.all(np.abs(z) <= self.radius + 1e-12))
+    def contains(self, z):
+        return np.all(np.abs(z) <= self.radius + 1e-12, axis=-1)
 
     def sample(self, n: int, count: int, rng) -> np.ndarray:
-        r = self.radius
-        return _rejection(
-            rng, n, count, r, lambda z: np.all(np.abs(z) <= r, axis=1)
-        )
+        return _rejection(rng, n, count, self.radius, self.contains)
 
 
 @dataclass(frozen=True)
@@ -86,16 +78,14 @@ class Product:
 
     factors: tuple
 
-    def contains(self, z) -> bool:
-        return all(f.contains(np.asarray([zk])) for f, zk in zip(self.factors, z))
+    def contains(self, z):
+        z = np.asarray(z)
+        return np.logical_and.reduce([f.contains(z[..., k, None]) for k, f in enumerate(self.factors)])
 
     def sample(self, n: int, count: int, rng) -> np.ndarray:
         if n != len(self.factors):
-            raise ValueError(
-                f"product domain has {len(self.factors)} factors but the metric has n={n}"
-            )
-        cols = [f.sample(1, count, rng)[:, 0] for f in self.factors]
-        return np.stack(cols, axis=1)
+            raise ValueError(f"product domain has {len(self.factors)} factors but the metric has n={n}")
+        return np.stack([f.sample(1, count, rng)[:, 0] for f in self.factors], axis=1)
 
 
 Domain = Ball | Annulus | Polydisc | Product

@@ -143,9 +143,7 @@ class _TokStream:
     def expect(self, typ: str) -> _Tok:
         t = self.next()
         if t is None:
-            last = self.toks[-1] if self.toks else None
-            col = (last.col + len(last.text)) if last else 1
-            raise DslError(f"expected {typ!r} but the statement ended", self.line, col)
+            self.fail(f"expected {typ!r} but the statement ended")
         if t.type != typ:
             raise DslError(f"expected {typ!r}, got {t.text!r}", t.line, t.col)
         return t

@@ -48,7 +48,6 @@ __all__ = [
     "compile_program",
     "to_source",
     "fd_residual",
-    "max_coord_index",
 ]
 
 #: division guard: denominators with |d| below this raise EvaluationError
@@ -304,20 +303,6 @@ def evaluate(e, p):
     _raise_failure(prog, failed)
     out = out.reshape(pts.shape[:-1] + out.shape[1:])
     return out if prog is e else out[..., 0][()]
-
-
-def max_coord_index(e: Expr) -> int:
-    """Largest coordinate index referenced anywhere in the tree (0 if none)."""
-    best, seen, stack = 0, set(), [e]
-    while stack:
-        x = stack.pop()
-        if id(x) in seen:
-            continue
-        seen.add(id(x))
-        if x.kind in ("coord", "conj_coord"):
-            best = max(best, x.index)
-        stack.extend(x.args)
-    return best
 
 
 # ---------------------------------------------------------------------------

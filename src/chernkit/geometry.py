@@ -109,6 +109,16 @@ def _rho1(g_inv: np.ndarray, R: np.ndarray) -> np.ndarray:
     return np.einsum("...lk,...ijkl->...ij", g_inv, R)
 
 
+def _hermitian_part(a: np.ndarray) -> np.ndarray:
+    """(a + a^H)/2 over the last two axes: Re(rho3) for rho3."""
+    return 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))
+
+
+def _d_omega(jet: MetricJet) -> np.ndarray:
+    """[..., i, j, l] = d_i g_{j lbar} - d_j g_{i lbar}, the components of d omega."""
+    return jet.dg - np.swapaxes(jet.dg, -3, -2)
+
+
 def _in_frame(R: np.ndarray, E: np.ndarray) -> np.ndarray:
     """Components of R in the frame whose columns are E."""
     return np.einsum("...ijkl,...ia,...jb,...kc,...ld->...abcd", R, E, np.conj(E), E, np.conj(E))
@@ -183,8 +193,7 @@ def ricci_bundle(Rc: ChernCurvature, g: np.ndarray) -> RicciBundle:
 
 def torsion(jet: MetricJet) -> Torsion:
     """Chern torsion T^k_ij = g^{k lbar}(d_i g_{j lbar} - d_j g_{i lbar}) and eta."""
-    anti = jet.dg - np.swapaxes(jet.dg, -3, -2)  # anti[i, j, l] = d_i g_{j lbar} - d_j g_{i lbar}
-    T = np.einsum("...lk,...ijl->...ijk", jet.g_inv, anti)
+    T = np.einsum("...lk,...ijl->...ijk", jet.g_inv, _d_omega(jet))
     eta = np.einsum("...ikk->...i", T)
     norm2 = _real(np.einsum("...ji,...i,...j->...", jet.g_inv, eta, np.conj(eta)), "|eta|^2")
     return Torsion(T, eta, norm2)
@@ -192,7 +201,7 @@ def torsion(jet: MetricJet) -> Torsion:
 
 def kahler_defect(jet: MetricJet) -> float:
     """max |d_i g_{j lbar} - d_j g_{i lbar}|; zero iff d omega = 0 at the point."""
-    return _max_abs(jet.dg - np.swapaxes(jet.dg, -3, -2), 3)
+    return _max_abs(_d_omega(jet), 3)
 
 
 def kahler_like_defect(Rc: ChernCurvature) -> float:

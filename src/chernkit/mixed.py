@@ -27,6 +27,7 @@ import numpy as np
 from .geometry import (
     ChernCurvature,
     RicciBundle,
+    _hermitian_part,
     _in_frame,
     _max_abs,
     _outer,
@@ -84,7 +85,7 @@ class ExtremumReport:
 def _unitary_data(Rc: ChernCurvature, g: np.ndarray):
     """(R, rho1) in a unitary frame, whatever frame Rc arrived in."""
     R = Rc.tensor if Rc.frame == "unitary" else _in_frame(Rc.tensor, orthonormal_frame(g))
-    return R, np.einsum("ijkk->ij", R)
+    return R, _rho1(np.eye(R.shape[0]), R)
 
 
 def mixed_curvature(Rc: ChernCurvature, g: np.ndarray, params: MixedParams, X) -> float:
@@ -335,8 +336,7 @@ def trace_identity_residual(
     if g is None:
         g = np.eye(n)
     a, b = params.alpha, params.beta
-    re3 = 0.5 * (bundle.rho3 + np.conj(np.swapaxes(bundle.rho3, -1, -2)))
-    lhs = (a * (n + 2) + b) * bundle.rho1 + b * bundle.rho2 + 2 * b * re3
+    lhs = (a * (n + 2) + b) * bundle.rho1 + b * bundle.rho2 + 2 * b * _hermitian_part(bundle.rho3)
     rhs = np.asarray(2 * (n + 1) * f - a * bundle.u)[..., None, None] * np.asarray(g, dtype=complex)
     scalar_res = np.abs(((n + 1) * a + b) * bundle.u + b * bundle.v - n * (n + 1) * f)
     return np.maximum(_max_abs(lhs - rhs, 2), scalar_res)

@@ -1,8 +1,9 @@
 """Deterministic JSON serialization for reports.
 
-Floats are written with 17 significant digits (exact round-trip), keys keep
-insertion order, and complex values are encoded as [re, im] pairs by the
-helpers below — so identical configurations produce bit-identical output.
+Floats are written with 17 significant digits (exact round-trip), nesting is
+indented two spaces a level, keys keep insertion order, and complex values
+are encoded as [re, im] pairs by the helpers below — so identical
+configurations produce bit-identical output.
 """
 
 from __future__ import annotations
@@ -24,13 +25,11 @@ def point_json(p) -> list:
 
 
 def matrix_json(m) -> list:
-    m = np.asarray(m)
-    return [[complex_pair(z) for z in row] for row in m]
+    return [[complex_pair(z) for z in row] for row in np.asarray(m)]
 
 
-def _write(obj, out, indent, level):
-    pad = " " * (indent * level)
-    pad_in = " " * (indent * (level + 1))
+def _write(obj, out, level):
+    pad, pad_in = "  " * level, "  " * (level + 1)
     if obj is None:
         out.append("null")
     elif isinstance(obj, bool):
@@ -48,7 +47,7 @@ def _write(obj, out, indent, level):
         out.append("{\n")
         for i, (k, v) in enumerate(obj.items()):
             out.append(f"{pad_in}{json.dumps(str(k))}: ")
-            _write(v, out, indent, level + 1)
+            _write(v, out, level + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(pad + "}")
     elif isinstance(obj, (list, tuple)):
@@ -63,14 +62,14 @@ def _write(obj, out, indent, level):
         out.append("[\n")
         for i, v in enumerate(items):
             out.append(pad_in)
-            _write(v, out, indent, level + 1)
+            _write(v, out, level + 1)
             out.append(",\n" if i < len(items) - 1 else "\n")
         out.append(pad + "]")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def dumps(obj, indent: int = 2) -> str:
+def dumps(obj) -> str:
     out: list = []
-    _write(obj, out, indent, 0)
+    _write(obj, out, 0)
     return "".join(out) + "\n"

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ChernCurvature, RicciBundle, _max_abs, _real
+from .geometry import ChernCurvature, RicciBundle, _hermitian_part, _max_abs, _real
 
 __all__ = [
     "WeylMinus",
@@ -88,8 +88,7 @@ def weyl_minus(Rc: ChernCurvature) -> WeylMinus:
 def ricci_combination_residual(bundle: RicciBundle, g: np.ndarray) -> float:
     """max |rho1 + rho2 - 2 Re(rho3) - (u - v) g| on a surface."""
     _need_surface(g.shape[-1])
-    re3 = 0.5 * (bundle.rho3 + np.conj(np.swapaxes(bundle.rho3, -1, -2)))
-    lhs = bundle.rho1 + bundle.rho2 - 2 * re3
+    lhs = bundle.rho1 + bundle.rho2 - 2 * _hermitian_part(bundle.rho3)
     return _max_abs(lhs - np.asarray(bundle.u - bundle.v)[..., None, None] * np.asarray(g, dtype=complex), 2)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from chernkit.catalog import builtin, names, sample_points
+from chernkit.domains import Polydisc
 from chernkit.geometry import (
     chern_curvature,
     holomorphic_sectional,
@@ -89,8 +90,28 @@ def test_domain_predicates_on_samples():
     assert np.all(np.abs(pts[:, 1]) <= 2.0)
     assert np.max(np.abs(pts[:, 1])) > 0.7  # the second factor really is bigger
 
-    for p in pts[:5]:
-        assert adm.spec.domain.contains(p)
+
+@pytest.mark.parametrize(
+    "source, outside",
+    [
+        ("fubini-study-2", [[2.001, 0]]),  # ball 2
+        ("complex-hyperbolic-2", [[0.5, 0.63]]),  # ball 0.8
+        ("hopf-2", [[2.001, 0], [0.3, 0.39]]),  # annulus 0.5 2
+        ("adm-product-surface", [[0.601, 0], [0, 2.001]]),  # product ball 0.6; ball 2
+        (Polydisc(0.7), [[0.701, 0], [0, 0.7j + 0.001]]),  # no catalog metric has one
+    ],
+    ids=["ball", "small-ball", "annulus", "product", "polydisc"],
+)
+def test_domain_contains_takes_a_point_or_a_batch(source, outside):
+    domain = builtin(source).spec.domain if isinstance(source, str) else source
+    pts = domain.sample(2, 200, np.random.default_rng(8))
+    inside = domain.contains(pts)
+    assert inside.shape == (200,) and inside.dtype == bool and np.all(inside)
+    one_by_one = [domain.contains(p) for p in pts]
+    assert all(isinstance(x, np.bool_) for x in one_by_one) and np.array_equal(one_by_one, inside)
+    outside = np.asarray(outside, dtype=complex)
+    assert not np.any(domain.contains(outside))
+    assert not any(domain.contains(p) for p in outside)
 
 
 def test_sampler_determinism():

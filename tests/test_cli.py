@@ -121,6 +121,14 @@ def test_verify_env_tolerance(tmp_path):
     assert r.returncode == 1
 
 
+def test_verify_env_tolerance_that_is_not_a_number():
+    import os
+
+    r = _run("verify", "--suite", "surface", env=dict(os.environ, CHERNKIT_TOL="abc"))
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr == "error: CHERNKIT_TOL='abc' is not a number\n"
+
+
 def test_verify_rejects_unknown_suite():
     r = _run("verify", "--suite", "everything")
     assert r.returncode == 2
@@ -187,6 +195,14 @@ def test_non_finite_weights_are_input_errors(command, weights):
     assert r.returncode == 2, r.stdout
     assert "must be finite" in r.stderr
     assert r.stdout == ""
+
+
+@pytest.mark.parametrize("command", ["eval", "extremize"])
+@pytest.mark.parametrize("point", ["nan,1", "1e999,1"])
+def test_non_finite_point_coordinates_are_input_errors(command, point):
+    r = _run(command, "--metric", "hopf-2", "--point", point)
+    assert r.returncode == 2 and r.stdout == ""
+    assert r.stderr == f"error: point {point!r} has a coordinate that is not finite\n"
 
 
 def test_eval_scaled_metric_is_accepted(tmp_path):
