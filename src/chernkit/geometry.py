@@ -109,11 +109,6 @@ def _rho1(g_inv: np.ndarray, R: np.ndarray) -> np.ndarray:
     return np.einsum("...lk,...ijkl->...ij", g_inv, R)
 
 
-def _hermitian_part(a: np.ndarray) -> np.ndarray:
-    """(a + a^H)/2 over the last two axes: Re(rho3) for rho3."""
-    return 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))
-
-
 def _d_omega(jet: MetricJet) -> np.ndarray:
     """[..., i, j, l] = d_i g_{j lbar} - d_j g_{i lbar}, the components of d omega."""
     return jet.dg - np.swapaxes(jet.dg, -3, -2)

@@ -91,6 +91,11 @@ class FactorJet(_PerPoint):
     hess: np.ndarray       # hess[k, l] = d_k dbar_l F
 
 
+def _hermitian_part(a: np.ndarray) -> np.ndarray:
+    """(a + a^H)/2 over the last two axes: g made exactly Hermitian, Re(rho3) for rho3."""
+    return 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))
+
+
 def _split(J, n: int, shape: tuple) -> tuple:
     """The (m, n, *shape), (m, n, *shape) and (m, n, n, *shape) tables d, dbar, d dbar of a jet run."""
     m, k = len(J), 2 * n + 1
@@ -144,7 +149,7 @@ def _jets(spec: MetricSpec, points) -> tuple:
     tol = HERMITIAN_TOL * np.maximum(1.0, np.max(np.abs(g), axis=(1, 2)))
     why = "metric is not Hermitian at {} (residual {:.3e}, tolerance {:.3e})"
     _reject(reasons, herm >= tol, lambda k: why.format(pts[k], herm[k], tol[k]))
-    g = 0.5 * (g + np.conj(np.swapaxes(g, 1, 2)))
+    g = _hermitian_part(g)
     eig = np.linalg.eigvalsh(g)[:, 0]
     why = "metric is not positive definite at {} (min eigenvalue {:.3e})"
     ok = _reject(reasons, eig <= 0, lambda k: why.format(pts[k], eig[k]))

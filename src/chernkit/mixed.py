@@ -13,6 +13,11 @@ constancy identities (the symmetrized rank-4 tensor identity and its trace).
 Pointwise evaluation and the residuals take one point or a batch, like the
 geometry kernels; extremization and the averages work at one point.
 
+Extremization is exact at n <= 2: on a surface C_{alpha,beta} is a quadratic
+on the Bloch sphere, whose extrema are a trust-region subproblem (More &
+Sorensen 1983) solved through its multipliers.  At n >= 3 it is a projected
+gradient ascent from seeded starts.
+
 The Monte Carlo average and the extremizer take rho(Z, Zbar) as Z @ rho and
 R(Z, Zbar, Z, Zbar) as one matmul of Z (x) Zbar with R reshaped to (n^2, n^2)
 (geometry._quartic), _BLOCK rows of Z at a time to bound the temporaries.
@@ -27,7 +32,6 @@ import numpy as np
 from .geometry import (
     ChernCurvature,
     RicciBundle,
-    _hermitian_part,
     _in_frame,
     _max_abs,
     _outer,
@@ -36,7 +40,7 @@ from .geometry import (
     metric_norm_sq,
     orthonormal_frame,
 )
-from .jets import MetricError
+from .jets import MetricError, _hermitian_part
 
 __all__ = [
     "MixedParams",
@@ -231,6 +235,60 @@ def _ascend(R, rho, params, starts, tol, max_iter):
     return float(f[best]), Z[best], bool(grad_norm[best] <= tol)
 
 
+# rows vec(I/2), vec(sigma_1/2), vec(sigma_2/2), vec(sigma_3/2): vec(Z Z*) = _PAULI^T (1, x)
+_PAULI = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, -1j, 1j, 0], [1, 0, 0, -1]]) / 2
+
+
+def _bloch_candidates(R, rho, params):
+    """Unit Z in C^2 among which both extrema of C_{alpha,beta} on the unit sphere lie.
+
+    With Z Z* = (I + x.sigma)/2, x on the Bloch sphere S^2, rho(Z, Zbar) is
+    linear and R(Z, Zbar, Z, Zbar) bilinear in Z Z*, so the objective is
+    t^T Q t with t = (1, x): c + 2 b.x + x^T A x.  With A = V diag(lam) V^T
+    and bt = V^T b, a stationary point solves (lam - mu) y = -bt, |y| = 1, and
+    its multipliers mu are the real eigenvalues of [[lam, -I], [-bt bt^T, lam]]
+    (Gander, Golub & von Matt 1989).  The candidates are y = -bt/(lam - mu)
+    for each eigenvalue's real part; the hard-case points at mu = lam_k, whose
+    component in lam_k's eigenspace is +-bt's there (or e_k), scaled to
+    |y| = 1; and the six +-axes.  Near the hard case those multipliers lose
+    half their digits, so each candidate also enters after one Newton step
+    on the stationarity equations.
+    """
+    S = params.beta * R.reshape(4, 4) + params.alpha * np.outer(rho, np.eye(2))  # alpha rho (x) I + beta R
+    Q = (_PAULI @ S @ _PAULI.T).real
+    Q = (Q + Q.T) / 2
+    if not np.all(np.isfinite(Q)):
+        return np.full((1, 2), np.nan + 0j)  # the caller reports the non-finite value
+    lam, V = np.linalg.eigh(Q[1:, 1:])
+    bt = V.T @ Q[0, 1:]
+    L = np.diag(lam)
+    mu = np.linalg.eigvals(np.block([[L, -np.eye(3)], [-np.outer(bt, bt), L]])).real
+    D = lam - lam[:, None]  # D[k, j] = lam_j - lam_k
+    near = np.abs(D) <= 1e-12 * np.max(np.abs(lam))  # row k: lam_k's eigenspace, to round-off
+    off = np.where(near, 0.0, -bt / D)  # row k: the hard-case point off lam_k's eigenspace
+    free = np.where(near, bt, 0.0)
+    free = np.where(np.any(free, axis=1, keepdims=True), free, np.eye(3))
+    free *= np.sqrt(1 - np.sum(off * off, axis=1, keepdims=True)) / np.linalg.norm(free, axis=1, keepdims=True)
+    y = np.vstack([-bt / (lam - mu[:, None]), off + free, off - free, V, -V])  # rows of +-V: the +-axes of x
+    y = y[np.all(np.isfinite(y), axis=1)]
+    y = y / np.linalg.norm(y, axis=1, keepdims=True)
+    m = np.sum(y * (lam * y + bt), axis=1)  # each candidate's multiplier estimate
+    J = np.zeros((len(y), 4, 4))  # Jacobian of (lam - m) y + bt = 0, (1 - y.y)/2 = 0 in (y, m)
+    J[:, :3, :3] = np.eye(3) * (lam - m[:, None])[:, None, :]
+    J[:, :3, 3] = J[:, 3, :3] = -y
+    r = np.hstack([(lam - m[:, None]) * y + bt, np.zeros((len(y), 1))])[..., None]
+    try:
+        step = np.linalg.solve(J, r)
+    except np.linalg.LinAlgError:  # a J exactly singular (A = 0, say): least-squares steps
+        step = np.linalg.pinv(J) @ r
+    x = np.vstack([y, y - step[:, :3, 0]]) @ V.T
+    x = x / np.linalg.norm(x, axis=1, keepdims=True)
+    x = x[np.all(np.isfinite(x), axis=1)]
+    x1, x2, x3 = x.T  # Z ~ (1 + x3, x1 + i x2), or (x1 - i x2, 1 - x3) nearer x3 = -1
+    Z = np.where(x3[:, None] >= 0, np.stack([1 + x3, x1 + 1j * x2], 1), np.stack([x1 - 1j * x2, 1 - x3], 1))
+    return Z / np.linalg.norm(Z, axis=1, keepdims=True)
+
+
 def extremize(
     Rc: ChernCurvature,
     g: np.ndarray,
@@ -243,30 +301,43 @@ def extremize(
     """Extrema of C_{alpha,beta} over the unit sphere in the g-orthonormal frame.
 
     On that sphere |Z|_g = |Z|_euclid, so the smooth objective is
-    alpha*rho1_E(Z, Zbar) + beta*R_E(Z, Zbar, Z, Zbar).  Projected gradient
-    ascent/descent with backtracking runs from the deterministic
-    axis-and-bisector seeds plus `restarts` random starts; converged means
-    the projected gradient norm fell below tol (relative to the curvature
-    magnitude) at both extremizers.  A gradient below ~sqrt(eps) is not
-    reachable in double precision, so tol should stay >= 1e-8 or so; the
-    extremal values themselves are accurate to ~tol^2.
+    alpha*rho1_E(Z, Zbar) + beta*R_E(Z, Zbar, Z, Zbar).  At n = 1 it is the
+    constant (alpha + beta) R_{1 1bar 1 1bar}; at n = 2 the extrema are exact,
+    the best of every stationary-point candidate of _bloch_candidates, and
+    the report is converged with restarts_used = 0.  At n >= 3 projected
+    gradient ascent/descent with backtracking runs from the deterministic
+    axis-and-bisector seeds plus `restarts` random starts (`seed`, `max_iter`
+    and `tol` apply to it alone); converged means the projected gradient norm
+    fell below tol (relative to the curvature magnitude) at both
+    extremizers.  A gradient below ~sqrt(eps) is not reachable in double
+    precision, so tol should stay >= 1e-8 or so; the extremal values
+    themselves are accurate to ~tol^2.
     """
     if restarts < 1:
         raise ValueError("need at least one restart")
     R, rho = _unitary_data(Rc, g)
     n = R.shape[0]
-    rng = np.random.default_rng(seed)
-    W = rng.standard_normal((restarts, n)) + 1j * rng.standard_normal((restarts, n))
-    starts = np.concatenate([_axis_and_bisector_seeds(n), W])
 
-    # the ladder's steps are absolute: ascend on weights brought below 2 by an exact power of two
+    # weights brought below 2 by an exact power of two: the ladder's steps are absolute, and
+    # large weights do not overflow Q or the objective
     unit = 2.0 ** max(0, int(np.frexp(max(abs(params.alpha), abs(params.beta)))[1]) - 1)
     pos = MixedParams(params.alpha / unit, params.beta / unit)
-    neg = MixedParams(-pos.alpha, -pos.beta)
-    scale = max(1.0, abs(pos.alpha) * np.max(np.abs(rho)), abs(pos.beta) * np.max(np.abs(R)))
-    with np.errstate(over="ignore", invalid="ignore"):  # reported as MetricError below
-        max_val, argmax, ok_max = _ascend(R, rho, pos, starts.copy(), tol * scale, max_iter)
-        min_neg, argmin, ok_min = _ascend(R, rho, neg, starts.copy(), tol * scale, max_iter)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # reported as MetricError below
+        if n <= 2:
+            Z = _bloch_candidates(R, rho, pos) if n == 2 else np.ones((1, 1), dtype=complex)
+            f = _objective(R, rho, pos, Z)
+            lo, hi = int(np.argmin(f)), int(np.argmax(f))
+            max_val, argmax, min_neg, argmin = float(f[hi]), Z[hi], -float(f[lo]), Z[lo]
+            converged, used = True, 0
+        else:
+            rng = np.random.default_rng(seed)
+            W = rng.standard_normal((restarts, n)) + 1j * rng.standard_normal((restarts, n))
+            starts = np.concatenate([_axis_and_bisector_seeds(n), W])
+            neg = MixedParams(-pos.alpha, -pos.beta)
+            scale = max(1.0, abs(pos.alpha) * np.max(np.abs(rho)), abs(pos.beta) * np.max(np.abs(R)))
+            max_val, argmax, ok_max = _ascend(R, rho, pos, starts.copy(), tol * scale, max_iter)
+            min_neg, argmin, ok_min = _ascend(R, rho, neg, starts.copy(), tol * scale, max_iter)
+            converged, used = ok_max and ok_min, len(starts)
     max_val, min_val = max_val * unit, -min_neg * unit
     if not np.all(np.isfinite([min_val, max_val, max_val - min_val])):
         raise MetricError(f"mixed curvature extrema not finite for alpha={params.alpha!r}, beta={params.beta!r}")
@@ -276,8 +347,8 @@ def extremize(
         argmin=argmin,
         argmax=argmax,
         spread=max_val - min_val,
-        restarts_used=len(starts),
-        converged=ok_max and ok_min,
+        restarts_used=used,
+        converged=converged,
     )
 
 

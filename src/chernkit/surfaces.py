@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ChernCurvature, RicciBundle, _hermitian_part, _max_abs, _real
+from .geometry import ChernCurvature, RicciBundle, _max_abs, _real
+from .jets import _hermitian_part
 
 __all__ = [
     "WeylMinus",

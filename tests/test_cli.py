@@ -146,7 +146,19 @@ def test_extremize_table_and_json(tmp_path):
     for row in doc["rows"]:
         assert row["spread"] > 1e-2  # H is not constant on the hopf surface
         assert row["converged"] is True
-        assert row["restarts_used"] > 0
+        assert row["restarts_used"] == 0  # the exact solver at n = 2 runs no ascent start
+
+
+def test_extremize_runs_the_ascent_beyond_surfaces(tmp_path):
+    out = tmp_path / "x.json"
+    r = _run(
+        "extremize", "--metric", "hopf-3", "--alpha", "0", "--beta", "1",
+        "--points", "1", "--seed", "3", "--out", str(out),
+    )
+    assert r.returncode == 0, r.stderr
+    (row,) = json.loads(out.read_text())["rows"]
+    assert row["converged"] is True
+    assert row["restarts_used"] > 0
 
 
 def test_catalog_list():

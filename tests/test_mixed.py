@@ -6,13 +6,19 @@ import numpy as np
 import pytest
 
 from chernkit.catalog import builtin, sample_points
-from chernkit.geometry import _quartic, chern_curvature, ricci_bundle, to_unitary_frame
-from chernkit.jets import metric_jet
+from chernkit.geometry import ChernCurvature, _quartic, chern_curvature, ricci_bundle, to_unitary_frame
+from chernkit.jets import MetricError, metric_jet, metric_jets
 from chernkit.mixed import (
     _BLOCK,
+    _PAULI,
     MixedParams,
+    _ascend,
+    _axis_and_bisector_seeds,
     _gradient,
+    _objective,
     _ric_hsc,
+    _sym,
+    _unitary_data,
     constancy_tensor_residual,
     extremize,
     mixed_curvature,
@@ -179,8 +185,8 @@ def test_extremize_report_invariants():
     assert rep.spread >= 0
     assert abs(np.linalg.norm(rep.argmin) - 1) < 1e-12
     assert abs(np.linalg.norm(rep.argmax) - 1) < 1e-12
-    # 4 random restarts + 2 axes + 3 bisectors
-    assert rep.restarts_used == 9
+    # exact at n = 2: no ascent start
+    assert rep.restarts_used == 0
     again = extremize(Ru, np.eye(2), MixedParams(0.0, 1.0), restarts=4, seed=7)
     assert rep.min_value == again.min_value
     assert rep.max_value == again.max_value
@@ -188,6 +194,10 @@ def test_extremize_report_invariants():
     assert np.array_equal(rep.argmax, again.argmax)
     with pytest.raises(ValueError, match="restart"):
         extremize(Ru, np.eye(2), MixedParams(0.0, 1.0), restarts=0)
+    # the ascent at n = 3: 3 axes + 9 bisectors + 4 random restarts
+    jet, Ru = _unitary_setup("hopf-3", seed=15)
+    rep = extremize(Ru, np.eye(3), MixedParams(0.0, 1.0), restarts=4, seed=7)
+    assert rep.restarts_used == 16 and rep.converged
 
 
 def test_constancy_tensor_residual_cases():
@@ -333,3 +343,144 @@ def test_extremize_converges_when_starts_tie_at_the_extremum():
     rep = extremize(to_unitary_frame(chern_curvature(jet), jet), np.eye(2), MixedParams(0.352, 1.731))
     assert rep.converged
     assert abs(rep.max_value - 2.435) < 1e-12 and abs(rep.min_value) < 1e-12
+
+
+def _ascent_extrema(R, rho, params):
+    """min and max from the projected-gradient ascent, started and stopped as extremize's defaults do at n >= 3."""
+    n = R.shape[0]
+    rng = np.random.default_rng(0)
+    W = rng.standard_normal((16, n)) + 1j * rng.standard_normal((16, n))
+    starts = np.concatenate([_axis_and_bisector_seeds(n), W])
+    tol = 1e-7 * max(1.0, abs(params.alpha) * np.max(np.abs(rho)), abs(params.beta) * np.max(np.abs(R)))
+    hi = _ascend(R, rho, params, starts.copy(), tol, 500)[0]
+    lo = -_ascend(R, rho, MixedParams(-params.alpha, -params.beta), starts.copy(), tol, 500)[0]
+    return lo, hi
+
+
+_SURFACES = ("hopf-2", "adm-product-surface", "isosceles-hopf-surface", "fubini-study-2",
+             "complex-hyperbolic-2", "euclidean-2")
+
+
+def test_exact_surface_extrema_never_lose_to_the_ascent():
+    # 6 surfaces x 10 points x 10 pair directions spread round the circle
+    cases = 0
+    for s, name in enumerate(_SURFACES):
+        entry = builtin(name)
+        jets = metric_jets(entry.spec, sample_points(entry, 10, 40 + s))
+        Ru = to_unitary_frame(chern_curvature(jets), jets)
+        offsets = np.random.default_rng(50 + s).uniform(0, 1, len(Ru))
+        for R_point, offset in zip(Ru, offsets):
+            R, rho = _unitary_data(R_point, np.eye(2))
+            for theta in 2 * np.pi * (np.arange(10) + offset) / 10:
+                params = MixedParams(np.cos(theta), np.sin(theta))
+                rep = extremize(R_point, np.eye(2), params)
+                assert rep.converged and rep.restarts_used == 0
+                lo, hi = _ascent_extrema(R, rho, params)
+                assert rep.min_value <= lo + 1e-12 * max(1.0, abs(lo)), (name, theta)
+                assert rep.max_value >= hi - 1e-12 * max(1.0, abs(hi)), (name, theta)
+                for value, Z in ((rep.min_value, rep.argmin), (rep.max_value, rep.argmax)):
+                    assert abs(np.linalg.norm(Z) - 1) < 1e-12
+                    attained = _objective(R, rho, params, Z[None])[0]
+                    assert abs(attained - value) <= 1e-12 * max(1.0, abs(value)), (name, theta)
+                cases += 1
+    assert cases == 600
+
+
+@pytest.mark.parametrize(
+    "name, alpha, beta, value",
+    [
+        ("fubini-study-2", 0.0, 1.0, 2.0),  # b = 0 and A = lambda I: every point is stationary
+        ("hopf-2", 1.0, -2.0, 0.0),  # constant C
+        ("adm-product-surface", 1.0, -1.0, None),  # constant C
+        ("euclidean-2", 0.7, -0.3, 0.0),  # R = 0
+    ],
+)
+def test_exact_surface_extrema_hard_cases(name, alpha, beta, value):
+    params = MixedParams(alpha, beta)
+    jet, Ru = _unitary_setup(name, seed=21)
+    R, rho = _unitary_data(Ru, np.eye(2))
+    rep = extremize(Ru, np.eye(2), params)
+    assert rep.converged and rep.restarts_used == 0
+    assert rep.spread < 1e-12
+    lo, hi = _ascent_extrema(R, rho, params)
+    assert rep.min_value <= lo + 1e-12 * max(1.0, abs(lo))
+    assert rep.max_value >= hi - 1e-12 * max(1.0, abs(hi))
+    if value is not None:
+        assert abs(rep.min_value - value) < 1e-12 and abs(rep.max_value - value) < 1e-12
+    if name == "euclidean-2":
+        assert rep.min_value == rep.max_value == 0.0
+    for Z in (rep.argmin, rep.argmax):
+        assert abs(np.linalg.norm(Z) - 1) < 1e-12
+    again = extremize(Ru, np.eye(2), params)
+    assert (again.min_value, again.max_value) == (rep.min_value, rep.max_value)
+    assert np.array_equal(again.argmin, rep.argmin) and np.array_equal(again.argmax, rep.argmax)
+
+
+def test_extremize_on_a_curve_is_the_constant():
+    jet, Ru = _unitary_setup("complex-hyperbolic-1", seed=22)
+    R = Ru.tensor[0, 0, 0, 0].real
+    for alpha, beta in ((1.0, 0.0), (0.3, -1.7), (-2.0, 0.5)):
+        rep = extremize(Ru, np.eye(1), MixedParams(alpha, beta))
+        assert rep.min_value == rep.max_value and rep.spread == 0
+        assert abs(rep.min_value - (alpha + beta) * R) <= 1e-14 * abs(R)
+        assert np.array_equal(rep.argmin, [1.0]) and np.array_equal(rep.argmax, [1.0])
+        assert rep.converged and rep.restarts_used == 0
+
+
+def test_ascent_extrema_lie_within_the_symmetric_square_bounds():
+    # on unit Z, C(Z) = <Z (x) Z, H Z (x) Z> with H = sym(alpha rho (x) I + beta R)/4
+    # on Sym^2(C^n), so its eigenvalues there bound the extrema
+    from chernkit.catalog import names
+
+    rng = np.random.default_rng(23)
+    for name in names():
+        entry = builtin(name)
+        n = entry.spec.n
+        if n < 3:
+            continue
+        jets = metric_jets(entry.spec, sample_points(entry, 2, 24))
+        Ru = to_unitary_frame(chern_curvature(jets), jets)
+        pairs = [(i, k) for i in range(n) for k in range(i, n)]
+        basis = np.zeros((n * n, len(pairs)))
+        for c, (i, k) in enumerate(pairs):
+            basis[[i * n + k, k * n + i], c] = 1 / np.sqrt(2) if i != k else 1
+        for R_point in Ru:
+            R, rho = _unitary_data(R_point, np.eye(n))
+            for theta in rng.uniform(0, 2 * np.pi, 3):
+                params = MixedParams(np.cos(theta), np.sin(theta))
+                T = params.alpha * np.einsum("ij,kl->ijkl", rho, np.eye(n)) + params.beta * R
+                H = np.transpose(_sym(T) / 4, (0, 2, 1, 3)).reshape(n * n, n * n)  # rows (i, k), columns (j, l)
+                lam = np.linalg.eigvalsh(basis.T @ H @ basis)
+                rep = extremize(R_point, np.eye(n), params)
+                assert lam[0] - 1e-12 <= rep.min_value and rep.max_value <= lam[-1] + 1e-12, (name, theta)
+
+
+@pytest.mark.parametrize("double", [False, True])
+def test_exact_surface_extrema_near_the_hard_case(double):
+    # C = c + 2 b.x + x^T A x on the Bloch sphere with b almost orthogonal to
+    # an eigenspace of A: there the 6x6 multipliers lose half their digits
+    rng = np.random.default_rng(25 + double)
+    to_R = np.linalg.inv(_PAULI)
+    for eps in 10.0 ** np.arange(-12, -3):
+        for _ in range(3):
+            lam, V = np.linalg.eigh(rng.standard_normal((3, 3)) + rng.standard_normal((3, 3)).T)
+            bt = rng.standard_normal(3)
+            if double:
+                lam[1] = lam[0]
+                bt[:2] *= eps
+            else:
+                bt[rng.integers(3)] = eps
+            Q = np.zeros((4, 4))
+            Q[0, 0], Q[0, 1:], Q[1:, 1:] = rng.standard_normal(), V @ bt, V @ np.diag(lam) @ V.T
+            Q[1:, 0] = Q[0, 1:]
+            R = (to_R @ Q @ to_R.T).reshape(2, 2, 2, 2)
+            rep = extremize(ChernCurvature(R, "unitary", np.zeros(2)), np.eye(2), MixedParams(0.0, 1.0))
+            lo, hi = _ascent_extrema(R, np.zeros((2, 2)), MixedParams(0.0, 1.0))
+            size = np.max(np.abs(Q))
+            assert rep.min_value <= lo + 1e-12 * size and rep.max_value >= hi - 1e-12 * size, eps
+
+
+def test_extremize_reports_non_finite_surface_extrema():
+    R = np.full((2, 2, 2, 2), 1e308 + 0j)
+    with pytest.raises(MetricError, match="not finite"):
+        extremize(ChernCurvature(R, "unitary", np.zeros(2)), np.eye(2), MixedParams(1.0, 1.0))
