@@ -22,7 +22,7 @@ from . import expr as ex
 from .dsl import MetricSpec
 from .geometry import ChernCurvature, _real, _rho1, chern_curvature, ricci_bundle
 from .jets import FactorJet, MetricJet, factor_jet, metric_jets
-from .mixed import MixedParams, _constancy_residual, _sym
+from .mixed import MixedParams, _constancy_residual, _form
 
 __all__ = [
     "conformal_metric",
@@ -96,14 +96,13 @@ def conformal_constancy_residual(
         alpha (rho x g, 4 terms) + beta (R, 4 orderings)
         - 2 (n alpha + beta) [g_{i jbar} F_{k lbar} + g_{k jbar} F_{i lbar}
                               + g_{i lbar} F_{k jbar} + g_{k lbar} F_{i jbar}]
-        = 2 f e^{2F} (g_{i jbar} g_{k lbar} + g_{i lbar} g_{k jbar})
+        = 2 f e^{2F} (g_{i jbar} g_{k lbar} + g_{i lbar} g_{k jbar}),
 
-    Returns the max absolute component of LHS - RHS; with F = 0 this reduces
-    to the plain constancy tensor residual with c = f.
+    i.e. sym(T - 2 (n alpha + beta) g (x) ddbar F - f e^{2F} g (x) g) = 0 with T as in
+    mixed._form; returns max |LHS - RHS|, which for F = 0 is the plain constancy residual.
     """
     if Rc.frame != "coordinate":
         raise ValueError("the conformal constancy identity uses coordinate components")
-    g = jet.g
-    shift = 2 * (jet.n * params.alpha + params.beta) * _sym(np.einsum("...ij,...kl->...ijkl", g, f_jet.hess))
-    rho = _rho1(jet.g_inv, Rc.tensor)
-    return _constancy_residual(Rc.tensor, rho, g, params, f * np.exp(2 * f_jet.value), shift)
+    T = _form(Rc.tensor, _rho1(jet.g_inv, Rc.tensor), jet.g, params)
+    T = T - 2 * (jet.n * params.alpha + params.beta) * np.einsum("...ij,...kl->...ijkl", jet.g, f_jet.hess)
+    return _constancy_residual(T, jet.g, f * np.exp(2 * f_jet.value))

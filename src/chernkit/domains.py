@@ -6,7 +6,8 @@ reproducible uniform samples from it.  `contains` takes one point or a batch
 of the batch shape; it allows 1e-12 of slack at the boundary.  Sampling is
 by rejection from a bounding cube (per the chunked loop in
 :func:`_rejection`), keeping the draws that `contains` accepts, so a fixed
-seed always yields the same points in the same order.
+seed always yields the same points in the same order.  A domain that fills
+under ~1/_DRAWS_PER_POINT of its cube raises ValueError instead of looping.
 """
 
 from __future__ import annotations
@@ -18,14 +19,20 @@ import numpy as np
 __all__ = ["Ball", "Annulus", "Polydisc", "Product", "Domain"]
 
 
-def _rejection(rng, n, count, half_width, accept):
-    """Draw uniform points from [-w, w]^(2n) until `count` pass `accept`."""
+_DRAWS_PER_POINT = 2**20  # candidate rows a sample may draw per requested point before giving up
+
+
+def _rejection(rng, n, count, half_width, domain):
+    """Draw uniform points from [-w, w]^(2n) until `count` lie in the domain."""
     out, have = [], 0
     chunk = max(4 * count, 256)
     while have < count:
+        if len(out) * chunk >= _DRAWS_PER_POINT * count:  # e.g. a ball in C^n fills pi^n/(n! 4^n) of its cube
+            raise ValueError(f"{domain} in n={n}: {have} of {count} sample points accepted in {len(out) * chunk} "
+                             "draws; the domain fills too little of its bounding cube, so pass points with --point")
         xy = rng.uniform(-half_width, half_width, size=(chunk, 2 * n))
         z = xy[:, :n] + 1j * xy[:, n:]
-        good = z[accept(z)]
+        good = z[domain.contains(z)]
         out.append(good)
         have += len(good)
     return np.concatenate(out)[:count]
@@ -41,7 +48,7 @@ class Ball:
         return np.linalg.norm(z, axis=-1) <= self.radius + 1e-12
 
     def sample(self, n: int, count: int, rng) -> np.ndarray:
-        return _rejection(rng, n, count, self.radius, self.contains)
+        return _rejection(rng, n, count, self.radius, self)
 
 
 @dataclass(frozen=True)
@@ -56,7 +63,7 @@ class Annulus:
         return (self.r_inner - 1e-12 <= r) & (r <= self.r_outer + 1e-12)
 
     def sample(self, n: int, count: int, rng) -> np.ndarray:
-        return _rejection(rng, n, count, self.r_outer, self.contains)
+        return _rejection(rng, n, count, self.r_outer, self)
 
 
 @dataclass(frozen=True)
@@ -69,7 +76,7 @@ class Polydisc:
         return np.all(np.abs(z) <= self.radius + 1e-12, axis=-1)
 
     def sample(self, n: int, count: int, rng) -> np.ndarray:
-        return _rejection(rng, n, count, self.radius, self.contains)
+        return _rejection(rng, n, count, self.radius, self)
 
 
 @dataclass(frozen=True)

@@ -446,10 +446,10 @@ def _parse_domain(ts: _TokStream, n: int) -> Domain:
     return dom
 
 
-def parse_expression(text: str, n: int, lets: dict | None = None) -> ex.Expr:
+def parse_expression(text: str, n: int) -> ex.Expr:
     """Parse a single DSL expression (e.g. a conformal factor) for dimension n."""
     ts = _TokStream(_lex_line(text, 1), 1)
-    e = _ExprParser(ts, n, lets or {}).parse()
+    e = _ExprParser(ts, n, {}).parse()
     _expect_done(ts)
     return e
 

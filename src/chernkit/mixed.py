@@ -13,19 +13,23 @@ constancy identities (the symmetrized rank-4 tensor identity and its trace).
 Pointwise evaluation and the residuals take one point or a batch, like the
 geometry kernels; extremization and the averages work at one point.
 
+C_{alpha,beta} is the holomorphic sectional curvature of the one tensor
+T = alpha rho (x) g + beta R (_form), and C == c exactly when sym(T - c g (x) g)
+vanishes: values, the extremizer and both constancy residuals work on T alone.
+The Monte Carlo average keeps rho and R apart, so that one draw serves several
+pairs by linearity; a T per pair would repeat its matmul for each.
+
 Extremization is exact at n <= 2: on a surface C_{alpha,beta} is a quadratic
 on the Bloch sphere, whose extrema are a trust-region subproblem (More &
 Sorensen 1983) solved through its multipliers.  At n >= 3 it is a projected
-gradient ascent from seeded starts.
-
-The Monte Carlo average and the extremizer take rho(Z, Zbar) as Z @ rho and
-R(Z, Zbar, Z, Zbar) as one matmul of Z (x) Zbar with R reshaped to (n^2, n^2)
-(geometry._quartic), _BLOCK rows of Z at a time to bound the temporaries.
+gradient ascent from seeded starts.  Quartics such as T(Z, Zbar, Z, Zbar) are
+one matmul of Z (x) Zbar with T reshaped to (n^2, n^2) (geometry._quartic);
+the Monte Carlo average runs it _BLOCK rows of Z at a time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,7 +41,7 @@ from .geometry import (
     _outer,
     _quartic,
     _rho1,
-    metric_norm_sq,
+    holomorphic_sectional,
     orthonormal_frame,
 )
 from .jets import MetricError, _hermitian_part
@@ -92,15 +96,16 @@ def _unitary_data(Rc: ChernCurvature, g: np.ndarray):
     return R, _rho1(np.eye(R.shape[0]), R)
 
 
+def _form(R, rho, g, params: MixedParams):
+    """T = alpha rho (x) g + beta R, T_{i jbar k lbar} = alpha rho_{i jbar} g_{k lbar} + beta R_{i jbar k lbar}."""
+    return params.alpha * np.einsum("...ij,...kl->...ijkl", rho, g) + params.beta * R
+
+
 def mixed_curvature(Rc: ChernCurvature, g: np.ndarray, params: MixedParams, X) -> float:
-    """C_{alpha,beta}(X) for a nonzero (1,0)-vector X; scale-invariant in X."""
-    X = np.asarray(X, dtype=complex)
-    norm2 = metric_norm_sq(g, X)
-    if np.any(norm2 < 1e-300):
-        raise ValueError("mixed curvature of the zero vector")
-    rho1 = _rho1(np.linalg.inv(np.asarray(g, dtype=complex)), Rc.tensor)
-    ric = np.einsum("...i,...ij,...j->...", X, rho1, np.conj(X)).real
-    return params.alpha * ric / norm2 + params.beta * _quartic(Rc.tensor, X).real / norm2**2
+    """C_{alpha,beta}(X) = H_T(X) for a nonzero (1,0)-vector X, scale-invariant; MetricError if not real."""
+    g = np.asarray(g, dtype=complex)
+    T = _form(Rc.tensor, _rho1(np.linalg.inv(g), Rc.tensor), g, params)
+    return holomorphic_sectional(replace(Rc, tensor=T), g, X)
 
 
 def sphere_average_closed_form(bundle: RicciBundle, params: MixedParams, n: int) -> float:
@@ -168,27 +173,27 @@ def _axis_and_bisector_seeds(n: int) -> np.ndarray:
     return np.array([*E, *(s * E[i] + s * w * E[j] for i, j in pairs for w in (1.0, 1j, -1j))])
 
 
-def _objective(R, rho, params, Z):
-    ric, hsc = _ric_hsc(R, rho, Z)
-    return params.alpha * ric + params.beta * hsc
+def _objective(S, Z):
+    """C_{alpha,beta} at each unit row of Z, for S = T in a unitary frame."""
+    return _quartic(S, Z).real
 
 
-def _gradient(R, rho, params, Z):
-    """Euclidean gradient 2*dF/dZbar of the (real) objective on C^n.
+def _gradient(S, Z):
+    """Euclidean gradient 2*dF/dZbar of F = S(Z, Zbar, Z, Zbar) on C^n.
 
-    dR(Z, Zbar, Z, Zbar)/dZbar_m = sum_i Z_i (A (R + R^T))_{im}, with A = Z (x) Zbar
-    and R reshaped to (n^2, n^2) as in the quartic.
+    dF/dZbar_m = sum_i Z_i (A (S + S^T))_{im}, with A = Z (x) Zbar and S
+    reshaped to (n^2, n^2) as in the quartic.  On the unit sphere its
+    tangential part is that of C_{alpha,beta}.
     """
-    n = R.shape[0]
-    Rm = R.reshape(n * n, n * n)
-    S = (_outer(Z) @ (Rm + Rm.T)).reshape(len(Z), n, n)
-    return 2.0 * (params.alpha * (Z @ rho) + params.beta * np.einsum("bi,bim->bm", Z, S))
+    n = S.shape[0]
+    Sm = S.reshape(n * n, n * n)
+    return 2.0 * np.einsum("bi,bim->bm", Z, (_outer(Z) @ (Sm + Sm.T)).reshape(len(Z), n, n))
 
 
 _LADDER = 2.0 ** (1 - np.arange(12))  # candidate step factors: 2, 1, 1/2, ..., 2^-10
 
 
-def _ascend(R, rho, params, starts, tol, max_iter):
+def _ascend(S, starts, tol, max_iter):
     """Projected gradient ascent on the unit sphere, one batch for all starts.
 
     Each iteration evaluates a dyadic ladder of candidate steps around the
@@ -201,13 +206,13 @@ def _ascend(R, rho, params, starts, tol, max_iter):
     round-off ahead does not decide convergence.
     """
     Z = starts / np.linalg.norm(starts, axis=1, keepdims=True)
-    f = _objective(R, rho, params, Z)
+    f = _objective(S, Z)
     B, n = Z.shape
     rows = np.arange(B)
     step = np.full(B, 1.0)
     alive = np.ones(B, dtype=bool)
     for it in range(max_iter + 1):  # the last pass only measures the final gradient
-        G = _gradient(R, rho, params, Z)
+        G = _gradient(S, Z)
         # tangential component: remove the real-inner-product projection on Z
         Gt = G - np.sum(G * np.conj(Z), axis=1).real[:, None] * Z
         grad_norm = np.linalg.norm(Gt, axis=1)
@@ -217,7 +222,7 @@ def _ascend(R, rho, params, starts, tol, max_iter):
         cand = step[:, None] * _LADDER[None, :]
         trial = Z[:, None, :] + cand[..., None] * Gt[:, None, :]
         trial = trial / np.linalg.norm(trial, axis=2, keepdims=True)
-        ft = _objective(R, rho, params, trial.reshape(-1, n)).reshape(B, len(_LADDER))
+        ft = _objective(S, trial.reshape(-1, n)).reshape(B, len(_LADDER))
         best = np.argmax(ft, axis=1)
         bt = cand[rows, best]
         bf = ft[rows, best]
@@ -239,23 +244,22 @@ def _ascend(R, rho, params, starts, tol, max_iter):
 _PAULI = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [0, -1j, 1j, 0], [1, 0, 0, -1]]) / 2
 
 
-def _bloch_candidates(R, rho, params):
-    """Unit Z in C^2 among which both extrema of C_{alpha,beta} on the unit sphere lie.
+def _bloch_candidates(S):
+    """Unit Z in C^2 among which both extrema of S(Z, Zbar, Z, Zbar) on the unit sphere lie.
 
-    With Z Z* = (I + x.sigma)/2, x on the Bloch sphere S^2, rho(Z, Zbar) is
-    linear and R(Z, Zbar, Z, Zbar) bilinear in Z Z*, so the objective is
-    t^T Q t with t = (1, x): c + 2 b.x + x^T A x.  With A = V diag(lam) V^T
-    and bt = V^T b, a stationary point solves (lam - mu) y = -bt, |y| = 1, and
-    its multipliers mu are the real eigenvalues of [[lam, -I], [-bt bt^T, lam]]
-    (Gander, Golub & von Matt 1989).  The candidates are y = -bt/(lam - mu)
-    for each eigenvalue's real part; the hard-case points at mu = lam_k, whose
-    component in lam_k's eigenspace is +-bt's there (or e_k), scaled to
-    |y| = 1; and the six +-axes.  Near the hard case those multipliers lose
-    half their digits, so each candidate also enters after one Newton step
-    on the stationarity equations.
+    With Z Z* = (I + x.sigma)/2, x on the Bloch sphere S^2, S(Z, Zbar, Z, Zbar)
+    is bilinear in Z Z*, so the objective is t^T Q t with t = (1, x): c + 2 b.x
+    + x^T A x.  With A = V diag(lam) V^T and bt = V^T b, a stationary point
+    solves (lam - mu) y = -bt, |y| = 1, and its multipliers mu are the real
+    eigenvalues of [[lam, -I], [-bt bt^T, lam]] (Gander, Golub & von Matt
+    1989).  The candidates are y = -bt/(lam - mu) for each eigenvalue's real
+    part; the hard-case points at mu = lam_k, whose component in lam_k's
+    eigenspace is +-bt's there (or e_k), scaled to |y| = 1; and the six
+    +-axes.  Near the hard case those multipliers lose half their digits, so
+    each candidate also enters after one Newton step on the stationarity
+    equations.
     """
-    S = params.beta * R.reshape(4, 4) + params.alpha * np.outer(rho, np.eye(2))  # alpha rho (x) I + beta R
-    Q = (_PAULI @ S @ _PAULI.T).real
+    Q = (_PAULI @ S.reshape(4, 4) @ _PAULI.T).real
     Q = (Q + Q.T) / 2
     if not np.all(np.isfinite(Q)):
         return np.full((1, 2), np.nan + 0j)  # the caller reports the non-finite value
@@ -289,32 +293,23 @@ def _bloch_candidates(R, rho, params):
     return Z / np.linalg.norm(Z, axis=1, keepdims=True)
 
 
-def extremize(
-    Rc: ChernCurvature,
-    g: np.ndarray,
-    params: MixedParams,
-    restarts: int = 16,
-    tol: float = 1e-7,
-    seed: int = 0,
-    max_iter: int = 500,
-) -> ExtremumReport:
+_RESTARTS, _SEED = 16, 0  # random starts of the n >= 3 ascent, after the axes and bisectors
+_TOL, _MAX_ITER = 1e-7, 500  # its gradient tolerance (relative to the curvature) and iteration cap
+
+
+def extremize(Rc: ChernCurvature, g: np.ndarray, params: MixedParams) -> ExtremumReport:
     """Extrema of C_{alpha,beta} over the unit sphere in the g-orthonormal frame.
 
-    On that sphere |Z|_g = |Z|_euclid, so the smooth objective is
-    alpha*rho1_E(Z, Zbar) + beta*R_E(Z, Zbar, Z, Zbar).  At n = 1 it is the
+    On that sphere |Z|_g = |Z|_euclid, so the objective is T(Z, Zbar, Z, Zbar)
+    with T = alpha rho1 (x) I + beta R in that frame.  At n = 1 it is the
     constant (alpha + beta) R_{1 1bar 1 1bar}; at n = 2 the extrema are exact,
-    the best of every stationary-point candidate of _bloch_candidates, and
-    the report is converged with restarts_used = 0.  At n >= 3 projected
-    gradient ascent/descent with backtracking runs from the deterministic
-    axis-and-bisector seeds plus `restarts` random starts (`seed`, `max_iter`
-    and `tol` apply to it alone); converged means the projected gradient norm
-    fell below tol (relative to the curvature magnitude) at both
-    extremizers.  A gradient below ~sqrt(eps) is not reachable in double
-    precision, so tol should stay >= 1e-8 or so; the extremal values
-    themselves are accurate to ~tol^2.
+    the best candidate of _bloch_candidates, converged, with restarts_used = 0.
+    At n >= 3 projected gradient ascent of T and of -T runs from the frame
+    axes, the pair bisectors and 16 seeded random starts (restarts_used counts
+    them all), at most 500 iterations; converged means the projected gradient
+    fell below 1e-7 times the curvature magnitude at both extremizers, so the
+    extremal values are accurate to about 1e-14 of it.
     """
-    if restarts < 1:
-        raise ValueError("need at least one restart")
     R, rho = _unitary_data(Rc, g)
     n = R.shape[0]
 
@@ -323,20 +318,20 @@ def extremize(
     unit = 2.0 ** max(0, int(np.frexp(max(abs(params.alpha), abs(params.beta)))[1]) - 1)
     pos = MixedParams(params.alpha / unit, params.beta / unit)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # reported as MetricError below
+        S = _form(R, rho, np.eye(n), pos)
         if n <= 2:
-            Z = _bloch_candidates(R, rho, pos) if n == 2 else np.ones((1, 1), dtype=complex)
-            f = _objective(R, rho, pos, Z)
+            Z = _bloch_candidates(S) if n == 2 else np.ones((1, 1), dtype=complex)
+            f = _objective(S, Z)
             lo, hi = int(np.argmin(f)), int(np.argmax(f))
             max_val, argmax, min_neg, argmin = float(f[hi]), Z[hi], -float(f[lo]), Z[lo]
             converged, used = True, 0
         else:
-            rng = np.random.default_rng(seed)
-            W = rng.standard_normal((restarts, n)) + 1j * rng.standard_normal((restarts, n))
+            rng = np.random.default_rng(_SEED)
+            W = rng.standard_normal((_RESTARTS, n)) + 1j * rng.standard_normal((_RESTARTS, n))
             starts = np.concatenate([_axis_and_bisector_seeds(n), W])
-            neg = MixedParams(-pos.alpha, -pos.beta)
-            scale = max(1.0, abs(pos.alpha) * np.max(np.abs(rho)), abs(pos.beta) * np.max(np.abs(R)))
-            max_val, argmax, ok_max = _ascend(R, rho, pos, starts.copy(), tol * scale, max_iter)
-            min_neg, argmin, ok_min = _ascend(R, rho, neg, starts.copy(), tol * scale, max_iter)
+            tol = _TOL * max(1.0, abs(pos.alpha) * np.max(np.abs(rho)), abs(pos.beta) * np.max(np.abs(R)))
+            max_val, argmax, ok_max = _ascend(S, starts, tol, _MAX_ITER)
+            min_neg, argmin, ok_min = _ascend(-S, starts, tol, _MAX_ITER)
             converged, used = ok_max and ok_min, len(starts)
     max_val, min_val = max_val * unit, -min_neg * unit
     if not np.all(np.isfinite([min_val, max_val, max_val - min_val])):
@@ -363,12 +358,12 @@ def constancy_tensor_residual(
                + rho_{i lbar} g_{k jbar} + rho_{k lbar} g_{i jbar})
         + beta (R_{i jbar k lbar} + R_{k jbar i lbar}
                 + R_{i lbar k jbar} + R_{k lbar i jbar})
-        = 2 c (g_{i jbar} g_{k lbar} + g_{i lbar} g_{k jbar})
+        = 2 c (g_{i jbar} g_{k lbar} + g_{i lbar} g_{k jbar}),
 
-    and the returned value is the max absolute component of LHS - RHS.
+    i.e. sym(T - c g (x) g) = 0 for T = alpha rho (x) g + beta R; returns max |LHS - RHS|.
     """
     g = np.asarray(g, dtype=complex)
-    return _constancy_residual(Rc.tensor, _rho1(np.linalg.inv(g), Rc.tensor), g, params, c)
+    return _constancy_residual(_form(Rc.tensor, _rho1(np.linalg.inv(g), Rc.tensor), g, params), g, c)
 
 
 def _sym(T):
@@ -377,13 +372,10 @@ def _sym(T):
     return T + swap_holo + np.swapaxes(T, -3, -1) + np.swapaxes(swap_holo, -3, -1)
 
 
-def _constancy_residual(R, rho, g, params, c, shift=0.0):
-    """The constancy identity: max |alpha sym(rho g) + beta sym(R) - shift - RHS|,
-    RHS = 2 c (g_{i jbar} g_{k lbar} + g_{i lbar} g_{k jbar})."""
+def _constancy_residual(T, g, c):
+    """The constancy identity for T and c: max |sym(T - c g (x) g)|."""
     c = np.asarray(c)[..., None, None, None, None]
-    lhs = params.alpha * _sym(np.einsum("...ij,...kl->...ijkl", rho, g)) + params.beta * _sym(R) - shift
-    rhs = 2 * c * (np.einsum("...ij,...kl->...ijkl", g, g) + np.einsum("...il,...kj->...ijkl", g, g))
-    return _max_abs(lhs - rhs, 4)
+    return _max_abs(_sym(T - c * np.einsum("...ij,...kl->...ijkl", g, g)), 4)
 
 
 def trace_identity_residual(

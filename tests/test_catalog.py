@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from chernkit.catalog import builtin, names, sample_points
-from chernkit.domains import Polydisc
+from chernkit.domains import Ball, Polydisc
 from chernkit.geometry import (
     chern_curvature,
     holomorphic_sectional,
@@ -112,6 +112,12 @@ def test_domain_contains_takes_a_point_or_a_batch(source, outside):
     outside = np.asarray(outside, dtype=complex)
     assert not np.any(domain.contains(outside))
     assert not any(domain.contains(p) for p in outside)
+
+
+def test_sampling_gives_up_on_a_domain_too_thin_for_its_cube():
+    # the unit ball fills 2.5e-8 of its cube in C^10: rejection would need ~4e7 draws per point
+    with pytest.raises(ValueError, match=r"Ball\(radius=1.0\) in n=10: 0 of 2 .* --point"):
+        Ball(1.0).sample(10, 2, np.random.default_rng(0))
 
 
 def test_sampler_determinism():

@@ -304,3 +304,12 @@ def test_eval_bad_domain_radius_exit_code(tmp_path, domain):
     assert r.returncode == 2, r.stderr
     assert "line 4" in r.stderr and "radius must be positive and finite" in r.stderr
     assert "Traceback" not in r.stderr
+
+
+def test_eval_on_a_domain_too_thin_to_sample_exits_2(tmp_path):
+    metric = tmp_path / "thin.metric"
+    metric.write_text("dim 1\ng[1,1] = 1\ndomain annulus 1 1.000000000001\n")
+    r = _run("eval", "--metric", str(metric), "--points", "3")
+    assert r.returncode == 2 and r.stdout == ""
+    assert "Annulus(r_inner=1.0, r_outer=1.000000000001) in n=1: 0 of 3" in r.stderr and "--point" in r.stderr
+    assert "Traceback" not in r.stderr

@@ -1,7 +1,10 @@
 """Conformal change laws against direct recomputation of e^{2F} g."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import recombined_reference as recombined
 
 from chernkit import expr as ex
 from chernkit.catalog import builtin, sample_points
@@ -13,8 +16,8 @@ from chernkit.conformal import (
     surface_scalar_relation_residual,
 )
 from chernkit.dsl import parse_expression
-from chernkit.geometry import chern_curvature, kahler_defect, ricci_bundle
-from chernkit.jets import factor_jet, metric_jet
+from chernkit.geometry import ChernCurvature, _rho1, chern_curvature, kahler_defect, ricci_bundle
+from chernkit.jets import factor_jet, metric_jet, metric_jets
 from chernkit.mixed import MixedParams, constancy_tensor_residual
 
 
@@ -213,3 +216,29 @@ def test_conformal_constancy_cross_oracle():
         tjet = metric_jet(conformal_metric(eu.spec, F), p)
         r_direct = constancy_tensor_residual(chern_curvature(tjet), tjet.g, params, 0.1)
         assert abs(r_direct - np.exp(2 * fj.value) * r_base) < 1e-10 * max(1, r_direct)
+
+
+def test_conformal_constancy_matches_the_recombined_reference():
+    # T - 2 (n alpha + beta) g (x) ddbar F against rho and R recombined term by term, with the
+    # shift subtracted after symmetrising; catalog jets with a factor, then random g, R and ddbar F
+    rng = np.random.default_rng(29)
+    for name in ("hopf-2", "adm-product-surface", "fubini-study-3", "hopf-4"):
+        entry = builtin(name)
+        n = entry.spec.n
+        pts = sample_points(entry, 3, 30)
+        jets = metric_jets(entry.spec, pts)
+        fj = factor_jet(parse_expression("0.1*log(1 + abs2(z)) + 0.05*(z1*zbar1 + z1 + zbar1)", n), pts, n)
+        cases = [(jets, chern_curvature(jets).tensor, fj)]
+        g, R = recombined.random_curvature(rng, 3, n)
+        H = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))
+        random_fj = replace(fj, hess=H + np.conj(np.swapaxes(H, 1, 2)))
+        cases.append((replace(jets, g=g, g_inv=np.linalg.inv(g)), R, random_fj))
+        for jet, R, f_jet in cases:
+            Rc = ChernCurvature(R, "coordinate", jet.point)
+            rho = _rho1(jet.g_inv, R)
+            f = rng.standard_normal(3)
+            for theta in rng.uniform(0, 2 * np.pi, 4):
+                params = MixedParams(np.cos(theta), np.sin(theta))
+                got = conformal_constancy_residual(jet, Rc, f_jet, params, f)
+                want = recombined.conformal_constancy(R, rho, jet.g, f_jet.hess, params, f * np.exp(2 * f_jet.value))
+                assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want))), name

@@ -4,9 +4,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import recombined_reference as recombined
 
-from chernkit.catalog import builtin, sample_points
-from chernkit.geometry import ChernCurvature, _quartic, chern_curvature, ricci_bundle, to_unitary_frame
+from chernkit.catalog import builtin, names, sample_points
+from chernkit.geometry import (
+    ChernCurvature,
+    _in_frame,
+    _quartic,
+    _rho1,
+    chern_curvature,
+    orthonormal_frame,
+    ricci_bundle,
+    to_unitary_frame,
+)
 from chernkit.jets import MetricError, metric_jet, metric_jets
 from chernkit.mixed import (
     _BLOCK,
@@ -14,6 +24,7 @@ from chernkit.mixed import (
     MixedParams,
     _ascend,
     _axis_and_bisector_seeds,
+    _form,
     _gradient,
     _objective,
     _ric_hsc,
@@ -88,6 +99,56 @@ def test_scale_invariance_and_linearity():
         assert abs(mixed_curvature(Ru, np.eye(3), p1, lam * X) - v1) < 1e-10
     with pytest.raises(ValueError, match="zero vector"):
         mixed_curvature(Ru, np.eye(3), p1, [0, 0, 0])
+
+
+def test_mixed_curvature_that_is_not_real_is_a_metric_error():
+    R = np.zeros((2, 2, 2, 2), dtype=complex)
+    R[0, 0, 0, 0] = 1j  # breaks R_{i jbar k lbar} = conj(R_{j ibar l kbar})
+    Rc = ChernCurvature(R, "unitary", np.zeros(2))
+    for params in (MixedParams(0.0, 1.0), MixedParams(1.0, 0.0), MixedParams(1.0, 1.0)):
+        with pytest.raises(MetricError, match="real"):
+            mixed_curvature(Rc, np.eye(2), params, [1, 0])
+
+
+def _catalog_and_random_curvatures():
+    """(name, g, R) in coordinate frames: three points of every catalog entry, 20 random tensors per n."""
+    out = []
+    for name in names():
+        entry = builtin(name)
+        jets = metric_jets(entry.spec, sample_points(entry, 3, 26))
+        out.append((name, jets.g, chern_curvature(jets).tensor))
+    rng = np.random.default_rng(27)
+    return out + [(f"random-{n}", *recombined.random_curvature(rng, 20, n)) for n in (1, 2, 3, 4)]
+
+
+def _agree(x, ref):
+    return np.max(np.abs(x - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+
+
+def test_t_forms_match_the_recombined_reference():
+    # value, constancy residual and tangential gradient on T against rho and R recombined term by term
+    rng = np.random.default_rng(28)
+    for name, g, R in _catalog_and_random_curvatures():
+        m, n = g.shape[:2]
+        rho = _rho1(np.linalg.inv(g), R)
+        Rc = ChernCurvature(R, "coordinate", np.zeros((m, n)))
+        Ru = _in_frame(R, orthonormal_frame(g))
+        X = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+        Z = rng.standard_normal((50, n)) + 1j * rng.standard_normal((50, n))
+        Z /= np.linalg.norm(Z, axis=1, keepdims=True)
+        c = rng.standard_normal(m)
+        for theta in rng.uniform(0, 2 * np.pi, 4):
+            params = MixedParams(np.cos(theta), np.sin(theta))
+            assert _agree(mixed_curvature(Rc, g, params, X), recombined.value(R, rho, g, params, X)), name
+            want = recombined.constancy(R, rho, g, params, c)
+            assert _agree(constancy_tensor_residual(Rc, g, params, c), want), name
+            for R_point in Ru:
+                rho_u = _rho1(np.eye(n), R_point)
+                new = _gradient(_form(R_point, rho_u, np.eye(n), params), Z)
+                old = recombined.gradient(R_point, rho_u, params, Z)
+                # the two differ along Z by 2 alpha rho(Z, Zbar) Z; on the unit sphere only the tangential part counts
+                new, old = (G - np.sum(G * np.conj(Z), axis=1).real[:, None] * Z for G in (new, old))
+                assert _agree(new, old), name
 
 
 def test_closed_form_average_values():
@@ -180,24 +241,22 @@ def test_extremize_generic_params_against_grid():
 
 def test_extremize_report_invariants():
     jet, Ru = _unitary_setup("hopf-2", seed=15)
-    rep = extremize(Ru, np.eye(2), MixedParams(0.0, 1.0), restarts=4, seed=7)
+    rep = extremize(Ru, np.eye(2), MixedParams(0.0, 1.0))
     assert rep.min_value <= rep.max_value
     assert rep.spread >= 0
     assert abs(np.linalg.norm(rep.argmin) - 1) < 1e-12
     assert abs(np.linalg.norm(rep.argmax) - 1) < 1e-12
     # exact at n = 2: no ascent start
     assert rep.restarts_used == 0
-    again = extremize(Ru, np.eye(2), MixedParams(0.0, 1.0), restarts=4, seed=7)
+    again = extremize(Ru, np.eye(2), MixedParams(0.0, 1.0))
     assert rep.min_value == again.min_value
     assert rep.max_value == again.max_value
     assert np.array_equal(rep.argmin, again.argmin)
     assert np.array_equal(rep.argmax, again.argmax)
-    with pytest.raises(ValueError, match="restart"):
-        extremize(Ru, np.eye(2), MixedParams(0.0, 1.0), restarts=0)
-    # the ascent at n = 3: 3 axes + 9 bisectors + 4 random restarts
+    # the ascent at n = 3: 3 axes + 9 bisectors + 16 random restarts
     jet, Ru = _unitary_setup("hopf-3", seed=15)
-    rep = extremize(Ru, np.eye(3), MixedParams(0.0, 1.0), restarts=4, seed=7)
-    assert rep.restarts_used == 16 and rep.converged
+    rep = extremize(Ru, np.eye(3), MixedParams(0.0, 1.0))
+    assert rep.restarts_used == 28 and rep.converged
 
 
 def test_constancy_tensor_residual_cases():
@@ -238,8 +297,6 @@ def test_constancy_detectors_agree():
 
 def test_constancy_detectors_agree_on_every_catalog_entry():
     # both detectors classify H-constancy identically on the whole catalog
-    from chernkit.catalog import names
-
     params = MixedParams(0.0, 1.0)
     for name in names():
         entry = builtin(name)
@@ -273,16 +330,12 @@ def test_trace_identity_cases():
     assert trace_identity_residual(b, params, f + 0.05, 3) > 1e-3
 
 
-def _einsum_reference(R, rho, params, Z):
-    """The contractions written out index by index: rho(Z, Zbar), R(Z, Zbar, Z, Zbar), gradient."""
+def _einsum_reference(R, rho, Z):
+    """The contractions written out index by index: rho(Z, Zbar), R(Z, Zbar, Z, Zbar), 2 dR(Z, Zbar, Z, Zbar)/dZbar."""
     Zc = np.conj(Z)
     ric = np.einsum("ij,bi,bj->b", rho, Z, Zc).real
     hsc = np.einsum("ijkl,bi,bj,bk,bl->b", R, Z, Zc, Z, Zc).real
-    grad = 2.0 * (
-        params.alpha * np.einsum("im,bi->bm", rho, Z)
-        + params.beta
-        * (np.einsum("imkl,bi,bk,bl->bm", R, Z, Z, Zc) + np.einsum("ijkm,bi,bj,bk->bm", R, Z, Zc, Z))
-    )
+    grad = 2.0 * (np.einsum("imkl,bi,bk,bl->bm", R, Z, Z, Zc) + np.einsum("ijkm,bi,bj,bk->bm", R, Z, Zc, Z))
     return ric, hsc, grad
 
 
@@ -292,16 +345,16 @@ def test_matmul_quartic_matches_einsum(n):
     rng = np.random.default_rng(20 + n)
     R = rng.standard_normal((n,) * 4) + 1j * rng.standard_normal((n,) * 4)
     rho = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    params = MixedParams(0.7, -1.3)
 
     def close(x, ref):
         return np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     for b in (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7):
         Z = rng.standard_normal((b, n)) + 1j * rng.standard_normal((b, n))
-        ric0, hsc0, grad0 = _einsum_reference(R, rho, params, Z)
+        ric0, hsc0, grad0 = _einsum_reference(R, rho, Z)
         ric, hsc = _ric_hsc(R, rho, Z)
-        assert close(ric, ric0) and close(hsc, hsc0) and close(_gradient(R, rho, params, Z), grad0), b
+        assert close(ric, ric0) and close(hsc, hsc0) and close(_gradient(R, Z), grad0), b
+        assert close(_objective(R, Z), hsc0), b
     X = Z[0]
     single = np.einsum("ijkl,i,j,k,l->", R, X, np.conj(X), X, np.conj(X))
     assert np.ndim(_quartic(R, X)) == 0
@@ -346,14 +399,15 @@ def test_extremize_converges_when_starts_tie_at_the_extremum():
 
 
 def _ascent_extrema(R, rho, params):
-    """min and max from the projected-gradient ascent, started and stopped as extremize's defaults do at n >= 3."""
+    """min and max from the projected-gradient ascent, started and stopped as extremize does at n >= 3."""
     n = R.shape[0]
     rng = np.random.default_rng(0)
     W = rng.standard_normal((16, n)) + 1j * rng.standard_normal((16, n))
     starts = np.concatenate([_axis_and_bisector_seeds(n), W])
     tol = 1e-7 * max(1.0, abs(params.alpha) * np.max(np.abs(rho)), abs(params.beta) * np.max(np.abs(R)))
-    hi = _ascend(R, rho, params, starts.copy(), tol, 500)[0]
-    lo = -_ascend(R, rho, MixedParams(-params.alpha, -params.beta), starts.copy(), tol, 500)[0]
+    S = _form(R, rho, np.eye(n), params)
+    hi = _ascend(S, starts, tol, 500)[0]
+    lo = -_ascend(-S, starts, tol, 500)[0]
     return lo, hi
 
 
@@ -380,7 +434,7 @@ def test_exact_surface_extrema_never_lose_to_the_ascent():
                 assert rep.max_value >= hi - 1e-12 * max(1.0, abs(hi)), (name, theta)
                 for value, Z in ((rep.min_value, rep.argmin), (rep.max_value, rep.argmax)):
                     assert abs(np.linalg.norm(Z) - 1) < 1e-12
-                    attained = _objective(R, rho, params, Z[None])[0]
+                    attained = _objective(_form(R, rho, np.eye(2), params), Z[None])[0]
                     assert abs(attained - value) <= 1e-12 * max(1.0, abs(value)), (name, theta)
                 cases += 1
     assert cases == 600
@@ -428,10 +482,8 @@ def test_extremize_on_a_curve_is_the_constant():
 
 
 def test_ascent_extrema_lie_within_the_symmetric_square_bounds():
-    # on unit Z, C(Z) = <Z (x) Z, H Z (x) Z> with H = sym(alpha rho (x) I + beta R)/4
-    # on Sym^2(C^n), so its eigenvalues there bound the extrema
-    from chernkit.catalog import names
-
+    # on unit Z, C(Z) = <Z (x) Z, H Z (x) Z> with H = sym(T)/4 on Sym^2(C^n),
+    # T = alpha rho (x) I + beta R, so its eigenvalues there bound the extrema
     rng = np.random.default_rng(23)
     for name in names():
         entry = builtin(name)
@@ -448,7 +500,7 @@ def test_ascent_extrema_lie_within_the_symmetric_square_bounds():
             R, rho = _unitary_data(R_point, np.eye(n))
             for theta in rng.uniform(0, 2 * np.pi, 3):
                 params = MixedParams(np.cos(theta), np.sin(theta))
-                T = params.alpha * np.einsum("ij,kl->ijkl", rho, np.eye(n)) + params.beta * R
+                T = _form(R, rho, np.eye(n), params)
                 H = np.transpose(_sym(T) / 4, (0, 2, 1, 3)).reshape(n * n, n * n)  # rows (i, k), columns (j, l)
                 lam = np.linalg.eigvalsh(basis.T @ H @ basis)
                 rep = extremize(R_point, np.eye(n), params)

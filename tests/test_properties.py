@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings  # noqa: E402
+from hypothesis import Phase, assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from chernkit import expr as ex  # noqa: E402
@@ -19,7 +19,11 @@ from tree_reference import walk  # noqa: E402
 N = 3
 PTS = np.random.default_rng(0).uniform(-0.5, 0.5, size=(4, 2 * N)).view(complex)
 FD_TOL = 1e-6  # relative to max(1, max |e|) at PTS
-DETERMINISTIC = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+# no shrink phase: shrinking a failing curvature property recompiles a program per
+# candidate and took minutes; the failing example is reported as generated
+DETERMINISTIC = settings(
+    derandomize=True, database=None, deadline=None, max_examples=150, phases=[Phase.explicit, Phase.generate]
+)
 
 
 def _at_least(c, e):
