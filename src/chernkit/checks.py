@@ -16,7 +16,7 @@ Criteria (suite assignment in SUITES):
   conformal-law          e^{2F} transformation law vs direct recomputation
   surface-identities     W^-, Ricci combination, pointwise c_1^2 identity
   trace-identity         traced constancy identities on constant-C configurations
-  sphere-average         Monte Carlo vs closed-form sphere average
+  sphere-average         exact cubature vs closed-form sphere average
   hopf-torsion           u - v = |eta|^2 = (n-1)^2 on Hopf
   fd-cross-check         jet-run vs finite-difference derivatives
   nonconstancy-witness   detector is not vacuous: H on Hopf has spread > 1e-2
@@ -55,7 +55,6 @@ from .mixed import (
     extremize,
     mixed_curvature,
     sphere_average_closed_form,
-    sphere_average_monte_carlo_many,
     trace_identity_residual,
 )
 from .surfaces import c1_squared_pointwise_residual, ricci_combination_residual, weyl_minus
@@ -82,7 +81,7 @@ class VerificationOutcome:
 
 
 def _outcome(check_id, metric, residual, tolerance, provenance, point=None):
-    residual, point = float(residual), tuple(point) if point is not None else None
+    residual, tolerance, point = float(residual), float(tolerance), tuple(point) if point is not None else None
     return VerificationOutcome(check_id, metric, point, residual, tolerance, residual <= tolerance, provenance)
 
 
@@ -299,6 +298,17 @@ def _mc_pairs():
     return pairs
 
 
+def _sphere_design(n: int):
+    """(points, weights): a signed cubature exact for every degree-(2, 2) moment on the unit sphere of C^n.
+
+    e_i weigh (3 - n)/(n(n+1)) and (e_i + i^m e_j)/sqrt2, i < j, m = 0..3, weigh 1/(n(n+1)), the four phases
+    cancelling each unbalanced moment (complex designs: Delsarte, Goethals & Seidel, Geom. Dedicata 6, 1977).
+    """
+    E, s = np.eye(n, dtype=complex), 1 / np.sqrt(2)
+    pairs = [s * E[i] + s * 1j**m * E[j] for i in range(n) for j in range(i + 1, n) for m in range(4)]
+    return np.array([*E, *pairs]), np.array([3.0 - n] * n + [1.0] * len(pairs)) / (n * (n + 1))
+
+
 def check_sphere_average():
     out = []
     pairs = _mc_pairs()
@@ -306,15 +316,16 @@ def check_sphere_average():
         pt, _, _, Ru = _sampled(name, 1, 71)
         Ru, n = Ru[0], Ru.n
         bundle = ricci_bundle(Ru, np.eye(n))
-        stats = sphere_average_monte_carlo_many(Ru, np.eye(n), pairs, 100_000, 71)
-        for params, (mean, stderr) in zip(pairs, stats):
+        Z, w = _sphere_design(n)
+        for params in pairs:
             closed = sphere_average_closed_form(bundle, params, n)
-            # 1e-12 cushion covers zero-variance configurations (FP noise only)
             check_id = f"sphere-average/a{params.alpha:+.2f}-b{params.beta:+.2f}"
-            out.append(_outcome(check_id, name, abs(mean - closed), 3 * stderr + 1e-12, "derived", pt[0]))
+            res = abs(w @ mixed_curvature(Ru, np.eye(n), params, Z) - closed)  # the design's sum is exact
+            out.append(_outcome(check_id, name, res, 1e-12 * max(1.0, abs(closed)), "derived", pt[0]))
     pt, _, _, Ru = _sampled("hopf-2", 1, 72)
-    (mean, stderr), = sphere_average_monte_carlo_many(Ru[0], np.eye(2), [MixedParams(0.0, 1.0)], 100_000, 71)
-    out.append(_outcome("sphere-average/hopf-half", "hopf-2", abs(mean - 0.5), 3 * stderr + 1e-12, "derived", pt[0]))
+    Z, w = _sphere_design(2)
+    res = abs(w @ mixed_curvature(Ru[0], np.eye(2), MixedParams(0.0, 1.0), Z) - 0.5)
+    out.append(_outcome("sphere-average/hopf-half", "hopf-2", res, 1e-12, "derived", pt[0]))
     return out
 
 

@@ -20,6 +20,7 @@ accepts --parallel for compatibility; it changes nothing.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -233,6 +234,7 @@ def cmd_catalog(args) -> int:
     return 0
 
 
+@functools.cache  # built once per process; parse_args keeps no state between calls
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="chernkit", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)

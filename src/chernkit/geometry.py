@@ -219,6 +219,8 @@ def metric_norm_sq(g: np.ndarray, X: np.ndarray) -> float:
 def holomorphic_sectional(Rc: ChernCurvature, g: np.ndarray, X) -> float:
     """H(X) = R(X, Xbar, X, Xbar)/|X|^4_g; scale-invariant, X != 0."""
     X = np.asarray(X, dtype=complex)
+    e = -np.frexp(np.max(np.abs(X), axis=-1, keepdims=True))[1]  # max |X_i| into [1/2, 1): no under- or overflow
+    X = np.ldexp(X.real, e) + 1j * np.ldexp(X.imag, e)
     norm2 = metric_norm_sq(g, X)
     if np.any(norm2 < 1e-300):
         raise ValueError("holomorphic sectional curvature of the zero vector")

@@ -15,9 +15,8 @@ geometry kernels; extremization and the averages work at one point.
 
 C_{alpha,beta} is the holomorphic sectional curvature of the one tensor
 T = alpha rho (x) g + beta R (_form), and C == c exactly when sym(T - c g (x) g)
-vanishes: values, the extremizer and both constancy residuals work on T alone.
-The Monte Carlo average keeps rho and R apart, so that one draw serves several
-pairs by linearity; a T per pair would repeat its matmul for each.
+vanishes: values, the Monte Carlo average, the extremizer and both constancy
+residuals work on T alone.
 
 Extremization is exact at n <= 2: on a surface C_{alpha,beta} is a quadratic
 on the Bloch sphere, whose extrema are a trust-region subproblem (More &
@@ -115,11 +114,7 @@ def sphere_average_closed_form(bundle: RicciBundle, params: MixedParams, n: int)
 
 
 def sphere_average_monte_carlo(
-    Rc: ChernCurvature,
-    g: np.ndarray,
-    params: MixedParams,
-    samples: int = 100_000,
-    seed: int = 0,
+    Rc: ChernCurvature, g: np.ndarray, params: MixedParams, samples: int = 100_000, seed: int = 0
 ):
     """Monte Carlo estimate (mean, stderr) of the sphere average.
 
@@ -129,25 +124,11 @@ def sphere_average_monte_carlo(
     return sphere_average_monte_carlo_many(Rc, g, [params], samples, seed)[0]
 
 
-_BLOCK = 4096  # rows per block in _ric_hsc; bounds its (rows, n^2) temporaries
-
-
-def _ric_hsc(R, rho, Z):
-    """rho(Z, Zbar) and R(Z, Zbar, Z, Zbar) for each row of the batch Z, _BLOCK rows at a time."""
-    ric, hsc = np.empty(len(Z)), np.empty(len(Z))
-    for s in range(0, len(Z), _BLOCK):
-        z = Z[s : s + _BLOCK]
-        ric[s : s + _BLOCK] = np.sum((z @ rho) * np.conj(z), axis=1).real
-        hsc[s : s + _BLOCK] = _quartic(R, z).real
-    return ric, hsc
+_BLOCK = 4096  # rows per block of the Monte Carlo quartic; bounds its (rows, n^2) temporaries
 
 
 def sphere_average_monte_carlo_many(
-    Rc: ChernCurvature,
-    g: np.ndarray,
-    params_list,
-    samples: int = 100_000,
-    seed: int = 0,
+    Rc: ChernCurvature, g: np.ndarray, params_list, samples: int = 100_000, seed: int = 0
 ):
     """Monte Carlo sphere averages for several parameter pairs at once.
 
@@ -161,8 +142,9 @@ def sphere_average_monte_carlo_many(
     rng = np.random.default_rng(seed)
     W = rng.standard_normal((samples, n)) + 1j * rng.standard_normal((samples, n))
     W /= np.linalg.norm(W, axis=1, keepdims=True)
-    ric, hsc = _ric_hsc(R, rho, W)
-    vals = (params.alpha * ric + params.beta * hsc for params in params_list)
+    blocks = [W[s : s + _BLOCK] for s in range(0, samples, _BLOCK)]
+    forms = (_form(R, rho, np.eye(n), params) for params in params_list)
+    vals = (np.concatenate([_objective(T, z) for z in blocks]) for T in forms)
     return [(float(np.mean(v)), float(np.std(v, ddof=1) / np.sqrt(samples))) for v in vals]
 
 
@@ -401,5 +383,5 @@ def trace_identity_residual(
     a, b = params.alpha, params.beta
     lhs = (a * (n + 2) + b) * bundle.rho1 + b * bundle.rho2 + 2 * b * _hermitian_part(bundle.rho3)
     rhs = np.asarray(2 * (n + 1) * f - a * bundle.u)[..., None, None] * np.asarray(g, dtype=complex)
-    scalar_res = np.abs(((n + 1) * a + b) * bundle.u + b * bundle.v - n * (n + 1) * f)
+    scalar_res = n * (n + 1) * np.abs(sphere_average_closed_form(bundle, params, n) - f)
     return np.maximum(_max_abs(lhs - rhs, 2), scalar_res)

@@ -7,7 +7,11 @@ as `chernkit verify`).
 
 from functools import lru_cache
 
-from chernkit.checks import CRITERIA, run_criterion
+import numpy as np
+
+from chernkit.checks import CRITERIA, _mc_pairs, _sampled, run_criterion
+from chernkit.geometry import ricci_bundle
+from chernkit.mixed import sphere_average_closed_form
 
 
 @lru_cache(maxsize=None)
@@ -79,7 +83,13 @@ def test_criterion_08_sphere_average():
     outs = _assert_criterion("sphere-average", "criterion 8: sphere-average identity")
     # every catalog metric x 5 pairs, plus the hopf-2 value-0.5 case
     assert len(outs) == 18 * 5 + 1
-    assert any(o.check_id == "sphere-average/hopf-half" for o in outs)
+    assert outs[-1].check_id == "sphere-average/hopf-half" and outs[-1].tolerance == 1e-12
+    # the cubature is exact: each tolerance is round-off of the closed form, 1e-12 max(1, |closed|)
+    pairs = _mc_pairs()
+    for k, o in enumerate(outs[:-1]):
+        _, _, _, Ru = _sampled(o.metric, 1, 71)
+        closed = sphere_average_closed_form(ricci_bundle(Ru[0], np.eye(Ru.n)), pairs[k % 5], Ru.n)
+        assert o.tolerance == 1e-12 * max(1.0, abs(closed)), o
 
 
 def test_criterion_09_hopf_torsion():

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from chernkit import report
+from chernkit import cli, report
 from chernkit.checks import SUITES, run_checks
 
 
@@ -159,6 +159,18 @@ def test_extremize_runs_the_ascent_beyond_surfaces(tmp_path):
     (row,) = json.loads(out.read_text())["rows"]
     assert row["converged"] is True
     assert row["restarts_used"] > 0
+
+
+def test_main_calls_in_one_process_match_fresh_processes(capsys):
+    # the parser is built once per process: no --alpha/--beta list may carry over to the next call
+    base = ["eval", "--metric", "hopf-2", "--point", "0.3+0.1i,-0.2i"]
+    two_pairs = ["--alpha", "1", "--beta", "-2", "--alpha", "0.5", "--beta", "1"]
+    for weights in (two_pairs, ["--alpha", "0", "--beta", "1"], []):
+        argv = base + weights
+        assert cli.main(argv) == 0
+        fresh = _run(*argv)
+        assert fresh.returncode == 0, fresh.stderr
+        assert capsys.readouterr().out == fresh.stdout, argv
 
 
 def test_catalog_list():

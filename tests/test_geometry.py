@@ -17,6 +17,7 @@ from chernkit.geometry import (
     torsion,
 )
 from chernkit.jets import MetricError, metric_jet, metric_jets
+from chernkit.mixed import MixedParams, mixed_curvature
 
 
 def _hopf_closed(z):
@@ -199,6 +200,24 @@ def test_hsc_scale_and_frame_invariance():
         holomorphic_sectional(Ru, np.eye(2), [1, 0])
         - holomorphic_sectional(Rc, jet.g, e1)
     ) < 1e-10
+
+
+@pytest.mark.parametrize("s", [1e-100, 1e-200, 1e200])
+def test_hsc_of_tiny_and_huge_vectors(s):
+    # H and C are scale-invariant; X is scaled by a power of two before its quartic
+    entry = builtin("fubini-study-2")
+    jet = metric_jet(entry.spec, sample_points(entry, 1, 0)[0])
+    Rc = chern_curvature(jet)
+    params = MixedParams(1.0, 1.0)
+    X = np.array([[1.0, 0.0], [0.3 - 0.2j, 0.7j]])
+    h, c = holomorphic_sectional(Rc, jet.g, X), mixed_curvature(Rc, jet.g, params, X)
+    for got, want in (
+        (holomorphic_sectional(Rc, jet.g, s * X[0]), h[0]),
+        (holomorphic_sectional(Rc, jet.g, s * X), h),
+        (mixed_curvature(Rc, jet.g, params, s * X[0]), c[0]),
+        (mixed_curvature(Rc, jet.g, params, s * X), c),
+    ):
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want)), (s, got, want)
 
 
 def test_invariant_scalars_under_frame_change():

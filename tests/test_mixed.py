@@ -7,6 +7,7 @@ import pytest
 import recombined_reference as recombined
 
 from chernkit.catalog import builtin, names, sample_points
+from chernkit.checks import _sphere_design
 from chernkit.geometry import (
     ChernCurvature,
     _in_frame,
@@ -27,7 +28,6 @@ from chernkit.mixed import (
     _form,
     _gradient,
     _objective,
-    _ric_hsc,
     _sym,
     _unitary_data,
     constancy_tensor_residual,
@@ -330,35 +330,63 @@ def test_trace_identity_cases():
     assert trace_identity_residual(b, params, f + 0.05, 3) > 1e-3
 
 
-def _einsum_reference(R, rho, Z):
-    """The contractions written out index by index: rho(Z, Zbar), R(Z, Zbar, Z, Zbar), 2 dR(Z, Zbar, Z, Zbar)/dZbar."""
+def _einsum_reference(R, Z):
+    """The contractions written out index by index: R(Z, Zbar, Z, Zbar) and 2 dR(Z, Zbar, Z, Zbar)/dZbar."""
     Zc = np.conj(Z)
-    ric = np.einsum("ij,bi,bj->b", rho, Z, Zc).real
     hsc = np.einsum("ijkl,bi,bj,bk,bl->b", R, Z, Zc, Z, Zc).real
     grad = 2.0 * (np.einsum("imkl,bi,bk,bl->bm", R, Z, Z, Zc) + np.einsum("ijkm,bi,bj,bk->bm", R, Z, Zc, Z))
-    return ric, hsc, grad
+    return hsc, grad
+
+
+def _random_tensor(rng, n):
+    """A random complex rank-4 tensor, with none of the curvature symmetries."""
+    return rng.standard_normal((n,) * 4) + 1j * rng.standard_normal((n,) * 4)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_matmul_quartic_matches_einsum(n):
-    # random complex R (no curvature symmetries), across the block boundaries
+    # random complex R (no curvature symmetries), at batch sizes up to several _BLOCKs
     rng = np.random.default_rng(20 + n)
-    R = rng.standard_normal((n,) * 4) + 1j * rng.standard_normal((n,) * 4)
-    rho = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    R = _random_tensor(rng, n)
 
     def close(x, ref):
         return np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     for b in (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7):
         Z = rng.standard_normal((b, n)) + 1j * rng.standard_normal((b, n))
-        ric0, hsc0, grad0 = _einsum_reference(R, rho, Z)
-        ric, hsc = _ric_hsc(R, rho, Z)
-        assert close(ric, ric0) and close(hsc, hsc0) and close(_gradient(R, Z), grad0), b
-        assert close(_objective(R, Z), hsc0), b
+        hsc0, grad0 = _einsum_reference(R, Z)
+        assert close(_gradient(R, Z), grad0) and close(_objective(R, Z), hsc0), b
     X = Z[0]
     single = np.einsum("ijkl,i,j,k,l->", R, X, np.conj(X), X, np.conj(X))
     assert np.ndim(_quartic(R, X)) == 0
     assert abs(_quartic(R, X) - single) <= 1e-12 * abs(single)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_monte_carlo_mean_across_block_boundaries(n):
+    # the draw is evaluated _BLOCK rows at a time; a row lost or repeated at a boundary moves the mean
+    rng = np.random.default_rng(40 + n)
+    R = _random_tensor(rng, n)
+    Rc = ChernCurvature(R, "unitary", np.zeros(n, dtype=complex))
+    params = MixedParams(0.7, -1.3)
+    T = _form(R, _rho1(np.eye(n), R), np.eye(n), params)
+    for samples in (_BLOCK + 1, 3 * _BLOCK + 7):
+        mean, _ = sphere_average_monte_carlo(Rc, np.eye(n), params, samples, seed=5)
+        draw = np.random.default_rng(5)
+        W = draw.standard_normal((samples, n)) + 1j * draw.standard_normal((samples, n))
+        W /= np.linalg.norm(W, axis=1, keepdims=True)
+        hsc, _ = _einsum_reference(T, W)
+        assert abs(mean - np.mean(hsc)) <= 1e-12 * max(1.0, np.max(np.abs(hsc))), samples
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sphere_design_reproduces_every_degree_2_2_moment(n):
+    # for any R, the Haar average of R(Z, Zbar, Z, Zbar) is (sum R_{iikk} + sum R_{ikki}) / (n(n+1))
+    R = _random_tensor(np.random.default_rng(60 + n), n)
+    Z, w = _sphere_design(n)
+    assert len(Z) == n + 2 * n * (n - 1)
+    exact = (np.einsum("iikk->", R) + np.einsum("ikki->", R)) / (n * (n + 1))
+    assert abs(w @ _quartic(R, Z) - exact) <= 1e-13 * abs(exact)
 
 
 def test_monte_carlo_memory_stays_bounded():
