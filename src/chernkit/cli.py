@@ -108,6 +108,7 @@ def _mixed_row(params: MixedParams, rep) -> dict:
         "argmax": report.point_json(rep.argmax),
         "restarts_used": rep.restarts_used,
         "converged": rep.converged,
+        "bound_gap": rep.bound_gap,
     }
 
 

@@ -20,14 +20,18 @@ residuals work on T alone.
 
 Extremization is exact at n <= 2: on a surface C_{alpha,beta} is a quadratic
 on the Bloch sphere, whose extrema are a trust-region subproblem (More &
-Sorensen 1983) solved through its multipliers.  At n >= 3 it is a projected
-gradient ascent from seeded starts.  Quartics such as T(Z, Zbar, Z, Zbar) are
-one matmul of Z (x) Zbar with T reshaped to (n^2, n^2) (geometry._quartic);
-the Monte Carlo average runs it _BLOCK rows of Z at a time.
+Sorensen 1983) solved through its multipliers.  At n >= 3 the extreme
+eigenvalues of H = sym(T)/4 on Sym^2(C^n) bound the extrema, and rank-one
+roundings of its extreme eigenvectors certify them wherever they meet the
+bounds; elsewhere a projected gradient ascent from seeded starts decides.
+Quartics such as T(Z, Zbar, Z, Zbar) are one matmul of Z (x) Zbar with T
+reshaped to (n^2, n^2) (geometry._quartic); the Monte Carlo average runs it
+_BLOCK rows of Z at a time.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -77,7 +81,10 @@ class ExtremumReport:
     """Extrema of C_{alpha,beta} over unit directions at one point.
 
     argmin/argmax are unit vectors in the g-orthonormal frame; spread is
-    max_value - min_value.
+    max_value - min_value.  bound_gap is max(lam_max - max_value, min_value -
+    lam_min) for the extreme eigenvalues of H = sym(T)/4 on Sym^2(C^n) at
+    n >= 3, which bound the extrema: 0 up to round-off when they are
+    certified; 0.0 at n <= 2, where the extrema are exact.
     """
 
     min_value: float
@@ -87,6 +94,7 @@ class ExtremumReport:
     spread: float
     restarts_used: int
     converged: bool
+    bound_gap: float
 
 
 def _unitary_data(Rc: ChernCurvature, g: np.ndarray):
@@ -275,6 +283,50 @@ def _bloch_candidates(S):
     return Z / np.linalg.norm(Z, axis=1, keepdims=True)
 
 
+@functools.cache
+def _sym2_basis(n: int) -> np.ndarray:
+    """Orthonormal real basis of Sym^2(C^n) inside C^(n^2), one column per pair i <= k:
+    e_i (x) e_i, and (e_i (x) e_k + e_k (x) e_i)/sqrt2 for i < k.  Read-only, built once per n."""
+    pairs = [(i, k) for i in range(n) for k in range(i, n)]
+    basis = np.zeros((n * n, len(pairs)))
+    for c, (i, k) in enumerate(pairs):
+        basis[[i * n + k, k * n + i], c] = 1 / np.sqrt(2) if i != k else 1
+    basis.flags.writeable = False
+    return basis
+
+
+def _symmetric_square(S):
+    """H = sym(S)/4 on Sym^2(C^n), in the coordinates of _sym2_basis(n).
+
+    With Hf[(i,k), (j,l)] = sym(S)_{i jbar k lbar}/4, S(Z, Zbar, Z, Zbar) =
+    w* Hf w for w = Zbar (x) Zbar, which lies in Sym^2; so on unit Z the
+    extrema lie between H's extreme eigenvalues.
+    """
+    n = S.shape[0]
+    basis = _sym2_basis(n)
+    Hf = np.transpose(_sym(S) / 4, (0, 2, 1, 3)).reshape(n * n, n * n)  # rows (i, k), columns (j, l)
+    return basis.T @ Hf @ basis
+
+
+def _sym2_candidates(S):
+    """(lam_min, lam_max, Z): the bounds of _symmetric_square and four unit candidates.
+
+    Each extreme eigenvector of H is an n x n symmetric M; its leading left
+    singular vector u is M's Takagi vector up to phase (Horn & Johnson,
+    Matrix Analysis, 4.4), so M = Zbar Zbar^T makes u or conj(u) Z up to
+    phase.  Z holds u and conj(u) for both ends.  Non-finite S gives nan.
+    """
+    n = S.shape[0]
+    H = _symmetric_square(S)
+    if not np.all(np.isfinite(H)):
+        return np.nan, np.nan, np.full((1, n), np.nan + 0j)  # the caller reports the non-finite value
+    lam, V = np.linalg.eigh(H)
+    M = (_sym2_basis(n) @ V[:, [0, -1]]).T.reshape(2, n, n)
+    u = np.linalg.svd(M)[0][:, :, 0]
+    return lam[0], lam[-1], np.concatenate([u, np.conj(u)])
+
+
+_CERTIFY = 1e-13  # the n >= 3 bounds certify the rounded extrema within this times the curvature's size
 _RESTARTS, _SEED = 16, 0  # random starts of the n >= 3 ascent, after the axes and bisectors
 _TOL, _MAX_ITER = 1e-7, 500  # its gradient tolerance (relative to the curvature) and iteration cap
 
@@ -285,12 +337,20 @@ def extremize(Rc: ChernCurvature, g: np.ndarray, params: MixedParams) -> Extremu
     On that sphere |Z|_g = |Z|_euclid, so the objective is T(Z, Zbar, Z, Zbar)
     with T = alpha rho1 (x) I + beta R in that frame.  At n = 1 it is the
     constant (alpha + beta) R_{1 1bar 1 1bar}; at n = 2 the extrema are exact,
-    the best candidate of _bloch_candidates, converged, with restarts_used = 0.
-    At n >= 3 projected gradient ascent of T and of -T runs from the frame
-    axes, the pair bisectors and 16 seeded random starts (restarts_used counts
-    them all), at most 500 iterations; converged means the projected gradient
-    fell below 1e-7 times the curvature magnitude at both extremizers, so the
-    extremal values are accurate to about 1e-14 of it.
+    the best candidate of _bloch_candidates.  Both are converged, with
+    restarts_used = 0 and bound_gap = 0.0.
+
+    At n >= 3 the extreme eigenvalues of H = sym(T)/4 on Sym^2(C^n) bound
+    the extrema, and the best of the four rank-one roundings of
+    _sym2_candidates is attained.  When both bounds are met within 1e-13
+    times the curvature magnitude max(1, |alpha| max|rho1|, |beta| max|R|),
+    the extrema are certified: converged, restarts_used = 0.  Otherwise
+    projected gradient ascent of T and of -T runs from the frame axes, the
+    pair bisectors and 16 seeded random starts (restarts_used counts them
+    all), at most 500 iterations; converged then means the projected
+    gradient fell below 1e-7 times the curvature magnitude at both
+    extremizers, so the extremal values are accurate to about 1e-14 of it.
+    bound_gap measures either path against the same bounds.
     """
     R, rho = _unitary_data(Rc, g)
     n = R.shape[0]
@@ -301,22 +361,29 @@ def extremize(Rc: ChernCurvature, g: np.ndarray, params: MixedParams) -> Extremu
     pos = MixedParams(params.alpha / unit, params.beta / unit)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # reported as MetricError below
         S = _form(R, rho, np.eye(n), pos)
-        if n <= 2:
-            Z = _bloch_candidates(S) if n == 2 else np.ones((1, 1), dtype=complex)
-            f = _objective(S, Z)
-            lo, hi = int(np.argmin(f)), int(np.argmax(f))
-            max_val, argmax, min_neg, argmin = float(f[hi]), Z[hi], -float(f[lo]), Z[lo]
-            converged, used = True, 0
+        if n == 1:
+            Z = np.ones((1, 1), dtype=complex)
+        elif n == 2:
+            Z = _bloch_candidates(S)
         else:
-            rng = np.random.default_rng(_SEED)
-            W = rng.standard_normal((_RESTARTS, n)) + 1j * rng.standard_normal((_RESTARTS, n))
-            starts = np.concatenate([_axis_and_bisector_seeds(n), W])
-            tol = _TOL * max(1.0, abs(pos.alpha) * np.max(np.abs(rho)), abs(pos.beta) * np.max(np.abs(R)))
-            max_val, argmax, ok_max = _ascend(S, starts, tol, _MAX_ITER)
-            min_neg, argmin, ok_min = _ascend(-S, starts, tol, _MAX_ITER)
-            converged, used = ok_max and ok_min, len(starts)
-    max_val, min_val = max_val * unit, -min_neg * unit
-    if not np.all(np.isfinite([min_val, max_val, max_val - min_val])):
+            lam_min, lam_max, Z = _sym2_candidates(S)
+        f = _objective(S, Z)
+        lo, hi = int(np.argmin(f)), int(np.argmax(f))
+        max_val, argmax, min_neg, argmin = float(f[hi]), Z[hi], -float(f[lo]), Z[lo]
+        converged, used, gap = True, 0, 0.0
+        if n >= 3:
+            scale = max(1.0, abs(pos.alpha) * np.max(np.abs(rho)), abs(pos.beta) * np.max(np.abs(R)))
+            if not (lam_max - max_val <= _CERTIFY * scale and -min_neg - lam_min <= _CERTIFY * scale):
+                rng = np.random.default_rng(_SEED)
+                W = rng.standard_normal((_RESTARTS, n)) + 1j * rng.standard_normal((_RESTARTS, n))
+                starts = np.concatenate([_axis_and_bisector_seeds(n), W])
+                tol = _TOL * scale
+                max_val, argmax, ok_max = _ascend(S, starts, tol, _MAX_ITER)
+                min_neg, argmin, ok_min = _ascend(-S, starts, tol, _MAX_ITER)
+                converged, used = ok_max and ok_min, len(starts)
+            gap = max(lam_max - max_val, -min_neg - lam_min)
+    max_val, min_val, gap = max_val * unit, -min_neg * unit, gap * unit
+    if not np.all(np.isfinite([min_val, max_val, max_val - min_val, gap])):
         raise MetricError(f"mixed curvature extrema not finite for alpha={params.alpha!r}, beta={params.beta!r}")
     return ExtremumReport(
         min_value=min_val,
@@ -326,6 +393,7 @@ def extremize(Rc: ChernCurvature, g: np.ndarray, params: MixedParams) -> Extremu
         spread=max_val - min_val,
         restarts_used=used,
         converged=converged,
+        bound_gap=float(gap),
     )
 
 

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ def test_eval_json_is_deterministic(tmp_path):
     assert abs(rec["v"] - 1.0) < 1e-10
     assert abs(rec["eta_norm2"] - 1.0) < 1e-10
     assert rec["mixed"][0]["spread"] < 1e-8  # C_{1,-2} is constant 0 on hopf
+    assert rec["mixed"][0]["bound_gap"] == 0.0  # exact at n = 2
 
 
 def test_eval_explicit_point_and_conformal(tmp_path):
@@ -149,16 +151,21 @@ def test_extremize_table_and_json(tmp_path):
         assert row["restarts_used"] == 0  # the exact solver at n = 2 runs no ascent start
 
 
+GENERIC_3 = str(Path(__file__).parent / "data" / "generic-3.metric")
+
+
 def test_extremize_runs_the_ascent_beyond_surfaces(tmp_path):
+    # on the generic file metric the Sym^2 bounds are not met, so the ascent decides
     out = tmp_path / "x.json"
     r = _run(
-        "extremize", "--metric", "hopf-3", "--alpha", "0", "--beta", "1",
+        "extremize", "--metric", GENERIC_3, "--alpha", "0", "--beta", "1",
         "--points", "1", "--seed", "3", "--out", str(out),
     )
     assert r.returncode == 0, r.stderr
     (row,) = json.loads(out.read_text())["rows"]
     assert row["converged"] is True
-    assert row["restarts_used"] > 0
+    assert row["restarts_used"] == 28  # 3 axes + 9 bisectors + 16 random restarts
+    assert row["bound_gap"] > 1e-3
 
 
 def test_main_calls_in_one_process_match_fresh_processes(capsys):
@@ -272,13 +279,14 @@ def test_file_errors_exit_2(tmp_path, case):
 
 @pytest.mark.parametrize("command", ["eval", "extremize"])
 def test_overflowing_weights_are_errors(command):
-    r = _run(command, "--metric", "hopf-2", "--points", "1", "--alpha=1e308", "--beta=1e308")
-    assert r.returncode == 2, r.stdout + r.stderr
-    assert "RuntimeWarning" not in r.stderr
-    assert "not finite" in r.stdout + r.stderr and "alpha=1e+308" in r.stdout + r.stderr
-    if command == "eval":
-        (rec,) = json.loads(r.stdout)["records"]  # valid JSON: no bare inf
-        assert "error" in rec
+    for metric in ("hopf-2", "hopf-3"):  # the exact surface path and the certified n = 3 path
+        r = _run(command, "--metric", metric, "--points", "1", "--alpha=1e308", "--beta=1e308")
+        assert r.returncode == 2, r.stdout + r.stderr
+        assert "RuntimeWarning" not in r.stderr and "Traceback" not in r.stderr
+        assert "not finite" in r.stdout + r.stderr and "alpha=1e+308" in r.stdout + r.stderr
+        if command == "eval":
+            (rec,) = json.loads(r.stdout)["records"]  # valid JSON: no bare inf
+            assert "error" in rec
 
 
 def _eval_records(*args):

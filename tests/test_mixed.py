@@ -1,6 +1,7 @@
 """Mixed curvature: values, averages, extremization vs a dense grid oracle."""
 
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ import recombined_reference as recombined
 
 from chernkit.catalog import builtin, names, sample_points
 from chernkit.checks import _sphere_design
+from chernkit.conformal import conformal_metric
+from chernkit.dsl import parse_expression, parse_metric
 from chernkit.geometry import (
     ChernCurvature,
     _in_frame,
@@ -28,7 +31,8 @@ from chernkit.mixed import (
     _form,
     _gradient,
     _objective,
-    _sym,
+    _sym2_basis,
+    _symmetric_square,
     _unitary_data,
     constancy_tensor_residual,
     extremize,
@@ -45,6 +49,16 @@ def _unitary_setup(name, seed=0):
     jet = metric_jet(entry.spec, sample_points(entry, 1, seed)[0])
     Ru = to_unitary_frame(chern_curvature(jet), jet)
     return jet, Ru
+
+
+GENERIC_3 = Path(__file__).parent / "data" / "generic-3.metric"
+
+
+def _generic_3_curvatures(count, seed):
+    """Unitary-frame curvature of the generic n = 3 file metric at count seeded points."""
+    spec = parse_metric(GENERIC_3.read_text(), name=GENERIC_3.stem)
+    jets = metric_jets(spec, spec.domain.sample(3, count, np.random.default_rng(seed)))
+    return to_unitary_frame(chern_curvature(jets), jets)
 
 
 def _grid_extrema(Ru, params, m_theta=241, m_phi=480):
@@ -253,10 +267,17 @@ def test_extremize_report_invariants():
     assert rep.max_value == again.max_value
     assert np.array_equal(rep.argmin, again.argmin)
     assert np.array_equal(rep.argmax, again.argmax)
-    # the ascent at n = 3: 3 axes + 9 bisectors + 16 random restarts
+    assert rep.bound_gap == 0.0
+    # certified at n = 3 on hopf: the Sym^2 bounds are met, no ascent start
     jet, Ru = _unitary_setup("hopf-3", seed=15)
     rep = extremize(Ru, np.eye(3), MixedParams(0.0, 1.0))
+    assert rep.restarts_used == 0 and rep.converged
+    assert abs(rep.bound_gap) <= 1e-13 * max(1.0, np.max(np.abs(Ru.tensor)))
+    # the ascent where the bounds are not met: 3 axes + 9 bisectors + 16 random restarts
+    Ru = _generic_3_curvatures(1, seed=15)[0]
+    rep = extremize(Ru, np.eye(3), MixedParams(0.0, 1.0))
     assert rep.restarts_used == 28 and rep.converged
+    assert rep.bound_gap > 1e-3
 
 
 def test_constancy_tensor_residual_cases():
@@ -426,17 +447,27 @@ def test_extremize_converges_when_starts_tie_at_the_extremum():
     assert abs(rep.max_value - 2.435) < 1e-12 and abs(rep.min_value) < 1e-12
 
 
-def _ascent_extrema(R, rho, params):
-    """min and max from the projected-gradient ascent, started and stopped as extremize does at n >= 3."""
+def _scale(R, rho, params):
+    """The curvature magnitude extremize measures its tolerances against."""
+    return max(1.0, abs(params.alpha) * np.max(np.abs(rho)), abs(params.beta) * np.max(np.abs(R)))
+
+
+def _ascents(R, rho, params):
+    """(max, argmax, converged) of T and of -T from the projected-gradient ascent, started and
+    stopped as extremize does at n >= 3."""
     n = R.shape[0]
     rng = np.random.default_rng(0)
     W = rng.standard_normal((16, n)) + 1j * rng.standard_normal((16, n))
     starts = np.concatenate([_axis_and_bisector_seeds(n), W])
-    tol = 1e-7 * max(1.0, abs(params.alpha) * np.max(np.abs(rho)), abs(params.beta) * np.max(np.abs(R)))
+    tol = 1e-7 * _scale(R, rho, params)
     S = _form(R, rho, np.eye(n), params)
-    hi = _ascend(S, starts, tol, 500)[0]
-    lo = -_ascend(-S, starts, tol, 500)[0]
-    return lo, hi
+    return _ascend(S, starts, tol, 500), _ascend(-S, starts, tol, 500)
+
+
+def _ascent_extrema(R, rho, params):
+    """min and max from the projected-gradient ascent."""
+    up, down = _ascents(R, rho, params)
+    return -down[0], up[0]
 
 
 _SURFACES = ("hopf-2", "adm-product-surface", "isosceles-hopf-surface", "fubini-study-2",
@@ -509,8 +540,24 @@ def test_extremize_on_a_curve_is_the_constant():
         assert rep.converged and rep.restarts_used == 0
 
 
+def test_symmetric_square_reproduces_the_quartic():
+    # C(Z) = w* H w with w the coordinates of Zbar (x) Zbar in the orthonormal Sym^2 basis
+    rng = np.random.default_rng(26)
+    for n in (3, 4):
+        A = rng.standard_normal((n,) * 4) + 1j * rng.standard_normal((n,) * 4)
+        T = A + np.conj(A).transpose(1, 0, 3, 2)  # conj T_{i jbar k lbar} = T_{j ibar l kbar}, as for R
+        basis, H = _sym2_basis(n), _symmetric_square(T)
+        assert np.allclose(basis.T @ basis, np.eye(n * (n + 1) // 2), rtol=0, atol=1e-15)
+        assert np.allclose(H, H.conj().T, rtol=0, atol=1e-13)
+        Z = rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n))
+        Z /= np.linalg.norm(Z, axis=1, keepdims=True)
+        w = np.conj(np.einsum("bi,bk->bik", Z, Z)).reshape(5, n * n) @ basis
+        quad = np.einsum("bp,pq,bq->b", w.conj(), H, w)
+        assert np.allclose(quad, _objective(T, Z), rtol=0, atol=1e-12)
+
+
 def test_ascent_extrema_lie_within_the_symmetric_square_bounds():
-    # on unit Z, C(Z) = <Z (x) Z, H Z (x) Z> with H = sym(T)/4 on Sym^2(C^n),
+    # on unit Z, C(Z) = <Zbar (x) Zbar, H Zbar (x) Zbar> with H = sym(T)/4 on Sym^2(C^n),
     # T = alpha rho (x) I + beta R, so its eigenvalues there bound the extrema
     rng = np.random.default_rng(23)
     for name in names():
@@ -520,19 +567,67 @@ def test_ascent_extrema_lie_within_the_symmetric_square_bounds():
             continue
         jets = metric_jets(entry.spec, sample_points(entry, 2, 24))
         Ru = to_unitary_frame(chern_curvature(jets), jets)
-        pairs = [(i, k) for i in range(n) for k in range(i, n)]
-        basis = np.zeros((n * n, len(pairs)))
-        for c, (i, k) in enumerate(pairs):
-            basis[[i * n + k, k * n + i], c] = 1 / np.sqrt(2) if i != k else 1
         for R_point in Ru:
             R, rho = _unitary_data(R_point, np.eye(n))
             for theta in rng.uniform(0, 2 * np.pi, 3):
                 params = MixedParams(np.cos(theta), np.sin(theta))
-                T = _form(R, rho, np.eye(n), params)
-                H = np.transpose(_sym(T) / 4, (0, 2, 1, 3)).reshape(n * n, n * n)  # rows (i, k), columns (j, l)
-                lam = np.linalg.eigvalsh(basis.T @ H @ basis)
+                lam = np.linalg.eigvalsh(_symmetric_square(_form(R, rho, np.eye(n), params)))
                 rep = extremize(R_point, np.eye(n), params)
                 assert lam[0] - 1e-12 <= rep.min_value and rep.max_value <= lam[-1] + 1e-12, (name, theta)
+
+
+_FACTOR = "0.3*(z1*zbar2 + z2*zbar1) + 0.2*z3*zbar3"
+_CERTIFIED = [pytest.param(name, None, id=name) for name in names() if builtin(name).spec.n >= 3] + [
+    pytest.param(name, _FACTOR, id=f"{name}-conformal") for name in ("hopf-3", "hopf-4", "fubini-study-3")
+]
+
+
+@pytest.mark.parametrize("name, factor", _CERTIFIED)
+def test_certified_extrema_never_lose_to_the_ascent(name, factor):
+    # 5 points x 24 pair directions spread round the circle; on these metrics the Sym^2 bounds are met
+    entry = builtin(name)
+    spec = entry.spec if factor is None else conformal_metric(entry.spec, parse_expression(factor, entry.spec.n))
+    n = spec.n
+    jets = metric_jets(spec, sample_points(entry, 5, 60))
+    Ru = to_unitary_frame(chern_curvature(jets), jets)
+    for R_point in Ru:
+        R, rho = _unitary_data(R_point, np.eye(n))
+        for theta in 2 * np.pi * (np.arange(24) + 0.5) / 24:
+            params = MixedParams(np.cos(theta), np.sin(theta))
+            scale = _scale(R, rho, params)
+            rep = extremize(R_point, np.eye(n), params)
+            assert rep.converged and rep.restarts_used == 0, theta
+            assert abs(rep.bound_gap) <= 1e-13 * scale, theta
+            lo, hi = _ascent_extrema(R, rho, params)
+            assert rep.max_value >= hi - 1e-14 * scale, (theta, rep.max_value - hi)
+            assert rep.min_value <= lo + 1e-14 * scale, (theta, rep.min_value - lo)
+            for value, Z in ((rep.min_value, rep.argmin), (rep.max_value, rep.argmax)):
+                assert abs(np.linalg.norm(Z) - 1) < 1e-12
+                attained = mixed_curvature(R_point, np.eye(n), params, Z)
+                assert abs(attained - value) <= 1e-14 * scale, theta
+
+
+def test_uncertified_extrema_are_the_plain_ascent():
+    # on the generic file metric the Sym^2 bounds are not met where beta != 0; there extremize
+    # returns the two ascents' output bit for bit
+    fallbacks = 0
+    for R_point in _generic_3_curvatures(3, seed=31):
+        R, rho = _unitary_data(R_point, np.eye(3))
+        for theta in 2 * np.pi * (np.arange(8) + 0.5) / 8:
+            params = MixedParams(np.cos(theta), np.sin(theta))
+            rep = extremize(R_point, np.eye(3), params)
+            if rep.restarts_used == 0:
+                continue
+            fallbacks += 1
+            (hi, argmax, ok_hi), (neg_lo, argmin, ok_lo) = _ascents(R, rho, params)
+            assert (rep.min_value, rep.max_value, rep.spread) == (-neg_lo, hi, hi + neg_lo)
+            assert np.array_equal(rep.argmin, argmin) and np.array_equal(rep.argmax, argmax)
+            assert rep.converged == (ok_hi and ok_lo) and rep.restarts_used == 28
+            lam = np.linalg.eigvalsh(_symmetric_square(_form(R, rho, np.eye(3), params)))
+            gap = max(lam[-1] - hi, -neg_lo - lam[0])
+            assert gap > 1e-13 * _scale(R, rho, params)
+            assert abs(rep.bound_gap - gap) <= 1e-14 * _scale(R, rho, params)
+    assert fallbacks == 24  # every direction here has beta well away from 0
 
 
 @pytest.mark.parametrize("double", [False, True])
