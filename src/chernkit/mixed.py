@@ -18,12 +18,12 @@ T = alpha rho (x) g + beta R (_form), and C == c exactly when sym(T - c g (x) g)
 vanishes: values, the Monte Carlo average, the extremizer and both constancy
 residuals work on T alone.
 
-Extremization is exact at n <= 2: on a surface C_{alpha,beta} is a quadratic
-on the Bloch sphere, whose extrema are a trust-region subproblem (More &
-Sorensen 1983) solved through its multipliers.  At n >= 3 the extreme
-eigenvalues of H = sym(T)/4 on Sym^2(C^n) bound the extrema, and rank-one
-roundings of its extreme eigenvectors certify them wherever they meet the
-bounds; elsewhere a projected gradient ascent from seeded starts decides.
+Extremization is one pipeline at every n: the extreme eigenvalues of
+H = sym(T)/4 on Sym^2(C^n) bound the extrema, and rank-one roundings of its
+extreme eigenvectors certify them wherever they meet the bounds.  Elsewhere a
+surface solves its trust-region subproblem on the Bloch sphere exactly (More
+& Sorensen 1983), and at n >= 3 a projected gradient ascent from seeded
+starts decides.
 Quartics such as T(Z, Zbar, Z, Zbar) are one matmul of Z (x) Zbar with T
 reshaped to (n^2, n^2) (geometry._quartic); the Monte Carlo average runs it
 _BLOCK rows of Z at a time.
@@ -82,9 +82,9 @@ class ExtremumReport:
 
     argmin/argmax are unit vectors in the g-orthonormal frame; spread is
     max_value - min_value.  bound_gap is max(lam_max - max_value, min_value -
-    lam_min) for the extreme eigenvalues of H = sym(T)/4 on Sym^2(C^n) at
-    n >= 3, which bound the extrema: 0 up to round-off when they are
-    certified; 0.0 at n <= 2, where the extrema are exact.
+    lam_min) for the extreme eigenvalues of H = sym(T)/4 on Sym^2(C^n), which
+    bound the extrema: 0 up to round-off when they are certified, the
+    distance left to the bounds when a fallback decided.
     """
 
     min_value: float
@@ -326,32 +326,38 @@ def _sym2_candidates(S):
     return lam[0], lam[-1], np.concatenate([u, np.conj(u)])
 
 
-_CERTIFY = 1e-13  # the n >= 3 bounds certify the rounded extrema within this times the curvature's size
+_CERTIFY = 1e-13  # the Sym^2 bounds certify the rounded extrema within this times the curvature's size
 _RESTARTS, _SEED = 16, 0  # random starts of the n >= 3 ascent, after the axes and bisectors
 _TOL, _MAX_ITER = 1e-7, 500  # its gradient tolerance (relative to the curvature) and iteration cap
 
 
+def _best(S, Z):
+    """(min, argmin, max, argmax) of C_{alpha,beta} over the unit candidate rows of Z."""
+    f = _objective(S, Z)
+    lo, hi = int(np.argmin(f)), int(np.argmax(f))
+    return float(f[lo]), Z[lo], float(f[hi]), Z[hi]
+
+
 def extremize(Rc: ChernCurvature, g: np.ndarray, params: MixedParams) -> ExtremumReport:
-    """Extrema of C_{alpha,beta} over the unit sphere in the g-orthonormal frame.
+    """Extrema of C_{alpha,beta} over the unit sphere in the g-orthonormal frame, at one point.
 
     On that sphere |Z|_g = |Z|_euclid, so the objective is T(Z, Zbar, Z, Zbar)
-    with T = alpha rho1 (x) I + beta R in that frame.  At n = 1 it is the
-    constant (alpha + beta) R_{1 1bar 1 1bar}; at n = 2 the extrema are exact,
-    the best candidate of _bloch_candidates.  Both are converged, with
-    restarts_used = 0 and bound_gap = 0.0.
-
-    At n >= 3 the extreme eigenvalues of H = sym(T)/4 on Sym^2(C^n) bound
-    the extrema, and the best of the four rank-one roundings of
-    _sym2_candidates is attained.  When both bounds are met within 1e-13
-    times the curvature magnitude max(1, |alpha| max|rho1|, |beta| max|R|),
-    the extrema are certified: converged, restarts_used = 0.  Otherwise
-    projected gradient ascent of T and of -T runs from the frame axes, the
-    pair bisectors and 16 seeded random starts (restarts_used counts them
-    all), at most 500 iterations; converged then means the projected
-    gradient fell below 1e-7 times the curvature magnitude at both
-    extremizers, so the extremal values are accurate to about 1e-14 of it.
-    bound_gap measures either path against the same bounds.
+    with T = alpha rho1 (x) I + beta R in that frame.  The extreme eigenvalues
+    of H = sym(T)/4 on Sym^2(C^n) bound the extrema.  When the best rank-one
+    rounding of _sym2_candidates meets both bounds within 1e-13 times the
+    curvature magnitude max(1, |alpha| max|rho1|, |beta| max|R|) (always at
+    n = 1), the extrema are certified: converged, restarts_used = 0.
+    Otherwise at n = 2 the best of _bloch_candidates is exact (converged,
+    restarts_used = 0), and at n >= 3 projected gradient ascent of T and of
+    -T runs from the frame axes, the pair bisectors and 16 seeded random
+    starts (restarts_used counts them all), at most 500 iterations;
+    converged then means the projected gradient fell below 1e-7 times the
+    curvature magnitude at both extremizers, so the extremal values are
+    accurate to about 1e-14 of it.  bound_gap measures every path against
+    the same bounds.
     """
+    if Rc.tensor.ndim != 4:
+        raise ValueError(f"extremize takes one point, got a curvature tensor of shape {Rc.tensor.shape}")
     R, rho = _unitary_data(Rc, g)
     n = R.shape[0]
 
@@ -361,28 +367,22 @@ def extremize(Rc: ChernCurvature, g: np.ndarray, params: MixedParams) -> Extremu
     pos = MixedParams(params.alpha / unit, params.beta / unit)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # reported as MetricError below
         S = _form(R, rho, np.eye(n), pos)
-        if n == 1:
-            Z = np.ones((1, 1), dtype=complex)
-        elif n == 2:
-            Z = _bloch_candidates(S)
-        else:
-            lam_min, lam_max, Z = _sym2_candidates(S)
-        f = _objective(S, Z)
-        lo, hi = int(np.argmin(f)), int(np.argmax(f))
-        max_val, argmax, min_neg, argmin = float(f[hi]), Z[hi], -float(f[lo]), Z[lo]
-        converged, used, gap = True, 0, 0.0
-        if n >= 3:
-            scale = max(1.0, abs(pos.alpha) * np.max(np.abs(rho)), abs(pos.beta) * np.max(np.abs(R)))
-            if not (lam_max - max_val <= _CERTIFY * scale and -min_neg - lam_min <= _CERTIFY * scale):
+        lam_min, lam_max, Z = _sym2_candidates(S)
+        min_val, argmin, max_val, argmax = _best(S, Z)
+        converged, used = True, 0
+        scale = max(1.0, abs(pos.alpha) * np.max(np.abs(rho)), abs(pos.beta) * np.max(np.abs(R)))
+        if not (lam_max - max_val <= _CERTIFY * scale and min_val - lam_min <= _CERTIFY * scale):
+            if n == 2:
+                min_val, argmin, max_val, argmax = _best(S, _bloch_candidates(S))
+            elif n >= 3:  # n = 1 misses the bounds only when S is not finite, reported below
                 rng = np.random.default_rng(_SEED)
                 W = rng.standard_normal((_RESTARTS, n)) + 1j * rng.standard_normal((_RESTARTS, n))
                 starts = np.concatenate([_axis_and_bisector_seeds(n), W])
-                tol = _TOL * scale
-                max_val, argmax, ok_max = _ascend(S, starts, tol, _MAX_ITER)
-                min_neg, argmin, ok_min = _ascend(-S, starts, tol, _MAX_ITER)
-                converged, used = ok_max and ok_min, len(starts)
-            gap = max(lam_max - max_val, -min_neg - lam_min)
-    max_val, min_val, gap = max_val * unit, -min_neg * unit, gap * unit
+                max_val, argmax, ok_max = _ascend(S, starts, _TOL * scale, _MAX_ITER)
+                min_neg, argmin, ok_min = _ascend(-S, starts, _TOL * scale, _MAX_ITER)
+                min_val, converged, used = -min_neg, ok_max and ok_min, len(starts)
+        gap = max(lam_max - max_val, min_val - lam_min)
+    max_val, min_val, gap = max_val * unit, min_val * unit, gap * unit
     if not np.all(np.isfinite([min_val, max_val, max_val - min_val, gap])):
         raise MetricError(f"mixed curvature extrema not finite for alpha={params.alpha!r}, beta={params.beta!r}")
     return ExtremumReport(

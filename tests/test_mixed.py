@@ -28,6 +28,7 @@ from chernkit.mixed import (
     MixedParams,
     _ascend,
     _axis_and_bisector_seeds,
+    _bloch_candidates,
     _form,
     _gradient,
     _objective,
@@ -51,13 +52,14 @@ def _unitary_setup(name, seed=0):
     return jet, Ru
 
 
+GENERIC_2 = Path(__file__).parent / "data" / "generic-2.metric"
 GENERIC_3 = Path(__file__).parent / "data" / "generic-3.metric"
 
 
-def _generic_3_curvatures(count, seed):
-    """Unitary-frame curvature of the generic n = 3 file metric at count seeded points."""
-    spec = parse_metric(GENERIC_3.read_text(), name=GENERIC_3.stem)
-    jets = metric_jets(spec, spec.domain.sample(3, count, np.random.default_rng(seed)))
+def _generic_curvatures(path, count, seed):
+    """Unitary-frame curvature of a generic file metric at count seeded points."""
+    spec = parse_metric(path.read_text(), name=path.stem)
+    jets = metric_jets(spec, spec.domain.sample(spec.n, count, np.random.default_rng(seed)))
     return to_unitary_frame(chern_curvature(jets), jets)
 
 
@@ -260,21 +262,21 @@ def test_extremize_report_invariants():
     assert rep.spread >= 0
     assert abs(np.linalg.norm(rep.argmin) - 1) < 1e-12
     assert abs(np.linalg.norm(rep.argmax) - 1) < 1e-12
-    # exact at n = 2: no ascent start
-    assert rep.restarts_used == 0
+    # certified at n = 2 too: no ascent start
+    assert rep.restarts_used == 0 and rep.converged
     again = extremize(Ru, np.eye(2), MixedParams(0.0, 1.0))
     assert rep.min_value == again.min_value
     assert rep.max_value == again.max_value
     assert np.array_equal(rep.argmin, again.argmin)
     assert np.array_equal(rep.argmax, again.argmax)
-    assert rep.bound_gap == 0.0
+    assert abs(rep.bound_gap) <= 1e-13 * max(1.0, np.max(np.abs(Ru.tensor)))
     # certified at n = 3 on hopf: the Sym^2 bounds are met, no ascent start
     jet, Ru = _unitary_setup("hopf-3", seed=15)
     rep = extremize(Ru, np.eye(3), MixedParams(0.0, 1.0))
     assert rep.restarts_used == 0 and rep.converged
     assert abs(rep.bound_gap) <= 1e-13 * max(1.0, np.max(np.abs(Ru.tensor)))
     # the ascent where the bounds are not met: 3 axes + 9 bisectors + 16 random restarts
-    Ru = _generic_3_curvatures(1, seed=15)[0]
+    Ru = _generic_curvatures(GENERIC_3, 1, seed=15)[0]
     rep = extremize(Ru, np.eye(3), MixedParams(0.0, 1.0))
     assert rep.restarts_used == 28 and rep.converged
     assert rep.bound_gap > 1e-3
@@ -474,8 +476,18 @@ _SURFACES = ("hopf-2", "adm-product-surface", "isosceles-hopf-surface", "fubini-
              "complex-hyperbolic-2", "euclidean-2")
 
 
+def _bloch_extrema(S):
+    """(min, argmin, max, argmax) over the candidates of the exact Bloch-sphere solve."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # as in extremize: non-finite rows are dropped
+        Z = _bloch_candidates(S)
+    f = _objective(S, Z)
+    lo, hi = int(np.argmin(f)), int(np.argmax(f))
+    return f[lo], Z[lo], f[hi], Z[hi]
+
+
 def test_exact_surface_extrema_never_lose_to_the_ascent():
-    # 6 surfaces x 10 points x 10 pair directions spread round the circle
+    # 6 surfaces x 10 points x 10 pair directions spread round the circle; on every catalog
+    # surface the Sym^2 bounds are met, and the certified extrema are the exact solve's
     cases = 0
     for s, name in enumerate(_SURFACES):
         entry = builtin(name)
@@ -488,6 +500,11 @@ def test_exact_surface_extrema_never_lose_to_the_ascent():
                 params = MixedParams(np.cos(theta), np.sin(theta))
                 rep = extremize(R_point, np.eye(2), params)
                 assert rep.converged and rep.restarts_used == 0
+                scale = _scale(R, rho, params)
+                assert abs(rep.bound_gap) <= 1e-13 * scale, (name, theta)
+                exact_lo, _, exact_hi, _ = _bloch_extrema(_form(R, rho, np.eye(2), params))
+                assert abs(rep.min_value - exact_lo) <= 1e-13 * scale, (name, theta)
+                assert abs(rep.max_value - exact_hi) <= 1e-13 * scale, (name, theta)
                 lo, hi = _ascent_extrema(R, rho, params)
                 assert rep.min_value <= lo + 1e-12 * max(1.0, abs(lo)), (name, theta)
                 assert rep.max_value >= hi - 1e-12 * max(1.0, abs(hi)), (name, theta)
@@ -611,7 +628,7 @@ def test_uncertified_extrema_are_the_plain_ascent():
     # on the generic file metric the Sym^2 bounds are not met where beta != 0; there extremize
     # returns the two ascents' output bit for bit
     fallbacks = 0
-    for R_point in _generic_3_curvatures(3, seed=31):
+    for R_point in _generic_curvatures(GENERIC_3, 3, seed=31):
         R, rho = _unitary_data(R_point, np.eye(3))
         for theta in 2 * np.pi * (np.arange(8) + 0.5) / 8:
             params = MixedParams(np.cos(theta), np.sin(theta))
@@ -628,6 +645,41 @@ def test_uncertified_extrema_are_the_plain_ascent():
             assert gap > 1e-13 * _scale(R, rho, params)
             assert abs(rep.bound_gap - gap) <= 1e-14 * _scale(R, rho, params)
     assert fallbacks == 24  # every direction here has beta well away from 0
+
+
+def test_uncertified_surface_extrema_are_the_exact_solve():
+    # on the generic file surface the Sym^2 bounds are not met, not even by the exact extrema;
+    # there extremize returns the best of the Bloch-sphere candidates bit for bit
+    fallbacks = 0
+    for R_point in _generic_curvatures(GENERIC_2, 3, seed=31):
+        R, rho = _unitary_data(R_point, np.eye(2))
+        for theta in 2 * np.pi * (np.arange(8) + 0.5) / 8:
+            params = MixedParams(np.cos(theta), np.sin(theta))
+            S = _form(R, rho, np.eye(2), params)
+            lo, argmin, hi, argmax = _bloch_extrema(S)
+            lam = np.linalg.eigvalsh(_symmetric_square(S))
+            gap = max(lam[-1] - hi, lo - lam[0])
+            if gap <= 1e-13 * _scale(R, rho, params):
+                continue
+            fallbacks += 1
+            rep = extremize(R_point, np.eye(2), params)
+            assert (rep.min_value, rep.max_value, rep.spread) == (lo, hi, hi - lo)
+            assert np.array_equal(rep.argmin, argmin) and np.array_equal(rep.argmax, argmax)
+            assert rep.converged and rep.restarts_used == 0
+            assert rep.bound_gap > 1e-13 * _scale(R, rho, params)
+            assert abs(rep.bound_gap - gap) <= 1e-14 * _scale(R, rho, params)
+    assert fallbacks == 24
+
+
+@pytest.mark.parametrize("name", ["hopf-2", "hopf-3"])
+def test_extremize_takes_one_point(name):
+    entry = builtin(name)
+    jets = metric_jets(entry.spec, sample_points(entry, 4, 0))
+    Ru = to_unitary_frame(chern_curvature(jets), jets)
+    shape = str(Ru.tensor.shape)
+    with pytest.raises(ValueError, match="one point") as err:
+        extremize(Ru, np.eye(entry.spec.n), MixedParams(1.0, 1.0))
+    assert shape in str(err.value)
 
 
 @pytest.mark.parametrize("double", [False, True])
