@@ -104,8 +104,8 @@ def _mixed_row(params: MixedParams, rep) -> dict:
         "min": rep.min_value,
         "max": rep.max_value,
         "spread": rep.spread,
-        "argmin": report.point_json(rep.argmin),
-        "argmax": report.point_json(rep.argmax),
+        "argmin": rep.argmin,
+        "argmax": rep.argmax,
         "restarts_used": rep.restarts_used,
         "converged": rep.converged,
         "bound_gap": rep.bound_gap,
@@ -122,13 +122,13 @@ def _bodies(jets, pairs) -> list:
         eig, kd, kld = np.linalg.eigvalsh(jets.g), kahler_defect(jets), kahler_like_defect(Ru)
         return [
             {
-                "g_eigenvalues": [float(x) for x in eig[k]],
+                "g_eigenvalues": eig[k],
                 "kahler_defect": kd[k],
                 "kahler_like_defect": kld[k],
                 "u": b.u[k],
                 "v": b.v[k],
                 "eta_norm2": t.eta_norm2[k],
-                "ricci": {rho: report.matrix_json(getattr(b, rho)[k]) for rho in ("rho1", "rho2", "rho3", "rho4")},
+                "ricci": {rho: getattr(b, rho)[k] for rho in ("rho1", "rho2", "rho3", "rho4")},
                 "mixed": [_mixed_row(params, extremize(R, np.eye(jets.n), params)) for params in pairs],
             }
             for k, R in enumerate(Ru)
@@ -147,7 +147,7 @@ def _eval_records(spec: MetricSpec, pts, pairs) -> list:
         jets, reasons = _jets(spec, pts)
     bodies = iter(_bodies(jets, pairs))
     return [
-        {"point": report.point_json(p), **(next(bodies) if why is None else {"error": str(why)})}
+        {"point": p, **(next(bodies) if why is None else {"error": str(why)})}
         for p, why in zip(pts, reasons)
     ]
 
@@ -219,7 +219,7 @@ def cmd_extremize(args) -> int:
         doc = {
             "schema": SCHEMA_VERSION,
             "metric": args.metric,
-            "rows": [{"point": report.point_json(p), **_mixed_row(params, rep)} for p, params, rep in rows],
+            "rows": [{"point": p, **_mixed_row(params, rep)} for p, params, rep in rows],
         }
         Path(args.out).write_text(report.dumps(doc))
     return 0

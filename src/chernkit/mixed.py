@@ -32,6 +32,7 @@ _BLOCK rows of Z at a time.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -331,6 +332,21 @@ _RESTARTS, _SEED = 16, 0  # random starts of the n >= 3 ascent, after the axes a
 _TOL, _MAX_ITER = 1e-7, 500  # its gradient tolerance (relative to the curvature) and iteration cap
 
 
+def _scaled_form(R, rho, params: MixedParams):
+    """(S, e, scale): T = 2^e S in a unitary frame, with S's magnitude
+    scale = max(|alpha| max|rho1|, |beta| max|R|) / 2^e between 1/2 and 2, or 0 when T = 0.
+
+    e is taken from the exponents of the weights and of max|rho1|, max|R|, so the
+    magnitude of T may lie outside the floats while S neither over- nor
+    underflows; on S the ascent's ladder of steps is relative to the curvature.
+    """
+    sizes = [(w, float(np.max(np.abs(t)))) for w, t in ((params.alpha, rho), (params.beta, R))]
+    e = max((math.frexp(w)[1] + math.frexp(m)[1] - 1 for w, m in sizes if w and m), default=0)
+    a, b = math.ldexp(params.alpha, -e), math.ldexp(params.beta, -e)
+    S = _form(R, rho, np.eye(R.shape[0]), MixedParams(a, b))
+    return S, e, max(abs(a) * sizes[0][1], abs(b) * sizes[1][1])
+
+
 def _best(S, Z):
     """(min, argmin, max, argmax) of C_{alpha,beta} over the unit candidate rows of Z."""
     f = _objective(S, Z)
@@ -345,7 +361,7 @@ def extremize(Rc: ChernCurvature, g: np.ndarray, params: MixedParams) -> Extremu
     with T = alpha rho1 (x) I + beta R in that frame.  The extreme eigenvalues
     of H = sym(T)/4 on Sym^2(C^n) bound the extrema.  When the best rank-one
     rounding of _sym2_candidates meets both bounds within 1e-13 times the
-    curvature magnitude max(1, |alpha| max|rho1|, |beta| max|R|) (always at
+    curvature magnitude max(|alpha| max|rho1|, |beta| max|R|) (always at
     n = 1), the extrema are certified: converged, restarts_used = 0.
     Otherwise at n = 2 the best of _bloch_candidates is exact (converged,
     restarts_used = 0), and at n >= 3 projected gradient ascent of T and of
@@ -354,23 +370,21 @@ def extremize(Rc: ChernCurvature, g: np.ndarray, params: MixedParams) -> Extremu
     converged then means the projected gradient fell below 1e-7 times the
     curvature magnitude at both extremizers, so the extremal values are
     accurate to about 1e-14 of it.  bound_gap measures every path against
-    the same bounds.
+    the same bounds.  Every path runs on T divided by an exact power of two
+    that brings that magnitude between 1/2 and 2 (_scaled_form), so both
+    tolerances have no absolute floor and the result scales exactly with
+    the weights and with the curvature, however large or small.
     """
     if Rc.tensor.ndim != 4:
         raise ValueError(f"extremize takes one point, got a curvature tensor of shape {Rc.tensor.shape}")
     R, rho = _unitary_data(Rc, g)
     n = R.shape[0]
 
-    # weights brought below 2 by an exact power of two: the ladder's steps are absolute, and
-    # large weights do not overflow Q or the objective
-    unit = 2.0 ** max(0, int(np.frexp(max(abs(params.alpha), abs(params.beta)))[1]) - 1)
-    pos = MixedParams(params.alpha / unit, params.beta / unit)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # reported as MetricError below
-        S = _form(R, rho, np.eye(n), pos)
+        S, e, scale = _scaled_form(R, rho, params)
         lam_min, lam_max, Z = _sym2_candidates(S)
         min_val, argmin, max_val, argmax = _best(S, Z)
         converged, used = True, 0
-        scale = max(1.0, abs(pos.alpha) * np.max(np.abs(rho)), abs(pos.beta) * np.max(np.abs(R)))
         if not (lam_max - max_val <= _CERTIFY * scale and min_val - lam_min <= _CERTIFY * scale):
             if n == 2:
                 min_val, argmin, max_val, argmax = _best(S, _bloch_candidates(S))
@@ -382,7 +396,7 @@ def extremize(Rc: ChernCurvature, g: np.ndarray, params: MixedParams) -> Extremu
                 min_neg, argmin, ok_min = _ascend(-S, starts, _TOL * scale, _MAX_ITER)
                 min_val, converged, used = -min_neg, ok_max and ok_min, len(starts)
         gap = max(lam_max - max_val, min_val - lam_min)
-    max_val, min_val, gap = max_val * unit, min_val * unit, gap * unit
+        min_val, max_val, gap = (float(x) for x in np.ldexp([min_val, max_val, gap], e))
     if not np.all(np.isfinite([min_val, max_val, max_val - min_val, gap])):
         raise MetricError(f"mixed curvature extrema not finite for alpha={params.alpha!r}, beta={params.beta!r}")
     return ExtremumReport(
@@ -393,7 +407,7 @@ def extremize(Rc: ChernCurvature, g: np.ndarray, params: MixedParams) -> Extremu
         spread=max_val - min_val,
         restarts_used=used,
         converged=converged,
-        bound_gap=float(gap),
+        bound_gap=gap,
     )
 
 

@@ -1,31 +1,35 @@
 """Deterministic JSON serialization for reports.
 
 Floats are written with 17 significant digits (exact round-trip), nesting is
-indented two spaces a level, keys keep insertion order, and complex values
-are encoded as [re, im] pairs by the helpers below — so identical
-configurations produce bit-identical output.
+indented two spaces a level, keys keep insertion order, and a complex number
+is an [re, im] pair, so identical configurations produce bit-identical
+output.  Records hold numpy arrays as they are: a float or complex array is
+written with one %-format of a template cached per (shape, indent level),
+laid out as the nested lists it stands for (a real 1-D array, or each
+[re, im] pair, inline on one line).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 
 import numpy as np
 
-__all__ = ["dumps", "complex_pair", "point_json", "matrix_json"]
+__all__ = ["dumps"]
 
 
-def complex_pair(z) -> list:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
-def point_json(p) -> list:
-    return [complex_pair(z) for z in np.asarray(p).ravel()]
-
-
-def matrix_json(m) -> list:
-    return [[complex_pair(z) for z in row] for row in np.asarray(m)]
+@functools.cache
+def _template(shape: tuple, level: int) -> str:
+    """%-format for a float array of this shape written at this indent level."""
+    if not shape:
+        return "%.17g"
+    if len(shape) == 1:
+        return "[" + ", ".join(["%.17g"] * shape[0]) + "]"
+    if shape[0] == 0:
+        return "[]"
+    item = "  " * (level + 1) + _template(shape[1:], level + 1)
+    return "[\n" + ",\n".join([item] * shape[0]) + "\n" + "  " * level + "]"
 
 
 def _write(obj, out, level):
@@ -37,7 +41,11 @@ def _write(obj, out, level):
     elif isinstance(obj, (int, np.integer)):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
-        out.append(format(float(obj), ".17g"))
+        out.append("%.17g" % obj)
+    elif isinstance(obj, np.ndarray) and obj.dtype.kind in "fc":
+        cplx = obj.dtype.kind == "c"  # written through a float view whose trailing axis holds (re, im)
+        values = obj.ravel().view(obj.real.dtype) if cplx else obj.ravel()
+        out.append(_template(obj.shape + (2,) * cplx, level) % tuple(values.tolist()))
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
     elif isinstance(obj, dict):
@@ -57,7 +65,7 @@ def _write(obj, out, level):
             return
         simple = all(isinstance(x, (int, float, np.integer, np.floating)) for x in items)
         if simple:
-            out.append("[" + ", ".join(format(float(x), ".17g") if isinstance(x, (float, np.floating)) else str(int(x)) for x in items) + "]")
+            out.append("[" + ", ".join("%.17g" % x if isinstance(x, (float, np.floating)) else str(int(x)) for x in items) + "]")
             return
         out.append("[\n")
         for i, v in enumerate(items):

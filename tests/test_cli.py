@@ -1,5 +1,7 @@
 """Command-line interface: exit codes, JSON determinism, table output."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -7,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import report_reference
 
 from chernkit import cli, report
 from chernkit.catalog import builtin
@@ -206,9 +209,48 @@ def test_report_dumps_17_digits():
     text = report.dumps({"x": 1 / 3, "z": [1.0, 2], "flag": True, "none": None})
     assert "0.33333333333333331" in text
     assert json.loads(text) == {"x": 1 / 3, "z": [1.0, 2], "flag": True, "none": None}
-    # complex helpers
-    assert report.complex_pair(1 + 2j) == [1.0, 2.0]
-    assert report.point_json(np.array([1j])) == [[0.0, 1.0]]
+    # complex arrays are lists of [re, im] pairs
+    assert json.loads(report.dumps(np.array([1 + 2j]))) == [[1.0, 2.0]]
+    assert json.loads(report.dumps(np.array([1j]))) == [[0, 1]]
+
+
+def _documents(monkeypatch, *argv):
+    """The documents one cli.main call hands to report.dumps."""
+    docs, dumps = [], report.dumps
+    monkeypatch.setattr(report, "dumps", lambda doc: docs.append(doc) or dumps(doc))
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(list(argv))
+    monkeypatch.undo()
+    return docs
+
+
+_PAIRS = ("--alpha", "1", "--beta", "1", "--alpha", "0", "--beta", "1")
+_DOCUMENTS = {
+    "eval-n1": ("eval", "--metric", "fubini-study-1", "--points", "2", *_PAIRS),
+    "eval-n2": ("eval", "--metric", "hopf-2", "--points", "3", *_PAIRS),
+    "eval-n3": ("eval", "--metric", GENERIC_3, "--points", "2", *_PAIRS),
+    "eval-n4": ("eval", "--metric", "complex-hyperbolic-4", "--points", "2", *_PAIRS),
+    "eval-error-record": ("eval", "--metric", "hopf-2", "--point", "0,0", "--point", "1,0"),
+    "eval-conformal": ("eval", "--metric", "euclidean-2", "--point", "1+0i,0.5-0.25i",
+                       "--conformal=-0.5*log(abs2(z))", *_PAIRS),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_DOCUMENTS))
+def test_report_dumps_matches_the_list_writer(monkeypatch, case):
+    (doc,) = _documents(monkeypatch, *_DOCUMENTS[case])
+    assert isinstance(doc["records"][-1]["point"], np.ndarray)  # records keep their arrays
+    assert report.dumps(doc) == report_reference.dumps(report_reference.list_form(doc))
+
+
+def test_report_dumps_matches_the_list_writer_on_extremize_and_edge_arrays(monkeypatch, tmp_path):
+    (doc,) = _documents(monkeypatch, "extremize", "--metric", "hopf-3", "--points", "2", *_PAIRS,
+                        "--out", str(tmp_path / "x.json"))
+    edges = {"empty": np.array([]), "empty-complex": np.zeros(0, complex), "rows": np.zeros((2, 0), complex),
+             "zero-d": np.array(1 / 3), "zero-d-complex": np.array(-0.0 + 1e-300j),
+             "real-matrix": np.array([[1.5, -np.inf], [np.nan, 2e-310]])}
+    for obj in (doc, edges):
+        assert report.dumps(obj) == report_reference.dumps(report_reference.list_form(obj))
 
 
 def test_eval_non_finite_metric_is_an_error_record(tmp_path):

@@ -1,5 +1,9 @@
 """Mixed curvature: values, averages, extremization vs a dense grid oracle."""
 
+import contextlib
+import io
+import json
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -7,6 +11,7 @@ import numpy as np
 import pytest
 import recombined_reference as recombined
 
+from chernkit import cli, mixed
 from chernkit.catalog import builtin, names, sample_points
 from chernkit.checks import _sphere_design
 from chernkit.conformal import conformal_metric
@@ -32,6 +37,7 @@ from chernkit.mixed import (
     _form,
     _gradient,
     _objective,
+    _scaled_form,
     _sym2_basis,
     _symmetric_square,
     _unitary_data,
@@ -451,19 +457,19 @@ def test_extremize_converges_when_starts_tie_at_the_extremum():
 
 def _scale(R, rho, params):
     """The curvature magnitude extremize measures its tolerances against."""
-    return max(1.0, abs(params.alpha) * np.max(np.abs(rho)), abs(params.beta) * np.max(np.abs(R)))
+    return max(abs(params.alpha) * np.max(np.abs(rho)), abs(params.beta) * np.max(np.abs(R)))
 
 
 def _ascents(R, rho, params):
-    """(max, argmax, converged) of T and of -T from the projected-gradient ascent, started and
-    stopped as extremize does at n >= 3."""
+    """(max, argmax, converged) of T and of -T from the projected-gradient ascent, started,
+    stopped and scaled as extremize does at n >= 3."""
     n = R.shape[0]
     rng = np.random.default_rng(0)
     W = rng.standard_normal((16, n)) + 1j * rng.standard_normal((16, n))
     starts = np.concatenate([_axis_and_bisector_seeds(n), W])
-    tol = 1e-7 * _scale(R, rho, params)
-    S = _form(R, rho, np.eye(n), params)
-    return _ascend(S, starts, tol, 500), _ascend(-S, starts, tol, 500)
+    S, e, scale = _scaled_form(R, rho, params)
+    runs = _ascend(S, starts, 1e-7 * scale, 500), _ascend(-S, starts, 1e-7 * scale, 500)
+    return [(float(np.ldexp(value, e)), Z, ok) for value, Z, ok in runs]
 
 
 def _ascent_extrema(R, rho, params):
@@ -655,14 +661,15 @@ def test_uncertified_surface_extrema_are_the_exact_solve():
         R, rho = _unitary_data(R_point, np.eye(2))
         for theta in 2 * np.pi * (np.arange(8) + 0.5) / 8:
             params = MixedParams(np.cos(theta), np.sin(theta))
-            S = _form(R, rho, np.eye(2), params)
+            S, e, scale = _scaled_form(R, rho, params)  # the solve runs on T / 2^e, as in extremize
             lo, argmin, hi, argmax = _bloch_extrema(S)
             lam = np.linalg.eigvalsh(_symmetric_square(S))
             gap = max(lam[-1] - hi, lo - lam[0])
-            if gap <= 1e-13 * _scale(R, rho, params):
+            if gap <= 1e-13 * scale:
                 continue
             fallbacks += 1
             rep = extremize(R_point, np.eye(2), params)
+            lo, hi, gap = np.ldexp([lo, hi, gap], e)
             assert (rep.min_value, rep.max_value, rep.spread) == (lo, hi, hi - lo)
             assert np.array_equal(rep.argmin, argmin) and np.array_equal(rep.argmax, argmax)
             assert rep.converged and rep.restarts_used == 0
@@ -711,3 +718,52 @@ def test_extremize_reports_non_finite_surface_extrema():
     R = np.full((2, 2, 2, 2), 1e308 + 0j)
     with pytest.raises(MetricError, match="not finite"):
         extremize(ChernCurvature(R, "unitary", np.zeros(2)), np.eye(2), MixedParams(1.0, 1.0))
+
+
+_SCALED = {"generic-2": GENERIC_2, "generic-3": GENERIC_3,
+           "hopf-3": Path(__file__).parents[1] / "src" / "chernkit" / "metrics" / "hopf-3.metric"}
+
+
+def _counted(f, calls):
+    def counted(*args):
+        calls.append(f.__name__)
+        return f(*args)
+
+    return counted
+
+
+def _scaled_eval(tmp_path, monkeypatch, name, s):
+    """(mixed row, path) of `eval --points 1 --alpha 1 --beta 1` on the metric with g scaled by s."""
+    text = re.sub(r"^(g\[\d,\d\]) = (.*)$", rf"\1 = {s}*(\2)", _SCALED[name].read_text(), flags=re.M)
+    metric = tmp_path / f"{name}-{s}.metric"
+    metric.write_text(text)
+    calls = []
+    for fallback in (mixed._bloch_candidates, mixed._ascend):
+        monkeypatch.setattr(mixed, fallback.__name__, _counted(fallback, calls))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["eval", "--metric", str(metric), "--points", "1", "--alpha", "1", "--beta", "1"]) == 0
+    monkeypatch.undo()
+    path = "ascent" if "_ascend" in calls else "exact" if calls else "certified"
+    return json.loads(out.getvalue())["records"][0]["mixed"][0], path
+
+
+@pytest.mark.parametrize("name", sorted(_SCALED))
+def test_extremize_scales_with_the_metric(tmp_path, monkeypatch, name):
+    # g -> s g scales C_{alpha,beta} by 1/s exactly: the extrema follow and no path changes,
+    # however far from 1 the curvature is
+    ref, ref_path = _scaled_eval(tmp_path, monkeypatch, name, "1")
+    size = max(abs(ref["min"]), abs(ref["max"]))
+    assert ref_path == {"generic-2": "exact", "generic-3": "ascent", "hopf-3": "certified"}[name]
+    for s in ("1e-150", "1e-14", "1e-8", "1e8", "1e14", "1e100"):
+        row, path = _scaled_eval(tmp_path, monkeypatch, name, s)
+        assert path == ref_path, s
+        assert row["converged"] == ref["converged"] and row["restarts_used"] == ref["restarts_used"], s
+        for key in ("min", "max"):
+            assert abs(row[key] * float(s) - ref[key]) <= 1e-12 * size, (s, key, row[key])
+
+
+def test_extremize_on_a_tiny_surface_metric_is_finite(tmp_path, monkeypatch):
+    # at g scaled by 1e-160 the curvature is about 1e160; the exact surface solve squared it
+    row, path = _scaled_eval(tmp_path, monkeypatch, "generic-2", "1e-160")
+    assert path == "exact" and np.isfinite(row["min"]) and np.isfinite(row["max"])
