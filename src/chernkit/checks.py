@@ -51,6 +51,7 @@ from .geometry import (
 from .jets import factor_jet, metric_jets
 from .mixed import (
     MixedParams,
+    _sphere_design,
     constancy_tensor_residual,
     extremize,
     mixed_curvature,
@@ -298,17 +299,6 @@ def _mc_pairs():
     return pairs
 
 
-def _sphere_design(n: int):
-    """(points, weights): a signed cubature exact for every degree-(2, 2) moment on the unit sphere of C^n.
-
-    e_i weigh (3 - n)/(n(n+1)) and (e_i + i^m e_j)/sqrt2, i < j, m = 0..3, weigh 1/(n(n+1)), the four phases
-    cancelling each unbalanced moment (complex designs: Delsarte, Goethals & Seidel, Geom. Dedicata 6, 1977).
-    """
-    E, s = np.eye(n, dtype=complex), 1 / np.sqrt(2)
-    pairs = [s * E[i] + s * 1j**m * E[j] for i in range(n) for j in range(i + 1, n) for m in range(4)]
-    return np.array([*E, *pairs]), np.array([3.0 - n] * n + [1.0] * len(pairs)) / (n * (n + 1))
-
-
 def check_sphere_average():
     out = []
     pairs = _mc_pairs()
@@ -352,12 +342,11 @@ def check_fd():
     for name in names():
         entry = builtin(name)
         pts = sample_points(entry, 20, 97)
-        entries = [e for row in entry.spec.entries for e in row if e != ex.ZERO]
-        worst = max([0.0] + [ex.fd_residual(e, pts, h) for e in entries])
+        worst = ex.fd_residual(ex.compile_program([e for row in entry.spec.entries for e in row]), pts, h)
         out.append(_outcome("fd-cross-check/entries", name, worst, 1e-6, "derived"))
     rng = np.random.default_rng(97)
     pts = rng.uniform(-0.5, 0.5, size=(20, 6)).view(complex)
-    worst = max(ex.fd_residual(parse_expression(ftext, 3), pts, h) for ftext in _FACTORS)
+    worst = ex.fd_residual(ex.compile_program([parse_expression(ftext, 3) for ftext in _FACTORS]), pts, h)
     out.append(_outcome("fd-cross-check/conformal-factors", "(factors)", worst, 1e-6, "derived"))
     return out
 

@@ -13,8 +13,8 @@ constants and drop additive/multiplicative identities (0*e -> 0, e+0 -> e,
 1*e -> e); nothing else is simplified.
 
 :func:`compile_program` interns trees into one straight-line program, and
-:func:`evaluate` runs it, for a single tree too.  The same runner can carry,
-with each value, every d_i, dbar_j and d_i dbar_j in one pass (forward-mode
+:func:`evaluate` runs it, for a single tree too.  With ``jet=True`` the same
+run carries, with each value, every d_i, dbar_j and d_i dbar_j (forward-mode
 Wirtinger jets); that is how the package differentiates.
 :func:`wirtinger_diff` builds the exact symbolic derivative tree and is the
 reference the jets are tested against.  Correctness rests on numeric
@@ -284,7 +284,7 @@ def _diff(e: Expr, kind: str, k: int) -> Expr:
 # Evaluation
 
 
-def evaluate(e, p):
+def evaluate(e, p, jet: bool = False):
     """Evaluate e at a point (or batch of points) in C^n.
 
     p has shape (n,) for a single point or (m, n) for a batch; the result is
@@ -296,11 +296,14 @@ def evaluate(e, p):
     e may also be a :class:`Program`; the result then has one trailing
     column per root, shape (k,) or (m, k), bit-identical to evaluating each
     root on its own.
+    With jet on, each result is its jet (see _run), shape (..., 1 + 2n + n^2)
+    or (..., 1 + 2n + n^2, k), whose value column is the plain result bit for bit.
     """
     pts = np.asarray(p, dtype=complex)
     prog = e if isinstance(e, Program) else compile_program([e])
-    out, failed = _run(prog, pts.reshape(-1, pts.shape[-1] if pts.ndim else 1))
-    _raise_failure(prog, failed)
+    out, failed = _run(prog, pts.reshape(-1, pts.shape[-1] if pts.ndim else 1), jet)
+    if np.any(failed >= 0):
+        raise EvaluationError(_reason(prog, failed[failed >= 0].min()))
     out = out.reshape(pts.shape[:-1] + out.shape[1:])
     return out if prog is e else out[..., 0][()]
 
@@ -418,12 +421,6 @@ _REASONS = {"guard": "division by zero", "log": "log of zero"}
 def _reason(prog: Program, slot: int) -> str:
     """Why the guard or log in prog's slot failed."""
     return _REASONS[prog.code[slot][0]]
-
-
-def _raise_failure(prog: Program, failed: np.ndarray):
-    """Raise the EvaluationError of the earliest failed slot, if any point failed."""
-    if np.any(failed >= 0):
-        raise EvaluationError(_reason(prog, failed[failed >= 0].min()))
 
 
 def _mark(failed: np.ndarray, bad, slot: int):
@@ -591,7 +588,7 @@ def to_source(e: Expr) -> str:
 # Finite-difference cross-validation
 
 
-def fd_residual(e: Expr, p, h: float = 1e-5) -> float:
+def fd_residual(e, p, h: float = 1e-5) -> float:
     """Max deviation between jet and central-difference Wirtinger derivatives.
 
     For every coordinate k present at the point, compares the d_k and dbar_k
@@ -599,20 +596,21 @@ def fd_residual(e: Expr, p, h: float = 1e-5) -> float:
     against 0.5*(d/dx_k -/+ i d/dy_k) central differences of step h.  Used as
     a validation residual; h must be > 0 and p interior with margin >= 2h.
     p is one point, shape (n,), or a batch, shape (m, n); the result is the
-    maximum over the batch.  One compiled program of e serves both: its jet
-    run over the batch, and its plain run over all 4n shifted copies of it.
+    maximum over the batch.  e may also be a :class:`Program`, and the
+    result is then the maximum over its roots, bit-identical to the largest
+    of the roots' own residuals.  One program serves both runs: its jet run
+    over the batch, and its plain run over all 4n shifted copies of it.
     """
     if h <= 0:
         raise ValueError("finite-difference step must be positive")
     pts = np.atleast_2d(np.asarray(p, dtype=complex))
     m, n = pts.shape
-    prog = compile_program([e])
-    J, failed = _run(prog, pts, jet=True)
-    _raise_failure(prog, failed)
-    sym = J[:, 1 : 2 * n + 1, 0].T.reshape(2, n, m)
+    prog = e if isinstance(e, Program) else compile_program([e])
+    J = evaluate(prog, pts, jet=True)
+    sym = np.moveaxis(J[:, 1 : 2 * n + 1], 0, 1).reshape(2, n, m, -1)
     hx, hy = h * np.eye(n, dtype=complex), 1j * h * np.eye(n, dtype=complex)
     shifted = [pts + d for d in hx] + [pts - d for d in hx] + [pts + d for d in hy] + [pts - d for d in hy]
-    f = evaluate(prog, np.concatenate(shifted)).reshape(4, n, m)
+    f = evaluate(prog, np.concatenate(shifted)).reshape(4, n, m, -1)
     fx = (f[0] - f[1]) / (2 * h)
     fy = (f[2] - f[3]) / (2 * h)
     fd = np.stack([0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)])

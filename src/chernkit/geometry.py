@@ -23,6 +23,8 @@ its results carry the leading batch axes of its inputs.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +55,11 @@ class ChernCurvature(_PerPoint):
     """Rank-4 curvature array R[i, j, k, l] = R_{i jbar k lbar} at a point or a batch.
 
     In the unitary frame the metric used for traces is the identity and
-    frame_matrix holds the frame columns in coordinate components.
+    frame_matrix holds the frame columns in coordinate components.  size is
+    the magnitude of the terms the tensor was summed from, per point, or
+    None where they are not tracked (a tensor built by hand): R can cancel
+    far below it, its round-off cannot, so realness checks of its
+    contractions are measured against it (see _bound).
     """
 
     _CORE = ("tensor", 4)
@@ -61,6 +67,7 @@ class ChernCurvature(_PerPoint):
     frame: str  # "coordinate" | "unitary"
     point: np.ndarray
     frame_matrix: np.ndarray | None = None
+    size: np.ndarray | float | None = None
 
     @property
     def n(self) -> int:
@@ -69,7 +76,11 @@ class ChernCurvature(_PerPoint):
 
 @dataclass(frozen=True)
 class RicciBundle(_PerPoint):
-    """The four Ricci matrices plus scalar and altered scalar curvature."""
+    """The four Ricci matrices plus scalar and altered scalar curvature.
+
+    size is the magnitude of the terms the rho matrices were summed from,
+    max|g^-1| times the curvature's size, or None where that is not tracked.
+    """
 
     _CORE = ("rho1", 2)
     rho1: np.ndarray
@@ -78,6 +89,7 @@ class RicciBundle(_PerPoint):
     rho4: np.ndarray
     u: float
     v: float
+    size: np.ndarray | float | None = None
 
 
 @dataclass(frozen=True)
@@ -90,10 +102,33 @@ class Torsion(_PerPoint):
     eta_norm2: float
 
 
-def _real(x, what: str):
-    """The real part of x, a scalar or an array, checking every element's imaginary part."""
+def _bound(size, x):
+    """What round-off in a value x is measured against.
+
+    size is the magnitude of the terms x was summed from (a scalar or x's
+    shape): x can cancel far below it, its round-off cannot.  It has no
+    floor, so a metric s*g passes or fails as g does for any s > 0.  Where
+    the terms are not tracked (size None) the bound is max(1, |x|).
+    """
+    return np.maximum(1.0, np.abs(x)) if size is None else size
+
+
+def _size(*factors):
+    """The product of the magnitudes of the operands a value is summed from, or None if one is None.
+
+    The factors are multiplied left to right, so a small one first keeps
+    partial products finite.
+    """
+    return None if any(f is None for f in factors) else functools.reduce(operator.mul, factors)
+
+
+def _real(x, what: str, size=None):
+    """The real part of x, a scalar or an array, checking every element's imaginary part.
+
+    |Im x| may not exceed REALNESS_TOL * _bound(size, Re x).
+    """
     x = np.asarray(x, dtype=complex)
-    bad = np.abs(x.imag) > REALNESS_TOL * np.maximum(1.0, np.abs(x.real))
+    bad = np.abs(x.imag) > REALNESS_TOL * _bound(size, x.real)
     if np.any(bad):
         raise MetricError(f"{what} should be real, got imaginary part {x.imag[bad][0]:.3e}")
     return x.real[()]
@@ -139,7 +174,8 @@ def _quartic(R: np.ndarray, X: np.ndarray):
 def chern_curvature(jet: MetricJet) -> ChernCurvature:
     """Coordinate-frame Chern curvature tensor from a metric jet."""
     second = np.einsum("...qp,...ikq,...jpl->...ijkl", jet.g_inv, jet.dg, jet.dbar_g)
-    return ChernCurvature(-jet.ddbar_g + second, "coordinate", jet.point)
+    size = _max_abs(jet.ddbar_g, 4) + _max_abs(jet.g_inv, 2) * _max_abs(jet.dg, 3) * _max_abs(jet.dbar_g, 3)
+    return ChernCurvature(-jet.ddbar_g + second, "coordinate", jet.point, size=size)
 
 
 def orthonormal_frame(g: np.ndarray) -> np.ndarray:
@@ -155,7 +191,7 @@ def orthonormal_frame(g: np.ndarray) -> np.ndarray:
         raise MetricError(f"matrix is not positive definite: {err}") from err
     E = np.swapaxes(np.linalg.inv(L), -1, -2)
     check = np.einsum("...ij,...ia,...jb->...ab", g, E, np.conj(E))
-    if np.any(_max_abs(check - np.eye(g.shape[-1]), 2) > 1e-12 * np.maximum(1.0, _max_abs(E, 2)) ** 2):
+    if np.any(_max_abs(check - np.eye(g.shape[-1]), 2) > 1e-12 * _max_abs(E, 2) ** 2 * _max_abs(g, 2)):
         raise MetricError("orthonormal frame residual exceeds tolerance")
     return E
 
@@ -170,7 +206,8 @@ def to_unitary_frame(Rc: ChernCurvature, jet: MetricJet) -> ChernCurvature:
     if Rc.frame != "coordinate":
         raise ValueError("to_unitary_frame expects a coordinate-frame tensor")
     E = orthonormal_frame(jet.g)
-    return ChernCurvature(_in_frame(Rc.tensor, E), "unitary", Rc.point, frame_matrix=E)
+    e2 = _max_abs(E, 2) ** 2
+    return ChernCurvature(_in_frame(Rc.tensor, E), "unitary", Rc.point, E, _size(Rc.size, e2, e2))
 
 
 def ricci_bundle(Rc: ChernCurvature, g: np.ndarray) -> RicciBundle:
@@ -181,9 +218,11 @@ def ricci_bundle(Rc: ChernCurvature, g: np.ndarray) -> RicciBundle:
     rho2 = np.einsum("...ji,...ijkl->...kl", gi, R)
     rho3 = np.einsum("...jk,...ijkl->...il", gi, R)
     rho4 = np.einsum("...li,...ijkl->...kj", gi, R)
-    u = _real(np.einsum("...ji,...ij->...", gi, rho1), "scalar curvature u")
-    v = _real(np.einsum("...li,...il->...", gi, rho3), "altered scalar curvature v")
-    return RicciBundle(rho1, rho2, rho3, rho4, u, v)
+    gi_max = _max_abs(gi, 2)
+    size, uv_size = _size(Rc.size, gi_max), _size(Rc.size, gi_max, gi_max)
+    u = _real(np.einsum("...ji,...ij->...", gi, rho1), "scalar curvature u", uv_size)
+    v = _real(np.einsum("...li,...il->...", gi, rho3), "altered scalar curvature v", uv_size)
+    return RicciBundle(rho1, rho2, rho3, rho4, u, v, size)
 
 
 def torsion(jet: MetricJet) -> Torsion:
@@ -224,7 +263,7 @@ def holomorphic_sectional(Rc: ChernCurvature, g: np.ndarray, X) -> float:
     norm2 = metric_norm_sq(g, X)
     if np.any(norm2 < 1e-300):
         raise ValueError("holomorphic sectional curvature of the zero vector")
-    return _real(_quartic(Rc.tensor, X), "H(X)") / norm2**2
+    return _real(_quartic(Rc.tensor, X), "H(X)", Rc.size) / norm2**2  # its terms are at most Rc.size, as max|X_i| < 1
 
 
 def hermitian_symmetry_residual(Rc: ChernCurvature) -> float:

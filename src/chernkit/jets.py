@@ -7,10 +7,10 @@ at a batch of points (a leading axis on every array) of
 
 plus the inverse metric; ``jets[k]`` is the jet at one point.  Each
 evaluation compiles the n^2 entries of g into one interned straight-line
-program (:func:`expr.compile_program`), runs it over the whole batch, checks
-g (finite, Hermitian, positive definite), then runs the same program once in
-Wirtinger jet arithmetic, which carries dg, dbar_g and ddbar_g alongside each
-value, and checks that the derivatives are finite.  Nothing is cached and
+program (:func:`expr.compile_program`) and runs it once over the whole batch
+in Wirtinger jet arithmetic, which carries dg, dbar_g and ddbar_g alongside
+each value.  It checks g from the value column (finite, Hermitian, positive
+definite), then that the derivatives are finite.  Nothing is cached and
 nothing is differentiated symbolically.  A point that fails a check leaves
 the batch with its own reason, and :func:`metric_jets` raises the first
 point's.  A conformal factor's jet (:func:`factor_jet`) is one jet run of
@@ -28,7 +28,7 @@ from .dsl import MetricSpec
 
 __all__ = ["MetricJet", "FactorJet", "MetricError", "metric_jet", "metric_jets", "factor_jet"]
 
-HERMITIAN_TOL = 1e-10  # relative to max(1, max|g|) at each point
+HERMITIAN_TOL = 1e-10  # relative to max|g| at each point
 
 
 class MetricError(ValueError):
@@ -96,6 +96,11 @@ def _hermitian_part(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))
 
 
+def _hermitian_residual(a: np.ndarray) -> np.ndarray:
+    """max|a - a^H| over the last two axes."""
+    return np.max(np.abs(a - np.conj(np.swapaxes(a, -1, -2))), axis=(-2, -1))
+
+
 def _split(J, n: int, shape: tuple) -> tuple:
     """The (m, n, *shape), (m, n, *shape) and (m, n, n, *shape) tables d, dbar, d dbar of a jet run."""
     m, k = len(J), 2 * n + 1
@@ -114,11 +119,11 @@ def _reject(reasons: list, bad, why) -> np.ndarray:
 
 
 def _evaluate(prog: ex.Program, pts: np.ndarray, reasons: list) -> np.ndarray:
-    """prog at pts; each point where a guard or log fails gets that EvaluationError as its reason."""
+    """prog's jet run at pts; each point where a guard or log fails gets that EvaluationError as its reason."""
     try:
-        return ex.evaluate(prog, pts)
+        return ex.evaluate(prog, pts, jet=True)
     except ex.EvaluationError:  # run again to find the points that failed
-        out, failed = ex._run(prog, pts)
+        out, failed = ex._run(prog, pts, jet=True)
         for k in np.flatnonzero(failed >= 0):
             reasons[k] = reasons[k] or ex.EvaluationError(ex._reason(prog, failed[k]))
         return out
@@ -129,10 +134,11 @@ def _jets(spec: MetricSpec, points) -> tuple:
 
     A point's reason is None, or the EvaluationError or MetricError of the
     first check it fails, in this order: the g program, g finite, g
-    Hermitian (max|g - g^H| below HERMITIAN_TOL * max(1, max|g|) there), g
+    Hermitian (max|g - g^H| at most HERMITIAN_TOL * max|g| there), g
     positive definite, the derivatives of the jet run finite, and the
-    residual of the inverse metric.  The batch keeps the other points in
-    their order.
+    residual of the inverse metric (max|g^-1 g - I| at most 1e-12 * max|g| *
+    max|g^-1|).  Every tolerance scales with g, so g and s*g pass or fail
+    alike for any s > 0.  The batch keeps the other points in their order.
     """
     pts = np.asarray(points, dtype=complex)
     if pts.ndim == 1:
@@ -142,24 +148,23 @@ def _jets(spec: MetricSpec, points) -> tuple:
     m, n = pts.shape
     prog = ex.compile_program([spec.entries[k][l] for k in range(n) for l in range(n)])
     eye, reasons = np.eye(n), [None] * m
-    g = _evaluate(prog, pts, reasons).reshape(m, n, n)
+    J = _evaluate(prog, pts, reasons)
+    g = J[:, 0].reshape(m, n, n)
     ok = _reject(reasons, ~np.isfinite(g).all(axis=(1, 2)), lambda k: f"metric is not finite at {pts[k]}")
     g = np.where(ok[:, None, None], g, eye)  # a failed point's stand-in keeps the checks below finite
-    herm = np.max(np.abs(g - np.conj(np.swapaxes(g, 1, 2))), axis=(1, 2))
-    tol = HERMITIAN_TOL * np.maximum(1.0, np.max(np.abs(g), axis=(1, 2)))
+    herm, tol = _hermitian_residual(g), HERMITIAN_TOL * np.max(np.abs(g), axis=(1, 2))
     why = "metric is not Hermitian at {} (residual {:.3e}, tolerance {:.3e})"
-    _reject(reasons, herm >= tol, lambda k: why.format(pts[k], herm[k], tol[k]))
+    _reject(reasons, herm > tol, lambda k: why.format(pts[k], herm[k], tol[k]))
     g = _hermitian_part(g)
     eig = np.linalg.eigvalsh(g)[:, 0]
     why = "metric is not positive definite at {} (min eigenvalue {:.3e})"
     ok = _reject(reasons, eig <= 0, lambda k: why.format(pts[k], eig[k]))
     g = np.where(ok[:, None, None], g, eye)
-    J = ex._run(prog, pts, jet=True)[0]  # its guards and logs fail where the g run's did
     why = "metric derivatives are not finite at {}"
     _reject(reasons, ~np.isfinite(J[:, 1:]).all(axis=(1, 2)), lambda k: why.format(pts[k]))
     g_inv = np.linalg.inv(g)
     resid = np.max(np.abs(g_inv @ g - eye), axis=(1, 2))
-    bad = resid > 1e-12 * np.maximum(1.0, np.max(np.abs(g_inv), axis=(1, 2)))
+    bad = resid > 1e-12 * np.max(np.abs(g), axis=(1, 2)) * np.max(np.abs(g_inv), axis=(1, 2))
     ok = _reject(reasons, bad, lambda k: f"inverse-metric residual {resid[k]:.3e} exceeds tolerance")
     dg, dbg, ddg = _split(J[ok], n, (n, n))
     return MetricJet(pts[ok], g[ok], dg, dbg, ddg, g_inv[ok]), reasons
@@ -168,7 +173,7 @@ def _jets(spec: MetricSpec, points) -> tuple:
 def metric_jets(spec: MetricSpec, points) -> MetricJet:
     """Jets of spec at a batch of points, shape (m, n), as one batched MetricJet.
 
-    One plain run and one jet run of the g program over the whole batch.
+    One jet run of the g program over the whole batch.
     Raises the MetricError or EvaluationError of the first point that fails
     a check (see _jets).
     """
@@ -194,8 +199,7 @@ def factor_jet(F: ex.Expr, p, n: int) -> FactorJet:
     pts = np.asarray(p, dtype=complex)
     batch = pts.reshape(-1, n)
     prog = ex.compile_program([F])
-    J, failed = ex._run(prog, batch, jet=True)
-    ex._raise_failure(prog, failed)
+    J = ex.evaluate(prog, batch, jet=True)
     vals = J[:, 0, 0]
     bad = int(np.argmax(np.abs(vals.imag)))
     if abs(vals[bad].imag) > 1e-10:

@@ -45,6 +45,7 @@ from .geometry import (
     _outer,
     _quartic,
     _rho1,
+    _size,
     holomorphic_sectional,
     orthonormal_frame,
 )
@@ -110,16 +111,35 @@ def _form(R, rho, g, params: MixedParams):
 
 
 def mixed_curvature(Rc: ChernCurvature, g: np.ndarray, params: MixedParams, X) -> float:
-    """C_{alpha,beta}(X) = H_T(X) for a nonzero (1,0)-vector X, scale-invariant; MetricError if not real."""
+    """C_{alpha,beta}(X) = H_T(X) for a nonzero (1,0)-vector X, scale-invariant.
+
+    MetricError if its imaginary part exceeds REALNESS_TOL times the size of
+    T's terms, (|alpha| max|g| max|g^-1| + |beta|) Rc.size: T may cancel far
+    below that, its round-off does not (see geometry._bound).
+    """
     g = np.asarray(g, dtype=complex)
-    T = _form(Rc.tensor, _rho1(np.linalg.inv(g), Rc.tensor), g, params)
-    return holomorphic_sectional(replace(Rc, tensor=T), g, X)
+    gi = np.linalg.inv(g)
+    T = _form(Rc.tensor, _rho1(gi, Rc.tensor), g, params)
+    size = _size(abs(params.alpha) * _max_abs(g, 2) * _max_abs(gi, 2) + abs(params.beta), Rc.size)
+    return holomorphic_sectional(replace(Rc, tensor=T, size=size), g, X)
 
 
 def sphere_average_closed_form(bundle: RicciBundle, params: MixedParams, n: int) -> float:
     """Exact average of C_{alpha,beta} over the unit sphere of directions."""
     a, b = params.alpha, params.beta
     return (((n + 1) * a + b) * bundle.u + b * bundle.v) / (n * (n + 1))
+
+
+def _sphere_design(n: int):
+    """(points, weights): a signed cubature exact for every degree-(2, 2) moment on the unit sphere of C^n.
+
+    e_i weigh (3 - n)/(n(n+1)) and (e_i + i^m e_j)/sqrt2, i < j, m = 0..3, weigh 1/(n(n+1)), the four phases
+    cancelling each unbalanced moment (complex designs: Delsarte, Goethals & Seidel, Geom. Dedicata 6, 1977).
+    So the weighted sum of C_{alpha,beta} over the points is the exact sphere average.
+    """
+    E, s = np.eye(n, dtype=complex), 1 / np.sqrt(2)
+    pairs = [s * E[i] + s * 1j**m * E[j] for i in range(n) for j in range(i + 1, n) for m in range(4)]
+    return np.array([*E, *pairs]), np.array([3.0 - n] * n + [1.0] * len(pairs)) / (n * (n + 1))
 
 
 def sphere_average_monte_carlo(
@@ -158,10 +178,10 @@ def sphere_average_monte_carlo_many(
 
 
 def _axis_and_bisector_seeds(n: int) -> np.ndarray:
-    """Frame axes plus, per pair, the bisectors (e_i+e_j)/sqrt2, (e_i+-i e_j)/sqrt2."""
-    E, s = np.eye(n, dtype=complex), 1 / np.sqrt(2)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return np.array([*E, *(s * E[i] + s * w * E[j] for i, j in pairs for w in (1.0, 1j, -1j))])
+    """Frame axes plus, per pair, the bisectors (e_i+e_j)/sqrt2, (e_i+-i e_j)/sqrt2: _sphere_design's
+    points without the phase -1, in their order."""
+    Z = _sphere_design(n)[0]
+    return np.concatenate([Z[:n], Z[n:].reshape(-1, 4, n)[:, [0, 1, 3]].reshape(-1, n)])
 
 
 def _objective(S, Z):
@@ -442,13 +462,7 @@ def _constancy_residual(T, g, c):
     return _max_abs(_sym(T - c * np.einsum("...ij,...kl->...ijkl", g, g)), 4)
 
 
-def trace_identity_residual(
-    bundle: RicciBundle,
-    params: MixedParams,
-    f: float,
-    n: int,
-    g: np.ndarray | None = None,
-) -> float:
+def trace_identity_residual(bundle: RicciBundle, params: MixedParams, f: float, n: int) -> float:
     """Residual of the traced constancy identities for C_{alpha,beta} == f.
 
     Matrix identity:
@@ -457,13 +471,11 @@ def trace_identity_residual(
     Scalar identity:
         [(n+1) alpha + beta] u + beta v = n (n+1) f
 
-    g defaults to the identity (unitary-frame bundles).  Returns the max of
-    the two residuals.
+    with g the identity, so the bundle is taken in a unitary frame.
+    Returns the max of the two residuals.
     """
-    if g is None:
-        g = np.eye(n)
     a, b = params.alpha, params.beta
     lhs = (a * (n + 2) + b) * bundle.rho1 + b * bundle.rho2 + 2 * b * _hermitian_part(bundle.rho3)
-    rhs = np.asarray(2 * (n + 1) * f - a * bundle.u)[..., None, None] * np.asarray(g, dtype=complex)
+    rhs = np.asarray(2 * (n + 1) * f - a * bundle.u)[..., None, None] * np.eye(n, dtype=complex)
     scalar_res = n * (n + 1) * np.abs(sphere_average_closed_form(bundle, params, n) - f)
     return np.maximum(_max_abs(lhs - rhs, 2), scalar_res)

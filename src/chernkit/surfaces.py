@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ChernCurvature, RicciBundle, _max_abs, _real
-from .jets import _hermitian_part
+from .geometry import ChernCurvature, RicciBundle, _bound, _max_abs, _real
+from .jets import HERMITIAN_TOL, _hermitian_part, _hermitian_residual
 
 __all__ = [
     "WeylMinus",
@@ -48,15 +48,21 @@ class WeylMinus:
 
 @dataclass(frozen=True)
 class OneOneForm:
-    """Components a_{i jbar} of a (1,1)-form; real forms have Hermitian a."""
+    """Components a_{i jbar} of a (1,1)-form; real forms have Hermitian a.
+
+    size is the magnitude of the terms a was summed from, per point, or None
+    where they are not tracked: max|a - a^H| may not exceed HERMITIAN_TOL *
+    geometry._bound(size, max|a|).
+    """
 
     a: np.ndarray
     is_real: bool = False
+    size: np.ndarray | float | None = None
 
     def __post_init__(self):
         if self.is_real:
-            resid = _max_abs(self.a - np.conj(np.swapaxes(self.a, -1, -2)), 2)
-            bad = resid > 1e-10 * np.maximum(1.0, _max_abs(self.a, 2))
+            resid = _hermitian_residual(self.a)
+            bad = resid > HERMITIAN_TOL * _bound(self.size, _max_abs(self.a, 2))
             if np.any(bad):
                 raise ValueError(f"real (1,1)-form has non-Hermitian matrix (residual {np.max(resid * bad):.3e})")
 
@@ -128,7 +134,7 @@ def c1_squared_pointwise_residual(bundle: RicciBundle, g: np.ndarray) -> float:
     surface formula.
     """
     _need_surface(g.shape[-1])
-    rho = OneOneForm(bundle.rho1, is_real=True)
+    rho = OneOneForm(bundle.rho1, is_real=True, size=bundle.size)
     kappa = wedge_ratio(rho, rho, g)
     inner = form_inner(rho, rho, g)
     return np.abs(kappa - (bundle.u**2 - inner))

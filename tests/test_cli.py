@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -381,3 +382,41 @@ def test_eval_on_a_domain_too_thin_to_sample_exits_2(tmp_path):
     assert r.returncode == 2 and r.stdout == ""
     assert "Annulus(r_inner=1.0, r_outer=1.000000000001) in n=1: 0 of 3" in r.stderr and "--point" in r.stderr
     assert "Traceback" not in r.stderr
+
+
+_CATALOG_DIR = Path(cli.__file__).parent / "metrics"
+_SKEW = "dim 2\ng[1,1] = 1 + z1*zbar1\ng[2,2] = 1\ng[1,2] = z1*z2\ng[2,1] = z1*z2\n"
+
+
+def _scaled_records(tmp_path, text, s, point):
+    """(exit code, records) of an in-process `eval --point` on the metric text with every g[i,j] scaled by s."""
+    metric = tmp_path / f"scaled-{s}.metric"
+    metric.write_text(re.sub(r"^(g\[\d,\d\]) = (.*)$", rf"\1 = {s}*(\2)", text, flags=re.M))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["eval", "--metric", str(metric), "--point", point])
+    return code, json.loads(out.getvalue())["records"]
+
+
+@pytest.mark.parametrize(
+    "name, point",
+    [("adm-product-surface", "0.3+0.1i,0.5"), ("hopf-2", "0.7+0.1i,0.5"), ("fubini-study-3", "0.3,0.1i,0.2")],
+)
+def test_eval_scales_with_the_metric(tmp_path, name, point):
+    # g -> s g scales u, v and |eta|^2 by 1/s; u and v are checked against the curvature's terms, with
+    # no floor, so the Kahler adm-product-surface (u = 0, round-off of size eps |R|) evaluates at every s
+    text = (_CATALOG_DIR / f"{name}.metric").read_text()
+    code, (ref,) = _scaled_records(tmp_path, text, "1", point)
+    assert code == 0
+    size = max(abs(ref["u"]), abs(ref["v"]), np.max(np.abs(ref["ricci"]["rho1"])))
+    for s in ("1e-150", "1e-100", "1e100"):
+        code, (rec,) = _scaled_records(tmp_path, text, s, point)
+        assert code == 0, (s, rec)
+        for key in ("u", "v", "eta_norm2"):
+            assert abs(rec[key] * float(s) - ref[key]) <= 1e-12 * size, (s, key)
+
+
+@pytest.mark.parametrize("s", ["1", "1e-100"])
+def test_skew_metric_is_rejected_at_every_scale(tmp_path, s):
+    code, (rec,) = _scaled_records(tmp_path, _SKEW, s, "0.3+0.3i,0.3-0.3i")
+    assert code == 2 and "should be real" in rec["error"]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from chernkit import expr as ex
-from chernkit.catalog import builtin, sample_points
+from chernkit.catalog import builtin, names, sample_points
 from chernkit.dsl import parse_expression
 from tree_reference import walk
 
@@ -233,3 +233,43 @@ def test_signed_zero_constants_stay_distinct():
     assert len(prog) == 2
     out = ex.evaluate(prog, np.zeros((1, 1), dtype=complex))
     assert np.signbit(out[0, 0].real) and not np.signbit(out[0, 1].real)
+
+
+def test_jet_mode_value_column_is_the_plain_run():
+    # evaluate(prog, pts, jet=True)[:, 0] is the plain run bit for bit, on every catalog program
+    for name in names():
+        entry = builtin(name)
+        spec, pts = entry.spec, sample_points(entry, 6, 3)
+        prog = ex.compile_program([e for row in spec.entries for e in row])
+        J = ex.evaluate(prog, pts, jet=True)
+        n = spec.n
+        assert J.shape == (6, 1 + 2 * n + n * n, n * n)
+        assert J[:, 0].tobytes() == ex.evaluate(prog, pts).tobytes(), name
+        assert ex.evaluate(prog, pts[2], jet=True).tobytes() == J[2].tobytes(), name
+    tree = ex.exp(Z1 * ZB2) / (2 + Z2 * ZB2)
+    assert ex.evaluate(tree, _rand_points(2, 4, 5), jet=True).shape == (4, 9)
+
+
+def test_jet_mode_raises_the_plain_runs_error():
+    pts = np.array([[0.5, 1.0], [0.0, 0.0]], dtype=complex)
+    for e in (1 / Z1, ex.log(Z2), ex.log(Z1) / Z2, Z1 / ex.log(1 + Z2), ex.log(Z1) * (1 / Z2)):
+        prog = ex.compile_program([Z1 * ZB2, e])
+        with pytest.raises(ex.EvaluationError) as plain:
+            ex.evaluate(prog, pts)
+        with pytest.raises(ex.EvaluationError) as jet:
+            ex.evaluate(prog, pts, jet=True)
+        assert str(jet.value) == str(plain.value)
+
+
+def test_fd_residual_of_a_program_is_the_max_over_its_roots():
+    # the battery's fd-cross-check compiles one program per metric: bit for bit the largest per-entry residual
+    cases = []
+    for name in names():
+        entry = builtin(name)
+        cases.append(([e for row in entry.spec.entries for e in row], sample_points(entry, 20, 97)))
+    factors = ("0.1*(z1*zbar1 - z2*zbar2)", "0.05*z1*zbar1", "0.1*(z1*zbar2 + z2*zbar1)")
+    pts = np.random.default_rng(97).uniform(-0.5, 0.5, size=(20, 6)).view(complex)
+    cases.append(([parse_expression(f, 3) for f in factors], pts))
+    for roots, pts in cases:
+        singles = max(ex.fd_residual(e, pts, 1e-5) for e in roots)
+        assert ex.fd_residual(ex.compile_program(roots), pts, 1e-5) == singles

@@ -1,11 +1,15 @@
 """Curvature pipeline against closed forms and independent symbolic oracles."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from chernkit import expr as ex
 from chernkit.catalog import builtin, sample_points
+from chernkit.dsl import parse_metric
 from chernkit.geometry import (
+    ChernCurvature,
     chern_curvature,
     hermitian_symmetry_residual,
     holomorphic_sectional,
@@ -235,3 +239,43 @@ def test_to_unitary_frame_requires_coordinate_input():
     Ru = to_unitary_frame(chern_curvature(jet), jet)
     with pytest.raises(ValueError):
         to_unitary_frame(Ru, jet)
+
+
+_FLAT_PRODUCT = "dim 2\ng[1,1] = 1/abs2(z1)\ng[2,2] = 1/abs2(z2)\n"  # hopf-1 x hopf-1
+
+
+def test_hand_built_flat_tensors_pass_the_realness_checks():
+    # flat hopf-1 and hopf-1 x hopf-1 have R made of O(1) terms that cancel to round-off; a tensor
+    # built by hand does not know those terms, so its round-off is measured against max(1, |x|)
+    cases = ((builtin("hopf-1").spec, [[0.8 + 0.3j], [-1.1 + 0.6j]]), (parse_metric(_FLAT_PRODUCT), [[0.8 + 0.3j, -0.5j]]))
+    for spec, p in cases:
+        jets = metric_jets(spec, p)
+        Rc = ChernCurvature(chern_curvature(jets).tensor, "coordinate", jets.point)
+        b = ricci_bundle(Rc, jets.g)
+        assert np.all(np.abs(b.u) < 1e-12) and np.all(np.abs(b.v) < 1e-12)
+        X = np.ones(jets.n) + 0.5j
+        for params in (MixedParams(1.0, -1.0), MixedParams(0.0, 1.0)):
+            assert np.all(np.abs(mixed_curvature(Rc, jets.g, params, X)) < 1e-12)
+
+
+def _scaled(jet, s):
+    """The jet of s*g."""
+    scaled = {name: s * getattr(jet, name) for name in ("g", "dg", "dbar_g", "ddbar_g")}
+    return replace(jet, g_inv=jet.g_inv / s, **scaled)
+
+
+@pytest.mark.parametrize("s", [1e-150, 1e-100, 1e100])
+def test_unitary_traces_and_mixed_curvature_scale_with_the_metric(s):
+    # u, v and C_{alpha,beta} scale by 1/s; the curvature's size follows R into the unitary frame and
+    # into T, so u = 0 on the Kahler product and T = 0 on hopf-2 at 2 alpha + beta = 0 stay real at every s
+    X = np.array([0.6 + 0.2j, -0.3 + 0.5j])
+    for name, params in (("adm-product-surface", MixedParams(1.0, -1.0)), ("hopf-2", MixedParams(1.0, -2.0))):
+        entry = builtin(name)
+        jets = metric_jets(entry.spec, sample_points(entry, 3, 9))
+        for jet, scale in ((jets, 1.0), (_scaled(jets, s), s)):
+            Rc = chern_curvature(jet)
+            b = ricci_bundle(to_unitary_frame(Rc, jet), np.eye(2))
+            got = np.array([b.u, b.v, mixed_curvature(Rc, jet.g, params, X)]) * scale
+            if scale == 1.0:
+                want = got
+            assert np.all(np.abs(got - want) <= 1e-12 * np.max(np.abs(chern_curvature(jets).size))), (name, s)

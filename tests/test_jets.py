@@ -1,12 +1,14 @@
 """Metric jets against finite-difference oracles and hand-derived values."""
 
+import re
+
 import numpy as np
 import pytest
 
 from chernkit import expr as ex
 from chernkit.catalog import builtin, names, sample_points
 from chernkit.dsl import MetricSpec, parse_metric
-from chernkit.jets import HERMITIAN_TOL, MetricError, factor_jet, metric_jet, metric_jets
+from chernkit.jets import HERMITIAN_TOL, MetricError, _jets, factor_jet, metric_jet, metric_jets
 from tree_reference import walk
 
 
@@ -248,3 +250,43 @@ def test_denominator_only_the_symbolic_square_underflowed_evaluates():
     # here the derivatives themselves overflow, and the point is rejected for it
     with pytest.raises(MetricError, match="derivatives are not finite"):
         metric_jet(parse_metric("dim 1\ng[1,1] = 1 + 1/(1e200*z1*zbar1)"), [1e-190])
+
+
+def test_metric_jets_runs_the_g_program_once(monkeypatch):
+    # one jet run gives g (its value column) and the derivatives alike
+    runs = []
+    run = ex._run
+
+    def counted(*args, **kwargs):
+        runs.append(kwargs.get("jet", args[2] if len(args) > 2 else False))
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(ex, "_run", counted)
+    for name in ("hopf-2", "fubini-study-4"):
+        entry = builtin(name)
+        runs.clear()
+        metric_jets(entry.spec, sample_points(entry, 4, 1))
+        assert runs == [True], name
+    # a failing point costs one more jet run, which finds it
+    runs.clear()
+    jets = _jets(builtin("hopf-2").spec, [[0.5, 0.5], [0.0, 0.0]])[0]
+    assert runs == [True, True] and len(jets) == 1
+
+
+def _scaled_spec(text, s):
+    return parse_metric(re.sub(r"^(g\[\d,\d\]) = (.*)$", rf"\1 = {s}*(\2)", text, flags=re.M))
+
+
+_NOT_HERMITIAN = "dim 2\ng[1,1] = 1 + z1*zbar1\ng[2,2] = 1 + z2*zbar2\ng[1,2] = z1/2\ng[2,1] = zbar1/3\n"
+
+
+@pytest.mark.parametrize("s", ["1", "1e-160", "1e100"])
+def test_small_and_large_non_hermitian_metrics_are_rejected(s):
+    # the tolerance scales with max|g| and has no floor, so 1e-160 g escapes it no more than g does
+    with pytest.raises(MetricError, match="not Hermitian"):
+        metric_jet(_scaled_spec(_NOT_HERMITIAN, s), [0.3 + 0.1j, 0.2])
+
+
+def test_zero_metric_is_not_positive_definite():
+    with pytest.raises(MetricError, match="not positive definite"):
+        metric_jet(parse_metric("dim 2\ng[1,1] = 0*z1\ng[2,2] = 0*z2"), [0.3, 0.2])

@@ -13,7 +13,6 @@ import recombined_reference as recombined
 
 from chernkit import cli, mixed
 from chernkit.catalog import builtin, names, sample_points
-from chernkit.checks import _sphere_design
 from chernkit.conformal import conformal_metric
 from chernkit.dsl import parse_expression, parse_metric
 from chernkit.geometry import (
@@ -38,6 +37,7 @@ from chernkit.mixed import (
     _gradient,
     _objective,
     _scaled_form,
+    _sphere_design,
     _sym2_basis,
     _symmetric_square,
     _unitary_data,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from chernkit.catalog import builtin, sample_points
+from chernkit.dsl import parse_metric
 from chernkit.geometry import ChernCurvature, RicciBundle, chern_curvature, ricci_bundle, to_unitary_frame
 from chernkit.jets import metric_jet, metric_jets
 from chernkit.surfaces import (
@@ -123,6 +124,16 @@ def test_c1_squared_on_all_surfaces():
         for jet, Ru in _unitary(name, 5):
             b = ricci_bundle(Ru, np.eye(2))
             assert c1_squared_pointwise_residual(b, np.eye(2)) < 1e-10, name
+
+
+def test_c1_squared_on_a_flat_surface_with_nonzero_derivatives():
+    # hopf-1 x hopf-1: rho1 is round-off of O(1) terms, and its Hermitian check is measured against them
+    spec = parse_metric("dim 2\ng[1,1] = 1/abs2(z1)\ng[2,2] = 1/abs2(z2)")
+    jets = metric_jets(spec, [[0.8 + 0.3j, -0.5 + 0.9j], [1.3, 0.7j]])
+    Rc = chern_curvature(jets)
+    Ru = to_unitary_frame(Rc, jets)
+    for b, g in ((ricci_bundle(Rc, jets.g), jets.g), (ricci_bundle(Ru, np.eye(2)), np.eye(2))):
+        assert np.all(c1_squared_pointwise_residual(b, g) < 1e-12)
 
 
 def test_c1_squared_adm_hand_values():
