@@ -38,7 +38,6 @@ from .conformal import (
 )
 from .dsl import parse_expression
 from .geometry import (
-    _max_abs,
     chern_curvature,
     hermitian_symmetry_residual,
     holomorphic_sectional,
@@ -48,7 +47,7 @@ from .geometry import (
     to_unitary_frame,
     torsion,
 )
-from .jets import factor_jet, metric_jets
+from .jets import _max_abs, factor_jet, metric_jets
 from .mixed import (
     MixedParams,
     _sphere_design,
@@ -120,12 +119,12 @@ def check_hopf_closed_form():
     out = []
     for n in (2, 3):
         pts, _, _, Ru = _sampled(f"hopf-{n}", 200, 11 + n)
-        closed = _hopf_closed_tensor(pts)
+        closed, expected = _hopf_closed_tensor(pts), builtin(f"hopf-{n}").expected
         b = ricci_bundle(Ru, np.eye(n))
         for tag, res in (
             ("curvature", _max_abs(Ru.tensor - closed, 4)),
-            ("u", np.abs(b.u - (n * n - n))),
-            ("v", np.abs(b.v - (n - 1))),
+            ("u", np.abs(b.u - expected["u"].value)),
+            ("v", np.abs(b.v - expected["v"].value)),
             ("rho1", _max_abs(b.rho1 - np.einsum("...ijkk->...ij", closed), 2)),
         ):
             out.append(_worst(f"hopf-closed-form/{tag}/n{n}", f"hopf-{n}", res, 1e-10, "closed-form", pts))
@@ -289,7 +288,8 @@ def check_trace_identity():
 # criterion: sphere-average
 
 
-def _mc_pairs():
+def _average_pairs():
+    """Five seeded (alpha, beta) pairs, away from (0, 0), on which every metric's sphere average is checked."""
     rng = np.random.default_rng(71)
     pairs = []
     while len(pairs) < 5:
@@ -301,7 +301,7 @@ def _mc_pairs():
 
 def check_sphere_average():
     out = []
-    pairs = _mc_pairs()
+    pairs = _average_pairs()
     for name in names():
         pt, _, _, Ru = _sampled(name, 1, 71)
         Ru, n = Ru[0], Ru.n
@@ -328,7 +328,8 @@ def check_hopf_torsion():
     for n in (2, 3):
         pts, jets, Rc, _ = _sampled(f"hopf-{n}", 50, 83 + n)
         b, t = ricci_bundle(Rc, jets.g), torsion(jets)
-        res = np.maximum(np.abs(b.u - b.v - t.eta_norm2), np.abs(t.eta_norm2 - (n - 1) ** 2))
+        closed = builtin(f"hopf-{n}").expected["eta_norm2"].value
+        res = np.maximum(np.abs(b.u - b.v - t.eta_norm2), np.abs(t.eta_norm2 - closed))
         out.append(_worst(f"hopf-torsion/n{n}", f"hopf-{n}", res, 1e-9, "derived", pts))
     return out
 

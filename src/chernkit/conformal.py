@@ -20,8 +20,8 @@ import numpy as np
 
 from . import expr as ex
 from .dsl import MetricSpec
-from .geometry import ChernCurvature, _real, _rho1, chern_curvature, ricci_bundle
-from .jets import FactorJet, MetricJet, factor_jet, metric_jets
+from .geometry import ChernCurvature, _rho1, chern_curvature, ricci_bundle
+from .jets import FactorJet, MetricJet, _real, factor_jet, metric_jets
 from .mixed import MixedParams, _constancy_residual, _form
 
 __all__ = [

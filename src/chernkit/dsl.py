@@ -29,6 +29,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import expr as ex
 from .domains import Annulus, Ball, Domain, Polydisc, Product
 
@@ -103,6 +105,8 @@ def _lex_line(line: str, lineno: int) -> list:
                 val = float(text)
             except ValueError:
                 raise DslError(f"bad number literal {text!r}", lineno, col)
+            if math.isinf(val):
+                raise DslError(f"number literal {text!r} is not finite", lineno, col)
             typ = "NUM"
             if j < m and line[j] == "i" and (j + 1 >= m or not (line[j + 1].isalnum() or line[j + 1] == "_")):
                 typ = "IMAG"
@@ -202,6 +206,24 @@ class _ExprParser:
             raise DslError(f"expression is nested deeper than {MAX_DEPTH} levels", t.line, t.col)
         return e
 
+    def _node(self, t: _Tok, build, *args) -> ex.Expr:
+        """build(*args), the node of the operator or function at t, its constants folded.
+
+        A constant that overflows, or a division by zero or log of zero
+        constant, is a DslError at t; underflow folds to 0.
+        """
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                e = build(*args)
+            finite = e.kind != "const" or np.isfinite(e.value)
+        except ex.EvaluationError as err:
+            raise DslError(str(err), t.line, t.col) from None
+        except ArithmeticError:
+            finite = False
+        if not finite:
+            raise DslError("constant overflows", t.line, t.col)
+        return self._bounded(e, t)
+
     def _bracketed(self, opening: _Tok) -> ex.Expr:
         """The expression after an opening bracket, up to its ')'."""
         self.nesting += 1
@@ -219,7 +241,7 @@ class _ExprParser:
         while (t := self.ts.peek()) is not None and t.type in "+-":
             self.ts.next()
             rhs = self._term()
-            e = self._bounded(ex.add(e, rhs) if t.type == "+" else ex.sub(e, rhs), t)
+            e = self._node(t, ex.add if t.type == "+" else ex.sub, e, rhs)
         return e
 
     def _term(self) -> ex.Expr:
@@ -227,7 +249,7 @@ class _ExprParser:
         while (t := self.ts.peek()) is not None and t.type in "*/":
             self.ts.next()
             rhs = self._unary()
-            e = self._bounded(ex.mul(e, rhs) if t.type == "*" else ex.div(e, rhs), t)
+            e = self._node(t, ex.mul if t.type == "*" else ex.div, e, rhs)
         return e
 
     def _unary(self) -> ex.Expr:
@@ -236,7 +258,7 @@ class _ExprParser:
             signs.append(self.ts.next())
         e = self._power()
         for t in reversed(signs):
-            e = self._bounded(ex.neg(e), t)
+            e = self._node(t, ex.neg, e)
         return e
 
     def _power(self) -> ex.Expr:
@@ -251,7 +273,7 @@ class _ExprParser:
             num = self.ts.expect("NUM")
             if num.value != int(num.value):
                 raise DslError("exponent must be an integer", num.line, num.col)
-            e = self._bounded(ex.int_pow(e, sign * int(num.value)), t)
+            e = self._node(t, ex.int_pow, e, sign * int(num.value))
         return e
 
     def _atom(self) -> ex.Expr:
@@ -273,7 +295,7 @@ class _ExprParser:
         nxt = self.ts.peek()
         if nxt is not None and nxt.type == "(" and name in _FUNCS:
             arg = self._bracketed(self.ts.next())
-            return self._bounded({"conj": ex.conj, "exp": ex.exp, "log": ex.log}[name](arg), t)
+            return self._node(t, {"conj": ex.conj, "exp": ex.exp, "log": ex.log}[name], arg)
         if nxt is not None and nxt.type == "(" and name == "abs2":
             self.ts.next()
             inner = self.ts.peek()
@@ -287,7 +309,7 @@ class _ExprParser:
                         e = ex.add(e, ex.mul(ex.coord(k), ex.conj_coord(k)))
                     return self._bounded(e, t)
             arg = self._bracketed(nxt)
-            return self._bounded(ex.mul(arg, ex.conj(arg)), t)
+            return self._node(t, lambda a: ex.mul(a, ex.conj(a)), arg)
         hit = _coord_index(name)
         if hit is not None:
             kind, k = hit
@@ -325,8 +347,8 @@ def _split_statements(toks: list) -> list:
 def parse_metric(source: str, name: str = "metric") -> MetricSpec:
     """Parse DSL source into a MetricSpec.
 
-    Raises DslError with line/column on syntax errors, out-of-range indices
-    and duplicate assignments.
+    Raises DslError with line/column on syntax errors, out-of-range indices,
+    duplicate assignments and constants that do not fold to a finite value.
     """
     n = None
     lets: dict = {}
@@ -409,8 +431,8 @@ def _expect_done(ts: _TokStream):
 
 def _parse_domain(ts: _TokStream, n: int) -> Domain:
     def radius(kind: _Tok, num: _Tok) -> float:
-        if not 0 < num.value < math.inf:
-            raise DslError(f"{kind.text} radius must be positive and finite, got {num.text}", num.line, num.col)
+        if num.value <= 0:  # the tokenizer has rejected inf
+            raise DslError(f"{kind.text} radius must be positive, got {num.text}", num.line, num.col)
         return num.value
 
     def atom() -> Domain:

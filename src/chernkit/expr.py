@@ -520,7 +520,7 @@ def _step(kind: str, A, B, payload, pts, n: int):
             f1 = 1 / a
             f2 = -f1 * f1
         else:
-            f1, f2 = p * a ** (p - 1), p * (p - 1) * a ** (p - 2)
+            f1, f2 = p * a ** (p - 1), p * (p - 1.0) * a ** (p - 2)  # a float p(p - 1): p may be huge
         J = A * f1[:, None]
         J[:, mixed] += f2[:, None] * _cross(A, A, n)
     J[:, 0] = v

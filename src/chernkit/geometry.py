@@ -23,13 +23,11 @@ its results carry the leading batch axes of its inputs.
 
 from __future__ import annotations
 
-import functools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import MetricError, MetricJet, _PerPoint
+from .jets import MetricError, MetricJet, _PerPoint, _max_abs, _real, _size
 
 __all__ = [
     "ChernCurvature",
@@ -47,8 +45,6 @@ __all__ = [
     "hermitian_symmetry_residual",
 ]
 
-REALNESS_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class ChernCurvature(_PerPoint):
@@ -59,7 +55,7 @@ class ChernCurvature(_PerPoint):
     the magnitude of the terms the tensor was summed from, per point, or
     None where they are not tracked (a tensor built by hand): R can cancel
     far below it, its round-off cannot, so realness checks of its
-    contractions are measured against it (see _bound).
+    contractions are measured against it (see jets._bound).
     """
 
     _CORE = ("tensor", 4)
@@ -102,43 +98,6 @@ class Torsion(_PerPoint):
     eta_norm2: float
 
 
-def _bound(size, x):
-    """What round-off in a value x is measured against.
-
-    size is the magnitude of the terms x was summed from (a scalar or x's
-    shape): x can cancel far below it, its round-off cannot.  It has no
-    floor, so a metric s*g passes or fails as g does for any s > 0.  Where
-    the terms are not tracked (size None) the bound is max(1, |x|).
-    """
-    return np.maximum(1.0, np.abs(x)) if size is None else size
-
-
-def _size(*factors):
-    """The product of the magnitudes of the operands a value is summed from, or None if one is None.
-
-    The factors are multiplied left to right, so a small one first keeps
-    partial products finite.
-    """
-    return None if any(f is None for f in factors) else functools.reduce(operator.mul, factors)
-
-
-def _real(x, what: str, size=None):
-    """The real part of x, a scalar or an array, checking every element's imaginary part.
-
-    |Im x| may not exceed REALNESS_TOL * _bound(size, Re x).
-    """
-    x = np.asarray(x, dtype=complex)
-    bad = np.abs(x.imag) > REALNESS_TOL * _bound(size, x.real)
-    if np.any(bad):
-        raise MetricError(f"{what} should be real, got imaginary part {x.imag[bad][0]:.3e}")
-    return x.real[()]
-
-
-def _max_abs(x, ndim: int):
-    """max |x| over the last ndim axes: a scalar, or an array of the batch shape."""
-    return np.max(np.abs(x), axis=tuple(range(-ndim, 0)))[()]
-
-
 def _rho1(g_inv: np.ndarray, R: np.ndarray) -> np.ndarray:
     """rho1_{i jbar} = g^{k lbar} R_{i jbar k lbar}, with g_inv = G^{-1}."""
     return np.einsum("...lk,...ijkl->...ij", g_inv, R)
@@ -174,7 +133,7 @@ def _quartic(R: np.ndarray, X: np.ndarray):
 def chern_curvature(jet: MetricJet) -> ChernCurvature:
     """Coordinate-frame Chern curvature tensor from a metric jet."""
     second = np.einsum("...qp,...ikq,...jpl->...ijkl", jet.g_inv, jet.dg, jet.dbar_g)
-    size = _max_abs(jet.ddbar_g, 4) + _max_abs(jet.g_inv, 2) * _max_abs(jet.dg, 3) * _max_abs(jet.dbar_g, 3)
+    size = _max_abs(jet.ddbar_g, 4) + _size(_max_abs(jet.g_inv, 2), _max_abs(jet.dg, 3), _max_abs(jet.dbar_g, 3))
     return ChernCurvature(-jet.ddbar_g + second, "coordinate", jet.point, size=size)
 
 
@@ -201,13 +160,16 @@ def to_unitary_frame(Rc: ChernCurvature, jet: MetricJet) -> ChernCurvature:
 
     Traces of the result use the identity metric; invariantly defined
     scalars (u, v, holomorphic sectional values of fixed vectors) are
-    unchanged.
+    unchanged.  MetricError where they overflow (g nearly singular).
     """
     if Rc.frame != "coordinate":
         raise ValueError("to_unitary_frame expects a coordinate-frame tensor")
     E = orthonormal_frame(jet.g)
     e2 = _max_abs(E, 2) ** 2
-    return ChernCurvature(_in_frame(Rc.tensor, E), "unitary", Rc.point, E, _size(Rc.size, e2, e2))
+    R = _in_frame(Rc.tensor, E)
+    if not np.isfinite(R).all():
+        raise MetricError("curvature is not finite in the unitary frame")
+    return ChernCurvature(R, "unitary", Rc.point, E, _size(Rc.size, e2, e2))
 
 
 def ricci_bundle(Rc: ChernCurvature, g: np.ndarray) -> RicciBundle:

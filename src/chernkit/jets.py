@@ -14,11 +14,13 @@ definite), then that the derivatives are finite.  Nothing is cached and
 nothing is differentiated symbolically.  A point that fails a check leaves
 the batch with its own reason, and :func:`metric_jets` raises the first
 point's.  A conformal factor's jet (:func:`factor_jet`) is one jet run of
-the factor's program.
+the factor's program.  The one round-off rule (_bound) lives here too: every
+kernel's realness and Hermitian checks measure against it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -28,7 +30,7 @@ from .dsl import MetricSpec
 
 __all__ = ["MetricJet", "FactorJet", "MetricError", "metric_jet", "metric_jets", "factor_jet"]
 
-HERMITIAN_TOL = 1e-10  # relative to max|g| at each point
+HERMITIAN_TOL = 1e-10  # non-real or non-Hermitian round-off, relative to _bound
 
 
 class MetricError(ValueError):
@@ -96,9 +98,50 @@ def _hermitian_part(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))
 
 
+def _max_abs(x, ndim: int):
+    """max |x| over the last ndim axes: a scalar, or an array of the batch shape."""
+    return np.max(np.abs(x), axis=tuple(range(-ndim, 0)))[()]
+
+
 def _hermitian_residual(a: np.ndarray) -> np.ndarray:
     """max|a - a^H| over the last two axes."""
-    return np.max(np.abs(a - np.conj(np.swapaxes(a, -1, -2))), axis=(-2, -1))
+    return _max_abs(a - np.conj(np.swapaxes(a, -1, -2)), 2)
+
+
+def _bound(size, x):
+    """What round-off in a value x is measured against.
+
+    size is the magnitude of the terms x was summed from (a scalar or x's
+    shape): x can cancel far below it, its round-off cannot.  It has no
+    floor, so a metric s*g passes or fails as g does for any s > 0.  Where
+    the terms are not tracked (size None) the bound is max(1, |x|).
+    """
+    return np.maximum(1.0, np.abs(x)) if size is None else size
+
+
+def _size(*factors):
+    """The product of the magnitudes of the operands a value is summed from, or None if one is None.
+
+    The factors are multiplied left to right, so a small one first keeps
+    partial products finite.  A product past the float range is inf: it
+    bounds nothing.
+    """
+    if any(f is None for f in factors):
+        return None
+    with np.errstate(over="ignore"):
+        return math.prod(factors)
+
+
+def _real(x, what: str, size=None):
+    """The real part of x, a scalar or an array, checking every element's imaginary part.
+
+    |Im x| may not exceed HERMITIAN_TOL * _bound(size, Re x).
+    """
+    x = np.asarray(x, dtype=complex)
+    bad = np.abs(x.imag) > HERMITIAN_TOL * _bound(size, x.real)
+    if np.any(bad):
+        raise MetricError(f"{what} should be real, got imaginary part {x.imag[bad][0]:.3e}")
+    return x.real[()]
 
 
 def _split(J, n: int, shape: tuple) -> tuple:
@@ -152,7 +195,7 @@ def _jets(spec: MetricSpec, points) -> tuple:
     g = J[:, 0].reshape(m, n, n)
     ok = _reject(reasons, ~np.isfinite(g).all(axis=(1, 2)), lambda k: f"metric is not finite at {pts[k]}")
     g = np.where(ok[:, None, None], g, eye)  # a failed point's stand-in keeps the checks below finite
-    herm, tol = _hermitian_residual(g), HERMITIAN_TOL * np.max(np.abs(g), axis=(1, 2))
+    herm, tol = _hermitian_residual(g), HERMITIAN_TOL * _max_abs(g, 2)
     why = "metric is not Hermitian at {} (residual {:.3e}, tolerance {:.3e})"
     _reject(reasons, herm > tol, lambda k: why.format(pts[k], herm[k], tol[k]))
     g = _hermitian_part(g)
@@ -163,8 +206,8 @@ def _jets(spec: MetricSpec, points) -> tuple:
     why = "metric derivatives are not finite at {}"
     _reject(reasons, ~np.isfinite(J[:, 1:]).all(axis=(1, 2)), lambda k: why.format(pts[k]))
     g_inv = np.linalg.inv(g)
-    resid = np.max(np.abs(g_inv @ g - eye), axis=(1, 2))
-    bad = resid > 1e-12 * np.max(np.abs(g), axis=(1, 2)) * np.max(np.abs(g_inv), axis=(1, 2))
+    resid = _max_abs(g_inv @ g - eye, 2)
+    bad = resid > 1e-12 * _max_abs(g, 2) * _max_abs(g_inv, 2)
     ok = _reject(reasons, bad, lambda k: f"inverse-metric residual {resid[k]:.3e} exceeds tolerance")
     dg, dbg, ddg = _split(J[ok], n, (n, n))
     return MetricJet(pts[ok], g[ok], dg, dbg, ddg, g_inv[ok]), reasons
@@ -194,15 +237,17 @@ def factor_jet(F: ex.Expr, p, n: int) -> FactorJet:
 
     p is one point, shape (n,), or a batch, shape (m, n), giving a batched
     FactorJet; one compile and one jet run either way.  Raises the
-    EvaluationError of a division by zero or log of zero at any point.
+    EvaluationError of a division by zero or log of zero at any point, and
+    ValueError naming the first point where |Im F| exceeds HERMITIAN_TOL *
+    _bound(None, Re F).
     """
     pts = np.asarray(p, dtype=complex)
     batch = pts.reshape(-1, n)
     prog = ex.compile_program([F])
     J = ex.evaluate(prog, batch, jet=True)
     vals = J[:, 0, 0]
-    bad = int(np.argmax(np.abs(vals.imag)))
-    if abs(vals[bad].imag) > 1e-10:
-        raise ValueError(f"conformal factor is not real at {batch[bad]} (Im = {vals[bad].imag:.3e})")
+    bad = np.flatnonzero(np.abs(vals.imag) > HERMITIAN_TOL * _bound(None, vals.real))
+    if len(bad):
+        raise ValueError(f"conformal factor is not real at {batch[bad[0]]} (Im = {vals[bad[0]].imag:.3e})")
     jets = FactorJet(batch, vals.real, *_split(J, n, ()))
     return jets if pts.ndim == 2 else jets[0]

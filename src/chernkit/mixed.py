@@ -41,15 +41,13 @@ from .geometry import (
     ChernCurvature,
     RicciBundle,
     _in_frame,
-    _max_abs,
     _outer,
     _quartic,
     _rho1,
-    _size,
     holomorphic_sectional,
     orthonormal_frame,
 )
-from .jets import MetricError, _hermitian_part
+from .jets import MetricError, _hermitian_part, _max_abs, _size
 
 __all__ = [
     "MixedParams",
@@ -113,9 +111,9 @@ def _form(R, rho, g, params: MixedParams):
 def mixed_curvature(Rc: ChernCurvature, g: np.ndarray, params: MixedParams, X) -> float:
     """C_{alpha,beta}(X) = H_T(X) for a nonzero (1,0)-vector X, scale-invariant.
 
-    MetricError if its imaginary part exceeds REALNESS_TOL times the size of
+    MetricError if its imaginary part exceeds HERMITIAN_TOL times the size of
     T's terms, (|alpha| max|g| max|g^-1| + |beta|) Rc.size: T may cancel far
-    below that, its round-off does not (see geometry._bound).
+    below that, its round-off does not (see jets._bound).
     """
     g = np.asarray(g, dtype=complex)
     gi = np.linalg.inv(g)

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ChernCurvature, RicciBundle, _bound, _max_abs, _real
-from .jets import HERMITIAN_TOL, _hermitian_part, _hermitian_residual
+from .geometry import ChernCurvature, RicciBundle
+from .jets import HERMITIAN_TOL, _bound, _hermitian_part, _hermitian_residual, _max_abs, _real, _size
 
 __all__ = [
     "WeylMinus",
@@ -48,23 +48,21 @@ class WeylMinus:
 
 @dataclass(frozen=True)
 class OneOneForm:
-    """Components a_{i jbar} of a (1,1)-form; real forms have Hermitian a.
+    """Components a_{i jbar} of a real (1,1)-form, so a is Hermitian.
 
     size is the magnitude of the terms a was summed from, per point, or None
     where they are not tracked: max|a - a^H| may not exceed HERMITIAN_TOL *
-    geometry._bound(size, max|a|).
+    jets._bound(size, max|a|).
     """
 
     a: np.ndarray
-    is_real: bool = False
     size: np.ndarray | float | None = None
 
     def __post_init__(self):
-        if self.is_real:
-            resid = _hermitian_residual(self.a)
-            bad = resid > HERMITIAN_TOL * _bound(self.size, _max_abs(self.a, 2))
-            if np.any(bad):
-                raise ValueError(f"real (1,1)-form has non-Hermitian matrix (residual {np.max(resid * bad):.3e})")
+        resid = _hermitian_residual(self.a)
+        bad = resid > HERMITIAN_TOL * _bound(self.size, _max_abs(self.a, 2))
+        if np.any(bad):
+            raise ValueError(f"real (1,1)-form has non-Hermitian matrix (residual {np.max(resid * bad):.3e})")
 
 
 def _need_surface(n: int):
@@ -116,13 +114,14 @@ def wedge_ratio(a: OneOneForm, b: OneOneForm, g: np.ndarray) -> float:
     For (1,1)-forms on a surface,
     a ^ b = -(a_{1 1bar} b_{2 2bar} + a_{2 2bar} b_{1 1bar}
               - a_{1 2bar} b_{2 1bar} - a_{2 1bar} b_{1 2bar}) * Phi
-    with Phi the coordinate 4-form, and omega^2/2 = -det(g) * Phi.
+    with Phi the coordinate 4-form, and omega^2/2 = -det(g) * Phi.  Its
+    realness is measured against a.size * b.size / |det g|.
     """
     _need_surface(g.shape[-1])
     A, B = np.moveaxis(a.a, (-2, -1), (0, 1)), np.moveaxis(b.a, (-2, -1), (0, 1))
     num = A[0, 0] * B[1, 1] + A[1, 1] * B[0, 0] - A[0, 1] * B[1, 0] - A[1, 0] * B[0, 1]
     den = np.linalg.det(np.asarray(g, dtype=complex))
-    return _real(num / den, "wedge ratio of real forms")
+    return _real(num / den, "wedge ratio of real forms", _size(a.size, b.size, 1 / np.abs(den)))
 
 
 def c1_squared_pointwise_residual(bundle: RicciBundle, g: np.ndarray) -> float:
@@ -134,7 +133,7 @@ def c1_squared_pointwise_residual(bundle: RicciBundle, g: np.ndarray) -> float:
     surface formula.
     """
     _need_surface(g.shape[-1])
-    rho = OneOneForm(bundle.rho1, is_real=True, size=bundle.size)
+    rho = OneOneForm(bundle.rho1, bundle.size)
     kappa = wedge_ratio(rho, rho, g)
     inner = form_inner(rho, rho, g)
     return np.abs(kappa - (bundle.u**2 - inner))

@@ -9,7 +9,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from chernkit.checks import CRITERIA, _mc_pairs, _sampled, run_criterion
+from chernkit.checks import CRITERIA, _average_pairs, _sampled, run_criterion
 from chernkit.geometry import ricci_bundle
 from chernkit.mixed import sphere_average_closed_form
 
@@ -85,7 +85,7 @@ def test_criterion_08_sphere_average():
     assert len(outs) == 18 * 5 + 1
     assert outs[-1].check_id == "sphere-average/hopf-half" and outs[-1].tolerance == 1e-12
     # the cubature is exact: each tolerance is round-off of the closed form, 1e-12 max(1, |closed|)
-    pairs = _mc_pairs()
+    pairs = _average_pairs()
     for k, o in enumerate(outs[:-1]):
         _, _, _, Ru = _sampled(o.metric, 1, 71)
         closed = sphere_average_closed_form(ricci_bundle(Ru[0], np.eye(Ru.n)), pairs[k % 5], Ru.n)

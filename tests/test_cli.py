@@ -6,6 +6,7 @@ import json
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -371,7 +372,9 @@ def test_eval_bad_domain_radius_exit_code(tmp_path, domain):
     metric.write_text(f"dim 2\ng[1,1] = 1\ng[2,2] = 1\ndomain {domain}\n")
     r = _run("eval", "--metric", str(metric), "--points", "2")
     assert r.returncode == 2, r.stderr
-    assert "line 4" in r.stderr and "radius must be positive and finite" in r.stderr
+    # a literal that float reads as inf is rejected by the tokenizer, before the domain sees it
+    why = "number literal '1e999' is not finite" if "1e999" in domain else "radius must be positive"
+    assert "line 4" in r.stderr and why in r.stderr
     assert "Traceback" not in r.stderr
 
 
@@ -420,3 +423,63 @@ def test_eval_scales_with_the_metric(tmp_path, name, point):
 def test_skew_metric_is_rejected_at_every_scale(tmp_path, s):
     code, (rec,) = _scaled_records(tmp_path, _SKEW, s, "0.3+0.3i,0.3-0.3i")
     assert code == 2 and "should be real" in rec["error"]
+
+
+def _main(*argv):
+    """(exit code, stdout, stderr) of an in-process cli.main, with every warning an error."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "entry, at",
+    [
+        ("1 + abs2(z)*((1e200)^2)", "^"),  # the power's constant fold overflows
+        ("abs2(z)^1e400", "1e400"),  # a literal that float reads as inf
+        ("1 + exp(1000)*abs2(z)", "exp"),
+        ("1 + abs2(z)/0", "/"),
+        ("1 + log(0)*abs2(z)", "log"),
+        ("1 + 1e200*1e200*abs2(z)", "*"),
+        ("1 + 1e400*abs2(z)", "1e400"),
+    ],
+)
+def test_a_bad_constant_is_an_error_at_its_operator(tmp_path, entry, at):
+    metric = tmp_path / "bad.metric"
+    metric.write_text(f"dim 1\ng[1,1] = {entry}\n")
+    col = len("g[1,1] = ") + 1 + entry.index(at)
+    code, out, err = _main("eval", "--metric", str(metric), "--points", "1")
+    assert (code, out) == (2, "") and err.startswith(f"error: line 2, col {col}: ") and err.count("\n") == 1, err
+
+
+def test_a_bad_constant_in_a_conformal_factor_is_an_error_at_its_operator():
+    code, out, err = _main("eval", "--metric", "euclidean-1", "--points", "1", "--conformal", "(1e200)^2")
+    assert (code, out, err) == (2, "", "error: line 1, col 8: constant overflows\n")
+
+
+def test_a_constant_that_underflows_folds_to_zero():
+    code, out, _ = _main("eval", "--metric", "euclidean-1", "--points", "1", "--conformal", "exp(-1000)*abs2(z)")
+    assert code == 0 and json.loads(out)["records"][0]["u"] == 0
+
+
+def test_a_nearly_singular_metric_is_an_error_without_warnings(tmp_path):
+    # min eigenvalue about 1e-300 |z1|: the unitary frame is about 1e150, and the curvature overflows in it
+    metric = tmp_path / "singular.metric"
+    metric.write_text("dim 2\ng[1,1] = 1e-300*zbar1\ng[1,2] = 2.5e-300\ng[2,1] = 2.5e-300\ng[2,2] = 1 + abs2(z1)\n")
+    argv = ["--metric", str(metric), "--points", "2", "--seed", "0", "--alpha", "1", "--beta", "1"]
+    code, out, err = _main("eval", *argv)
+    first, second = json.loads(out)["records"]
+    assert (code, err) == (2, "") and "error" not in first  # the first point evaluates
+    assert second["error"] == "curvature is not finite in the unitary frame"
+    assert _main("extremize", *argv) == (2, "", "error: curvature is not finite in the unitary frame\n")
+
+
+def test_a_metric_with_huge_derivatives_evaluates_without_warnings(tmp_path):
+    # max|g^-1| max|dg| max|dbar g| is about 1e400: the curvature's size overflows to inf, quietly
+    metric = tmp_path / "steep.metric"
+    metric.write_text("dim 2\ng[1,1] = 1 + abs2(z1)\ng[2,2] = 1e200*abs2(z)\n")
+    for command in ("eval", "extremize"):
+        code, _, err = _main(command, "--metric", str(metric), "--points", "2", "--alpha", "1", "--beta", "1")
+        assert (code, err) == (0, ""), command

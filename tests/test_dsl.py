@@ -117,10 +117,14 @@ def test_domain_errors():
         parse_metric("dim 1\ng[1,1]=1\ndomain annulus 2 0.5")
     with pytest.raises(DslError, match="unknown domain"):
         parse_metric("dim 1\ng[1,1]=1\ndomain cube 1")
-    # radii must be positive and finite; 1e999 reads as inf
-    for domain, col in (("ball 1e999", 13), ("ball 0", 13), ("polydisc 0.0", 17), ("polydisc 1e400", 17),
-                        ("annulus 1 1e999", 18), ("product ball 1; ball 1e999", 29)):
-        with pytest.raises(DslError, match=f"line 3, col {col}: .* radius must be positive and finite"):
+    # radii must be positive; a literal that float reads as inf (1e999) is rejected where it stands
+    for domain, col, why in (("ball 1e999", 13, "number literal '1e999' is not finite"),
+                             ("ball 0", 13, "ball radius must be positive"),
+                             ("polydisc 0.0", 17, "polydisc radius must be positive"),
+                             ("polydisc 1e400", 17, "number literal '1e400' is not finite"),
+                             ("annulus 1 1e999", 18, "number literal '1e999' is not finite"),
+                             ("product ball 1; ball 1e999", 29, "number literal '1e999' is not finite")):
+        with pytest.raises(DslError, match=f"^line 3, col {col}: {why}"):
             parse_metric(f"dim {2 if 'product' in domain else 1}\ng[1,1]=1\ndomain {domain}")
 
 

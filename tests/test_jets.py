@@ -157,6 +157,21 @@ def test_factor_jet_rejects_complex_factor():
         factor_jet(F, [0.3 + 0.2j], 1)
 
 
+def test_factor_jet_measures_its_imaginary_part_against_its_value():
+    from chernkit.dsl import parse_expression
+
+    # round-off of a real factor grows with it: 1e12 times a factor is as real as the factor
+    p = [0.3 + 0.7j, 0.9 - 0.4j]
+    for scale in (1.0, 1e6, 1e12):
+        fj = factor_jet(parse_expression(f"{scale!r}*z1*z2*zbar1*zbar2", 2), p, 2)
+        assert isinstance(fj.value, float) and abs(fj.value / scale - abs(p[0] * p[1]) ** 2) <= 1e-15
+    # a factor that is not real is rejected, at the first point where it is not
+    with pytest.raises(ValueError, match=re.escape("not real at [0.3+0.7j 0.9-0.4j] (Im = 5.800e-01)")):
+        factor_jet(parse_expression("1i*z1*zbar1", 2), p, 2)
+    with pytest.raises(ValueError, match=re.escape("not real at [0.5+0.2j ")):
+        factor_jet(parse_expression("z1 - zbar1", 2), [[0.5, 0.1], [0.5 + 0.2j, 0.1]], 2)
+
+
 @pytest.mark.parametrize("text, reason", [("1/(z1*zbar1)", "division by zero"), ("log(z1*zbar1)", "log of zero")])
 def test_factor_jet_raises_where_its_program_fails(text, reason):
     from chernkit.dsl import parse_expression

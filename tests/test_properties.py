@@ -212,3 +212,74 @@ def test_real_quadratic_factors_obey_the_conformal_law(drawn):
     pred = conformal_curvature_via_formula(chern_curvature(jets), jets, factor_jet(F, pts, n)).tensor
     direct = chern_curvature(metric_jets(conformal_metric(entry.spec, F), pts)).tensor
     assert np.max(np.abs(pred - direct)) <= 1e-8 * max(1.0, float(np.max(np.abs(direct))))
+
+
+# ---------------------------------------------------------------------------
+# DSL source through the CLI: every input evaluates or exits 2 with one error line
+
+import re  # noqa: E402
+
+from chernkit.catalog import names  # noqa: E402
+from chernkit.dsl import print_metric  # noqa: E402
+from test_cli import _main  # noqa: E402
+
+_NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
+_numbers = st.sampled_from(["0", "1", "2.5", "3i", "1e200", "1e-200", "1e300", "1e-300"])
+
+
+def _sources(n):
+    """DSL expression text over z1..zn: numbers as large as 1e300, coordinates, abs2, + - * / ^, exp, log, conj."""
+    coords = [f"z{k}" for k in range(1, n + 1)] + [f"zbar{k}" for k in range(1, n + 1)] + ["abs2(z)"]
+    return st.recursive(
+        st.one_of(_numbers, st.sampled_from(coords)),
+        lambda kids: st.one_of(
+            st.builds("({}) {} ({})".format, kids, st.sampled_from("+-*/"), kids),
+            st.builds("{}({})".format, st.sampled_from(["exp", "log", "conj", "abs2", "-"]), kids),
+            st.builds("({})^{}".format, kids, st.sampled_from(["2", "3", "-1", "1e200"])),
+        ),
+        max_leaves=5,
+    )
+
+
+def _metric_texts(n):
+    """A dim-n metric file whose entries are drawn, with g[j,i] = conj(g[i,j]).
+
+    Half the diagonal entries are 1 + abs2(e), so that more of the drawn metrics are positive definite.
+    """
+    cells = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+    entries = [st.one_of(_sources(n), _sources(n).map("1 + abs2({})".format)) if i == j else _sources(n) for i, j in cells]
+    return st.tuples(*entries).map(
+        lambda texts: f"dim {n}\n" + "".join(
+            f"g[{i},{j}] = {t}\n" + (f"g[{j},{i}] = conj({t})\n" if i != j else "") for (i, j), t in zip(cells, texts)
+        )
+    )
+
+
+def _exit_codes(path):
+    """The exit codes of eval and extremize at 2 points of the metric file, each checked to be 0 or 2."""
+    codes = []
+    for command in ("eval", "extremize"):
+        code, out, err = _main(command, "--metric", str(path), "--points", "2", "--alpha", "1", "--beta", "1")
+        assert code in (0, 2), (command, code, err)
+        assert err == "" or (err.startswith("error: ") and err.count("\n") == 1), (command, err)
+        assert not _NON_FINITE.search(out), (command, out)
+        codes.append(code)
+    return codes
+
+
+@settings(DETERMINISTIC, max_examples=100)
+@given(st.integers(1, 2).flatmap(_metric_texts))
+def test_every_metric_source_evaluates_or_exits_2(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("dsl") / "drawn.metric"
+    path.write_text(text)
+    _exit_codes(path)
+
+
+@pytest.mark.parametrize("s", [1e-150, 1e150])
+def test_scaled_catalog_metrics_evaluate(tmp_path, s):
+    for name in names():
+        spec = builtin(name).spec
+        scaled = MetricSpec(spec.n, [[ex.mul(ex.const(s), e) for e in row] for row in spec.entries], domain=spec.domain)
+        path = tmp_path / f"{name}.metric"
+        path.write_text(print_metric(scaled))
+        assert _exit_codes(path) == [0, 0], name

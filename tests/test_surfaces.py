@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from chernkit import expr as ex
 from chernkit.catalog import builtin, sample_points
-from chernkit.dsl import parse_metric
+from chernkit.dsl import MetricSpec, parse_metric
 from chernkit.geometry import ChernCurvature, RicciBundle, chern_curvature, ricci_bundle, to_unitary_frame
 from chernkit.jets import metric_jet, metric_jets
 from chernkit.surfaces import (
@@ -103,7 +104,7 @@ def test_ricci_combination_hand_value_hopf():
 def test_form_inner_and_wedge_normalization():
     # the omega fixture: <omega, omega> = n and omega^omega / (omega^2/2) = 2
     g = np.eye(2)
-    omega = OneOneForm(np.eye(2), is_real=True)
+    omega = OneOneForm(np.eye(2))
     assert abs(form_inner(omega, omega, g) - 2.0) < 1e-15
     assert abs(wedge_ratio(omega, omega, g) - 2.0) < 1e-15
     # synthetic rho1 = omega: residual is exactly zero
@@ -113,10 +114,10 @@ def test_form_inner_and_wedge_normalization():
 
 def test_form_inner_positive_definite():
     g = np.eye(2)
-    a = OneOneForm(np.array([[0.0, 0.3 + 0.4j], [0.3 - 0.4j, 0.0]]), is_real=True)
+    a = OneOneForm(np.array([[0.0, 0.3 + 0.4j], [0.3 - 0.4j, 0.0]]))
     assert form_inner(a, a, g) > 0
     with pytest.raises(ValueError, match="Hermitian"):
-        OneOneForm(np.array([[0.0, 1.0], [0.0, 0.0]]), is_real=True)
+        OneOneForm(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_c1_squared_on_all_surfaces():
@@ -136,13 +137,35 @@ def test_c1_squared_on_a_flat_surface_with_nonzero_derivatives():
         assert np.all(c1_squared_pointwise_residual(b, g) < 1e-12)
 
 
+@pytest.mark.parametrize("name", ["hopf-2", "isosceles-hopf-surface"])
+def test_c1_squared_scales_with_the_metric(name):
+    # g -> s g scales rho1 ^ rho1 / (omega^2/2) by 1/s^2 in both frames; its realness is measured against the
+    # forms' sizes over |det g|, so the wedge ratio of a scaled hopf surface (which cancels to round-off) is
+    # accepted at every s, with a residual at round-off of u^2
+    entry = builtin(name)
+    pts = sample_points(entry, 4, 3)
+    for s in (1e-150, 1e-100, 1e-50, 1e100, 1e150):
+        spec = MetricSpec(2, [[ex.mul(ex.const(s), e) for e in row] for row in entry.spec.entries], domain=entry.spec.domain)
+        jets = metric_jets(spec, pts)
+        Rc = chern_curvature(jets)
+        for b, g in ((ricci_bundle(Rc, jets.g), jets.g), (ricci_bundle(to_unitary_frame(Rc, jets), np.eye(2)), np.eye(2))):
+            assert np.all(c1_squared_pointwise_residual(b, g) <= 1e-13 * b.u**2), s
+
+
+@pytest.mark.parametrize("s", [1.0, 1e-160, 1e100])
+def test_non_hermitian_real_form_is_rejected_at_every_scale(s):
+    # measured against the size of its terms, s, a form's Hermitian check has no floor
+    with pytest.raises(ValueError, match="non-Hermitian"):
+        OneOneForm(s * np.array([[1.0, 1.0], [0.0, 1.0]]), size=s)
+
+
 def test_c1_squared_adm_hand_values():
     # u = 0, rho1 = diag(-1, 1): wedge ratio -2, u^2 - <rho,rho> = -2
     entry = builtin("adm-product-surface")
     jet = metric_jet(entry.spec, sample_points(entry, 1, 6)[0])
     Ru = to_unitary_frame(chern_curvature(jet), jet)
     b = ricci_bundle(Ru, np.eye(2))
-    rho = OneOneForm(b.rho1, is_real=True)
+    rho = OneOneForm(b.rho1)
     assert abs(wedge_ratio(rho, rho, np.eye(2)) - (-2.0)) < 1e-12
     assert abs(form_inner(rho, rho, np.eye(2)) - 2.0) < 1e-12
     assert abs(b.u) < 1e-12
