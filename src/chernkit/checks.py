@@ -59,7 +59,7 @@ from .mixed import (
 )
 from .surfaces import c1_squared_pointwise_residual, ricci_combination_residual, weyl_minus
 
-__all__ = ["VerificationOutcome", "run_checks", "run_criterion", "SUITES", "CRITERIA"]
+__all__ = ["VerificationOutcome", "run_checks", "SUITES", "CRITERIA"]
 
 
 @dataclass(frozen=True)
@@ -179,7 +179,7 @@ def check_space_forms():
     for name in ("fubini-study-2", "fubini-study-3", "complex-hyperbolic-2", "complex-hyperbolic-3"):
         pts, jets, Rc, Ru = _sampled(name, 50, 31)
         b = ricci_bundle(Rc, jets.g)
-        reps = [extremize(R, np.eye(jets.n), MixedParams(0.0, 1.0)) for R in Ru]
+        reps = [extremize(R, MixedParams(0.0, 1.0)) for R in Ru]
         for tag, res, tol in (
             ("kahler-defect", kahler_defect(jets), 1e-10),
             ("kahler-like", kahler_like_defect(Ru), 1e-9),
@@ -213,7 +213,7 @@ def check_conformal_law():
         n = jets.n
         for ftext in _FACTORS:
             F = parse_expression(ftext, n)
-            pred = conformal_curvature_via_formula(Rc, jets, factor_jet(F, pts, n))
+            pred = conformal_curvature_via_formula(Rc, jets, factor_jet(F, pts))
             direct = chern_curvature(metric_jets(conformal_metric(builtin(name).spec, F), pts)).tensor
             res = _max_abs(pred.tensor - direct, 4) / np.maximum(1.0, _max_abs(direct, 4))
             out.append(_worst(f"conformal-law/equivalence/{ftext}", name, res, 1e-8, "derived", pts))
@@ -275,11 +275,10 @@ def check_trace_identity():
     for name, (a, b_) in _TRACE_CONFIGS:
         params = MixedParams(a, b_)
         pts, _, _, Ru = _sampled(name, 20, 61)
-        n = Ru.n
-        bundle = ricci_bundle(Ru, np.eye(n))
+        bundle = ricci_bundle(Ru, np.eye(Ru.n))
         # the pointwise-constant value, from the scalar identity
-        f = sphere_average_closed_form(bundle, params, n)
-        res = trace_identity_residual(bundle, params, f, n)
+        f = sphere_average_closed_form(bundle, params)
+        res = trace_identity_residual(bundle, params, f)
         out.append(_worst(f"trace-identity/alpha{a}-beta{b_}", name, res, 1e-8, "closed-form", pts))
     return out
 
@@ -308,7 +307,7 @@ def check_sphere_average():
         bundle = ricci_bundle(Ru, np.eye(n))
         Z, w = _sphere_design(n)
         for params in pairs:
-            closed = sphere_average_closed_form(bundle, params, n)
+            closed = sphere_average_closed_form(bundle, params)
             check_id = f"sphere-average/a{params.alpha:+.2f}-b{params.beta:+.2f}"
             res = abs(w @ mixed_curvature(Ru, np.eye(n), params, Z) - closed)  # the design's sum is exact
             out.append(_outcome(check_id, name, res, 1e-12 * max(1.0, abs(closed)), "derived", pt[0]))
@@ -339,15 +338,15 @@ def check_hopf_torsion():
 
 
 def check_fd():
-    out, h = [], 1e-5
+    out = []
     for name in names():
         entry = builtin(name)
         pts = sample_points(entry, 20, 97)
-        worst = ex.fd_residual(ex.compile_program([e for row in entry.spec.entries for e in row]), pts, h)
+        worst = ex.fd_residual(ex.compile_program([e for row in entry.spec.entries for e in row]), pts)
         out.append(_outcome("fd-cross-check/entries", name, worst, 1e-6, "derived"))
     rng = np.random.default_rng(97)
     pts = rng.uniform(-0.5, 0.5, size=(20, 6)).view(complex)
-    worst = ex.fd_residual(ex.compile_program([parse_expression(ftext, 3) for ftext in _FACTORS]), pts, h)
+    worst = ex.fd_residual(ex.compile_program([parse_expression(ftext, 3) for ftext in _FACTORS]), pts)
     out.append(_outcome("fd-cross-check/conformal-factors", "(factors)", worst, 1e-6, "derived"))
     return out
 
@@ -358,7 +357,7 @@ def check_fd():
 
 def check_nonconstancy_witness():
     pt, _, _, Ru = _sampled("hopf-2", 1, 99)
-    rep = extremize(Ru[0], np.eye(2), MixedParams(0.0, 1.0))
+    rep = extremize(Ru[0], MixedParams(0.0, 1.0))
     # witness check: spread must EXCEED 1e-2, so the residual is the shortfall
     return [_outcome("nonconstancy-witness/hopf-hsc-spread", "hopf-2", 1e-2 - rep.spread, 0.0, "derived", pt[0])]
 
@@ -422,18 +421,13 @@ SUITES = {
 SUITES["all"] = [name for suite in ("core", "mixed", "conformal", "surface", "catalog") for name in SUITES[suite]]
 
 
-def run_criterion(name: str):
-    """All outcomes of one named criterion."""
-    return CRITERIA[name]()
-
-
 def run_checks(suite: str = "all", tol_override: float | None = None):
     """Run a suite; tol_override replaces every tolerance (forcing-failure knob)."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; pick one of {sorted(SUITES)}")
     outcomes = []
     for name in SUITES[suite]:
-        outcomes.extend(run_criterion(name))
+        outcomes.extend(CRITERIA[name]())
     if tol_override is not None:
         outcomes = [replace(o, tolerance=tol_override, passed=o.residual <= tol_override) for o in outcomes]
     return outcomes

@@ -1,27 +1,24 @@
 """Command-line front end.
 
     chernkit eval --metric <name|file> --points N --seed S --alpha A --beta B
-                  [--point "re+imi,..."] [--conformal EXPR] [--out FILE] [--parallel]
+                  [--point "re+imi,..."] [--conformal EXPR] [--out FILE]
     chernkit verify [--suite all|core|mixed|conformal|surface|catalog] [--tol T]
     chernkit extremize --metric <name|file> --points N --seed S --alpha A --beta B
                        [--point "re+imi,..."] [--out FILE]
     chernkit catalog list
 
 Exit codes: 0 = success / all checks pass, 1 = verification failures,
-2 = input, parse or file errors.  CHERNKIT_TOL overrides the default verify
-tolerances when --tol is not given.
+2 = input, parse or file errors.
 
 eval and extremize evaluate a metric's points as one batch (one jets call,
 one pass of each curvature kernel); only the extremizer runs point by point.
-A point that eval cannot evaluate gets a record with its own error.  eval
-accepts --parallel for compatibility; it changes nothing.
+A point that eval cannot evaluate gets a record with its own error.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 from pathlib import Path
 
@@ -129,7 +126,7 @@ def _bodies(jets, pairs) -> list:
                 "v": b.v[k],
                 "eta_norm2": t.eta_norm2[k],
                 "ricci": {rho: getattr(b, rho)[k] for rho in ("rho1", "rho2", "rho3", "rho4")},
-                "mixed": [_mixed_row(params, extremize(R, np.eye(jets.n), params)) for params in pairs],
+                "mixed": [_mixed_row(params, extremize(R, params)) for params in pairs],
             }
             for k, R in enumerate(Ru)
         ]
@@ -179,13 +176,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    tol = args.tol
-    if tol is None and (env := os.environ.get("CHERNKIT_TOL")):
-        try:
-            tol = float(env)
-        except ValueError:
-            raise InputError(f"CHERNKIT_TOL={env!r} is not a number") from None
-    outcomes = run_checks(args.suite, tol_override=tol)
+    outcomes = run_checks(args.suite, tol_override=args.tol)
     width = max(len(o.check_id) for o in outcomes)
     mwidth = max(len(o.metric) for o in outcomes)
     for o in outcomes:
@@ -205,7 +196,7 @@ def cmd_extremize(args) -> int:
     pairs = _pairs_for(args)
     jets = metric_jets(spec, pts)
     Ru = to_unitary_frame(chern_curvature(jets), jets)
-    rows = [(p, params, extremize(R, np.eye(spec.n), params)) for p, R in zip(pts, Ru) for params in pairs]
+    rows = [(p, params, extremize(R, params)) for p, R in zip(pts, Ru) for params in pairs]
     header = f"{'point':<40} {'alpha':>7} {'beta':>7} {'min':>13} {'max':>13} {'spread':>12}  conv"
     print(header)
     for p, params, rep in rows:
@@ -226,8 +217,6 @@ def cmd_extremize(args) -> int:
 
 
 def cmd_catalog(args) -> int:
-    if args.action != "list":
-        raise InputError(f"unknown catalog action {args.action!r}")
     for name in names():
         e = builtin(name)
         kind = "kahler" if e.kahler else "non-kahler"
@@ -251,12 +240,11 @@ def build_parser() -> argparse.ArgumentParser:
     pe = sub.add_parser("eval", parents=[shared], help="curvature report at sampled or given points")
     pe.add_argument("--conformal", help="real DSL expression F; report is for exp(2F) g")
     pe.add_argument("--out", help="write the JSON report here instead of stdout")
-    pe.add_argument("--parallel", action="store_true", help="accepted for compatibility; points are evaluated serially")
     pe.set_defaults(func=cmd_eval)
 
     pv = sub.add_parser("verify", help="run the verification battery")
     pv.add_argument("--suite", default="all", choices=sorted(SUITES))
-    pv.add_argument("--tol", type=float, help="override every tolerance (also: CHERNKIT_TOL)")
+    pv.add_argument("--tol", type=float, help="override every tolerance")
     pv.set_defaults(func=cmd_verify)
 
     px = sub.add_parser("extremize", parents=[shared], help="mixed-curvature extrema over unit directions")

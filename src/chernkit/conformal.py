@@ -71,7 +71,7 @@ def surface_scalar_relation_residual(spec: MetricSpec, F: ex.Expr, p):
     if spec.n != 2:
         raise ValueError("surface scalar relations require n = 2")
     tilde_jet = metric_jets(conformal_metric(spec, F), p)
-    jet, fj = metric_jets(spec, p), factor_jet(F, p, 2)
+    jet, fj = metric_jets(spec, p), factor_jet(F, p)
     if np.ndim(p) == 1:
         tilde_jet, jet = tilde_jet[0], jet[0]
     base = ricci_bundle(chern_curvature(jet), jet.g)

@@ -588,21 +588,23 @@ def to_source(e: Expr) -> str:
 # Finite-difference cross-validation
 
 
-def fd_residual(e, p, h: float = 1e-5) -> float:
+_FD_STEP = 1e-5  # the central differences' step h
+
+
+def fd_residual(e, p) -> float:
     """Max deviation between jet and central-difference Wirtinger derivatives.
 
     For every coordinate k present at the point, compares the d_k and dbar_k
     columns of e's jet run, the derivatives the curvature kernels consume,
-    against 0.5*(d/dx_k -/+ i d/dy_k) central differences of step h.  Used as
-    a validation residual; h must be > 0 and p interior with margin >= 2h.
+    against 0.5*(d/dx_k -/+ i d/dy_k) central differences of step h =
+    _FD_STEP.  Used as a validation residual; p must be interior with margin >= 2h.
     p is one point, shape (n,), or a batch, shape (m, n); the result is the
     maximum over the batch.  e may also be a :class:`Program`, and the
     result is then the maximum over its roots, bit-identical to the largest
     of the roots' own residuals.  One program serves both runs: its jet run
     over the batch, and its plain run over all 4n shifted copies of it.
     """
-    if h <= 0:
-        raise ValueError("finite-difference step must be positive")
+    h = _FD_STEP
     pts = np.atleast_2d(np.asarray(p, dtype=complex))
     m, n = pts.shape
     prog = e if isinstance(e, Program) else compile_program([e])

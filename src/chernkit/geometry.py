@@ -150,7 +150,8 @@ def orthonormal_frame(g: np.ndarray) -> np.ndarray:
         raise MetricError(f"matrix is not positive definite: {err}") from err
     E = np.swapaxes(np.linalg.inv(L), -1, -2)
     check = np.einsum("...ij,...ia,...jb->...ab", g, E, np.conj(E))
-    if np.any(_max_abs(check - np.eye(g.shape[-1]), 2) > 1e-12 * _max_abs(E, 2) ** 2 * _max_abs(g, 2)):
+    e = _max_abs(E, 2)
+    if np.any(_max_abs(check - np.eye(g.shape[-1]), 2) > 1e-12 * _size(_max_abs(g, 2), e, e)):
         raise MetricError("orthonormal frame residual exceeds tolerance")
     return E
 
@@ -165,11 +166,11 @@ def to_unitary_frame(Rc: ChernCurvature, jet: MetricJet) -> ChernCurvature:
     if Rc.frame != "coordinate":
         raise ValueError("to_unitary_frame expects a coordinate-frame tensor")
     E = orthonormal_frame(jet.g)
-    e2 = _max_abs(E, 2) ** 2
     R = _in_frame(Rc.tensor, E)
     if not np.isfinite(R).all():
         raise MetricError("curvature is not finite in the unitary frame")
-    return ChernCurvature(R, "unitary", Rc.point, E, _size(Rc.size, e2, e2))
+    e = _max_abs(E, 2)
+    return ChernCurvature(R, "unitary", Rc.point, E, _size(Rc.size, e, e, e, e))
 
 
 def ricci_bundle(Rc: ChernCurvature, g: np.ndarray) -> RicciBundle:

@@ -94,8 +94,9 @@ class FactorJet(_PerPoint):
 
 
 def _hermitian_part(a: np.ndarray) -> np.ndarray:
-    """(a + a^H)/2 over the last two axes: g made exactly Hermitian, Re(rho3) for rho3."""
-    return 0.5 * (a + np.conj(np.swapaxes(a, -1, -2)))
+    """(a + a^H)/2 over the last two axes, halved before the sum so that no entry overflows:
+    g made exactly Hermitian, Re(rho3) for rho3."""
+    return 0.5 * a + 0.5 * np.conj(np.swapaxes(a, -1, -2))
 
 
 def _max_abs(x, ndim: int):
@@ -232,16 +233,17 @@ def metric_jet(spec: MetricSpec, p) -> MetricJet:
     return metric_jets(spec, np.asarray(p, dtype=complex)[None, :])[0]
 
 
-def factor_jet(F: ex.Expr, p, n: int) -> FactorJet:
+def factor_jet(F: ex.Expr, p) -> FactorJet:
     """Jet of a real-valued scalar factor F (value, gradients, mixed Hessian).
 
     p is one point, shape (n,), or a batch, shape (m, n), giving a batched
-    FactorJet; one compile and one jet run either way.  Raises the
+    FactorJet; n is p's last axis.  One compile and one jet run either way.  Raises the
     EvaluationError of a division by zero or log of zero at any point, and
     ValueError naming the first point where |Im F| exceeds HERMITIAN_TOL *
     _bound(None, Re F).
     """
     pts = np.asarray(p, dtype=complex)
+    n = pts.shape[-1]
     batch = pts.reshape(-1, n)
     prog = ex.compile_program([F])
     J = ex.evaluate(prog, batch, jet=True)

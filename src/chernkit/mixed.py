@@ -122,9 +122,9 @@ def mixed_curvature(Rc: ChernCurvature, g: np.ndarray, params: MixedParams, X) -
     return holomorphic_sectional(replace(Rc, tensor=T, size=size), g, X)
 
 
-def sphere_average_closed_form(bundle: RicciBundle, params: MixedParams, n: int) -> float:
-    """Exact average of C_{alpha,beta} over the unit sphere of directions."""
-    a, b = params.alpha, params.beta
+def sphere_average_closed_form(bundle: RicciBundle, params: MixedParams) -> float:
+    """Exact average of C_{alpha,beta} over the unit sphere of directions, n from the bundle."""
+    a, b, n = params.alpha, params.beta, bundle.rho1.shape[-1]
     return (((n + 1) * a + b) * bundle.u + b * bundle.v) / (n * (n + 1))
 
 
@@ -357,12 +357,16 @@ def _scaled_form(R, rho, params: MixedParams):
     e is taken from the exponents of the weights and of max|rho1|, max|R|, so the
     magnitude of T may lie outside the floats while S neither over- nor
     underflows; on S the ascent's ladder of steps is relative to the curvature.
+    rho1 and R are scaled by 2^-e, the weights kept: 2^-e itself need not be a
+    float, when the curvature is subnormal.  A term whose weight is 0 is left
+    unscaled, as only the other term's exponent bounds e.
     """
-    sizes = [(w, float(np.max(np.abs(t)))) for w, t in ((params.alpha, rho), (params.beta, R))]
+    terms = ((params.alpha, rho), (params.beta, R))
+    sizes = [(w, float(np.max(np.abs(t)))) for w, t in terms]
     e = max((math.frexp(w)[1] + math.frexp(m)[1] - 1 for w, m in sizes if w and m), default=0)
-    a, b = math.ldexp(params.alpha, -e), math.ldexp(params.beta, -e)
-    S = _form(R, rho, np.eye(R.shape[0]), MixedParams(a, b))
-    return S, e, max(abs(a) * sizes[0][1], abs(b) * sizes[1][1])
+    rho, R = (np.ldexp(t.real, -e) + 1j * np.ldexp(t.imag, -e) if w else t for w, t in terms)
+    S = _form(R, rho, np.eye(R.shape[0]), params)
+    return S, e, max(abs(params.alpha) * _max_abs(rho, 2), abs(params.beta) * _max_abs(R, 4))
 
 
 def _best(S, Z):
@@ -372,13 +376,15 @@ def _best(S, Z):
     return float(f[lo]), Z[lo], float(f[hi]), Z[hi]
 
 
-def extremize(Rc: ChernCurvature, g: np.ndarray, params: MixedParams) -> ExtremumReport:
-    """Extrema of C_{alpha,beta} over the unit sphere in the g-orthonormal frame, at one point.
+def extremize(Rc: ChernCurvature, params: MixedParams) -> ExtremumReport:
+    """Extrema of C_{alpha,beta} over the unit sphere of a unitary frame, at one point.
 
-    On that sphere |Z|_g = |Z|_euclid, so the objective is T(Z, Zbar, Z, Zbar)
-    with T = alpha rho1 (x) I + beta R in that frame.  The extreme eigenvalues
-    of H = sym(T)/4 on Sym^2(C^n) bound the extrema.  When the best rank-one
-    rounding of _sym2_candidates meets both bounds within 1e-13 times the
+    Rc is one point's curvature in a unitary frame (geometry.to_unitary_frame;
+    a coordinate-frame tensor is a ValueError), where the metric is I: on that
+    sphere |Z|_g = |Z|_euclid, so the objective is T(Z, Zbar, Z, Zbar) with
+    T = alpha rho1 (x) I + beta R.  The extreme eigenvalues of H = sym(T)/4
+    on Sym^2(C^n) bound the extrema.  When the best rank-one rounding of
+    _sym2_candidates meets both bounds within 1e-13 times the
     curvature magnitude max(|alpha| max|rho1|, |beta| max|R|) (always at
     n = 1), the extrema are certified: converged, restarts_used = 0.
     Otherwise at n = 2 the best of _bloch_candidates is exact (converged,
@@ -393,10 +399,13 @@ def extremize(Rc: ChernCurvature, g: np.ndarray, params: MixedParams) -> Extremu
     tolerances have no absolute floor and the result scales exactly with
     the weights and with the curvature, however large or small.
     """
+    if Rc.frame != "unitary":
+        raise ValueError("extremize takes a unitary-frame curvature; convert it with to_unitary_frame")
     if Rc.tensor.ndim != 4:
         raise ValueError(f"extremize takes one point, got a curvature tensor of shape {Rc.tensor.shape}")
-    R, rho = _unitary_data(Rc, g)
+    R = Rc.tensor
     n = R.shape[0]
+    rho = _rho1(np.eye(n), R)
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # reported as MetricError below
         S, e, scale = _scaled_form(R, rho, params)
@@ -460,7 +469,7 @@ def _constancy_residual(T, g, c):
     return _max_abs(_sym(T - c * np.einsum("...ij,...kl->...ijkl", g, g)), 4)
 
 
-def trace_identity_residual(bundle: RicciBundle, params: MixedParams, f: float, n: int) -> float:
+def trace_identity_residual(bundle: RicciBundle, params: MixedParams, f: float) -> float:
     """Residual of the traced constancy identities for C_{alpha,beta} == f.
 
     Matrix identity:
@@ -469,11 +478,11 @@ def trace_identity_residual(bundle: RicciBundle, params: MixedParams, f: float, 
     Scalar identity:
         [(n+1) alpha + beta] u + beta v = n (n+1) f
 
-    with g the identity, so the bundle is taken in a unitary frame.
-    Returns the max of the two residuals.
+    with g the identity, so the bundle is taken in a unitary frame; n is
+    its dimension.  Returns the max of the two residuals.
     """
-    a, b = params.alpha, params.beta
+    a, b, n = params.alpha, params.beta, bundle.rho1.shape[-1]
     lhs = (a * (n + 2) + b) * bundle.rho1 + b * bundle.rho2 + 2 * b * _hermitian_part(bundle.rho3)
     rhs = np.asarray(2 * (n + 1) * f - a * bundle.u)[..., None, None] * np.eye(n, dtype=complex)
-    scalar_res = n * (n + 1) * np.abs(sphere_average_closed_form(bundle, params, n) - f)
+    scalar_res = n * (n + 1) * np.abs(sphere_average_closed_form(bundle, params) - f)
     return np.maximum(_max_abs(lhs - rhs, 2), scalar_res)

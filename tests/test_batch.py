@@ -64,7 +64,7 @@ def test_batched_kernels_equal_stacked_point_calls(name):
     n = entry.spec.n
     pts = sample_points(entry, 6, 19)
     jets = metric_jets(entry.spec, pts)
-    fj = factor_jet(parse_expression("0.1*(z1*zbar1 + z1 + zbar1)", n), pts, n)
+    fj = factor_jet(parse_expression("0.1*(z1*zbar1 + z1 + zbar1)", n), pts)
     X = pts + np.linspace(1.0, 2.0, n)
     assert len(jets) == len(fj) == len(pts)
     for kernel, f in KERNELS.items():

@@ -20,9 +20,9 @@ from chernkit.geometry import chern_curvature, to_unitary_frame
 from chernkit.jets import metric_jet
 
 
-def _run(*args, env=None):
+def _run(*args):
     cmd = [sys.executable, "-m", "chernkit.cli", *args]
-    return subprocess.run(cmd, capture_output=True, text=True, env=env)
+    return subprocess.run(cmd, capture_output=True, text=True)
 
 
 def test_eval_json_is_deterministic(tmp_path):
@@ -97,14 +97,6 @@ def test_eval_file_metric(tmp_path):
     assert doc["records"][0]["u"] == 0
 
 
-def test_eval_parallel_matches_serial(tmp_path):
-    a, b = tmp_path / "a.json", tmp_path / "b.json"
-    args = ["eval", "--metric", "fubini-study-2", "--points", "4", "--seed", "3"]
-    assert _run(*args, "--out", str(a)).returncode == 0
-    assert _run(*args, "--parallel", "--out", str(b)).returncode == 0
-    assert a.read_bytes() == b.read_bytes()
-
-
 def test_verify_all_passes_with_many_checks():
     r = _run("verify")
     assert r.returncode == 0, r.stdout[-2000:] + r.stderr
@@ -124,22 +116,6 @@ def test_verify_tolerance_override_fails():
     r = _run("verify", "--suite", "surface", "--tol", "1e-30")
     assert r.returncode == 1
     assert "FAIL" in r.stdout
-
-
-def test_verify_env_tolerance(tmp_path):
-    import os
-
-    env = dict(os.environ, CHERNKIT_TOL="1e-30")
-    r = _run("verify", "--suite", "surface", env=env)
-    assert r.returncode == 1
-
-
-def test_verify_env_tolerance_that_is_not_a_number():
-    import os
-
-    r = _run("verify", "--suite", "surface", env=dict(os.environ, CHERNKIT_TOL="abc"))
-    assert r.returncode == 2 and r.stdout == ""
-    assert r.stderr == "error: CHERNKIT_TOL='abc' is not a number\n"
 
 
 def test_verify_rejects_unknown_suite():
@@ -474,6 +450,32 @@ def test_a_nearly_singular_metric_is_an_error_without_warnings(tmp_path):
     assert (code, err) == (2, "") and "error" not in first  # the first point evaluates
     assert second["error"] == "curvature is not finite in the unitary frame"
     assert _main("extremize", *argv) == (2, "", "error: curvature is not finite in the unitary frame\n")
+
+
+def test_a_subnormal_curvature_evaluates_without_warnings(tmp_path):
+    # the curvature is about 1e-320: the extremizer scales it up by 2^1062, more than a float weight can carry
+    metric = tmp_path / "subnormal.metric"
+    metric.write_text(
+        "dim 2\ng[1,1] = 1 + abs2((1) * (1))\ng[1,2] = (conj(abs2(z))) * (1e-320)\n"
+        "g[2,1] = (abs2(z)) * (1e-320)\ng[2,2] = 1 + abs2((1) * (1))\n"
+    )
+    for command in ("eval", "extremize"):
+        code, _, err = _main(command, "--metric", str(metric), "--points", "2")
+        assert (code, err) == (0, ""), command
+
+
+def test_metrics_at_the_ends_of_the_float_range_warn_nothing(tmp_path):
+    big, tiny = tmp_path / "big.metric", tmp_path / "tiny.metric"
+    big.write_text("dim 1\ng[1,1] = ((z1) / (z1)) + (1e308)\n")  # g + g^H overflows; (g + g^H)/2 need not
+    tiny.write_text("dim 1\ng[1,1] = 1e-310 + 1e-310*abs2(z)\n")  # the unitary frame is about 1e155
+    for command in ("eval", "extremize"):
+        assert _main(command, "--metric", str(big), "--points", "2")[::2] == (0, ""), command
+    code, out, err = _main("eval", "--metric", str(tiny), "--points", "2")
+    assert (code, err) == (2, "")
+    assert all(r["error"] == "curvature is not finite in the unitary frame" for r in json.loads(out)["records"])
+    assert _main("extremize", "--metric", str(tiny), "--points", "2") == (
+        2, "", "error: curvature is not finite in the unitary frame\n"
+    )
 
 
 def test_a_metric_with_huge_derivatives_evaluates_without_warnings(tmp_path):

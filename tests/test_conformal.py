@@ -33,7 +33,7 @@ def test_zero_factor_is_identity():
     p = pts[0]
     jet = metric_jet(spec, p)
     Rc = chern_curvature(jet)
-    fj = factor_jet(ex.ZERO, p, 2)
+    fj = factor_jet(ex.ZERO, p)
     pred = conformal_curvature_via_formula(Rc, jet, fj)
     assert np.array_equal(pred.tensor, Rc.tensor)
 
@@ -85,7 +85,7 @@ def test_formula_matches_direct_recomputation():
         tilde = conformal_metric(entry.spec, F)
         for p in sample_points(entry, 3, 3):
             jet = metric_jet(entry.spec, p)
-            fj = factor_jet(F, p, n)
+            fj = factor_jet(F, p)
             pred = conformal_curvature_via_formula(chern_curvature(jet), jet, fj)
             direct = chern_curvature(metric_jet(tilde, p))
             scale = max(1.0, float(np.max(np.abs(direct.tensor))))
@@ -98,7 +98,7 @@ def test_first_ricci_conformal_shift():
     F = parse_expression("0.1*(z1*zbar1 - z2*zbar2)", 2)
     p = sample_points(entry, 1, 4)[0]
     jet = metric_jet(entry.spec, p)
-    fj = factor_jet(F, p, 2)
+    fj = factor_jet(F, p)
     b = ricci_bundle(chern_curvature(jet), jet.g)
     tjet = metric_jet(conformal_metric(entry.spec, F), p)
     tb = ricci_bundle(chern_curvature(tjet), tjet.g)
@@ -110,13 +110,13 @@ def test_chern_laplacian_examples():
     p = np.array([0.4 + 0.1j, -0.3 + 0.2j])
     jet = metric_jet(eu, p)
     F = parse_expression("z1*zbar2 + z2*zbar1", 2)
-    assert abs(chern_laplacian(jet, factor_jet(F, p, 2))) < 1e-15
+    assert abs(chern_laplacian(jet, factor_jet(F, p))) < 1e-15
     F = parse_expression("z1*zbar1", 2)
-    assert abs(chern_laplacian(jet, factor_jet(F, p, 2)) - 1.0) < 1e-15
+    assert abs(chern_laplacian(jet, factor_jet(F, p)) - 1.0) < 1e-15
     # hopf at (1, 0): g^{1 1bar} = |z|^2 = 1
     hopf = builtin("hopf-2").spec
     jh = metric_jet(hopf, [1.0, 0.0])
-    assert abs(chern_laplacian(jh, factor_jet(F, np.array([1.0, 0.0]), 2)) - 1.0) < 1e-14
+    assert abs(chern_laplacian(jh, factor_jet(F, np.array([1.0, 0.0]))) - 1.0) < 1e-14
 
 
 def test_surface_scalar_relations():
@@ -127,7 +127,7 @@ def test_surface_scalar_relations():
         assert r_u < 1e-8 and r_v < 1e-8
         # flat base: e^{2F} u~ = -4 Delta F
         jet = metric_jet(eu.spec, p)
-        fj = factor_jet(F, p, 2)
+        fj = factor_jet(F, p)
         lap = chern_laplacian(jet, fj)
         tjet = metric_jet(conformal_metric(eu.spec, F), p)
         tb = ricci_bundle(chern_curvature(tjet), tjet.g)
@@ -158,7 +158,7 @@ def test_general_dimension_scalar_laws():
     F = parse_expression("0.05*(z1*zbar1 + z2*zbar3 + z3*zbar2)", 3)
     p = sample_points(entry, 1, 7)[0]
     jet = metric_jet(entry.spec, p)
-    fj = factor_jet(F, p, 3)
+    fj = factor_jet(F, p)
     b = ricci_bundle(chern_curvature(jet), jet.g)
     lap = chern_laplacian(jet, fj)
     tjet = metric_jet(conformal_metric(entry.spec, F), p)
@@ -173,7 +173,7 @@ def test_conformal_constancy_degenerates_to_plain_residual():
     p = sample_points(entry, 1, 8)[0]
     jet = metric_jet(entry.spec, p)
     Rc = chern_curvature(jet)
-    fj = factor_jet(ex.ZERO, p, 2)
+    fj = factor_jet(ex.ZERO, p)
     params = MixedParams(0.4, 1.2)
     for f in (0.0, 1.7):
         a = conformal_constancy_residual(jet, Rc, fj, params, f)
@@ -187,7 +187,7 @@ def test_conformal_constancy_flat_to_hopf():
     F = parse_expression("-0.5*log(abs2(z))", 2)
     for p in sample_points(builtin("hopf-2"), 5, 9):
         jet = metric_jet(eu.spec, p)
-        fj = factor_jet(F, p, 2)
+        fj = factor_jet(F, p)
         Rc = chern_curvature(jet)
         resid = conformal_constancy_residual(jet, Rc, fj, MixedParams(1.0, -2.0), 0.0)
         assert resid < 1e-8
@@ -199,7 +199,7 @@ def test_conformal_constancy_product_surface_case():
     entry = builtin("adm-product-surface")
     for p in sample_points(entry, 5, 11):
         jet = metric_jet(entry.spec, p)
-        fj = factor_jet(ex.ZERO, p, 2)
+        fj = factor_jet(ex.ZERO, p)
         resid = conformal_constancy_residual(jet, chern_curvature(jet), fj, MixedParams(1.0, -1.0), 0.0)
         assert resid < 1e-9
 
@@ -211,7 +211,7 @@ def test_conformal_constancy_cross_oracle():
     params = MixedParams(0.7, 1.3)
     for p in sample_points(builtin("hopf-2"), 5, 10):
         jet = metric_jet(eu.spec, p)
-        fj = factor_jet(F, p, 2)
+        fj = factor_jet(F, p)
         r_base = conformal_constancy_residual(jet, chern_curvature(jet), fj, params, 0.1)
         tjet = metric_jet(conformal_metric(eu.spec, F), p)
         r_direct = constancy_tensor_residual(chern_curvature(tjet), tjet.g, params, 0.1)
@@ -227,7 +227,7 @@ def test_conformal_constancy_matches_the_recombined_reference():
         n = entry.spec.n
         pts = sample_points(entry, 3, 30)
         jets = metric_jets(entry.spec, pts)
-        fj = factor_jet(parse_expression("0.1*log(1 + abs2(z)) + 0.05*(z1*zbar1 + z1 + zbar1)", n), pts, n)
+        fj = factor_jet(parse_expression("0.1*log(1 + abs2(z)) + 0.05*(z1*zbar1 + z1 + zbar1)", n), pts)
         cases = [(jets, chern_curvature(jets).tensor, fj)]
         g, R = recombined.random_curvature(rng, 3, n)
         H = rng.standard_normal((3, n, n)) + 1j * rng.standard_normal((3, n, n))

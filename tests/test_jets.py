@@ -135,7 +135,7 @@ def test_factor_jet_against_fd():
 
     F = parse_expression("0.1*(z1*zbar1 - z2*zbar2) + 0.05*(z1*zbar2 + z2*zbar1)", 2)
     p = np.array([0.4 - 0.1j, 0.2 + 0.3j])
-    fj = factor_jet(F, p, 2)
+    fj = factor_jet(F, p)
     assert abs(fj.value - complex(ex.evaluate(F, p)).real) < 1e-15
     h = 1e-5
     for k in range(2):
@@ -149,12 +149,21 @@ def test_factor_jet_against_fd():
     assert np.max(np.abs(fj.hess - np.array([[0.1, 0.05], [0.05, -0.1]]))) < 1e-14
 
 
+def test_factor_jet_takes_n_from_the_points():
+    from chernkit.dsl import parse_expression
+
+    pts = np.array([[0.1, 0.2j, -0.3], [0.4j, 0.5, 0.6 - 0.1j]])
+    fj = factor_jet(parse_expression("0.1*abs2(z) + z1*zbar2 + z2*zbar1", 3), pts)
+    assert len(fj) == 2 and fj.point.shape == (2, 3) and fj.hess.shape == (2, 3, 3)
+    assert np.array_equal(fj.point, pts)
+
+
 def test_factor_jet_rejects_complex_factor():
     from chernkit.dsl import parse_expression
 
     F = parse_expression("z1", 1)
     with pytest.raises(ValueError, match="not real"):
-        factor_jet(F, [0.3 + 0.2j], 1)
+        factor_jet(F, [0.3 + 0.2j])
 
 
 def test_factor_jet_measures_its_imaginary_part_against_its_value():
@@ -163,13 +172,13 @@ def test_factor_jet_measures_its_imaginary_part_against_its_value():
     # round-off of a real factor grows with it: 1e12 times a factor is as real as the factor
     p = [0.3 + 0.7j, 0.9 - 0.4j]
     for scale in (1.0, 1e6, 1e12):
-        fj = factor_jet(parse_expression(f"{scale!r}*z1*z2*zbar1*zbar2", 2), p, 2)
+        fj = factor_jet(parse_expression(f"{scale!r}*z1*z2*zbar1*zbar2", 2), p)
         assert isinstance(fj.value, float) and abs(fj.value / scale - abs(p[0] * p[1]) ** 2) <= 1e-15
     # a factor that is not real is rejected, at the first point where it is not
     with pytest.raises(ValueError, match=re.escape("not real at [0.3+0.7j 0.9-0.4j] (Im = 5.800e-01)")):
-        factor_jet(parse_expression("1i*z1*zbar1", 2), p, 2)
+        factor_jet(parse_expression("1i*z1*zbar1", 2), p)
     with pytest.raises(ValueError, match=re.escape("not real at [0.5+0.2j ")):
-        factor_jet(parse_expression("z1 - zbar1", 2), [[0.5, 0.1], [0.5 + 0.2j, 0.1]], 2)
+        factor_jet(parse_expression("z1 - zbar1", 2), [[0.5, 0.1], [0.5 + 0.2j, 0.1]])
 
 
 @pytest.mark.parametrize("text, reason", [("1/(z1*zbar1)", "division by zero"), ("log(z1*zbar1)", "log of zero")])
@@ -178,10 +187,10 @@ def test_factor_jet_raises_where_its_program_fails(text, reason):
 
     F = parse_expression(text, 2)
     with pytest.raises(ex.EvaluationError, match=reason):
-        factor_jet(F, [0.0, 0.5], 2)
+        factor_jet(F, [0.0, 0.5])
     with pytest.raises(ex.EvaluationError, match=reason):
-        factor_jet(F, [[0.5, 0.1j], [0.0, 0.5], [0.3, 0.2]], 2)
-    assert np.isfinite(factor_jet(F, [[0.5, 0.1j], [0.3, 0.2]], 2).hess).all()
+        factor_jet(F, [[0.5, 0.1j], [0.0, 0.5], [0.3, 0.2]])
+    assert np.isfinite(factor_jet(F, [[0.5, 0.1j], [0.3, 0.2]]).hess).all()
 
 
 def _g_program(spec):

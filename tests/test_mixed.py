@@ -177,10 +177,16 @@ def test_closed_form_average_values():
     jet, Ru = _unitary_setup("hopf-2", seed=6)
     b = ricci_bundle(Ru, np.eye(2))
     # (u + v)/6 = (2 + 1)/6 = 0.5 for alpha=0, beta=1
-    assert abs(sphere_average_closed_form(b, MixedParams(0.0, 1.0), 2) - 0.5) < 1e-12
+    assert abs(sphere_average_closed_form(b, MixedParams(0.0, 1.0)) - 0.5) < 1e-12
     jet, Ru = _unitary_setup("euclidean-2", seed=6)
     b = ricci_bundle(Ru, np.eye(2))
-    assert sphere_average_closed_form(b, MixedParams(1.0, 1.0), 2) == 0
+    assert sphere_average_closed_form(b, MixedParams(1.0, 1.0)) == 0
+
+
+def test_closed_form_average_takes_n_from_the_bundle():
+    # [((n+1) alpha + beta) u + beta v] / (n (n+1)) with n = 2, u = 2, v = 1 on hopf-2
+    jet, Ru = _unitary_setup("hopf-2", seed=6)
+    assert abs(sphere_average_closed_form(ricci_bundle(Ru, np.eye(2)), MixedParams(1.0, 1.0)) - 1.5) < 1e-12
 
 
 def test_monte_carlo_matches_closed_form():
@@ -192,7 +198,7 @@ def test_monte_carlo_matches_closed_form():
         b = ricci_bundle(Ru, np.eye(n))
         for params in (MixedParams(0.0, 1.0), MixedParams(1.0, 0.0), MixedParams(1.2, -0.8)):
             mean, stderr = sphere_average_monte_carlo(Ru, np.eye(n), params, 50_000, seed=8)
-            closed = sphere_average_closed_form(b, params, n)
+            closed = sphere_average_closed_form(b, params)
             assert abs(mean - closed) <= 3 * stderr + 1e-12, (name, params)
 
 
@@ -219,12 +225,12 @@ def test_monte_carlo_determinism_and_batch_equivalence():
 
 def test_extremize_euclidean_and_space_form():
     jet, Ru = _unitary_setup("euclidean-2", seed=12)
-    rep = extremize(Ru, np.eye(2), MixedParams(1.0, 1.0))
+    rep = extremize(Ru, MixedParams(1.0, 1.0))
     assert rep.min_value == rep.max_value == 0.0
     assert rep.spread == 0.0 and rep.converged
 
     jet, Ru = _unitary_setup("fubini-study-2", seed=12)
-    rep = extremize(Ru, np.eye(2), MixedParams(0.0, 1.0))
+    rep = extremize(Ru, MixedParams(0.0, 1.0))
     assert rep.spread < 1e-8
     gmin, gmax = _grid_extrema(Ru, MixedParams(0.0, 1.0))
     assert abs(rep.max_value - gmax) < 1e-6
@@ -234,10 +240,10 @@ def test_extremize_euclidean_and_space_form():
 
 def test_extremize_hopf_cases_against_grid():
     jet, Ru = _unitary_setup("hopf-2", seed=13)
-    rep = extremize(Ru, np.eye(2), MixedParams(1.0, -2.0))
+    rep = extremize(Ru, MixedParams(1.0, -2.0))
     assert rep.spread < 1e-8
 
-    rep = extremize(Ru, np.eye(2), MixedParams(0.0, 1.0))
+    rep = extremize(Ru, MixedParams(0.0, 1.0))
     gmin, gmax = _grid_extrema(Ru, MixedParams(0.0, 1.0))
     # the optimizer must do at least as well as the dense grid
     assert rep.max_value >= gmax - 1e-9
@@ -253,7 +259,7 @@ def test_extremize_hopf_cases_against_grid():
 def test_extremize_generic_params_against_grid():
     jet, Ru = _unitary_setup("hopf-2", seed=14)
     params = MixedParams(0.6, 1.4)
-    rep = extremize(Ru, np.eye(2), params)
+    rep = extremize(Ru, params)
     gmin, gmax = _grid_extrema(Ru, params)
     assert rep.max_value >= gmax - 1e-9
     assert rep.min_value <= gmin + 1e-9
@@ -263,14 +269,14 @@ def test_extremize_generic_params_against_grid():
 
 def test_extremize_report_invariants():
     jet, Ru = _unitary_setup("hopf-2", seed=15)
-    rep = extremize(Ru, np.eye(2), MixedParams(0.0, 1.0))
+    rep = extremize(Ru, MixedParams(0.0, 1.0))
     assert rep.min_value <= rep.max_value
     assert rep.spread >= 0
     assert abs(np.linalg.norm(rep.argmin) - 1) < 1e-12
     assert abs(np.linalg.norm(rep.argmax) - 1) < 1e-12
     # certified at n = 2 too: no ascent start
     assert rep.restarts_used == 0 and rep.converged
-    again = extremize(Ru, np.eye(2), MixedParams(0.0, 1.0))
+    again = extremize(Ru, MixedParams(0.0, 1.0))
     assert rep.min_value == again.min_value
     assert rep.max_value == again.max_value
     assert np.array_equal(rep.argmin, again.argmin)
@@ -278,12 +284,12 @@ def test_extremize_report_invariants():
     assert abs(rep.bound_gap) <= 1e-13 * max(1.0, np.max(np.abs(Ru.tensor)))
     # certified at n = 3 on hopf: the Sym^2 bounds are met, no ascent start
     jet, Ru = _unitary_setup("hopf-3", seed=15)
-    rep = extremize(Ru, np.eye(3), MixedParams(0.0, 1.0))
+    rep = extremize(Ru, MixedParams(0.0, 1.0))
     assert rep.restarts_used == 0 and rep.converged
     assert abs(rep.bound_gap) <= 1e-13 * max(1.0, np.max(np.abs(Ru.tensor)))
     # the ascent where the bounds are not met: 3 axes + 9 bisectors + 16 random restarts
     Ru = _generic_curvatures(GENERIC_3, 1, seed=15)[0]
-    rep = extremize(Ru, np.eye(3), MixedParams(0.0, 1.0))
+    rep = extremize(Ru, MixedParams(0.0, 1.0))
     assert rep.restarts_used == 28 and rep.converged
     assert rep.bound_gap > 1e-3
 
@@ -297,7 +303,7 @@ def test_constancy_tensor_residual_cases():
 
     jet, Ru = _unitary_setup("fubini-study-2", seed=16)
     params = MixedParams(0.0, 1.0)
-    rep = extremize(Ru, np.eye(2), params)
+    rep = extremize(Ru, params)
     c = 0.5 * (rep.min_value + rep.max_value)
     assert constancy_tensor_residual(Ru, np.eye(2), params, c) < 1e-8
     # and a wrong constant is detected
@@ -315,7 +321,7 @@ def test_constancy_detectors_agree():
     ]
     for name, params, constant in configs:
         jet, Ru = _unitary_setup(name, seed=17)
-        rep = extremize(Ru, np.eye(2), params)
+        rep = extremize(Ru, params)
         mid = 0.5 * (rep.min_value + rep.max_value)
         resid = constancy_tensor_residual(Ru, np.eye(2), params, mid)
         if constant:
@@ -332,7 +338,7 @@ def test_constancy_detectors_agree_on_every_catalog_entry():
         n = entry.spec.n
         jet = metric_jet(entry.spec, sample_points(entry, 1, 19)[0])
         Ru = to_unitary_frame(chern_curvature(jet), jet)
-        rep = extremize(Ru, np.eye(n), params)
+        rep = extremize(Ru, params)
         mid = 0.5 * (rep.min_value + rep.max_value)
         resid = constancy_tensor_residual(Ru, np.eye(n), params, mid)
         if rep.spread < 1e-8:
@@ -344,19 +350,19 @@ def test_constancy_detectors_agree_on_every_catalog_entry():
 def test_trace_identity_cases():
     jet, Ru = _unitary_setup("euclidean-3", seed=18)
     b = ricci_bundle(Ru, np.eye(3))
-    assert trace_identity_residual(b, MixedParams(1.0, 1.0), 0.0, 3) == 0
+    assert trace_identity_residual(b, MixedParams(1.0, 1.0), 0.0) == 0
 
     jet, Ru = _unitary_setup("hopf-2", seed=18)
     b = ricci_bundle(Ru, np.eye(2))
-    assert trace_identity_residual(b, MixedParams(1.0, -2.0), 0.0, 2) < 1e-12
+    assert trace_identity_residual(b, MixedParams(1.0, -2.0), 0.0) < 1e-12
 
     jet, Ru = _unitary_setup("fubini-study-3", seed=18)
     b = ricci_bundle(Ru, np.eye(3))
     params = MixedParams(2.0, 1.0)
     # solve the scalar identity for f, then the matrix identity must hold
-    f = sphere_average_closed_form(b, params, 3)
-    assert trace_identity_residual(b, params, f, 3) < 1e-10
-    assert trace_identity_residual(b, params, f + 0.05, 3) > 1e-3
+    f = sphere_average_closed_form(b, params)
+    assert trace_identity_residual(b, params, f) < 1e-10
+    assert trace_identity_residual(b, params, f + 0.05) > 1e-3
 
 
 def _einsum_reference(R, Z):
@@ -435,11 +441,11 @@ def test_extremize_is_invariant_to_the_weights_scale(alpha, beta):
     entry = builtin("hopf-2")
     jet = metric_jet(entry.spec, entry.spec.domain.sample(2, 1, np.random.default_rng(0))[0])
     Ru = to_unitary_frame(chern_curvature(jet), jet)
-    ref = extremize(Ru, np.eye(2), MixedParams(alpha, beta))
+    ref = extremize(Ru, MixedParams(alpha, beta))
     assert ref.converged
     size = max(1.0, abs(ref.min_value), abs(ref.max_value))
     for k in (1e3, 1e6, 1e150):
-        rep = extremize(Ru, np.eye(2), MixedParams(k * alpha, k * beta))
+        rep = extremize(Ru, MixedParams(k * alpha, k * beta))
         assert rep.converged, k
         for got, want in ((rep.min_value, ref.min_value), (rep.max_value, ref.max_value)):
             assert abs(got - k * want) <= 1e-9 * k * size, (k, got, want)
@@ -450,7 +456,7 @@ def test_extremize_converges_when_starts_tie_at_the_extremum():
     # the others stalled with its gradient just above tol
     p = np.array([0.5372320275520067 - 0.3073153121730882j, -0.10585678320766859 - 0.5507707468846207j])
     jet = metric_jet(builtin("hopf-2").spec, p)
-    rep = extremize(to_unitary_frame(chern_curvature(jet), jet), np.eye(2), MixedParams(0.352, 1.731))
+    rep = extremize(to_unitary_frame(chern_curvature(jet), jet), MixedParams(0.352, 1.731))
     assert rep.converged
     assert abs(rep.max_value - 2.435) < 1e-12 and abs(rep.min_value) < 1e-12
 
@@ -504,7 +510,7 @@ def test_exact_surface_extrema_never_lose_to_the_ascent():
             R, rho = _unitary_data(R_point, np.eye(2))
             for theta in 2 * np.pi * (np.arange(10) + offset) / 10:
                 params = MixedParams(np.cos(theta), np.sin(theta))
-                rep = extremize(R_point, np.eye(2), params)
+                rep = extremize(R_point, params)
                 assert rep.converged and rep.restarts_used == 0
                 scale = _scale(R, rho, params)
                 assert abs(rep.bound_gap) <= 1e-13 * scale, (name, theta)
@@ -535,7 +541,7 @@ def test_exact_surface_extrema_hard_cases(name, alpha, beta, value):
     params = MixedParams(alpha, beta)
     jet, Ru = _unitary_setup(name, seed=21)
     R, rho = _unitary_data(Ru, np.eye(2))
-    rep = extremize(Ru, np.eye(2), params)
+    rep = extremize(Ru, params)
     assert rep.converged and rep.restarts_used == 0
     assert rep.spread < 1e-12
     lo, hi = _ascent_extrema(R, rho, params)
@@ -547,7 +553,7 @@ def test_exact_surface_extrema_hard_cases(name, alpha, beta, value):
         assert rep.min_value == rep.max_value == 0.0
     for Z in (rep.argmin, rep.argmax):
         assert abs(np.linalg.norm(Z) - 1) < 1e-12
-    again = extremize(Ru, np.eye(2), params)
+    again = extremize(Ru, params)
     assert (again.min_value, again.max_value) == (rep.min_value, rep.max_value)
     assert np.array_equal(again.argmin, rep.argmin) and np.array_equal(again.argmax, rep.argmax)
 
@@ -556,7 +562,7 @@ def test_extremize_on_a_curve_is_the_constant():
     jet, Ru = _unitary_setup("complex-hyperbolic-1", seed=22)
     R = Ru.tensor[0, 0, 0, 0].real
     for alpha, beta in ((1.0, 0.0), (0.3, -1.7), (-2.0, 0.5)):
-        rep = extremize(Ru, np.eye(1), MixedParams(alpha, beta))
+        rep = extremize(Ru, MixedParams(alpha, beta))
         assert rep.min_value == rep.max_value and rep.spread == 0
         assert abs(rep.min_value - (alpha + beta) * R) <= 1e-14 * abs(R)
         assert np.array_equal(rep.argmin, [1.0]) and np.array_equal(rep.argmax, [1.0])
@@ -595,7 +601,7 @@ def test_ascent_extrema_lie_within_the_symmetric_square_bounds():
             for theta in rng.uniform(0, 2 * np.pi, 3):
                 params = MixedParams(np.cos(theta), np.sin(theta))
                 lam = np.linalg.eigvalsh(_symmetric_square(_form(R, rho, np.eye(n), params)))
-                rep = extremize(R_point, np.eye(n), params)
+                rep = extremize(R_point, params)
                 assert lam[0] - 1e-12 <= rep.min_value and rep.max_value <= lam[-1] + 1e-12, (name, theta)
 
 
@@ -618,7 +624,7 @@ def test_certified_extrema_never_lose_to_the_ascent(name, factor):
         for theta in 2 * np.pi * (np.arange(24) + 0.5) / 24:
             params = MixedParams(np.cos(theta), np.sin(theta))
             scale = _scale(R, rho, params)
-            rep = extremize(R_point, np.eye(n), params)
+            rep = extremize(R_point, params)
             assert rep.converged and rep.restarts_used == 0, theta
             assert abs(rep.bound_gap) <= 1e-13 * scale, theta
             lo, hi = _ascent_extrema(R, rho, params)
@@ -638,7 +644,7 @@ def test_uncertified_extrema_are_the_plain_ascent():
         R, rho = _unitary_data(R_point, np.eye(3))
         for theta in 2 * np.pi * (np.arange(8) + 0.5) / 8:
             params = MixedParams(np.cos(theta), np.sin(theta))
-            rep = extremize(R_point, np.eye(3), params)
+            rep = extremize(R_point, params)
             if rep.restarts_used == 0:
                 continue
             fallbacks += 1
@@ -668,7 +674,7 @@ def test_uncertified_surface_extrema_are_the_exact_solve():
             if gap <= 1e-13 * scale:
                 continue
             fallbacks += 1
-            rep = extremize(R_point, np.eye(2), params)
+            rep = extremize(R_point, params)
             lo, hi, gap = np.ldexp([lo, hi, gap], e)
             assert (rep.min_value, rep.max_value, rep.spread) == (lo, hi, hi - lo)
             assert np.array_equal(rep.argmin, argmin) and np.array_equal(rep.argmax, argmax)
@@ -685,8 +691,36 @@ def test_extremize_takes_one_point(name):
     Ru = to_unitary_frame(chern_curvature(jets), jets)
     shape = str(Ru.tensor.shape)
     with pytest.raises(ValueError, match="one point") as err:
-        extremize(Ru, np.eye(entry.spec.n), MixedParams(1.0, 1.0))
+        extremize(Ru, MixedParams(1.0, 1.0))
     assert shape in str(err.value)
+
+
+def test_extremize_takes_a_unitary_frame():
+    jet, _ = _unitary_setup("hopf-2", seed=13)
+    with pytest.raises(ValueError, match="to_unitary_frame"):
+        extremize(chern_curvature(jet), MixedParams(0.0, 1.0))
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.0, 1.0), (1.0, 1.0), (1.0, -3.0)])
+def test_extremize_on_a_subnormal_curvature(alpha, beta):
+    # C scales with the curvature: at 2^-1060 times hopf-2's, 2^-e exceeds the largest float,
+    # so the tensors are scaled, not the weights
+    jet, Ru = _unitary_setup("hopf-2", seed=13)
+    params = MixedParams(alpha, beta)
+    ref = extremize(Ru, params)
+    rep = extremize(ChernCurvature(Ru.tensor * 2.0**-1060, "unitary", Ru.point), params)
+    assert rep.converged
+    size = max(abs(ref.min_value), abs(ref.max_value))
+    for got, want in ((rep.min_value, ref.min_value), (rep.max_value, ref.max_value)):
+        assert abs(np.ldexp(got, 1060) - want) <= 1e-4 * size
+
+
+def test_extremize_leaves_a_term_of_weight_zero_unscaled():
+    # rho1 is subnormal, so 2^-e is about 2^1062; scaled by it, R = 1e10 would be inf, and 0 * inf nan
+    R = np.zeros((2, 2, 2, 2), complex)
+    R[0, 0, 0, 0], R[0, 1, 0, 1], R[1, 0, 1, 0] = 1e-320, 1e10, 1e10
+    rep = extremize(ChernCurvature(R, "unitary", np.zeros(2)), MixedParams(1.0, 0.0))
+    assert (rep.min_value, rep.max_value) == (0.0, 1e-320)
 
 
 @pytest.mark.parametrize("double", [False, True])
@@ -708,7 +742,7 @@ def test_exact_surface_extrema_near_the_hard_case(double):
             Q[0, 0], Q[0, 1:], Q[1:, 1:] = rng.standard_normal(), V @ bt, V @ np.diag(lam) @ V.T
             Q[1:, 0] = Q[0, 1:]
             R = (to_R @ Q @ to_R.T).reshape(2, 2, 2, 2)
-            rep = extremize(ChernCurvature(R, "unitary", np.zeros(2)), np.eye(2), MixedParams(0.0, 1.0))
+            rep = extremize(ChernCurvature(R, "unitary", np.zeros(2)), MixedParams(0.0, 1.0))
             lo, hi = _ascent_extrema(R, np.zeros((2, 2)), MixedParams(0.0, 1.0))
             size = np.max(np.abs(Q))
             assert rep.min_value <= lo + 1e-12 * size and rep.max_value >= hi - 1e-12 * size, eps
@@ -717,7 +751,7 @@ def test_exact_surface_extrema_near_the_hard_case(double):
 def test_extremize_reports_non_finite_surface_extrema():
     R = np.full((2, 2, 2, 2), 1e308 + 0j)
     with pytest.raises(MetricError, match="not finite"):
-        extremize(ChernCurvature(R, "unitary", np.zeros(2)), np.eye(2), MixedParams(1.0, 1.0))
+        extremize(ChernCurvature(R, "unitary", np.zeros(2)), MixedParams(1.0, 1.0))
 
 
 _SCALED = {"generic-2": GENERIC_2, "generic-3": GENERIC_3,

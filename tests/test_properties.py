@@ -111,7 +111,7 @@ def test_fd_residual_stays_under_tolerance(e):
     values = _values(e)
     assume(values is not None)
     with np.errstate(all="ignore"):
-        residual = ex.fd_residual(e, PTS, 1e-5)
+        residual = ex.fd_residual(e, PTS)
     assert residual <= FD_TOL * max(1.0, float(np.max(np.abs(values))))
 
 
@@ -209,7 +209,7 @@ def test_real_quadratic_factors_obey_the_conformal_law(drawn):
     F = _real_quadratic(H, S / n, n)
     pts = sample_points(entry, 4, 3)
     jets = metric_jets(entry.spec, pts)
-    pred = conformal_curvature_via_formula(chern_curvature(jets), jets, factor_jet(F, pts, n)).tensor
+    pred = conformal_curvature_via_formula(chern_curvature(jets), jets, factor_jet(F, pts)).tensor
     direct = chern_curvature(metric_jets(conformal_metric(entry.spec, F), pts)).tensor
     assert np.max(np.abs(pred - direct)) <= 1e-8 * max(1.0, float(np.max(np.abs(direct))))
 
@@ -224,11 +224,11 @@ from chernkit.dsl import print_metric  # noqa: E402
 from test_cli import _main  # noqa: E402
 
 _NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
-_numbers = st.sampled_from(["0", "1", "2.5", "3i", "1e200", "1e-200", "1e300", "1e-300"])
+_numbers = st.sampled_from(["0", "1", "2.5", "3i", "1e200", "1e-200", "1e300", "1e-300", "1e308", "1e-320"])
 
 
 def _sources(n):
-    """DSL expression text over z1..zn: numbers as large as 1e300, coordinates, abs2, + - * / ^, exp, log, conj."""
+    """DSL expression text over z1..zn: numbers from 1e-320 to 1e308, coordinates, abs2, + - * / ^, exp, log, conj."""
     coords = [f"z{k}" for k in range(1, n + 1)] + [f"zbar{k}" for k in range(1, n + 1)] + ["abs2(z)"]
     return st.recursive(
         st.one_of(_numbers, st.sampled_from(coords)),
