@@ -120,7 +120,7 @@ def check_hopf_closed_form():
     for n in (2, 3):
         pts, _, _, Ru = _sampled(f"hopf-{n}", 200, 11 + n)
         closed, expected = _hopf_closed_tensor(pts), builtin(f"hopf-{n}").expected
-        b = ricci_bundle(Ru, np.eye(n))
+        b = ricci_bundle(Ru)
         for tag, res in (
             ("curvature", _max_abs(Ru.tensor - closed, 4)),
             ("u", np.abs(b.u - expected["u"].value)),
@@ -140,11 +140,11 @@ def check_hopf_mixed_vanishing():
     rng = np.random.default_rng(23)
     for n in (2, 3):
         params = MixedParams(1.0, -float(n))
-        pts, jets, Rc, _ = _sampled(f"hopf-{n}", 100, 23 + n)
+        pts, _, Rc, _ = _sampled(f"hopf-{n}", 100, 23 + n)
         X = _directions(rng, len(pts), n)
         for tag, res in (
-            ("value", np.abs(mixed_curvature(Rc, jets.g, params, X))),
-            ("tensor", constancy_tensor_residual(Rc, jets.g, params, 0.0)),
+            ("value", np.abs(mixed_curvature(Rc, params, X))),
+            ("tensor", constancy_tensor_residual(Rc, params, 0.0)),
         ):
             out.append(_worst(f"hopf-mixed-vanishing/{tag}/n{n}", f"hopf-{n}", res, 1e-10, "closed-form", pts))
     return out
@@ -161,7 +161,7 @@ def check_euclidean_sanity():
         pts, jets, Rc, Ru = _sampled(f"euclidean-{n}", 20, 5 + n)
         t = torsion(jets)
         X = _directions(rng, len(pts), n)
-        parts = [Rc.tensor, t.T, t.eta_norm2, mixed_curvature(Rc, jets.g, MixedParams(0.7, 1.3), X)]
+        parts = [Rc.tensor, t.T, t.eta_norm2, mixed_curvature(Rc, MixedParams(0.7, 1.3), X)]
         if n == 2:
             w = weyl_minus(Ru)
             parts += [w.w1, w.w2, w.w3]
@@ -178,7 +178,7 @@ def check_space_forms():
     out = []
     for name in ("fubini-study-2", "fubini-study-3", "complex-hyperbolic-2", "complex-hyperbolic-3"):
         pts, jets, Rc, Ru = _sampled(name, 50, 31)
-        b = ricci_bundle(Rc, jets.g)
+        b = ricci_bundle(Rc)
         reps = [extremize(R, MixedParams(0.0, 1.0)) for R in Ru]
         for tag, res, tol in (
             ("kahler-defect", kahler_defect(jets), 1e-10),
@@ -209,11 +209,10 @@ _FACTORS = (
 def check_conformal_law():
     out = []
     for name in _LAW_METRICS:
-        pts, jets, Rc, _ = _sampled(name, 10, 41)
-        n = jets.n
+        pts, _, Rc, _ = _sampled(name, 10, 41)
         for ftext in _FACTORS:
-            F = parse_expression(ftext, n)
-            pred = conformal_curvature_via_formula(Rc, jets, factor_jet(F, pts))
+            F = parse_expression(ftext, Rc.n)
+            pred = conformal_curvature_via_formula(Rc, factor_jet(F, pts))
             direct = chern_curvature(metric_jets(conformal_metric(builtin(name).spec, F), pts)).tensor
             res = _max_abs(pred.tensor - direct, 4) / np.maximum(1.0, _max_abs(direct, 4))
             out.append(_worst(f"conformal-law/equivalence/{ftext}", name, res, 1e-8, "derived", pts))
@@ -243,10 +242,10 @@ def check_surface_identities():
     out = []
     for name in _SURFACES:
         pts, _, _, Ru = _sampled(name, 50, 53)
-        b = ricci_bundle(Ru, np.eye(2))
+        b = ricci_bundle(Ru)
         checks = [
-            ("ricci-combination", ricci_combination_residual(b, np.eye(2))),
-            ("c1-squared", c1_squared_pointwise_residual(b, np.eye(2))),
+            ("ricci-combination", ricci_combination_residual(b)),
+            ("c1-squared", c1_squared_pointwise_residual(b)),
         ]
         if name in ("fubini-study-2", "hopf-2", "adm-product-surface"):
             w = weyl_minus(Ru)
@@ -275,7 +274,7 @@ def check_trace_identity():
     for name, (a, b_) in _TRACE_CONFIGS:
         params = MixedParams(a, b_)
         pts, _, _, Ru = _sampled(name, 20, 61)
-        bundle = ricci_bundle(Ru, np.eye(Ru.n))
+        bundle = ricci_bundle(Ru)
         # the pointwise-constant value, from the scalar identity
         f = sphere_average_closed_form(bundle, params)
         res = trace_identity_residual(bundle, params, f)
@@ -304,16 +303,16 @@ def check_sphere_average():
     for name in names():
         pt, _, _, Ru = _sampled(name, 1, 71)
         Ru, n = Ru[0], Ru.n
-        bundle = ricci_bundle(Ru, np.eye(n))
+        bundle = ricci_bundle(Ru)
         Z, w = _sphere_design(n)
         for params in pairs:
             closed = sphere_average_closed_form(bundle, params)
             check_id = f"sphere-average/a{params.alpha:+.2f}-b{params.beta:+.2f}"
-            res = abs(w @ mixed_curvature(Ru, np.eye(n), params, Z) - closed)  # the design's sum is exact
+            res = abs(w @ mixed_curvature(Ru, params, Z) - closed)  # the design's sum is exact
             out.append(_outcome(check_id, name, res, 1e-12 * max(1.0, abs(closed)), "derived", pt[0]))
     pt, _, _, Ru = _sampled("hopf-2", 1, 72)
     Z, w = _sphere_design(2)
-    res = abs(w @ mixed_curvature(Ru[0], np.eye(2), MixedParams(0.0, 1.0), Z) - 0.5)
+    res = abs(w @ mixed_curvature(Ru[0], MixedParams(0.0, 1.0), Z) - 0.5)
     out.append(_outcome("sphere-average/hopf-half", "hopf-2", res, 1e-12, "derived", pt[0]))
     return out
 
@@ -326,7 +325,7 @@ def check_hopf_torsion():
     out = []
     for n in (2, 3):
         pts, jets, Rc, _ = _sampled(f"hopf-{n}", 50, 83 + n)
-        b, t = ricci_bundle(Rc, jets.g), torsion(jets)
+        b, t = ricci_bundle(Rc), torsion(jets)
         closed = builtin(f"hopf-{n}").expected["eta_norm2"].value
         res = np.maximum(np.abs(b.u - b.v - t.eta_norm2), np.abs(t.eta_norm2 - closed))
         out.append(_worst(f"hopf-torsion/n{n}", f"hopf-{n}", res, 1e-9, "derived", pts))
@@ -374,16 +373,16 @@ def check_catalog_expected():
         pts = sample_points(entry, 50, 7)
         jets = metric_jets(entry.spec, pts)
         Rc = chern_curvature(jets)
-        b, t = ricci_bundle(Rc, jets.g), torsion(jets)
+        b, t = ricci_bundle(Rc), torsion(jets)
         # "hsc" may use any nonzero direction
         directions = {"hsc": pts + np.linspace(1.0, 2.0, n), "hsc_axis1": [1, 0], "hsc_axis2": [0, 1]}
         tol = 1e-8 if name.startswith(("fubini", "complex")) else 1e-9
         for key, expected in entry.expected.items():
             target = expected.value
             if key in directions:
-                value = holomorphic_sectional(Rc, jets.g, directions[key])
+                value = holomorphic_sectional(Rc, directions[key])
             elif key == "rho1_unitary":
-                value, target = ricci_bundle(to_unitary_frame(Rc, jets), np.eye(n)).rho1, np.diag(target)
+                value, target = ricci_bundle(to_unitary_frame(Rc, jets)).rho1, np.diag(target)
             else:
                 value = getattr(t if key == "eta_norm2" else b, key)
             res = np.max(np.abs(value - target))

@@ -114,7 +114,7 @@ def _bodies(jets, pairs) -> list:
     try:
         Rc = chern_curvature(jets)
         Ru = to_unitary_frame(Rc, jets)
-        b = ricci_bundle(Rc, jets.g)
+        b = ricci_bundle(Rc)
         t = torsion(jets)
         eig, kd, kld = np.linalg.eigvalsh(jets.g), kahler_defect(jets), kahler_like_defect(Ru)
         return [

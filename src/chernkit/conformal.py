@@ -44,15 +44,13 @@ def conformal_metric(spec: MetricSpec, F: ex.Expr) -> MetricSpec:
     )
 
 
-def conformal_curvature_via_formula(
-    Rc: ChernCurvature, jet: MetricJet, f_jet: FactorJet
-) -> ChernCurvature:
-    """Predicted coordinate-frame curvature of e^{2F} g, without re-deriving it."""
+def conformal_curvature_via_formula(Rc: ChernCurvature, f_jet: FactorJet) -> ChernCurvature:
+    """Predicted coordinate-frame curvature of e^{2F} g, carrying e^{2F} g, without re-deriving it."""
     if Rc.frame != "coordinate":
         raise ValueError("the conformal law applies to coordinate-frame components")
-    scale = np.exp(2 * np.asarray(f_jet.value))[..., None, None, None, None]
-    corr = np.einsum("...ij,...kl->...ijkl", f_jet.hess, jet.g)
-    return ChernCurvature(scale * (Rc.tensor - 2 * corr), "coordinate", Rc.point)
+    scale = np.exp(2 * np.asarray(f_jet.value))[..., None, None]
+    corr = np.einsum("...ij,...kl->...ijkl", f_jet.hess, Rc.g)
+    return ChernCurvature(scale[..., None, None] * (Rc.tensor - 2 * corr), "coordinate", scale * Rc.g)
 
 
 def chern_laplacian(jet: MetricJet, f_jet: FactorJet) -> float:
@@ -74,23 +72,17 @@ def surface_scalar_relation_residual(spec: MetricSpec, F: ex.Expr, p):
     jet, fj = metric_jets(spec, p), factor_jet(F, p)
     if np.ndim(p) == 1:
         tilde_jet, jet = tilde_jet[0], jet[0]
-    base = ricci_bundle(chern_curvature(jet), jet.g)
+    base = ricci_bundle(chern_curvature(jet))
     lap = chern_laplacian(jet, fj)
-    tilde = ricci_bundle(chern_curvature(tilde_jet), tilde_jet.g)
+    tilde = ricci_bundle(chern_curvature(tilde_jet))
     scale = np.exp(2 * fj.value)
     return np.abs(scale * tilde.u - (base.u - 4 * lap)), np.abs(scale * tilde.v - (base.v - 2 * lap))
 
 
-def conformal_constancy_residual(
-    jet: MetricJet,
-    Rc: ChernCurvature,
-    f_jet: FactorJet,
-    params: MixedParams,
-    f: float,
-) -> float:
+def conformal_constancy_residual(Rc: ChernCurvature, f_jet: FactorJet, params: MixedParams, f: float) -> float:
     """Residual of the base-metric identity equivalent to C_{alpha,beta}(e^{2F} g) == f.
 
-    All curvature quantities are those of the base metric g; the conformal
+    All curvature quantities, g among them, are those of Rc, the base metric; the conformal
     factor enters through its mixed Hessian and e^{2F}:
 
         alpha (rho x g, 4 terms) + beta (R, 4 orderings)
@@ -103,6 +95,6 @@ def conformal_constancy_residual(
     """
     if Rc.frame != "coordinate":
         raise ValueError("the conformal constancy identity uses coordinate components")
-    T = _form(Rc.tensor, _rho1(jet.g_inv, Rc.tensor), jet.g, params)
-    T = T - 2 * (jet.n * params.alpha + params.beta) * np.einsum("...ij,...kl->...ijkl", jet.g, f_jet.hess)
-    return _constancy_residual(T, jet.g, f * np.exp(2 * f_jet.value))
+    T = _form(Rc.tensor, _rho1(np.linalg.inv(Rc.g), Rc.tensor), Rc.g, params)
+    T = T - 2 * (Rc.n * params.alpha + params.beta) * np.einsum("...ij,...kl->...ijkl", Rc.g, f_jet.hess)
+    return _constancy_residual(T, Rc.g, f * np.exp(2 * f_jet.value))

@@ -46,12 +46,20 @@ __all__ = [
 ]
 
 
+class _Framed(_PerPoint):
+    """Per-point data carrying g, the metric of its frame, or None in a unitary frame (metric I)."""
+
+    @property
+    def metric(self) -> np.ndarray:
+        return np.eye(self.n, dtype=complex) if self.g is None else self.g
+
+
 @dataclass(frozen=True)
-class ChernCurvature(_PerPoint):
+class ChernCurvature(_Framed):
     """Rank-4 curvature array R[i, j, k, l] = R_{i jbar k lbar} at a point or a batch.
 
-    In the unitary frame the metric used for traces is the identity and
-    frame_matrix holds the frame columns in coordinate components.  size is
+    g is the metric of a coordinate-frame tensor; a unitary-frame one has none
+    (its metric is I) and frame_matrix, its frame in coordinates.  size is
     the magnitude of the terms the tensor was summed from, per point, or
     None where they are not tracked (a tensor built by hand): R can cancel
     far below it, its round-off cannot, so realness checks of its
@@ -61,21 +69,21 @@ class ChernCurvature(_PerPoint):
     _CORE = ("tensor", 4)
     tensor: np.ndarray
     frame: str  # "coordinate" | "unitary"
-    point: np.ndarray
+    g: np.ndarray | None = None
     frame_matrix: np.ndarray | None = None
     size: np.ndarray | float | None = None
 
-    @property
-    def n(self) -> int:
-        return self.tensor.shape[-1]
+    def __post_init__(self):
+        if self.frame not in ("coordinate", "unitary") or (self.g is None) != (self.frame == "unitary"):
+            raise ValueError(f"frame {self.frame!r}: a coordinate-frame curvature carries g, a unitary one none")
 
 
 @dataclass(frozen=True)
-class RicciBundle(_PerPoint):
+class RicciBundle(_Framed):
     """The four Ricci matrices plus scalar and altered scalar curvature.
 
-    size is the magnitude of the terms the rho matrices were summed from,
-    max|g^-1| times the curvature's size, or None where that is not tracked.
+    g is the curvature's, as in ChernCurvature; size is the magnitude of the
+    terms the rho matrices were summed from, max|g^-1| times the curvature's.
     """
 
     _CORE = ("rho1", 2)
@@ -85,6 +93,7 @@ class RicciBundle(_PerPoint):
     rho4: np.ndarray
     u: float
     v: float
+    g: np.ndarray | None = None
     size: np.ndarray | float | None = None
 
 
@@ -134,7 +143,7 @@ def chern_curvature(jet: MetricJet) -> ChernCurvature:
     """Coordinate-frame Chern curvature tensor from a metric jet."""
     second = np.einsum("...qp,...ikq,...jpl->...ijkl", jet.g_inv, jet.dg, jet.dbar_g)
     size = _max_abs(jet.ddbar_g, 4) + _size(_max_abs(jet.g_inv, 2), _max_abs(jet.dg, 3), _max_abs(jet.dbar_g, 3))
-    return ChernCurvature(-jet.ddbar_g + second, "coordinate", jet.point, size=size)
+    return ChernCurvature(-jet.ddbar_g + second, "coordinate", jet.g, size=size)
 
 
 def orthonormal_frame(g: np.ndarray) -> np.ndarray:
@@ -157,25 +166,25 @@ def orthonormal_frame(g: np.ndarray) -> np.ndarray:
 
 
 def to_unitary_frame(Rc: ChernCurvature, jet: MetricJet) -> ChernCurvature:
-    """Curvature components in the deterministic unitary frame of jet.g.
+    """Curvature components in the deterministic unitary frame of Rc.g.
 
     Traces of the result use the identity metric; invariantly defined
     scalars (u, v, holomorphic sectional values of fixed vectors) are
-    unchanged.  MetricError where they overflow (g nearly singular).
+    unchanged.  MetricError where they overflow (g nearly singular).  jet is redundant.
     """
     if Rc.frame != "coordinate":
         raise ValueError("to_unitary_frame expects a coordinate-frame tensor")
-    E = orthonormal_frame(jet.g)
+    E = orthonormal_frame(Rc.g)
     R = _in_frame(Rc.tensor, E)
     if not np.isfinite(R).all():
         raise MetricError("curvature is not finite in the unitary frame")
     e = _max_abs(E, 2)
-    return ChernCurvature(R, "unitary", Rc.point, E, _size(Rc.size, e, e, e, e))
+    return ChernCurvature(R, "unitary", frame_matrix=E, size=_size(Rc.size, e, e, e, e))
 
 
-def ricci_bundle(Rc: ChernCurvature, g: np.ndarray) -> RicciBundle:
-    """Four Ricci traces of Rc with respect to g (same frame as Rc)."""
-    gi = np.linalg.inv(np.asarray(g, dtype=complex))
+def ricci_bundle(Rc: ChernCurvature) -> RicciBundle:
+    """Four Ricci traces of Rc against the metric of its frame, which the bundle carries on."""
+    gi = np.linalg.inv(Rc.metric)
     R = Rc.tensor
     rho1 = _rho1(gi, R)
     rho2 = np.einsum("...ji,...ijkl->...kl", gi, R)
@@ -185,7 +194,7 @@ def ricci_bundle(Rc: ChernCurvature, g: np.ndarray) -> RicciBundle:
     size, uv_size = _size(Rc.size, gi_max), _size(Rc.size, gi_max, gi_max)
     u = _real(np.einsum("...ji,...ij->...", gi, rho1), "scalar curvature u", uv_size)
     v = _real(np.einsum("...li,...il->...", gi, rho3), "altered scalar curvature v", uv_size)
-    return RicciBundle(rho1, rho2, rho3, rho4, u, v, size)
+    return RicciBundle(rho1, rho2, rho3, rho4, u, v, Rc.g, size)
 
 
 def torsion(jet: MetricJet) -> Torsion:
@@ -218,15 +227,25 @@ def metric_norm_sq(g: np.ndarray, X: np.ndarray) -> float:
     return _real(np.einsum("...ij,...i,...j->...", g, X, np.conj(X)), "|X|^2")
 
 
-def holomorphic_sectional(Rc: ChernCurvature, g: np.ndarray, X) -> float:
-    """H(X) = R(X, Xbar, X, Xbar)/|X|^4_g; scale-invariant, X != 0."""
+def holomorphic_sectional(Rc: ChernCurvature, X) -> float:
+    """H(X) = R(X, Xbar, X, Xbar)/|X|^4_g, g the metric of Rc's frame; scale-invariant, X != 0.
+
+    X, then |X|^2_g, is brought into [1/2, 1) by an exact power of two, so
+    neither under- nor overflows; an H past the float range is a MetricError.
+    """
     X = np.asarray(X, dtype=complex)
-    e = -np.frexp(np.max(np.abs(X), axis=-1, keepdims=True))[1]  # max |X_i| into [1/2, 1): no under- or overflow
-    X = np.ldexp(X.real, e) + 1j * np.ldexp(X.imag, e)
-    norm2 = metric_norm_sq(g, X)
-    if np.any(norm2 < 1e-300):
+    top = np.max(np.abs(X), axis=-1, keepdims=True)
+    if np.any(top == 0):
         raise ValueError("holomorphic sectional curvature of the zero vector")
-    return _real(_quartic(Rc.tensor, X), "H(X)", Rc.size) / norm2**2  # its terms are at most Rc.size, as max|X_i| < 1
+    e = -np.frexp(top)[1]
+    X = np.ldexp(X.real, e) + 1j * np.ldexp(X.imag, e)
+    m, k = np.frexp(metric_norm_sq(Rc.metric, X))  # |X|^2_g = m 2^k
+    q = _real(_quartic(Rc.tensor, X), "H(X)", Rc.size)  # its terms are at most Rc.size, as max|X_i| < 1
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        H = np.ldexp(q / m**2, -2 * k)
+    if not np.all(np.isfinite(H)):
+        raise MetricError("holomorphic sectional curvature is not finite")
+    return H
 
 
 def hermitian_symmetry_residual(Rc: ChernCurvature) -> float:

@@ -43,10 +43,14 @@ class _PerPoint:
     _CORE names a field and its number of per-point axes; any axis before
     those is the batch axis.  ``obj[k]`` takes every array field at k and
     keeps the other fields, so iterating walks the points (until IndexError).
-    A one-point object has no length.
+    A one-point object has no length; n is the size of the core field's last axis.
     """
 
     _CORE = ("point", 1)
+
+    @property
+    def n(self) -> int:
+        return getattr(self, self._CORE[0]).shape[-1]
 
     def __len__(self) -> int:
         name, ndim = self._CORE
@@ -76,10 +80,6 @@ class MetricJet(_PerPoint):
     dbar_g: np.ndarray
     ddbar_g: np.ndarray
     g_inv: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.g.shape[-1]
 
 
 @dataclass(frozen=True)

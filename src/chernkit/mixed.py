@@ -97,9 +97,9 @@ class ExtremumReport:
     bound_gap: float
 
 
-def _unitary_data(Rc: ChernCurvature, g: np.ndarray):
+def _unitary_data(Rc: ChernCurvature):
     """(R, rho1) in a unitary frame, whatever frame Rc arrived in."""
-    R = Rc.tensor if Rc.frame == "unitary" else _in_frame(Rc.tensor, orthonormal_frame(g))
+    R = Rc.tensor if Rc.frame == "unitary" else _in_frame(Rc.tensor, orthonormal_frame(Rc.g))
     return R, _rho1(np.eye(R.shape[0]), R)
 
 
@@ -108,23 +108,23 @@ def _form(R, rho, g, params: MixedParams):
     return params.alpha * np.einsum("...ij,...kl->...ijkl", rho, g) + params.beta * R
 
 
-def mixed_curvature(Rc: ChernCurvature, g: np.ndarray, params: MixedParams, X) -> float:
+def mixed_curvature(Rc: ChernCurvature, params: MixedParams, X) -> float:
     """C_{alpha,beta}(X) = H_T(X) for a nonzero (1,0)-vector X, scale-invariant.
 
     MetricError if its imaginary part exceeds HERMITIAN_TOL times the size of
     T's terms, (|alpha| max|g| max|g^-1| + |beta|) Rc.size: T may cancel far
     below that, its round-off does not (see jets._bound).
     """
-    g = np.asarray(g, dtype=complex)
+    g = Rc.metric
     gi = np.linalg.inv(g)
     T = _form(Rc.tensor, _rho1(gi, Rc.tensor), g, params)
     size = _size(abs(params.alpha) * _max_abs(g, 2) * _max_abs(gi, 2) + abs(params.beta), Rc.size)
-    return holomorphic_sectional(replace(Rc, tensor=T, size=size), g, X)
+    return holomorphic_sectional(replace(Rc, tensor=T, size=size), X)
 
 
 def sphere_average_closed_form(bundle: RicciBundle, params: MixedParams) -> float:
     """Exact average of C_{alpha,beta} over the unit sphere of directions, n from the bundle."""
-    a, b, n = params.alpha, params.beta, bundle.rho1.shape[-1]
+    a, b, n = params.alpha, params.beta, bundle.n
     return (((n + 1) * a + b) * bundle.u + b * bundle.v) / (n * (n + 1))
 
 
@@ -146,7 +146,7 @@ def sphere_average_monte_carlo(
     """Monte Carlo estimate (mean, stderr) of the sphere average.
 
     Directions are complex-normal vectors normalized to the unit sphere in a
-    g-orthonormal frame (uniform on the sphere); deterministic given seed.
+    unitary frame (uniform on the sphere); deterministic given seed.  g is redundant.
     """
     return sphere_average_monte_carlo_many(Rc, g, [params], samples, seed)[0]
 
@@ -164,7 +164,7 @@ def sphere_average_monte_carlo_many(
     """
     if samples < 1000:
         raise ValueError("need at least 1000 samples")
-    R, rho = _unitary_data(Rc, g)
+    R, rho = _unitary_data(Rc)
     n = R.shape[0]
     rng = np.random.default_rng(seed)
     W = rng.standard_normal((samples, n)) + 1j * rng.standard_normal((samples, n))
@@ -438,9 +438,7 @@ def extremize(Rc: ChernCurvature, params: MixedParams) -> ExtremumReport:
     )
 
 
-def constancy_tensor_residual(
-    Rc: ChernCurvature, g: np.ndarray, params: MixedParams, c: float
-) -> float:
+def constancy_tensor_residual(Rc: ChernCurvature, params: MixedParams, c: float) -> float:
     """Residual of the symmetrized identity equivalent to C_{alpha,beta} == c.
 
     With rho the first Chern Ricci, the identity is
@@ -451,9 +449,9 @@ def constancy_tensor_residual(
                 + R_{i lbar k jbar} + R_{k lbar i jbar})
         = 2 c (g_{i jbar} g_{k lbar} + g_{i lbar} g_{k jbar}),
 
-    i.e. sym(T - c g (x) g) = 0 for T = alpha rho (x) g + beta R; returns max |LHS - RHS|.
+    i.e. sym(T - c g (x) g) = 0 for T = alpha rho (x) g + beta R, g Rc's metric; returns max |LHS - RHS|.
     """
-    g = np.asarray(g, dtype=complex)
+    g = Rc.metric
     return _constancy_residual(_form(Rc.tensor, _rho1(np.linalg.inv(g), Rc.tensor), g, params), g, c)
 
 
@@ -478,11 +476,11 @@ def trace_identity_residual(bundle: RicciBundle, params: MixedParams, f: float) 
     Scalar identity:
         [(n+1) alpha + beta] u + beta v = n (n+1) f
 
-    with g the identity, so the bundle is taken in a unitary frame; n is
-    its dimension.  Returns the max of the two residuals.
+    with g the metric of the bundle's frame and n its dimension.  Returns
+    the max of the two residuals.
     """
-    a, b, n = params.alpha, params.beta, bundle.rho1.shape[-1]
+    a, b, n = params.alpha, params.beta, bundle.n
     lhs = (a * (n + 2) + b) * bundle.rho1 + b * bundle.rho2 + 2 * b * _hermitian_part(bundle.rho3)
-    rhs = np.asarray(2 * (n + 1) * f - a * bundle.u)[..., None, None] * np.eye(n, dtype=complex)
+    rhs = np.asarray(2 * (n + 1) * f - a * bundle.u)[..., None, None] * bundle.metric
     scalar_res = n * (n + 1) * np.abs(sphere_average_closed_form(bundle, params) - f)
     return np.maximum(_max_abs(lhs - rhs, 2), scalar_res)

@@ -90,11 +90,11 @@ def weyl_minus(Rc: ChernCurvature) -> WeylMinus:
     return WeylMinus(w1[()], w2[()], w3[()], frame)
 
 
-def ricci_combination_residual(bundle: RicciBundle, g: np.ndarray) -> float:
-    """max |rho1 + rho2 - 2 Re(rho3) - (u - v) g| on a surface."""
-    _need_surface(g.shape[-1])
+def ricci_combination_residual(bundle: RicciBundle) -> float:
+    """max |rho1 + rho2 - 2 Re(rho3) - (u - v) g| on a surface, g the metric of the bundle's frame."""
+    _need_surface(bundle.n)
     lhs = bundle.rho1 + bundle.rho2 - 2 * _hermitian_part(bundle.rho3)
-    return _max_abs(lhs - np.asarray(bundle.u - bundle.v)[..., None, None] * np.asarray(g, dtype=complex), 2)
+    return _max_abs(lhs - np.asarray(bundle.u - bundle.v)[..., None, None] * bundle.metric, 2)
 
 
 def form_inner(a: OneOneForm, b: OneOneForm, g: np.ndarray) -> float:
@@ -124,16 +124,16 @@ def wedge_ratio(a: OneOneForm, b: OneOneForm, g: np.ndarray) -> float:
     return _real(num / den, "wedge ratio of real forms", _size(a.size, b.size, 1 / np.abs(den)))
 
 
-def c1_squared_pointwise_residual(bundle: RicciBundle, g: np.ndarray) -> float:
+def c1_squared_pointwise_residual(bundle: RicciBundle) -> float:
     """Residual of rho1 ^ rho1 = (1/2) [u^2 - <rho1, rho1>] omega ^ omega.
 
     Both sides are measured against the volume form omega^2/2, so the check
     is |wedge_ratio(rho1, rho1) - (u^2 - <rho1, rho1>)|.  With c_1
     represented by rho1/(2 pi) this is the pointwise content of the c_1^2
-    surface formula.
+    surface formula.  g is the metric of the bundle's frame.
     """
-    _need_surface(g.shape[-1])
+    _need_surface(bundle.n)
     rho = OneOneForm(bundle.rho1, bundle.size)
-    kappa = wedge_ratio(rho, rho, g)
-    inner = form_inner(rho, rho, g)
+    kappa = wedge_ratio(rho, rho, bundle.metric)
+    inner = form_inner(rho, rho, bundle.metric)
     return np.abs(kappa - (bundle.u**2 - inner))

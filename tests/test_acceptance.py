@@ -88,7 +88,7 @@ def test_criterion_08_sphere_average():
     pairs = _average_pairs()
     for k, o in enumerate(outs[:-1]):
         _, _, _, Ru = _sampled(o.metric, 1, 71)
-        closed = sphere_average_closed_form(ricci_bundle(Ru[0], np.eye(Ru.n)), pairs[k % 5])
+        closed = sphere_average_closed_form(ricci_bundle(Ru[0]), pairs[k % 5])
         assert o.tolerance == 1e-12 * max(1.0, abs(closed)), o
 
 

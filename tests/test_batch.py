@@ -28,7 +28,7 @@ def _unitary(jet):
 
 
 def _ricci(jet):
-    b = ricci_bundle(chern_curvature(jet), jet.g)
+    b = ricci_bundle(chern_curvature(jet))
     return b.rho1, b.rho2, b.rho3, b.rho4, b.u, b.v
 
 
@@ -46,12 +46,12 @@ KERNELS = {
     "kahler_defect": lambda jet, fj, X: (kahler_defect(jet),),
     "kahler_like_defect": lambda jet, fj, X: (kahler_like_defect(_unitary(jet)),),
     "hermitian_symmetry_residual": lambda jet, fj, X: (hermitian_symmetry_residual(chern_curvature(jet)),),
-    "holomorphic_sectional": lambda jet, fj, X: (holomorphic_sectional(chern_curvature(jet), jet.g, X),),
+    "holomorphic_sectional": lambda jet, fj, X: (holomorphic_sectional(chern_curvature(jet), X),),
     "constancy_tensor_residual": lambda jet, fj, X: (
-        constancy_tensor_residual(chern_curvature(jet), jet.g, MixedParams(0.7, -1.3), 0.4),
+        constancy_tensor_residual(chern_curvature(jet), MixedParams(0.7, -1.3), 0.4),
     ),
     "conformal_curvature_via_formula": lambda jet, fj, X: (
-        conformal_curvature_via_formula(chern_curvature(jet), jet, fj).tensor,
+        conformal_curvature_via_formula(chern_curvature(jet), fj).tensor,
     ),
     "chern_laplacian": lambda jet, fj, X: (chern_laplacian(jet, fj),),
     "weyl_minus": lambda jet, fj, X: _weyl(jet),

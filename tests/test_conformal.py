@@ -34,7 +34,7 @@ def test_zero_factor_is_identity():
     jet = metric_jet(spec, p)
     Rc = chern_curvature(jet)
     fj = factor_jet(ex.ZERO, p)
-    pred = conformal_curvature_via_formula(Rc, jet, fj)
+    pred = conformal_curvature_via_formula(Rc, fj)
     assert np.array_equal(pred.tensor, Rc.tensor)
 
 
@@ -50,8 +50,8 @@ def test_constant_factor_scales_curvature():
     tRc = chern_curvature(tjet)
     assert np.max(np.abs(tRc.tensor - np.exp(2 * c) * Rc.tensor)) < 1e-10
     # scalars scale by e^{-2c}
-    b = ricci_bundle(Rc, jet.g)
-    tb = ricci_bundle(tRc, tjet.g)
+    b = ricci_bundle(Rc)
+    tb = ricci_bundle(tRc)
     assert abs(tb.u - np.exp(-2 * c) * b.u) < 1e-10
     assert abs(tb.v - np.exp(-2 * c) * b.v) < 1e-10
     # and the Kahler defect scales by e^{2c}
@@ -86,7 +86,7 @@ def test_formula_matches_direct_recomputation():
         for p in sample_points(entry, 3, 3):
             jet = metric_jet(entry.spec, p)
             fj = factor_jet(F, p)
-            pred = conformal_curvature_via_formula(chern_curvature(jet), jet, fj)
+            pred = conformal_curvature_via_formula(chern_curvature(jet), fj)
             direct = chern_curvature(metric_jet(tilde, p))
             scale = max(1.0, float(np.max(np.abs(direct.tensor))))
             assert np.max(np.abs(pred.tensor - direct.tensor)) / scale < 1e-8, name
@@ -99,9 +99,9 @@ def test_first_ricci_conformal_shift():
     p = sample_points(entry, 1, 4)[0]
     jet = metric_jet(entry.spec, p)
     fj = factor_jet(F, p)
-    b = ricci_bundle(chern_curvature(jet), jet.g)
+    b = ricci_bundle(chern_curvature(jet))
     tjet = metric_jet(conformal_metric(entry.spec, F), p)
-    tb = ricci_bundle(chern_curvature(tjet), tjet.g)
+    tb = ricci_bundle(chern_curvature(tjet))
     assert np.max(np.abs(tb.rho1 - (b.rho1 - 4 * fj.hess))) < 1e-9
 
 
@@ -130,7 +130,7 @@ def test_surface_scalar_relations():
         fj = factor_jet(F, p)
         lap = chern_laplacian(jet, fj)
         tjet = metric_jet(conformal_metric(eu.spec, F), p)
-        tb = ricci_bundle(chern_curvature(tjet), tjet.g)
+        tb = ricci_bundle(chern_curvature(tjet))
         assert abs(np.exp(2 * fj.value) * tb.u + 4 * lap) < 1e-8
 
     hopf = builtin("hopf-2")
@@ -159,10 +159,10 @@ def test_general_dimension_scalar_laws():
     p = sample_points(entry, 1, 7)[0]
     jet = metric_jet(entry.spec, p)
     fj = factor_jet(F, p)
-    b = ricci_bundle(chern_curvature(jet), jet.g)
+    b = ricci_bundle(chern_curvature(jet))
     lap = chern_laplacian(jet, fj)
     tjet = metric_jet(conformal_metric(entry.spec, F), p)
-    tb = ricci_bundle(chern_curvature(tjet), tjet.g)
+    tb = ricci_bundle(chern_curvature(tjet))
     s = np.exp(2 * fj.value)
     assert abs(s * tb.u - (b.u - 6 * lap)) < 1e-9
     assert abs(s * tb.v - (b.v - 2 * lap)) < 1e-9
@@ -176,8 +176,8 @@ def test_conformal_constancy_degenerates_to_plain_residual():
     fj = factor_jet(ex.ZERO, p)
     params = MixedParams(0.4, 1.2)
     for f in (0.0, 1.7):
-        a = conformal_constancy_residual(jet, Rc, fj, params, f)
-        b = constancy_tensor_residual(Rc, jet.g, params, f)
+        a = conformal_constancy_residual(Rc, fj, params, f)
+        b = constancy_tensor_residual(Rc, params, f)
         assert abs(a - b) < 1e-14
 
 
@@ -189,7 +189,7 @@ def test_conformal_constancy_flat_to_hopf():
         jet = metric_jet(eu.spec, p)
         fj = factor_jet(F, p)
         Rc = chern_curvature(jet)
-        resid = conformal_constancy_residual(jet, Rc, fj, MixedParams(1.0, -2.0), 0.0)
+        resid = conformal_constancy_residual(Rc, fj, MixedParams(1.0, -2.0), 0.0)
         assert resid < 1e-8
 
 
@@ -200,7 +200,7 @@ def test_conformal_constancy_product_surface_case():
     for p in sample_points(entry, 5, 11):
         jet = metric_jet(entry.spec, p)
         fj = factor_jet(ex.ZERO, p)
-        resid = conformal_constancy_residual(jet, chern_curvature(jet), fj, MixedParams(1.0, -1.0), 0.0)
+        resid = conformal_constancy_residual(chern_curvature(jet), fj, MixedParams(1.0, -1.0), 0.0)
         assert resid < 1e-9
 
 
@@ -212,9 +212,9 @@ def test_conformal_constancy_cross_oracle():
     for p in sample_points(builtin("hopf-2"), 5, 10):
         jet = metric_jet(eu.spec, p)
         fj = factor_jet(F, p)
-        r_base = conformal_constancy_residual(jet, chern_curvature(jet), fj, params, 0.1)
+        r_base = conformal_constancy_residual(chern_curvature(jet), fj, params, 0.1)
         tjet = metric_jet(conformal_metric(eu.spec, F), p)
-        r_direct = constancy_tensor_residual(chern_curvature(tjet), tjet.g, params, 0.1)
+        r_direct = constancy_tensor_residual(chern_curvature(tjet), params, 0.1)
         assert abs(r_direct - np.exp(2 * fj.value) * r_base) < 1e-10 * max(1, r_direct)
 
 
@@ -234,11 +234,11 @@ def test_conformal_constancy_matches_the_recombined_reference():
         random_fj = replace(fj, hess=H + np.conj(np.swapaxes(H, 1, 2)))
         cases.append((replace(jets, g=g, g_inv=np.linalg.inv(g)), R, random_fj))
         for jet, R, f_jet in cases:
-            Rc = ChernCurvature(R, "coordinate", jet.point)
+            Rc = ChernCurvature(R, "coordinate", jet.g)
             rho = _rho1(jet.g_inv, R)
             f = rng.standard_normal(3)
             for theta in rng.uniform(0, 2 * np.pi, 4):
                 params = MixedParams(np.cos(theta), np.sin(theta))
-                got = conformal_constancy_residual(jet, Rc, f_jet, params, f)
+                got = conformal_constancy_residual(Rc, f_jet, params, f)
                 want = recombined.conformal_constancy(R, rho, jet.g, f_jet.hess, params, f * np.exp(2 * f_jet.value))
                 assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, np.max(np.abs(want))), name

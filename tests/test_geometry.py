@@ -21,7 +21,14 @@ from chernkit.geometry import (
     torsion,
 )
 from chernkit.jets import MetricError, metric_jet, metric_jets
-from chernkit.mixed import MixedParams, mixed_curvature
+from chernkit.mixed import (
+    MixedParams,
+    constancy_tensor_residual,
+    mixed_curvature,
+    sphere_average_closed_form,
+    trace_identity_residual,
+)
+from chernkit.surfaces import c1_squared_pointwise_residual, ricci_combination_residual
 
 
 def _hopf_closed(z):
@@ -87,7 +94,7 @@ def test_first_ricci_is_log_det_hessian():
         for j in range(2):
             want[i, j] = -ex.evaluate(ex.wirtinger_diff(di, "anti", j + 1), p)
     jet = metric_jet(spec, p)
-    b = ricci_bundle(chern_curvature(jet), jet.g)
+    b = ricci_bundle(chern_curvature(jet))
     assert np.max(np.abs(b.rho1 - want)) < 1e-11
 
 
@@ -98,7 +105,7 @@ def test_ricci_trace_consistency_and_symmetries():
         for jet in metric_jets(entry.spec, sample_points(entry, 10, 3)):
             Rc = chern_curvature(jet)
             assert hermitian_symmetry_residual(Rc) < 1e-10
-            b = ricci_bundle(Rc, jet.g)
+            b = ricci_bundle(Rc)
             gi = jet.g_inv
             assert np.max(np.abs(b.rho1 - b.rho1.conj().T)) < 1e-10
             assert np.max(np.abs(b.rho2 - b.rho2.conj().T)) < 1e-10
@@ -112,7 +119,7 @@ def test_hopf_scalars_and_first_ricci():
         entry = builtin(f"hopf-{n}")
         jet = metric_jet(entry.spec, sample_points(entry, 1, 4)[0])
         Ru = to_unitary_frame(chern_curvature(jet), jet)
-        b = ricci_bundle(Ru, np.eye(n))
+        b = ricci_bundle(Ru)
         assert abs(b.u - (n * n - n)) < 1e-12
         assert abs(b.v - (n - 1)) < 1e-12
         z = jet.point
@@ -124,7 +131,7 @@ def test_kahler_metrics_have_equal_riccis_and_no_torsion():
     for name in ("fubini-study-2", "complex-hyperbolic-3", "adm-product-surface"):
         entry = builtin(name)
         for jet in metric_jets(entry.spec, sample_points(entry, 10, 5)):
-            b = ricci_bundle(chern_curvature(jet), jet.g)
+            b = ricci_bundle(chern_curvature(jet))
             for rho in (b.rho2, b.rho3, b.rho4):
                 assert np.max(np.abs(b.rho1 - rho)) < 1e-9
             assert abs(b.u - b.v) < 1e-9
@@ -148,7 +155,7 @@ def test_u_minus_v_equals_torsion_norm_on_hopf():
     for n in (2, 3):
         entry = builtin(f"hopf-{n}")
         for jet in metric_jets(entry.spec, sample_points(entry, 10, 7)):
-            b = ricci_bundle(chern_curvature(jet), jet.g)
+            b = ricci_bundle(chern_curvature(jet))
             t = torsion(jet)
             assert abs(b.u - b.v - t.eta_norm2) < 1e-11
 
@@ -175,15 +182,15 @@ def test_holomorphic_sectional_values():
     entry = builtin("adm-product-surface")
     jet = metric_jet(entry.spec, sample_points(entry, 1, 8)[0])
     Rc = chern_curvature(jet)
-    assert abs(holomorphic_sectional(Rc, jet.g, [1, 0]) - (-1.0)) < 1e-12
-    assert abs(holomorphic_sectional(Rc, jet.g, [0, 1]) - 1.0) < 1e-12
+    assert abs(holomorphic_sectional(Rc, [1, 0]) - (-1.0)) < 1e-12
+    assert abs(holomorphic_sectional(Rc, [0, 1]) - 1.0) < 1e-12
     jet = metric_jet(builtin("euclidean-2").spec, [0.5, 0.5])
-    assert holomorphic_sectional(chern_curvature(jet), jet.g, [1, 1j]) == 0
+    assert holomorphic_sectional(chern_curvature(jet), [1, 1j]) == 0
     jet = metric_jet(builtin("hopf-2").spec, [1.0, 0.0])
     Ru = to_unitary_frame(chern_curvature(jet), jet)
-    assert abs(holomorphic_sectional(Ru, np.eye(2), [1, 0])) < 1e-15
+    assert abs(holomorphic_sectional(Ru, [1, 0])) < 1e-15
     with pytest.raises(ValueError, match="zero vector"):
-        holomorphic_sectional(Ru, np.eye(2), [0, 0])
+        holomorphic_sectional(Ru, [0, 0])
 
 
 def test_hsc_scale_and_frame_invariance():
@@ -196,13 +203,13 @@ def test_hsc_scale_and_frame_invariance():
     for _ in range(5):
         X = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         lam = complex(rng.standard_normal() + 1j * rng.standard_normal())
-        h = holomorphic_sectional(Rc, jet.g, X)
-        assert abs(holomorphic_sectional(Rc, jet.g, lam * X) - h) < 1e-10 * max(1, abs(h))
+        h = holomorphic_sectional(Rc, X)
+        assert abs(holomorphic_sectional(Rc, lam * X) - h) < 1e-10 * max(1, abs(h))
     # unitary-frame H(e1) equals coordinate-frame H of the first frame column
     e1 = Ru.frame_matrix[:, 0]
     assert abs(
-        holomorphic_sectional(Ru, np.eye(2), [1, 0])
-        - holomorphic_sectional(Rc, jet.g, e1)
+        holomorphic_sectional(Ru, [1, 0])
+        - holomorphic_sectional(Rc, e1)
     ) < 1e-10
 
 
@@ -214,22 +221,89 @@ def test_hsc_of_tiny_and_huge_vectors(s):
     Rc = chern_curvature(jet)
     params = MixedParams(1.0, 1.0)
     X = np.array([[1.0, 0.0], [0.3 - 0.2j, 0.7j]])
-    h, c = holomorphic_sectional(Rc, jet.g, X), mixed_curvature(Rc, jet.g, params, X)
+    h, c = holomorphic_sectional(Rc, X), mixed_curvature(Rc, params, X)
     for got, want in (
-        (holomorphic_sectional(Rc, jet.g, s * X[0]), h[0]),
-        (holomorphic_sectional(Rc, jet.g, s * X), h),
-        (mixed_curvature(Rc, jet.g, params, s * X[0]), c[0]),
-        (mixed_curvature(Rc, jet.g, params, s * X), c),
+        (holomorphic_sectional(Rc, s * X[0]), h[0]),
+        (holomorphic_sectional(Rc, s * X), h),
+        (mixed_curvature(Rc, params, s * X[0]), c[0]),
+        (mixed_curvature(Rc, params, s * X), c),
     ):
         assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want)), (s, got, want)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("s", [1e155, 1e-290, 1e-305])
+def test_hsc_on_a_scaled_hopf_surface(s):
+    # H(e1) = 9/35 on hopf-2 at this point, so 9/(35 s) on s times it: |X|^2_g is brought into [1/2, 1)
+    # before it is squared, where its square overflowed (1e155), underflowed (1e-290) or fell under a floor
+    # that took e1 for the zero vector (1e-305)
+    p = [0.5 + 0.1j, 0.3j]
+    jet = metric_jet(parse_metric(f"dim 2\ng[1,1] = {s!r}/abs2(z)\ng[2,2] = {s!r}/abs2(z)\n"), p)
+    Rc = chern_curvature(jet)
+    Rc1 = chern_curvature(metric_jet(builtin("hopf-2").spec, p))
+    params = MixedParams(1.0, 1.0)
+    assert abs(holomorphic_sectional(Rc1, [1, 0]) - 9 / 35) < 1e-15
+    for got, want in ((holomorphic_sectional(Rc, [1, 0]), holomorphic_sectional(Rc1, [1, 0])),
+                      (mixed_curvature(Rc, params, [1, 0]), mixed_curvature(Rc1, params, [1, 0]))):
+        assert abs(got * s - want) <= 1e-14 * abs(want), (s, got, want)
+
+
+def test_hsc_past_the_float_range_is_a_metric_error():
+    jet = metric_jet(builtin("hopf-2").spec, [0.5 + 0.1j, 0.3j])
+    Rc = chern_curvature(jet)
+    assert holomorphic_sectional(Rc, [1, 0]) > 0.25  # so 2^1040 times it is past the float range
+    huge = replace(Rc, tensor=Rc.tensor * 2.0**1000, g=Rc.g * 2.0**-20, size=Rc.size * 2.0**1000)
+    with pytest.raises(MetricError, match="not finite"):
+        holomorphic_sectional(huge, [1, 0])
+    with pytest.raises(ValueError, match="zero vector"):
+        holomorphic_sectional(Rc, [[1, 0], [0, 0]])
+
+
+def test_a_curvature_carries_exactly_the_metric_of_its_frame():
+    R = np.zeros((2, 2, 2, 2), dtype=complex)
+    for frame, g in (("coordinate", None), ("unitary", np.eye(2)), ("holomorphic", np.eye(2))):
+        with pytest.raises(ValueError, match="coordinate-frame curvature carries g"):
+            ChernCurvature(R, frame, g)
+    assert np.array_equal(ChernCurvature(R, "unitary").metric, np.eye(2))
+    jets = metric_jets(builtin("hopf-2").spec, [[0.5 + 0.1j, 0.3j], [1.0, -2.0]])
+    Rc = chern_curvature(jets)
+    assert Rc.g is jets.g and ricci_bundle(Rc).g is jets.g
+    assert to_unitary_frame(Rc, jets).g is None and ricci_bundle(to_unitary_frame(Rc, jets)).g is None
+    assert np.array_equal(Rc[1].metric, jets.g[1])
+
+
+@pytest.mark.parametrize("name, params", [("hopf-2", MixedParams(1.0, -2.0)), ("adm-product-surface", MixedParams(1.0, -1.0))])
+def test_coordinate_and_unitary_frames_agree(name, params):
+    # every kernel reads the metric from the curvature or the bundle, so the two routes give the same
+    # invariants; X in coordinates is E^-1 X in the unitary frame whose columns are E.  C_{alpha,beta} is
+    # the constant 0 on both surfaces
+    entry = builtin(name)
+    jets = metric_jets(entry.spec, sample_points(entry, 5, 12))
+    Rc = chern_curvature(jets)
+    Ru = to_unitary_frame(Rc, jets)
+    rng = np.random.default_rng(13)
+    X = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
+    Y = np.linalg.solve(Ru.frame_matrix, X[..., None])[..., 0]
+    bc, bu = ricci_bundle(Rc), ricci_bundle(Ru)
+    for got, want in ((bc.u, bu.u), (bc.v, bu.v), (holomorphic_sectional(Rc, X), holomorphic_sectional(Ru, Y)),
+                      (mixed_curvature(Rc, MixedParams(0.7, 1.3), X), mixed_curvature(Ru, MixedParams(0.7, 1.3), Y))):
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want))), name
+    for R, b in ((Rc, bc), (Ru, bu)):
+        f = sphere_average_closed_form(b, params)
+        assert np.all(np.abs(f) < 1e-12) and np.all(np.abs(mixed_curvature(R, params, X)) < 1e-12), name
+        assert np.all(constancy_tensor_residual(R, params, 0.0) < 1e-12), name
+        assert np.all(constancy_tensor_residual(R, params, 0.1) > 1e-2), name
+        assert np.all(trace_identity_residual(b, params, 0.0) < 1e-12), name
+        assert np.all(ricci_combination_residual(b) < 1e-12), name
+        assert np.all(c1_squared_pointwise_residual(b) < 1e-12), name
 
 
 def test_invariant_scalars_under_frame_change():
     entry = builtin("complex-hyperbolic-2")
     jet = metric_jet(entry.spec, sample_points(entry, 1, 10)[0])
     Rc = chern_curvature(jet)
-    b_coord = ricci_bundle(Rc, jet.g)
-    b_unit = ricci_bundle(to_unitary_frame(Rc, jet), np.eye(2))
+    b_coord = ricci_bundle(Rc)
+    b_unit = ricci_bundle(to_unitary_frame(Rc, jet))
     assert abs(b_coord.u - b_unit.u) < 1e-9
     assert abs(b_coord.v - b_unit.v) < 1e-9
 
@@ -250,12 +324,12 @@ def test_hand_built_flat_tensors_pass_the_realness_checks():
     cases = ((builtin("hopf-1").spec, [[0.8 + 0.3j], [-1.1 + 0.6j]]), (parse_metric(_FLAT_PRODUCT), [[0.8 + 0.3j, -0.5j]]))
     for spec, p in cases:
         jets = metric_jets(spec, p)
-        Rc = ChernCurvature(chern_curvature(jets).tensor, "coordinate", jets.point)
-        b = ricci_bundle(Rc, jets.g)
+        Rc = ChernCurvature(chern_curvature(jets).tensor, "coordinate", jets.g)
+        b = ricci_bundle(Rc)
         assert np.all(np.abs(b.u) < 1e-12) and np.all(np.abs(b.v) < 1e-12)
         X = np.ones(jets.n) + 0.5j
         for params in (MixedParams(1.0, -1.0), MixedParams(0.0, 1.0)):
-            assert np.all(np.abs(mixed_curvature(Rc, jets.g, params, X)) < 1e-12)
+            assert np.all(np.abs(mixed_curvature(Rc, params, X)) < 1e-12)
 
 
 def _scaled(jet, s):
@@ -264,7 +338,7 @@ def _scaled(jet, s):
     return replace(jet, g_inv=jet.g_inv / s, **scaled)
 
 
-@pytest.mark.parametrize("s", [1e-150, 1e-100, 1e100])
+@pytest.mark.parametrize("s", [1e-305, 1e-290, 1e-150, 1e-100, 1e100, 1e155])
 def test_unitary_traces_and_mixed_curvature_scale_with_the_metric(s):
     # u, v and C_{alpha,beta} scale by 1/s; the curvature's size follows R into the unitary frame and
     # into T, so u = 0 on the Kahler product and T = 0 on hopf-2 at 2 alpha + beta = 0 stay real at every s
@@ -274,8 +348,8 @@ def test_unitary_traces_and_mixed_curvature_scale_with_the_metric(s):
         jets = metric_jets(entry.spec, sample_points(entry, 3, 9))
         for jet, scale in ((jets, 1.0), (_scaled(jets, s), s)):
             Rc = chern_curvature(jet)
-            b = ricci_bundle(to_unitary_frame(Rc, jet), np.eye(2))
-            got = np.array([b.u, b.v, mixed_curvature(Rc, jet.g, params, X)]) * scale
+            b = ricci_bundle(to_unitary_frame(Rc, jet))
+            got = np.array([b.u, b.v, mixed_curvature(Rc, params, X)]) * scale
             if scale == 1.0:
                 want = got
             assert np.all(np.abs(got - want) <= 1e-12 * np.max(np.abs(chern_curvature(jets).size))), (name, s)

@@ -96,7 +96,7 @@ def test_hopf_vanishing_combination():
     rng = np.random.default_rng(2)
     for _ in range(10):
         X = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        assert abs(mixed_curvature(Ru, np.eye(2), params, X)) < 1e-13
+        assert abs(mixed_curvature(Ru, params, X)) < 1e-13
 
 
 def test_adm_axis_value():
@@ -104,7 +104,7 @@ def test_adm_axis_value():
     entry = builtin("adm-product-surface")
     jet = metric_jet(entry.spec, sample_points(entry, 1, 3)[0])
     Rc = chern_curvature(jet)
-    val = mixed_curvature(Rc, jet.g, MixedParams(1.0, 1.0), [1, 0])
+    val = mixed_curvature(Rc, MixedParams(1.0, 1.0), [1, 0])
     assert abs(val - (-2.0)) < 1e-11
 
 
@@ -113,23 +113,23 @@ def test_scale_invariance_and_linearity():
     rng = np.random.default_rng(5)
     X = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     p1, p2 = MixedParams(0.4, 1.1), MixedParams(-0.9, 0.3)
-    v1 = mixed_curvature(Ru, np.eye(3), p1, X)
-    v2 = mixed_curvature(Ru, np.eye(3), p2, X)
-    v12 = mixed_curvature(Ru, np.eye(3), MixedParams(p1.alpha + p2.alpha, p1.beta + p2.beta), X)
+    v1 = mixed_curvature(Ru, p1, X)
+    v2 = mixed_curvature(Ru, p2, X)
+    v12 = mixed_curvature(Ru, MixedParams(p1.alpha + p2.alpha, p1.beta + p2.beta), X)
     assert abs(v12 - (v1 + v2)) < 1e-12
     for lam in (3.0, -2j, 0.7 + 0.7j):
-        assert abs(mixed_curvature(Ru, np.eye(3), p1, lam * X) - v1) < 1e-10
+        assert abs(mixed_curvature(Ru, p1, lam * X) - v1) < 1e-10
     with pytest.raises(ValueError, match="zero vector"):
-        mixed_curvature(Ru, np.eye(3), p1, [0, 0, 0])
+        mixed_curvature(Ru, p1, [0, 0, 0])
 
 
 def test_mixed_curvature_that_is_not_real_is_a_metric_error():
     R = np.zeros((2, 2, 2, 2), dtype=complex)
     R[0, 0, 0, 0] = 1j  # breaks R_{i jbar k lbar} = conj(R_{j ibar l kbar})
-    Rc = ChernCurvature(R, "unitary", np.zeros(2))
+    Rc = ChernCurvature(R, "unitary")
     for params in (MixedParams(0.0, 1.0), MixedParams(1.0, 0.0), MixedParams(1.0, 1.0)):
         with pytest.raises(MetricError, match="real"):
-            mixed_curvature(Rc, np.eye(2), params, [1, 0])
+            mixed_curvature(Rc, params, [1, 0])
 
 
 def _catalog_and_random_curvatures():
@@ -153,7 +153,7 @@ def test_t_forms_match_the_recombined_reference():
     for name, g, R in _catalog_and_random_curvatures():
         m, n = g.shape[:2]
         rho = _rho1(np.linalg.inv(g), R)
-        Rc = ChernCurvature(R, "coordinate", np.zeros((m, n)))
+        Rc = ChernCurvature(R, "coordinate", g)
         Ru = _in_frame(R, orthonormal_frame(g))
         X = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
         Z = rng.standard_normal((50, n)) + 1j * rng.standard_normal((50, n))
@@ -161,9 +161,9 @@ def test_t_forms_match_the_recombined_reference():
         c = rng.standard_normal(m)
         for theta in rng.uniform(0, 2 * np.pi, 4):
             params = MixedParams(np.cos(theta), np.sin(theta))
-            assert _agree(mixed_curvature(Rc, g, params, X), recombined.value(R, rho, g, params, X)), name
+            assert _agree(mixed_curvature(Rc, params, X), recombined.value(R, rho, g, params, X)), name
             want = recombined.constancy(R, rho, g, params, c)
-            assert _agree(constancy_tensor_residual(Rc, g, params, c), want), name
+            assert _agree(constancy_tensor_residual(Rc, params, c), want), name
             for R_point in Ru:
                 rho_u = _rho1(np.eye(n), R_point)
                 new = _gradient(_form(R_point, rho_u, np.eye(n), params), Z)
@@ -175,18 +175,18 @@ def test_t_forms_match_the_recombined_reference():
 
 def test_closed_form_average_values():
     jet, Ru = _unitary_setup("hopf-2", seed=6)
-    b = ricci_bundle(Ru, np.eye(2))
+    b = ricci_bundle(Ru)
     # (u + v)/6 = (2 + 1)/6 = 0.5 for alpha=0, beta=1
     assert abs(sphere_average_closed_form(b, MixedParams(0.0, 1.0)) - 0.5) < 1e-12
     jet, Ru = _unitary_setup("euclidean-2", seed=6)
-    b = ricci_bundle(Ru, np.eye(2))
+    b = ricci_bundle(Ru)
     assert sphere_average_closed_form(b, MixedParams(1.0, 1.0)) == 0
 
 
 def test_closed_form_average_takes_n_from_the_bundle():
     # [((n+1) alpha + beta) u + beta v] / (n (n+1)) with n = 2, u = 2, v = 1 on hopf-2
     jet, Ru = _unitary_setup("hopf-2", seed=6)
-    assert abs(sphere_average_closed_form(ricci_bundle(Ru, np.eye(2)), MixedParams(1.0, 1.0)) - 1.5) < 1e-12
+    assert abs(sphere_average_closed_form(ricci_bundle(Ru), MixedParams(1.0, 1.0)) - 1.5) < 1e-12
 
 
 def test_monte_carlo_matches_closed_form():
@@ -195,7 +195,7 @@ def test_monte_carlo_matches_closed_form():
         n = entry.spec.n
         jet = metric_jet(entry.spec, sample_points(entry, 1, 7)[0])
         Ru = to_unitary_frame(chern_curvature(jet), jet)
-        b = ricci_bundle(Ru, np.eye(n))
+        b = ricci_bundle(Ru)
         for params in (MixedParams(0.0, 1.0), MixedParams(1.0, 0.0), MixedParams(1.2, -0.8)):
             mean, stderr = sphere_average_monte_carlo(Ru, np.eye(n), params, 50_000, seed=8)
             closed = sphere_average_closed_form(b, params)
@@ -296,18 +296,18 @@ def test_extremize_report_invariants():
 
 def test_constancy_tensor_residual_cases():
     jet, Ru = _unitary_setup("euclidean-2", seed=16)
-    assert constancy_tensor_residual(Ru, np.eye(2), MixedParams(1.0, 2.0), 0.0) == 0
+    assert constancy_tensor_residual(Ru, MixedParams(1.0, 2.0), 0.0) == 0
 
     jet, Ru = _unitary_setup("hopf-2", seed=16)
-    assert constancy_tensor_residual(Ru, np.eye(2), MixedParams(1.0, -2.0), 0.0) < 1e-12
+    assert constancy_tensor_residual(Ru, MixedParams(1.0, -2.0), 0.0) < 1e-12
 
     jet, Ru = _unitary_setup("fubini-study-2", seed=16)
     params = MixedParams(0.0, 1.0)
     rep = extremize(Ru, params)
     c = 0.5 * (rep.min_value + rep.max_value)
-    assert constancy_tensor_residual(Ru, np.eye(2), params, c) < 1e-8
+    assert constancy_tensor_residual(Ru, params, c) < 1e-8
     # and a wrong constant is detected
-    assert constancy_tensor_residual(Ru, np.eye(2), params, c + 0.1) > 1e-2
+    assert constancy_tensor_residual(Ru, params, c + 0.1) > 1e-2
 
 
 def test_constancy_detectors_agree():
@@ -323,7 +323,7 @@ def test_constancy_detectors_agree():
         jet, Ru = _unitary_setup(name, seed=17)
         rep = extremize(Ru, params)
         mid = 0.5 * (rep.min_value + rep.max_value)
-        resid = constancy_tensor_residual(Ru, np.eye(2), params, mid)
+        resid = constancy_tensor_residual(Ru, params, mid)
         if constant:
             assert rep.spread < 1e-8 and resid < 1e-8, name
         else:
@@ -340,7 +340,7 @@ def test_constancy_detectors_agree_on_every_catalog_entry():
         Ru = to_unitary_frame(chern_curvature(jet), jet)
         rep = extremize(Ru, params)
         mid = 0.5 * (rep.min_value + rep.max_value)
-        resid = constancy_tensor_residual(Ru, np.eye(n), params, mid)
+        resid = constancy_tensor_residual(Ru, params, mid)
         if rep.spread < 1e-8:
             assert resid < 1e-8, name
         else:
@@ -349,20 +349,36 @@ def test_constancy_detectors_agree_on_every_catalog_entry():
 
 def test_trace_identity_cases():
     jet, Ru = _unitary_setup("euclidean-3", seed=18)
-    b = ricci_bundle(Ru, np.eye(3))
+    b = ricci_bundle(Ru)
     assert trace_identity_residual(b, MixedParams(1.0, 1.0), 0.0) == 0
 
     jet, Ru = _unitary_setup("hopf-2", seed=18)
-    b = ricci_bundle(Ru, np.eye(2))
+    b = ricci_bundle(Ru)
     assert trace_identity_residual(b, MixedParams(1.0, -2.0), 0.0) < 1e-12
 
     jet, Ru = _unitary_setup("fubini-study-3", seed=18)
-    b = ricci_bundle(Ru, np.eye(3))
+    b = ricci_bundle(Ru)
     params = MixedParams(2.0, 1.0)
     # solve the scalar identity for f, then the matrix identity must hold
     f = sphere_average_closed_form(b, params)
     assert trace_identity_residual(b, params, f) < 1e-10
     assert trace_identity_residual(b, params, f + 0.05) > 1e-3
+
+
+@pytest.mark.parametrize("name, params", [("hopf-2", MixedParams(1.0, -2.0)), ("hopf-3", MixedParams(1.0, -3.0)),
+                                          ("fubini-study-3", MixedParams(0.0, 1.0)),
+                                          ("complex-hyperbolic-2", MixedParams(0.0, 1.0))])
+def test_trace_identity_in_both_frames(name, params):
+    # the matrix identity is tensorial: its right-hand side is (2(n+1)f - alpha u) times the bundle's own metric
+    entry = builtin(name)
+    jets = metric_jets(entry.spec, sample_points(entry, 5, 19))
+    Rc = chern_curvature(jets)
+    for b in (ricci_bundle(Rc), ricci_bundle(to_unitary_frame(Rc, jets))):
+        f = sphere_average_closed_form(b, params)
+        assert np.all(trace_identity_residual(b, params, f) < 1e-12), name
+        assert np.all(trace_identity_residual(b, params, f + 0.05) > 1e-3), name
+    jet = metric_jet(builtin("hopf-2").spec, [1.0, -2.0])
+    assert trace_identity_residual(ricci_bundle(chern_curvature(jet)), MixedParams(1.0, -2.0), 0.0) < 1e-12
 
 
 def _einsum_reference(R, Z):
@@ -402,7 +418,7 @@ def test_monte_carlo_mean_across_block_boundaries(n):
     # the draw is evaluated _BLOCK rows at a time; a row lost or repeated at a boundary moves the mean
     rng = np.random.default_rng(40 + n)
     R = _random_tensor(rng, n)
-    Rc = ChernCurvature(R, "unitary", np.zeros(n, dtype=complex))
+    Rc = ChernCurvature(R, "unitary")
     params = MixedParams(0.7, -1.3)
     T = _form(R, _rho1(np.eye(n), R), np.eye(n), params)
     for samples in (_BLOCK + 1, 3 * _BLOCK + 7):
@@ -507,7 +523,7 @@ def test_exact_surface_extrema_never_lose_to_the_ascent():
         Ru = to_unitary_frame(chern_curvature(jets), jets)
         offsets = np.random.default_rng(50 + s).uniform(0, 1, len(Ru))
         for R_point, offset in zip(Ru, offsets):
-            R, rho = _unitary_data(R_point, np.eye(2))
+            R, rho = _unitary_data(R_point)
             for theta in 2 * np.pi * (np.arange(10) + offset) / 10:
                 params = MixedParams(np.cos(theta), np.sin(theta))
                 rep = extremize(R_point, params)
@@ -540,7 +556,7 @@ def test_exact_surface_extrema_never_lose_to_the_ascent():
 def test_exact_surface_extrema_hard_cases(name, alpha, beta, value):
     params = MixedParams(alpha, beta)
     jet, Ru = _unitary_setup(name, seed=21)
-    R, rho = _unitary_data(Ru, np.eye(2))
+    R, rho = _unitary_data(Ru)
     rep = extremize(Ru, params)
     assert rep.converged and rep.restarts_used == 0
     assert rep.spread < 1e-12
@@ -597,7 +613,7 @@ def test_ascent_extrema_lie_within_the_symmetric_square_bounds():
         jets = metric_jets(entry.spec, sample_points(entry, 2, 24))
         Ru = to_unitary_frame(chern_curvature(jets), jets)
         for R_point in Ru:
-            R, rho = _unitary_data(R_point, np.eye(n))
+            R, rho = _unitary_data(R_point)
             for theta in rng.uniform(0, 2 * np.pi, 3):
                 params = MixedParams(np.cos(theta), np.sin(theta))
                 lam = np.linalg.eigvalsh(_symmetric_square(_form(R, rho, np.eye(n), params)))
@@ -620,7 +636,7 @@ def test_certified_extrema_never_lose_to_the_ascent(name, factor):
     jets = metric_jets(spec, sample_points(entry, 5, 60))
     Ru = to_unitary_frame(chern_curvature(jets), jets)
     for R_point in Ru:
-        R, rho = _unitary_data(R_point, np.eye(n))
+        R, rho = _unitary_data(R_point)
         for theta in 2 * np.pi * (np.arange(24) + 0.5) / 24:
             params = MixedParams(np.cos(theta), np.sin(theta))
             scale = _scale(R, rho, params)
@@ -632,7 +648,7 @@ def test_certified_extrema_never_lose_to_the_ascent(name, factor):
             assert rep.min_value <= lo + 1e-14 * scale, (theta, rep.min_value - lo)
             for value, Z in ((rep.min_value, rep.argmin), (rep.max_value, rep.argmax)):
                 assert abs(np.linalg.norm(Z) - 1) < 1e-12
-                attained = mixed_curvature(R_point, np.eye(n), params, Z)
+                attained = mixed_curvature(R_point, params, Z)
                 assert abs(attained - value) <= 1e-14 * scale, theta
 
 
@@ -641,7 +657,7 @@ def test_uncertified_extrema_are_the_plain_ascent():
     # returns the two ascents' output bit for bit
     fallbacks = 0
     for R_point in _generic_curvatures(GENERIC_3, 3, seed=31):
-        R, rho = _unitary_data(R_point, np.eye(3))
+        R, rho = _unitary_data(R_point)
         for theta in 2 * np.pi * (np.arange(8) + 0.5) / 8:
             params = MixedParams(np.cos(theta), np.sin(theta))
             rep = extremize(R_point, params)
@@ -664,7 +680,7 @@ def test_uncertified_surface_extrema_are_the_exact_solve():
     # there extremize returns the best of the Bloch-sphere candidates bit for bit
     fallbacks = 0
     for R_point in _generic_curvatures(GENERIC_2, 3, seed=31):
-        R, rho = _unitary_data(R_point, np.eye(2))
+        R, rho = _unitary_data(R_point)
         for theta in 2 * np.pi * (np.arange(8) + 0.5) / 8:
             params = MixedParams(np.cos(theta), np.sin(theta))
             S, e, scale = _scaled_form(R, rho, params)  # the solve runs on T / 2^e, as in extremize
@@ -708,7 +724,7 @@ def test_extremize_on_a_subnormal_curvature(alpha, beta):
     jet, Ru = _unitary_setup("hopf-2", seed=13)
     params = MixedParams(alpha, beta)
     ref = extremize(Ru, params)
-    rep = extremize(ChernCurvature(Ru.tensor * 2.0**-1060, "unitary", Ru.point), params)
+    rep = extremize(ChernCurvature(Ru.tensor * 2.0**-1060, "unitary"), params)
     assert rep.converged
     size = max(abs(ref.min_value), abs(ref.max_value))
     for got, want in ((rep.min_value, ref.min_value), (rep.max_value, ref.max_value)):
@@ -719,7 +735,7 @@ def test_extremize_leaves_a_term_of_weight_zero_unscaled():
     # rho1 is subnormal, so 2^-e is about 2^1062; scaled by it, R = 1e10 would be inf, and 0 * inf nan
     R = np.zeros((2, 2, 2, 2), complex)
     R[0, 0, 0, 0], R[0, 1, 0, 1], R[1, 0, 1, 0] = 1e-320, 1e10, 1e10
-    rep = extremize(ChernCurvature(R, "unitary", np.zeros(2)), MixedParams(1.0, 0.0))
+    rep = extremize(ChernCurvature(R, "unitary"), MixedParams(1.0, 0.0))
     assert (rep.min_value, rep.max_value) == (0.0, 1e-320)
 
 
@@ -742,7 +758,7 @@ def test_exact_surface_extrema_near_the_hard_case(double):
             Q[0, 0], Q[0, 1:], Q[1:, 1:] = rng.standard_normal(), V @ bt, V @ np.diag(lam) @ V.T
             Q[1:, 0] = Q[0, 1:]
             R = (to_R @ Q @ to_R.T).reshape(2, 2, 2, 2)
-            rep = extremize(ChernCurvature(R, "unitary", np.zeros(2)), MixedParams(0.0, 1.0))
+            rep = extremize(ChernCurvature(R, "unitary"), MixedParams(0.0, 1.0))
             lo, hi = _ascent_extrema(R, np.zeros((2, 2)), MixedParams(0.0, 1.0))
             size = np.max(np.abs(Q))
             assert rep.min_value <= lo + 1e-12 * size and rep.max_value >= hi - 1e-12 * size, eps
@@ -751,7 +767,7 @@ def test_exact_surface_extrema_near_the_hard_case(double):
 def test_extremize_reports_non_finite_surface_extrema():
     R = np.full((2, 2, 2, 2), 1e308 + 0j)
     with pytest.raises(MetricError, match="not finite"):
-        extremize(ChernCurvature(R, "unitary", np.zeros(2)), MixedParams(1.0, 1.0))
+        extremize(ChernCurvature(R, "unitary"), MixedParams(1.0, 1.0))
 
 
 _SCALED = {"generic-2": GENERIC_2, "generic-3": GENERIC_3,

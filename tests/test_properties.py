@@ -179,9 +179,9 @@ def test_constant_plus_quadratic_metrics_keep_the_curvature_symmetries(drawn):
     Rc = chern_curvature(jets)
     scale = max(1.0, float(np.max(np.abs(Rc.tensor))))
     assert np.max(hermitian_symmetry_residual(Rc)) <= 1e-12 * scale
-    b = ricci_bundle(Rc, jets.g)
+    b = ricci_bundle(Rc)
     tr_rho2 = np.einsum("...ji,...ij->...", jets.g_inv, b.rho2).real
-    u_unitary = ricci_bundle(to_unitary_frame(Rc, jets), np.eye(n)).u
+    u_unitary = ricci_bundle(to_unitary_frame(Rc, jets)).u
     assert np.max(np.abs(tr_rho2 - b.u)) <= 1e-12 * scale
     assert np.max(np.abs(u_unitary - b.u)) <= 1e-12 * scale
 
@@ -209,7 +209,7 @@ def test_real_quadratic_factors_obey_the_conformal_law(drawn):
     F = _real_quadratic(H, S / n, n)
     pts = sample_points(entry, 4, 3)
     jets = metric_jets(entry.spec, pts)
-    pred = conformal_curvature_via_formula(chern_curvature(jets), jets, factor_jet(F, pts)).tensor
+    pred = conformal_curvature_via_formula(chern_curvature(jets), factor_jet(F, pts)).tensor
     direct = chern_curvature(metric_jets(conformal_metric(entry.spec, F), pts)).tensor
     assert np.max(np.abs(pred - direct)) <= 1e-8 * max(1.0, float(np.max(np.abs(direct))))
 

@@ -76,7 +76,7 @@ def test_weyl_phase_covariance():
     R2 = np.einsum(
         "ijkl,i,j,k,l->ijkl", Ru.tensor, ph, np.conj(ph), ph, np.conj(ph)
     )
-    w2 = weyl_minus(ChernCurvature(R2, "unitary", Ru.point, Ru.frame_matrix * ph))
+    w2 = weyl_minus(ChernCurvature(R2, "unitary", frame_matrix=Ru.frame_matrix * ph))
     assert abs(abs(w2.w1) - abs(w.w1)) < 1e-13
     assert abs(w2.w3 - w.w3) < 1e-13
 
@@ -84,18 +84,18 @@ def test_weyl_phase_covariance():
 def test_ricci_combination_on_all_surfaces():
     for name in SURFACES:
         for jet, Ru in _unitary(name, 4):
-            b = ricci_bundle(Ru, np.eye(2))
-            assert ricci_combination_residual(b, np.eye(2)) < 1e-10, name
+            b = ricci_bundle(Ru)
+            assert ricci_combination_residual(b) < 1e-10, name
             # also in the coordinate frame
-            bc = ricci_bundle(chern_curvature(jet), jet.g)
-            assert ricci_combination_residual(bc, jet.g) < 1e-9, name
+            bc = ricci_bundle(chern_curvature(jet))
+            assert ricci_combination_residual(bc) < 1e-9, name
 
 
 def test_ricci_combination_hand_value_hopf():
     # in the unitary frame: rho1 + rho2 - 2 Re rho3 = (u - v) I with u - v = 1
     jet = metric_jet(builtin("hopf-2").spec, [1.3, 0.0])
     Ru = to_unitary_frame(chern_curvature(jet), jet)
-    b = ricci_bundle(Ru, np.eye(2))
+    b = ricci_bundle(Ru)
     lhs = b.rho1 + b.rho2 - (b.rho3 + b.rho3.conj().T)
     assert np.max(np.abs(lhs - np.eye(2))) < 1e-12
     assert abs((b.u - b.v) - 1.0) < 1e-12
@@ -109,7 +109,7 @@ def test_form_inner_and_wedge_normalization():
     assert abs(wedge_ratio(omega, omega, g) - 2.0) < 1e-15
     # synthetic rho1 = omega: residual is exactly zero
     bundle = RicciBundle(np.eye(2), np.eye(2), np.eye(2), np.eye(2), 2.0, 2.0)
-    assert c1_squared_pointwise_residual(bundle, g) < 1e-15
+    assert c1_squared_pointwise_residual(bundle) < 1e-15
 
 
 def test_form_inner_positive_definite():
@@ -123,8 +123,8 @@ def test_form_inner_positive_definite():
 def test_c1_squared_on_all_surfaces():
     for name in SURFACES:
         for jet, Ru in _unitary(name, 5):
-            b = ricci_bundle(Ru, np.eye(2))
-            assert c1_squared_pointwise_residual(b, np.eye(2)) < 1e-10, name
+            b = ricci_bundle(Ru)
+            assert c1_squared_pointwise_residual(b) < 1e-10, name
 
 
 def test_c1_squared_on_a_flat_surface_with_nonzero_derivatives():
@@ -133,8 +133,8 @@ def test_c1_squared_on_a_flat_surface_with_nonzero_derivatives():
     jets = metric_jets(spec, [[0.8 + 0.3j, -0.5 + 0.9j], [1.3, 0.7j]])
     Rc = chern_curvature(jets)
     Ru = to_unitary_frame(Rc, jets)
-    for b, g in ((ricci_bundle(Rc, jets.g), jets.g), (ricci_bundle(Ru, np.eye(2)), np.eye(2))):
-        assert np.all(c1_squared_pointwise_residual(b, g) < 1e-12)
+    for b in (ricci_bundle(Rc), ricci_bundle(Ru)):
+        assert np.all(c1_squared_pointwise_residual(b) < 1e-12)
 
 
 @pytest.mark.parametrize("name", ["hopf-2", "isosceles-hopf-surface"])
@@ -148,8 +148,8 @@ def test_c1_squared_scales_with_the_metric(name):
         spec = MetricSpec(2, [[ex.mul(ex.const(s), e) for e in row] for row in entry.spec.entries], domain=entry.spec.domain)
         jets = metric_jets(spec, pts)
         Rc = chern_curvature(jets)
-        for b, g in ((ricci_bundle(Rc, jets.g), jets.g), (ricci_bundle(to_unitary_frame(Rc, jets), np.eye(2)), np.eye(2))):
-            assert np.all(c1_squared_pointwise_residual(b, g) <= 1e-13 * b.u**2), s
+        for b in (ricci_bundle(Rc), ricci_bundle(to_unitary_frame(Rc, jets))):
+            assert np.all(c1_squared_pointwise_residual(b) <= 1e-13 * b.u**2), s
 
 
 @pytest.mark.parametrize("s", [1.0, 1e-160, 1e100])
@@ -164,7 +164,7 @@ def test_c1_squared_adm_hand_values():
     entry = builtin("adm-product-surface")
     jet = metric_jet(entry.spec, sample_points(entry, 1, 6)[0])
     Ru = to_unitary_frame(chern_curvature(jet), jet)
-    b = ricci_bundle(Ru, np.eye(2))
+    b = ricci_bundle(Ru)
     rho = OneOneForm(b.rho1)
     assert abs(wedge_ratio(rho, rho, np.eye(2)) - (-2.0)) < 1e-12
     assert abs(form_inner(rho, rho, np.eye(2)) - 2.0) < 1e-12
@@ -174,6 +174,6 @@ def test_c1_squared_adm_hand_values():
 def test_dimension_guards():
     b3 = RicciBundle(np.eye(3), np.eye(3), np.eye(3), np.eye(3), 3.0, 3.0)
     with pytest.raises(ValueError, match="n = 2"):
-        ricci_combination_residual(b3, np.eye(3))
+        ricci_combination_residual(b3)
     with pytest.raises(ValueError, match="n = 2"):
-        c1_squared_pointwise_residual(b3, np.eye(3))
+        c1_squared_pointwise_residual(b3)
