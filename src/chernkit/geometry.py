@@ -170,7 +170,7 @@ def to_unitary_frame(Rc: ChernCurvature, jet: MetricJet) -> ChernCurvature:
 
     Traces of the result use the identity metric; invariantly defined
     scalars (u, v, holomorphic sectional values of fixed vectors) are
-    unchanged.  MetricError where they overflow (g nearly singular).  jet is redundant.
+    unchanged.  MetricError where they overflow (g nearly singular).  jet is redundant, as Rc carries g.
     """
     if Rc.frame != "coordinate":
         raise ValueError("to_unitary_frame expects a coordinate-frame tensor")

@@ -146,7 +146,7 @@ def sphere_average_monte_carlo(
     """Monte Carlo estimate (mean, stderr) of the sphere average.
 
     Directions are complex-normal vectors normalized to the unit sphere in a
-    unitary frame (uniform on the sphere); deterministic given seed.  g is redundant.
+    unitary frame (uniform on the sphere); deterministic given seed.  g is redundant, as Rc carries it.
     """
     return sphere_average_monte_carlo_many(Rc, g, [params], samples, seed)[0]
 

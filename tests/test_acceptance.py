@@ -7,8 +7,6 @@ as `chernkit verify`).
 
 from functools import lru_cache
 
-import numpy as np
-
 from chernkit.checks import CRITERIA, _average_pairs, _sampled
 from chernkit.geometry import ricci_bundle
 from chernkit.mixed import sphere_average_closed_form
