@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ChernCurvature, RicciBundle
+from .geometry import ChernCurvature, RicciBundle, _Framed
 from .jets import HERMITIAN_TOL, _bound, _hermitian_part, _hermitian_residual, _max_abs, _real, _size
 
 __all__ = [
@@ -47,16 +47,19 @@ class WeylMinus:
 
 
 @dataclass(frozen=True)
-class OneOneForm:
+class OneOneForm(_Framed):
     """Components a_{i jbar} of a real (1,1)-form, so a is Hermitian.
 
     size is the magnitude of the terms a was summed from, per point, or None
     where they are not tracked: max|a - a^H| may not exceed HERMITIAN_TOL *
-    jets._bound(size, max|a|).
+    jets._bound(size, max|a|).  g is the metric of a's frame, as in
+    RicciBundle: None in a unitary frame (metric I).
     """
 
+    _CORE = ("a", 2)
     a: np.ndarray
     size: np.ndarray | float | None = None
+    g: np.ndarray | None = None
 
     def __post_init__(self):
         resid = _hermitian_residual(self.a)
@@ -97,30 +100,41 @@ def ricci_combination_residual(bundle: RicciBundle) -> float:
     return _max_abs(lhs - np.asarray(bundle.u - bundle.v)[..., None, None] * bundle.metric, 2)
 
 
-def form_inner(a: OneOneForm, b: OneOneForm, g: np.ndarray) -> float:
+def _common_metric(a: OneOneForm, b: OneOneForm) -> np.ndarray:
+    """The metric of the frame both forms are written in; ValueError if they are in different frames."""
+    g = a.metric
+    if not np.array_equal(g, b.metric):
+        raise ValueError("(1,1)-forms written in different frames")
+    return g
+
+
+def form_inner(a: OneOneForm, b: OneOneForm) -> float:
     """Pointwise inner product of (1,1)-forms, scaled so <omega, omega> = n.
 
     In a unitary frame this is the Frobenius product of the component
-    matrices; the g-contracted expression below is its frame-covariant form.
+    matrices; the g-contracted expression below is its frame-covariant form,
+    with g the metric of the forms' frame.
     """
-    gi = np.linalg.inv(np.asarray(g, dtype=complex))
+    gi = np.linalg.inv(_common_metric(a, b))
     val = np.einsum("...ki,...jl,...ij,...kl->...", gi, gi, a.a, np.conj(b.a))
     return _real(val, "inner product of real forms")
 
 
-def wedge_ratio(a: OneOneForm, b: OneOneForm, g: np.ndarray) -> float:
+def wedge_ratio(a: OneOneForm, b: OneOneForm) -> float:
     """a ^ b divided by the volume form omega^2/2 on a surface.
 
     For (1,1)-forms on a surface,
     a ^ b = -(a_{1 1bar} b_{2 2bar} + a_{2 2bar} b_{1 1bar}
               - a_{1 2bar} b_{2 1bar} - a_{2 1bar} b_{1 2bar}) * Phi
-    with Phi the coordinate 4-form, and omega^2/2 = -det(g) * Phi.  Its
-    realness is measured against a.size * b.size / |det g|.
+    with Phi the coordinate 4-form, and omega^2/2 = -det(g) * Phi, g the
+    metric of the forms' frame.  Its realness is measured against
+    a.size * b.size / |det g|.
     """
-    _need_surface(g.shape[-1])
+    _need_surface(a.n)
+    g = _common_metric(a, b)
     A, B = np.moveaxis(a.a, (-2, -1), (0, 1)), np.moveaxis(b.a, (-2, -1), (0, 1))
     num = A[0, 0] * B[1, 1] + A[1, 1] * B[0, 0] - A[0, 1] * B[1, 0] - A[1, 0] * B[0, 1]
-    den = np.linalg.det(np.asarray(g, dtype=complex))
+    den = np.linalg.det(g)
     return _real(num / den, "wedge ratio of real forms", _size(a.size, b.size, 1 / np.abs(den)))
 
 
@@ -130,10 +144,10 @@ def c1_squared_pointwise_residual(bundle: RicciBundle) -> float:
     Both sides are measured against the volume form omega^2/2, so the check
     is |wedge_ratio(rho1, rho1) - (u^2 - <rho1, rho1>)|.  With c_1
     represented by rho1/(2 pi) this is the pointwise content of the c_1^2
-    surface formula.  g is the metric of the bundle's frame.
+    surface formula, in the bundle's frame.
     """
     _need_surface(bundle.n)
-    rho = OneOneForm(bundle.rho1, bundle.size)
-    kappa = wedge_ratio(rho, rho, bundle.metric)
-    inner = form_inner(rho, rho, bundle.metric)
+    rho = OneOneForm(bundle.rho1, bundle.size, bundle.g)
+    kappa = wedge_ratio(rho, rho)
+    inner = form_inner(rho, rho)
     return np.abs(kappa - (bundle.u**2 - inner))

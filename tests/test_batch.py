@@ -21,6 +21,8 @@ from chernkit.mixed import MixedParams, constancy_tensor_residual
 from chernkit.surfaces import weyl_minus
 
 REL_TOL = 1e-13
+# kernels whose batch is its stacked one-point calls bit for bit, as the README says
+EXACT = ("chern_curvature", "to_unitary_frame")
 
 
 def _unitary(jet):
@@ -77,6 +79,7 @@ def test_batched_kernels_equal_stacked_point_calls(name):
             assert np.shape(got) == want.shape, (kernel, part)
             scale = max(1.0, float(np.max(np.abs(want))))
             assert np.max(np.abs(got - want)) <= REL_TOL * scale, (kernel, part)
+            assert kernel not in EXACT or np.array_equal(got, want), (kernel, part)
 
 
 def test_per_point_objects_index_and_iterate():

@@ -1,15 +1,17 @@
 """Curvature pipeline against closed forms and independent symbolic oracles."""
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from chernkit import expr as ex
-from chernkit.catalog import builtin, sample_points
+from chernkit.catalog import builtin, names, sample_points
 from chernkit.dsl import parse_metric
 from chernkit.geometry import (
     ChernCurvature,
+    _in_frame,
     chern_curvature,
     hermitian_symmetry_residual,
     holomorphic_sectional,
@@ -20,7 +22,7 @@ from chernkit.geometry import (
     to_unitary_frame,
     torsion,
 )
-from chernkit.jets import MetricError, metric_jet, metric_jets
+from chernkit.jets import MetricError, _max_abs, metric_jet, metric_jets
 from chernkit.mixed import (
     MixedParams,
     constancy_tensor_residual,
@@ -353,3 +355,29 @@ def test_unitary_traces_and_mixed_curvature_scale_with_the_metric(s):
             if scale == 1.0:
                 want = got
             assert np.all(np.abs(got - want) <= 1e-12 * np.max(np.abs(chern_curvature(jets).size))), (name, s)
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def _batch(name):
+    """Jets at six seeded points of a catalog metric or of a metric file in tests/data."""
+    if name in names():
+        entry = builtin(name)
+        return metric_jets(entry.spec, sample_points(entry, 6, 19))
+    spec = parse_metric((DATA / f"{name}.metric").read_text(), name=name)
+    return metric_jets(spec, spec.domain.sample(spec.n, 6, np.random.default_rng(19)))
+
+
+@pytest.mark.parametrize("name", [*names(), "generic-2", "generic-3"])
+def test_pairwise_contractions_match_the_one_shot_einsums(name):
+    # the frame change is four one-index contractions and the curvature's quadratic term two pairwise ones;
+    # each agrees with the single many-operand einsum to round-off of the terms it sums (0 on a flat metric)
+    jets = _batch(name)
+    Rc = chern_curvature(jets)
+    second = np.einsum("...qp,...ikq,...jpl->...ijkl", jets.g_inv, jets.dg, jets.dbar_g)
+    assert np.all(_max_abs(Rc.tensor - (-jets.ddbar_g + second), 4) <= 1e-14 * Rc.size)
+    E = orthonormal_frame(Rc.g)
+    Eb = np.conj(E)
+    want = np.einsum("...ijkl,...ia,...jb,...kc,...ld->...abcd", Rc.tensor, E, Eb, E, Eb)
+    assert np.all(_max_abs(_in_frame(Rc.tensor, E) - want, 4) <= 1e-14 * Rc.size * _max_abs(E, 2) ** 4)

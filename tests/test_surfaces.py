@@ -103,19 +103,17 @@ def test_ricci_combination_hand_value_hopf():
 
 def test_form_inner_and_wedge_normalization():
     # the omega fixture: <omega, omega> = n and omega^omega / (omega^2/2) = 2
-    g = np.eye(2)
     omega = OneOneForm(np.eye(2))
-    assert abs(form_inner(omega, omega, g) - 2.0) < 1e-15
-    assert abs(wedge_ratio(omega, omega, g) - 2.0) < 1e-15
+    assert abs(form_inner(omega, omega) - 2.0) < 1e-15
+    assert abs(wedge_ratio(omega, omega) - 2.0) < 1e-15
     # synthetic rho1 = omega: residual is exactly zero
     bundle = RicciBundle(np.eye(2), np.eye(2), np.eye(2), np.eye(2), 2.0, 2.0)
     assert c1_squared_pointwise_residual(bundle) < 1e-15
 
 
 def test_form_inner_positive_definite():
-    g = np.eye(2)
     a = OneOneForm(np.array([[0.0, 0.3 + 0.4j], [0.3 - 0.4j, 0.0]]))
-    assert form_inner(a, a, g) > 0
+    assert form_inner(a, a) > 0
     with pytest.raises(ValueError, match="Hermitian"):
         OneOneForm(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
@@ -166,9 +164,25 @@ def test_c1_squared_adm_hand_values():
     Ru = to_unitary_frame(chern_curvature(jet), jet)
     b = ricci_bundle(Ru)
     rho = OneOneForm(b.rho1)
-    assert abs(wedge_ratio(rho, rho, np.eye(2)) - (-2.0)) < 1e-12
-    assert abs(form_inner(rho, rho, np.eye(2)) - 2.0) < 1e-12
+    assert abs(wedge_ratio(rho, rho) - (-2.0)) < 1e-12
+    assert abs(form_inner(rho, rho) - 2.0) < 1e-12
     assert abs(b.u) < 1e-12
+
+
+def test_a_form_carries_the_metric_of_its_frame():
+    # on hopf-2 at (0.5+0.1i, 0.3i), <rho1, rho1> = 4 and rho1 ^ rho1 / (omega^2/2) = u^2 - 4 = 0 in either
+    # frame; the coordinate-frame rho1 measured with I instead of its g read 32.65
+    jet = metric_jet(builtin("hopf-2").spec, [0.5 + 0.1j, 0.3j])
+    Rc = chern_curvature(jet)
+    coordinate, unitary = ricci_bundle(Rc), ricci_bundle(to_unitary_frame(Rc, jet))
+    for b in (coordinate, unitary):
+        rho = OneOneForm(b.rho1, b.size, b.g)
+        assert abs(form_inner(rho, rho) - 4.0) < 1e-12
+        assert abs(wedge_ratio(rho, rho) - (b.u**2 - 4.0)) < 1e-12
+    assert np.array_equal(OneOneForm(coordinate.rho1, g=jet.g).metric, jet.g)
+    assert np.array_equal(OneOneForm(unitary.rho1).metric, np.eye(2))
+    with pytest.raises(ValueError, match="different frames"):
+        form_inner(OneOneForm(coordinate.rho1, g=jet.g), OneOneForm(unitary.rho1))
 
 
 def test_dimension_guards():
