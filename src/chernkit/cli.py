@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from pathlib import Path
 
@@ -73,7 +74,14 @@ def _parse_point(text: str, n: int) -> np.ndarray:
     return z
 
 
+def _point_text(p) -> str:
+    """A point in the "a+bi,..." syntax of --point, every digit kept."""
+    return ",".join(f"{float(z.real)!r}{float(z.imag):+}i" for z in p)
+
+
 def _points_for(args, spec: MetricSpec) -> np.ndarray:
+    if args.seed < 0:
+        raise InputError(f"--seed must be a non-negative integer, got {args.seed}")
     if args.point:
         return np.stack([_parse_point(t, spec.n) for t in args.point])
     if args.points < 1:
@@ -106,6 +114,7 @@ def _mixed_row(params: MixedParams, rep) -> dict:
         "restarts_used": rep.restarts_used,
         "converged": rep.converged,
         "bound_gap": rep.bound_gap,
+        "path": rep.path,
     }
 
 
@@ -176,6 +185,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0):
+        raise InputError(f"--tol must be a finite number >= 0, got {args.tol!r}")
     outcomes = run_checks(args.suite, tol_override=args.tol)
     width = max(len(o.check_id) for o in outcomes)
     mwidth = max(len(o.metric) for o in outcomes)
@@ -194,7 +205,10 @@ def cmd_extremize(args) -> int:
     spec = _resolve_metric(args.metric)
     pts = _points_for(args, spec)
     pairs = _pairs_for(args)
-    jets = metric_jets(spec, pts)
+    jets, reasons = _jets(spec, pts)
+    for p, why in zip(pts, reasons):
+        if why is not None:
+            raise InputError(f"at point {_point_text(p)}: {why}") from why
     Ru = to_unitary_frame(chern_curvature(jets), jets)
     rows = [(p, params, extremize(R, params)) for p, R in zip(pts, Ru) for params in pairs]
     header = f"{'point':<40} {'alpha':>7} {'beta':>7} {'min':>13} {'max':>13} {'spread':>12}  conv"

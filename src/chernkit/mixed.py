@@ -84,7 +84,9 @@ class ExtremumReport:
     max_value - min_value.  bound_gap is max(lam_max - max_value, min_value -
     lam_min) for the extreme eigenvalues of H = sym(T)/4 on Sym^2(C^n), which
     bound the extrema: 0 up to round-off when they are certified, the
-    distance left to the bounds when a fallback decided.
+    distance left to the bounds when a fallback decided.  path names what
+    decided: "certified" (the Sym^2 bounds), "exact" (the n = 2 Bloch-sphere
+    solve) or "ascent" (the n >= 3 projected gradient ascent).
     """
 
     min_value: float
@@ -95,12 +97,13 @@ class ExtremumReport:
     restarts_used: int
     converged: bool
     bound_gap: float
+    path: str
 
 
 def _unitary_data(Rc: ChernCurvature):
-    """(R, rho1) in a unitary frame, whatever frame Rc arrived in."""
+    """(R, rho1) in a unitary frame, whatever frame Rc arrived in; there rho1 is R's trace over (k, l)."""
     R = Rc.tensor if Rc.frame == "unitary" else _in_frame(Rc.tensor, orthonormal_frame(Rc.g))
-    return R, _rho1(np.eye(R.shape[0]), R)
+    return R, np.einsum("...kk->...", R)
 
 
 def _form(R, rho, g, params: MixedParams):
@@ -314,17 +317,40 @@ def _sym2_basis(n: int) -> np.ndarray:
     return basis
 
 
+@functools.cache
+def _sym2_table(n: int):
+    """(index, weight, rows, coef): the gathers between Sym^2(C^n) and n x n arrays.  Read-only, built once per n.
+
+    Row (p, q) of index, for the pairs p = (i, k) and q = (j, l) of _sym2_basis, holds the flat
+    positions of S_{i jbar k lbar}, S_{k jbar i lbar}, S_{i lbar k jbar} and S_{k lbar i jbar};
+    weight[(p, q)] = c_p c_q / 4, with c = 1 on the pairs i = k and sqrt2 on the others.  That is
+    N^2 x 4 positions, N = n(n+1)/2, where a dense map from S to H would hold N^2 x n^4 entries.
+    The basis has one nonzero per row, so basis @ v = coef * v[rows] for Sym^2 coordinates v.
+    """
+    i, k = np.triu_indices(n)  # the pairs in _sym2_basis's order
+    (i, k), (j, l) = (i[:, None], k[:, None]), (i[None, :], k[None, :])
+    index = [((a * n + b) * n + c) * n + d for a, b, c, d in ((i, j, k, l), (k, j, i, l), (i, l, k, j), (k, l, i, j))]
+    index = np.stack(np.broadcast_arrays(*index), axis=-1).reshape(-1, 4)
+    weight = (np.sqrt(np.where(i != k, 2.0, 1.0) * np.where(j != l, 2.0, 1.0)) / 4).ravel()  # c_p c_q: 1, sqrt2 or 2
+    basis = _sym2_basis(n)
+    tables = index, weight, basis.argmax(axis=1), basis.max(axis=1)
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
 def _symmetric_square(S):
     """H = sym(S)/4 on Sym^2(C^n), in the coordinates of _sym2_basis(n).
 
     With Hf[(i,k), (j,l)] = sym(S)_{i jbar k lbar}/4, S(Z, Zbar, Z, Zbar) =
     w* Hf w for w = Zbar (x) Zbar, which lies in Sym^2; so on unit Z the
-    extrema lie between H's extreme eigenvalues.
+    extrema lie between H's extreme eigenvalues.  H = basis^T Hf basis, whose
+    entry (p, q) is the four terms of sym(S) at one (i, j, k, l) times
+    c_p c_q / 4: one gather through _sym2_table(n).
     """
     n = S.shape[0]
-    basis = _sym2_basis(n)
-    Hf = np.transpose(_sym(S) / 4, (0, 2, 1, 3)).reshape(n * n, n * n)  # rows (i, k), columns (j, l)
-    return basis.T @ Hf @ basis
+    index, weight, _, _ = _sym2_table(n)
+    return (S.take(index).sum(axis=1) * weight).reshape(n * (n + 1) // 2, -1)
 
 
 def _sym2_candidates(S):
@@ -337,12 +363,13 @@ def _sym2_candidates(S):
     """
     n = S.shape[0]
     H = _symmetric_square(S)
-    if not np.all(np.isfinite(H)):
+    if not np.isfinite(H).all():
         return np.nan, np.nan, np.full((1, n), np.nan + 0j)  # the caller reports the non-finite value
     lam, V = np.linalg.eigh(H)
-    M = (_sym2_basis(n) @ V[:, [0, -1]]).T.reshape(2, n, n)
+    _, _, rows, coef = _sym2_table(n)
+    M = (V[rows, [[0], [-1]]] * coef).reshape(2, n, n)  # basis @ V[:, [0, -1]], one row per end
     u = np.linalg.svd(M)[0][:, :, 0]
-    return lam[0], lam[-1], np.concatenate([u, np.conj(u)])
+    return lam[0], lam[-1], np.concatenate([u, u.conj()])
 
 
 _CERTIFY = 1e-13  # the Sym^2 bounds certify the rounded extrema within this times the curvature's size
@@ -357,16 +384,33 @@ def _scaled_form(R, rho, params: MixedParams):
     e is taken from the exponents of the weights and of max|rho1|, max|R|, so the
     magnitude of T may lie outside the floats while S neither over- nor
     underflows; on S the ascent's ladder of steps is relative to the curvature.
-    rho1 and R are scaled by 2^-e, the weights kept: 2^-e itself need not be a
-    float, when the curvature is subnormal.  A term whose weight is 0 is left
-    unscaled, as only the other term's exponent bounds e.
+    2^-e goes into the weights when each weight times 2^-e is a normal float,
+    which gives the same S wherever no entry of rho1 or R times 2^-e is
+    subnormal, and saves a pass over R.  Otherwise (a subnormal or near-infinite curvature)
+    rho1 and R are scaled by np.ldexp, the weights kept, as 2^-e itself need not
+    be a float.  A term whose weight is 0 is left out, with its magnitude and
+    exponent.  S is beta R with alpha rho1 added on its diagonal k = l.
     """
-    terms = ((params.alpha, rho), (params.beta, R))
-    sizes = [(w, float(np.max(np.abs(t)))) for w, t in terms]
-    e = max((math.frexp(w)[1] + math.frexp(m)[1] - 1 for w, m in sizes if w and m), default=0)
-    rho, R = (np.ldexp(t.real, -e) + 1j * np.ldexp(t.imag, -e) if w else t for w, t in terms)
-    S = _form(R, rho, np.eye(R.shape[0]), params)
-    return S, e, max(abs(params.alpha) * _max_abs(rho, 2), abs(params.beta) * _max_abs(R, 4))
+    alpha, beta = params.alpha, params.beta
+    # (w, max|t|) as math.frexp pairs, for the terms of nonzero weight
+    sizes = [(math.frexp(w), math.frexp(np.abs(t).max())) for w, t in ((alpha, rho), (beta, R)) if w]
+    e = max((xw + xm - 1 for (_, xw), (fm, xm) in sizes if fm), default=0)
+    scale = max(math.ldexp(abs(fw) * fm, xw + xm - e) for (fw, xw), (fm, xm) in sizes)  # xw + xm - e <= 1
+    if all(-1021 <= xw - e <= 1024 for (_, xw), _ in sizes):
+        alpha, beta = math.ldexp(alpha, -e), math.ldexp(beta, -e)
+    else:
+        rho, R = (_ldexp(t, -e) if w else t for w, t in ((alpha, rho), (beta, R)))
+    n = R.shape[0]
+    S = np.multiply(beta, R, dtype=complex)
+    if alpha:
+        S.reshape(n, n, n * n)[..., :: n + 1] += alpha * rho[..., None]
+    return S, e, scale
+
+
+def _ldexp(t, e: int):
+    """t 2^e for a complex array, exact: the real and imaginary parts' np.ldexp in one call."""
+    t = np.ascontiguousarray(t, dtype=complex)
+    return np.ldexp(t.view(float), e).view(complex)
 
 
 def _best(S, Z):
@@ -386,11 +430,12 @@ def extremize(Rc: ChernCurvature, params: MixedParams) -> ExtremumReport:
     on Sym^2(C^n) bound the extrema.  When the best rank-one rounding of
     _sym2_candidates meets both bounds within 1e-13 times the
     curvature magnitude max(|alpha| max|rho1|, |beta| max|R|) (always at
-    n = 1), the extrema are certified: converged, restarts_used = 0.
-    Otherwise at n = 2 the best of _bloch_candidates is exact (converged,
-    restarts_used = 0), and at n >= 3 projected gradient ascent of T and of
-    -T runs from the frame axes, the pair bisectors and 16 seeded random
-    starts (restarts_used counts them all), at most 500 iterations;
+    n = 1), the extrema are certified: converged, restarts_used = 0, path
+    "certified".  Otherwise at n = 2 the best of _bloch_candidates is exact
+    (converged, restarts_used = 0, path "exact"), and at n >= 3 projected
+    gradient ascent of T and of -T runs from the frame axes, the pair
+    bisectors and 16 seeded random starts (restarts_used counts them all,
+    path "ascent"), at most 500 iterations;
     converged then means the projected gradient fell below 1e-7 times the
     curvature magnitude at both extremizers, so the extremal values are
     accurate to about 1e-14 of it.  bound_gap measures every path against
@@ -403,28 +448,28 @@ def extremize(Rc: ChernCurvature, params: MixedParams) -> ExtremumReport:
         raise ValueError("extremize takes a unitary-frame curvature; convert it with to_unitary_frame")
     if Rc.tensor.ndim != 4:
         raise ValueError(f"extremize takes one point, got a curvature tensor of shape {Rc.tensor.shape}")
-    R = Rc.tensor
+    R, rho = _unitary_data(Rc)
     n = R.shape[0]
-    rho = _rho1(np.eye(n), R)
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # reported as MetricError below
         S, e, scale = _scaled_form(R, rho, params)
         lam_min, lam_max, Z = _sym2_candidates(S)
         min_val, argmin, max_val, argmax = _best(S, Z)
-        converged, used = True, 0
+        converged, used, path = True, 0, "certified"
         if not (lam_max - max_val <= _CERTIFY * scale and min_val - lam_min <= _CERTIFY * scale):
             if n == 2:
                 min_val, argmin, max_val, argmax = _best(S, _bloch_candidates(S))
+                path = "exact"
             elif n >= 3:  # n = 1 misses the bounds only when S is not finite, reported below
                 rng = np.random.default_rng(_SEED)
                 W = rng.standard_normal((_RESTARTS, n)) + 1j * rng.standard_normal((_RESTARTS, n))
                 starts = np.concatenate([_axis_and_bisector_seeds(n), W])
                 max_val, argmax, ok_max = _ascend(S, starts, _TOL * scale, _MAX_ITER)
                 min_neg, argmin, ok_min = _ascend(-S, starts, _TOL * scale, _MAX_ITER)
-                min_val, converged, used = -min_neg, ok_max and ok_min, len(starts)
+                min_val, converged, used, path = -min_neg, ok_max and ok_min, len(starts), "ascent"
         gap = max(lam_max - max_val, min_val - lam_min)
         min_val, max_val, gap = (float(x) for x in np.ldexp([min_val, max_val, gap], e))
-    if not np.all(np.isfinite([min_val, max_val, max_val - min_val, gap])):
+    if not all(map(math.isfinite, (min_val, max_val, max_val - min_val, gap))):
         raise MetricError(f"mixed curvature extrema not finite for alpha={params.alpha!r}, beta={params.beta!r}")
     return ExtremumReport(
         min_value=min_val,
@@ -435,6 +480,7 @@ def extremize(Rc: ChernCurvature, params: MixedParams) -> ExtremumReport:
         restarts_used=used,
         converged=converged,
         bound_gap=gap,
+        path=path,
     )
 
 

@@ -485,3 +485,42 @@ def test_a_metric_with_huge_derivatives_evaluates_without_warnings(tmp_path):
     for command in ("eval", "extremize"):
         code, _, err = _main(command, "--metric", str(metric), "--points", "2", "--alpha", "1", "--beta", "1")
         assert (code, err) == (0, ""), command
+
+
+GENERIC_2 = str(Path(__file__).parent / "data" / "generic-2.metric")
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["verify", "--suite", "core", "--tol", "nan"], "--tol"),
+        (["verify", "--suite", "core", "--tol", "-1"], "--tol"),
+        (["verify", "--suite", "core", "--tol", "inf"], "--tol"),
+        (["eval", "--metric", "hopf-2", "--seed", "-1"], "--seed"),
+        (["extremize", "--metric", "hopf-2", "--seed", "-1"], "--seed"),
+    ],
+)
+def test_bad_tol_and_seed_are_input_errors(argv, flag):
+    # exit 2 with one line naming the flag, not 31 FAIL lines and exit 1, nor numpy's bare message
+    code, out, err = _main(*argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: " + flag) and err.count("\n") == 1, err
+
+
+def test_extremize_names_the_point_that_failed():
+    code, out, err = _main("extremize", "--metric", "hopf-2", "--point=0.5,0.25i", "--point=0,0")
+    assert (code, out) == (2, "")
+    assert err == "error: at point 0.0+0.0i,0.0+0.0i: division by zero\n"
+
+
+@pytest.mark.parametrize(
+    "metric, path", [("hopf-2", "certified"), ("hopf-3", "certified"), (GENERIC_2, "exact"), (GENERIC_3, "ascent")]
+)
+def test_every_mixed_row_names_its_path(tmp_path, metric, path):
+    argv = ["--metric", metric, "--points", "2", "--alpha", "1", "--beta", "1", "--out", str(tmp_path / "x.json")]
+    assert _main("extremize", *argv)[0] == 0
+    rows = json.loads((tmp_path / "x.json").read_text())["rows"]
+    assert _main("eval", *argv)[0] == 0
+    rows += [row for rec in json.loads((tmp_path / "x.json").read_text())["records"] for row in rec["mixed"]]
+    assert len(rows) == 4 and all(row["path"] == path for row in rows)
+    assert all(list(row)[-1] == "path" for row in rows)  # an additive key, after bound_gap

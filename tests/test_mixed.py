@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -38,7 +40,9 @@ from chernkit.mixed import (
     _objective,
     _scaled_form,
     _sphere_design,
+    _best,
     _sym2_basis,
+    _sym2_table,
     _symmetric_square,
     _unitary_data,
     constancy_tensor_residual,
@@ -817,3 +821,106 @@ def test_extremize_on_a_tiny_surface_metric_is_finite(tmp_path, monkeypatch):
     # at g scaled by 1e-160 the curvature is about 1e160; the exact surface solve squared it
     row, path = _scaled_eval(tmp_path, monkeypatch, "generic-2", "1e-160")
     assert path == "exact" and np.isfinite(row["min"]) and np.isfinite(row["max"])
+
+
+def _dense_symmetric_square(S):
+    """H = sym(S)/4 on Sym^2(C^n) as basis^T Hf basis, with Hf[(i,k), (j,l)] = sym(S)_{i jbar k lbar}/4."""
+    n = S.shape[0]
+    swap_holo = np.swapaxes(S, 0, 2)
+    sym = S + swap_holo + np.swapaxes(S, 1, 3) + np.swapaxes(swap_holo, 1, 3)
+    basis = _sym2_basis(n)
+    return basis.T @ np.transpose(sym / 4, (0, 2, 1, 3)).reshape(n * n, n * n) @ basis
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_gathered_symmetric_square_matches_the_dense_one(n):
+    # the index table gathers the same sums of four entries as the dense reference, up to 4 ulps of max|S|
+    rng = np.random.default_rng(90 + n)
+    for _ in range(50):
+        S = rng.standard_normal((n,) * 4) + 1j * rng.standard_normal((n,) * 4)
+        S *= 10.0 ** rng.uniform(-3, 3)
+        H, ref = _symmetric_square(S), _dense_symmetric_square(S)
+        assert H.shape == ref.shape == (n * (n + 1) // 2,) * 2
+        assert np.max(np.abs(H - ref)) <= 4 * np.finfo(float).eps * np.max(np.abs(S))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_sym2_table_is_four_positions_per_entry_of_h(n):
+    # N^2 x 4 positions and N^2 weights, N = n(n+1)/2: O(n^4), where a dense map would hold N^2 x n^4
+    index, weight, rows, coef = _sym2_table(n)
+    N = n * (n + 1) // 2
+    assert index.shape == (N * N, 4) and weight.shape == (N * N,)
+    assert 0 <= index.min() and index.max() < n**4
+    assert not any(t.flags.writeable for t in (index, weight, rows, coef))
+    assert _sym2_table(n)[0] is index  # built once per n
+    assert set(np.unique(weight)) <= {0.25, np.sqrt(2) / 4, 0.5}
+    v = np.random.default_rng(n).standard_normal((N, 2))
+    assert np.array_equal(coef[:, None] * v[rows], _sym2_basis(n) @ v)
+
+
+def test_sym2_table_is_not_built_at_import():
+    code = "import chernkit.cli, chernkit.mixed as m; print(m._sym2_table.cache_info().currsize)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "0"
+
+
+def _dense_extremize(Rc, params):
+    """(path, min, max, bound_gap) of extremize's certified pipeline with the dense H, the fallback's
+    extrema taken from extremize itself (they do not depend on H)."""
+    R, rho = _unitary_data(Rc)
+    n = R.shape[0]
+    S, e, scale = _scaled_form(R, rho, params)
+    lam, V = np.linalg.eigh(_dense_symmetric_square(S))
+    M = (_sym2_basis(n) @ V[:, [0, -1]]).T.reshape(2, n, n)
+    u = np.linalg.svd(M)[0][:, :, 0]
+    lo, _, hi, _ = _best(S, np.concatenate([u, np.conj(u)]))
+    if lam[-1] - hi <= 1e-13 * scale and lo - lam[0] <= 1e-13 * scale:
+        path = "certified"
+    else:
+        rep = extremize(Rc, params)
+        path, lo, hi = "exact" if n == 2 else "ascent", np.ldexp(rep.min_value, -e), np.ldexp(rep.max_value, -e)
+    lo, hi, gap = np.ldexp([lo, hi, max(lam[-1] - hi, lo - lam[0])], e)
+    return path, lo, hi, gap
+
+
+def _every_metric():
+    for name in names():
+        entry = builtin(name)
+        yield pytest.param(entry.spec, sample_points(entry, 4, 71), id=name)
+    for path in (GENERIC_2, GENERIC_3):
+        spec = parse_metric(path.read_text(), name=path.stem)
+        yield pytest.param(spec, spec.domain.sample(spec.n, 4, np.random.default_rng(71)), id=path.stem)
+
+
+@pytest.mark.parametrize("spec, points", _every_metric())
+def test_gathered_extrema_match_the_dense_formula(spec, points):
+    # the gathered H moves min, max and bound_gap by at most 6.0e-15 of the curvature's size
+    # (measured on every catalog metric and both data files), and never the path
+    jets = metric_jets(spec, points)
+    for R_point in to_unitary_frame(chern_curvature(jets), jets):
+        R, rho = _unitary_data(R_point)
+        for theta in 2 * np.pi * (np.arange(12) + 0.25) / 12:
+            params = MixedParams(np.cos(theta), np.sin(theta))
+            rep = extremize(R_point, params)
+            path, lo, hi, gap = _dense_extremize(R_point, params)
+            size = 1e-14 * _scale(R, rho, params)
+            assert rep.path == path, theta
+            assert abs(rep.min_value - lo) <= size and abs(rep.max_value - hi) <= size, theta
+            assert abs(rep.bound_gap - gap) <= size, theta
+
+
+@pytest.mark.parametrize(
+    "source, path",
+    [("hopf-2", "certified"), ("hopf-3", "certified"), (GENERIC_2, "exact"), (GENERIC_3, "ascent")],
+)
+def test_extremize_reports_its_path(source, path):
+    if isinstance(source, Path):
+        Ru = _generic_curvatures(source, 3, seed=31)
+    else:
+        entry = builtin(source)
+        jets = metric_jets(entry.spec, sample_points(entry, 3, 31))
+        Ru = to_unitary_frame(chern_curvature(jets), jets)
+    for R_point in Ru:
+        rep = extremize(R_point, MixedParams(1.0, 1.0))
+        assert rep.path == path
+        assert (rep.restarts_used > 0) == (path == "ascent") and rep.converged
