@@ -416,7 +416,7 @@ def _ldexp(t, e: int):
 def _best(S, Z):
     """(min, argmin, max, argmax) of C_{alpha,beta} over the unit candidate rows of Z."""
     f = _objective(S, Z)
-    lo, hi = int(np.argmin(f)), int(np.argmax(f))
+    lo, hi = int(f.argmin()), int(f.argmax())
     return float(f[lo]), Z[lo], float(f[hi]), Z[hi]
 
 
