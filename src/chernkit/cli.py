@@ -205,10 +205,13 @@ def cmd_extremize(args) -> int:
     spec = _resolve_metric(args.metric)
     pts = _points_for(args, spec)
     pairs = _pairs_for(args)
-    jets, reasons = _jets(spec, pts)
-    for p, why in zip(pts, reasons):
-        if why is not None:
-            raise InputError(f"at point {_point_text(p)}: {why}") from why
+    try:
+        jets = metric_jets(spec, pts)
+    except (MetricError, EvaluationError):  # name the first point the metric fails at
+        for p, why in zip(pts, _jets(spec, pts)[1]):
+            if why is not None:
+                raise InputError(f"at point {_point_text(p)}: {why}") from why
+        raise
     Ru = to_unitary_frame(chern_curvature(jets), jets)
     rows = [(p, params, extremize(R, params)) for p, R in zip(pts, Ru) for params in pairs]
     header = f"{'point':<40} {'alpha':>7} {'beta':>7} {'min':>13} {'max':>13} {'spread':>12}  conv"

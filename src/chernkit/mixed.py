@@ -384,24 +384,20 @@ def _scaled_form(R, rho, params: MixedParams):
     e is taken from the exponents of the weights and of max|rho1|, max|R|, so the
     magnitude of T may lie outside the floats while S neither over- nor
     underflows; on S the ascent's ladder of steps is relative to the curvature.
-    2^-e goes into the weights when each weight times 2^-e is a normal float,
-    which gives the same S wherever no entry of rho1 or R times 2^-e is
-    subnormal, and saves a pass over R.  Otherwise (a subnormal or near-infinite curvature)
-    rho1 and R are scaled by np.ldexp, the weights kept, as 2^-e itself need not
-    be a float.  A term whose weight is 0 is left out, with its magnitude and
-    exponent.  S is beta R with alpha rho1 added on its diagonal k = l.
+    rho1 and R are scaled by 2^-e, the weights kept: 2^-e itself need not be a
+    float, when the curvature is subnormal.  A term whose weight is 0 is left
+    out, with its magnitude and exponent.  S is beta R with alpha rho1 added on
+    its diagonal k = l, in C order whatever the layout of R.
     """
     alpha, beta = params.alpha, params.beta
     # (w, max|t|) as math.frexp pairs, for the terms of nonzero weight
     sizes = [(math.frexp(w), math.frexp(np.abs(t).max())) for w, t in ((alpha, rho), (beta, R)) if w]
     e = max((xw + xm - 1 for (_, xw), (fm, xm) in sizes if fm), default=0)
     scale = max(math.ldexp(abs(fw) * fm, xw + xm - e) for (fw, xw), (fm, xm) in sizes)  # xw + xm - e <= 1
-    if all(-1021 <= xw - e <= 1024 for (_, xw), _ in sizes):
-        alpha, beta = math.ldexp(alpha, -e), math.ldexp(beta, -e)
-    else:
+    if e:
         rho, R = (_ldexp(t, -e) if w else t for w, t in ((alpha, rho), (beta, R)))
     n = R.shape[0]
-    S = np.multiply(beta, R, dtype=complex)
+    S = np.multiply(beta, R, dtype=complex, order="C")  # C order, so the reshape below is a view
     if alpha:
         S.reshape(n, n, n * n)[..., :: n + 1] += alpha * rho[..., None]
     return S, e, scale

@@ -909,6 +909,62 @@ def test_gathered_extrema_match_the_dense_formula(spec, points):
             assert abs(rep.bound_gap - gap) <= size, theta
 
 
+def _layouts(R):
+    """R, and the same values in Fortran order and in a strided view: neither is C-contiguous."""
+    return R, np.asfortranarray(R), np.repeat(R, 2, axis=-1)[..., ::2]
+
+
+def _sample_curvatures():
+    """Unitary-frame R at one seeded point of a few catalog metrics and of both data files,
+    and seeded random complex R for n = 1..4."""
+    for name in ("hopf-2", "hopf-3", "fubini-study-3", "isosceles-hopf-surface", "complex-hyperbolic-4"):
+        yield name, _unitary_setup(name, seed=41)[1].tensor
+    for path in (GENERIC_2, GENERIC_3):
+        yield path.stem, _generic_curvatures(path, 1, seed=41)[0].tensor
+    rng = np.random.default_rng(43)
+    for n in range(1, 5):
+        yield f"random-{n}", rng.standard_normal((n,) * 4) + 1j * rng.standard_normal((n,) * 4)
+
+
+def _exact_ldexp(t, e):
+    return np.ldexp(t.real, e) + 1j * np.ldexp(t.imag, e)
+
+
+@pytest.mark.parametrize("name, R", list(_sample_curvatures()))
+def test_scaled_form_is_the_form_scaled(name, R):
+    # S = T / 2^e with T = alpha rho1 (x) I + beta R, bit for bit, at curvatures of normal size, subnormal
+    # (2^-e not a float) and near the largest float; on any layout of R, S is C-contiguous and the same
+    n = R.shape[0]
+    eye = np.eye(n)
+    for size in (None, 2.0**-1060, 1e308 / n):  # None: R as it is; else max|R| = size, so |rho1| <= 1e308
+        R0 = R if size is None else R / np.max(np.abs(R)) * size
+        for params in (MixedParams(1.0, 1.0), MixedParams(0.0, 1.0), MixedParams(1.0, 0.0), MixedParams(-0.7, 2.5)):
+            ref = None
+            for Rl in _layouts(R0):
+                rho = np.einsum("ijkk->ij", Rl)
+                S, e, scale = _scaled_form(Rl, rho, params)
+                assert S.flags.c_contiguous
+                assert np.array_equal(S, _form(_exact_ldexp(Rl, -e), _exact_ldexp(rho, -e), eye, params)), params
+                assert 0.5 <= scale <= 2
+                if size is None:  # T itself is finite and normal: scaling back by 2^e is exact
+                    assert np.array_equal(S * 2.0**e, _form(Rl, rho, eye, params)), params
+                    assert scale * 2.0**e == _scale(Rl, rho, params)
+                if ref is None:
+                    ref = S, e
+                assert np.array_equal(S, ref[0]) and e == ref[1]
+
+
+@pytest.mark.parametrize("name, R", list(_sample_curvatures()))
+def test_extremize_does_not_depend_on_the_layout_of_r(name, R):
+    # the same values in Fortran order or a strided view give the same report, alpha rho1 included
+    for params in (MixedParams(1.0, 1.0), MixedParams(1.0, -2.0), MixedParams(-1.0, 0.0)):
+        reps = [extremize(ChernCurvature(Rl, "unitary"), params) for Rl in _layouts(R)]
+        for rep in reps[1:]:
+            assert (rep.min_value, rep.max_value, rep.bound_gap, rep.path) == (
+                reps[0].min_value, reps[0].max_value, reps[0].bound_gap, reps[0].path
+            ), params
+
+
 @pytest.mark.parametrize(
     "source, path",
     [("hopf-2", "certified"), ("hopf-3", "certified"), (GENERIC_2, "exact"), (GENERIC_3, "ascent")],
