@@ -341,7 +341,7 @@ def check_fd():
     for name in names():
         entry = builtin(name)
         pts = sample_points(entry, 20, 97)
-        worst = ex.fd_residual(ex.compile_program([e for row in entry.spec.entries for e in row]), pts)
+        worst = ex.fd_residual(entry.spec.program, pts)
         out.append(_outcome("fd-cross-check/entries", name, worst, 1e-6, "derived"))
     rng = np.random.default_rng(97)
     pts = rng.uniform(-0.5, 0.5, size=(20, 6)).view(complex)

@@ -201,6 +201,17 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
+def _extremize_rows(pts, jets, pairs) -> list:
+    """(point, pair, extrema) rows, point by point; InputError names the first point a kernel rejects."""
+    try:
+        Ru = to_unitary_frame(chern_curvature(jets), jets)
+        return [(p, params, extremize(R, params)) for p, R in zip(pts, Ru) for params in pairs]
+    except MetricError as err:
+        if len(jets) == 1:
+            raise InputError(f"at point {_point_text(pts[0])}: {err}") from err
+        return [row for k in range(len(jets)) for row in _extremize_rows(pts[k : k + 1], jets[k : k + 1], pairs)]
+
+
 def cmd_extremize(args) -> int:
     spec = _resolve_metric(args.metric)
     pts = _points_for(args, spec)
@@ -212,8 +223,7 @@ def cmd_extremize(args) -> int:
             if why is not None:
                 raise InputError(f"at point {_point_text(p)}: {why}") from why
         raise
-    Ru = to_unitary_frame(chern_curvature(jets), jets)
-    rows = [(p, params, extremize(R, params)) for p, R in zip(pts, Ru) for params in pairs]
+    rows = _extremize_rows(pts, jets, pairs)
     header = f"{'point':<40} {'alpha':>7} {'beta':>7} {'min':>13} {'max':>13} {'spread':>12}  conv"
     print(header)
     for p, params, rep in rows:

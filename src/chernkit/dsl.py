@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -52,20 +53,29 @@ class DslError(ValueError):
         self.col = col
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True)
 class MetricSpec:
     """A Hermitian metric in local holomorphic coordinates.
 
     entries[i][j] is the expression for g_{i jbar} (0-based storage of the
-    1-based DSL indices).  Hermitianity and positive definiteness are not
-    enforced structurally; they are checked numerically wherever the metric
-    is evaluated.
+    1-based DSL indices), held as a tuple of row tuples whatever sequences
+    it was given as, so a spec cannot change after it is built.
+    Hermitianity and positive definiteness are not enforced structurally;
+    they are checked numerically wherever the metric is evaluated.
     """
 
     n: int
-    entries: list
+    entries: tuple
     name: str = "metric"
     domain: Domain = Ball(1.0)
+
+    def __post_init__(self):
+        object.__setattr__(self, "entries", tuple(map(tuple, self.entries)))
+
+    @cached_property
+    def program(self) -> ex.Program:
+        """The n^2 entries, row by row, as one interned program, compiled on first use and kept with the spec."""
+        return ex.compile_program([e for row in self.entries for e in row])
 
 
 @dataclass(frozen=True)

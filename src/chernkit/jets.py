@@ -5,13 +5,14 @@ at a batch of points (a leading axis on every array) of
 
     g_{k lbar},   d_i g_{k lbar},   dbar_j g_{k lbar},   d_i dbar_j g_{k lbar}
 
-plus the inverse metric; ``jets[k]`` is the jet at one point.  Each
-evaluation compiles the n^2 entries of g into one interned straight-line
-program (:func:`expr.compile_program`) and runs it once over the whole batch
+plus the inverse metric; ``jets[k]`` is the jet at one point.  The n^2
+entries of g are compiled once per MetricSpec into one interned
+straight-line program (:attr:`dsl.MetricSpec.program`, kept on the spec,
+which cannot change), and each evaluation runs it once over the whole batch
 in Wirtinger jet arithmetic, which carries dg, dbar_g and ddbar_g alongside
 each value.  It checks g from the value column (finite, Hermitian, positive
-definite), then that the derivatives are finite.  Nothing is cached and
-nothing is differentiated symbolically.  A point that fails a check leaves
+definite), then that the derivatives are finite.  Nothing is differentiated
+symbolically.  A point that fails a check leaves
 the batch with its own reason, and :func:`metric_jets` raises the first
 point's.  A conformal factor's jet (:func:`factor_jet`) is one jet run of
 the factor's program.  The one round-off rule (_bound) lives here too: every
@@ -20,8 +21,9 @@ kernel's realness and Hermitian checks measure against it.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -42,7 +44,8 @@ class _PerPoint:
 
     _CORE names a field and its number of per-point axes; any axis before
     those is the batch axis.  ``obj[k]`` takes every array field at k and
-    keeps the other fields, so iterating walks the points (until IndexError).
+    keeps the other fields, so iterating walks the points (until IndexError);
+    the point is built by the class's constructor, so its __post_init__ runs.
     A one-point object has no length; n is the size of the core field's last axis.
     """
 
@@ -61,8 +64,14 @@ class _PerPoint:
 
     def __getitem__(self, k):
         len(self)  # a one-point object has no batch axis to index
-        arrays = {f.name: getattr(self, f.name) for f in fields(self)}
-        return replace(self, **{name: a[k] for name, a in arrays.items() if isinstance(a, np.ndarray)})
+        values = [getattr(self, name) for name in _field_names(type(self))]
+        return type(self)(*[a[k] if isinstance(a, np.ndarray) else a for a in values])
+
+
+@functools.cache
+def _field_names(cls) -> tuple:
+    """The names of a per-point dataclass's fields, in the order of its constructor's arguments."""
+    return tuple(f.name for f in fields(cls))
 
 
 @dataclass(frozen=True)
@@ -152,24 +161,27 @@ def _split(J, n: int, shape: tuple) -> tuple:
     return d.reshape(m, n, *shape), dbar.reshape(m, n, *shape), ddbar.reshape(m, n, n, *shape)
 
 
-def _reject(reasons: list, bad, why) -> np.ndarray:
-    """Give each point k where bad holds, and that has no reason yet, MetricError(why(k)).
+def _reject(reasons: list, ok: np.ndarray, bad, why) -> None:
+    """Give each point k that is still ok and where bad holds MetricError(why(k)), and clear ok[k].
 
-    Returns the mask of the points that still have none.
+    why is called for those points only.
     """
-    for k in np.flatnonzero(bad):
-        reasons[k] = reasons[k] or MetricError(why(k))
-    return np.array([r is None for r in reasons], dtype=bool)
+    bad = bad & ok
+    if bad.any():
+        for k in np.flatnonzero(bad):
+            reasons[k] = MetricError(why(k))
+        ok &= ~bad
 
 
-def _evaluate(prog: ex.Program, pts: np.ndarray, reasons: list) -> np.ndarray:
+def _evaluate(prog: ex.Program, pts: np.ndarray, reasons: list, ok: np.ndarray) -> np.ndarray:
     """prog's jet run at pts; each point where a guard or log fails gets that EvaluationError as its reason."""
     try:
         return ex.evaluate(prog, pts, jet=True)
     except ex.EvaluationError:  # run again to find the points that failed
         out, failed = ex._run(prog, pts, jet=True)
         for k in np.flatnonzero(failed >= 0):
-            reasons[k] = reasons[k] or ex.EvaluationError(ex._reason(prog, failed[k]))
+            reasons[k] = ex.EvaluationError(ex._reason(prog, failed[k]))
+        ok &= failed < 0
         return out
 
 
@@ -181,8 +193,9 @@ def _jets(spec: MetricSpec, points) -> tuple:
     Hermitian (max|g - g^H| at most HERMITIAN_TOL * max|g| there), g
     positive definite, the derivatives of the jet run finite, and the
     residual of the inverse metric (max|g^-1 g - I| at most 1e-12 * max|g| *
-    max|g^-1|).  Every tolerance scales with g, so g and s*g pass or fail
-    alike for any s > 0.  The batch keeps the other points in their order.
+    max|g^-1|).  max|g| is taken once, of g as evaluated.  Every tolerance
+    scales with g, so g and s*g pass or fail alike for any s > 0.  The batch
+    keeps the other points in their order.
     """
     pts = np.asarray(points, dtype=complex)
     if pts.ndim == 1:
@@ -190,26 +203,28 @@ def _jets(spec: MetricSpec, points) -> tuple:
     if pts.shape[1] != spec.n:
         raise ValueError(f"points have {pts.shape[1]} coordinates, metric has n={spec.n}")
     m, n = pts.shape
-    prog = ex.compile_program([spec.entries[k][l] for k in range(n) for l in range(n)])
-    eye, reasons = np.eye(n), [None] * m
-    J = _evaluate(prog, pts, reasons)
+    eye, reasons, ok = np.eye(n), [None] * m, np.ones(m, dtype=bool)
+    J = _evaluate(spec.program, pts, reasons, ok)
     g = J[:, 0].reshape(m, n, n)
-    ok = _reject(reasons, ~np.isfinite(g).all(axis=(1, 2)), lambda k: f"metric is not finite at {pts[k]}")
-    g = np.where(ok[:, None, None], g, eye)  # a failed point's stand-in keeps the checks below finite
-    herm, tol = _hermitian_residual(g), HERMITIAN_TOL * _max_abs(g, 2)
+    _reject(reasons, ok, ~np.isfinite(g).all(axis=(1, 2)), lambda k: f"metric is not finite at {pts[k]}")
+    if not ok.all():  # a failed point's stand-in keeps the checks below finite
+        g = np.where(ok[:, None, None], g, eye)
+    g_max = _max_abs(g, 2)
+    herm, tol = _hermitian_residual(g), HERMITIAN_TOL * g_max
     why = "metric is not Hermitian at {} (residual {:.3e}, tolerance {:.3e})"
-    _reject(reasons, herm > tol, lambda k: why.format(pts[k], herm[k], tol[k]))
+    _reject(reasons, ok, herm > tol, lambda k: why.format(pts[k], herm[k], tol[k]))
     g = _hermitian_part(g)
     eig = np.linalg.eigvalsh(g)[:, 0]
     why = "metric is not positive definite at {} (min eigenvalue {:.3e})"
-    ok = _reject(reasons, eig <= 0, lambda k: why.format(pts[k], eig[k]))
-    g = np.where(ok[:, None, None], g, eye)
+    _reject(reasons, ok, eig <= 0, lambda k: why.format(pts[k], eig[k]))
+    if not ok.all():
+        g = np.where(ok[:, None, None], g, eye)
     why = "metric derivatives are not finite at {}"
-    _reject(reasons, ~np.isfinite(J[:, 1:]).all(axis=(1, 2)), lambda k: why.format(pts[k]))
+    _reject(reasons, ok, ~np.isfinite(J[:, 1:]).all(axis=(1, 2)), lambda k: why.format(pts[k]))
     g_inv = np.linalg.inv(g)
     resid = _max_abs(g_inv @ g - eye, 2)
-    bad = resid > 1e-12 * _max_abs(g, 2) * _max_abs(g_inv, 2)
-    ok = _reject(reasons, bad, lambda k: f"inverse-metric residual {resid[k]:.3e} exceeds tolerance")
+    bad = resid > 1e-12 * g_max * _max_abs(g_inv, 2)
+    _reject(reasons, ok, bad, lambda k: f"inverse-metric residual {resid[k]:.3e} exceeds tolerance")
     dg, dbg, ddg = _split(J[ok], n, (n, n))
     return MetricJet(pts[ok], g[ok], dg, dbg, ddg, g_inv[ok]), reasons
 

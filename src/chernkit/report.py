@@ -4,9 +4,16 @@ Floats are written with 17 significant digits (exact round-trip), nesting is
 indented two spaces a level, keys keep insertion order, and a complex number
 is an [re, im] pair, so identical configurations produce bit-identical
 output.  Records hold numpy arrays as they are: a float or complex array is
-written with one %-format of a template cached per (shape, indent level),
 laid out as the nested lists it stands for (a real 1-D array, or each
-[re, im] pair, inline on one line).
+[re, im] pair, inline on one line), and so is a list or tuple of plain
+numbers.  Strings are written by json.dumps.
+
+A document is written in two steps.  One walk turns it into its layout, a
+tuple of tokens (keys, value kinds, array shapes), and the flat tuple of its
+values in order.  The layout is made into one %-template, cached per layout
+in a bounded LRU cache, and the values are formatted into it in one
+%-operation.  Two documents share a template only if they are laid out
+alike, value kinds included.
 """
 
 from __future__ import annotations
@@ -18,9 +25,57 @@ import numpy as np
 
 __all__ = ["dumps"]
 
+# layout tokens; a key is a str and an array's token its shape tuple, so no token is mistaken for another
+_NULL, _TRUE, _FALSE, _INT, _FLOAT, _STR, _NUMS, _DICT, _LIST, _END = range(10)
+_NUMBER = (int, float, np.integer, np.floating)
+_FLOATS = (float, np.floating)
+_SCALARS = {_NULL: "null", _TRUE: "true", _FALSE: "false", _INT: "%d", _FLOAT: "%.17g", _STR: "%s"}
 
-@functools.cache
-def _template(shape: tuple, level: int) -> str:
+
+def _walk(obj, layout: list, values: list) -> None:
+    """Append obj's layout tokens to layout and its values, in order, to values.
+
+    The kinds are tested most frequent first; none is an instance of two of
+    them, except a bool, which is an int and is tested first.
+    """
+    if isinstance(obj, _FLOATS):
+        layout.append(_FLOAT)
+        values.append(obj)
+    elif isinstance(obj, dict):
+        layout.append(_DICT)
+        for k, v in obj.items():
+            layout.append(str(k))
+            _walk(v, layout, values)
+        layout.append(_END)
+    elif isinstance(obj, np.ndarray) and obj.dtype.kind in "fc":
+        cplx = obj.dtype.kind == "c"  # written through a float view whose trailing axis holds (re, im)
+        layout.append(obj.shape + (2,) * cplx)
+        values.extend((obj.ravel().view(obj.real.dtype) if cplx else obj.ravel()).tolist())
+    elif isinstance(obj, bool):
+        layout.append(_TRUE if obj else _FALSE)
+    elif isinstance(obj, (int, np.integer)):
+        layout.append(_INT)
+        values.append(int(obj))
+    elif isinstance(obj, str):
+        layout.append(_STR)
+        values.append(json.dumps(obj))
+    elif isinstance(obj, (list, tuple)):
+        if obj and all(isinstance(x, _NUMBER) for x in obj):  # a plain list of numbers, written inline
+            kinds = "".join(["f" if isinstance(x, _FLOATS) else "i" for x in obj])
+            layout += (_NUMS, kinds)
+            values += [x if isinstance(x, _FLOATS) else int(x) for x in obj]
+            return
+        layout.append(_LIST)
+        for v in obj:
+            _walk(v, layout, values)
+        layout.append(_END)
+    elif obj is None:
+        layout.append(_NULL)
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _array_template(shape: tuple, level: int) -> str:
     """%-format for a float array of this shape written at this indent level."""
     if not shape:
         return "%.17g"
@@ -28,56 +83,42 @@ def _template(shape: tuple, level: int) -> str:
         return "[" + ", ".join(["%.17g"] * shape[0]) + "]"
     if shape[0] == 0:
         return "[]"
-    item = "  " * (level + 1) + _template(shape[1:], level + 1)
+    item = "  " * (level + 1) + _array_template(shape[1:], level + 1)
     return "[\n" + ",\n".join([item] * shape[0]) + "\n" + "  " * level + "]"
 
 
-def _write(obj, out, level):
-    pad, pad_in = "  " * level, "  " * (level + 1)
-    if obj is None:
-        out.append("null")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append("%.17g" % obj)
-    elif isinstance(obj, np.ndarray) and obj.dtype.kind in "fc":
-        cplx = obj.dtype.kind == "c"  # written through a float view whose trailing axis holds (re, im)
-        values = obj.ravel().view(obj.real.dtype) if cplx else obj.ravel()
-        out.append(_template(obj.shape + (2,) * cplx, level) % tuple(values.tolist()))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for i, (k, v) in enumerate(obj.items()):
-            out.append(f"{pad_in}{json.dumps(str(k))}: ")
-            _write(v, out, level + 1)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        items = list(obj)
-        if not items:
-            out.append("[]")
-            return
-        simple = all(isinstance(x, (int, float, np.integer, np.floating)) for x in items)
-        if simple:
-            out.append("[" + ", ".join("%.17g" % x if isinstance(x, (float, np.floating)) else str(int(x)) for x in items) + "]")
-            return
-        out.append("[\n")
-        for i, v in enumerate(items):
-            out.append(pad_in)
-            _write(v, out, level + 1)
-            out.append(",\n" if i < len(items) - 1 else "\n")
-        out.append(pad + "]")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+def _template(t, tokens, level: int) -> str:
+    """%-format of the value whose first layout token is t, written at this indent level.
+
+    The value's other tokens are taken from the iterator tokens.
+    """
+    if type(t) is tuple:
+        return _array_template(t, level)
+    if t == _NUMS:
+        return "[" + ", ".join(["%.17g" if c == "f" else "%d" for c in next(tokens)]) + "]"
+    if t not in (_DICT, _LIST):
+        return _SCALARS[t]
+    pad_in, items = "  " * (level + 1), []
+    for u in iter(tokens.__next__, _END):
+        if t == _DICT:  # u is a key, the value's tokens follow it
+            key = json.dumps(u).replace("%", "%%")
+            items.append(f"{pad_in}{key}: {_template(next(tokens), tokens, level + 1)}")
+        else:
+            items.append(pad_in + _template(u, tokens, level + 1))
+    open_, close = "{}" if t == _DICT else "[]"
+    if not items:
+        return open_ + close
+    return open_ + "\n" + ",\n".join(items) + "\n" + "  " * level + close
+
+
+@functools.lru_cache(maxsize=64)
+def _layout_template(layout: tuple) -> str:
+    """The %-template of a whole document with this layout."""
+    tokens = iter(layout)
+    return _template(next(tokens), tokens, 0) + "\n"
 
 
 def dumps(obj) -> str:
-    out: list = []
-    _write(obj, out, 0)
-    return "".join(out) + "\n"
+    layout, values = [], []
+    _walk(obj, layout, values)
+    return _layout_template(tuple(layout)) % tuple(values)

@@ -1,5 +1,7 @@
 """Every pointwise kernel on a batch equals stacking its one-point calls."""
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from chernkit.geometry import (
 )
 from chernkit.jets import factor_jet, metric_jets
 from chernkit.mixed import MixedParams, constancy_tensor_residual
-from chernkit.surfaces import weyl_minus
+from chernkit.surfaces import OneOneForm, weyl_minus
 
 REL_TOL = 1e-13
 # kernels whose batch is its stacked one-point calls bit for bit, as the README says
@@ -95,3 +97,48 @@ def test_per_point_objects_index_and_iterate():
         len(one)
     with pytest.raises(IndexError):
         jets[4]
+
+
+def _indexed_by_replace(obj, k):
+    """obj[k] as dataclasses.replace gives it: every array field taken at k, the other fields kept."""
+    arrays = {f.name: getattr(obj, f.name) for f in fields(obj)}
+    return replace(obj, **{name: a[k] for name, a in arrays.items() if isinstance(a, np.ndarray)})
+
+
+def test_per_point_indexing_equals_replace_on_every_per_point_class():
+    entry = builtin("hopf-2")
+    pts = sample_points(entry, 3, 5)
+    jets = metric_jets(entry.spec, pts)
+    Rc = chern_curvature(jets)
+    b = ricci_bundle(Rc)
+    batches = {
+        "MetricJet": jets,
+        "FactorJet": factor_jet(parse_expression("0.1*(z1*zbar1 + z2 + zbar2)", 2), pts),
+        "ChernCurvature/coordinate": Rc,
+        "ChernCurvature/unitary": to_unitary_frame(Rc, jets),
+        "RicciBundle": b,
+        "Torsion": torsion(jets),
+        "OneOneForm": OneOneForm(b.rho1, b.size, b.g),
+    }
+    for name, batch in batches.items():
+        for k in (0, 2, -1, slice(1, 3), np.int64(1)):
+            got, want = batch[k], _indexed_by_replace(batch, k)
+            assert type(got) is type(want), name
+            for f in fields(batch):
+                a, w = getattr(got, f.name), getattr(want, f.name)
+                assert type(a) is type(w) and np.array_equal(a, w) and np.shape(a) == np.shape(w), (name, k, f.name)
+        one = batch[1]
+        with pytest.raises(TypeError, match="one point"):
+            one[0]
+        with pytest.raises(IndexError):
+            batch[3]
+
+
+def test_per_point_indexing_runs_the_class_checks(monkeypatch):
+    # a point is built by the class's constructor, so __post_init__ checks it as it checks the batch
+    b = ricci_bundle(chern_curvature(metric_jets(builtin("hopf-2").spec, sample_points(builtin("hopf-2"), 2, 5))))
+    form, checked = OneOneForm(b.rho1, b.size, b.g), []
+    post_init = OneOneForm.__post_init__
+    monkeypatch.setattr(OneOneForm, "__post_init__", lambda self: checked.append(self.a.shape) or post_init(self))
+    assert [p.a.shape for p in form] == [(2, 2)] * 2
+    assert checked == [(2, 2)] * 2

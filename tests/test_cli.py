@@ -449,7 +449,8 @@ def test_a_nearly_singular_metric_is_an_error_without_warnings(tmp_path):
     first, second = json.loads(out)["records"]
     assert (code, err) == (2, "") and "error" not in first  # the first point evaluates
     assert second["error"] == "curvature is not finite in the unitary frame"
-    assert _main("extremize", *argv) == (2, "", "error: curvature is not finite in the unitary frame\n")
+    at = cli._point_text([complex(*z) for z in second["point"]])  # extremize names the point, as eval does
+    assert _main("extremize", *argv) == (2, "", f"error: at point {at}: curvature is not finite in the unitary frame\n")
 
 
 def test_a_subnormal_curvature_evaluates_without_warnings(tmp_path):
@@ -471,10 +472,12 @@ def test_metrics_at_the_ends_of_the_float_range_warn_nothing(tmp_path):
     for command in ("eval", "extremize"):
         assert _main(command, "--metric", str(big), "--points", "2")[::2] == (0, ""), command
     code, out, err = _main("eval", "--metric", str(tiny), "--points", "2")
+    records = json.loads(out)["records"]
     assert (code, err) == (2, "")
-    assert all(r["error"] == "curvature is not finite in the unitary frame" for r in json.loads(out)["records"])
+    assert all(r["error"] == "curvature is not finite in the unitary frame" for r in records)
+    at = cli._point_text([complex(*z) for z in records[0]["point"]])  # extremize names the first point
     assert _main("extremize", "--metric", str(tiny), "--points", "2") == (
-        2, "", "error: curvature is not finite in the unitary frame\n"
+        2, "", f"error: at point {at}: curvature is not finite in the unitary frame\n"
     )
 
 

@@ -1,13 +1,18 @@
 """Metric jets against finite-difference oracles and hand-derived values."""
 
+import contextlib
+import dataclasses
+import io
 import re
 
 import numpy as np
 import pytest
 
+from chernkit import cli
 from chernkit import expr as ex
 from chernkit.catalog import builtin, names, sample_points
-from chernkit.dsl import MetricSpec, parse_metric
+from chernkit.conformal import conformal_metric
+from chernkit.dsl import MetricSpec, parse_expression, parse_metric
 from chernkit.jets import HERMITIAN_TOL, MetricError, _jets, factor_jet, metric_jet, metric_jets
 from tree_reference import walk
 
@@ -295,6 +300,48 @@ def test_metric_jets_runs_the_g_program_once(monkeypatch):
     runs.clear()
     jets = _jets(builtin("hopf-2").spec, [[0.5, 0.5], [0.0, 0.0]])[0]
     assert runs == [True, True] and len(jets) == 1
+
+
+def test_each_spec_compiles_its_g_program_once(monkeypatch):
+    compiled = []
+    compile_program = ex.compile_program
+    monkeypatch.setattr(ex, "compile_program", lambda roots: compiled.append(1) or compile_program(roots))
+    builtin.cache_clear()  # a catalog spec made before this test may hold its program already
+    entry = builtin("hopf-2")
+    pts = sample_points(entry, 3, 4)
+    first = metric_jets(entry.spec, pts)
+    argv = ["eval", "--metric", "hopf-2", "--point=0.3+0.1i,0.2-0.4i", "--alpha", "1", "--beta", "1"]
+    outputs = set()
+    for _ in range(3):
+        again = metric_jets(entry.spec, pts)
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert cli.main(argv) == 0
+        outputs.add(out.getvalue())
+    assert len(compiled) == 1 and len(outputs) == 1
+    assert all(np.array_equal(getattr(first, f), getattr(again, f)) for f in ("g", "dg", "dbar_g", "ddbar_g", "g_inv"))
+    # e^{2F} times the flat metric is the hopf-2 metric: a spec of its own, with its own program
+    base = builtin("euclidean-2").spec
+    base_jets = metric_jets(base, pts)
+    compiled.clear()
+    conf = conformal_metric(base, parse_expression("-0.5*log(abs2(z))", 2))
+    conf_jets = metric_jets(conf, pts)
+    assert len(compiled) == 1 and conf.program is not base.program
+    for f in ("g", "dg", "dbar_g", "ddbar_g", "g_inv"):
+        assert np.allclose(getattr(conf_jets, f), getattr(first, f), rtol=1e-13, atol=1e-13), f
+    assert np.array_equal(metric_jets(base, pts).g, base_jets.g) and np.array_equal(base_jets.g, np.broadcast_to(np.eye(2), (3, 2, 2)))
+    assert len(compiled) == 1
+
+
+def test_a_spec_cannot_change_after_it_is_built():
+    # the cached program stays the program of the entries
+    rows = [[ex.add(ex.ONE, ex.mul(ex.coord(1), ex.conj_coord(1)))]]
+    spec = MetricSpec(n=1, entries=rows)
+    assert spec.entries == ((rows[0][0],),)
+    rows[0][0] = ex.ONE  # the spec holds tuples of its own
+    assert spec.entries[0][0] != ex.ONE
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.entries = ((ex.ONE,),)
+    assert spec.program is spec.program
 
 
 def _scaled_spec(text, s):
