@@ -193,8 +193,8 @@ def _jets(spec: MetricSpec, points) -> tuple:
     Hermitian (max|g - g^H| at most HERMITIAN_TOL * max|g| there), g
     positive definite, the derivatives of the jet run finite, and the
     residual of the inverse metric (max|g^-1 g - I| at most 1e-12 * max|g| *
-    max|g^-1|).  max|g| is taken once, of g as evaluated.  Every tolerance
-    scales with g, so g and s*g pass or fail alike for any s > 0.  The batch
+    max|g^-1|, with g its Hermitian part there).  Every tolerance scales
+    with g, so g and s*g pass or fail alike for any s > 0.  The batch
     keeps the other points in their order.
     """
     pts = np.asarray(points, dtype=complex)
@@ -209,8 +209,7 @@ def _jets(spec: MetricSpec, points) -> tuple:
     _reject(reasons, ok, ~np.isfinite(g).all(axis=(1, 2)), lambda k: f"metric is not finite at {pts[k]}")
     if not ok.all():  # a failed point's stand-in keeps the checks below finite
         g = np.where(ok[:, None, None], g, eye)
-    g_max = _max_abs(g, 2)
-    herm, tol = _hermitian_residual(g), HERMITIAN_TOL * g_max
+    herm, tol = _hermitian_residual(g), HERMITIAN_TOL * _max_abs(g, 2)
     why = "metric is not Hermitian at {} (residual {:.3e}, tolerance {:.3e})"
     _reject(reasons, ok, herm > tol, lambda k: why.format(pts[k], herm[k], tol[k]))
     g = _hermitian_part(g)
@@ -223,7 +222,7 @@ def _jets(spec: MetricSpec, points) -> tuple:
     _reject(reasons, ok, ~np.isfinite(J[:, 1:]).all(axis=(1, 2)), lambda k: why.format(pts[k]))
     g_inv = np.linalg.inv(g)
     resid = _max_abs(g_inv @ g - eye, 2)
-    bad = resid > 1e-12 * g_max * _max_abs(g_inv, 2)
+    bad = resid > 1e-12 * _max_abs(g, 2) * _max_abs(g_inv, 2)
     _reject(reasons, ok, bad, lambda k: f"inverse-metric residual {resid[k]:.3e} exceeds tolerance")
     dg, dbg, ddg = _split(J[ok], n, (n, n))
     return MetricJet(pts[ok], g[ok], dg, dbg, ddg, g_inv[ok]), reasons

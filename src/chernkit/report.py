@@ -6,119 +6,90 @@ is an [re, im] pair, so identical configurations produce bit-identical
 output.  Records hold numpy arrays as they are: a float or complex array is
 laid out as the nested lists it stands for (a real 1-D array, or each
 [re, im] pair, inline on one line), and so is a list or tuple of plain
-numbers.  Strings are written by json.dumps.
+numbers.  Strings are written as json.dumps writes them.
 
-A document is written in two steps.  One walk turns it into its layout, a
-tuple of tokens (keys, value kinds, array shapes), and the flat tuple of its
-values in order.  The layout is made into one %-template, cached per layout
-in a bounded LRU cache, and the values are formatted into it in one
-%-operation.  Two documents share a template only if they are laid out
-alike, value kinds included.
+One walk writes a document as a %-template, with a placeholder for each
+number, and collects the numbers in order; one %-operation then formats
+them all.  Only the template of an array, per (shape, indent), is cached.
 """
 
 from __future__ import annotations
 
 import functools
-import json
+from json.encoder import encode_basestring_ascii as _json_str  # json.dumps of a str
 
 import numpy as np
 
 __all__ = ["dumps"]
 
-# layout tokens; a key is a str and an array's token its shape tuple, so no token is mistaken for another
-_NULL, _TRUE, _FALSE, _INT, _FLOAT, _STR, _NUMS, _DICT, _LIST, _END = range(10)
 _NUMBER = (int, float, np.integer, np.floating)
 _FLOATS = (float, np.floating)
-_SCALARS = {_NULL: "null", _TRUE: "true", _FALSE: "false", _INT: "%d", _FLOAT: "%.17g", _STR: "%s"}
 
 
-def _walk(obj, layout: list, values: list) -> None:
-    """Append obj's layout tokens to layout and its values, in order, to values.
-
-    The kinds are tested most frequent first; none is an instance of two of
-    them, except a bool, which is an int and is tested first.
-    """
-    if isinstance(obj, _FLOATS):
-        layout.append(_FLOAT)
-        values.append(obj)
-    elif isinstance(obj, dict):
-        layout.append(_DICT)
-        for k, v in obj.items():
-            layout.append(str(k))
-            _walk(v, layout, values)
-        layout.append(_END)
-    elif isinstance(obj, np.ndarray) and obj.dtype.kind in "fc":
-        cplx = obj.dtype.kind == "c"  # written through a float view whose trailing axis holds (re, im)
-        layout.append(obj.shape + (2,) * cplx)
-        values.extend((obj.ravel().view(obj.real.dtype) if cplx else obj.ravel()).tolist())
-    elif isinstance(obj, bool):
-        layout.append(_TRUE if obj else _FALSE)
-    elif isinstance(obj, (int, np.integer)):
-        layout.append(_INT)
-        values.append(int(obj))
-    elif isinstance(obj, str):
-        layout.append(_STR)
-        values.append(json.dumps(obj))
-    elif isinstance(obj, (list, tuple)):
-        if obj and all(isinstance(x, _NUMBER) for x in obj):  # a plain list of numbers, written inline
-            kinds = "".join(["f" if isinstance(x, _FLOATS) else "i" for x in obj])
-            layout += (_NUMS, kinds)
-            values += [x if isinstance(x, _FLOATS) else int(x) for x in obj]
-            return
-        layout.append(_LIST)
-        for v in obj:
-            _walk(v, layout, values)
-        layout.append(_END)
-    elif obj is None:
-        layout.append(_NULL)
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def _array_template(shape: tuple, level: int) -> str:
-    """%-format for a float array of this shape written at this indent level."""
+@functools.lru_cache(maxsize=256)
+def _array_template(shape: tuple, pad: str) -> str:
+    """%-format for a float array of this shape written after the line break and indent pad."""
     if not shape:
         return "%.17g"
     if len(shape) == 1:
         return "[" + ", ".join(["%.17g"] * shape[0]) + "]"
     if shape[0] == 0:
         return "[]"
-    item = "  " * (level + 1) + _array_template(shape[1:], level + 1)
-    return "[\n" + ",\n".join([item] * shape[0]) + "\n" + "  " * level + "]"
+    pad_in = pad + "  "
+    return "[" + ",".join([pad_in + _array_template(shape[1:], pad_in)] * shape[0]) + pad + "]"
 
 
-def _template(t, tokens, level: int) -> str:
-    """%-format of the value whose first layout token is t, written at this indent level.
+def _walk(obj, out: list, values: list, pad: str) -> None:
+    """Append obj's %-template to out and its numbers, in order, to values.
 
-    The value's other tokens are taken from the iterator tokens.
+    pad is the line break and indent of obj's level.  The kinds are tested
+    most frequent first; none is an instance of two of them, except a bool,
+    which is an int and is tested first.
     """
-    if type(t) is tuple:
-        return _array_template(t, level)
-    if t == _NUMS:
-        return "[" + ", ".join(["%.17g" if c == "f" else "%d" for c in next(tokens)]) + "]"
-    if t not in (_DICT, _LIST):
-        return _SCALARS[t]
-    pad_in, items = "  " * (level + 1), []
-    for u in iter(tokens.__next__, _END):
-        if t == _DICT:  # u is a key, the value's tokens follow it
-            key = json.dumps(u).replace("%", "%%")
-            items.append(f"{pad_in}{key}: {_template(next(tokens), tokens, level + 1)}")
+    if isinstance(obj, _FLOATS):
+        out.append("%.17g")
+        values.append(obj)
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        pad_in, sep = pad + "  ", "{"
+        for k, v in obj.items():
+            out.append(sep + pad_in + _json_str(str(k)).replace("%", "%%") + ": ")
+            _walk(v, out, values, pad_in)
+            sep = ","
+        out.append(pad + "}")
+    elif isinstance(obj, np.ndarray) and obj.dtype.kind in "fc":
+        cplx = obj.dtype.kind == "c"  # written through a float view whose trailing axis holds (re, im)
+        out.append(_array_template(obj.shape + (2,) * cplx, pad))
+        values += (obj.ravel().view(obj.real.dtype) if cplx else obj.ravel()).tolist()
+    elif isinstance(obj, bool):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append("%d")
+        values.append(int(obj))
+    elif isinstance(obj, str):
+        out.append(_json_str(obj).replace("%", "%%"))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+        elif all(isinstance(x, _NUMBER) for x in obj):  # a plain list of numbers, written inline
+            out.append("[" + ", ".join(["%.17g" if isinstance(x, _FLOATS) else "%d" for x in obj]) + "]")
+            values += [x if isinstance(x, _FLOATS) else int(x) for x in obj]
         else:
-            items.append(pad_in + _template(u, tokens, level + 1))
-    open_, close = "{}" if t == _DICT else "[]"
-    if not items:
-        return open_ + close
-    return open_ + "\n" + ",\n".join(items) + "\n" + "  " * level + close
-
-
-@functools.lru_cache(maxsize=64)
-def _layout_template(layout: tuple) -> str:
-    """The %-template of a whole document with this layout."""
-    tokens = iter(layout)
-    return _template(next(tokens), tokens, 0) + "\n"
+            pad_in, sep = pad + "  ", "["
+            for v in obj:
+                out.append(sep + pad_in)
+                _walk(v, out, values, pad_in)
+                sep = ","
+            out.append(pad + "]")
+    elif obj is None:
+        out.append("null")
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def dumps(obj) -> str:
-    layout, values = [], []
-    _walk(obj, layout, values)
-    return _layout_template(tuple(layout)) % tuple(values)
+    out, values = [], []
+    _walk(obj, out, values, "\n")
+    return "".join(out) % tuple(values) + "\n"

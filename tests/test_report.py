@@ -2,9 +2,9 @@
 
 The documents mix every kind of value the writer takes, so that two of them
 often share a shape but differ in one slot's kind (True, 1 and 1.0 above
-all).  All examples run in one process: a layout template cached for one
-document and reused for another with a different layout shows as a
-mismatch with the reference.
+all).  All examples run in one process, so an array template cached for
+one document and reused for another array would show as a mismatch
+with the reference.
 """
 
 import numpy as np
@@ -77,7 +77,7 @@ def test_report_dumps_matches_the_list_writer_on_random_documents(doc, alike):
 
 
 def test_report_dumps_keeps_the_kind_of_each_slot():
-    # one layout each: a cached template is never reused for another kind in the same slot
+    # each kind is written as itself in the same slot, and a % in a key or a string is not a placeholder
     for _ in range(2):
         for value, text in [(True, "true"), (1, "1"), (1.0, "1"), (np.float64(1.5), "1.5"), (None, "null"),
                             ("%s", '"%s"'), (np.array(2.5), "2.5"), ([True, 1.5], "[1, 1.5]"), ({}, "{}"), ([], "[]")]:
