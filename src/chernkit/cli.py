@@ -12,7 +12,8 @@ Exit codes: 0 = success / all checks pass, 1 = verification failures,
 
 eval and extremize evaluate a metric's points as one batch (one jets call,
 one pass of each curvature kernel); only the extremizer runs point by point.
-A point that eval cannot evaluate gets a record with its own error.
+A point that fails, at the jets checks or in a kernel, gets its own error:
+eval writes it into that point's record, extremize exits 2 naming the first.
 """
 
 from __future__ import annotations
@@ -119,43 +120,53 @@ def _mixed_row(params: MixedParams, rep) -> dict:
 
 
 def _bodies(jets, pairs) -> list:
-    """One record body per point of the batch; a point that a kernel rejects gets an error body."""
+    """One record body per point of the batch, from one pass of each kernel."""
+    Rc = chern_curvature(jets)
+    Ru = to_unitary_frame(Rc, jets)
+    b = ricci_bundle(Rc)
+    t = torsion(jets)
+    eig, kd, kld = np.linalg.eigvalsh(jets.g), kahler_defect(jets), kahler_like_defect(Ru)
+    return [
+        {
+            "g_eigenvalues": eig[k],
+            "kahler_defect": kd[k],
+            "kahler_like_defect": kld[k],
+            "u": b.u[k],
+            "v": b.v[k],
+            "eta_norm2": t.eta_norm2[k],
+            "ricci": {rho: getattr(b, rho)[k] for rho in ("rho1", "rho2", "rho3", "rho4")},
+            "mixed": [_mixed_row(params, extremize(R, params)) for params in pairs],
+        }
+        for k, R in enumerate(Ru)
+    ]
+
+
+def _extrema(jets, pairs) -> list:
+    """One list of (pair, extrema) per point of the batch."""
+    Ru = to_unitary_frame(chern_curvature(jets), jets)
+    return [[(params, extremize(R, params)) for params in pairs] for R in Ru]
+
+
+def _kernels(jets, kernels) -> list:
+    """kernels(jets), one result per point.  If a kernel rejects the batch, each point runs alone, and
+    a point that a kernel rejects on its own gets that MetricError."""
     try:
-        Rc = chern_curvature(jets)
-        Ru = to_unitary_frame(Rc, jets)
-        b = ricci_bundle(Rc)
-        t = torsion(jets)
-        eig, kd, kld = np.linalg.eigvalsh(jets.g), kahler_defect(jets), kahler_like_defect(Ru)
-        return [
-            {
-                "g_eigenvalues": eig[k],
-                "kahler_defect": kd[k],
-                "kahler_like_defect": kld[k],
-                "u": b.u[k],
-                "v": b.v[k],
-                "eta_norm2": t.eta_norm2[k],
-                "ricci": {rho: getattr(b, rho)[k] for rho in ("rho1", "rho2", "rho3", "rho4")},
-                "mixed": [_mixed_row(params, extremize(R, params)) for params in pairs],
-            }
-            for k, R in enumerate(Ru)
-        ]
+        return kernels(jets)
     except MetricError as err:
         if len(jets) == 1:
-            return [{"error": str(err)}]
-        return [body for k in range(len(jets)) for body in _bodies(jets[k : k + 1], pairs)]
+            return [err]
+        return [out for k in range(len(jets)) for out in _kernels(jets[k : k + 1], kernels)]
 
 
-def _eval_records(spec: MetricSpec, pts, pairs) -> list:
-    """One record per point, from one jets call and one pass of each kernel over the batch."""
+def _per_point(spec: MetricSpec, pts, kernels) -> list:
+    """One result per point: what kernels(jets) gives it, or the MetricError or EvaluationError that
+    stopped it.  One jets call, and one kernels pass over the points that pass the metric's checks."""
     try:
         jets, reasons = metric_jets(spec, pts), [None] * len(pts)
     except (MetricError, EvaluationError):  # name the failing points; the others still evaluate
         jets, reasons = _jets(spec, pts)
-    bodies = iter(_bodies(jets, pairs))
-    return [
-        {"point": p, **(next(bodies) if why is None else {"error": str(why)})}
-        for p, why in zip(pts, reasons)
-    ]
+    results = iter(_kernels(jets, kernels))
+    return [next(results) if why is None else why for why in reasons]
 
 
 def cmd_eval(args) -> int:
@@ -164,7 +175,8 @@ def cmd_eval(args) -> int:
         spec = conformal_metric(spec, parse_expression(args.conformal, spec.n))
     pts = _points_for(args, spec)
     pairs = _pairs_for(args)
-    records = _eval_records(spec, pts, pairs)
+    results = _per_point(spec, pts, lambda jets: _bodies(jets, pairs))
+    records = [{"point": p, **({"error": str(r)} if isinstance(r, Exception) else r)} for p, r in zip(pts, results)]
     doc = {
         "schema": SCHEMA_VERSION,
         "metric": args.metric,
@@ -201,29 +213,15 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
-def _extremize_rows(pts, jets, pairs) -> list:
-    """(point, pair, extrema) rows, point by point; InputError names the first point a kernel rejects."""
-    try:
-        Ru = to_unitary_frame(chern_curvature(jets), jets)
-        return [(p, params, extremize(R, params)) for p, R in zip(pts, Ru) for params in pairs]
-    except MetricError as err:
-        if len(jets) == 1:
-            raise InputError(f"at point {_point_text(pts[0])}: {err}") from err
-        return [row for k in range(len(jets)) for row in _extremize_rows(pts[k : k + 1], jets[k : k + 1], pairs)]
-
-
 def cmd_extremize(args) -> int:
     spec = _resolve_metric(args.metric)
     pts = _points_for(args, spec)
     pairs = _pairs_for(args)
-    try:
-        jets = metric_jets(spec, pts)
-    except (MetricError, EvaluationError):  # name the first point the metric fails at
-        for p, why in zip(pts, _jets(spec, pts)[1]):
-            if why is not None:
-                raise InputError(f"at point {_point_text(p)}: {why}") from why
-        raise
-    rows = _extremize_rows(pts, jets, pairs)
+    rows = []
+    for p, r in zip(pts, _per_point(spec, pts, lambda jets: _extrema(jets, pairs))):
+        if isinstance(r, Exception):  # the first failing point, whichever stage rejected it
+            raise InputError(f"at point {_point_text(p)}: {r}") from r
+        rows += [(p, params, rep) for params, rep in r]
     header = f"{'point':<40} {'alpha':>7} {'beta':>7} {'min':>13} {'max':>13} {'spread':>12}  conv"
     print(header)
     for p, params, rep in rows:

@@ -306,41 +306,34 @@ def _bloch_candidates(S):
 
 
 @functools.cache
-def _sym2_basis(n: int) -> np.ndarray:
-    """Orthonormal real basis of Sym^2(C^n) inside C^(n^2), one column per pair i <= k:
-    e_i (x) e_i, and (e_i (x) e_k + e_k (x) e_i)/sqrt2 for i < k.  Read-only, built once per n."""
-    pairs = [(i, k) for i in range(n) for k in range(i, n)]
-    basis = np.zeros((n * n, len(pairs)))
-    for c, (i, k) in enumerate(pairs):
-        basis[[i * n + k, k * n + i], c] = 1 / np.sqrt(2) if i != k else 1
-    basis.flags.writeable = False
-    return basis
-
-
-@functools.cache
 def _sym2_table(n: int):
     """(index, weight, rows, coef): the gathers between Sym^2(C^n) and n x n arrays.  Read-only, built once per n.
 
-    Row (p, q) of index, for the pairs p = (i, k) and q = (j, l) of _sym2_basis, holds the flat
+    The coordinates are those of the orthonormal real basis of Sym^2(C^n) inside C^(n^2), one
+    column per pair p = (i, k), i <= k, in np.triu_indices order: e_i (x) e_i, and
+    (e_i (x) e_k + e_k (x) e_i)/sqrt2 for i < k.  Row (p, q) of index, for q = (j, l), holds the flat
     positions of S_{i jbar k lbar}, S_{k jbar i lbar}, S_{i lbar k jbar} and S_{k lbar i jbar};
     weight[(p, q)] = c_p c_q / 4, with c = 1 on the pairs i = k and sqrt2 on the others.  That is
     N^2 x 4 positions, N = n(n+1)/2, where a dense map from S to H would hold N^2 x n^4 entries.
-    The basis has one nonzero per row, so basis @ v = coef * v[rows] for Sym^2 coordinates v.
+    The basis has one nonzero per row, so basis @ v = coef * v[rows] for Sym^2 coordinates v:
+    row a*n + b holds the pair of {a, b}, with 1 if a = b and 1/sqrt2 otherwise.
     """
-    i, k = np.triu_indices(n)  # the pairs in _sym2_basis's order
+    i, k = np.triu_indices(n)
+    pair = np.empty((n, n), dtype=np.intp)
+    pair[i, k] = pair[k, i] = np.arange(i.size)
+    coef = np.where(np.eye(n, dtype=bool), 1.0, 1 / np.sqrt(2)).ravel()
     (i, k), (j, l) = (i[:, None], k[:, None]), (i[None, :], k[None, :])
     index = [((a * n + b) * n + c) * n + d for a, b, c, d in ((i, j, k, l), (k, j, i, l), (i, l, k, j), (k, l, i, j))]
     index = np.stack(np.broadcast_arrays(*index), axis=-1).reshape(-1, 4)
     weight = (np.sqrt(np.where(i != k, 2.0, 1.0) * np.where(j != l, 2.0, 1.0)) / 4).ravel()  # c_p c_q: 1, sqrt2 or 2
-    basis = _sym2_basis(n)
-    tables = index, weight, basis.argmax(axis=1), basis.max(axis=1)
+    tables = index, weight, pair.ravel(), coef
     for t in tables:
         t.flags.writeable = False
     return tables
 
 
 def _symmetric_square(S):
-    """H = sym(S)/4 on Sym^2(C^n), in the coordinates of _sym2_basis(n).
+    """H = sym(S)/4 on Sym^2(C^n), in the coordinates of _sym2_table(n).
 
     With Hf[(i,k), (j,l)] = sym(S)_{i jbar k lbar}/4, S(Z, Zbar, Z, Zbar) =
     w* Hf w for w = Zbar (x) Zbar, which lies in Sym^2; so on unit Z the

@@ -330,16 +330,40 @@ def test_eval_failed_point_gets_its_own_record():
 
 
 def test_eval_point_rejected_by_a_kernel_gets_its_own_record(tmp_path):
-    # g is Hermitian where z1*z2 is real, but its derivatives are not: u is not real at the middle point
+    # g is Hermitian where z1*z2 is real, but its derivatives are not: u is not real at 0.3+0.3i,0.3-0.3i;
+    # at 0.5,0.5i z1*z2 is not real, so g is not Hermitian and the point fails the jets checks
     metric = tmp_path / "skew.metric"
     metric.write_text("dim 2\ng[1,1] = 1 + z1*zbar1\ng[2,2] = 1\ng[1,2] = z1*z2\ng[2,1] = z1*z2\n")
-    points = ["0.3,0", "0.3+0.3i,0.3-0.3i", "0.5i,0.5i"]
-    code, records = _eval_records("--metric", str(metric), *(a for p in points for a in ("--point", p)))
-    assert code == 2
-    assert set(records[1]) == {"point", "error"} and "should be real" in records[1]["error"]
-    for k in (0, 2):
-        alone_code, alone = _eval_records("--metric", str(metric), "--point", points[k])
-        assert alone_code == 0 and records[k] == alone[0]
+    alone = {}
+    for p in ["0.3,0", "0.5,0.5i", "0.3+0.3i,0.3-0.3i", "0.5i,0.5i"]:
+        code, (alone[p],) = _eval_records("--metric", str(metric), "--point", p)
+        assert code == (2 if "error" in alone[p] else 0)
+    assert "not Hermitian" in alone["0.5,0.5i"]["error"] and "should be real" in alone["0.3+0.3i,0.3-0.3i"]["error"]
+    assert sum("error" in r for r in alone.values()) == 2
+    # a kernel failure alone, then with a jets failure in the same batch: each record is the point's own
+    for points in (["0.3,0", "0.3+0.3i,0.3-0.3i", "0.5i,0.5i"], list(alone)):
+        code, records = _eval_records("--metric", str(metric), *(a for p in points for a in ("--point", p)))
+        assert code == 2 and records == [alone[p] for p in points], points
+
+
+@pytest.mark.parametrize("command", ["eval", "extremize"])
+def test_a_passing_batch_is_one_jets_call_and_one_kernel_pass(monkeypatch, command):
+    calls = {"metric_jets": 0, "_jets": 0, "chern_curvature": 0}
+
+    def counted(name):
+        fn = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counted(name))
+    code, out, err = _main(command, "--metric", "hopf-2", "--points", "4", "--alpha", "1", "--beta", "1")
+    assert (code, err) == (0, "")
+    assert calls == {"metric_jets": 1, "_jets": 0, "chern_curvature": 1}
 
 
 @pytest.mark.parametrize("domain", ["ball 1e999", "annulus 1 1e999", "polydisc 0"])
@@ -511,9 +535,17 @@ def test_bad_tol_and_seed_are_input_errors(argv, flag):
 
 
 def test_extremize_names_the_point_that_failed():
-    code, out, err = _main("extremize", "--metric", "hopf-2", "--point=0.5,0.25i", "--point=0,0")
-    assert (code, out) == (2, "")
-    assert err == "error: at point 0.0+0.0i,0.0+0.0i: division by zero\n"
+    # the first failing point in point order, whichever stage rejects it: with weights of 1e308, (1, 0)
+    # fails in the extremizer, and (0, 0) fails the jets checks
+    big, div0 = ["--alpha=1e308", "--beta=1e308"], "division by zero"
+    inf = "mixed curvature extrema not finite for alpha=1e+308, beta=1e+308"
+    for argv, point, why in [
+        (["--point=0.5,0.25i", "--point=0,0"], "0.0+0.0i,0.0+0.0i", div0),
+        ([*big, "--point", "1,0", "--point", "0,0"], "1.0+0.0i,0.0+0.0i", inf),
+        ([*big, "--point", "0,0", "--point", "1,0"], "0.0+0.0i,0.0+0.0i", div0),
+    ]:
+        code, out, err = _main("extremize", "--metric", "hopf-2", *argv)
+        assert (code, out, err) == (2, "", f"error: at point {point}: {why}\n"), argv
 
 
 @pytest.mark.parametrize(

@@ -41,7 +41,6 @@ from chernkit.mixed import (
     _scaled_form,
     _sphere_design,
     _best,
-    _sym2_basis,
     _sym2_table,
     _symmetric_square,
     _unitary_data,
@@ -589,6 +588,16 @@ def test_extremize_on_a_curve_is_the_constant():
         assert rep.converged and rep.restarts_used == 0
 
 
+def _sym2_basis(n: int) -> np.ndarray:
+    """The dense reference for _sym2_table's coordinates: the orthonormal real basis of Sym^2(C^n)
+    inside C^(n^2), one column per pair i <= k: e_i (x) e_i, and (e_i (x) e_k + e_k (x) e_i)/sqrt2 for i < k."""
+    pairs = [(i, k) for i in range(n) for k in range(i, n)]
+    basis = np.zeros((n * n, len(pairs)))
+    for c, (i, k) in enumerate(pairs):
+        basis[[i * n + k, k * n + i], c] = 1 / np.sqrt(2) if i != k else 1
+    return basis
+
+
 def test_symmetric_square_reproduces_the_quartic():
     # C(Z) = w* H w with w the coordinates of Zbar (x) Zbar in the orthonormal Sym^2 basis
     rng = np.random.default_rng(26)
@@ -854,8 +863,11 @@ def test_sym2_table_is_four_positions_per_entry_of_h(n):
     assert not any(t.flags.writeable for t in (index, weight, rows, coef))
     assert _sym2_table(n)[0] is index  # built once per n
     assert set(np.unique(weight)) <= {0.25, np.sqrt(2) / 4, 0.5}
+    basis = _sym2_basis(n)
+    assert rows.dtype == basis.argmax(axis=1).dtype and np.array_equal(rows, basis.argmax(axis=1))
+    assert coef.tobytes() == basis.max(axis=1).tobytes()  # the one nonzero of each row, bit for bit
     v = np.random.default_rng(n).standard_normal((N, 2))
-    assert np.array_equal(coef[:, None] * v[rows], _sym2_basis(n) @ v)
+    assert np.array_equal(coef[:, None] * v[rows], basis @ v)
 
 
 def test_sym2_table_is_not_built_at_import():
