@@ -102,7 +102,7 @@ def _sampled(name: str, count: int, seed: int):
     pts = sample_points(entry, count, seed)
     jets = metric_jets(entry.spec, pts)
     Rc = chern_curvature(jets)
-    return pts, jets, Rc, to_unitary_frame(Rc, jets)
+    return pts, jets, Rc, to_unitary_frame(Rc)
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +382,7 @@ def check_catalog_expected():
             if key in directions:
                 value = holomorphic_sectional(Rc, directions[key])
             elif key == "rho1_unitary":
-                value, target = ricci_bundle(to_unitary_frame(Rc, jets)).rho1, np.diag(target)
+                value, target = ricci_bundle(to_unitary_frame(Rc)).rho1, np.diag(target)
             else:
                 value = getattr(t if key == "eta_norm2" else b, key)
             res = np.max(np.abs(value - target))

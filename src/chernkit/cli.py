@@ -13,7 +13,8 @@ Exit codes: 0 = success / all checks pass, 1 = verification failures,
 eval and extremize evaluate a metric's points as one batch (one jets call,
 one pass of each curvature kernel); only the extremizer runs point by point.
 A point that fails, at the jets checks or in a kernel, gets its own error:
-eval writes it into that point's record, extremize exits 2 naming the first.
+eval writes it into that point's record, extremize exits 2 naming the first
+and runs the extremizer on no point after it.
 """
 
 from __future__ import annotations
@@ -122,7 +123,7 @@ def _mixed_row(params: MixedParams, rep) -> dict:
 def _bodies(jets, pairs) -> list:
     """One record body per point of the batch, from one pass of each kernel."""
     Rc = chern_curvature(jets)
-    Ru = to_unitary_frame(Rc, jets)
+    Ru = to_unitary_frame(Rc)
     b = ricci_bundle(Rc)
     t = torsion(jets)
     eig, kd, kld = np.linalg.eigvalsh(jets.g), kahler_defect(jets), kahler_like_defect(Ru)
@@ -139,12 +140,6 @@ def _bodies(jets, pairs) -> list:
         }
         for k, R in enumerate(Ru)
     ]
-
-
-def _extrema(jets, pairs) -> list:
-    """One list of (pair, extrema) per point of the batch."""
-    Ru = to_unitary_frame(chern_curvature(jets), jets)
-    return [[(params, extremize(R, params)) for params in pairs] for R in Ru]
 
 
 def _kernels(jets, kernels) -> list:
@@ -218,10 +213,13 @@ def cmd_extremize(args) -> int:
     pts = _points_for(args, spec)
     pairs = _pairs_for(args)
     rows = []
-    for p, r in zip(pts, _per_point(spec, pts, lambda jets: _extrema(jets, pairs))):
-        if isinstance(r, Exception):  # the first failing point, whichever stage rejected it
-            raise InputError(f"at point {_point_text(p)}: {r}") from r
-        rows += [(p, params, rep) for params, rep in r]
+    for p, Ru in zip(pts, _per_point(spec, pts, lambda jets: list(to_unitary_frame(chern_curvature(jets))))):
+        try:  # in point order, so the extremizer stops at the first failing point, whichever stage rejects it
+            if isinstance(Ru, Exception):
+                raise Ru
+            rows += [(p, params, extremize(Ru, params)) for params in pairs]
+        except (MetricError, EvaluationError) as err:
+            raise InputError(f"at point {_point_text(p)}: {err}") from err
     header = f"{'point':<40} {'alpha':>7} {'beta':>7} {'min':>13} {'max':>13} {'spread':>12}  conv"
     print(header)
     for p, params, rep in rows:

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import expr as ex
 from .dsl import MetricSpec
-from .geometry import ChernCurvature, _rho1, chern_curvature, ricci_bundle
+from .geometry import ChernCurvature, chern_curvature, ricci_bundle
 from .jets import FactorJet, MetricJet, _real, factor_jet, metric_jets
 from .mixed import MixedParams, _constancy_residual, _form
 
@@ -95,6 +95,6 @@ def conformal_constancy_residual(Rc: ChernCurvature, f_jet: FactorJet, params: M
     """
     if Rc.frame != "coordinate":
         raise ValueError("the conformal constancy identity uses coordinate components")
-    T = _form(Rc.tensor, _rho1(np.linalg.inv(Rc.g), Rc.tensor), Rc.g, params)
-    T = T - 2 * (Rc.n * params.alpha + params.beta) * np.einsum("...ij,...kl->...ijkl", Rc.g, f_jet.hess)
+    g_ddbar_F = np.einsum("...ij,...kl->...ijkl", Rc.g, f_jet.hess)
+    T = _form(Rc, params).tensor - 2 * (Rc.n * params.alpha + params.beta) * g_ddbar_F
     return _constancy_residual(T, Rc.g, f * np.exp(2 * f_jet.value))

@@ -183,36 +183,17 @@ def _coord_index(name: str):
 
 
 class _ExprParser:
-    def __init__(self, ts: _TokStream, n: int, lets: dict, depths: dict | None = None):
+    def __init__(self, ts: _TokStream, n: int, lets: dict):
         self.ts = ts
         self.n = n
         self.lets = lets
-        # id(node) -> (tree depth, node); holding the node keeps its id unique
-        self.depths = {} if depths is None else depths
         self.nesting = 0
 
     def parse(self) -> ex.Expr:
         return self._expr()
 
-    def _depth(self, e: ex.Expr) -> int:
-        """Tree depth of e, iteratively, memoized in self.depths."""
-        memo = self.depths
-        stack = [e]
-        while stack:
-            x = stack[-1]
-            if id(x) in memo:
-                stack.pop()
-                continue
-            todo = [c for c in x.args if id(c) not in memo]
-            if todo:
-                stack += todo
-                continue
-            stack.pop()
-            memo[id(x)] = (1 + max((memo[id(c)][0] for c in x.args), default=0), x)
-        return memo[id(e)][0]
-
     def _bounded(self, e: ex.Expr, t: _Tok) -> ex.Expr:
-        if self._depth(e) > MAX_DEPTH:
+        if e.depth > MAX_DEPTH:
             raise DslError(f"expression is nested deeper than {MAX_DEPTH} levels", t.line, t.col)
         return e
 
@@ -362,7 +343,6 @@ def parse_metric(source: str, name: str = "metric") -> MetricSpec:
     """
     n = None
     lets: dict = {}
-    depths: dict = {}
     entries = None
     assigned = set()
     domain = None
@@ -393,7 +373,7 @@ def parse_metric(source: str, name: str = "metric") -> MetricSpec:
                 if ident.text in lets:
                     raise DslError(f"duplicate let {ident.text!r}", ident.line, ident.col)
                 ts.expect("=")
-                e = _ExprParser(ts, n, lets, depths).parse()
+                e = _ExprParser(ts, n, lets).parse()
                 _expect_done(ts)
                 lets[ident.text] = e
             elif head.text == "g":
@@ -412,7 +392,7 @@ def parse_metric(source: str, name: str = "metric") -> MetricSpec:
                     )
                 if (i, j) in assigned:
                     raise DslError(f"entry g[{i},{j}] assigned twice", itok.line, itok.col)
-                e = _ExprParser(ts, n, lets, depths).parse()
+                e = _ExprParser(ts, n, lets).parse()
                 _expect_done(ts)
                 entries[i - 1][j - 1] = e
                 assigned.add((i, j))

@@ -23,7 +23,7 @@ cross-checks (see :func:`fd_residual`), not on symbolic normal forms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -65,6 +65,8 @@ class Expr:
     kind is one of: const, coord, conj_coord, neg, conj, exp, log, add, sub,
     mul, div, int_pow.  The payload fields value/index/power are only
     meaningful for const, coord/conj_coord and int_pow respectively.
+    depth is the tree's depth (a leaf has 1), set at construction from the
+    arguments' depths; it takes no part in equality or hashing.
     """
 
     kind: str
@@ -72,6 +74,11 @@ class Expr:
     value: complex = 0j
     index: int = 0  # 1-based coordinate index
     power: int = 0
+    depth: int = field(default=1, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.args:
+            object.__setattr__(self, "depth", 1 + max(a.depth for a in self.args))
 
     def __add__(self, other):
         return add(self, _as_expr(other))

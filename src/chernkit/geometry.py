@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import MetricError, MetricJet, _PerPoint, _max_abs, _real, _size
+from .jets import MetricError, MetricJet, _ldexp, _PerPoint, _max_abs, _real, _size
 
 __all__ = [
     "ChernCurvature",
@@ -174,12 +174,12 @@ def orthonormal_frame(g: np.ndarray) -> np.ndarray:
     return E
 
 
-def to_unitary_frame(Rc: ChernCurvature, jet: MetricJet) -> ChernCurvature:
+def to_unitary_frame(Rc: ChernCurvature, jet: MetricJet | None = None) -> ChernCurvature:
     """Curvature components in the deterministic unitary frame of Rc.g.
 
     Traces of the result use the identity metric; invariantly defined
     scalars (u, v, holomorphic sectional values of fixed vectors) are
-    unchanged.  MetricError where they overflow (g nearly singular).  jet is redundant, as Rc carries g.
+    unchanged.  MetricError where they overflow (g nearly singular).  jet is unread, as Rc carries g.
     """
     if Rc.frame != "coordinate":
         raise ValueError("to_unitary_frame expects a coordinate-frame tensor")
@@ -247,7 +247,7 @@ def holomorphic_sectional(Rc: ChernCurvature, X) -> float:
     if np.any(top == 0):
         raise ValueError("holomorphic sectional curvature of the zero vector")
     e = -np.frexp(top)[1]
-    X = np.ldexp(X.real, e) + 1j * np.ldexp(X.imag, e)
+    X = _ldexp(X, e)
     m, k = np.frexp(metric_norm_sq(Rc.metric, X))  # |X|^2_g = m 2^k
     q = _real(_quartic(Rc.tensor, X), "H(X)", Rc.size)  # its terms are at most Rc.size, as max|X_i| < 1
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):

@@ -15,8 +15,9 @@ definite), then that the derivatives are finite.  Nothing is differentiated
 symbolically.  A point that fails a check leaves
 the batch with its own reason, and :func:`metric_jets` raises the first
 point's.  A conformal factor's jet (:func:`factor_jet`) is one jet run of
-the factor's program.  The one round-off rule (_bound) lives here too: every
-kernel's realness and Hermitian checks measure against it.
+the factor's program, checked in the same order.  The one round-off rule
+(_bound) lives here too: every kernel's realness and Hermitian checks
+measure against it; so does the exact complex scaling by 2^e (_ldexp).
 """
 
 from __future__ import annotations
@@ -142,6 +143,15 @@ def _size(*factors):
         return math.prod(factors)
 
 
+def _ldexp(t, e):
+    """t 2^e for a complex array, exact: the real and imaginary parts' np.ldexp in one call.
+
+    e is an int, or an integer array with a last axis of length 1 (one exponent per row of t).
+    """
+    t = np.ascontiguousarray(t, dtype=complex)
+    return np.ldexp(t.view(float), e).view(complex)
+
+
 def _real(x, what: str, size=None):
     """The real part of x, a scalar or an array, checking every element's imaginary part.
 
@@ -252,9 +262,10 @@ def factor_jet(F: ex.Expr, p) -> FactorJet:
 
     p is one point, shape (n,), or a batch, shape (m, n), giving a batched
     FactorJet; n is p's last axis.  One compile and one jet run either way.  Raises the
-    EvaluationError of a division by zero or log of zero at any point, and
-    ValueError naming the first point where |Im F| exceeds HERMITIAN_TOL *
-    _bound(None, Re F).
+    EvaluationError of a division by zero or log of zero at any point, and the
+    MetricError of the first point that fails a check, naming the first it
+    fails in _jets's order: F finite, |Im F| at most HERMITIAN_TOL *
+    _bound(None, Re F), the derivatives finite.
     """
     pts = np.asarray(p, dtype=complex)
     n = pts.shape[-1]
@@ -262,8 +273,11 @@ def factor_jet(F: ex.Expr, p) -> FactorJet:
     prog = ex.compile_program([F])
     J = ex.evaluate(prog, batch, jet=True)
     vals = J[:, 0, 0]
-    bad = np.flatnonzero(np.abs(vals.imag) > HERMITIAN_TOL * _bound(None, vals.real))
-    if len(bad):
-        raise ValueError(f"conformal factor is not real at {batch[bad[0]]} (Im = {vals[bad[0]].imag:.3e})")
+    not_real = np.abs(vals.imag) > HERMITIAN_TOL * _bound(None, vals.real)
+    bad = np.stack([~np.isfinite(vals), not_real, ~np.isfinite(J[:, 1:]).all(axis=(1, 2))])
+    if bad.any():
+        k = np.flatnonzero(bad.any(axis=0))[0]
+        why = ["is not finite at {}", "is not real at {} (Im = {:.3e})", "derivatives are not finite at {}"]
+        raise MetricError("conformal factor " + why[np.argmax(bad[:, k])].format(batch[k], vals[k].imag))
     jets = FactorJet(batch, vals.real, *_split(J, n, ()))
     return jets if pts.ndim == 2 else jets[0]

@@ -37,17 +37,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .geometry import (
-    ChernCurvature,
-    RicciBundle,
-    _in_frame,
-    _outer,
-    _quartic,
-    _rho1,
-    holomorphic_sectional,
-    orthonormal_frame,
-)
-from .jets import MetricError, _hermitian_part, _max_abs, _size
+from .geometry import ChernCurvature, RicciBundle, _outer, _quartic, _rho1, holomorphic_sectional, to_unitary_frame
+from .jets import MetricError, _hermitian_part, _ldexp, _max_abs, _size
 
 __all__ = [
     "MixedParams",
@@ -100,29 +91,26 @@ class ExtremumReport:
     path: str
 
 
-def _unitary_data(Rc: ChernCurvature):
-    """(R, rho1) in a unitary frame, whatever frame Rc arrived in; there rho1 is R's trace over (k, l)."""
-    R = Rc.tensor if Rc.frame == "unitary" else _in_frame(Rc.tensor, orthonormal_frame(Rc.g))
-    return R, np.einsum("...kk->...", R)
+def _form(Rc: ChernCurvature, params: MixedParams) -> ChernCurvature:
+    """T = alpha rho1 (x) g + beta R as a curvature in Rc's frame, g the metric of that frame:
+    T_{i jbar k lbar} = alpha rho1_{i jbar} g_{k lbar} + beta R_{i jbar k lbar}.
 
-
-def _form(R, rho, g, params: MixedParams):
-    """T = alpha rho (x) g + beta R, T_{i jbar k lbar} = alpha rho_{i jbar} g_{k lbar} + beta R_{i jbar k lbar}."""
-    return params.alpha * np.einsum("...ij,...kl->...ijkl", rho, g) + params.beta * R
+    Its size is that of its terms, (|alpha| max|g| max|g^-1| + |beta|) Rc.size: T may cancel far
+    below that, its round-off does not (see jets._bound).
+    """
+    g = Rc.metric
+    gi = np.linalg.inv(g)
+    T = params.alpha * np.einsum("...ij,...kl->...ijkl", _rho1(gi, Rc.tensor), g) + params.beta * Rc.tensor
+    size = _size(abs(params.alpha) * _max_abs(g, 2) * _max_abs(gi, 2) + abs(params.beta), Rc.size)
+    return replace(Rc, tensor=T, size=size)
 
 
 def mixed_curvature(Rc: ChernCurvature, params: MixedParams, X) -> float:
     """C_{alpha,beta}(X) = H_T(X) for a nonzero (1,0)-vector X, scale-invariant.
 
-    MetricError if its imaginary part exceeds HERMITIAN_TOL times the size of
-    T's terms, (|alpha| max|g| max|g^-1| + |beta|) Rc.size: T may cancel far
-    below that, its round-off does not (see jets._bound).
+    MetricError if its imaginary part exceeds HERMITIAN_TOL times the size of T's terms (_form).
     """
-    g = Rc.metric
-    gi = np.linalg.inv(g)
-    T = _form(Rc.tensor, _rho1(gi, Rc.tensor), g, params)
-    size = _size(abs(params.alpha) * _max_abs(g, 2) * _max_abs(gi, 2) + abs(params.beta), Rc.size)
-    return holomorphic_sectional(replace(Rc, tensor=T, size=size), X)
+    return holomorphic_sectional(_form(Rc, params), X)
 
 
 def sphere_average_closed_form(bundle: RicciBundle, params: MixedParams) -> float:
@@ -167,13 +155,13 @@ def sphere_average_monte_carlo_many(
     """
     if samples < 1000:
         raise ValueError("need at least 1000 samples")
-    R, rho = _unitary_data(Rc)
-    n = R.shape[0]
+    Ru = Rc if Rc.frame == "unitary" else to_unitary_frame(Rc)
+    n = Ru.n
     rng = np.random.default_rng(seed)
     W = rng.standard_normal((samples, n)) + 1j * rng.standard_normal((samples, n))
     W /= np.linalg.norm(W, axis=1, keepdims=True)
     blocks = [W[s : s + _BLOCK] for s in range(0, samples, _BLOCK)]
-    forms = (_form(R, rho, np.eye(n), params) for params in params_list)
+    forms = (_form(Ru, params).tensor for params in params_list)
     vals = (np.concatenate([_objective(T, z) for z in blocks]) for T in forms)
     return [(float(np.mean(v)), float(np.std(v, ddof=1) / np.sqrt(samples))) for v in vals]
 
@@ -396,12 +384,6 @@ def _scaled_form(R, rho, params: MixedParams):
     return S, e, scale
 
 
-def _ldexp(t, e: int):
-    """t 2^e for a complex array, exact: the real and imaginary parts' np.ldexp in one call."""
-    t = np.ascontiguousarray(t, dtype=complex)
-    return np.ldexp(t.view(float), e).view(complex)
-
-
 def _best(S, Z):
     """(min, argmin, max, argmax) of C_{alpha,beta} over the unit candidate rows of Z."""
     f = _objective(S, Z)
@@ -437,8 +419,8 @@ def extremize(Rc: ChernCurvature, params: MixedParams) -> ExtremumReport:
         raise ValueError("extremize takes a unitary-frame curvature; convert it with to_unitary_frame")
     if Rc.tensor.ndim != 4:
         raise ValueError(f"extremize takes one point, got a curvature tensor of shape {Rc.tensor.shape}")
-    R, rho = _unitary_data(Rc)
-    n = R.shape[0]
+    R = Rc.tensor
+    rho, n = np.einsum("...kk->...", R), Rc.n  # rho1 = g^{k lbar} R_{i jbar k lbar} at g = I: R's (k, l) trace
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # reported as MetricError below
         S, e, scale = _scaled_form(R, rho, params)
@@ -486,8 +468,7 @@ def constancy_tensor_residual(Rc: ChernCurvature, params: MixedParams, c: float)
 
     i.e. sym(T - c g (x) g) = 0 for T = alpha rho (x) g + beta R, g Rc's metric; returns max |LHS - RHS|.
     """
-    g = Rc.metric
-    return _constancy_residual(_form(Rc.tensor, _rho1(np.linalg.inv(g), Rc.tensor), g, params), g, c)
+    return _constancy_residual(_form(Rc, params).tensor, Rc.metric, c)
 
 
 def _sym(T):

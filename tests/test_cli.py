@@ -548,6 +548,16 @@ def test_extremize_names_the_point_that_failed():
         assert (code, out, err) == (2, "", f"error: at point {point}: {why}\n"), argv
 
 
+def test_extremize_stops_at_the_first_failing_point(monkeypatch):
+    # (0, 0) fails the jets checks: only the point before it reaches the extremizer
+    calls, extremize = [], cli.extremize
+    monkeypatch.setattr(cli, "extremize", lambda *args: calls.append(args) or extremize(*args))
+    points = ["--point", "0.3,0.1", "--point", "0,0", "--point", "0.5,0.2", "--point", "0.1,0.4"]
+    code, out, err = _main("extremize", "--metric", "hopf-2", *points)
+    assert (code, out, err) == (2, "", "error: at point 0.0+0.0i,0.0+0.0i: division by zero\n")
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize(
     "metric, path", [("hopf-2", "certified"), ("hopf-3", "certified"), (GENERIC_2, "exact"), (GENERIC_3, "ascent")]
 )

@@ -225,6 +225,20 @@ def test_compile_and_run_are_iterative():
     assert prog.n_coords == 1
 
 
+def test_depth_is_set_at_construction_and_ignored_by_equality():
+    assert Z1.depth == ex.ZERO.depth == 1
+    assert ex.mul(ex.add(Z1, ZB1), ex.exp(Z2)).depth == 3
+    e = Z1
+    for _ in range(5000):  # deeper than the recursion limit: depth does not recurse
+        e = ex.add(e, ZB1)
+    assert e.depth == 5001
+    # equal trees built by helpers, operators, shared subtrees and the parser compare and hash equal
+    term = ex.mul(Z1, ZB1)
+    built = [ex.add(term, ex.mul(Z2, ZB2)), Z1 * ZB1 + Z2 * ZB2, parse_expression("abs2(z)", 2)]
+    assert built[0] == built[1] == built[2] and len({hash(b) for b in built}) == 1
+    assert all(b.depth == 3 for b in built) and "depth" not in repr(built[0])
+
+
 def test_signed_zero_constants_stay_distinct():
     neg_zero = ex.Expr("const", value=complex(-0.0, -0.0))
     prog = ex.compile_program([neg_zero, ex.ZERO])

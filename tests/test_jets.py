@@ -186,6 +186,20 @@ def test_factor_jet_measures_its_imaginary_part_against_its_value():
         factor_jet(parse_expression("z1 - zbar1", 2), [[0.5, 0.1], [0.5 + 0.2j, 0.1]])
 
 
+def test_factor_jet_rejects_non_finite_jets():
+    from chernkit.dsl import parse_expression
+
+    # the value overflows; then a finite value whose Hessian is not finite
+    with pytest.raises(MetricError, match=r"conformal factor is not finite at \[1\.\+0\.j\]"):
+        factor_jet(parse_expression("exp(1000*z1*zbar1)", 1), [1.0])
+    F = parse_expression("-0.5*log(abs2(z))", 2)
+    with pytest.raises(MetricError, match="conformal factor derivatives are not finite at"):
+        factor_jet(F, [1e-100, 0])
+    # the first failing point is named, with the first check it fails
+    with pytest.raises(MetricError, match=r"derivatives are not finite at \[1\.e-100"):
+        factor_jet(F, [[0.5, 0.1], [1e-100, 0], [0.3, 0.2]])
+
+
 @pytest.mark.parametrize("text, reason", [("1/(z1*zbar1)", "division by zero"), ("log(z1*zbar1)", "log of zero")])
 def test_factor_jet_raises_where_its_program_fails(text, reason):
     from chernkit.dsl import parse_expression

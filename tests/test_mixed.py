@@ -35,7 +35,6 @@ from chernkit.mixed import (
     _ascend,
     _axis_and_bisector_seeds,
     _bloch_candidates,
-    _form,
     _gradient,
     _objective,
     _scaled_form,
@@ -43,7 +42,6 @@ from chernkit.mixed import (
     _best,
     _sym2_table,
     _symmetric_square,
-    _unitary_data,
     constancy_tensor_residual,
     extremize,
     mixed_curvature,
@@ -52,6 +50,17 @@ from chernkit.mixed import (
     sphere_average_monte_carlo_many,
     trace_identity_residual,
 )
+
+
+def _unitary_data(Ru):
+    """(R, rho1) of one point's unitary-frame curvature; there rho1 is R's trace over (k, l)."""
+    assert Ru.frame == "unitary"
+    return Ru.tensor, np.einsum("...kk->...", Ru.tensor)
+
+
+def _form(R, rho, g, params):
+    """T = alpha rho (x) g + beta R from rho and R given apart."""
+    return params.alpha * np.einsum("...ij,...kl->...ijkl", rho, g) + params.beta * R
 
 
 def _unitary_setup(name, seed=0):
@@ -224,6 +233,23 @@ def test_monte_carlo_determinism_and_batch_equivalence():
     assert singles == again == batch
     with pytest.raises(ValueError, match="1000"):
         sphere_average_monte_carlo(Ru, np.eye(2), params[0], 10, seed=0)
+
+
+def test_monte_carlo_rejects_a_curvature_not_finite_in_the_unitary_frame():
+    spec = parse_metric("dim 1; g[1,1] = 1e-310 + 1e-310*abs2(z)")
+    jet = metric_jet(spec, [0.3])
+    with pytest.raises(MetricError, match="curvature is not finite in the unitary frame"):
+        sphere_average_monte_carlo(chern_curvature(jet), jet.g, MixedParams(1.0, 1.0), 1000)
+
+
+@pytest.mark.parametrize("name", names())
+def test_monte_carlo_is_the_same_from_either_frame(name):
+    entry = builtin(name)
+    jet = metric_jet(entry.spec, sample_points(entry, 1, 5)[0])
+    Rc = chern_curvature(jet)
+    params = [MixedParams(1.0, 1.0), MixedParams(0.3, -2.0)]
+    coordinate = sphere_average_monte_carlo_many(Rc, jet.g, params, 2000, seed=4)
+    assert coordinate == sphere_average_monte_carlo_many(to_unitary_frame(Rc), jet.g, params, 2000, seed=4)
 
 
 def test_extremize_euclidean_and_space_form():
