@@ -16,6 +16,13 @@ operators ``+ - * / ^`` with integer powers, and parentheses.
 A ``;`` separates statements on one line, except after ``domain product``
 where it separates the per-coordinate factors.
 
+Tokens: a digit is a decimal digit, as ``float`` and ``int`` read it (``3``
+or the Arabic-Indic ``٣``).  A number is digits and dots, starting with
+a digit or a dot before a digit, with an optional exponent ``e[+-]digits``.
+A name starts with a letter, ``_`` or a non-decimal numeral (``²``, ``½``)
+and goes on with letters, digits, numerals or ``_``, so ``z²`` is a name,
+not a coordinate, and ``5²`` is the number 5 followed by the name ``²``.
+
 An expression may nest at most :data:`MAX_DEPTH` levels, counting both the
 depth of its tree (``let`` names substituted) and the nesting of brackets.
 Deeper input is a :class:`DslError`.  Evaluation and differentiation run
@@ -27,6 +34,7 @@ well inside Python's recursion limit.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -41,7 +49,17 @@ __all__ = ["MetricSpec", "DslError", "parse_metric", "parse_expression", "print_
 MAX_DEPTH = 100
 
 _KEYWORDS = {"dim", "let", "g", "domain", "ball", "annulus", "polydisc", "product"}
-_FUNCS = {"conj", "exp", "log"}
+_FUNCS = {"conj": ex.conj, "exp": ex.exp, "log": ex.log}
+
+# One token per match: \d is a decimal digit, \w a letter, digit, numeral or "_".
+_TOKEN = re.compile(
+    r"(?P<NUM>(?:\d|\.(?=\d))[\d.]*(?:[eE][+-]?\d+)?)(?P<IMAG>i(?!\w))?"  # IMAG: a lone i follows
+    r"|(?P<IDENT>[^\W\d]\w*)"
+    r"|(?P<op>[=\[\](),;+\-*/^])"
+    r"|(?P<comment>#)"
+    r"|(?P<bad>\S)"
+)
+_COORD = re.compile(r"z(bar)?(\d+)")
 
 
 class DslError(ValueError):
@@ -89,53 +107,23 @@ class _Tok:
 
 def _lex_line(line: str, lineno: int) -> list:
     toks = []
-    i, m = 0, len(line)
-    while i < m:
-        c = line[i]
-        if c == "#":
+    for m in _TOKEN.finditer(line):  # finditer skips whitespace: every other character matches
+        typ, text, value, col = m.lastgroup, m[0], 0.0, m.start() + 1
+        if typ == "comment":
             break
-        if c.isspace():
-            i += 1
-            continue
-        col = i + 1
-        if c.isdigit() or (c == "." and i + 1 < m and line[i + 1].isdigit()):
-            j = i
-            while j < m and (line[j].isdigit() or line[j] == "."):
-                j += 1
-            if j < m and line[j] in "eE":
-                k = j + 1
-                if k < m and line[k] in "+-":
-                    k += 1
-                if k < m and line[k].isdigit():
-                    j = k
-                    while j < m and line[j].isdigit():
-                        j += 1
-            text = line[i:j]
+        if typ == "bad":
+            raise DslError(f"unexpected character {text!r}", lineno, col)
+        if typ == "op":
+            typ = text
+        elif typ != "IDENT":  # NUM, or IMAG when the suffix i follows
+            text = m["NUM"]
             try:
-                val = float(text)
+                value = float(text)
             except ValueError:
-                raise DslError(f"bad number literal {text!r}", lineno, col)
-            if math.isinf(val):
+                raise DslError(f"bad number literal {text!r}", lineno, col) from None
+            if math.isinf(value):
                 raise DslError(f"number literal {text!r} is not finite", lineno, col)
-            typ = "NUM"
-            if j < m and line[j] == "i" and (j + 1 >= m or not (line[j + 1].isalnum() or line[j + 1] == "_")):
-                typ = "IMAG"
-                j += 1
-            toks.append(_Tok(typ, text, val, lineno, col))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < m and (line[j].isalnum() or line[j] == "_"):
-                j += 1
-            toks.append(_Tok("IDENT", line[i:j], 0.0, lineno, col))
-            i = j
-            continue
-        if c in "=[](),;+-*/^":
-            toks.append(_Tok(c, c, 0.0, lineno, col))
-            i += 1
-            continue
-        raise DslError(f"unexpected character {c!r}", lineno, col)
+        toks.append(_Tok(typ, text, value, lineno, col))
     return toks
 
 
@@ -175,11 +163,8 @@ class _TokStream:
 
 def _coord_index(name: str):
     """(kind, k) when name matches z<digits> / zbar<digits>, else None."""
-    if name.startswith("zbar") and name[4:].isdigit():
-        return "conj_coord", int(name[4:])
-    if name.startswith("z") and name[1:].isdigit():
-        return "coord", int(name[1:])
-    return None
+    m = _COORD.fullmatch(name)
+    return m and ("conj_coord" if m[1] else "coord", int(m[2]))
 
 
 class _ExprParser:
@@ -286,7 +271,7 @@ class _ExprParser:
         nxt = self.ts.peek()
         if nxt is not None and nxt.type == "(" and name in _FUNCS:
             arg = self._bracketed(self.ts.next())
-            return self._node(t, {"conj": ex.conj, "exp": ex.exp, "log": ex.log}[name], arg)
+            return self._node(t, _FUNCS[name], arg)
         if nxt is not None and nxt.type == "(" and name == "abs2":
             self.ts.next()
             inner = self.ts.peek()
@@ -350,8 +335,6 @@ def parse_metric(source: str, name: str = "metric") -> MetricSpec:
     for lineno, raw in enumerate(source.splitlines(), start=1):
         toks = _lex_line(raw, lineno)
         for stmt in _split_statements(toks):
-            if not stmt:
-                continue
             ts = _TokStream(stmt, lineno)
             head = ts.next()
             if head.type != "IDENT":

@@ -419,8 +419,8 @@ def extremize(Rc: ChernCurvature, params: MixedParams) -> ExtremumReport:
         raise ValueError("extremize takes a unitary-frame curvature; convert it with to_unitary_frame")
     if Rc.tensor.ndim != 4:
         raise ValueError(f"extremize takes one point, got a curvature tensor of shape {Rc.tensor.shape}")
-    R = Rc.tensor
-    rho, n = np.einsum("...kk->...", R), Rc.n  # rho1 = g^{k lbar} R_{i jbar k lbar} at g = I: R's (k, l) trace
+    R, n = Rc.tensor, Rc.n
+    rho = _rho1(np.eye(n), R)  # in the unitary frame g = I
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # reported as MetricError below
         S, e, scale = _scaled_form(R, rho, params)

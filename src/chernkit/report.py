@@ -6,7 +6,8 @@ is an [re, im] pair, so identical configurations produce bit-identical
 output.  Records hold numpy arrays as they are: a float or complex array is
 laid out as the nested lists it stands for (a real 1-D array, or each
 [re, im] pair, inline on one line), and so is a list or tuple of plain
-numbers.  Strings are written as json.dumps writes them.
+numbers, in which a 0-d real float array counts as the number it holds.
+Strings are written as json.dumps writes them.
 
 One walk writes a document as a %-template, with a placeholder for each
 number, and collects the numbers in order; one %-operation then formats
@@ -24,6 +25,11 @@ __all__ = ["dumps"]
 
 _NUMBER = (int, float, np.integer, np.floating)
 _FLOATS = (float, np.floating)
+
+
+def _is_real_scalar(x) -> bool:
+    """True for a 0-d real float array, which is written as the number it holds."""
+    return isinstance(x, np.ndarray) and x.ndim == 0 and x.dtype.kind == "f"
 
 
 @functools.lru_cache(maxsize=256)
@@ -73,9 +79,10 @@ def _walk(obj, out: list, values: list, pad: str) -> None:
     elif isinstance(obj, (list, tuple)):
         if not obj:
             out.append("[]")
-        elif all(isinstance(x, _NUMBER) for x in obj):  # a plain list of numbers, written inline
-            out.append("[" + ", ".join(["%.17g" if isinstance(x, _FLOATS) else "%d" for x in obj]) + "]")
-            values += [x if isinstance(x, _FLOATS) else int(x) for x in obj]
+        elif all(isinstance(x, _NUMBER) or _is_real_scalar(x) for x in obj):  # a plain list of numbers, written inline
+            nums = [x.item() if isinstance(x, np.ndarray) else x for x in obj]
+            out.append("[" + ", ".join(["%.17g" if isinstance(x, _FLOATS) else "%d" for x in nums]) + "]")
+            values += [x if isinstance(x, _FLOATS) else int(x) for x in nums]
         else:
             pad_in, sep = pad + "  ", "["
             for v in obj:

@@ -454,6 +454,29 @@ def test_a_bad_constant_is_an_error_at_its_operator(tmp_path, entry, at):
     assert (code, out) == (2, "") and err.startswith(f"error: line 2, col {col}: ") and err.count("\n") == 1, err
 
 
+try:
+    complex("a")
+except ValueError as err:
+    _COMPLEX_REASON = str(err)  # Python's own reason, which the CLI passes on
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ("eval --metric nope", "error: 'nope' is neither a catalog metric nor a readable file (see `chernkit catalog list`)"),
+        ("eval --metric hopf-2 --point 1,2,3", "error: point '1,2,3' has 3 coordinates, expected 2"),
+        ("eval --metric hopf-2 --point a,b", f"error: bad point 'a,b': {_COMPLEX_REASON}"),
+        ("eval --metric hopf-2 --point nan,0", "error: point 'nan,0' has a coordinate that is not finite"),
+        ("eval --metric hopf-2 --points 0", "error: need at least one point"),
+        ("eval --metric hopf-2 --alpha 1", "error: --alpha and --beta must be given the same number of times"),
+        ("extremize --metric hopf-2 --alpha 0 --beta 0", "error: alpha and beta must not both be zero"),
+        ("eval --metric euclidean-2 --conformal z²", "error: line 1, col 1: unknown identifier 'z²'"),
+    ],
+)
+def test_a_bad_input_is_one_error_line_and_exit_2(argv, message):
+    assert _main(*argv.split()) == (2, "", message + "\n")
+
+
 def test_a_bad_constant_in_a_conformal_factor_is_an_error_at_its_operator():
     code, out, err = _main("eval", "--metric", "euclidean-1", "--points", "1", "--conformal", "(1e200)^2")
     assert (code, out, err) == (2, "", "error: line 1, col 8: constant overflows\n")

@@ -1,12 +1,14 @@
 """Metric DSL: parsing, errors with positions, domains, printing round-trip."""
 
+import re
+
 import numpy as np
 import pytest
 
 from chernkit import expr as ex
 from chernkit.catalog import builtin, names, sample_points
 from chernkit.domains import Annulus, Ball, Polydisc, Product
-from chernkit.dsl import DslError, parse_expression, parse_metric, print_metric
+from chernkit.dsl import DslError, MetricSpec, parse_expression, parse_metric, print_metric
 
 
 def test_parse_euclidean_identity():
@@ -128,6 +130,36 @@ def test_domain_errors():
             parse_metric(f"dim {2 if 'product' in domain else 1}\ng[1,1]=1\ndomain {domain}")
 
 
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        ("g[1,1] = 1.2.3", "line 2, col 10: bad number literal '1.2.3'"),
+        ("g[1,1] = 1 $ 2", "line 2, col 12: unexpected character '$'"),
+        ("g[1,1", "line 2, col 6: expected ']' but the statement ended"),
+        ("g[a,1] = 1", "line 2, col 3: expected 'NUM', got 'a'"),
+        ("g[1,1] = *2", "line 2, col 10: unexpected '*' in expression"),
+        ("= 1", "line 2, col 1: unexpected '='"),
+        ("dim 0", "line 1, col 5: dim must be a positive integer"),
+        ("dim 1.5", "line 1, col 5: dim must be a positive integer"),
+        ("g[1,1] = 1\ndomain ball 1\ndomain ball 2", "line 4, col 1: domain declared twice"),
+        ("foo 1", "line 2, col 1: unknown statement 'foo'"),
+        # a digit is a decimal digit, as float and int read it: a superscript two is a name character
+        ("dim 2\ng[2,2] = 1 + z²*zbar2", "line 2, col 14: unknown identifier 'z²'"),
+        ("g[1,1] = 1 + ½", "line 2, col 14: unknown identifier '½'"),
+    ],
+)
+def test_each_error_names_its_line_column_and_reason(source, message):
+    with pytest.raises(DslError, match=f"^{re.escape(message)}$"):
+        parse_metric(source if source.startswith("dim") else "dim 1\n" + source)
+
+
+def test_decimal_digits_of_any_script_are_digits_and_other_numerals_are_name_characters():
+    z3 = parse_expression("z\u0663 + 1\u0663", 3)  # ARABIC-INDIC DIGIT THREE
+    assert z3 == parse_expression("z3 + 13", 3)
+    spec = parse_metric("dim 1\nlet ½ = 0.5\ng[1,1] = 1 + ½*abs2(z)")
+    assert spec.entries[0][0] == parse_expression("1 + 0.5*abs2(z)", 1)
+
+
 def test_comments_and_blank_lines():
     spec = parse_metric("# a metric\n\ndim 1  # inline comment\ng[1,1] = 1 # one\n")
     assert spec.n == 1
@@ -146,6 +178,11 @@ def test_print_parse_round_trip_catalog():
                 b = ex.evaluate(back.entries[i][j], pts)
                 assert np.max(np.abs(np.asarray(a) - b)) < 1e-12, (name, i, j)
         assert back.domain == spec.domain
+    # the catalog declares no polydisc, alone or in a product
+    entries = parse_metric("dim 2\ng[1,1] = 1 + abs2(z)\ng[2,2] = 2 - 3i*z1*zbar2").entries
+    for domain in (Polydisc(0.7), Product((Polydisc(2.5), Annulus(0.5, 2.0)))):
+        text = print_metric(MetricSpec(n=2, entries=entries, domain=domain))
+        assert parse_metric(text).domain == domain and print_metric(parse_metric(text)) == text
 
 
 def test_parse_expression_rejects_trailing_tokens():

@@ -47,21 +47,10 @@ _ARRAYS = st.one_of(
 _LEAVES = st.one_of(st.none(), _NUMBERS, _TEXT, _ARRAYS)
 
 
-def _written_as_by_the_reference(items) -> bool:
-    """False for a list of plain numbers and 0-d arrays, with at least one array.
-
-    list_form makes a 0-d array a plain number, so the reference writes such
-    a list inline; report.dumps, as the writer before it, writes each array
-    on its own line.
-    """
-    zero_d = [isinstance(x, np.ndarray) and x.ndim == 0 for x in items]
-    return not any(zero_d) or not all(z or isinstance(x, report._NUMBER) for x, z in zip(items, zero_d))
-
-
 _DOCUMENTS = st.recursive(
     _LEAVES,
     lambda inner: st.one_of(
-        st.lists(inner, max_size=4).filter(_written_as_by_the_reference),
+        st.lists(inner, max_size=4),
         st.lists(_NUMBERS, max_size=4).map(tuple),  # a plain list of numbers, written inline
         st.dictionaries(st.one_of(_TEXT, st.integers(-3, 3)), inner, max_size=4),
     ),
@@ -80,7 +69,8 @@ def test_report_dumps_keeps_the_kind_of_each_slot():
     # each kind is written as itself in the same slot, and a % in a key or a string is not a placeholder
     for _ in range(2):
         for value, text in [(True, "true"), (1, "1"), (1.0, "1"), (np.float64(1.5), "1.5"), (None, "null"),
-                            ("%s", '"%s"'), (np.array(2.5), "2.5"), ([True, 1.5], "[1, 1.5]"), ({}, "{}"), ([], "[]")]:
+                            ("%s", '"%s"'), (np.array(2.5), "2.5"), ([True, 1.5], "[1, 1.5]"), ({}, "{}"), ([], "[]"),
+                            ([np.array(0.1, dtype=np.float32), 2.5, np.array(-0.0)], "[0.10000000149011612, 2.5, -0]")]:
             assert report.dumps({"k%": value}) == f'{{\n  "k%": {text}\n}}\n'
 
 
