@@ -22,6 +22,11 @@ a digit or a dot before a digit, with an optional exponent ``e[+-]digits``.
 A name starts with a letter, ``_`` or a non-decimal numeral (``²``, ``½``)
 and goes on with letters, digits, numerals or ``_``, so ``z²`` is a name,
 not a coordinate, and ``5²`` is the number 5 followed by the name ``²``.
+A coordinate index with more digits than ``int`` reads (4,300) is out of
+range, like any other index above N.
+
+Each statement is read by one parser over its tokens, and an expression by
+precedence: ``+ -``, then ``* /``, then unary ``-``, then ``^``, then atoms.
 
 An expression may nest at most :data:`MAX_DEPTH` levels, counting both the
 depth of its tree (``let`` names substituted) and the nesting of brackets.
@@ -37,6 +42,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,8 +54,10 @@ __all__ = ["MetricSpec", "DslError", "parse_metric", "parse_expression", "print_
 #: deepest expression tree, and deepest bracket nesting, the parser accepts
 MAX_DEPTH = 100
 
-_KEYWORDS = {"dim", "let", "g", "domain", "ball", "annulus", "polydisc", "product"}
-_FUNCS = {"conj": ex.conj, "exp": ex.exp, "log": ex.log}
+# names a let may not take, besides the functions and the coordinates
+_RESERVED = {"dim", "let", "g", "domain", "ball", "annulus", "polydisc", "product", "z"}
+_FUNCS = {"conj": ex.conj, "exp": ex.exp, "log": ex.log, "abs2": lambda a: ex.mul(a, ex.conj(a))}
+_BINARY = ({"+": ex.add, "-": ex.sub}, {"*": ex.mul, "/": ex.div})  # by precedence, lowest first
 
 # One token per match: \d is a decimal digit, \w a letter, digit, numeral or "_".
 _TOKEN = re.compile(
@@ -96,8 +104,7 @@ class MetricSpec:
         return ex.compile_program([e for row in self.entries for e in row])
 
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(NamedTuple):
     type: str  # NUM IMAG IDENT = [ ] ( ) , ; + - * / ^
     text: str
     value: float
@@ -127,14 +134,34 @@ def _lex_line(line: str, lineno: int) -> list:
     return toks
 
 
-class _TokStream:
-    def __init__(self, toks, lineno):
-        self.toks = toks
-        self.pos = 0
-        self.line = lineno
+def _coord_index(name: str):
+    """(kind, k) when name matches z<digits> / zbar<digits>, else None; k = 0, out of
+    range, when the index has more digits than int reads."""
+    m = _COORD.fullmatch(name)
+    if m is None:
+        return None
+    try:
+        k = int(m[2])
+    except ValueError:
+        k = 0
+    return "conj_coord" if m[1] else "coord", k
 
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
+
+class _Parser:
+    """One statement's tokens, read left to right, and its expression by precedence."""
+
+    def __init__(self, toks: list, line: int, n, lets: dict):
+        self.toks, self.pos, self.line = toks, 0, line
+        self.n, self.lets = n, lets
+        self.nesting = 0
+
+    def peek(self, ahead: int = 0):
+        k = self.pos + ahead
+        return self.toks[k] if k < len(self.toks) else None
+
+    def at(self, typ: str, ahead: int = 0) -> bool:
+        t = self.peek(ahead)
+        return t is not None and t.type == typ
 
     def next(self):
         t = self.peek()
@@ -150,39 +177,26 @@ class _TokStream:
             raise DslError(f"expected {typ!r}, got {t.text!r}", t.line, t.col)
         return t
 
-    def at_end(self) -> bool:
-        return self.pos >= len(self.toks)
-
     def fail(self, message: str):
+        """DslError at the next token, or just past the last one when the statement has ended."""
         t = self.peek()
         if t is None:
             last = self.toks[-1] if self.toks else None
             raise DslError(message, self.line, (last.col + len(last.text)) if last else 1)
         raise DslError(message, t.line, t.col)
 
+    def done(self, result):
+        """result, once every token of the statement is read."""
+        if self.pos < len(self.toks):
+            self.fail(f"unexpected {self.peek().text!r} after expression")
+        return result
 
-def _coord_index(name: str):
-    """(kind, k) when name matches z<digits> / zbar<digits>, else None."""
-    m = _COORD.fullmatch(name)
-    return m and ("conj_coord" if m[1] else "coord", int(m[2]))
-
-
-class _ExprParser:
-    def __init__(self, ts: _TokStream, n: int, lets: dict):
-        self.ts = ts
-        self.n = n
-        self.lets = lets
-        self.nesting = 0
-
-    def parse(self) -> ex.Expr:
-        return self._expr()
-
-    def _bounded(self, e: ex.Expr, t: _Tok) -> ex.Expr:
+    def bounded(self, e: ex.Expr, t: _Tok) -> ex.Expr:
         if e.depth > MAX_DEPTH:
             raise DslError(f"expression is nested deeper than {MAX_DEPTH} levels", t.line, t.col)
         return e
 
-    def _node(self, t: _Tok, build, *args) -> ex.Expr:
+    def node(self, t: _Tok, build, *args) -> ex.Expr:
         """build(*args), the node of the operator or function at t, its constants folded.
 
         A constant that overflows, or a division by zero or log of zero
@@ -198,107 +212,126 @@ class _ExprParser:
             finite = False
         if not finite:
             raise DslError("constant overflows", t.line, t.col)
-        return self._bounded(e, t)
+        return self.bounded(e, t)
 
-    def _bracketed(self, opening: _Tok) -> ex.Expr:
+    def bracketed(self, opening: _Tok) -> ex.Expr:
         """The expression after an opening bracket, up to its ')'."""
         self.nesting += 1
         if self.nesting > MAX_DEPTH:
             raise DslError(
                 f"brackets are nested deeper than {MAX_DEPTH} levels", opening.line, opening.col
             )
-        e = self._expr()
-        self.ts.expect(")")
+        e = self.expr()
+        self.expect(")")
         self.nesting -= 1
         return e
 
-    def _expr(self) -> ex.Expr:
-        e = self._term()
-        while (t := self.ts.peek()) is not None and t.type in "+-":
-            self.ts.next()
-            rhs = self._term()
-            e = self._node(t, ex.add if t.type == "+" else ex.sub, e, rhs)
+    def expr(self, level: int = 0) -> ex.Expr:
+        """Operands joined left to right by the operators of _BINARY[level]; an operand is the next level's expression."""
+        ops = _BINARY[level]
+        e = self.expr(level + 1) if level + 1 < len(_BINARY) else self.unary()
+        while (t := self.peek()) is not None and t.type in ops:
+            self.next()
+            rhs = self.expr(level + 1) if level + 1 < len(_BINARY) else self.unary()
+            e = self.node(t, ops[t.type], e, rhs)
         return e
 
-    def _term(self) -> ex.Expr:
-        e = self._unary()
-        while (t := self.ts.peek()) is not None and t.type in "*/":
-            self.ts.next()
-            rhs = self._unary()
-            e = self._node(t, ex.mul if t.type == "*" else ex.div, e, rhs)
-        return e
-
-    def _unary(self) -> ex.Expr:
+    def unary(self) -> ex.Expr:
         signs = []
-        while (t := self.ts.peek()) is not None and t.type == "-":
-            signs.append(self.ts.next())
-        e = self._power()
+        while self.at("-"):
+            signs.append(self.next())
+        e = self.power()
         for t in reversed(signs):
-            e = self._node(t, ex.neg, e)
+            e = self.node(t, ex.neg, e)
         return e
 
-    def _power(self) -> ex.Expr:
-        e = self._atom()
-        t = self.ts.peek()
-        if t is not None and t.type == "^":
-            self.ts.next()
+    def power(self) -> ex.Expr:
+        e = self.atom()
+        if self.at("^"):
+            t = self.next()
             sign = 1
-            if (s := self.ts.peek()) is not None and s.type == "-":
-                self.ts.next()
+            if self.at("-"):
+                self.next()
                 sign = -1
-            num = self.ts.expect("NUM")
+            num = self.expect("NUM")
             if num.value != int(num.value):
                 raise DslError("exponent must be an integer", num.line, num.col)
-            e = self._node(t, ex.int_pow, e, sign * int(num.value))
+            e = self.node(t, ex.int_pow, e, sign * int(num.value))
         return e
 
-    def _atom(self) -> ex.Expr:
-        t = self.ts.next()
+    def atom(self) -> ex.Expr:
+        t = self.next()
         if t is None:
-            self.ts.fail("expected an expression")
+            self.fail("expected an expression")
         if t.type == "NUM":
             return ex.const(t.value)
         if t.type == "IMAG":
             return ex.const(t.value * 1j)
         if t.type == "(":
-            return self._bracketed(t)
+            return self.bracketed(t)
         if t.type == "IDENT":
-            return self._ident(t)
+            return self.ident(t)
         raise DslError(f"unexpected {t.text!r} in expression", t.line, t.col)
 
-    def _ident(self, t: _Tok) -> ex.Expr:
+    def ident(self, t: _Tok) -> ex.Expr:
         name = t.text
-        nxt = self.ts.peek()
-        if nxt is not None and nxt.type == "(" and name in _FUNCS:
-            arg = self._bracketed(self.ts.next())
-            return self._node(t, _FUNCS[name], arg)
-        if nxt is not None and nxt.type == "(" and name == "abs2":
-            self.ts.next()
-            inner = self.ts.peek()
-            if inner is not None and inner.type == "IDENT" and inner.text == "z":
-                after = self.ts.toks[self.ts.pos + 1] if self.ts.pos + 1 < len(self.ts.toks) else None
-                if after is not None and after.type == ")":
-                    self.ts.next()
-                    self.ts.next()
-                    e = ex.ZERO
-                    for k in range(1, self.n + 1):
-                        e = ex.add(e, ex.mul(ex.coord(k), ex.conj_coord(k)))
-                    return self._bounded(e, t)
-            arg = self._bracketed(nxt)
-            return self._node(t, lambda a: ex.mul(a, ex.conj(a)), arg)
+        if name in _FUNCS and self.at("("):
+            opening = self.next()
+            if name == "abs2" and self.at("IDENT") and self.peek().text == "z" and self.at(")", 1):
+                self.pos += 2
+                e = ex.ZERO
+                for k in range(1, self.n + 1):
+                    e = ex.add(e, ex.mul(ex.coord(k), ex.conj_coord(k)))
+                return self.bounded(e, t)
+            return self.node(t, _FUNCS[name], self.bracketed(opening))
         hit = _coord_index(name)
         if hit is not None:
             kind, k = hit
             if not 1 <= k <= self.n:
-                raise DslError(
-                    f"coordinate {name!r} out of range for dim {self.n}", t.line, t.col
-                )
+                raise DslError(f"coordinate {name!r} out of range for dim {self.n}", t.line, t.col)
             return ex.coord(k) if kind == "coord" else ex.conj_coord(k)
         if name in self.lets:
-            return self._bounded(self.lets[name], t)
+            return self.bounded(self.lets[name], t)
         if name == "z":
             raise DslError("bare 'z' is only valid inside abs2(z)", t.line, t.col)
         raise DslError(f"unknown identifier {name!r}", t.line, t.col)
+
+    def domain(self) -> Domain:
+        """The rest of a domain statement: one domain, or 'product' and one factor per coordinate."""
+        first = self.peek()
+        if first is None or first.type != "IDENT" or first.text != "product":
+            return self.done(self.domain_factor())
+        self.next()
+        factors = [self.domain_factor()]
+        while self.at(";"):
+            self.next()
+            factors.append(self.domain_factor())
+        self.done(None)
+        if len(factors) != self.n:
+            raise DslError(
+                f"product domain needs one factor per coordinate ({self.n}), got {len(factors)}",
+                first.line, first.col,
+            )
+        return Product(tuple(factors))
+
+    def domain_factor(self) -> Domain:
+        def radius(kind: _Tok, num: _Tok) -> float:
+            if num.value <= 0:  # the tokenizer has rejected inf
+                raise DslError(f"{kind.text} radius must be positive, got {num.text}", num.line, num.col)
+            return num.value
+
+        kind = self.expect("IDENT")
+        if kind.text == "ball":
+            return Ball(radius(kind, self.expect("NUM")))
+        if kind.text == "annulus":
+            r1 = self.expect("NUM").value
+            r2 = self.expect("NUM")
+            if not 0 < r1 < r2.value:
+                raise DslError("annulus needs 0 < R1 < R2", kind.line, kind.col)
+            return Annulus(r1, radius(kind, r2))
+        if kind.text == "polydisc":
+            return Polydisc(radius(kind, self.expect("NUM")))
+        raise DslError(f"unknown domain {kind.text!r}", kind.line, kind.col)
 
 
 def _split_statements(toks: list) -> list:
@@ -333,40 +366,36 @@ def parse_metric(source: str, name: str = "metric") -> MetricSpec:
     domain = None
 
     for lineno, raw in enumerate(source.splitlines(), start=1):
-        toks = _lex_line(raw, lineno)
-        for stmt in _split_statements(toks):
-            ts = _TokStream(stmt, lineno)
-            head = ts.next()
+        for stmt in _split_statements(_lex_line(raw, lineno)):
+            p = _Parser(stmt, lineno, n, lets)
+            head = p.next()
             if head.type != "IDENT":
                 raise DslError(f"unexpected {head.text!r}", head.line, head.col)
+            if n is None and head.text in ("let", "g", "domain"):
+                raise DslError("dim must be declared first", head.line, head.col)
             if head.text == "dim":
                 if n is not None:
                     raise DslError("dim declared twice", head.line, head.col)
-                num = ts.expect("NUM")
+                num = p.expect("NUM")
                 if num.value != int(num.value) or num.value < 1:
                     raise DslError("dim must be a positive integer", num.line, num.col)
                 n = int(num.value)
                 entries = [[ex.ZERO for _ in range(n)] for _ in range(n)]
             elif head.text == "let":
-                _require_dim(n, head)
-                ident = ts.expect("IDENT")
-                if ident.text in _KEYWORDS or ident.text in _FUNCS or ident.text == "abs2" \
-                        or ident.text == "z" or _coord_index(ident.text) is not None:
+                ident = p.expect("IDENT")
+                if ident.text in _RESERVED or ident.text in _FUNCS or _coord_index(ident.text) is not None:
                     raise DslError(f"{ident.text!r} is reserved", ident.line, ident.col)
                 if ident.text in lets:
                     raise DslError(f"duplicate let {ident.text!r}", ident.line, ident.col)
-                ts.expect("=")
-                e = _ExprParser(ts, n, lets).parse()
-                _expect_done(ts)
-                lets[ident.text] = e
+                p.expect("=")
+                lets[ident.text] = p.done(p.expr())
             elif head.text == "g":
-                _require_dim(n, head)
-                ts.expect("[")
-                itok = ts.expect("NUM")
-                ts.expect(",")
-                jtok = ts.expect("NUM")
-                ts.expect("]")
-                ts.expect("=")
+                p.expect("[")
+                itok = p.expect("NUM")
+                p.expect(",")
+                jtok = p.expect("NUM")
+                p.expect("]")
+                p.expect("=")
                 i, j = int(itok.value), int(jtok.value)
                 if itok.value != i or jtok.value != j or not (1 <= i <= n and 1 <= j <= n):
                     raise DslError(
@@ -375,15 +404,12 @@ def parse_metric(source: str, name: str = "metric") -> MetricSpec:
                     )
                 if (i, j) in assigned:
                     raise DslError(f"entry g[{i},{j}] assigned twice", itok.line, itok.col)
-                e = _ExprParser(ts, n, lets).parse()
-                _expect_done(ts)
-                entries[i - 1][j - 1] = e
+                entries[i - 1][j - 1] = p.done(p.expr())
                 assigned.add((i, j))
             elif head.text == "domain":
-                _require_dim(n, head)
                 if domain is not None:
                     raise DslError("domain declared twice", head.line, head.col)
-                domain = _parse_domain(ts, n)
+                domain = p.domain()
             else:
                 raise DslError(f"unknown statement {head.text!r}", head.line, head.col)
 
@@ -392,61 +418,10 @@ def parse_metric(source: str, name: str = "metric") -> MetricSpec:
     return MetricSpec(n=n, entries=entries, name=name, domain=domain or Ball(1.0))
 
 
-def _require_dim(n, tok: _Tok):
-    if n is None:
-        raise DslError("dim must be declared first", tok.line, tok.col)
-
-
-def _expect_done(ts: _TokStream):
-    if not ts.at_end():
-        ts.fail(f"unexpected {ts.peek().text!r} after expression")
-
-
-def _parse_domain(ts: _TokStream, n: int) -> Domain:
-    def radius(kind: _Tok, num: _Tok) -> float:
-        if num.value <= 0:  # the tokenizer has rejected inf
-            raise DslError(f"{kind.text} radius must be positive, got {num.text}", num.line, num.col)
-        return num.value
-
-    def atom() -> Domain:
-        kind = ts.expect("IDENT")
-        if kind.text == "ball":
-            return Ball(radius(kind, ts.expect("NUM")))
-        if kind.text == "annulus":
-            r1 = ts.expect("NUM").value
-            r2 = ts.expect("NUM")
-            if not 0 < r1 < r2.value:
-                raise DslError("annulus needs 0 < R1 < R2", kind.line, kind.col)
-            return Annulus(r1, radius(kind, r2))
-        if kind.text == "polydisc":
-            return Polydisc(radius(kind, ts.expect("NUM")))
-        raise DslError(f"unknown domain {kind.text!r}", kind.line, kind.col)
-
-    first = ts.peek()
-    if first is not None and first.type == "IDENT" and first.text == "product":
-        ts.next()
-        factors = [atom()]
-        while (t := ts.peek()) is not None and t.type == ";":
-            ts.next()
-            factors.append(atom())
-        _expect_done(ts)
-        if len(factors) != n:
-            raise DslError(
-                f"product domain needs one factor per coordinate ({n}), got {len(factors)}",
-                first.line, first.col,
-            )
-        return Product(tuple(factors))
-    dom = atom()
-    _expect_done(ts)
-    return dom
-
-
 def parse_expression(text: str, n: int) -> ex.Expr:
     """Parse a single DSL expression (e.g. a conformal factor) for dimension n."""
-    ts = _TokStream(_lex_line(text, 1), 1)
-    e = _ExprParser(ts, n, {}).parse()
-    _expect_done(ts)
-    return e
+    p = _Parser(_lex_line(text, 1), 1, n, {})
+    return p.done(p.expr())
 
 
 def _domain_source(d: Domain) -> str:

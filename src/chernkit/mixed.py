@@ -96,11 +96,14 @@ def _form(Rc: ChernCurvature, params: MixedParams) -> ChernCurvature:
     T_{i jbar k lbar} = alpha rho1_{i jbar} g_{k lbar} + beta R_{i jbar k lbar}.
 
     Its size is that of its terms, (|alpha| max|g| max|g^-1| + |beta|) Rc.size: T may cancel far
-    below that, its round-off does not (see jets._bound).
+    below that, its round-off does not (see jets._bound).  MetricError when T is not finite.
     """
     g = Rc.metric
     gi = np.linalg.inv(g)
-    T = params.alpha * np.einsum("...ij,...kl->...ijkl", _rho1(gi, Rc.tensor), g) + params.beta * Rc.tensor
+    with np.errstate(over="ignore", invalid="ignore"):  # reported as MetricError below
+        T = params.alpha * np.einsum("...ij,...kl->...ijkl", _rho1(gi, Rc.tensor), g) + params.beta * Rc.tensor
+    if not np.isfinite(T).all():
+        raise MetricError(f"mixed curvature tensor not finite for alpha={params.alpha!r}, beta={params.beta!r}")
     size = _size(abs(params.alpha) * _max_abs(g, 2) * _max_abs(gi, 2) + abs(params.beta), Rc.size)
     return replace(Rc, tensor=T, size=size)
 

@@ -146,11 +146,30 @@ def test_domain_errors():
         # a digit is a decimal digit, as float and int read it: a superscript two is a name character
         ("dim 2\ng[2,2] = 1 + z²*zbar2", "line 2, col 14: unknown identifier 'z²'"),
         ("g[1,1] = 1 + ½", "line 2, col 14: unknown identifier '½'"),
+        ("g[1,1] = 1 +", "line 2, col 13: expected an expression"),
+        ("g[1,1] = z1 zbar1", "line 2, col 13: unexpected 'zbar1' after expression"),
+        ("let exp = 1", "line 2, col 5: 'exp' is reserved"),
+        ("let abs2 = 1", "line 2, col 5: 'abs2' is reserved"),
+        ("g[1,1] = z2", "line 2, col 10: coordinate 'z2' out of range for dim 1"),
+        ("g[2,1] = 1", "line 2, col 3: entry index [2,1] out of range for dim 1"),
+        ("g[1,1] = 1; g[1,1] = 2", "line 2, col 15: entry g[1,1] assigned twice"),
+        ("let a = 1\nlet a = 2", "line 3, col 5: duplicate let 'a'"),
+        ("g[1,1] = 1  # no dim", "line 1, col 1: dim must be declared first"),
+        ("dim 1\ndim 2", "line 2, col 1: dim declared twice"),
+        ("g[1,1] = z1^1.5", "line 2, col 13: exponent must be an integer"),
+        ("g[1,1] = 1 + abs2(z", "line 2, col 19: bare 'z' is only valid inside abs2(z)"),
+        ("g[1,1] = (1", "line 2, col 12: expected ')' but the statement ended"),
+        ("g[1,1] = exp", "line 2, col 10: unknown identifier 'exp'"),
+        # an index with more digits than int reads is out of range like any other
+        pytest.param("g[1,1] = z" + "1" * 5000,
+                     f"line 2, col 10: coordinate 'z{'1' * 5000}' out of range for dim 1",
+                     id="long-coordinate-index"),
     ],
 )
 def test_each_error_names_its_line_column_and_reason(source, message):
+    # each source starts with "dim 1\n" unless it mentions dim itself
     with pytest.raises(DslError, match=f"^{re.escape(message)}$"):
-        parse_metric(source if source.startswith("dim") else "dim 1\n" + source)
+        parse_metric(source if "dim" in source else "dim 1\n" + source)
 
 
 def test_decimal_digits_of_any_script_are_digits_and_other_numerals_are_name_characters():

@@ -14,8 +14,9 @@ import pytest
 import recombined_reference as recombined
 
 from chernkit import cli, mixed
+from chernkit import expr as ex
 from chernkit.catalog import builtin, names, sample_points
-from chernkit.conformal import conformal_metric
+from chernkit.conformal import conformal_constancy_residual, conformal_metric
 from chernkit.dsl import parse_expression, parse_metric
 from chernkit.geometry import (
     ChernCurvature,
@@ -27,7 +28,7 @@ from chernkit.geometry import (
     ricci_bundle,
     to_unitary_frame,
 )
-from chernkit.jets import MetricError, metric_jet, metric_jets
+from chernkit.jets import MetricError, factor_jet, metric_jet, metric_jets
 from chernkit.mixed import (
     _BLOCK,
     _PAULI,
@@ -142,6 +143,18 @@ def test_mixed_curvature_that_is_not_real_is_a_metric_error():
     for params in (MixedParams(0.0, 1.0), MixedParams(1.0, 0.0), MixedParams(1.0, 1.0)):
         with pytest.raises(MetricError, match="real"):
             mixed_curvature(Rc, params, [1, 0])
+
+
+def test_weights_that_overflow_the_mixed_tensor_are_a_metric_error_without_a_warning():
+    # the suite turns every RuntimeWarning into an error, so an overflow inside T would fail here first
+    p = np.array([0.3, 0.1])
+    Rc = chern_curvature(metric_jet(builtin("hopf-2").spec, p))
+    params = MixedParams(1e308, 1.0)
+    for call in (lambda: mixed_curvature(Rc, params, [1, 0]),
+                 lambda: constancy_tensor_residual(Rc, params, 0.0),
+                 lambda: conformal_constancy_residual(Rc, factor_jet(ex.ZERO, p), params, 0.0)):
+        with pytest.raises(MetricError, match=r"^mixed curvature tensor not finite for alpha=1e\+308, beta=1\.0$"):
+            call()
 
 
 def _catalog_and_random_curvatures():
