@@ -50,6 +50,7 @@ from .geometry import (
 from .jets import _max_abs, factor_jet, metric_jets
 from .mixed import (
     MixedParams,
+    _extrema,
     _sphere_design,
     constancy_tensor_residual,
     extremize,
@@ -93,7 +94,8 @@ def _worst(check_id, metric, residuals, tolerance, provenance, points):
 
 def _directions(rng, count: int, n: int) -> np.ndarray:
     """count random directions in C^n, each drawn as its real part, then its imaginary part."""
-    return np.array([rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(count)])
+    W = rng.standard_normal((count, 2, n))
+    return W[:, 0] + 1j * W[:, 1]
 
 
 def _sampled(name: str, count: int, seed: int):
@@ -179,7 +181,7 @@ def check_space_forms():
     for name in ("fubini-study-2", "fubini-study-3", "complex-hyperbolic-2", "complex-hyperbolic-3"):
         pts, jets, Rc, Ru = _sampled(name, 50, 31)
         b = ricci_bundle(Rc)
-        reps = [extremize(R, MixedParams(0.0, 1.0)) for R in Ru]
+        reps = _extrema(Ru, MixedParams(0.0, 1.0))
         for tag, res, tol in (
             ("kahler-defect", kahler_defect(jets), 1e-10),
             ("kahler-like", kahler_like_defect(Ru), 1e-9),

@@ -22,7 +22,7 @@ from . import expr as ex
 from .dsl import MetricSpec
 from .geometry import ChernCurvature, chern_curvature, ricci_bundle
 from .jets import FactorJet, MetricJet, _real, factor_jet, metric_jets
-from .mixed import MixedParams, _constancy_residual, _form
+from .mixed import MixedParams, _constancy_residual, _finite, _form
 
 __all__ = [
     "conformal_metric",
@@ -92,9 +92,12 @@ def conformal_constancy_residual(Rc: ChernCurvature, f_jet: FactorJet, params: M
 
     i.e. sym(T - 2 (n alpha + beta) g (x) ddbar F - f e^{2F} g (x) g) = 0 with T as in
     mixed._form; returns max |LHS - RHS|, which for F = 0 is the plain constancy residual.
+    MetricError when that tensor is not finite, as when the weights overflow 2 (n alpha + beta).
     """
     if Rc.frame != "coordinate":
         raise ValueError("the conformal constancy identity uses coordinate components")
     g_ddbar_F = np.einsum("...ij,...kl->...ijkl", Rc.g, f_jet.hess)
-    T = _form(Rc, params).tensor - 2 * (Rc.n * params.alpha + params.beta) * g_ddbar_F
+    with np.errstate(over="ignore", invalid="ignore"):  # reported as MetricError by _finite
+        T = _form(Rc, params).tensor - 2 * (Rc.n * params.alpha + params.beta) * g_ddbar_F
+    _finite(T, params)
     return _constancy_residual(T, Rc.g, f * np.exp(2 * f_jet.value))

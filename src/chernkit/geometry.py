@@ -137,13 +137,14 @@ def _outer(X: np.ndarray) -> np.ndarray:
 
 def _quartic(R: np.ndarray, X: np.ndarray):
     """R(X, Xbar, X, Xbar), the numerator of H(X), for one R and a vector or each row of a batch
-    (one 2-D matmul), or for a batch of R and a vector or one row each.
+    (one 2-D matmul), for a batch of R and a vector or one row each, or for a batch of R and a
+    batch of rows each (one 2-D matmul per R).
 
     One matmul: sum_{kl} (A R_{(ij),(kl)})_{kl} A_{kl}, with A = X (x) Xbar.
     """
     A = _outer(X)
     Rm = R.reshape(*R.shape[:-4], A.shape[-1], -1)
-    AR = A @ Rm if Rm.ndim == 2 else (A[..., None, :] @ Rm)[..., 0, :]
+    AR = A @ Rm if Rm.ndim in (2, A.ndim) else (A[..., None, :] @ Rm)[..., 0, :]
     return np.einsum("...k,...k->...", AR, A)
 
 

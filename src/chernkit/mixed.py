@@ -11,7 +11,10 @@ a seeded Monte Carlo estimate of the same average, extremization over the
 unit sphere of the g-orthonormal frame, and residuals of the two pointwise
 constancy identities (the symmetrized rank-4 tensor identity and its trace).
 Pointwise evaluation and the residuals take one point or a batch, like the
-geometry kernels; extremization and the averages work at one point.
+geometry kernels, and so does extremization: extremize is the one-point view
+of _extrema, which certifies a batch with one stacked eigh and svd and sends
+only the points it cannot certify to a fallback, one at a time.  The averages
+work at one point.
 
 C_{alpha,beta} is the holomorphic sectional curvature of the one tensor
 T = alpha rho (x) g + beta R (_form), and C == c exactly when sym(T - c g (x) g)
@@ -100,12 +103,17 @@ def _form(Rc: ChernCurvature, params: MixedParams) -> ChernCurvature:
     """
     g = Rc.metric
     gi = np.linalg.inv(g)
-    with np.errstate(over="ignore", invalid="ignore"):  # reported as MetricError below
+    with np.errstate(over="ignore", invalid="ignore"):  # reported as MetricError by _finite
         T = params.alpha * np.einsum("...ij,...kl->...ijkl", _rho1(gi, Rc.tensor), g) + params.beta * Rc.tensor
-    if not np.isfinite(T).all():
-        raise MetricError(f"mixed curvature tensor not finite for alpha={params.alpha!r}, beta={params.beta!r}")
+    _finite(T, params)
     size = _size(abs(params.alpha) * _max_abs(g, 2) * _max_abs(gi, 2) + abs(params.beta), Rc.size)
     return replace(Rc, tensor=T, size=size)
+
+
+def _finite(T, params: MixedParams):
+    """MetricError unless every entry of T, a tensor built from params' weights, is finite."""
+    if not np.isfinite(T).all():
+        raise MetricError(f"mixed curvature tensor not finite for alpha={params.alpha!r}, beta={params.beta!r}")
 
 
 def mixed_curvature(Rc: ChernCurvature, params: MixedParams, X) -> float:
@@ -260,12 +268,10 @@ def _bloch_candidates(S):
     eigenspace is +-bt's there (or e_k), scaled to |y| = 1; and the six
     +-axes.  Near the hard case those multipliers lose half their digits, so
     each candidate also enters after one Newton step on the stationarity
-    equations.
+    equations.  S must be finite.
     """
     Q = (_PAULI @ S.reshape(4, 4) @ _PAULI.T).real
     Q = (Q + Q.T) / 2
-    if not np.all(np.isfinite(Q)):
-        return np.full((1, 2), np.nan + 0j)  # the caller reports the non-finite value
     lam, V = np.linalg.eigh(Q[1:, 1:])
     bt = V.T @ Q[0, 1:]
     L = np.diag(lam)
@@ -324,36 +330,37 @@ def _sym2_table(n: int):
 
 
 def _symmetric_square(S):
-    """H = sym(S)/4 on Sym^2(C^n), in the coordinates of _sym2_table(n).
+    """H = sym(S)/4 on Sym^2(C^n), in the coordinates of _sym2_table(n), for one S or a batch.
 
     With Hf[(i,k), (j,l)] = sym(S)_{i jbar k lbar}/4, S(Z, Zbar, Z, Zbar) =
     w* Hf w for w = Zbar (x) Zbar, which lies in Sym^2; so on unit Z the
     extrema lie between H's extreme eigenvalues.  H = basis^T Hf basis, whose
     entry (p, q) is the four terms of sym(S) at one (i, j, k, l) times
-    c_p c_q / 4: one gather through _sym2_table(n).
+    c_p c_q / 4: one gather through _sym2_table(n).  The gather's last axis
+    holds the four terms, contiguous at every batch shape, so one S gives
+    the same H bits alone and in a batch: numpy sums each four as
+    (t0 + t1) + (t2 + t3) at either shape.
     """
-    n = S.shape[0]
+    n, batch = S.shape[-1], S.shape[:-4]
     index, weight, _, _ = _sym2_table(n)
-    return (S.take(index).sum(axis=1) * weight).reshape(n * (n + 1) // 2, -1)
+    return (S.reshape(*batch, -1).take(index, axis=-1).sum(axis=-1) * weight).reshape(*batch, n * (n + 1) // 2, -1)
 
 
 def _sym2_candidates(S):
-    """(lam_min, lam_max, Z): the bounds of _symmetric_square and four unit candidates.
+    """(lam, Z): the eigenvalues of _symmetric_square, ascending, and four unit candidates, for a batch of S.
 
     Each extreme eigenvector of H is an n x n symmetric M; its leading left
     singular vector u is M's Takagi vector up to phase (Horn & Johnson,
     Matrix Analysis, 4.4), so M = Zbar Zbar^T makes u or conj(u) Z up to
-    phase.  Z holds u and conj(u) for both ends.  Non-finite S gives nan.
+    phase.  Z[k] holds u and conj(u) for both ends of S[k]: one stacked eigh
+    and svd for the batch, which must be finite.
     """
-    n = S.shape[0]
-    H = _symmetric_square(S)
-    if not np.isfinite(H).all():
-        return np.nan, np.nan, np.full((1, n), np.nan + 0j)  # the caller reports the non-finite value
-    lam, V = np.linalg.eigh(H)
+    n = S.shape[-1]
+    lam, V = np.linalg.eigh(_symmetric_square(S))
     _, _, rows, coef = _sym2_table(n)
-    M = (V[rows, [[0], [-1]]] * coef).reshape(2, n, n)  # basis @ V[:, [0, -1]], one row per end
-    u = np.linalg.svd(M)[0][:, :, 0]
-    return lam[0], lam[-1], np.concatenate([u, u.conj()])
+    M = (V[:, rows, [[0], [-1]]] * coef).reshape(-1, 2, n, n)  # basis @ V[:, [0, -1]], one row per end
+    u = np.linalg.svd(M)[0][..., 0]
+    return lam, np.concatenate([u, u.conj()], axis=1)
 
 
 _CERTIFY = 1e-13  # the Sym^2 bounds certify the rounded extrema within this times the curvature's size
@@ -388,10 +395,72 @@ def _scaled_form(R, rho, params: MixedParams):
 
 
 def _best(S, Z):
-    """(min, argmin, max, argmax) of C_{alpha,beta} over the unit candidate rows of Z."""
+    """(min, argmin, max, argmax) of C_{alpha,beta} over the unit candidate rows of Z[k], for S[k]: one
+    stacked objective, then one tuple per k.
+
+    numpy's argmin and argmax, not min and max over the list: on an AVX-512
+    machine, Python code run after the objective's BLAS call and no other
+    vectorized numpy loop ran 30% slower, report.dumps in the CLI included.
+    """
     f = _objective(S, Z)
-    lo, hi = int(f.argmin()), int(f.argmax())
-    return float(f[lo]), Z[lo], float(f[hi]), Z[hi]
+    for fk, Zk, lo, hi in zip(f.tolist(), Z, f.argmin(axis=1).tolist(), f.argmax(axis=1).tolist()):
+        yield fk[lo], Zk[lo], fk[hi], Zk[hi]
+
+
+def _fallback(S, n: int, scale):
+    """(min, argmin, max, argmax, converged, restarts_used, path) where the Sym^2 bounds do not certify S's
+    extrema: the best of _bloch_candidates at n = 2, the ascent of S and of -S at n >= 3."""
+    if n == 2:
+        return *next(_best(S[None], _bloch_candidates(S)[None])), True, 0, "exact"
+    rng = np.random.default_rng(_SEED)
+    W = rng.standard_normal((_RESTARTS, n)) + 1j * rng.standard_normal((_RESTARTS, n))
+    starts = np.concatenate([_axis_and_bisector_seeds(n), W])
+    max_val, argmax, ok_max = _ascend(S, starts, _TOL * scale, _MAX_ITER)
+    min_neg, argmin, ok_min = _ascend(-S, starts, _TOL * scale, _MAX_ITER)
+    return -min_neg, argmin, max_val, argmax, ok_max and ok_min, len(starts), "ascent"
+
+
+def _not_finite(params: MixedParams) -> MetricError:
+    """The error of extrema that are not finite, the same at every point."""
+    return MetricError(f"mixed curvature extrema not finite for alpha={params.alpha!r}, beta={params.beta!r}")
+
+
+def _extrema(Ru: ChernCurvature, params: MixedParams) -> list[ExtremumReport]:
+    """extremize at each point of Ru, a unitary-frame curvature at one point or a batch: one report per point.
+
+    The Sym^2 bounds and their candidates are one stacked eigh, svd and
+    objective over the points; only the points they do not certify go to
+    the Bloch solve or the ascent, one at a time in point order.  Each report
+    is bit-identical to extremize at its point.  MetricError if the extrema
+    at any point are not finite: at once where T is not (its bounds would be
+    nan), else at the first point whose 2^e rescale overflows.
+    """
+    if Ru.frame != "unitary":
+        raise ValueError("extremize takes a unitary-frame curvature; convert it with to_unitary_frame")
+    n = Ru.n
+    R = Ru.tensor.reshape(-1, n, n, n, n)
+    rho = _rho1(np.eye(n), R) if params.alpha else [None] * len(R)  # g = I; _scaled_form leaves out a 0 weight
+    reports = []
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # reported as MetricError below
+        S, e, scale = zip(*(_scaled_form(r, p, params) for r, p in zip(R, rho)))
+        S = np.array(S)
+        if not np.isfinite(S).all():
+            raise _not_finite(params)
+        lam, Z = _sym2_candidates(S)
+        points = zip(_best(S, Z), lam.tolist(), e, scale)
+        for k, ((min_val, argmin, max_val, argmax), lam_k, e_k, scale_k) in enumerate(points):
+            lam_lo, lam_hi = lam_k[0], lam_k[-1]
+            converged, used, path = True, 0, "certified"
+            if n > 1 and not (lam_hi - max_val <= _CERTIFY * scale_k and min_val - lam_lo <= _CERTIFY * scale_k):
+                min_val, argmin, max_val, argmax, converged, used, path = _fallback(S[k], n, scale_k)
+            gap = max(lam_hi - max_val, min_val - lam_lo)
+            min_val, max_val, gap = (float(x) for x in np.ldexp([min_val, max_val, gap], e_k))
+            if not all(map(math.isfinite, (min_val, max_val, max_val - min_val, gap))):
+                raise _not_finite(params)
+            reports.append(
+                ExtremumReport(min_val, max_val, argmin, argmax, max_val - min_val, used, converged, gap, path)
+            )
+    return reports
 
 
 def extremize(Rc: ChernCurvature, params: MixedParams) -> ExtremumReport:
@@ -418,44 +487,9 @@ def extremize(Rc: ChernCurvature, params: MixedParams) -> ExtremumReport:
     tolerances have no absolute floor and the result scales exactly with
     the weights and with the curvature, however large or small.
     """
-    if Rc.frame != "unitary":
-        raise ValueError("extremize takes a unitary-frame curvature; convert it with to_unitary_frame")
-    if Rc.tensor.ndim != 4:
+    if Rc.frame == "unitary" and Rc.tensor.ndim != 4:  # _extrema rejects any other frame
         raise ValueError(f"extremize takes one point, got a curvature tensor of shape {Rc.tensor.shape}")
-    R, n = Rc.tensor, Rc.n
-    rho = _rho1(np.eye(n), R)  # in the unitary frame g = I
-
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # reported as MetricError below
-        S, e, scale = _scaled_form(R, rho, params)
-        lam_min, lam_max, Z = _sym2_candidates(S)
-        min_val, argmin, max_val, argmax = _best(S, Z)
-        converged, used, path = True, 0, "certified"
-        if not (lam_max - max_val <= _CERTIFY * scale and min_val - lam_min <= _CERTIFY * scale):
-            if n == 2:
-                min_val, argmin, max_val, argmax = _best(S, _bloch_candidates(S))
-                path = "exact"
-            elif n >= 3:  # n = 1 misses the bounds only when S is not finite, reported below
-                rng = np.random.default_rng(_SEED)
-                W = rng.standard_normal((_RESTARTS, n)) + 1j * rng.standard_normal((_RESTARTS, n))
-                starts = np.concatenate([_axis_and_bisector_seeds(n), W])
-                max_val, argmax, ok_max = _ascend(S, starts, _TOL * scale, _MAX_ITER)
-                min_neg, argmin, ok_min = _ascend(-S, starts, _TOL * scale, _MAX_ITER)
-                min_val, converged, used, path = -min_neg, ok_max and ok_min, len(starts), "ascent"
-        gap = max(lam_max - max_val, min_val - lam_min)
-        min_val, max_val, gap = (float(x) for x in np.ldexp([min_val, max_val, gap], e))
-    if not all(map(math.isfinite, (min_val, max_val, max_val - min_val, gap))):
-        raise MetricError(f"mixed curvature extrema not finite for alpha={params.alpha!r}, beta={params.beta!r}")
-    return ExtremumReport(
-        min_value=min_val,
-        max_value=max_val,
-        argmin=argmin,
-        argmax=argmax,
-        spread=max_val - min_val,
-        restarts_used=used,
-        converged=converged,
-        bound_gap=gap,
-        path=path,
-    )
+    return _extrema(Rc, params)[0]
 
 
 def constancy_tensor_residual(Rc: ChernCurvature, params: MixedParams, c: float) -> float:

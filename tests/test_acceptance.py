@@ -7,7 +7,9 @@ as `chernkit verify`).
 
 from functools import lru_cache
 
-from chernkit.checks import CRITERIA, _average_pairs, _sampled
+import numpy as np
+
+from chernkit.checks import CRITERIA, _average_pairs, _directions, _sampled
 from chernkit.geometry import ricci_bundle
 from chernkit.mixed import sphere_average_closed_form
 
@@ -41,6 +43,14 @@ def test_criterion_02_hopf_mixed_vanishing():
     # |C_{alpha,beta}| < 1e-10 for 100 point/direction pairs when n*alpha + beta = 0
     outs = _assert_criterion("hopf-mixed-vanishing", "criterion 2: hopf mixed-curvature vanishing")
     assert all(o.tolerance == 1e-10 for o in outs)
+
+
+def test_directions_draw_each_row_real_part_then_imaginary_part():
+    # one (count, 2, n) draw is the stream of a per-row loop, so the checked points stay the same
+    ref_rng, rng = np.random.default_rng(23), np.random.default_rng(23)
+    ref = np.array([ref_rng.standard_normal(3) + 1j * ref_rng.standard_normal(3) for _ in range(100)])
+    assert _directions(rng, 100, 3).tobytes() == ref.tobytes()
+    assert rng.standard_normal() == ref_rng.standard_normal()  # and leaves the generator where the loop did
 
 
 def test_criterion_03_euclidean_sanity():

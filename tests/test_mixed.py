@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,7 @@ from chernkit.mixed import (
     _ascend,
     _axis_and_bisector_seeds,
     _bloch_candidates,
+    _extrema,
     _gradient,
     _objective,
     _scaled_form,
@@ -155,6 +157,10 @@ def test_weights_that_overflow_the_mixed_tensor_are_a_metric_error_without_a_war
                  lambda: conformal_constancy_residual(Rc, factor_jet(ex.ZERO, p), params, 0.0)):
         with pytest.raises(MetricError, match=r"^mixed curvature tensor not finite for alpha=1e\+308, beta=1\.0$"):
             call()
+    # on the flat metric T = 0 is finite, and 2 (n alpha + beta) = inf meets the zeros of g (x) ddbar F
+    flat = chern_curvature(metric_jet(builtin("euclidean-2").spec, p))
+    with pytest.raises(MetricError, match=r"^mixed curvature tensor not finite for alpha=1e\+308, beta=1\.0$"):
+        conformal_constancy_residual(flat, factor_jet(ex.ZERO, p), params, 0.0)
 
 
 def _catalog_and_random_curvatures():
@@ -909,6 +915,21 @@ def test_sym2_table_is_four_positions_per_entry_of_h(n):
     assert np.array_equal(coef[:, None] * v[rows], basis @ v)
 
 
+def test_symmetric_square_of_a_batch_is_the_gathered_sum_bit_for_bit():
+    # on the space forms the extreme eigenspaces of H are degenerate, so the eigenvectors eigh returns,
+    # and with them argmin and argmax, follow H's last bits: each S of a batch gives, bit for bit, the H
+    # of one S, and that of the one-S formula, the 2-D gather S.take(index).sum(axis=1)
+    rng = np.random.default_rng(53)
+    for n in (1, 2, 3, 4):
+        index, weight, _, _ = _sym2_table(n)
+        shape = (5, n, n, n, n)
+        S = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * 10.0 ** rng.integers(-5, 5, shape)
+        H = _symmetric_square(S)
+        for k in range(len(S)):
+            ref = (S[k].take(index).sum(axis=1) * weight).reshape(H.shape[1:])
+            assert H[k].tobytes() == _symmetric_square(S[k]).tobytes() == ref.tobytes(), (n, k)
+
+
 def test_sym2_table_is_not_built_at_import():
     code = "import chernkit.cli, chernkit.mixed as m; print(m._sym2_table.cache_info().currsize)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
@@ -924,7 +945,7 @@ def _dense_extremize(Rc, params):
     lam, V = np.linalg.eigh(_dense_symmetric_square(S))
     M = (_sym2_basis(n) @ V[:, [0, -1]]).T.reshape(2, n, n)
     u = np.linalg.svd(M)[0][:, :, 0]
-    lo, _, hi, _ = _best(S, np.concatenate([u, np.conj(u)]))
+    lo, _, hi, _ = next(_best(S[None], np.concatenate([u, np.conj(u)])[None]))
     if lam[-1] - hi <= 1e-13 * scale and lo - lam[0] <= 1e-13 * scale:
         path = "certified"
     else:
@@ -1031,3 +1052,61 @@ def test_extremize_reports_its_path(source, path):
         rep = extremize(R_point, MixedParams(1.0, 1.0))
         assert rep.path == path
         assert (rep.restarts_used > 0) == (path == "ascent") and rep.converged
+
+
+def _report_bytes(rep):
+    """Every field of an ExtremumReport as (name, type, bytes)."""
+    return [(f.name, type(v), np.asarray(v).tobytes()) for f in fields(rep) for v in [getattr(rep, f.name)]]
+
+
+def _assert_batch_is_pointwise(Ru, params):
+    reps = _extrema(Ru, params)
+    assert len(reps) == len(Ru)
+    for k, rep in enumerate(reps):
+        assert _report_bytes(rep) == _report_bytes(extremize(Ru[k], params)), (k, params)
+    return reps
+
+
+@pytest.mark.parametrize("name", names())
+def test_batched_extrema_are_extremize_bit_for_bit(name):
+    entry = builtin(name)
+    jets = metric_jets(entry.spec, sample_points(entry, 6, 41))
+    Ru = to_unitary_frame(chern_curvature(jets), jets)
+    n = Ru.n
+    for params in (MixedParams(0.0, 1.0), MixedParams(1.0, 1.0), MixedParams(1.0, -float(n)), MixedParams(-0.7, 0.3)):
+        _assert_batch_is_pointwise(Ru, params)
+    _assert_batch_is_pointwise(Ru[2:3], MixedParams(1.0, 1.0))  # a batch of one
+
+
+@pytest.mark.parametrize("path, certified", [(GENERIC_2, "hopf-2"), (GENERIC_3, "fubini-study-3")])
+def test_batched_extrema_mix_fallbacks_with_certified_points(path, certified):
+    # the generic files miss the Sym^2 bounds at (1, 1) (paths exact and ascent); the others are certified
+    entry = builtin(certified)
+    jets = metric_jets(entry.spec, sample_points(entry, 2, 43))
+    generic = _generic_curvatures(path, 2, seed=31).tensor
+    R = np.concatenate([generic[:1], to_unitary_frame(chern_curvature(jets), jets).tensor, generic[1:]])
+    reps = _assert_batch_is_pointwise(ChernCurvature(R, "unitary"), MixedParams(1.0, 1.0))
+    fallback = "exact" if path == GENERIC_2 else "ascent"
+    assert [rep.path for rep in reps] == [fallback, "certified", "certified", fallback]
+
+
+@pytest.mark.parametrize("bad", [1e308, np.nan])
+def test_batched_extrema_raise_the_error_of_extremize_at_a_non_finite_point(bad):
+    # 1e308: T is finite once scaled, and the 2^e rescale of its extrema overflows; nan: T is not finite
+    entry = builtin("hopf-2")
+    jets = metric_jets(entry.spec, sample_points(entry, 3, 47))
+    R = to_unitary_frame(chern_curvature(jets), jets).tensor.copy()
+    R[1] = bad
+    params = MixedParams(1.0, 1.0)
+    with pytest.raises(MetricError) as one:
+        extremize(ChernCurvature(R[1], "unitary"), params)
+    with pytest.raises(MetricError) as batch:
+        _extrema(ChernCurvature(R, "unitary"), params)
+    assert str(batch.value) == str(one.value) == "mixed curvature extrema not finite for alpha=1.0, beta=1.0"
+
+
+def test_batched_extrema_take_a_unitary_frame():
+    entry = builtin("hopf-2")
+    jets = metric_jets(entry.spec, sample_points(entry, 3, 13))
+    with pytest.raises(ValueError, match="to_unitary_frame"):
+        _extrema(chern_curvature(jets), MixedParams(0.0, 1.0))
