@@ -7,6 +7,15 @@ and its metrics, sample counts, seeds and tolerances are written where it
 uses them, so every run checks the same points.  The CLI `verify` command
 and the acceptance test suite both run these checks.
 
+Most criteria run each kernel once per metric, over all its points.  The two
+that take only a few points per metric, sphere-average (one) and
+trace-identity (20), group their metrics by dimension instead
+(_by_dimension): each metric's jets are its own run, and chern_curvature,
+to_unitary_frame and ricci_bundle run once over the concatenated jets of
+each n; sphere-average then makes one mixed_curvature call per dimension and
+pair, on the batch of R with the cubature rows of each.  The outcomes are
+bit-identical to one kernel pass per metric.
+
 Criteria (suite assignment in SUITES):
 
   hopf-closed-form       unitary-frame Hopf curvature, u, v, rho1 closed forms
@@ -47,7 +56,7 @@ from .geometry import (
     to_unitary_frame,
     torsion,
 )
-from .jets import _max_abs, factor_jet, metric_jets
+from .jets import MetricJet, _field_names, _max_abs, factor_jet, metric_jets
 from .mixed import (
     MixedParams,
     _extrema,
@@ -99,12 +108,40 @@ def _directions(rng, count: int, n: int) -> np.ndarray:
 
 
 def _sampled(name: str, count: int, seed: int):
-    """(points, jets, coordinate- and unitary-frame curvature) of a catalog metric at seeded points."""
+    """(points, jets, coordinate-frame curvature) of a catalog metric at seeded points."""
     entry = builtin(name)
     pts = sample_points(entry, count, seed)
     jets = metric_jets(entry.spec, pts)
-    Rc = chern_curvature(jets)
-    return pts, jets, Rc, to_unitary_frame(Rc)
+    return pts, jets, chern_curvature(jets)
+
+
+def _unitary(name: str, count: int, seed: int):
+    """(points, unitary-frame curvature) of a catalog metric at seeded points."""
+    pts, _, Rc = _sampled(name, count, seed)
+    return pts, to_unitary_frame(Rc)
+
+
+def _by_dimension(samples):
+    """Catalog metrics at seeded points, grouped by dimension: (members, Ru, bundle) for each n.
+
+    samples holds (name, count, seed) triples.  Each metric's jets are one run of its own
+    program; the jets of one n are concatenated, so chern_curvature, to_unitary_frame and
+    ricci_bundle run once per dimension, not once per metric.  members holds (i, points, rows)
+    for each sample i of that n, in order, rows being its slice of the unitary-frame curvature Ru
+    and of its Ricci bundle.  Slices of a unitary frame, whose metric is I, are bit-identical to
+    the metric's own kernel calls.
+    """
+    groups = {}
+    for i, (name, count, seed) in enumerate(samples):
+        entry = builtin(name)
+        pts = sample_points(entry, count, seed)
+        groups.setdefault(entry.spec.n, []).append((i, pts, metric_jets(entry.spec, pts)))
+    for group in groups.values():
+        jets = MetricJet(*(np.concatenate([getattr(j, f) for _, _, j in group]) for f in _field_names(MetricJet)))
+        Ru = to_unitary_frame(chern_curvature(jets))
+        ends = np.cumsum([len(pts) for _, pts, _ in group]).tolist()
+        members = [(i, pts, slice(end - len(pts), end)) for (i, pts, _), end in zip(group, ends)]
+        yield members, Ru, ricci_bundle(Ru)
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +157,7 @@ def _hopf_closed_tensor(z):
 def check_hopf_closed_form():
     out = []
     for n in (2, 3):
-        pts, _, _, Ru = _sampled(f"hopf-{n}", 200, 11 + n)
+        pts, Ru = _unitary(f"hopf-{n}", 200, 11 + n)
         closed, expected = _hopf_closed_tensor(pts), builtin(f"hopf-{n}").expected
         b = ricci_bundle(Ru)
         for tag, res in (
@@ -142,7 +179,7 @@ def check_hopf_mixed_vanishing():
     rng = np.random.default_rng(23)
     for n in (2, 3):
         params = MixedParams(1.0, -float(n))
-        pts, _, Rc, _ = _sampled(f"hopf-{n}", 100, 23 + n)
+        pts, _, Rc = _sampled(f"hopf-{n}", 100, 23 + n)
         X = _directions(rng, len(pts), n)
         for tag, res in (
             ("value", np.abs(mixed_curvature(Rc, params, X))),
@@ -160,7 +197,8 @@ def check_euclidean_sanity():
     out = []
     rng = np.random.default_rng(5)
     for n in (2, 3):
-        pts, jets, Rc, Ru = _sampled(f"euclidean-{n}", 20, 5 + n)
+        pts, jets, Rc = _sampled(f"euclidean-{n}", 20, 5 + n)
+        Ru = to_unitary_frame(Rc)
         t = torsion(jets)
         X = _directions(rng, len(pts), n)
         parts = [Rc.tensor, t.T, t.eta_norm2, mixed_curvature(Rc, MixedParams(0.7, 1.3), X)]
@@ -179,7 +217,8 @@ def check_euclidean_sanity():
 def check_space_forms():
     out = []
     for name in ("fubini-study-2", "fubini-study-3", "complex-hyperbolic-2", "complex-hyperbolic-3"):
-        pts, jets, Rc, Ru = _sampled(name, 50, 31)
+        pts, jets, Rc = _sampled(name, 50, 31)
+        Ru = to_unitary_frame(Rc)
         b = ricci_bundle(Rc)
         reps = _extrema(Ru, MixedParams(0.0, 1.0))
         for tag, res, tol in (
@@ -211,7 +250,7 @@ _FACTORS = (
 def check_conformal_law():
     out = []
     for name in _LAW_METRICS:
-        pts, _, Rc, _ = _sampled(name, 10, 41)
+        pts, _, Rc = _sampled(name, 10, 41)
         for ftext in _FACTORS:
             F = parse_expression(ftext, Rc.n)
             pred = conformal_curvature_via_formula(Rc, factor_jet(F, pts))
@@ -243,7 +282,7 @@ _SURFACES = (
 def check_surface_identities():
     out = []
     for name in _SURFACES:
-        pts, _, _, Ru = _sampled(name, 50, 53)
+        pts, Ru = _unitary(name, 50, 53)
         b = ricci_bundle(Ru)
         checks = [
             ("ricci-combination", ricci_combination_residual(b)),
@@ -272,15 +311,15 @@ _TRACE_CONFIGS = (
 
 
 def check_trace_identity():
-    out = []
-    for name, (a, b_) in _TRACE_CONFIGS:
-        params = MixedParams(a, b_)
-        pts, _, _, Ru = _sampled(name, 20, 61)
-        bundle = ricci_bundle(Ru)
-        # the pointwise-constant value, from the scalar identity
-        f = sphere_average_closed_form(bundle, params)
-        res = trace_identity_residual(bundle, params, f)
-        out.append(_worst(f"trace-identity/alpha{a}-beta{b_}", name, res, 1e-8, "closed-form", pts))
+    out = [None] * len(_TRACE_CONFIGS)
+    for members, _, bundle in _by_dimension([(name, 20, 61) for name, _ in _TRACE_CONFIGS]):
+        for i, pts, rows in members:
+            name, (a, b_) = _TRACE_CONFIGS[i]
+            params, b = MixedParams(a, b_), bundle[rows]
+            # the pointwise-constant value, from the scalar identity
+            f = sphere_average_closed_form(b, params)
+            res = trace_identity_residual(b, params, f)
+            out[i] = _worst(f"trace-identity/alpha{a}-beta{b_}", name, res, 1e-8, "closed-form", pts)
     return out
 
 
@@ -300,19 +339,23 @@ def _average_pairs():
 
 
 def check_sphere_average():
-    out = []
-    pairs = _average_pairs()
-    for name in names():
-        pt, _, _, Ru = _sampled(name, 1, 71)
-        Ru, n = Ru[0], Ru.n
-        bundle = ricci_bundle(Ru)
-        Z, w = _sphere_design(n)
-        for params in pairs:
-            closed = sphere_average_closed_form(bundle, params)
-            check_id = f"sphere-average/a{params.alpha:+.2f}-b{params.beta:+.2f}"
-            res = abs(w @ mixed_curvature(Ru, params, Z) - closed)  # the design's sum is exact
-            out.append(_outcome(check_id, name, res, 1e-12 * max(1.0, abs(closed)), "derived", pt[0]))
-    pt, _, _, Ru = _sampled("hopf-2", 1, 72)
+    pairs, catalog = _average_pairs(), names()
+    per_metric = [None] * len(catalog)
+    for members, Ru, bundle in _by_dimension([(name, 1, 71) for name in catalog]):
+        Z, w = _sphere_design(Ru.n)
+        # one call per pair: C at the design's points for every metric of this n, shape (metrics, points)
+        values = [mixed_curvature(Ru, params, np.broadcast_to(Z, (len(Ru), *Z.shape))) for params in pairs]
+        for i, pts, rows in members:
+            k, out = rows.start, []  # one point per metric, so its row is k
+            b = bundle[k]
+            for params, C in zip(pairs, values):
+                closed = sphere_average_closed_form(b, params)
+                check_id = f"sphere-average/a{params.alpha:+.2f}-b{params.beta:+.2f}"
+                res = abs(w @ C[k] - closed)  # the design's sum is exact; C @ w would round otherwise
+                out.append(_outcome(check_id, catalog[i], res, 1e-12 * max(1.0, abs(closed)), "derived", pts[0]))
+            per_metric[i] = out
+    out = [o for outcomes in per_metric for o in outcomes]
+    pt, Ru = _unitary("hopf-2", 1, 72)
     Z, w = _sphere_design(2)
     res = abs(w @ mixed_curvature(Ru[0], MixedParams(0.0, 1.0), Z) - 0.5)
     out.append(_outcome("sphere-average/hopf-half", "hopf-2", res, 1e-12, "derived", pt[0]))
@@ -326,7 +369,7 @@ def check_sphere_average():
 def check_hopf_torsion():
     out = []
     for n in (2, 3):
-        pts, jets, Rc, _ = _sampled(f"hopf-{n}", 50, 83 + n)
+        pts, jets, Rc = _sampled(f"hopf-{n}", 50, 83 + n)
         b, t = ricci_bundle(Rc), torsion(jets)
         closed = builtin(f"hopf-{n}").expected["eta_norm2"].value
         res = np.maximum(np.abs(b.u - b.v - t.eta_norm2), np.abs(t.eta_norm2 - closed))
@@ -357,7 +400,7 @@ def check_fd():
 
 
 def check_nonconstancy_witness():
-    pt, _, _, Ru = _sampled("hopf-2", 1, 99)
+    pt, Ru = _unitary("hopf-2", 1, 99)
     rep = extremize(Ru[0], MixedParams(0.0, 1.0))
     # witness check: spread must EXCEED 1e-2, so the residual is the shortfall
     return [_outcome("nonconstancy-witness/hopf-hsc-spread", "hopf-2", 1e-2 - rep.spread, 0.0, "derived", pt[0])]

@@ -232,16 +232,30 @@ def kahler_like_defect(Rc: ChernCurvature) -> float:
     return np.maximum(swap_holo, swap_anti)
 
 
+def _over_rows(a, core: int, X: np.ndarray):
+    """a, a per-point value with core per-point axes, broadcast over the rows X has at each point.
+
+    X's axes before its last are the batch axes of a, then rows; a gets a length-1 axis after its
+    batch axes for each axis of rows, so g of shape (k, n, n) meets X of shape (k, P, n).
+    """
+    batch = np.ndim(a) - core
+    rows = X.ndim - 1 - batch
+    return np.expand_dims(a, tuple(range(batch, batch + rows))) if rows > 0 else a
+
+
 def metric_norm_sq(g: np.ndarray, X: np.ndarray) -> float:
-    """|X|^2_g = g_{i jbar} X_i conj(X_j)."""
-    return _real(np.einsum("...ij,...i,...j->...", g, X, np.conj(X)), "|X|^2")
+    """|X|^2_g = g_{i jbar} X_i conj(X_j), for X a vector, or rows of vectors at each point of g."""
+    return _real(np.einsum("...ij,...i,...j->...", _over_rows(g, 2, X), X, np.conj(X)), "|X|^2")
 
 
 def holomorphic_sectional(Rc: ChernCurvature, X) -> float:
     """H(X) = R(X, Xbar, X, Xbar)/|X|^4_g, g the metric of Rc's frame; scale-invariant, X != 0.
 
-    X, then |X|^2_g, is brought into [1/2, 1) by an exact power of two, so
-    neither under- nor overflows; an H past the float range is a MetricError.
+    For one R, X is a vector or rows of them, shape (..., n), and H has X's leading shape.  For a
+    batch of R, shape (k, n, n, n, n), X is one vector for all, one row each, shape (k, n), or rows
+    for each, shape (k, P, n), and H has shape (k,) or (k, P): the metric and the size of each R
+    are broadcast over its rows.  X, then |X|^2_g, is brought into [1/2, 1) by an exact power of
+    two, so neither under- nor overflows; an H past the float range is a MetricError.
     """
     X = np.asarray(X, dtype=complex)
     top = np.max(np.abs(X), axis=-1, keepdims=True)
@@ -250,7 +264,8 @@ def holomorphic_sectional(Rc: ChernCurvature, X) -> float:
     e = -np.frexp(top)[1]
     X = _ldexp(X, e)
     m, k = np.frexp(metric_norm_sq(Rc.metric, X))  # |X|^2_g = m 2^k
-    q = _real(_quartic(Rc.tensor, X), "H(X)", Rc.size)  # its terms are at most Rc.size, as max|X_i| < 1
+    size = Rc.size if Rc.size is None else _over_rows(Rc.size, 0, X)
+    q = _real(_quartic(Rc.tensor, X), "H(X)", size)  # its terms are at most Rc.size, as max|X_i| < 1
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         H = np.ldexp(q / m**2, -2 * k)
     if not np.all(np.isfinite(H)):

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -117,7 +118,8 @@ def _finite(T, params: MixedParams):
 
 
 def mixed_curvature(Rc: ChernCurvature, params: MixedParams, X) -> float:
-    """C_{alpha,beta}(X) = H_T(X) for a nonzero (1,0)-vector X, scale-invariant.
+    """C_{alpha,beta}(X) = H_T(X) for a nonzero (1,0)-vector X, scale-invariant; X and the
+    result are shaped as in holomorphic_sectional, rows of directions for each R of a batch included.
 
     MetricError if its imaginary part exceeds HERMITIAN_TOL times the size of T's terms (_form).
     """
@@ -376,7 +378,9 @@ def _scaled_form(R, rho, params: MixedParams):
     magnitude of T may lie outside the floats while S neither over- nor
     underflows; on S the ascent's ladder of steps is relative to the curvature.
     rho1 and R are scaled by 2^-e, the weights kept: 2^-e itself need not be a
-    float, when the curvature is subnormal.  A term whose weight is 0 is left
+    float, when the curvature is subnormal.  Where a weight is subnormal, a
+    tensor scaled by 2^-e would pass the largest float, and the weight takes
+    the rest of the power of two (_shifted).  A term whose weight is 0 is left
     out, with its magnitude and exponent.  S is beta R with alpha rho1 added on
     its diagonal k = l, in C order whatever the layout of R.
     """
@@ -386,12 +390,27 @@ def _scaled_form(R, rho, params: MixedParams):
     e = max((xw + xm - 1 for (_, xw), (fm, xm) in sizes if fm), default=0)
     scale = max(math.ldexp(abs(fw) * fm, xw + xm - e) for (fw, xw), (fm, xm) in sizes)  # xw + xm - e <= 1
     if e:
-        rho, R = (_ldexp(t, -e) if w else t for w, t in ((alpha, rho), (beta, R)))
+        (alpha, rho), (beta, R) = (_shifted(w, t, e) if w else (w, t) for w, t in ((alpha, rho), (beta, R)))
     n = R.shape[0]
     S = np.multiply(beta, R, dtype=complex, order="C")  # C order, so the reshape below is a view
     if alpha:
         S.reshape(n, n, n * n)[..., :: n + 1] += alpha * rho[..., None]
     return S, e, scale
+
+
+def _shifted(w, t, e: int):
+    """(w 2^(b - e), t 2^-b), whose product is w t 2^-e exactly.
+
+    b is e, as long as t 2^-e is a float.  It need not be where w is
+    subnormal: there b keeps max|t 2^-b| under the largest float and w takes
+    the rest, which leaves it below 2^-1022, as e >= exponent(w) +
+    exponent(max|t|) - 1.  Both scalings are exact, so the product is the
+    same either way.
+    """
+    b = e
+    if abs(w) < sys.float_info.min:
+        b = max(e, math.frexp(np.abs(t).max())[1] - sys.float_info.max_exp)
+    return math.ldexp(w, b - e), _ldexp(t, -b)
 
 
 def _best(S, Z):

@@ -7,9 +7,11 @@ as `chernkit verify`).
 
 from functools import lru_cache
 
+import battery_reference
 import numpy as np
+import pytest
 
-from chernkit.checks import CRITERIA, _average_pairs, _directions, _sampled
+from chernkit.checks import CRITERIA, _average_pairs, _directions, _unitary
 from chernkit.geometry import ricci_bundle
 from chernkit.mixed import sphere_average_closed_form
 
@@ -95,9 +97,17 @@ def test_criterion_08_sphere_average():
     # the cubature is exact: each tolerance is round-off of the closed form, 1e-12 max(1, |closed|)
     pairs = _average_pairs()
     for k, o in enumerate(outs[:-1]):
-        _, _, _, Ru = _sampled(o.metric, 1, 71)
+        _, Ru = _unitary(o.metric, 1, 71)
         closed = sphere_average_closed_form(ricci_bundle(Ru[0]), pairs[k % 5])
         assert o.tolerance == 1e-12 * max(1.0, abs(closed)), o
+
+
+@pytest.mark.parametrize("name", ["sphere-average", "trace-identity"])
+def test_grouped_criteria_give_the_per_metric_outcomes(name):
+    # these criteria run their kernels once per dimension over the concatenated jets of its metrics;
+    # one pass per metric gives the same outcomes, residuals and witness points to the last bit
+    reference = getattr(battery_reference, name.replace("-", "_"))()
+    assert [repr(o) for o in _cached_criterion(name)] == [repr(o) for o in reference]
 
 
 def test_criterion_09_hopf_torsion():

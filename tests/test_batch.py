@@ -19,7 +19,7 @@ from chernkit.geometry import (
     torsion,
 )
 from chernkit.jets import factor_jet, metric_jets
-from chernkit.mixed import MixedParams, constancy_tensor_residual
+from chernkit.mixed import MixedParams, _form, constancy_tensor_residual, mixed_curvature
 from chernkit.surfaces import OneOneForm, weyl_minus
 
 REL_TOL = 1e-13
@@ -82,6 +82,30 @@ def test_batched_kernels_equal_stacked_point_calls(name):
             scale = max(1.0, float(np.max(np.abs(want))))
             assert np.max(np.abs(got - want)) <= REL_TOL * scale, (kernel, part)
             assert kernel not in EXACT or np.array_equal(got, want), (kernel, part)
+
+
+@pytest.mark.parametrize("name", ["hopf-1", "hopf-2", "fubini-study-3", "adm-product-surface", "complex-hyperbolic-4"])
+def test_a_batch_of_curvatures_with_rows_each_equals_the_per_curvature_calls(name):
+    # R of shape (k, n, n, n, n) and X of shape (k, P, n), as the battery's sphere-average takes H and C: each
+    # R's metric and size are broadcast over its rows, and a hand-built R (size None) keeps the max(1, |x|) bound
+    entry = builtin(name)
+    n = entry.spec.n
+    Rc = chern_curvature(metric_jets(entry.spec, sample_points(entry, 4, 29)))
+    rng = np.random.default_rng(29)
+    X = rng.standard_normal((4, 7, n)) + 1j * rng.standard_normal((4, 7, n))
+    params = MixedParams(0.7, -1.3)
+    for framed in (Rc, to_unitary_frame(Rc)):
+        for R in (framed, replace(framed, size=None)):
+            H, C = holomorphic_sectional(R, X), mixed_curvature(R, params, X)
+            assert H.shape == C.shape == (4, 7)
+            assert np.array_equal(H, np.stack([holomorphic_sectional(R[k], X[k]) for k in range(4)])), R.frame
+            per_R = np.stack([mixed_curvature(R[k], params, X[k]) for k in range(4)])
+            if R.frame == "unitary":
+                assert np.array_equal(C, per_R)
+            else:  # T's Ricci trace against g is an einsum whose rounding depends on the batch shape when g != I
+                assert np.max(np.abs(C - per_R)) <= REL_TOL * max(1.0, np.max(np.abs(per_R)))
+                T = _form(R, params)
+                assert np.array_equal(C, np.stack([holomorphic_sectional(T[k], X[k]) for k in range(4)]))
 
 
 def test_per_point_objects_index_and_iterate():

@@ -789,6 +789,39 @@ def test_extremize_on_a_subnormal_curvature(alpha, beta):
         assert abs(np.ldexp(got, 1060) - want) <= 1e-4 * size
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "name, alpha, beta",
+    [("hopf-2", 0.0, 1e-310), ("hopf-2", 0.0, 5e-324), ("fubini-study-2", 1e-315, 0.0), ("hopf-3", 1e-315, -3e-315)],
+)
+def test_extremize_at_a_subnormal_weight(name, alpha, beta):
+    # C scales with the weights: at beta = 1e-310, 2^-e is about 2^1030, and R scaled by all of it would be
+    # inf, so the weight takes the rest of the power of two; the extrema are those at weights of normal size
+    # times s, to the subnormal spacing 2^-1074
+    _, Ru = _unitary_setup(name, seed=13)
+    s = max(abs(alpha), abs(beta))
+    ref = extremize(Ru, MixedParams(alpha / s, beta / s))
+    rep = extremize(Ru, MixedParams(alpha, beta))
+    assert rep.converged and rep.path == ref.path == "certified"
+    for got, want in ((rep.min_value, ref.min_value), (rep.max_value, ref.max_value)):
+        assert abs(got - s * want) <= 1e-12 * s * abs(want) + 2.0**-1072, (got, want)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "alpha, beta", [(0.0, 1e-310), (0.0, 5e-324), (1e-315, 0.0), (-3e-310, 2e-315), (1e-320, 1e-320)]
+)
+def test_scaled_form_at_a_subnormal_weight(alpha, beta):
+    # S is T / 2^e bit for bit: with both weights scaled up by 2^1100 into the normal range and rho1, R down by
+    # as much, every scaling is exact, so the products round as S's do
+    R = _unitary_setup("hopf-3", seed=41)[1].tensor
+    rho = np.einsum("ijkk->ij", R)
+    S, e, scale = _scaled_form(R, rho, MixedParams(alpha, beta))
+    assert np.isfinite(S).all() and 0.5 <= scale <= 2
+    wide = MixedParams(np.ldexp(alpha, 1100), np.ldexp(beta, 1100))
+    assert np.array_equal(S, _form(_exact_ldexp(R, -e - 1100), _exact_ldexp(rho, -e - 1100), np.eye(3), wide))
+
+
 def test_extremize_leaves_a_term_of_weight_zero_unscaled():
     # rho1 is subnormal, so 2^-e is about 2^1062; scaled by it, R = 1e10 would be inf, and 0 * inf nan
     R = np.zeros((2, 2, 2, 2), complex)
