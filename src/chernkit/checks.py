@@ -220,7 +220,7 @@ def check_space_forms():
         pts, jets, Rc = _sampled(name, 50, 31)
         Ru = to_unitary_frame(Rc)
         b = ricci_bundle(Rc)
-        reps = _extrema(Ru, MixedParams(0.0, 1.0))
+        reps = [rep for (rep,) in _extrema(Ru, [MixedParams(0.0, 1.0)])]
         for tag, res, tol in (
             ("kahler-defect", kahler_defect(jets), 1e-10),
             ("kahler-like", kahler_like_defect(Ru), 1e-9),

@@ -10,11 +10,12 @@
 Exit codes: 0 = success / all checks pass, 1 = verification failures,
 2 = input, parse or file errors.
 
-eval and extremize evaluate a metric's points as one batch (one jets call,
-one pass of each curvature kernel); only the extremizer runs point by point.
-A point that fails, at the jets checks or in a kernel, gets its own error:
-eval writes it into that point's record, extremize exits 2 naming the first
-and runs the extremizer on no point after it.
+eval and extremize evaluate a metric's points as one batch: one jets call,
+one pass of each curvature kernel and one extremizer call over every point
+and (alpha, beta) pair.  A point that fails, at the jets checks or in a
+kernel, gets its own error: eval writes it into that point's record,
+extremize exits 2 naming the first, and runs its kernels on no point after
+the first that fails the jets checks.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .geometry import (
 )
 from .jets import MetricError, _jets, metric_jets
 from .jets import metric_jet  # noqa: F401  (perfbench's tracer test reads cli.metric_jet)
-from .mixed import MixedParams, extremize
+from .mixed import MixedParams, _extrema
 
 SCHEMA_VERSION = 1
 
@@ -136,9 +137,9 @@ def _bodies(jets, pairs) -> list:
             "v": b.v[k],
             "eta_norm2": t.eta_norm2[k],
             "ricci": {rho: getattr(b, rho)[k] for rho in ("rho1", "rho2", "rho3", "rho4")},
-            "mixed": [_mixed_row(params, extremize(R, params)) for params in pairs],
+            "mixed": [_mixed_row(params, rep) for params, rep in zip(pairs, reports)],
         }
-        for k, R in enumerate(Ru)
+        for k, reports in enumerate(_extrema(Ru, pairs))
     ]
 
 
@@ -153,14 +154,18 @@ def _kernels(jets, kernels) -> list:
         return [out for k in range(len(jets)) for out in _kernels(jets[k : k + 1], kernels)]
 
 
-def _per_point(spec: MetricSpec, pts, kernels) -> list:
+def _per_point(spec: MetricSpec, pts, kernels, stop=False) -> list:
     """One result per point: what kernels(jets) gives it, or the MetricError or EvaluationError that
-    stopped it.  One jets call, and one kernels pass over the points that pass the metric's checks."""
+    stopped it.  One jets call, and one kernels pass over the points that pass the metric's checks; with
+    stop, over the points before the first that fails them, and the list ends at that point."""
     try:
         jets, reasons = metric_jets(spec, pts), [None] * len(pts)
     except (MetricError, EvaluationError):  # name the failing points; the others still evaluate
         jets, reasons = _jets(spec, pts)
-    results = iter(_kernels(jets, kernels))
+        if stop:
+            first = next(k for k, why in enumerate(reasons) if why is not None)
+            jets, reasons = jets[:first], reasons[: first + 1]
+    results = iter(_kernels(jets, kernels) if len(jets) else ())
     return [next(results) if why is None else why for why in reasons]
 
 
@@ -212,14 +217,12 @@ def cmd_extremize(args) -> int:
     spec = _resolve_metric(args.metric)
     pts = _points_for(args, spec)
     pairs = _pairs_for(args)
+    extrema = _per_point(spec, pts, lambda jets: _extrema(to_unitary_frame(chern_curvature(jets)), pairs), stop=True)
     rows = []
-    for p, Ru in zip(pts, _per_point(spec, pts, lambda jets: list(to_unitary_frame(chern_curvature(jets))))):
-        try:  # in point order, so the extremizer stops at the first failing point, whichever stage rejects it
-            if isinstance(Ru, Exception):
-                raise Ru
-            rows += [(p, params, extremize(Ru, params)) for params in pairs]
-        except (MetricError, EvaluationError) as err:
-            raise InputError(f"at point {_point_text(p)}: {err}") from err
+    for p, reports in zip(pts, extrema):
+        if isinstance(reports, Exception):  # the first failing point, whichever stage rejects it
+            raise InputError(f"at point {_point_text(p)}: {reports}") from reports
+        rows += [(p, params, rep) for params, rep in zip(pairs, reports)]
     header = f"{'point':<40} {'alpha':>7} {'beta':>7} {'min':>13} {'max':>13} {'spread':>12}  conv"
     print(header)
     for p, params, rep in rows:

@@ -11,10 +11,10 @@ a seeded Monte Carlo estimate of the same average, extremization over the
 unit sphere of the g-orthonormal frame, and residuals of the two pointwise
 constancy identities (the symmetrized rank-4 tensor identity and its trace).
 Pointwise evaluation and the residuals take one point or a batch, like the
-geometry kernels, and so does extremization: extremize is the one-point view
-of _extrema, which certifies a batch with one stacked eigh and svd and sends
-only the points it cannot certify to a fallback, one at a time.  The averages
-work at one point.
+geometry kernels, and so does extremization: extremize is the one-point,
+one-pair view of _extrema, which certifies every (point, pair) item of a batch
+with one stacked eigh and svd and sends only the items it cannot certify to a
+fallback, one at a time.  The averages work at one point.
 
 C_{alpha,beta} is the holomorphic sectional curvature of the one tensor
 T = alpha rho (x) g + beta R (_form), and C == c exactly when sym(T - c g (x) g)
@@ -444,42 +444,45 @@ def _not_finite(params: MixedParams) -> MetricError:
     return MetricError(f"mixed curvature extrema not finite for alpha={params.alpha!r}, beta={params.beta!r}")
 
 
-def _extrema(Ru: ChernCurvature, params: MixedParams) -> list[ExtremumReport]:
-    """extremize at each point of Ru, a unitary-frame curvature at one point or a batch: one report per point.
+def _extrema(Ru: ChernCurvature, pairs) -> list[list[ExtremumReport]]:
+    """extremize at each point of Ru, a unitary-frame curvature at one point or a batch, and each MixedParams of
+    pairs: reports[k][j] for point k and pair j.
 
-    The Sym^2 bounds and their candidates are one stacked eigh, svd and
-    objective over the points; only the points they do not certify go to
-    the Bloch solve or the ascent, one at a time in point order.  Each report
-    is bit-identical to extremize at its point.  MetricError if the extrema
-    at any point are not finite: at once where T is not (its bounds would be
-    nan), else at the first point whose 2^e rescale overflows.
+    Every (point, pair) item is one row of a single stack: rho1 once per point (if some pair's alpha is not 0),
+    _scaled_form per item, then one eigh, svd and objective for the Sym^2 bounds and their candidates.  Only
+    the items they do not certify go to the Bloch solve or the ascent, one at a time in item order: point by
+    point, each point's pairs in order.  Each report is bit-identical to extremize at its point and pair.
+    MetricError if the extrema of an item are not finite, for the first such item in that order, as a loop
+    over points and pairs would raise it: where T is not finite (its bounds would be nan), or where the 2^e
+    rescale of its extrema overflows.
     """
     if Ru.frame != "unitary":
         raise ValueError("extremize takes a unitary-frame curvature; convert it with to_unitary_frame")
     n = Ru.n
     R = Ru.tensor.reshape(-1, n, n, n, n)
-    rho = _rho1(np.eye(n), R) if params.alpha else [None] * len(R)  # g = I; _scaled_form leaves out a 0 weight
+    # g = I; _scaled_form leaves out a 0 weight, so a pair with alpha = 0 ignores rho
+    rho = _rho1(np.eye(n), R) if any(params.alpha for params in pairs) else [None] * len(R)
     reports = []
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # reported as MetricError below
-        S, e, scale = zip(*(_scaled_form(r, p, params) for r, p in zip(R, rho)))
+        S, e, scale = zip(*(_scaled_form(r, p, params) for r, p in zip(R, rho) for params in pairs))
         S = np.array(S)
-        if not np.isfinite(S).all():
-            raise _not_finite(params)
+        finite = np.isfinite(S).all(axis=(1, 2, 3, 4))
+        S[~finite] = 0  # a stand-in, so the stacked eigh runs; its item raises in turn below
         lam, Z = _sym2_candidates(S)
-        points = zip(_best(S, Z), lam.tolist(), e, scale)
-        for k, ((min_val, argmin, max_val, argmax), lam_k, e_k, scale_k) in enumerate(points):
+        items = zip(pairs * len(R), _best(S, Z), lam.tolist(), e, scale, finite.tolist())
+        for k, (params, (min_val, argmin, max_val, argmax), lam_k, e_k, scale_k, ok) in enumerate(items):
             lam_lo, lam_hi = lam_k[0], lam_k[-1]
             converged, used, path = True, 0, "certified"
             if n > 1 and not (lam_hi - max_val <= _CERTIFY * scale_k and min_val - lam_lo <= _CERTIFY * scale_k):
                 min_val, argmin, max_val, argmax, converged, used, path = _fallback(S[k], n, scale_k)
             gap = max(lam_hi - max_val, min_val - lam_lo)
             min_val, max_val, gap = (float(x) for x in np.ldexp([min_val, max_val, gap], e_k))
-            if not all(map(math.isfinite, (min_val, max_val, max_val - min_val, gap))):
+            if not (ok and all(map(math.isfinite, (min_val, max_val, max_val - min_val, gap)))):
                 raise _not_finite(params)
             reports.append(
                 ExtremumReport(min_val, max_val, argmin, argmax, max_val - min_val, used, converged, gap, path)
             )
-    return reports
+    return [reports[k : k + len(pairs)] for k in range(0, len(reports), len(pairs))]
 
 
 def extremize(Rc: ChernCurvature, params: MixedParams) -> ExtremumReport:
@@ -508,7 +511,7 @@ def extremize(Rc: ChernCurvature, params: MixedParams) -> ExtremumReport:
     """
     if Rc.frame == "unitary" and Rc.tensor.ndim != 4:  # _extrema rejects any other frame
         raise ValueError(f"extremize takes one point, got a curvature tensor of shape {Rc.tensor.shape}")
-    return _extrema(Rc, params)[0]
+    return _extrema(Rc, [params])[0][0]
 
 
 def constancy_tensor_residual(Rc: ChernCurvature, params: MixedParams, c: float) -> float:

@@ -572,9 +572,9 @@ def test_extremize_names_the_point_that_failed():
 
 
 def test_extremize_stops_at_the_first_failing_point(monkeypatch):
-    # (0, 0) fails the jets checks: only the point before it reaches the extremizer
-    calls, extremize = [], cli.extremize
-    monkeypatch.setattr(cli, "extremize", lambda *args: calls.append(args) or extremize(*args))
+    # (0, 0) fails the jets checks: only the point before it reaches the stacked extremizer call
+    calls, extrema = [], cli._extrema
+    monkeypatch.setattr(cli, "_extrema", lambda Ru, pairs: calls.extend(Ru) or extrema(Ru, pairs))
     points = ["--point", "0.3,0.1", "--point", "0,0", "--point", "0.5,0.2", "--point", "0.1,0.4"]
     code, out, err = _main("extremize", "--metric", "hopf-2", *points)
     assert (code, out, err) == (2, "", "error: at point 0.0+0.0i,0.0+0.0i: division by zero\n")

@@ -1092,11 +1092,23 @@ def _report_bytes(rep):
     return [(f.name, type(v), np.asarray(v).tobytes()) for f in fields(rep) for v in [getattr(rep, f.name)]]
 
 
-def _assert_batch_is_pointwise(Ru, params):
-    reps = _extrema(Ru, params)
-    assert len(reps) == len(Ru)
-    for k, rep in enumerate(reps):
-        assert _report_bytes(rep) == _report_bytes(extremize(Ru[k], params)), (k, params)
+# one pair with alpha = 0, one with beta = 0, a subnormal weight and two generic ones
+_STACKED_PAIRS = [
+    MixedParams(0.0, 1.0),
+    MixedParams(1.0, 0.0),
+    MixedParams(0.0, 1e-310),
+    MixedParams(1.0, 1.0),
+    MixedParams(-0.7, 0.3),
+]
+
+
+def _assert_batch_is_pointwise(Ru, pairs):
+    """_extrema over Ru's points and pairs, checked against extremize per (point, pair) field by field."""
+    reps = _extrema(Ru, pairs)
+    assert [len(row) for row in reps] == [len(pairs)] * len(Ru)
+    for k, row in enumerate(reps):
+        for params, rep in zip(pairs, row):
+            assert _report_bytes(rep) == _report_bytes(extremize(Ru[k], params)), (k, params)
     return reps
 
 
@@ -1105,22 +1117,21 @@ def test_batched_extrema_are_extremize_bit_for_bit(name):
     entry = builtin(name)
     jets = metric_jets(entry.spec, sample_points(entry, 6, 41))
     Ru = to_unitary_frame(chern_curvature(jets), jets)
-    n = Ru.n
-    for params in (MixedParams(0.0, 1.0), MixedParams(1.0, 1.0), MixedParams(1.0, -float(n)), MixedParams(-0.7, 0.3)):
-        _assert_batch_is_pointwise(Ru, params)
-    _assert_batch_is_pointwise(Ru[2:3], MixedParams(1.0, 1.0))  # a batch of one
+    _assert_batch_is_pointwise(Ru, [*_STACKED_PAIRS, MixedParams(1.0, -float(Ru.n))])  # every point and pair at once
+    _assert_batch_is_pointwise(Ru[2:3], [MixedParams(1.0, 1.0)])  # a batch of one
 
 
 @pytest.mark.parametrize("path, certified", [(GENERIC_2, "hopf-2"), (GENERIC_3, "fubini-study-3")])
 def test_batched_extrema_mix_fallbacks_with_certified_points(path, certified):
-    # the generic files miss the Sym^2 bounds at (1, 1) (paths exact and ascent); the others are certified
+    # the generic files miss the Sym^2 bounds where beta != 0 (paths exact and ascent); the others are certified
     entry = builtin(certified)
     jets = metric_jets(entry.spec, sample_points(entry, 2, 43))
     generic = _generic_curvatures(path, 2, seed=31).tensor
     R = np.concatenate([generic[:1], to_unitary_frame(chern_curvature(jets), jets).tensor, generic[1:]])
-    reps = _assert_batch_is_pointwise(ChernCurvature(R, "unitary"), MixedParams(1.0, 1.0))
+    reps = _assert_batch_is_pointwise(ChernCurvature(R, "unitary"), _STACKED_PAIRS)
     fallback = "exact" if path == GENERIC_2 else "ascent"
-    assert [rep.path for rep in reps] == [fallback, "certified", "certified", fallback]
+    assert [row[3].path for row in reps] == [fallback, "certified", "certified", fallback]  # at (1, 1)
+    assert [row[1].path for row in reps] == ["certified"] * 4  # at (1, 0)
 
 
 @pytest.mark.parametrize("bad", [1e308, np.nan])
@@ -1134,7 +1145,7 @@ def test_batched_extrema_raise_the_error_of_extremize_at_a_non_finite_point(bad)
     with pytest.raises(MetricError) as one:
         extremize(ChernCurvature(R[1], "unitary"), params)
     with pytest.raises(MetricError) as batch:
-        _extrema(ChernCurvature(R, "unitary"), params)
+        _extrema(ChernCurvature(R, "unitary"), [params])
     assert str(batch.value) == str(one.value) == "mixed curvature extrema not finite for alpha=1.0, beta=1.0"
 
 
@@ -1142,4 +1153,26 @@ def test_batched_extrema_take_a_unitary_frame():
     entry = builtin("hopf-2")
     jets = metric_jets(entry.spec, sample_points(entry, 3, 13))
     with pytest.raises(ValueError, match="to_unitary_frame"):
-        _extrema(chern_curvature(jets), MixedParams(0.0, 1.0))
+        _extrema(chern_curvature(jets), [MixedParams(0.0, 1.0)])
+
+
+@pytest.mark.parametrize(
+    "pairs, failing",
+    [
+        ([MixedParams(1.0, 1.0), MixedParams(1e308, 1e308)], "alpha=1e+308, beta=1e+308"),
+        ([MixedParams(1e308, 1e308), MixedParams(1.0, 1.0)], "alpha=1e+308, beta=1e+308"),
+        ([MixedParams(1.0, 1.0), MixedParams(-1e308, -1e308), MixedParams(1e308, 1e308)], "alpha=-1e+308, beta=-1e+308"),
+    ],
+)
+def test_stacked_extrema_name_the_first_failing_pair(pairs, failing):
+    # at (1, 0) on hopf-2 the extrema at weights of 1e308 overflow; the error names that pair wherever it stands,
+    # also with a later point whose T is not finite at every pair
+    R = to_unitary_frame(chern_curvature(metric_jets(builtin("hopf-2").spec, [[1.0, 0.0]]))).tensor
+    Ru = ChernCurvature(np.concatenate([R, np.full_like(R, np.nan)]), "unitary")
+    with pytest.raises(MetricError) as one:
+        for k in range(len(Ru)):  # the loop over points and pairs the stacked call stands for
+            for params in pairs:
+                extremize(Ru[k], params)
+    with pytest.raises(MetricError) as stacked:
+        _extrema(Ru, pairs)
+    assert str(stacked.value) == str(one.value) == f"mixed curvature extrema not finite for {failing}"
