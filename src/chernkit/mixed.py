@@ -11,10 +11,10 @@ a seeded Monte Carlo estimate of the same average, extremization over the
 unit sphere of the g-orthonormal frame, and residuals of the two pointwise
 constancy identities (the symmetrized rank-4 tensor identity and its trace).
 Pointwise evaluation and the residuals take one point or a batch, like the
-geometry kernels, and so does extremization: extremize is the one-point,
-one-pair view of _extrema, which certifies every (point, pair) item of a batch
-with one stacked eigh and svd and sends only the items it cannot certify to a
-fallback, one at a time.  The averages work at one point.
+geometry kernels, and so does extremization: _extrema certifies every
+(point, pair) item of a batch with one stacked eigh and svd, and extremize
+finishes each item, one at a time, sending only the items the stack cannot
+certify to a fallback; called alone, extremize is a batch of one item.  The averages work at one point.
 
 C_{alpha,beta} is the holomorphic sectional curvature of the one tensor
 T = alpha rho (x) g + beta R (_form), and C == c exactly when sym(T - c g (x) g)
@@ -448,13 +448,23 @@ def _extrema(Ru: ChernCurvature, pairs) -> list[list[ExtremumReport]]:
     """extremize at each point of Ru, a unitary-frame curvature at one point or a batch, and each MixedParams of
     pairs: reports[k][j] for point k and pair j.
 
-    Every (point, pair) item is one row of a single stack: rho1 once per point (if some pair's alpha is not 0),
-    _scaled_form per item, then one eigh, svd and objective for the Sym^2 bounds and their candidates.  Only
-    the items they do not certify go to the Bloch solve or the ascent, one at a time in item order: point by
-    point, each point's pairs in order.  Each report is bit-identical to extremize at its point and pair.
+    One _stacked call certifies what it can of every (point, pair) item at once; then extremize finishes each
+    item in turn, point by point, each point's pairs in order, and only the items the stack does not certify
+    go to the Bloch solve or the ascent.  Each report is bit-identical to extremize at its point and pair.
     MetricError if the extrema of an item are not finite, for the first such item in that order, as a loop
     over points and pairs would raise it: where T is not finite (its bounds would be nan), or where the 2^e
     rescale of its extrema overflows.
+    """
+    items = _stacked(Ru, pairs)
+    reports = [extremize(None, params, _item=item) for params, item in zip(pairs * (len(items) // len(pairs)), items)]
+    return [reports[k : k + len(pairs)] for k in range(0, len(reports), len(pairs))]
+
+
+def _stacked(Ru: ChernCurvature, pairs) -> list:
+    """(S, (min, argmin, max, argmax), eigenvalues, e, scale, finite) per (point, pair) item of _extrema, in
+    its order: rho1 once per point (if some pair's alpha is not 0), _scaled_form per item, then one eigh, svd
+    and objective for the Sym^2 bounds and their candidates.  An item whose T is not finite gets a zero
+    stand-in for S, so the stacked eigh runs, and finite False: extremize raises for it in its turn.
     """
     if Ru.frame != "unitary":
         raise ValueError("extremize takes a unitary-frame curvature; convert it with to_unitary_frame")
@@ -462,30 +472,16 @@ def _extrema(Ru: ChernCurvature, pairs) -> list[list[ExtremumReport]]:
     R = Ru.tensor.reshape(-1, n, n, n, n)
     # g = I; _scaled_form leaves out a 0 weight, so a pair with alpha = 0 ignores rho
     rho = _rho1(np.eye(n), R) if any(params.alpha for params in pairs) else [None] * len(R)
-    reports = []
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # reported as MetricError below
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # reported as MetricError by extremize
         S, e, scale = zip(*(_scaled_form(r, p, params) for r, p in zip(R, rho) for params in pairs))
         S = np.array(S)
         finite = np.isfinite(S).all(axis=(1, 2, 3, 4))
-        S[~finite] = 0  # a stand-in, so the stacked eigh runs; its item raises in turn below
+        S[~finite] = 0
         lam, Z = _sym2_candidates(S)
-        items = zip(pairs * len(R), _best(S, Z), lam.tolist(), e, scale, finite.tolist())
-        for k, (params, (min_val, argmin, max_val, argmax), lam_k, e_k, scale_k, ok) in enumerate(items):
-            lam_lo, lam_hi = lam_k[0], lam_k[-1]
-            converged, used, path = True, 0, "certified"
-            if n > 1 and not (lam_hi - max_val <= _CERTIFY * scale_k and min_val - lam_lo <= _CERTIFY * scale_k):
-                min_val, argmin, max_val, argmax, converged, used, path = _fallback(S[k], n, scale_k)
-            gap = max(lam_hi - max_val, min_val - lam_lo)
-            min_val, max_val, gap = (float(x) for x in np.ldexp([min_val, max_val, gap], e_k))
-            if not (ok and all(map(math.isfinite, (min_val, max_val, max_val - min_val, gap)))):
-                raise _not_finite(params)
-            reports.append(
-                ExtremumReport(min_val, max_val, argmin, argmax, max_val - min_val, used, converged, gap, path)
-            )
-    return [reports[k : k + len(pairs)] for k in range(0, len(reports), len(pairs))]
+        return list(zip(S, _best(S, Z), lam.tolist(), e, scale, finite.tolist()))
 
 
-def extremize(Rc: ChernCurvature, params: MixedParams) -> ExtremumReport:
+def extremize(Rc: ChernCurvature, params: MixedParams, *, _item=None) -> ExtremumReport:
     """Extrema of C_{alpha,beta} over the unit sphere of a unitary frame, at one point.
 
     Rc is one point's curvature in a unitary frame (geometry.to_unitary_frame;
@@ -508,10 +504,25 @@ def extremize(Rc: ChernCurvature, params: MixedParams) -> ExtremumReport:
     that brings that magnitude between 1/2 and 2 (_scaled_form), so both
     tolerances have no absolute floor and the result scales exactly with
     the weights and with the curvature, however large or small.
+
+    _item is for _extrema alone: one item of its _stacked batch, which
+    extremize finishes in place of Rc.
     """
-    if Rc.frame == "unitary" and Rc.tensor.ndim != 4:  # _extrema rejects any other frame
-        raise ValueError(f"extremize takes one point, got a curvature tensor of shape {Rc.tensor.shape}")
-    return _extrema(Rc, [params])[0][0]
+    if _item is None:
+        if Rc.frame == "unitary" and Rc.tensor.ndim != 4:  # _stacked rejects any other frame
+            raise ValueError(f"extremize takes one point, got a curvature tensor of shape {Rc.tensor.shape}")
+        (_item,) = _stacked(Rc, [params])
+    S, (min_val, argmin, max_val, argmax), lam, e, scale, ok = _item
+    n = S.shape[0]
+    converged, used, path = True, 0, "certified"
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # reported as MetricError below
+        if n > 1 and not (lam[-1] - max_val <= _CERTIFY * scale and min_val - lam[0] <= _CERTIFY * scale):
+            min_val, argmin, max_val, argmax, converged, used, path = _fallback(S, n, scale)
+        gap = max(lam[-1] - max_val, min_val - lam[0])
+        min_val, max_val, gap = (float(x) for x in np.ldexp([min_val, max_val, gap], e))
+    if not (ok and all(map(math.isfinite, (min_val, max_val, max_val - min_val, gap)))):
+        raise _not_finite(params)
+    return ExtremumReport(min_val, max_val, argmin, argmax, max_val - min_val, used, converged, gap, path)
 
 
 def constancy_tensor_residual(Rc: ChernCurvature, params: MixedParams, c: float) -> float:
