@@ -415,9 +415,7 @@ def check_catalog_expected():
     for name in names():
         entry = builtin(name)
         n = entry.spec.n
-        pts = sample_points(entry, 50, 7)
-        jets = metric_jets(entry.spec, pts)
-        Rc = chern_curvature(jets)
+        pts, jets, Rc = _sampled(name, 50, 7)
         b, t = ricci_bundle(Rc), torsion(jets)
         # "hsc" may use any nonzero direction
         directions = {"hsc": pts + np.linspace(1.0, 2.0, n), "hsc_axis1": [1, 0], "hsc_axis2": [0, 1]}

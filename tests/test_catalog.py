@@ -89,6 +89,8 @@ def test_domain_predicates_on_samples():
     assert np.all(np.abs(pts[:, 0]) <= 0.6)
     assert np.all(np.abs(pts[:, 1]) <= 2.0)
     assert np.max(np.abs(pts[:, 1])) > 0.7  # the second factor really is bigger
+    with pytest.raises(ValueError, match="product domain has 2 factors but the metric has n=3"):
+        adm.spec.domain.sample(3, 1, np.random.default_rng(6))
 
 
 @pytest.mark.parametrize(

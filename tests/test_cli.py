@@ -45,6 +45,11 @@ def test_eval_json_is_deterministic(tmp_path):
     jet = metric_jet(builtin("hopf-2").spec, np.array([complex(*z) for z in rec["point"]]))
     scale = max(1.0, np.max(np.abs(to_unitary_frame(chern_curvature(jet), jet).tensor)))
     assert abs(rec["mixed"][0]["bound_gap"]) <= 1e-13 * scale
+    # also at n = 4, and on the generic n = 3 file metric, whose extrema take the ascent path
+    for metric in ("fubini-study-4", "complex-hyperbolic-4", GENERIC_3):
+        r1, r2 = (_run("eval", "--metric", metric, "--points", "4", "--alpha", "1", "--beta", "1") for _ in range(2))
+        assert r1.returncode == 0 and r1.stdout == r2.stdout, metric
+        assert len(json.loads(r1.stdout)["records"]) == 4
 
 
 def test_eval_explicit_point_and_conformal(tmp_path):
@@ -100,6 +105,7 @@ def test_eval_file_metric(tmp_path):
 def test_verify_all_passes_with_many_checks():
     r = _run("verify")
     assert r.returncode == 0, r.stdout[-2000:] + r.stderr
+    assert _run("verify").stdout == r.stdout  # byte-identical across processes, through stacked LAPACK calls
     lines = [l for l in r.stdout.splitlines() if l.startswith("PASS")]
     assert len(lines) >= 60
     assert "FAIL" not in r.stdout
@@ -136,6 +142,7 @@ def test_extremize_table_and_json(tmp_path):
         assert row["spread"] > 1e-2  # H is not constant on the hopf surface
         assert row["converged"] is True
         assert row["restarts_used"] == 0  # no ascent start runs at n = 2
+        assert row["path"] == "certified"
 
 
 GENERIC_3 = str(Path(__file__).parent / "data" / "generic-3.metric")
@@ -155,16 +162,31 @@ def test_extremize_runs_the_ascent_beyond_surfaces(tmp_path):
     assert row["bound_gap"] > 1e-3
 
 
-def test_main_calls_in_one_process_match_fresh_processes(capsys):
-    # the parser is built once per process: no --alpha/--beta list may carry over to the next call
+def test_main_calls_in_one_process_match_fresh_processes():
+    # the parser is built once per process: no --alpha/--beta list may carry over to the next call.  Every
+    # argv runs twice, metrics interleaved, so the second round reads the g programs and array templates
+    # the first round cached; each exit code, stdout and stderr must equal a fresh process's
     base = ["eval", "--metric", "hopf-2", "--point", "0.3+0.1i,-0.2i"]
     two_pairs = ["--alpha", "1", "--beta", "-2", "--alpha", "0.5", "--beta", "1"]
-    for weights in (two_pairs, ["--alpha", "0", "--beta", "1"], []):
-        argv = base + weights
-        assert cli.main(argv) == 0
+    argvs = [base + weights for weights in (two_pairs, ["--alpha", "0", "--beta", "1"], [])]
+    argvs += [
+        ["eval", "--metric", "hopf-2", "--point=0.3+0.1i,-0.2+0.4i", *_PAIRS],
+        ["eval", "--metric", "fubini-study-4", "--points", "4", "--seed", "3"],
+        ["eval", "--metric", "euclidean-2", "--point=0.5-0.25i,0.1+0i", "--conformal=-0.5*log(abs2(z))", *_PAIRS],
+        ["eval", "--metric", "hopf-3", "--points", "2", "--seed", "5", *_PAIRS],
+        ["eval", "--metric", GENERIC_3, "--points", "2", "--alpha", "1", "--beta", "1"],
+        ["eval", "--metric", "hopf-2", "--point", "0,0", "--point", "1,0"],  # an error record, exit 2
+        ["eval", "--metric", "hopf-2", "--point=0.3+0.1i,-0.2+0.4i", "--alpha", "1", "--beta", "-2"],
+        ["eval", "--metric", "adm-product-surface", "--points", "3", *_PAIRS],
+        ["extremize", "--metric", "hopf-3", "--points", "2", "--alpha", "1", "--beta", "1"],
+        # fails at its second point: exit 2 and an error on stderr
+        ["extremize", "--metric", "hopf-2", "--point", "0.3,0.1", "--point", "0,0", "--point", "0.5,0.2",
+         "--point", "0.1,0.4"],
+    ]
+    warm = [[_main(*argv) for argv in argvs] for _ in range(2)]
+    for argv, first, second in zip(argvs, *warm):
         fresh = _run(*argv)
-        assert fresh.returncode == 0, fresh.stderr
-        assert capsys.readouterr().out == fresh.stdout, argv
+        assert first == second == (fresh.returncode, fresh.stdout, fresh.stderr), argv
 
 
 def test_catalog_list():
@@ -218,7 +240,9 @@ _DOCUMENTS = {
 def test_report_dumps_matches_the_list_writer(monkeypatch, case):
     (doc,) = _documents(monkeypatch, *_DOCUMENTS[case])
     assert isinstance(doc["records"][-1]["point"], np.ndarray)  # records keep their arrays
-    assert report.dumps(doc) == report_reference.dumps(report_reference.list_form(doc))
+    text = report.dumps(doc)
+    assert text == report_reference.dumps(report_reference.list_form(doc))
+    json.loads(text)  # every written report parses as JSON
 
 
 def test_report_dumps_matches_the_list_writer_on_extremize_and_edge_arrays(monkeypatch, tmp_path):
@@ -444,6 +468,12 @@ def _main(*argv):
         ("1 + log(0)*abs2(z)", "log"),
         ("1 + 1e200*1e200*abs2(z)", "*"),
         ("1 + 1e400*abs2(z)", "1e400"),
+        # a bad literal, a stray character, a non-decimal numeral and a coordinate index longer than int
+        # reads are errors where they stand
+        ("1.2.3", "1.2.3"),
+        ("1 $ 2", "$"),
+        ("1 + z²*zbar1", "z²"),
+        pytest.param("1 + z" + "1" * 5000 + "*zbar1", "z1", id="5000-digit-coordinate-index"),
     ],
 )
 def test_a_bad_constant_is_an_error_at_its_operator(tmp_path, entry, at):
@@ -526,6 +556,13 @@ def test_metrics_at_the_ends_of_the_float_range_warn_nothing(tmp_path):
     assert _main("extremize", "--metric", str(tiny), "--points", "2") == (
         2, "", f"error: at point {at}: curvature is not finite in the unitary frame\n"
     )
+    # subnormal weights: the extrema are finite, and both commands print them
+    code, out, err = _main("extremize", "--metric", "hopf-2", "--alpha", "0", "--beta", "1e-310", "--points", "2")
+    values = [float(x) for line in out.splitlines()[1:] for x in line.split()[-4:-1]]  # min, max, spread
+    assert (code, err, len(values)) == (0, "", 6) and np.all(np.isfinite(values)) and max(values) > 0, out
+    code, out, err = _main("eval", "--metric", "fubini-study-2", "--alpha", "1e-315", "--beta", "0", "--points", "2")
+    mixed = [m for rec in json.loads(out)["records"] for m in rec["mixed"]]
+    assert (code, err, len(mixed)) == (0, "", 2) and np.all(np.isfinite([(m["min"], m["max"]) for m in mixed]))
 
 
 def test_a_metric_with_huge_derivatives_evaluates_without_warnings(tmp_path):
@@ -569,6 +606,20 @@ def test_extremize_names_the_point_that_failed():
     ]:
         code, out, err = _main("extremize", "--metric", "hopf-2", *argv)
         assert (code, out, err) == (2, "", f"error: at point {point}: {why}\n"), argv
+
+
+def test_eval_and_extremize_give_the_same_mixed_rows(tmp_path):
+    # both commands make one stacked extremizer call over every point and pair: each (point, pair) row of
+    # extremize --out equals eval's, field for field, on the certified, exact and ascent paths
+    for metric, path in [("hopf-3", "certified"), (GENERIC_2, "exact"), (GENERIC_3, "ascent")]:
+        argv = ["--metric", metric, "--points", "3", "--seed", "5", *_PAIRS, "--alpha", "-0.7", "--beta", "0.3"]
+        code, out, err = _main("eval", *argv)
+        assert (code, err) == (0, ""), metric
+        evaled = [{"point": rec["point"], **row} for rec in json.loads(out)["records"] for row in rec["mixed"]]
+        assert _main("extremize", *argv, "--out", str(tmp_path / "x.json"))[::2] == (0, ""), metric
+        rows = json.loads((tmp_path / "x.json").read_text())["rows"]
+        assert len(rows) == 9 and rows == evaled, metric
+        assert {row["path"] for row in rows} == {path}, metric
 
 
 def test_extremize_stops_at_the_first_failing_point(monkeypatch):

@@ -16,7 +16,7 @@ from chernkit.conformal import (
     surface_scalar_relation_residual,
 )
 from chernkit.dsl import parse_expression
-from chernkit.geometry import ChernCurvature, _rho1, chern_curvature, kahler_defect, ricci_bundle
+from chernkit.geometry import ChernCurvature, _rho1, chern_curvature, kahler_defect, ricci_bundle, to_unitary_frame
 from chernkit.jets import factor_jet, metric_jet, metric_jets
 from chernkit.mixed import MixedParams, constancy_tensor_residual
 
@@ -36,6 +36,8 @@ def test_zero_factor_is_identity():
     fj = factor_jet(ex.ZERO, p)
     pred = conformal_curvature_via_formula(Rc, fj)
     assert np.array_equal(pred.tensor, Rc.tensor)
+    with pytest.raises(ValueError, match="coordinate-frame components"):
+        conformal_curvature_via_formula(to_unitary_frame(Rc), fj)
 
 
 def test_constant_factor_scales_curvature():
@@ -179,6 +181,8 @@ def test_conformal_constancy_degenerates_to_plain_residual():
         a = conformal_constancy_residual(Rc, fj, params, f)
         b = constancy_tensor_residual(Rc, params, f)
         assert abs(a - b) < 1e-14
+    with pytest.raises(ValueError, match="coordinate components"):
+        conformal_constancy_residual(to_unitary_frame(Rc), fj, params, 0.0)
 
 
 def test_conformal_constancy_flat_to_hopf():

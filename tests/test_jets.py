@@ -133,6 +133,8 @@ def test_batch_matches_single_point():
         single = metric_jet(entry.spec, p)
         assert np.array_equal(single.g, jet.g)
         assert np.array_equal(single.ddbar_g, jet.ddbar_g)
+    with pytest.raises(ValueError, match="points have 3 coordinates, metric has n=2"):
+        metric_jets(entry.spec, np.zeros((2, 3)))
 
 
 def test_factor_jet_against_fd():
