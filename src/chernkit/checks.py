@@ -128,8 +128,7 @@ def _by_dimension(samples):
     program; the jets of one n are concatenated, so chern_curvature, to_unitary_frame and
     ricci_bundle run once per dimension, not once per metric.  members holds (i, points, rows)
     for each sample i of that n, in order, rows being its slice of the unitary-frame curvature Ru
-    and of its Ricci bundle.  Slices of a unitary frame, whose metric is I, are bit-identical to
-    the metric's own kernel calls.
+    and of its Ricci bundle, bit-identical to the metric's own kernel calls.
     """
     groups = {}
     for i, (name, count, seed) in enumerate(samples):

@@ -108,8 +108,21 @@ class Torsion(_PerPoint):
 
 
 def _rho1(g_inv: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """rho1_{i jbar} = g^{k lbar} R_{i jbar k lbar}, with g_inv = G^{-1}."""
-    return np.einsum("...lk,...ijkl->...ij", g_inv, R)
+    """rho1_{i jbar} = g^{k lbar} R_{i jbar k lbar}, with g_inv = G^{-1}: R as a C-contiguous (n^2, n^2) times
+    vec(G^{-1 T}), one matmul whose arithmetic per row depends neither on the batch nor on R's memory layout.
+    An overflow is the caller's to report."""
+    n = R.shape[-1]
+    v = np.swapaxes(g_inv, -1, -2).reshape(*np.shape(g_inv)[:-2], n * n, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho = np.ascontiguousarray(R).reshape(*R.shape[:-4], n * n, n * n) @ v
+    return rho.reshape(*rho.shape[:-2], n, n)
+
+
+def _hermitian_form(A: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """sum_ij A_ij X_i conj(X_j), complex, as (A conj(X)).X: one matmul and a sum over the last axis, whose
+    arithmetic per row does not depend on the batch.  An overflow is the caller's to report."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.sum((A @ np.conj(X)[..., None])[..., 0] * X, axis=-1)
 
 
 def _d_omega(jet: MetricJet) -> np.ndarray:
@@ -211,7 +224,7 @@ def torsion(jet: MetricJet) -> Torsion:
     """Chern torsion T^k_ij = g^{k lbar}(d_i g_{j lbar} - d_j g_{i lbar}) and eta."""
     T = np.einsum("...lk,...ijl->...ijk", jet.g_inv, _d_omega(jet))
     eta = np.einsum("...ikk->...i", T)
-    norm2 = _real(np.einsum("...ji,...i,...j->...", jet.g_inv, eta, np.conj(eta)), "|eta|^2")
+    norm2 = _real(_hermitian_form(jet.g_inv, np.conj(eta)), "|eta|^2")  # sum G^-1[i, j] conj(eta_i) eta_j
     return Torsion(T, eta, norm2)
 
 
@@ -245,7 +258,7 @@ def _over_rows(a, core: int, X: np.ndarray):
 
 def metric_norm_sq(g: np.ndarray, X: np.ndarray) -> float:
     """|X|^2_g = g_{i jbar} X_i conj(X_j), for X a vector, or rows of vectors at each point of g."""
-    return _real(np.einsum("...ij,...i,...j->...", _over_rows(g, 2, X), X, np.conj(X)), "|X|^2")
+    return _real(_hermitian_form(_over_rows(g, 2, X), X), "|X|^2")
 
 
 def holomorphic_sectional(Rc: ChernCurvature, X) -> float:

@@ -14,7 +14,7 @@ import pytest
 import report_reference
 
 from chernkit import cli, report
-from chernkit.catalog import builtin
+from chernkit.catalog import builtin, names
 from chernkit.checks import SUITES, run_checks
 from chernkit.geometry import chern_curvature, to_unitary_frame
 from chernkit.jets import metric_jet
@@ -43,7 +43,7 @@ def test_eval_json_is_deterministic(tmp_path):
     assert rec["mixed"][0]["spread"] < 1e-8  # C_{1,-2} is constant 0 on hopf
     # certified at n = 2 as at n >= 3: the Sym^2 bounds are met to round-off of the curvature's size
     jet = metric_jet(builtin("hopf-2").spec, np.array([complex(*z) for z in rec["point"]]))
-    scale = max(1.0, np.max(np.abs(to_unitary_frame(chern_curvature(jet), jet).tensor)))
+    scale = max(1.0, np.max(np.abs(to_unitary_frame(chern_curvature(jet)).tensor)))
     assert abs(rec["mixed"][0]["bound_gap"]) <= 1e-13 * scale
     # also at n = 4, and on the generic n = 3 file metric, whose extrema take the ascent path
     for metric in ("fubini-study-4", "complex-hyperbolic-4", GENERIC_3):
@@ -630,6 +630,19 @@ def test_extremize_stops_at_the_first_failing_point(monkeypatch):
     code, out, err = _main("extremize", "--metric", "hopf-2", *points)
     assert (code, out, err) == (2, "", "error: at point 0.0+0.0i,0.0+0.0i: division by zero\n")
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("metric", names())
+def test_an_eval_record_is_the_same_in_a_batch_and_alone(metric):
+    # each point's numbers are its own: a record of a 20-point batch is byte for byte that point's --point record
+    code, out, err = _main("eval", "--metric", metric, "--points", "20", "--seed", "11", *_PAIRS)
+    assert (code, err) == (0, "")
+    for rec in json.loads(out)["records"]:
+        point = cli._point_text(np.array([complex(*z) for z in rec["point"]]))
+        code, out, err = _main("eval", "--metric", metric, f"--point={point}", *_PAIRS)
+        assert (code, err) == (0, "")
+        (alone,) = json.loads(out)["records"]
+        assert json.dumps(rec) == json.dumps(alone), point
 
 
 @pytest.mark.parametrize(

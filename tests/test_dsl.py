@@ -8,7 +8,7 @@ import pytest
 from chernkit import expr as ex
 from chernkit.catalog import builtin, names, sample_points
 from chernkit.domains import Annulus, Ball, Polydisc, Product
-from chernkit.dsl import DslError, MetricSpec, parse_expression, parse_metric, print_metric
+from chernkit.dsl import MAX_DIM, DslError, MetricSpec, parse_expression, parse_metric, print_metric
 
 
 def test_parse_euclidean_identity():
@@ -141,6 +141,8 @@ def test_domain_errors():
         ("= 1", "line 2, col 1: unexpected '='"),
         ("dim 0", "line 1, col 5: dim must be a positive integer"),
         ("dim 1.5", "line 1, col 5: dim must be a positive integer"),
+        (f"dim {MAX_DIM + 1}", f"line 1, col 5: dim must be at most {MAX_DIM}"),
+        ("dim 100000", f"line 1, col 5: dim must be at most {MAX_DIM}"),
         ("g[1,1] = 1\ndomain ball 1\ndomain ball 2", "line 4, col 1: domain declared twice"),
         ("foo 1", "line 2, col 1: unknown statement 'foo'"),
         # a digit is a decimal digit, as float and int read it: a superscript two is a name character

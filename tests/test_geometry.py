@@ -51,14 +51,14 @@ def test_hopf_unitary_closed_form():
     for n in (2, 3):
         entry = builtin(f"hopf-{n}")
         for jet in metric_jets(entry.spec, sample_points(entry, 30, 1)):
-            Ru = to_unitary_frame(chern_curvature(jet), jet)
+            Ru = to_unitary_frame(chern_curvature(jet))
             assert np.max(np.abs(Ru.tensor - _hopf_closed(jet.point))) < 1e-12
 
 
 def test_adm_product_unitary_values():
     entry = builtin("adm-product-surface")
     for jet in metric_jets(entry.spec, sample_points(entry, 10, 2)):
-        Ru = to_unitary_frame(chern_curvature(jet), jet)
+        Ru = to_unitary_frame(chern_curvature(jet))
         want = np.zeros((2, 2, 2, 2), dtype=complex)
         want[0, 0, 0, 0] = -1.0
         want[1, 1, 1, 1] = 1.0
@@ -120,7 +120,7 @@ def test_hopf_scalars_and_first_ricci():
     for n in (2, 3, 4):
         entry = builtin(f"hopf-{n}")
         jet = metric_jet(entry.spec, sample_points(entry, 1, 4)[0])
-        Ru = to_unitary_frame(chern_curvature(jet), jet)
+        Ru = to_unitary_frame(chern_curvature(jet))
         b = ricci_bundle(Ru)
         assert abs(b.u - (n * n - n)) < 1e-12
         assert abs(b.v - (n - 1)) < 1e-12
@@ -173,10 +173,10 @@ def test_kahler_defect_values():
 
 def test_kahler_like_defect_values():
     jet = metric_jet(builtin("fubini-study-2").spec, [0.3, 0.2j])
-    assert kahler_like_defect(to_unitary_frame(chern_curvature(jet), jet)) < 1e-9
+    assert kahler_like_defect(to_unitary_frame(chern_curvature(jet))) < 1e-9
     # the hopf closed form at (1,0) has R_{2 2bar 1 1bar} = 1 vs R_{1 2bar 2 1bar} = 0
     jet = metric_jet(builtin("hopf-2").spec, [1.0, 0.0])
-    Ru = to_unitary_frame(chern_curvature(jet), jet)
+    Ru = to_unitary_frame(chern_curvature(jet))
     assert abs(kahler_like_defect(Ru) - 1.0) < 1e-14
 
 
@@ -189,7 +189,7 @@ def test_holomorphic_sectional_values():
     jet = metric_jet(builtin("euclidean-2").spec, [0.5, 0.5])
     assert holomorphic_sectional(chern_curvature(jet), [1, 1j]) == 0
     jet = metric_jet(builtin("hopf-2").spec, [1.0, 0.0])
-    Ru = to_unitary_frame(chern_curvature(jet), jet)
+    Ru = to_unitary_frame(chern_curvature(jet))
     assert abs(holomorphic_sectional(Ru, [1, 0])) < 1e-15
     with pytest.raises(ValueError, match="zero vector"):
         holomorphic_sectional(Ru, [0, 0])
@@ -200,7 +200,7 @@ def test_hsc_scale_and_frame_invariance():
     p = np.array([0.3 + 0.1j, -0.2 + 0.4j])
     jet = metric_jet(entry.spec, p)
     Rc = chern_curvature(jet)
-    Ru = to_unitary_frame(Rc, jet)
+    Ru = to_unitary_frame(Rc)
     rng = np.random.default_rng(9)
     for _ in range(5):
         X = rng.standard_normal(2) + 1j * rng.standard_normal(2)
@@ -270,7 +270,7 @@ def test_a_curvature_carries_exactly_the_metric_of_its_frame():
     jets = metric_jets(builtin("hopf-2").spec, [[0.5 + 0.1j, 0.3j], [1.0, -2.0]])
     Rc = chern_curvature(jets)
     assert Rc.g is jets.g and ricci_bundle(Rc).g is jets.g
-    assert to_unitary_frame(Rc, jets).g is None and ricci_bundle(to_unitary_frame(Rc, jets)).g is None
+    assert to_unitary_frame(Rc).g is None and ricci_bundle(to_unitary_frame(Rc)).g is None
     assert np.array_equal(Rc[1].metric, jets.g[1])
 
 
@@ -282,7 +282,7 @@ def test_coordinate_and_unitary_frames_agree(name, params):
     entry = builtin(name)
     jets = metric_jets(entry.spec, sample_points(entry, 5, 12))
     Rc = chern_curvature(jets)
-    Ru = to_unitary_frame(Rc, jets)
+    Ru = to_unitary_frame(Rc)
     rng = np.random.default_rng(13)
     X = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
     Y = np.linalg.solve(Ru.frame_matrix, X[..., None])[..., 0]
@@ -305,16 +305,16 @@ def test_invariant_scalars_under_frame_change():
     jet = metric_jet(entry.spec, sample_points(entry, 1, 10)[0])
     Rc = chern_curvature(jet)
     b_coord = ricci_bundle(Rc)
-    b_unit = ricci_bundle(to_unitary_frame(Rc, jet))
+    b_unit = ricci_bundle(to_unitary_frame(Rc))
     assert abs(b_coord.u - b_unit.u) < 1e-9
     assert abs(b_coord.v - b_unit.v) < 1e-9
 
 
 def test_to_unitary_frame_requires_coordinate_input():
     jet = metric_jet(builtin("euclidean-2").spec, [0.1, 0.1])
-    Ru = to_unitary_frame(chern_curvature(jet), jet)
+    Ru = to_unitary_frame(chern_curvature(jet))
     with pytest.raises(ValueError):
-        to_unitary_frame(Ru, jet)
+        to_unitary_frame(Ru)
 
 
 _FLAT_PRODUCT = "dim 2\ng[1,1] = 1/abs2(z1)\ng[2,2] = 1/abs2(z2)\n"  # hopf-1 x hopf-1
@@ -350,7 +350,7 @@ def test_unitary_traces_and_mixed_curvature_scale_with_the_metric(s):
         jets = metric_jets(entry.spec, sample_points(entry, 3, 9))
         for jet, scale in ((jets, 1.0), (_scaled(jets, s), s)):
             Rc = chern_curvature(jet)
-            b = ricci_bundle(to_unitary_frame(Rc, jet))
+            b = ricci_bundle(to_unitary_frame(Rc))
             got = np.array([b.u, b.v, mixed_curvature(Rc, params, X)]) * scale
             if scale == 1.0:
                 want = got

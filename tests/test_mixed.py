@@ -69,7 +69,7 @@ def _form(R, rho, g, params):
 def _unitary_setup(name, seed=0):
     entry = builtin(name)
     jet = metric_jet(entry.spec, sample_points(entry, 1, seed)[0])
-    Ru = to_unitary_frame(chern_curvature(jet), jet)
+    Ru = to_unitary_frame(chern_curvature(jet))
     return jet, Ru
 
 
@@ -81,7 +81,7 @@ def _generic_curvatures(path, count, seed):
     """Unitary-frame curvature of a generic file metric at count seeded points."""
     spec = parse_metric(path.read_text(), name=path.stem)
     jets = metric_jets(spec, spec.domain.sample(spec.n, count, np.random.default_rng(seed)))
-    return to_unitary_frame(chern_curvature(jets), jets)
+    return to_unitary_frame(chern_curvature(jets))
 
 
 def _grid_extrema(Ru, params, m_theta=241, m_phi=480):
@@ -225,7 +225,7 @@ def test_monte_carlo_matches_closed_form():
         entry = builtin(name)
         n = entry.spec.n
         jet = metric_jet(entry.spec, sample_points(entry, 1, 7)[0])
-        Ru = to_unitary_frame(chern_curvature(jet), jet)
+        Ru = to_unitary_frame(chern_curvature(jet))
         b = ricci_bundle(Ru)
         for params in (MixedParams(0.0, 1.0), MixedParams(1.0, 0.0), MixedParams(1.2, -0.8)):
             mean, stderr = sphere_average_monte_carlo(Ru, np.eye(n), params, 50_000, seed=8)
@@ -385,7 +385,7 @@ def test_constancy_detectors_agree_on_every_catalog_entry():
         entry = builtin(name)
         n = entry.spec.n
         jet = metric_jet(entry.spec, sample_points(entry, 1, 19)[0])
-        Ru = to_unitary_frame(chern_curvature(jet), jet)
+        Ru = to_unitary_frame(chern_curvature(jet))
         rep = extremize(Ru, params)
         mid = 0.5 * (rep.min_value + rep.max_value)
         resid = constancy_tensor_residual(Ru, params, mid)
@@ -421,7 +421,7 @@ def test_trace_identity_in_both_frames(name, params):
     entry = builtin(name)
     jets = metric_jets(entry.spec, sample_points(entry, 5, 19))
     Rc = chern_curvature(jets)
-    for b in (ricci_bundle(Rc), ricci_bundle(to_unitary_frame(Rc, jets))):
+    for b in (ricci_bundle(Rc), ricci_bundle(to_unitary_frame(Rc))):
         f = sphere_average_closed_form(b, params)
         assert np.all(trace_identity_residual(b, params, f) < 1e-12), name
         assert np.all(trace_identity_residual(b, params, f + 0.05) > 1e-3), name
@@ -504,7 +504,7 @@ def test_monte_carlo_memory_stays_bounded():
 def test_extremize_is_invariant_to_the_weights_scale(alpha, beta):
     entry = builtin("hopf-2")
     jet = metric_jet(entry.spec, entry.spec.domain.sample(2, 1, np.random.default_rng(0))[0])
-    Ru = to_unitary_frame(chern_curvature(jet), jet)
+    Ru = to_unitary_frame(chern_curvature(jet))
     ref = extremize(Ru, MixedParams(alpha, beta))
     assert ref.converged
     size = max(1.0, abs(ref.min_value), abs(ref.max_value))
@@ -520,7 +520,7 @@ def test_extremize_converges_when_starts_tie_at_the_extremum():
     # the others stalled with its gradient just above tol
     p = np.array([0.5372320275520067 - 0.3073153121730882j, -0.10585678320766859 - 0.5507707468846207j])
     jet = metric_jet(builtin("hopf-2").spec, p)
-    rep = extremize(to_unitary_frame(chern_curvature(jet), jet), MixedParams(0.352, 1.731))
+    rep = extremize(to_unitary_frame(chern_curvature(jet)), MixedParams(0.352, 1.731))
     assert rep.converged
     assert abs(rep.max_value - 2.435) < 1e-12 and abs(rep.min_value) < 1e-12
 
@@ -568,7 +568,7 @@ def test_exact_surface_extrema_never_lose_to_the_ascent():
     for s, name in enumerate(_SURFACES):
         entry = builtin(name)
         jets = metric_jets(entry.spec, sample_points(entry, 10, 40 + s))
-        Ru = to_unitary_frame(chern_curvature(jets), jets)
+        Ru = to_unitary_frame(chern_curvature(jets))
         offsets = np.random.default_rng(50 + s).uniform(0, 1, len(Ru))
         for R_point, offset in zip(Ru, offsets):
             R, rho = _unitary_data(R_point)
@@ -669,7 +669,7 @@ def test_ascent_extrema_lie_within_the_symmetric_square_bounds():
         if n < 3:
             continue
         jets = metric_jets(entry.spec, sample_points(entry, 2, 24))
-        Ru = to_unitary_frame(chern_curvature(jets), jets)
+        Ru = to_unitary_frame(chern_curvature(jets))
         for R_point in Ru:
             R, rho = _unitary_data(R_point)
             for theta in rng.uniform(0, 2 * np.pi, 3):
@@ -692,7 +692,7 @@ def test_certified_extrema_never_lose_to_the_ascent(name, factor):
     spec = entry.spec if factor is None else conformal_metric(entry.spec, parse_expression(factor, entry.spec.n))
     n = spec.n
     jets = metric_jets(spec, sample_points(entry, 5, 60))
-    Ru = to_unitary_frame(chern_curvature(jets), jets)
+    Ru = to_unitary_frame(chern_curvature(jets))
     for R_point in Ru:
         R, rho = _unitary_data(R_point)
         for theta in 2 * np.pi * (np.arange(24) + 0.5) / 24:
@@ -762,7 +762,7 @@ def test_uncertified_surface_extrema_are_the_exact_solve():
 def test_extremize_takes_one_point(name):
     entry = builtin(name)
     jets = metric_jets(entry.spec, sample_points(entry, 4, 0))
-    Ru = to_unitary_frame(chern_curvature(jets), jets)
+    Ru = to_unitary_frame(chern_curvature(jets))
     shape = str(Ru.tensor.shape)
     with pytest.raises(ValueError, match="one point") as err:
         extremize(Ru, MixedParams(1.0, 1.0))
@@ -1002,7 +1002,7 @@ def test_gathered_extrema_match_the_dense_formula(spec, points):
     # the gathered H moves min, max and bound_gap by at most 6.0e-15 of the curvature's size
     # (measured on every catalog metric and both data files), and never the path
     jets = metric_jets(spec, points)
-    for R_point in to_unitary_frame(chern_curvature(jets), jets):
+    for R_point in to_unitary_frame(chern_curvature(jets)):
         R, rho = _unitary_data(R_point)
         for theta in 2 * np.pi * (np.arange(12) + 0.25) / 12:
             params = MixedParams(np.cos(theta), np.sin(theta))
@@ -1080,7 +1080,7 @@ def test_extremize_reports_its_path(source, path):
     else:
         entry = builtin(source)
         jets = metric_jets(entry.spec, sample_points(entry, 3, 31))
-        Ru = to_unitary_frame(chern_curvature(jets), jets)
+        Ru = to_unitary_frame(chern_curvature(jets))
     for R_point in Ru:
         rep = extremize(R_point, MixedParams(1.0, 1.0))
         assert rep.path == path
@@ -1116,7 +1116,7 @@ def _assert_batch_is_pointwise(Ru, pairs):
 def test_batched_extrema_are_extremize_bit_for_bit(name):
     entry = builtin(name)
     jets = metric_jets(entry.spec, sample_points(entry, 6, 41))
-    Ru = to_unitary_frame(chern_curvature(jets), jets)
+    Ru = to_unitary_frame(chern_curvature(jets))
     _assert_batch_is_pointwise(Ru, [*_STACKED_PAIRS, MixedParams(1.0, -float(Ru.n))])  # every point and pair at once
     _assert_batch_is_pointwise(Ru[2:3], [MixedParams(1.0, 1.0)])  # a batch of one
 
@@ -1127,7 +1127,7 @@ def test_batched_extrema_mix_fallbacks_with_certified_points(path, certified):
     entry = builtin(certified)
     jets = metric_jets(entry.spec, sample_points(entry, 2, 43))
     generic = _generic_curvatures(path, 2, seed=31).tensor
-    R = np.concatenate([generic[:1], to_unitary_frame(chern_curvature(jets), jets).tensor, generic[1:]])
+    R = np.concatenate([generic[:1], to_unitary_frame(chern_curvature(jets)).tensor, generic[1:]])
     reps = _assert_batch_is_pointwise(ChernCurvature(R, "unitary"), _STACKED_PAIRS)
     fallback = "exact" if path == GENERIC_2 else "ascent"
     assert [row[3].path for row in reps] == [fallback, "certified", "certified", fallback]  # at (1, 1)
@@ -1139,7 +1139,7 @@ def test_batched_extrema_raise_the_error_of_extremize_at_a_non_finite_point(bad)
     # 1e308: T is finite once scaled, and the 2^e rescale of its extrema overflows; nan: T is not finite
     entry = builtin("hopf-2")
     jets = metric_jets(entry.spec, sample_points(entry, 3, 47))
-    R = to_unitary_frame(chern_curvature(jets), jets).tensor.copy()
+    R = to_unitary_frame(chern_curvature(jets)).tensor.copy()
     R[1] = bad
     params = MixedParams(1.0, 1.0)
     with pytest.raises(MetricError) as one:

@@ -181,7 +181,7 @@ def test_constant_plus_quadratic_metrics_keep_the_curvature_symmetries(drawn):
     assert np.max(hermitian_symmetry_residual(Rc)) <= 1e-12 * scale
     b = ricci_bundle(Rc)
     tr_rho2 = np.einsum("...ji,...ij->...", jets.g_inv, b.rho2).real
-    u_unitary = ricci_bundle(to_unitary_frame(Rc, jets)).u
+    u_unitary = ricci_bundle(to_unitary_frame(Rc)).u
     assert np.max(np.abs(tr_rho2 - b.u)) <= 1e-12 * scale
     assert np.max(np.abs(u_unitary - b.u)) <= 1e-12 * scale
 

@@ -30,7 +30,7 @@ SURFACES = (
 def _unitary(name, seed):
     entry = builtin(name)
     jets = metric_jets(entry.spec, sample_points(entry, 10, seed))
-    return [(jet, to_unitary_frame(chern_curvature(jet), jet)) for jet in jets]
+    return [(jet, to_unitary_frame(chern_curvature(jet))) for jet in jets]
 
 
 def test_weyl_minus_vanishes_on_self_dual_surfaces():
@@ -47,7 +47,7 @@ def test_weyl_minus_adm_termwise():
     # W3 = (-1 + 1 - 0 ... )/6 = 0 with the only nonzero entries on the axes
     entry = builtin("adm-product-surface")
     jet = metric_jet(entry.spec, sample_points(entry, 1, 2)[0])
-    Ru = to_unitary_frame(chern_curvature(jet), jet)
+    Ru = to_unitary_frame(chern_curvature(jet))
     R = Ru.tensor
     assert abs(R[0, 0, 0, 0] + 1) < 1e-12
     assert abs(R[1, 1, 1, 1] - 1) < 1e-12
@@ -60,7 +60,7 @@ def test_weyl_minus_requires_unitary_surface():
     with pytest.raises(ValueError, match="unitary"):
         weyl_minus(chern_curvature(jet))
     jet3 = metric_jet(builtin("euclidean-3").spec, [0.1, 0.2, 0.3])
-    Ru3 = to_unitary_frame(chern_curvature(jet3), jet3)
+    Ru3 = to_unitary_frame(chern_curvature(jet3))
     with pytest.raises(ValueError, match="n = 2"):
         weyl_minus(Ru3)
 
@@ -69,7 +69,7 @@ def test_weyl_phase_covariance():
     # under e_k -> e^{i theta_k} e_k, |W1| and W3 are invariant
     entry = builtin("hopf-2")
     jet = metric_jet(entry.spec, sample_points(entry, 1, 3)[0])
-    Ru = to_unitary_frame(chern_curvature(jet), jet)
+    Ru = to_unitary_frame(chern_curvature(jet))
     w = weyl_minus(Ru)
     theta = np.array([0.7, -1.3])
     ph = np.exp(1j * theta)
@@ -94,7 +94,7 @@ def test_ricci_combination_on_all_surfaces():
 def test_ricci_combination_hand_value_hopf():
     # in the unitary frame: rho1 + rho2 - 2 Re rho3 = (u - v) I with u - v = 1
     jet = metric_jet(builtin("hopf-2").spec, [1.3, 0.0])
-    Ru = to_unitary_frame(chern_curvature(jet), jet)
+    Ru = to_unitary_frame(chern_curvature(jet))
     b = ricci_bundle(Ru)
     lhs = b.rho1 + b.rho2 - (b.rho3 + b.rho3.conj().T)
     assert np.max(np.abs(lhs - np.eye(2))) < 1e-12
@@ -130,7 +130,7 @@ def test_c1_squared_on_a_flat_surface_with_nonzero_derivatives():
     spec = parse_metric("dim 2\ng[1,1] = 1/abs2(z1)\ng[2,2] = 1/abs2(z2)")
     jets = metric_jets(spec, [[0.8 + 0.3j, -0.5 + 0.9j], [1.3, 0.7j]])
     Rc = chern_curvature(jets)
-    Ru = to_unitary_frame(Rc, jets)
+    Ru = to_unitary_frame(Rc)
     for b in (ricci_bundle(Rc), ricci_bundle(Ru)):
         assert np.all(c1_squared_pointwise_residual(b) < 1e-12)
 
@@ -146,7 +146,7 @@ def test_c1_squared_scales_with_the_metric(name):
         spec = MetricSpec(2, [[ex.mul(ex.const(s), e) for e in row] for row in entry.spec.entries], domain=entry.spec.domain)
         jets = metric_jets(spec, pts)
         Rc = chern_curvature(jets)
-        for b in (ricci_bundle(Rc), ricci_bundle(to_unitary_frame(Rc, jets))):
+        for b in (ricci_bundle(Rc), ricci_bundle(to_unitary_frame(Rc))):
             assert np.all(c1_squared_pointwise_residual(b) <= 1e-13 * b.u**2), s
 
 
@@ -161,7 +161,7 @@ def test_c1_squared_adm_hand_values():
     # u = 0, rho1 = diag(-1, 1): wedge ratio -2, u^2 - <rho,rho> = -2
     entry = builtin("adm-product-surface")
     jet = metric_jet(entry.spec, sample_points(entry, 1, 6)[0])
-    Ru = to_unitary_frame(chern_curvature(jet), jet)
+    Ru = to_unitary_frame(chern_curvature(jet))
     b = ricci_bundle(Ru)
     rho = OneOneForm(b.rho1)
     assert abs(wedge_ratio(rho, rho) - (-2.0)) < 1e-12
@@ -174,7 +174,7 @@ def test_a_form_carries_the_metric_of_its_frame():
     # frame; the coordinate-frame rho1 measured with I instead of its g read 32.65
     jet = metric_jet(builtin("hopf-2").spec, [0.5 + 0.1j, 0.3j])
     Rc = chern_curvature(jet)
-    coordinate, unitary = ricci_bundle(Rc), ricci_bundle(to_unitary_frame(Rc, jet))
+    coordinate, unitary = ricci_bundle(Rc), ricci_bundle(to_unitary_frame(Rc))
     for b in (coordinate, unitary):
         rho = OneOneForm(b.rho1, b.size, b.g)
         assert abs(form_inner(rho, rho) - 4.0) < 1e-12
