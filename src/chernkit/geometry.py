@@ -165,7 +165,8 @@ def chern_curvature(jet: MetricJet) -> ChernCurvature:
     """Coordinate-frame Chern curvature tensor from a metric jet."""
     gi_dg = np.einsum("...qp,...ikq->...ikp", jet.g_inv, jet.dg)
     second = np.einsum("...ikp,...jpl->...ijkl", gi_dg, jet.dbar_g)
-    size = _max_abs(jet.ddbar_g, 4) + _size(_max_abs(jet.g_inv, 2), _max_abs(jet.dg, 3), _max_abs(jet.dbar_g, 3))
+    with np.errstate(over="ignore"):  # a size past the float range is inf, as _size's: it bounds nothing
+        size = _max_abs(jet.ddbar_g, 4) + _size(_max_abs(jet.g_inv, 2), _max_abs(jet.dg, 3), _max_abs(jet.dbar_g, 3))
     return ChernCurvature(-jet.ddbar_g + second, "coordinate", jet.g, size=size)
 
 
@@ -206,17 +207,23 @@ def to_unitary_frame(Rc: ChernCurvature, jet: MetricJet | None = None) -> ChernC
 
 
 def ricci_bundle(Rc: ChernCurvature) -> RicciBundle:
-    """Four Ricci traces of Rc against the metric of its frame, which the bundle carries on."""
+    """Four Ricci traces of Rc against the metric of its frame, which the bundle carries on.
+
+    MetricError where a trace, u or v is not finite (a finite R whose traces overflow).
+    """
     gi = np.linalg.inv(Rc.metric)
     R = Rc.tensor
     rho1 = _rho1(gi, R)
     rho2 = np.einsum("...ji,...ijkl->...kl", gi, R)
     rho3 = np.einsum("...jk,...ijkl->...il", gi, R)
     rho4 = np.einsum("...li,...ijkl->...kj", gi, R)
+    u, v = np.einsum("...ji,...ij->...", gi, rho1), np.einsum("...li,...il->...", gi, rho3)
+    if not all(np.isfinite(x).all() for x in (rho1, rho2, rho3, rho4, u, v)):
+        raise MetricError("Ricci traces are not finite")
     gi_max = _max_abs(gi, 2)
     size, uv_size = _size(Rc.size, gi_max), _size(Rc.size, gi_max, gi_max)
-    u = _real(np.einsum("...ji,...ij->...", gi, rho1), "scalar curvature u", uv_size)
-    v = _real(np.einsum("...li,...il->...", gi, rho3), "altered scalar curvature v", uv_size)
+    u = _real(u, "scalar curvature u", uv_size)
+    v = _real(v, "altered scalar curvature v", uv_size)
     return RicciBundle(rho1, rho2, rho3, rho4, u, v, Rc.g, size)
 
 
@@ -237,7 +244,11 @@ def kahler_like_defect(Rc: ChernCurvature) -> float:
     """Deviation of Rc from the full Kahler symmetry set, in its own frame.
 
     Measures max over indices of |R_{i jbar k lbar} - R_{k jbar i lbar}| and
-    |R_{i jbar k lbar} - R_{i lbar k jbar}|.
+    |R_{i jbar k lbar} - R_{i lbar k jbar}|.  Hermitian symmetry,
+    R_{i jbar k lbar} = conj(R_{j ibar l kbar}), makes the second maximum the
+    first only up to the round-off of that symmetry in the computed R, so both
+    are kept: dropping the second moves the defect at round-off, in eval
+    records and in the battery's kahler-like lines.
     """
     R = Rc.tensor
     swap_holo = _max_abs(R - np.swapaxes(R, -4, -2), 4)

@@ -201,11 +201,13 @@ def _jets(spec: MetricSpec, points) -> tuple:
     A point's reason is None, or the EvaluationError or MetricError of the
     first check it fails, in this order: the g program, g finite, g
     Hermitian (max|g - g^H| at most HERMITIAN_TOL * max|g| there), g
-    positive definite, the derivatives of the jet run finite, and the
+    positive definite, every eigenvalue of g finite (the largest may overflow
+    where the entries do not), the derivatives of the jet run finite, and the
     residual of the inverse metric (max|g^-1 g - I| at most 1e-12 * max|g| *
-    max|g^-1|, with g its Hermitian part there).  Every tolerance scales
-    with g, so g and s*g pass or fail alike for any s > 0.  The batch
-    keeps the other points in their order.
+    max|g^-1|, with g its Hermitian part there; past the float range it
+    bounds nothing).  Every tolerance scales with g, so g and s*g pass or
+    fail alike for any s > 0.  The batch keeps the other points in their
+    order.
     """
     pts = np.asarray(points, dtype=complex)
     if pts.ndim == 1:
@@ -223,16 +225,17 @@ def _jets(spec: MetricSpec, points) -> tuple:
     why = "metric is not Hermitian at {} (residual {:.3e}, tolerance {:.3e})"
     _reject(reasons, ok, herm > tol, lambda k: why.format(pts[k], herm[k], tol[k]))
     g = _hermitian_part(g)
-    eig = np.linalg.eigvalsh(g)[:, 0]
+    eig = np.linalg.eigvalsh(g)
     why = "metric is not positive definite at {} (min eigenvalue {:.3e})"
-    _reject(reasons, ok, eig <= 0, lambda k: why.format(pts[k], eig[k]))
+    _reject(reasons, ok, eig[:, 0] <= 0, lambda k: why.format(pts[k], eig[k, 0]))
+    _reject(reasons, ok, ~np.isfinite(eig).all(axis=1), lambda k: f"metric eigenvalues are not finite at {pts[k]}")
     if not ok.all():
         g = np.where(ok[:, None, None], g, eye)
     why = "metric derivatives are not finite at {}"
     _reject(reasons, ok, ~np.isfinite(J[:, 1:]).all(axis=(1, 2)), lambda k: why.format(pts[k]))
     g_inv = np.linalg.inv(g)
     resid = _max_abs(g_inv @ g - eye, 2)
-    bad = resid > 1e-12 * _max_abs(g, 2) * _max_abs(g_inv, 2)
+    bad = resid > _size(1e-12, _max_abs(g, 2), _max_abs(g_inv, 2))
     _reject(reasons, ok, bad, lambda k: f"inverse-metric residual {resid[k]:.3e} exceeds tolerance")
     dg, dbg, ddg = _split(J[ok], n, (n, n))
     return MetricJet(pts[ok], g[ok], dg, dbg, ddg, g_inv[ok]), reasons

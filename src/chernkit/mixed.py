@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -377,40 +376,23 @@ def _scaled_form(R, rho, params: MixedParams):
     e is taken from the exponents of the weights and of max|rho1|, max|R|, so the
     magnitude of T may lie outside the floats while S neither over- nor
     underflows; on S the ascent's ladder of steps is relative to the curvature.
-    rho1 and R are scaled by 2^-e, the weights kept: 2^-e itself need not be a
-    float, when the curvature is subnormal.  Where a weight is subnormal, a
-    tensor scaled by 2^-e would pass the largest float, and the weight takes
-    the rest of the power of two (_shifted).  A term whose weight is 0 is left
-    out, with its magnitude and exponent.  S is beta R with alpha rho1 added on
-    its diagonal k = l, in C order whatever the layout of R.
+    Each weight's exponent moves onto its tensor: with w = f 2^x, f in [1/2, 1)
+    (math.frexp), a term w t is f (t 2^(x - e)), one exact ldexp and one
+    product, both factors below 2 in magnitude, whatever the size of the
+    weights and of the curvature, subnormal ones included.  A term whose weight
+    is 0 is left out, with its magnitude and exponent.  S is beta R with
+    alpha rho1 added on its diagonal k = l, in C order whatever the layout of R.
     """
-    alpha, beta = params.alpha, params.beta
-    # (w, max|t|) as math.frexp pairs, for the terms of nonzero weight
-    sizes = [(math.frexp(w), math.frexp(np.abs(t).max())) for w, t in ((alpha, rho), (beta, R)) if w]
-    e = max((xw + xm - 1 for (_, xw), (fm, xm) in sizes if fm), default=0)
-    scale = max(math.ldexp(abs(fw) * fm, xw + xm - e) for (fw, xw), (fm, xm) in sizes)  # xw + xm - e <= 1
-    if e:
-        (alpha, rho), (beta, R) = (_shifted(w, t, e) if w else (w, t) for w, t in ((alpha, rho), (beta, R)))
+    (fa, xa), (fb, xb) = math.frexp(params.alpha), math.frexp(params.beta)
+    # w and max|t| as math.frexp pairs, for the terms of nonzero weight
+    sizes = [(fw, xw, *math.frexp(np.abs(t).max())) for fw, xw, t in ((fa, xa, rho), (fb, xb, R)) if fw]
+    e = max((xw + xm - 1 for _, xw, fm, xm in sizes if fm), default=0)
+    scale = max(math.ldexp(abs(fw) * fm, xw + xm - e) for fw, xw, fm, xm in sizes)  # xw + xm - e <= 1
     n = R.shape[0]
-    S = np.multiply(beta, R, dtype=complex, order="C")  # C order, so the reshape below is a view
-    if alpha:
-        S.reshape(n, n, n * n)[..., :: n + 1] += alpha * rho[..., None]
+    S = fb * _ldexp(R, xb - e) if fb else np.zeros((n,) * 4, dtype=complex)  # C order, so the reshape is a view
+    if fa:
+        S.reshape(n, n, n * n)[..., :: n + 1] += fa * _ldexp(rho, xa - e)[..., None]
     return S, e, scale
-
-
-def _shifted(w, t, e: int):
-    """(w 2^(b - e), t 2^-b), whose product is w t 2^-e exactly.
-
-    b is e, as long as t 2^-e is a float.  It need not be where w is
-    subnormal: there b keeps max|t 2^-b| under the largest float and w takes
-    the rest, which leaves it below 2^-1022, as e >= exponent(w) +
-    exponent(max|t|) - 1.  Both scalings are exact, so the product is the
-    same either way.
-    """
-    b = e
-    if abs(w) < sys.float_info.min:
-        b = max(e, math.frexp(np.abs(t).max())[1] - sys.float_info.max_exp)
-    return math.ldexp(w, b - e), _ldexp(t, -b)
 
 
 def _best(S, Z):
@@ -501,9 +483,10 @@ def extremize(Rc: ChernCurvature, params: MixedParams, *, _item=None) -> Extremu
     curvature magnitude at both extremizers, so the extremal values are
     accurate to about 1e-14 of it.  bound_gap measures every path against
     the same bounds.  Every path runs on T divided by an exact power of two
-    that brings that magnitude between 1/2 and 2 (_scaled_form), so both
-    tolerances have no absolute floor and the result scales exactly with
-    the weights and with the curvature, however large or small.
+    that brings that magnitude between 1/2 and 2 (_scaled_form, where each
+    weight's exponent moves onto its tensor), so both tolerances have no
+    absolute floor and the result scales exactly with the weights and with
+    the curvature, however large or small.
 
     _item is for _extrema alone: one item of its _stacked batch, which
     extremize finishes in place of Rc.

@@ -574,6 +574,24 @@ def test_a_metric_with_huge_derivatives_evaluates_without_warnings(tmp_path):
         assert (code, err) == (0, ""), command
 
 
+@pytest.mark.parametrize(
+    "text, point",
+    [
+        # max|ddbar g| is 1.7e308, and so is max|g^-1| max|dg| max|dbar g|: their sum, the curvature's size, is inf
+        ("dim 2\ng[1,1] = 1 + 1.7e308*z1*zbar1\ng[2,2] = 1 + 1.7e308*z1*zbar1\n", "0.1,0.2"),
+        # 1e-12 max|g| max|g^-1|, the inverse metric's tolerance, is about 1e456: it bounds nothing
+        ("dim 2\ng[1,1] = 1e-160\ng[2,2] = 1.7e+308\n", "0.3,0.1-0.2i"),
+    ],
+    ids=["curvature-size", "inverse-tolerance"],
+)
+def test_a_metric_whose_sizes_overflow_evaluates_without_warnings(tmp_path, text, point):
+    metric = tmp_path / "steep.metric"
+    metric.write_text(text)
+    for command in ("eval", "extremize"):
+        code, _, err = _main(command, "--metric", str(metric), f"--point={point}", "--alpha", "1", "--beta", "1")
+        assert (code, err) == (0, ""), command
+
+
 GENERIC_2 = str(Path(__file__).parent / "data" / "generic-2.metric")
 
 

@@ -1087,6 +1087,23 @@ def test_extremize_reports_its_path(source, path):
         assert (rep.restarts_used > 0) == (path == "ascent") and rep.converged
 
 
+@pytest.mark.parametrize(
+    "name, generic, eps, path",
+    [("hopf-3", GENERIC_3, 1e-8, "ascent"), ("hopf-2", GENERIC_2, 1e-4, "exact")],
+    ids=["hopf-3", "hopf-2"],
+)
+def test_a_rounding_that_misses_the_bounds_by_1e_10_takes_the_fallback(name, generic, eps, path):
+    # a Hopf curvature, certified, nudged by eps of a generic one: its best Sym^2 rounding misses the bounds by
+    # about 5e-10 (n = 3) and 3e-10 (n = 2) of the scale, far above the certificate's 1e-13 and far below 1e-6
+    entry = builtin(name)
+    Ru = to_unitary_frame(chern_curvature(metric_jet(entry.spec, sample_points(entry, 1, 3)[0])))
+    Ru = ChernCurvature(Ru.tensor + eps * _generic_curvatures(generic, 1, seed=1).tensor[0], "unitary")
+    params = MixedParams(0.0, 1.0)
+    _, (min_val, _, max_val, _), lam, _, scale, _ = mixed._stacked(Ru, [params])[0]
+    assert 1e-13 < max(lam[-1] - max_val, min_val - lam[0]) / scale < 1e-6
+    assert extremize(Ru, params).path == path
+
+
 def _report_bytes(rep):
     """Every field of an ExtremumReport as (name, type, bytes)."""
     return [(f.name, type(v), np.asarray(v).tobytes()) for f in fields(rep) for v in [getattr(rep, f.name)]]

@@ -217,6 +217,7 @@ def test_real_quadratic_factors_obey_the_conformal_law(drawn):
 # ---------------------------------------------------------------------------
 # DSL source through the CLI: every input evaluates or exits 2 with one error line
 
+import json  # noqa: E402
 import re  # noqa: E402
 
 from chernkit.catalog import names  # noqa: E402
@@ -283,3 +284,30 @@ def test_scaled_catalog_metrics_evaluate(tmp_path, s):
         path = tmp_path / f"{name}.metric"
         path.write_text(print_metric(scaled))
         assert _exit_codes(path) == [0, 0], name
+
+
+@pytest.mark.parametrize(
+    "text, point",
+    [
+        # finite entries, but the largest eigenvalue of g overflows
+        (
+            "dim 2\ng[1,1] = 1.7e+308\ng[2,2] = 1.7e+308 + 1e+150*z2*zbar1\n"
+            "g[1,2] = 1.7e+308*z1*zbar2\ng[2,1] = 1.7e+308*z2*zbar1\n",
+            "0.3,0.1-0.2i",
+        ),
+        # R is finite in both frames; its traces rho1 and u overflow
+        ("dim 2\ng[1,1] = 1 + 1.7e308*z1*zbar1\ng[2,2] = 1 + 1.7e308*z1*zbar1\n", "1e-200,0"),
+    ],
+    ids=["eigenvalue", "ricci-traces"],
+)
+def test_a_point_whose_outputs_overflow_exits_2(tmp_path, text, point):
+    path = tmp_path / "overflow.metric"
+    path.write_text(text)
+    # eval at H alone, whose extrema stay finite on the second metric: the point's record is one error
+    code, out, err = _main("eval", "--metric", str(path), f"--point={point}")
+    (record,) = json.loads(out)["records"]
+    assert (code, err) == (2, "") and "error" in record, out
+    assert not _NON_FINITE.search(out), out
+    # extremize where rho1 enters the form
+    code, out, err = _main("extremize", "--metric", str(path), f"--point={point}", "--alpha", "1", "--beta", "1")
+    assert (code, out) == (2, "") and err.startswith("error: ") and err.count("\n") == 1, err
