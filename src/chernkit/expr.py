@@ -322,9 +322,14 @@ def evaluate(e, p, jet: bool = False):
 # payload), so a subtree shared structurally by several trees becomes one
 # instruction (Filliatre & Conchon, "Type-Safe Modular Hash-Consing", 2006),
 # and lists the instructions in evaluation order: a straight-line tape in the
-# sense of Griewank & Walther, "Evaluating Derivatives" (2008).  _run runs
-# the tape over a flat slot array, one numpy operation per instruction on
-# the value, so a root's outputs do not depend on the other roots.
+# sense of Griewank & Walther, "Evaluating Derivatives" (2008).  It also
+# schedules the tape by depth: the instructions of one depth and one kind
+# read only shallower slots, so _run evaluates each such group in one numpy
+# pass over their stacked rows.  A jet step costs mostly its numpy calls at a
+# few points, and the entries of a metric repeat one template, so the 50
+# arithmetic instructions of fubini-study-4 take 11 passes.  Every row gets the
+# arithmetic of its own instruction, so a root's outputs do not depend on the
+# other roots.
 
 _LEAVES = frozenset({"const", "coord", "conj_coord"})
 _UNARY = frozenset({"neg", "conj", "exp", "log", "int_pow"})
@@ -338,13 +343,20 @@ class Program:
 
     ``code[s]`` is ``(kind, a, b, payload)`` and fills slot s from the earlier
     slots a and b.  Besides the Expr kinds there is ``guard``, the
-    division-by-zero test of a denominator.  ``frees[s]`` lists the slots that
-    ``code[s]`` reads for the last time; ``outputs`` holds the slot of each
-    root, in the order the roots were given.
+    division-by-zero test of a denominator.  ``outputs`` holds the slot of
+    each root, in the order the roots were given.
+
+    ``schedule`` is the order _run follows: groups ``(kind, payload, members,
+    frees)``, one depth after another, with ``members`` the ``(s, a, b)`` of
+    each instruction in the group.  A leaf has depth 0 and any other
+    instruction 1 + the largest depth of its operands.  A group holds the
+    instructions of one depth, one kind and, for int_pow, one power, in
+    program order; a leaf or a guard is a group of its own.  ``frees`` lists
+    the slots whose last reader is in the group, roots excepted.
     """
 
     code: tuple
-    frees: tuple
+    schedule: tuple
     outputs: tuple
     n_coords: int
 
@@ -373,10 +385,12 @@ def compile_program(roots) -> Program:
     that a division evaluates and guards its denominator before its
     numerator, so evaluate raises the same EvaluationError as evaluating the
     roots one after another.  The traversal is iterative: tree depth is not
-    limited by the Python stack.
+    limited by the Python stack.  It also gives each instruction its depth
+    and group (see Program); one pass over the groups then finds the frees.
     """
     roots = list(roots)  # slot_of is keyed by id(): keep every node alive
     code, interned, slot_of, guarded, outputs = [], {}, {}, set(), []
+    depth, groups = [], {}  # groups maps (depth, kind, power) or a slot to its members (s, a, b)
     for root in roots:
         stack = [(root, _VISIT)]
         while stack:
@@ -394,6 +408,9 @@ def compile_program(roots) -> Program:
                 s = slot_of[id(e)]
                 if s not in guarded:
                     guarded.add(s)
+                    g = len(code)
+                    depth.append(depth[s] + 1)
+                    groups[g] = [(g, s, 0)]
                     code.append(("guard", s, 0, None))
             else:
                 payload, pkey = _payload(e)
@@ -403,26 +420,47 @@ def compile_program(roots) -> Program:
                 s = interned.get(key)
                 if s is None:
                     s = interned[key] = len(code)
+                    if e.args:  # a unary instruction's b is slot 0, a leaf of depth 0
+                        d = depth[a] if depth[a] > depth[b] else depth[b]
+                        depth.append(d + 1)
+                        groups.setdefault((d, e.kind, pkey), []).append((s, a, b))
+                    else:
+                        depth.append(0)
+                        groups[s] = [(s, a, b)]
                     code.append((e.kind, a, b, payload))
                 slot_of[id(e)] = s
         outputs.append(slot_of[id(root)])
 
+    # sorted is stable: the groups of one depth keep the order of their first instruction
+    order = sorted(groups.values(), key=lambda members: depth[members[0][0]])
     last_use = {}
-    for i, (kind, a, b, _) in enumerate(code):
+    for i, members in enumerate(order):
+        kind = code[members[0][0]][0]
         if kind in _BINARY:
-            last_use[a] = last_use[b] = i
+            for _, a, b in members:
+                last_use[a] = last_use[b] = i
         elif kind not in _LEAVES:  # unary or guard
-            last_use[a] = i
+            for _, a, _ in members:
+                last_use[a] = i
     for s in outputs:  # roots stay live until the runner collects them
         last_use.pop(s, None)
-    frees = [[] for _ in code]
+    frees = [[] for _ in order]
     for s, i in last_use.items():
         frees[i].append(s)
+    schedule = tuple(
+        (code[members[0][0]][0], code[members[0][0]][3], tuple(members), tuple(free)) for members, free in zip(order, frees)
+    )
     n_coords = max((p + 1 for k, _, _, p in code if k in ("coord", "conj_coord")), default=0)
-    return Program(tuple(code), tuple(map(tuple, frees)), tuple(outputs), n_coords)
+    return Program(tuple(code), schedule, tuple(outputs), n_coords)
 
 
 _REASONS = {"guard": "division by zero", "log": "log of zero"}
+
+#: the most rows one shared pass of _run stacks.  A jet step costs mostly
+#: its numpy calls at a few rows and its arithmetic at many; past about this
+#: many rows, a pass's copies and its larger working set cost more than the
+#: calls it saves
+_PASS_ROWS = 256
 
 
 def _reason(prog: Program, slot: int) -> str:
@@ -431,9 +469,14 @@ def _reason(prog: Program, slot: int) -> str:
 
 
 def _mark(failed: np.ndarray, bad, slot: int):
-    """Record slot as the first failure of each point where bad holds."""
+    """Record slot as the failure of each point where bad holds, unless the point failed at an earlier slot."""
     if np.any(bad):
-        failed[bad & (failed < 0)] = slot
+        failed[bad & ((failed < 0) | (failed > slot))] = slot
+
+
+def _rows(jets: list, m: int) -> np.ndarray:
+    """The jets stacked into one array, m rows each: a constant's single row is repeated."""
+    return np.concatenate([J if len(J) == m else np.broadcast_to(J, (m, J.shape[1])) for J in jets])
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
@@ -441,24 +484,45 @@ def _run(prog: Program, pts: np.ndarray, jet: bool = False) -> tuple:
     """prog at (m, n) points: (out, failed).
 
     out is an (m, len(prog.outputs)) array, column j for root j.  failed[k]
-    is the slot of the first guard or log that failed at point k, or -1.  A
-    failed point does not stop the run: its later values may be inf or nan,
-    and the other points are unaffected.
+    is the slot of the first guard or log, in program order, that failed at
+    point k, or -1.  A failed point does not stop the run: its later values
+    may be inf or nan, and the other points are unaffected.
 
     Each slot holds a jet (see _step).  With jet off it is the value alone;
     with jet on it carries the derivatives too, and out has shape
     (m, 1 + 2n + n^2, len(prog.outputs)): per root the value, d_i, dbar_j and
     d_i dbar_j (C order over (i, j)).  The value column is the same either way.
+
+    The run follows prog.schedule.  A group of one runs _step on its
+    operands; a larger group runs it once on their stacked rows, at most
+    _PASS_ROWS of them a pass, and each slot gets its own m rows.  _step
+    acts row by row, so every slot holds what it would hold alone.  With the
+    jet off a step is a numpy call or two, no more than the stacking costs,
+    so each instruction is a pass of its own.
     """
     m, n = pts.shape
     if prog.n_coords > n:
         raise EvaluationError(f"expression references z{prog.n_coords} but the point has {n} coordinates")
     vals, failed, d = [None] * len(prog.code), np.full(m, -1), n if jet else 0
-    for s, ((kind, a, b, payload), free) in enumerate(zip(prog.code, prog.frees)):
-        if kind == "guard" or kind == "log":
-            _mark(failed, np.abs(vals[a][:, 0]) < DIV_EPS, s)
-        if kind != "guard":
-            vals[s] = _step(kind, vals[a], vals[b], payload, pts, d)
+    per_pass = max(1, _PASS_ROWS // m) if jet else 1
+    for kind, payload, members, free in prog.schedule:
+        if len(members) == 1 or per_pass == 1:
+            for s, a, b in members:
+                if kind == "guard" or kind == "log":
+                    _mark(failed, np.abs(vals[a][:, 0]) < DIV_EPS, s)
+                if kind != "guard":
+                    vals[s] = _step(kind, vals[a], vals[b], payload, pts, d)
+        else:
+            for i in range(0, len(members), per_pass):
+                chunk = members[i : i + per_pass]
+                Ja = _rows([vals[a] for _, a, _ in chunk], m)
+                Jb = _rows([vals[b] for _, _, b in chunk], m) if kind in _BINARY else None
+                if kind == "log":
+                    for (s, _, _), bad in zip(chunk, (np.abs(Ja[:, 0]) < DIV_EPS).reshape(-1, m)):
+                        _mark(failed, bad, s)
+                J = _step(kind, Ja, Jb, payload, pts, d)
+                for j, (s, _, _) in enumerate(chunk):
+                    vals[s] = J[j * m : (j + 1) * m]
         for f in free:
             vals[f] = None
     out = np.empty((m, 1 + 2 * d + d * d, len(prog.outputs)), dtype=complex)

@@ -3,9 +3,13 @@
 import numpy as np
 import pytest
 
+from pathlib import Path
+
+import tape_reference
 from chernkit import expr as ex
 from chernkit.catalog import builtin, names, sample_points
-from chernkit.dsl import parse_expression
+from chernkit.conformal import conformal_metric
+from chernkit.dsl import parse_expression, parse_metric
 from tree_reference import walk
 
 Z1, Z2 = ex.coord(1), ex.coord(2)
@@ -285,3 +289,66 @@ def test_fd_residual_of_a_program_is_the_max_over_its_roots():
     for roots, pts in cases:
         singles = max(ex.fd_residual(e, pts) for e in roots)
         assert ex.fd_residual(ex.compile_program(roots), pts) == singles
+
+
+def _scheduled_cases():
+    """(name, program, points(m)) for the catalog, the generic metrics, a conformal metric and its factor,
+    and a program whose guards and logs sit at different depths and fail at some points."""
+    cases = []
+    for name in names():
+        entry = builtin(name)
+        cases.append((name, entry.spec.program, lambda m, entry=entry: sample_points(entry, m, 5)))
+    for name in ("generic-2", "generic-3"):
+        spec = parse_metric((Path(__file__).parent / "data" / f"{name}.metric").read_text(), name=name)
+        cases.append((name, spec.program, lambda m, spec=spec: spec.domain.sample(spec.n, m, np.random.default_rng(5))))
+    F = parse_expression("-0.5*log(abs2(z))", 2)
+    conformal = conformal_metric(builtin("euclidean-2").spec, F)
+    cases += [(f"conformal{k}", prog, lambda m: _rand_points(2, m, 5)) for k, prog in
+              enumerate([conformal.program, ex.compile_program([F])])]
+    # in program order a guard at depth 3, logs at depth 2, then a guard at depth 1
+    roots = [ex.exp(Z1) / (Z1 * ZB1 * Z2), ex.log(Z1 + Z2), ex.log(Z1 - Z2), ex.log(Z1 * Z2 + 1) * ZB1, 1 / Z2]
+    special = np.array([[0, 0], [1, -1], [0.5, 0.5], [0.5, 0], [0, 0.5], [0.25, 0.25]], dtype=complex)
+
+    def failing(m):
+        pts = _rand_points(2, m, 5)
+        pts[::3] = special[np.arange(len(pts[::3])) % len(special)]
+        return pts
+
+    cases.append(("failing", ex.compile_program(roots), failing))
+    cases.append(("failing-reversed", ex.compile_program(roots[::-1]), failing))
+    return cases
+
+
+@pytest.mark.parametrize("m", [1, 4, ex._PASS_ROWS // 3, ex._PASS_ROWS - 1, ex._PASS_ROWS, ex._PASS_ROWS + 1, 300])
+def test_the_scheduled_run_is_the_instruction_at_a_time_run(m):
+    # the same out and failed bit for bit, and evaluate raises the reason of the first failure in program order
+    for name, prog, points in _scheduled_cases():
+        pts = points(m)
+        for jet in (False, True):
+            out, failed = ex._run(prog, pts, jet)
+            want_out, want_failed = tape_reference.run(prog, pts, jet)
+            assert out.tobytes() == want_out.tobytes() and out.shape == want_out.shape, (name, jet)
+            assert np.array_equal(failed, want_failed), (name, jet)
+            if np.any(want_failed >= 0):
+                with pytest.raises(ex.EvaluationError) as err:
+                    ex.evaluate(prog, pts, jet=jet)
+                assert str(err.value) == ex._reason(prog, want_failed[want_failed >= 0].min()), name
+            if name.startswith("failing") and m == 300:  # points fail at guards and at logs
+                assert {ex._reason(prog, s) for s in want_failed[want_failed >= 0]} == {"division by zero", "log of zero"}
+
+
+def test_the_schedule_groups_one_depth_and_kind_and_frees_each_slot_once():
+    prog = builtin("fubini-study-4").spec.program
+    depth, last = {}, 0
+    for kind, payload, members, _ in prog.schedule:
+        for s, a, b in members:
+            assert prog.code[s] == (kind, a, b, payload)
+            depth[s] = 0 if kind in ("const", "coord", "conj_coord") else 1 + max(depth[a], depth[b] if kind in ex._BINARY else 0)
+        assert len(members) == 1 or kind not in ("const", "coord", "conj_coord", "guard")
+        assert len({depth[s] for s, _, _ in members}) == 1, kind
+        assert depth[members[0][0]] >= last
+        last = depth[members[0][0]]
+    assert sorted(depth) == list(range(len(prog)))
+    assert len([g for g in prog.schedule if g[0] not in ("const", "coord", "conj_coord")]) == 13
+    frees = [f for group in prog.schedule for f in group[3]]
+    assert len(frees) == len(set(frees)) and not set(frees) & set(prog.outputs)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import Phase, assume, given, settings  # noqa: E402
+from hypothesis import Phase, assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from chernkit import expr as ex  # noqa: E402
@@ -228,11 +228,12 @@ _NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
 _numbers = st.sampled_from(["0", "1", "2.5", "3i", "1e200", "1e-200", "1e300", "1e-300", "1e308", "1e-320"])
 
 
-def _sources(n):
-    """DSL expression text over z1..zn: numbers from 1e-320 to 1e308, coordinates, abs2, + - * / ^, exp, log, conj."""
+def _sources(n, numbers=_numbers):
+    """DSL expression text over z1..zn: numbers (by default from 1e-320 to 1e308), coordinates, abs2, + - * / ^,
+    exp, log, conj."""
     coords = [f"z{k}" for k in range(1, n + 1)] + [f"zbar{k}" for k in range(1, n + 1)] + ["abs2(z)"]
     return st.recursive(
-        st.one_of(_numbers, st.sampled_from(coords)),
+        st.one_of(numbers, st.sampled_from(coords)),
         lambda kids: st.one_of(
             st.builds("({}) {} ({})".format, kids, st.sampled_from("+-*/"), kids),
             st.builds("{}({})".format, st.sampled_from(["exp", "log", "conj", "abs2", "-"]), kids),
@@ -242,13 +243,14 @@ def _sources(n):
     )
 
 
-def _metric_texts(n):
-    """A dim-n metric file whose entries are drawn, with g[j,i] = conj(g[i,j]).
+def _metric_texts(n, numbers=_numbers):
+    """A dim-n metric file whose entries are drawn from _sources(n, numbers), with g[j,i] = conj(g[i,j]).
 
     Half the diagonal entries are 1 + abs2(e), so that more of the drawn metrics are positive definite.
     """
     cells = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
-    entries = [st.one_of(_sources(n), _sources(n).map("1 + abs2({})".format)) if i == j else _sources(n) for i, j in cells]
+    sources = _sources(n, numbers)
+    entries = [st.one_of(sources, sources.map("1 + abs2({})".format)) if i == j else sources for i, j in cells]
     return st.tuples(*entries).map(
         lambda texts: f"dim {n}\n" + "".join(
             f"g[{i},{j}] = {t}\n" + (f"g[{j},{i}] = conj({t})\n" if i != j else "") for (i, j), t in zip(cells, texts)
@@ -256,11 +258,12 @@ def _metric_texts(n):
     )
 
 
-def _exit_codes(path):
-    """The exit codes of eval and extremize at 2 points of the metric file, each checked to be 0 or 2."""
+def _exit_codes(path, where=("--points", "2")):
+    """The exit codes of eval and extremize at the points where names (2 sampled points by default) of the
+    metric file, each checked to be 0 or 2."""
     codes = []
     for command in ("eval", "extremize"):
-        code, out, err = _main(command, "--metric", str(path), "--points", "2", "--alpha", "1", "--beta", "1")
+        code, out, err = _main(command, "--metric", str(path), *where, "--alpha", "1", "--beta", "1")
         assert code in (0, 2), (command, code, err)
         assert err == "" or (err.startswith("error: ") and err.count("\n") == 1), (command, err)
         assert not _NON_FINITE.search(out), (command, out)
@@ -274,6 +277,34 @@ def test_every_metric_source_evaluates_or_exits_2(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("dsl") / "drawn.metric"
     path.write_text(text)
     _exit_codes(path)
+
+
+# constants up to the ends of the float range, each of either sign
+_wide_numbers = st.one_of(
+    _numbers,
+    st.sampled_from(["1.7e308", "-1.7e308", "-1e308", "-1e-320", "1e-155", "-2.5"]),
+    st.floats(-1.7e308, 1.7e308, allow_nan=False).map(repr),
+)
+# coordinates of an explicit point, down to 1e-155, whose square is subnormal
+_coordinates = st.sampled_from(["0", "1e-155", "-5e-155", "5e-155i", "1e-200", "0.3", "0.1-0.2i", "-0.25i"])
+
+
+def _wide_metrics(n):
+    """(a dim-n metric text with _wide_numbers, the arguments that name its points): 2 sampled points or one
+    explicit point."""
+    point = st.lists(_coordinates, min_size=n, max_size=n).map(lambda zs: ("--point=" + ",".join(zs),))
+    return st.tuples(_metric_texts(n, _wide_numbers), st.one_of(st.just(("--points", "2")), point))
+
+
+@settings(DETERMINISTIC, max_examples=100)
+@given(st.integers(1, 3).flatmap(_wide_metrics))
+# the finite terms of the curvature sum past the float range at this point
+@example(("dim 1\ng[1,1] = 1 - 1.7e308*z1*zbar1\ndomain ball 1\n", ("--point=5e-155+0i",)))
+def test_every_metric_source_at_the_ends_of_the_float_range_evaluates_or_exits_2(tmp_path_factory, drawn):
+    text, where = drawn
+    path = tmp_path_factory.mktemp("dsl") / "drawn.metric"
+    path.write_text(text)
+    _exit_codes(path, where)
 
 
 @pytest.mark.parametrize("s", [1e-150, 1e150])
@@ -297,8 +328,10 @@ def test_scaled_catalog_metrics_evaluate(tmp_path, s):
         ),
         # R is finite in both frames; its traces rho1 and u overflow
         ("dim 2\ng[1,1] = 1 + 1.7e308*z1*zbar1\ng[2,2] = 1 + 1.7e308*z1*zbar1\n", "1e-200,0"),
+        # -ddbar g is 1.7e308 and g^-1 dg dbar g about 1.3e308: their sum, the curvature, overflows
+        ("dim 1\ng[1,1] = 1 - 1.7e308*z1*zbar1\ndomain ball 1\n", "5e-155+0i"),
     ],
-    ids=["eigenvalue", "ricci-traces"],
+    ids=["eigenvalue", "ricci-traces", "curvature-sum"],
 )
 def test_a_point_whose_outputs_overflow_exits_2(tmp_path, text, point):
     path = tmp_path / "overflow.metric"
