@@ -350,9 +350,12 @@ class Program:
     frees)``, one depth after another, with ``members`` the ``(s, a, b)`` of
     each instruction in the group.  A leaf has depth 0 and any other
     instruction 1 + the largest depth of its operands.  A group holds the
-    instructions of one depth, one kind and, for int_pow, one power, in
-    program order; a leaf or a guard is a group of its own.  ``frees`` lists
-    the slots whose last reader is in the group, roots excepted.
+    instructions of one depth, one kind and one payload key (int_pow's
+    power), in program order: guards of one depth share a group, and a leaf,
+    being interned, is a group of its own.  ``frees`` lists the slots whose
+    last reader is in the group, roots excepted; an operand that no step
+    reads (a leaf's, a unary's b, a guard's b) is slot 0, a leaf, which so
+    may stay live longer.
     """
 
     code: tuple
@@ -386,11 +389,11 @@ def compile_program(roots) -> Program:
     numerator, so evaluate raises the same EvaluationError as evaluating the
     roots one after another.  The traversal is iterative: tree depth is not
     limited by the Python stack.  It also gives each instruction its depth
-    and group (see Program); one pass over the groups then finds the frees.
+    and group (see Program); one pass over all operands then finds the frees.
     """
     roots = list(roots)  # slot_of is keyed by id(): keep every node alive
-    code, interned, slot_of, guarded, outputs = [], {}, {}, set(), []
-    depth, groups = [], {}  # groups maps (depth, kind, power) or a slot to its members (s, a, b)
+    code, interned, slot_of, outputs = [], {}, {}, []
+    depth, groups = [], {}  # groups maps (depth, kind, payload key) to its members (s, a, b)
     for root in roots:
         stack = [(root, _VISIT)]
         while stack:
@@ -404,30 +407,21 @@ def compile_program(roots) -> Program:
                     stack += [(num, _VISIT), (den, _GUARD), (den, _VISIT)]
                 else:
                     stack += [(c, _VISIT) for c in reversed(e.args)]
-            elif step == _GUARD:
-                s = slot_of[id(e)]
-                if s not in guarded:
-                    guarded.add(s)
-                    g = len(code)
-                    depth.append(depth[s] + 1)
-                    groups[g] = [(g, s, 0)]
-                    code.append(("guard", s, 0, None))
+                continue
+            if step == _GUARD:
+                kind, a, b, payload, pkey = "guard", slot_of[id(e)], 0, None, None
             else:
-                payload, pkey = _payload(e)
+                kind, (payload, pkey) = e.kind, _payload(e)
                 a = slot_of[id(e.args[0])] if e.args else 0
                 b = slot_of[id(e.args[1])] if len(e.args) > 1 else 0
-                key = (e.kind, a, b, pkey)
-                s = interned.get(key)
-                if s is None:
-                    s = interned[key] = len(code)
-                    if e.args:  # a unary instruction's b is slot 0, a leaf of depth 0
-                        d = depth[a] if depth[a] > depth[b] else depth[b]
-                        depth.append(d + 1)
-                        groups.setdefault((d, e.kind, pkey), []).append((s, a, b))
-                    else:
-                        depth.append(0)
-                        groups[s] = [(s, a, b)]
-                    code.append((e.kind, a, b, payload))
+            key = (kind, a, b, pkey)
+            s = interned.get(key)
+            if s is None:
+                s = interned[key] = len(code)
+                depth.append(0 if kind in _LEAVES else 1 + max(depth[a], depth[b]))
+                groups.setdefault((depth[s], kind, pkey), []).append((s, a, b))
+                code.append((kind, a, b, payload))
+            if step == _EMIT:
                 slot_of[id(e)] = s
         outputs.append(slot_of[id(root)])
 
@@ -435,13 +429,8 @@ def compile_program(roots) -> Program:
     order = sorted(groups.values(), key=lambda members: depth[members[0][0]])
     last_use = {}
     for i, members in enumerate(order):
-        kind = code[members[0][0]][0]
-        if kind in _BINARY:
-            for _, a, b in members:
-                last_use[a] = last_use[b] = i
-        elif kind not in _LEAVES:  # unary or guard
-            for _, a, _ in members:
-                last_use[a] = i
+        for _, a, b in members:  # an unread operand is slot 0, always a leaf
+            last_use[a] = last_use[b] = i
     for s in outputs:  # roots stay live until the runner collects them
         last_use.pop(s, None)
     frees = [[] for _ in order]
@@ -495,10 +484,11 @@ def _run(prog: Program, pts: np.ndarray, jet: bool = False) -> tuple:
 
     The run follows prog.schedule.  A group of one runs _step on its
     operands; a larger group runs it once on their stacked rows, at most
-    _PASS_ROWS of them a pass, and each slot gets its own m rows.  _step
-    acts row by row, so every slot holds what it would hold alone.  With the
-    jet off a step is a numpy call or two, no more than the stacking costs,
-    so each instruction is a pass of its own.
+    _PASS_ROWS of them a pass, and each slot gets its own m rows.  Either
+    way a guard or log marks its failed points, and a guard runs no _step.
+    _step acts row by row, so every slot holds what it would hold alone.
+    With the jet off a step is a numpy call or two, no more than the
+    stacking costs, so each instruction is a pass of its own.
     """
     m, n = pts.shape
     if prog.n_coords > n:
@@ -517,12 +507,13 @@ def _run(prog: Program, pts: np.ndarray, jet: bool = False) -> tuple:
                 chunk = members[i : i + per_pass]
                 Ja = _rows([vals[a] for _, a, _ in chunk], m)
                 Jb = _rows([vals[b] for _, _, b in chunk], m) if kind in _BINARY else None
-                if kind == "log":
+                if kind == "guard" or kind == "log":
                     for (s, _, _), bad in zip(chunk, (np.abs(Ja[:, 0]) < DIV_EPS).reshape(-1, m)):
                         _mark(failed, bad, s)
-                J = _step(kind, Ja, Jb, payload, pts, d)
-                for j, (s, _, _) in enumerate(chunk):
-                    vals[s] = J[j * m : (j + 1) * m]
+                if kind != "guard":
+                    J = _step(kind, Ja, Jb, payload, pts, d)
+                    for j, (s, _, _) in enumerate(chunk):
+                        vals[s] = J[j * m : (j + 1) * m]
         for f in free:
             vals[f] = None
     out = np.empty((m, 1 + 2 * d + d * d, len(prog.outputs)), dtype=complex)

@@ -164,16 +164,15 @@ def _quartic(R: np.ndarray, X: np.ndarray):
 def chern_curvature(jet: MetricJet) -> ChernCurvature:
     """Coordinate-frame Chern curvature tensor from a metric jet.
 
-    MetricError where its finite terms, -ddbar g and g^-1 dg dbar g, sum past
-    the float range.  A term that is itself not finite (g^-1 where g is
-    subnormal) is left to the check of to_unitary_frame.
+    MetricError where -ddbar g + g^-1 dg dbar g is not finite (the jet's
+    arrays are finite, see jets._jets).
     """
     gi_dg = np.einsum("...qp,...ikq->...ikp", jet.g_inv, jet.dg)
     second = np.einsum("...ikp,...jpl->...ijkl", gi_dg, jet.dbar_g)
     with np.errstate(over="ignore"):  # a size past the float range is inf, as _size's: it bounds nothing
         R = -jet.ddbar_g + second
         size = _max_abs(jet.ddbar_g, 4) + _size(_max_abs(jet.g_inv, 2), _max_abs(jet.dg, 3), _max_abs(jet.dbar_g, 3))
-    if not np.isfinite(R).all() and np.isfinite(second).all():
+    if not np.isfinite(R).all():
         raise MetricError("curvature is not finite")
     return ChernCurvature(R, "coordinate", jet.g, size=size)
 

@@ -200,14 +200,15 @@ def _jets(spec: MetricSpec, points) -> tuple:
 
     A point's reason is None, or the EvaluationError or MetricError of the
     first check it fails, in this order: the g program, g finite, g
-    Hermitian (max|g - g^H| at most HERMITIAN_TOL * max|g| there), g
-    positive definite, every eigenvalue of g finite (the largest may overflow
-    where the entries do not), the derivatives of the jet run finite, and the
-    residual of the inverse metric (max|g^-1 g - I| at most 1e-12 * max|g| *
-    max|g^-1|, with g its Hermitian part there; past the float range it
-    bounds nothing).  Every tolerance scales with g, so g and s*g pass or
-    fail alike for any s > 0.  The batch keeps the other points in their
-    order.
+    Hermitian (max|g - g^H| at most HERMITIAN_TOL * max|g| there), every
+    eigenvalue of g finite (the largest may overflow where the entries do
+    not), g positive definite, the derivatives of the jet run finite, g^-1
+    finite (it is not where g is subnormal), and the residual of the inverse
+    metric (max|g^-1 g - I| at most 1e-12 * max|g| * max|g^-1|, with g its
+    Hermitian part there; past the float range it bounds nothing).  So every
+    array of the jets is finite.  Every tolerance scales with g, so g and
+    s*g pass or fail alike for any s > 0.  The batch keeps the other points
+    in their order.
     """
     pts = np.asarray(points, dtype=complex)
     if pts.ndim == 1:
@@ -227,13 +228,14 @@ def _jets(spec: MetricSpec, points) -> tuple:
     g = _hermitian_part(g)
     eig = np.linalg.eigvalsh(g)
     why = "metric is not positive definite at {} (min eigenvalue {:.3e})"
-    _reject(reasons, ok, eig[:, 0] <= 0, lambda k: why.format(pts[k], eig[k, 0]))
     _reject(reasons, ok, ~np.isfinite(eig).all(axis=1), lambda k: f"metric eigenvalues are not finite at {pts[k]}")
+    _reject(reasons, ok, eig[:, 0] <= 0, lambda k: why.format(pts[k], eig[k, 0]))
     if not ok.all():
         g = np.where(ok[:, None, None], g, eye)
     why = "metric derivatives are not finite at {}"
     _reject(reasons, ok, ~np.isfinite(J[:, 1:]).all(axis=(1, 2)), lambda k: why.format(pts[k]))
     g_inv = np.linalg.inv(g)
+    _reject(reasons, ok, ~np.isfinite(g_inv).all(axis=(1, 2)), lambda k: f"inverse metric is not finite at {pts[k]}")
     resid = _max_abs(g_inv @ g - eye, 2)
     bad = resid > _size(1e-12, _max_abs(g, 2), _max_abs(g_inv, 2))
     _reject(reasons, ok, bad, lambda k: f"inverse-metric residual {resid[k]:.3e} exceeds tolerance")

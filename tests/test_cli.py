@@ -545,16 +545,17 @@ def test_a_subnormal_curvature_evaluates_without_warnings(tmp_path):
 def test_metrics_at_the_ends_of_the_float_range_warn_nothing(tmp_path):
     big, tiny = tmp_path / "big.metric", tmp_path / "tiny.metric"
     big.write_text("dim 1\ng[1,1] = ((z1) / (z1)) + (1e308)\n")  # g + g^H overflows; (g + g^H)/2 need not
-    tiny.write_text("dim 1\ng[1,1] = 1e-310 + 1e-310*abs2(z)\n")  # the unitary frame is about 1e155
+    tiny.write_text("dim 1\ng[1,1] = 1e-310 + 1e-310*abs2(z)\n")  # g^-1 is past the float range
     for command in ("eval", "extremize"):
         assert _main(command, "--metric", str(big), "--points", "2")[::2] == (0, ""), command
     code, out, err = _main("eval", "--metric", str(tiny), "--points", "2")
     records = json.loads(out)["records"]
+    points = [np.array([complex(*z) for z in r["point"]]) for r in records]
     assert (code, err) == (2, "")
-    assert all(r["error"] == "curvature is not finite in the unitary frame" for r in records)
-    at = cli._point_text([complex(*z) for z in records[0]["point"]])  # extremize names the first point
+    assert [r["error"] for r in records] == [f"inverse metric is not finite at {p}" for p in points]
+    at = cli._point_text(points[0])  # extremize names the first point
     assert _main("extremize", "--metric", str(tiny), "--points", "2") == (
-        2, "", f"error: at point {at}: curvature is not finite in the unitary frame\n"
+        2, "", f"error: at point {at}: inverse metric is not finite at {points[0]}\n"
     )
     # subnormal weights: the extrema are finite, and both commands print them
     code, out, err = _main("extremize", "--metric", "hopf-2", "--alpha", "0", "--beta", "1e-310", "--points", "2")

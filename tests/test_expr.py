@@ -293,7 +293,7 @@ def test_fd_residual_of_a_program_is_the_max_over_its_roots():
 
 def _scheduled_cases():
     """(name, program, points(m)) for the catalog, the generic metrics, a conformal metric and its factor,
-    and a program whose guards and logs sit at different depths and fail at some points."""
+    and programs whose guards and logs fail at some points: at different depths, and guards sharing a pass."""
     cases = []
     for name in names():
         entry = builtin(name)
@@ -316,6 +316,9 @@ def _scheduled_cases():
 
     cases.append(("failing", ex.compile_program(roots), failing))
     cases.append(("failing-reversed", ex.compile_program(roots[::-1]), failing))
+    # guards on z1 and on z2 at one depth: one group, whose points fail at either
+    guards = [1 / Z1, ZB1 / Z2, Z1 / (Z1 * ZB2), ex.log(Z1 + Z2)]
+    cases.append(("failing-guards", ex.compile_program(guards), failing))
     return cases
 
 

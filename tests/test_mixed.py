@@ -255,8 +255,9 @@ def test_monte_carlo_determinism_and_batch_equivalence():
 
 
 def test_monte_carlo_rejects_a_curvature_not_finite_in_the_unitary_frame():
-    spec = parse_metric("dim 1; g[1,1] = 1e-310 + 1e-310*abs2(z)")
-    jet = metric_jet(spec, [0.3])
+    # g^-1 is finite (max|g^-1| about 2.7e300), but the unitary frame is about 1e150
+    spec = parse_metric("dim 2; g[1,1] = 1e-300*zbar1; g[1,2] = 2.5e-300; g[2,1] = 2.5e-300; g[2,2] = 1 + abs2(z1)")
+    jet = metric_jet(spec, spec.domain.sample(2, 2, np.random.default_rng(0))[1])
     with pytest.raises(MetricError, match="curvature is not finite in the unitary frame"):
         sphere_average_monte_carlo(chern_curvature(jet), jet.g, MixedParams(1.0, 1.0), 1000)
 

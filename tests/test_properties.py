@@ -330,8 +330,14 @@ def test_scaled_catalog_metrics_evaluate(tmp_path, s):
         ("dim 2\ng[1,1] = 1 + 1.7e308*z1*zbar1\ng[2,2] = 1 + 1.7e308*z1*zbar1\n", "1e-200,0"),
         # -ddbar g is 1.7e308 and g^-1 dg dbar g about 1.3e308: their sum, the curvature, overflows
         ("dim 1\ng[1,1] = 1 - 1.7e308*z1*zbar1\ndomain ball 1\n", "5e-155+0i"),
+        # finite entries, but the smallest eigenvalue of g is -inf: no message may name it
+        (
+            "dim 2\ng[1,1] = conj((z1) - (1.7e308))\ng[1,2] = -1.7e308\n"
+            "g[2,1] = conj(-1.7e308)\ng[2,2] = 1 + abs2((-1e-320)^1e200)\n",
+            "0.3,0.1-0.2i",
+        ),
     ],
-    ids=["eigenvalue", "ricci-traces", "curvature-sum"],
+    ids=["eigenvalue", "ricci-traces", "curvature-sum", "eigenvalue-sign"],
 )
 def test_a_point_whose_outputs_overflow_exits_2(tmp_path, text, point):
     path = tmp_path / "overflow.metric"
