@@ -3,18 +3,30 @@
 Every criterion below re-derives a closed-form value or checks an identity
 residual against a pinned tolerance, over deterministic point samples of the
 built-in metrics.  Each criterion is a fixed recipe: it takes no arguments,
-and its metrics, sample counts, seeds and tolerances are written where it
-uses them, so every run checks the same points.  The CLI `verify` command
-and the acceptance test suite both run these checks.
+and its tolerances are written where it uses them, so every run checks the
+same points.  The CLI `verify` command and the acceptance test suite both run
+these checks.
+
+The sample plan.  SAMPLES lists, for each criterion, the (metric, count,
+seed) of every catalog sample it takes, and the criterion reads its samples
+from there.  run_checks builds a _Plan from the samples of its suite's
+criteria: the first time the run takes a metric, one metric_jets call
+evaluates that metric on the concatenated points of all its planned samples,
+and each criterion then takes its own rows (_take), which the plan drops.
+So a run makes one call per catalog metric that it takes (conformal-law's
+conformal metrics and surface relations make calls of their own), and a
+suite evaluates only what its criteria take.  A criterion called on its own, outside run_checks, makes
+one call per sample.  A point's jets do not depend on its batch, so the
+outcomes are bit-identical either way.  The plan ends with its run.
 
 Most criteria run each kernel once per metric, over all its points.  The two
 that take only a few points per metric, sphere-average (one) and
 trace-identity (20), group their metrics by dimension instead
-(_by_dimension): each metric's jets are its own run, and chern_curvature,
-to_unitary_frame and ricci_bundle run once over the concatenated jets of
-each n; sphere-average then makes one mixed_curvature call per dimension and
-pair, on the batch of R with the cubature rows of each.  The outcomes are
-bit-identical to one kernel pass per metric.
+(_by_dimension): the jets of each n are concatenated, and chern_curvature,
+to_unitary_frame and ricci_bundle run once over them; sphere-average then
+makes one mixed_curvature call per dimension and pair, on the batch of R
+with the cubature rows of each.  The outcomes are bit-identical to one
+kernel pass per metric.
 
 Criteria (suite assignment in SUITES):
 
@@ -107,11 +119,49 @@ def _directions(rng, count: int, n: int) -> np.ndarray:
     return W[:, 0] + 1j * W[:, 1]
 
 
+class _Plan:
+    """The catalog jets of one run: one metric_jets call per metric, over every sample the run plans for it.
+
+    A metric's call is made the first time the run takes one of its samples; each sample's rows are
+    kept until it is taken, then dropped.  A point's jets do not depend on its batch, so a sample's
+    rows are the jets of its own call, bit for bit.
+    """
+
+    def __init__(self, criteria):
+        self.pending = {}  # metric -> its planned (count, seed) pairs, in the run's order
+        for criterion in criteria:
+            for name, count, seed in SAMPLES.get(criterion, ()):
+                self.pending.setdefault(name, []).append((count, seed))
+        self.ready = {}  # (metric, count, seed) -> (points, jets), until taken
+
+    def take(self, name: str, count: int, seed: int):
+        """(points, jets) of a planned sample, or None for a sample the run does not plan."""
+        if name in self.pending:
+            entry, samples = builtin(name), self.pending.pop(name)
+            pts = [sample_points(entry, c, s) for c, s in samples]
+            jets = metric_jets(entry.spec, np.concatenate(pts))
+            ends = np.cumsum([c for c, _ in samples]).tolist()
+            for (c, s), p, end in zip(samples, pts, ends):
+                self.ready[name, c, s] = (p, jets[end - c : end])
+        return self.ready.pop((name, count, seed), None)
+
+
+_plan: _Plan | None = None  # the plan of the run_checks call in progress
+
+
+def _take(name: str, count: int, seed: int):
+    """(points, jets) of a catalog metric at seeded points: the run's rows, or a call of their own outside a run."""
+    taken = _plan.take(name, count, seed) if _plan is not None else None
+    if taken is None:
+        entry = builtin(name)
+        pts = sample_points(entry, count, seed)
+        taken = pts, metric_jets(entry.spec, pts)
+    return taken
+
+
 def _sampled(name: str, count: int, seed: int):
     """(points, jets, coordinate-frame curvature) of a catalog metric at seeded points."""
-    entry = builtin(name)
-    pts = sample_points(entry, count, seed)
-    jets = metric_jets(entry.spec, pts)
+    pts, jets = _take(name, count, seed)
     return pts, jets, chern_curvature(jets)
 
 
@@ -124,17 +174,16 @@ def _unitary(name: str, count: int, seed: int):
 def _by_dimension(samples):
     """Catalog metrics at seeded points, grouped by dimension: (members, Ru, bundle) for each n.
 
-    samples holds (name, count, seed) triples.  Each metric's jets are one run of its own
-    program; the jets of one n are concatenated, so chern_curvature, to_unitary_frame and
-    ricci_bundle run once per dimension, not once per metric.  members holds (i, points, rows)
-    for each sample i of that n, in order, rows being its slice of the unitary-frame curvature Ru
-    and of its Ricci bundle, bit-identical to the metric's own kernel calls.
+    samples holds (name, count, seed) triples, each taken as _take does.  The jets of one n are
+    concatenated, so chern_curvature, to_unitary_frame and ricci_bundle run once per dimension, not
+    once per metric.  members holds (i, points, rows) for each sample i of that n, in order, rows
+    being its slice of the unitary-frame curvature Ru and of its Ricci bundle, bit-identical to the
+    metric's own kernel calls.
     """
     groups = {}
-    for i, (name, count, seed) in enumerate(samples):
-        entry = builtin(name)
-        pts = sample_points(entry, count, seed)
-        groups.setdefault(entry.spec.n, []).append((i, pts, metric_jets(entry.spec, pts)))
+    for i, sample in enumerate(samples):
+        pts, jets = _take(*sample)
+        groups.setdefault(jets.n, []).append((i, pts, jets))
     for group in groups.values():
         jets = MetricJet(*(np.concatenate([getattr(j, f) for _, _, j in group]) for f in _field_names(MetricJet)))
         Ru = to_unitary_frame(chern_curvature(jets))
@@ -155,9 +204,9 @@ def _hopf_closed_tensor(z):
 
 def check_hopf_closed_form():
     out = []
-    for n in (2, 3):
-        pts, Ru = _unitary(f"hopf-{n}", 200, 11 + n)
-        closed, expected = _hopf_closed_tensor(pts), builtin(f"hopf-{n}").expected
+    for name, count, seed in SAMPLES["hopf-closed-form"]:
+        pts, Ru = _unitary(name, count, seed)
+        n, closed, expected = Ru.n, _hopf_closed_tensor(pts), builtin(name).expected
         b = ricci_bundle(Ru)
         for tag, res in (
             ("curvature", _max_abs(Ru.tensor - closed, 4)),
@@ -165,7 +214,7 @@ def check_hopf_closed_form():
             ("v", np.abs(b.v - expected["v"].value)),
             ("rho1", _max_abs(b.rho1 - np.einsum("...ijkk->...ij", closed), 2)),
         ):
-            out.append(_worst(f"hopf-closed-form/{tag}/n{n}", f"hopf-{n}", res, 1e-10, "closed-form", pts))
+            out.append(_worst(f"hopf-closed-form/{tag}/n{n}", name, res, 1e-10, "closed-form", pts))
     return out
 
 
@@ -176,15 +225,16 @@ def check_hopf_closed_form():
 def check_hopf_mixed_vanishing():
     out = []
     rng = np.random.default_rng(23)
-    for n in (2, 3):
+    for name, count, seed in SAMPLES["hopf-mixed-vanishing"]:
+        pts, _, Rc = _sampled(name, count, seed)
+        n = Rc.n
         params = MixedParams(1.0, -float(n))
-        pts, _, Rc = _sampled(f"hopf-{n}", 100, 23 + n)
         X = _directions(rng, len(pts), n)
         for tag, res in (
             ("value", np.abs(mixed_curvature(Rc, params, X))),
             ("tensor", constancy_tensor_residual(Rc, params, 0.0)),
         ):
-            out.append(_worst(f"hopf-mixed-vanishing/{tag}/n{n}", f"hopf-{n}", res, 1e-10, "closed-form", pts))
+            out.append(_worst(f"hopf-mixed-vanishing/{tag}/n{n}", name, res, 1e-10, "closed-form", pts))
     return out
 
 
@@ -195,9 +245,9 @@ def check_hopf_mixed_vanishing():
 def check_euclidean_sanity():
     out = []
     rng = np.random.default_rng(5)
-    for n in (2, 3):
-        pts, jets, Rc = _sampled(f"euclidean-{n}", 20, 5 + n)
-        Ru = to_unitary_frame(Rc)
+    for name, count, seed in SAMPLES["euclidean-sanity"]:
+        pts, jets, Rc = _sampled(name, count, seed)
+        n, Ru = Rc.n, to_unitary_frame(Rc)
         t = torsion(jets)
         X = _directions(rng, len(pts), n)
         parts = [Rc.tensor, t.T, t.eta_norm2, mixed_curvature(Rc, MixedParams(0.7, 1.3), X)]
@@ -205,7 +255,7 @@ def check_euclidean_sanity():
             w = weyl_minus(Ru)
             parts += [w.w1, w.w2, w.w3]
         worst = max(np.max(np.abs(x)) for x in parts)
-        out.append(_outcome(f"euclidean-sanity/n{n}", f"euclidean-{n}", worst, 1e-12, "trivial"))
+        out.append(_outcome(f"euclidean-sanity/n{n}", name, worst, 1e-12, "trivial"))
     return out
 
 
@@ -215,8 +265,8 @@ def check_euclidean_sanity():
 
 def check_space_forms():
     out = []
-    for name in ("fubini-study-2", "fubini-study-3", "complex-hyperbolic-2", "complex-hyperbolic-3"):
-        pts, jets, Rc = _sampled(name, 50, 31)
+    for name, count, seed in SAMPLES["space-forms"]:
+        pts, jets, Rc = _sampled(name, count, seed)
         Ru = to_unitary_frame(Rc)
         b = ricci_bundle(Rc)
         reps = [rep for (rep,) in _extrema(Ru, [MixedParams(0.0, 1.0)])]
@@ -238,7 +288,6 @@ def check_space_forms():
 # ---------------------------------------------------------------------------
 # criterion: conformal-law
 
-_LAW_METRICS = ("fubini-study-2", "hopf-2", "complex-hyperbolic-3")
 _FACTORS = (
     "0.1*(z1*zbar1 - z2*zbar2)",
     "0.05*z1*zbar1",
@@ -248,8 +297,8 @@ _FACTORS = (
 
 def check_conformal_law():
     out = []
-    for name in _LAW_METRICS:
-        pts, _, Rc = _sampled(name, 10, 41)
+    for name, count, seed in SAMPLES["conformal-law"]:
+        pts, _, Rc = _sampled(name, count, seed)
         for ftext in _FACTORS:
             F = parse_expression(ftext, Rc.n)
             pred = conformal_curvature_via_formula(Rc, factor_jet(F, pts))
@@ -268,20 +317,11 @@ def check_conformal_law():
 # ---------------------------------------------------------------------------
 # criterion: surface-identities
 
-_SURFACES = (
-    "euclidean-2",
-    "fubini-study-2",
-    "complex-hyperbolic-2",
-    "hopf-2",
-    "adm-product-surface",
-    "isosceles-hopf-surface",
-)
-
 
 def check_surface_identities():
     out = []
-    for name in _SURFACES:
-        pts, Ru = _unitary(name, 50, 53)
+    for name, count, seed in SAMPLES["surface-identities"]:
+        pts, Ru = _unitary(name, count, seed)
         b = ricci_bundle(Ru)
         checks = [
             ("ricci-combination", ricci_combination_residual(b)),
@@ -311,7 +351,7 @@ _TRACE_CONFIGS = (
 
 def check_trace_identity():
     out = [None] * len(_TRACE_CONFIGS)
-    for members, _, bundle in _by_dimension([(name, 20, 61) for name, _ in _TRACE_CONFIGS]):
+    for members, _, bundle in _by_dimension(SAMPLES["trace-identity"]):
         for i, pts, rows in members:
             name, (a, b_) = _TRACE_CONFIGS[i]
             params, b = MixedParams(a, b_), bundle[rows]
@@ -338,9 +378,9 @@ def _average_pairs():
 
 
 def check_sphere_average():
-    pairs, catalog = _average_pairs(), names()
-    per_metric = [None] * len(catalog)
-    for members, Ru, bundle in _by_dimension([(name, 1, 71) for name in catalog]):
+    pairs, (*design, half) = _average_pairs(), SAMPLES["sphere-average"]
+    per_metric = [None] * len(design)
+    for members, Ru, bundle in _by_dimension(design):
         Z, w = _sphere_design(Ru.n)
         # one call per pair: C at the design's points for every metric of this n, shape (metrics, points)
         values = [mixed_curvature(Ru, params, np.broadcast_to(Z, (len(Ru), *Z.shape))) for params in pairs]
@@ -351,13 +391,13 @@ def check_sphere_average():
                 closed = sphere_average_closed_form(b, params)
                 check_id = f"sphere-average/a{params.alpha:+.2f}-b{params.beta:+.2f}"
                 res = abs(w @ C[k] - closed)  # the design's sum is exact; C @ w would round otherwise
-                out.append(_outcome(check_id, catalog[i], res, 1e-12 * max(1.0, abs(closed)), "derived", pts[0]))
+                out.append(_outcome(check_id, design[i][0], res, 1e-12 * max(1.0, abs(closed)), "derived", pts[0]))
             per_metric[i] = out
     out = [o for outcomes in per_metric for o in outcomes]
-    pt, Ru = _unitary("hopf-2", 1, 72)
-    Z, w = _sphere_design(2)
+    pt, Ru = _unitary(*half)
+    Z, w = _sphere_design(Ru.n)
     res = abs(w @ mixed_curvature(Ru[0], MixedParams(0.0, 1.0), Z) - 0.5)
-    out.append(_outcome("sphere-average/hopf-half", "hopf-2", res, 1e-12, "derived", pt[0]))
+    out.append(_outcome("sphere-average/hopf-half", half[0], res, 1e-12, "derived", pt[0]))
     return out
 
 
@@ -367,12 +407,12 @@ def check_sphere_average():
 
 def check_hopf_torsion():
     out = []
-    for n in (2, 3):
-        pts, jets, Rc = _sampled(f"hopf-{n}", 50, 83 + n)
+    for name, count, seed in SAMPLES["hopf-torsion"]:
+        pts, jets, Rc = _sampled(name, count, seed)
         b, t = ricci_bundle(Rc), torsion(jets)
-        closed = builtin(f"hopf-{n}").expected["eta_norm2"].value
+        closed = builtin(name).expected["eta_norm2"].value
         res = np.maximum(np.abs(b.u - b.v - t.eta_norm2), np.abs(t.eta_norm2 - closed))
-        out.append(_worst(f"hopf-torsion/n{n}", f"hopf-{n}", res, 1e-9, "derived", pts))
+        out.append(_worst(f"hopf-torsion/n{Rc.n}", name, res, 1e-9, "derived", pts))
     return out
 
 
@@ -399,10 +439,11 @@ def check_fd():
 
 
 def check_nonconstancy_witness():
-    pt, Ru = _unitary("hopf-2", 1, 99)
+    ((name, count, seed),) = SAMPLES["nonconstancy-witness"]
+    pt, Ru = _unitary(name, count, seed)
     rep = extremize(Ru[0], MixedParams(0.0, 1.0))
     # witness check: spread must EXCEED 1e-2, so the residual is the shortfall
-    return [_outcome("nonconstancy-witness/hopf-hsc-spread", "hopf-2", 1e-2 - rep.spread, 0.0, "derived", pt[0])]
+    return [_outcome("nonconstancy-witness/hopf-hsc-spread", name, 1e-2 - rep.spread, 0.0, "derived", pt[0])]
 
 
 # ---------------------------------------------------------------------------
@@ -411,10 +452,10 @@ def check_nonconstancy_witness():
 
 def check_catalog_expected():
     out = []
-    for name in names():
+    for name, count, seed in SAMPLES["catalog-expected"]:
         entry = builtin(name)
         n = entry.spec.n
-        pts, jets, Rc = _sampled(name, 50, 7)
+        pts, jets, Rc = _sampled(name, count, seed)
         b, t = ricci_bundle(Rc), torsion(jets)
         # "hsc" may use any nonzero direction
         directions = {"hsc": pts + np.linspace(1.0, 2.0, n), "hsc_axis1": [1, 0], "hsc_axis2": [0, 1]}
@@ -436,6 +477,28 @@ def check_catalog_expected():
 
 # ---------------------------------------------------------------------------
 # registry
+
+# (metric, count, seed) of every catalog sample a criterion takes through _take, in the order it takes them;
+# run_checks plans its metric_jets calls from the samples of its suite's criteria
+SAMPLES = {
+    "hopf-closed-form": [(f"hopf-{n}", 200, 11 + n) for n in (2, 3)],
+    "hopf-mixed-vanishing": [(f"hopf-{n}", 100, 23 + n) for n in (2, 3)],
+    "euclidean-sanity": [(f"euclidean-{n}", 20, 5 + n) for n in (2, 3)],
+    "space-forms": [
+        (name, 50, 31) for name in ("fubini-study-2", "fubini-study-3", "complex-hyperbolic-2", "complex-hyperbolic-3")
+    ],
+    "conformal-law": [(name, 10, 41) for name in ("fubini-study-2", "hopf-2", "complex-hyperbolic-3")],
+    "surface-identities": [
+        (name, 50, 53)
+        for name in ("euclidean-2", "fubini-study-2", "complex-hyperbolic-2", "hopf-2", "adm-product-surface",
+                     "isosceles-hopf-surface")
+    ],
+    "trace-identity": [(name, 20, 61) for name, _ in _TRACE_CONFIGS],
+    "sphere-average": [*((name, 1, 71) for name in names()), ("hopf-2", 1, 72)],
+    "hopf-torsion": [(f"hopf-{n}", 50, 83 + n) for n in (2, 3)],
+    "nonconstancy-witness": [("hopf-2", 1, 99)],
+    "catalog-expected": [(name, 50, 7) for name in names()],
+}
 
 CRITERIA = {
     "hopf-closed-form": check_hopf_closed_form,
@@ -463,12 +526,18 @@ SUITES["all"] = [name for suite in ("core", "mixed", "conformal", "surface", "ca
 
 
 def run_checks(suite: str = "all", tol_override: float | None = None):
-    """Run a suite; tol_override replaces every tolerance (forcing-failure knob)."""
+    """Run a suite; tol_override replaces every tolerance (forcing-failure knob).
+
+    The suite's criteria take their catalog jets from one _Plan, which ends with the run.
+    """
+    global _plan
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; pick one of {sorted(SUITES)}")
-    outcomes = []
-    for name in SUITES[suite]:
-        outcomes.extend(CRITERIA[name]())
+    _plan = _Plan(SUITES[suite])
+    try:
+        outcomes = [o for name in SUITES[suite] for o in CRITERIA[name]()]
+    finally:
+        _plan = None
     if tol_override is not None:
         outcomes = [replace(o, tolerance=tol_override, passed=o.residual <= tol_override) for o in outcomes]
     return outcomes

@@ -174,8 +174,16 @@ def sphere_average_monte_carlo_many(
     W /= np.linalg.norm(W, axis=1, keepdims=True)
     blocks = [W[s : s + _BLOCK] for s in range(0, samples, _BLOCK)]
     forms = (_form(Ru, params).tensor for params in params_list)
-    vals = (np.concatenate([_objective(T, z) for z in blocks]) for T in forms)
-    return [(float(np.mean(v)), float(np.std(v, ddof=1) / np.sqrt(samples))) for v in vals]
+    return [_mean_and_stderr(np.concatenate([_objective(T, z) for z in blocks])) for T in forms]
+
+
+def _mean_and_stderr(v: np.ndarray):
+    """(mean, standard error) of the values v, taken on v 2^-e with max|v 2^-e| in [1/2, 1), so that no
+    square overflows.  The scaling is exact, so where v's own squares do not overflow (and no value
+    falls to a subnormal) both numbers are bit for bit those of v."""
+    e = int(np.frexp(np.max(np.abs(v)))[1])
+    s = np.ldexp(v, -e)
+    return float(np.ldexp(np.mean(s), e)), float(np.ldexp(np.std(s, ddof=1), e) / np.sqrt(len(v)))
 
 
 def _axis_and_bisector_seeds(n: int) -> np.ndarray:

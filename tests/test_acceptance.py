@@ -5,13 +5,15 @@ the whole module is the machine-checkable acceptance suite (also reachable
 as `chernkit verify`).
 """
 
+import sys
 from functools import lru_cache
 
 import battery_reference
 import numpy as np
 import pytest
 
-from chernkit.checks import CRITERIA, _average_pairs, _directions, _unitary
+from chernkit import checks, jets
+from chernkit.checks import CRITERIA, SAMPLES, SUITES, _average_pairs, _directions, _unitary, run_checks
 from chernkit.geometry import ricci_bundle
 from chernkit.mixed import sphere_average_closed_form
 
@@ -108,6 +110,52 @@ def test_grouped_criteria_give_the_per_metric_outcomes(name):
     # one pass per metric gives the same outcomes, residuals and witness points to the last bit
     reference = getattr(battery_reference, name.replace("-", "_"))()
     assert [repr(o) for o in _cached_criterion(name)] == [repr(o) for o in reference]
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_a_run_gives_the_outcomes_of_its_criteria_run_on_their_own(suite):
+    # a run evaluates each catalog metric once, on the points of every sample its suite plans for it, and each
+    # criterion takes its rows; a point's jets do not depend on its batch, so every outcome is bit for bit its own
+    want = [repr(o) for name in SUITES[suite] for o in _cached_criterion(name)]
+    assert [repr(o) for o in run_checks(suite)] == want
+    assert checks._plan is None  # nothing is kept for the next run
+
+
+def _counted_jets(monkeypatch) -> list:
+    """The number of points of each metric_jets call from now on, wherever chernkit refers to the function."""
+    calls, original = [], jets.metric_jets
+
+    def counted(spec, points):
+        out = original(spec, points)
+        calls.append(len(out))
+        return out
+
+    for name, module in list(sys.modules.items()):
+        if name == "chernkit" or name.startswith("chernkit."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_the_battery_evaluates_each_catalog_metric_once(monkeypatch):
+    calls = _counted_jets(monkeypatch)
+    run_checks("all")
+    # one call for each of the 18 catalog metrics; conformal-law makes the other 21, on conformal metrics and
+    # in the surface scalar relations.  The points are those of every criterion's own calls.
+    assert (len(calls), sum(calls)) == (39, 2560)
+    first = list(calls)
+    calls.clear()
+    run_checks("all")
+    assert calls == first  # a second run evaluates what the first did
+
+
+def test_a_suite_evaluates_only_the_samples_its_criteria_take(monkeypatch):
+    calls = _counted_jets(monkeypatch)
+    run_checks("core")
+    planned = [sample for name in SUITES["core"] for sample in SAMPLES.get(name, ())]
+    assert len(calls) == len({name for name, _, _ in planned}) == 4
+    assert sum(calls) == sum(count for _, count, _ in planned) == 540
 
 
 def test_criterion_09_hopf_torsion():

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -260,6 +261,21 @@ def test_monte_carlo_rejects_a_curvature_not_finite_in_the_unitary_frame():
     jet = metric_jet(spec, spec.domain.sample(2, 2, np.random.default_rng(0))[1])
     with pytest.raises(MetricError, match="curvature is not finite in the unitary frame"):
         sphere_average_monte_carlo(chern_curvature(jet), jet.g, MixedParams(1.0, 1.0), 1000)
+
+
+def test_monte_carlo_of_a_curvature_whose_squares_overflow_warns_nothing():
+    # the first point of the metric above: its unitary-frame curvature is finite, about 5e299, so the objective
+    # values' squares overflow; mean and standard error are taken on values scaled by a power of two
+    spec = parse_metric("dim 2; g[1,1] = 1e-300*zbar1; g[1,2] = 2.5e-300; g[2,1] = 2.5e-300; g[2,2] = 1 + abs2(z1)")
+    jet = metric_jet(spec, spec.domain.sample(2, 1, np.random.default_rng(0))[0])
+    Rc = chern_curvature(jet)
+    bundle = ricci_bundle(to_unitary_frame(Rc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for params in (MixedParams(1.0, 1.0), MixedParams(0.0, 1.0)):
+            mean, stderr = sphere_average_monte_carlo(Rc, jet.g, params, 1000)
+            assert np.isfinite(stderr) and 0 < stderr < abs(mean)
+            assert abs(mean - sphere_average_closed_form(bundle, params)) <= 4 * stderr
 
 
 @pytest.mark.parametrize("name", names())
