@@ -133,14 +133,18 @@ def _d_omega(jet: MetricJet) -> np.ndarray:
 def _in_frame(R: np.ndarray, E: np.ndarray) -> np.ndarray:
     """Components of R in the frame whose columns are E.
 
-    Four one-index contractions, over i, j, k and l in turn, cost 4n^5 per
-    point; one five-operand einsum summed all n^8 index combinations.
+    Four one-index contractions, each one matmul that contracts R's leading
+    index and puts the new one last: R as an (n, n^3) matrix [i, (j k l)],
+    transposed, times E gives [(j k l), a], and E, Ebar, E, Ebar in turn
+    give [a, b, c, d].  They cost 4n^5 per point, where the Kronecker form
+    costs n^6 and one five-operand einsum summed all n^8 index combinations.
+    An overflow is the caller's to report.
     """
-    Ebar = np.conj(E)
-    R = np.einsum("...ijkl,...ia->...ajkl", R, E)
-    R = np.einsum("...ajkl,...jb->...abkl", R, Ebar)
-    R = np.einsum("...abkl,...kc->...abcl", R, E)
-    return np.einsum("...abcl,...ld->...abcd", R, Ebar)
+    n, batch, Ebar = R.shape[-1], R.shape[:-4], np.conj(E)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for F in (E, Ebar, E, Ebar):
+            R = np.swapaxes(R.reshape(*batch, n, n**3), -1, -2) @ F
+    return R.reshape(*batch, n, n, n, n)
 
 
 def _outer(X: np.ndarray) -> np.ndarray:
@@ -167,9 +171,12 @@ def chern_curvature(jet: MetricJet) -> ChernCurvature:
     MetricError where -ddbar g + g^-1 dg dbar g is not finite (the jet's
     arrays are finite, see jets._jets).
     """
-    gi_dg = np.einsum("...qp,...ikq->...ikp", jet.g_inv, jet.dg)
-    second = np.einsum("...ikp,...jpl->...ijkl", gi_dg, jet.dbar_g)
-    with np.errstate(over="ignore"):  # a size past the float range is inf, as _size's: it bounds nothing
+    n, batch = jet.n, jet.g.shape[:-2]
+    # a size past the float range is inf, as _size's: it bounds nothing; an R that is not finite is reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        gi_dg = jet.dg.reshape(*batch, n * n, n) @ jet.g_inv  # [(i k), p] = sum_q d_i g_{k qbar} g^{p qbar}
+        dbar_g = np.swapaxes(jet.dbar_g, -3, -2).reshape(*batch, n, n * n)  # [p, (j l)] = dbar_j g_{p lbar}
+        second = np.swapaxes((gi_dg @ dbar_g).reshape(*batch, n, n, n, n), -3, -2)  # [i, k, j, l] to [i, j, k, l]
         R = -jet.ddbar_g + second
         size = _max_abs(jet.ddbar_g, 4) + _size(_max_abs(jet.g_inv, 2), _max_abs(jet.dg, 3), _max_abs(jet.dbar_g, 3))
     if not np.isfinite(R).all():

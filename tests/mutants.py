@@ -112,6 +112,20 @@ MUTANTS = [
         "tests/test_cli.py::test_metrics_at_the_ends_of_the_float_range_warn_nothing",
     ),
     Mutant(
+        "g^-1 transposed in g^-1 dg",
+        "geometry.py",
+        "gi_dg = jet.dg.reshape(*batch, n * n, n) @ jet.g_inv",
+        "gi_dg = jet.dg.reshape(*batch, n * n, n) @ np.swapaxes(jet.g_inv, -1, -2)",
+        "tests/test_geometry.py::test_first_ricci_is_log_det_hessian",
+    ),
+    Mutant(
+        "E and Ebar swapped in the frame loop",
+        "geometry.py",
+        "for F in (E, Ebar, E, Ebar):",
+        "for F in (Ebar, E, Ebar, E):",
+        "tests/test_geometry.py::test_invariant_scalars_under_frame_change",
+    ),
+    Mutant(
         "each planned sample takes the rows of its metric's call one row late",
         "checks.py",
         "(p, jets[end - c : end])",
