@@ -122,9 +122,9 @@ def _directions(rng, count: int, n: int) -> np.ndarray:
 class _Plan:
     """The catalog jets of one run: one metric_jets call per metric, over every sample the run plans for it.
 
-    A metric's call is made the first time the run takes one of its samples; each sample's rows are
-    kept until it is taken, then dropped.  A point's jets do not depend on its batch, so a sample's
-    rows are the jets of its own call, bit for bit.
+    A metric's call is made the first time the run takes one of its samples.  Each sample's rows
+    are copied out and kept until it is taken, then dropped.  A point's jets do not depend on its
+    batch, so a sample's rows are the jets of its own call, bit for bit.
     """
 
     def __init__(self, criteria):
@@ -142,7 +142,9 @@ class _Plan:
             jets = metric_jets(entry.spec, np.concatenate(pts))
             ends = np.cumsum([c for c, _ in samples]).tolist()
             for (c, s), p, end in zip(samples, pts, ends):
-                self.ready[name, c, s] = (p, jets[end - c : end])
+                # a copy, not a view, so the call's arrays are freed once every sample has its rows
+                rows = jets[end - c : end]
+                self.ready[name, c, s] = (p, MetricJet(*(getattr(rows, f).copy() for f in _field_names(MetricJet))))
         return self.ready.pop((name, count, seed), None)
 
 

@@ -128,8 +128,8 @@ MUTANTS = [
     Mutant(
         "each planned sample takes the rows of its metric's call one row late",
         "checks.py",
-        "(p, jets[end - c : end])",
-        "(p, jets[end - c + 1 : end + 1])",
+        "rows = jets[end - c : end]",
+        "rows = jets[end - c + 1 : end + 1]",
         "tests/test_acceptance.py::test_a_run_gives_the_outcomes_of_its_criteria_run_on_their_own[core]",
     ),
 ]
