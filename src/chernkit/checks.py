@@ -46,6 +46,7 @@ Criteria (suite assignment in SUITES):
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -148,12 +149,13 @@ class _Plan:
         return self.ready.pop((name, count, seed), None)
 
 
-_plan: _Plan | None = None  # the plan of the run_checks call in progress
+_plan: ContextVar[_Plan | None] = ContextVar("_plan", default=None)  # the plan of the run_checks call in progress
 
 
 def _take(name: str, count: int, seed: int):
     """(points, jets) of a catalog metric at seeded points: the run's rows, or a call of their own outside a run."""
-    taken = _plan.take(name, count, seed) if _plan is not None else None
+    plan = _plan.get()
+    taken = plan.take(name, count, seed) if plan is not None else None
     if taken is None:
         entry = builtin(name)
         pts = sample_points(entry, count, seed)
@@ -532,14 +534,13 @@ def run_checks(suite: str = "all", tol_override: float | None = None):
 
     The suite's criteria take their catalog jets from one _Plan, which ends with the run.
     """
-    global _plan
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; pick one of {sorted(SUITES)}")
-    _plan = _Plan(SUITES[suite])
+    token = _plan.set(_Plan(SUITES[suite]))
     try:
         outcomes = [o for name in SUITES[suite] for o in CRITERIA[name]()]
     finally:
-        _plan = None
+        _plan.reset(token)
     if tol_override is not None:
         outcomes = [replace(o, tolerance=tol_override, passed=o.residual <= tol_override) for o in outcomes]
     return outcomes

@@ -140,11 +140,12 @@ def _in_frame(R: np.ndarray, E: np.ndarray) -> np.ndarray:
     costs n^6 and one five-operand einsum summed all n^8 index combinations.
     An overflow is the caller's to report.
     """
-    n, batch, Ebar = R.shape[-1], R.shape[:-4], np.conj(E)
+    n, Ebar = R.shape[-1], np.conj(E)
+    rows = (*R.shape[:-4], n, n**3)
     with np.errstate(over="ignore", invalid="ignore"):
         for F in (E, Ebar, E, Ebar):
-            R = np.swapaxes(R.reshape(*batch, n, n**3), -1, -2) @ F
-    return R.reshape(*batch, n, n, n, n)
+            R = R.reshape(rows).swapaxes(-1, -2) @ F
+    return R.reshape(*rows[:-2], n, n, n, n)
 
 
 def _outer(X: np.ndarray) -> np.ndarray:
@@ -175,9 +176,9 @@ def chern_curvature(jet: MetricJet) -> ChernCurvature:
     # a size past the float range is inf, as _size's: it bounds nothing; an R that is not finite is reported below
     with np.errstate(over="ignore", invalid="ignore"):
         gi_dg = jet.dg.reshape(*batch, n * n, n) @ jet.g_inv  # [(i k), p] = sum_q d_i g_{k qbar} g^{p qbar}
-        dbar_g = np.swapaxes(jet.dbar_g, -3, -2).reshape(*batch, n, n * n)  # [p, (j l)] = dbar_j g_{p lbar}
-        second = np.swapaxes((gi_dg @ dbar_g).reshape(*batch, n, n, n, n), -3, -2)  # [i, k, j, l] to [i, j, k, l]
-        R = -jet.ddbar_g + second
+        dbar_g = jet.dbar_g.swapaxes(-3, -2).reshape(*batch, n, n * n)  # [p, (j l)] = dbar_j g_{p lbar}
+        # the second term's [(i k), (j l)] read as [i, j, k, l], less d_i dbar_j g_{k lbar}
+        R = (gi_dg @ dbar_g).reshape(*batch, n, n, n, n).swapaxes(-3, -2) - jet.ddbar_g
         size = _max_abs(jet.ddbar_g, 4) + _size(_max_abs(jet.g_inv, 2), _max_abs(jet.dg, 3), _max_abs(jet.dbar_g, 3))
     if not np.isfinite(R).all():
         raise MetricError("curvature is not finite")

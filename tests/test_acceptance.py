@@ -118,7 +118,7 @@ def test_a_run_gives_the_outcomes_of_its_criteria_run_on_their_own(suite):
     # criterion takes its rows; a point's jets do not depend on its batch, so every outcome is bit for bit its own
     want = [repr(o) for name in SUITES[suite] for o in _cached_criterion(name)]
     assert [repr(o) for o in run_checks(suite)] == want
-    assert checks._plan is None  # nothing is kept for the next run
+    assert checks._plan.get() is None  # nothing is kept for the next run
 
 
 def _counted_jets(monkeypatch) -> list:
