@@ -15,9 +15,10 @@ evaluates that metric on the concatenated points of all its planned samples,
 and each criterion then takes its own rows (_take), which the plan drops.
 So a run makes one call per catalog metric that it takes (conformal-law's
 conformal metrics and surface relations make calls of their own), and a
-suite evaluates only what its criteria take.  A criterion called on its own, outside run_checks, makes
-one call per sample.  A point's jets do not depend on its batch, so the
-outcomes are bit-identical either way.  The plan ends with its run.
+suite evaluates only what its criteria take.  A criterion called on its
+own, outside run_checks, makes one call per sample.  A point's jets do not
+depend on its batch, so the outcomes are bit-identical either way.  The
+plan ends with its run.
 
 Most criteria run each kernel once per metric, over all its points.  The two
 that take only a few points per metric, sphere-average (one) and
