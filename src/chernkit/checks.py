@@ -13,9 +13,9 @@ from there.  run_checks builds a _Plan from the samples of its suite's
 criteria: the first time the run takes a metric, one metric_jets call
 evaluates that metric on the concatenated points of all its planned samples,
 and each criterion then takes its own rows (_take), which the plan drops.
-So a run makes one call per catalog metric that it takes (conformal-law's
-conformal metrics and surface relations make calls of their own), and a
-suite evaluates only what its criteria take.  A criterion called on its
+So a run makes one call per catalog metric that it takes (only
+conformal-law's conformal metrics make calls of their own), and a suite
+evaluates only what its criteria take.  A criterion called on its
 own, outside run_checks, makes one call per sample.  A point's jets do not
 depend on its batch, so the outcomes are bit-identical either way.  The
 plan ends with its run.
@@ -302,20 +302,19 @@ _FACTORS = (
 
 def check_conformal_law():
     out = []
-    for name, count, seed in SAMPLES["conformal-law"]:
-        pts, _, Rc = _sampled(name, count, seed)
+    for k, (name, count, seed) in enumerate(SAMPLES["conformal-law"]):
+        pts, jets, Rc = _sampled(name, count, seed)
         for ftext in _FACTORS:
             F = parse_expression(ftext, Rc.n)
-            pred = conformal_curvature_via_formula(Rc, factor_jet(F, pts))
-            direct = chern_curvature(metric_jets(conformal_metric(builtin(name).spec, F), pts)).tensor
-            res = _max_abs(pred.tensor - direct, 4) / np.maximum(1.0, _max_abs(direct, 4))
-            out.append(_worst(f"conformal-law/equivalence/{ftext}", name, res, 1e-8, "derived", pts))
-    for name in ("fubini-study-2", "hopf-2"):
-        entry = builtin(name)
-        pts = sample_points(entry, 10, 42)
-        for ftext in _FACTORS:
-            res = np.maximum(*surface_scalar_relation_residual(entry.spec, parse_expression(ftext, 2), pts))
-            out.append(_worst(f"conformal-law/scalar-relations/{ftext}", name, res, 1e-8, "derived", pts))
+            f_jet, tilde_jet = factor_jet(F, pts), metric_jets(conformal_metric(builtin(name).spec, F), pts)
+            if k < 3:  # the equivalence samples come first, then the surface scalar relations'
+                direct = chern_curvature(tilde_jet).tensor
+                pred = conformal_curvature_via_formula(Rc, f_jet)
+                res = _max_abs(pred.tensor - direct, 4) / np.maximum(1.0, _max_abs(direct, 4))
+                out.append(_worst(f"conformal-law/equivalence/{ftext}", name, res, 1e-8, "derived", pts))
+            else:
+                res = np.maximum(*surface_scalar_relation_residual(jets, f_jet, tilde_jet))
+                out.append(_worst(f"conformal-law/scalar-relations/{ftext}", name, res, 1e-8, "derived", pts))
     return out
 
 
@@ -492,7 +491,8 @@ SAMPLES = {
     "space-forms": [
         (name, 50, 31) for name in ("fubini-study-2", "fubini-study-3", "complex-hyperbolic-2", "complex-hyperbolic-3")
     ],
-    "conformal-law": [(name, 10, 41) for name in ("fubini-study-2", "hopf-2", "complex-hyperbolic-3")],
+    "conformal-law": [(name, 10, 41) for name in ("fubini-study-2", "hopf-2", "complex-hyperbolic-3")]  # equivalence
+    + [(name, 10, 42) for name in ("fubini-study-2", "hopf-2")],  # then the surface scalar relations
     "surface-identities": [
         (name, 50, 53)
         for name in ("euclidean-2", "fubini-study-2", "complex-hyperbolic-2", "hopf-2", "adm-product-surface",

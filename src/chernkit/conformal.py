@@ -11,7 +11,8 @@ where F_{i jbar} = d_i dbar_j F.  Tracing gives, with Delta F = g^{k lbar} F_{k 
 which on surfaces (n = 2) read e^{2F} u~ = u - 4 Delta F and
 e^{2F} v~ = v - 2 Delta F.  Everything here is cross-checked against direct
 recomputation of the curvature of e^{2F} g.  The kernels take one point or a
-batch of jets, like those of geometry.
+batch of jets, like those of geometry, and evaluate no metric or factor
+themselves: the caller passes the jets of g, F and e^{2F} g.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from . import expr as ex
 from .dsl import MetricSpec
 from .geometry import ChernCurvature, chern_curvature, ricci_bundle
-from .jets import FactorJet, MetricJet, _real, factor_jet, metric_jets
+from .jets import FactorJet, MetricJet, _real
 from .mixed import MixedParams, _constancy_residual, _finite, _form
 
 __all__ = [
@@ -58,24 +59,22 @@ def chern_laplacian(jet: MetricJet, f_jet: FactorJet) -> float:
     return _real(np.trace(jet.g_inv @ f_jet.hess, axis1=-2, axis2=-1), "Laplacian of a real factor")
 
 
-def surface_scalar_relation_residual(spec: MetricSpec, F: ex.Expr, p):
+def surface_scalar_relation_residual(jet: MetricJet, f_jet: FactorJet, tilde_jet: MetricJet):
     """Residuals (r_u, r_v) of the surface scalar laws (n = 2 only).
 
     r_u = |e^{2F} u~ - (u - 4 Delta F)|, r_v = |e^{2F} v~ - (v - 2 Delta F)|,
-    with u~, v~ computed directly on conformal_metric(spec, F), which is
-    built and compiled once per call.  p is one point, shape (2,), giving
-    two floats, or a batch, shape (m, 2), giving two (m,) arrays.
+    from the jets of g, of F and of e^{2F} g (as conformal_metric builds it),
+    which must be at the same points: one point gives two floats, a batch of
+    m points two (m,) arrays.
     """
-    if spec.n != 2:
+    if jet.n != 2:
         raise ValueError("surface scalar relations require n = 2")
-    tilde_jet = metric_jets(conformal_metric(spec, F), p)
-    jet, fj = metric_jets(spec, p), factor_jet(F, p)
-    if np.ndim(p) == 1:
-        tilde_jet, jet = tilde_jet[0], jet[0]
+    if not (np.array_equal(jet.point, f_jet.point) and np.array_equal(jet.point, tilde_jet.point)):
+        raise ValueError("the jets of g, F and e^{2F} g must be at the same points")
     base = ricci_bundle(chern_curvature(jet))
-    lap = chern_laplacian(jet, fj)
+    lap = chern_laplacian(jet, f_jet)
     tilde = ricci_bundle(chern_curvature(tilde_jet))
-    scale = np.exp(2 * fj.value)
+    scale = np.exp(2 * f_jet.value)
     return np.abs(scale * tilde.u - (base.u - 4 * lap)), np.abs(scale * tilde.v - (base.v - 2 * lap))
 
 

@@ -132,6 +132,27 @@ MUTANTS = [
         "rows = jets[end - c + 1 : end + 1]",
         "tests/test_acceptance.py::test_a_run_gives_the_outcomes_of_its_criteria_run_on_their_own[core]",
     ),
+    Mutant(
+        "the surface scalar relations' base bundle read from the jets of e^{2F} g",
+        "conformal.py",
+        "base = ricci_bundle(chern_curvature(jet))",
+        "base = ricci_bundle(chern_curvature(tilde_jet))",
+        "tests/test_conformal.py::test_surface_scalar_relations",
+    ),
+    Mutant(
+        "the surface scalar relations' same-points check inverted",
+        "conformal.py",
+        "if not (np.array_equal(jet.point, f_jet.point) and np.array_equal(jet.point, tilde_jet.point)):",
+        "if np.array_equal(jet.point, f_jet.point) and np.array_equal(jet.point, tilde_jet.point):",
+        "tests/test_conformal.py::test_surface_scalar_relations",
+    ),
+    Mutant(
+        "the surface scalar relations' same-points check without the jets of e^{2F} g",
+        "conformal.py",
+        "np.array_equal(jet.point, f_jet.point) and np.array_equal(jet.point, tilde_jet.point)",
+        "np.array_equal(jet.point, f_jet.point)",
+        "tests/test_conformal.py::test_surface_scalar_relations",
+    ),
 ]
 
 

@@ -6,6 +6,7 @@ as `chernkit verify`).
 """
 
 import sys
+from collections import Counter
 from functools import lru_cache
 
 import battery_reference
@@ -14,6 +15,7 @@ import pytest
 
 from chernkit import checks, jets
 from chernkit.checks import CRITERIA, SAMPLES, SUITES, _average_pairs, _directions, _unitary, run_checks
+from chernkit.dsl import print_metric
 from chernkit.geometry import ricci_bundle
 from chernkit.mixed import sphere_average_closed_form
 
@@ -122,12 +124,13 @@ def test_a_run_gives_the_outcomes_of_its_criteria_run_on_their_own(suite):
 
 
 def _counted_jets(monkeypatch) -> list:
-    """The number of points of each metric_jets call from now on, wherever chernkit refers to the function."""
+    """(metric text, point bytes, number of points) of each metric_jets call from now on, wherever chernkit
+    refers to the function."""
     calls, original = [], jets.metric_jets
 
     def counted(spec, points):
         out = original(spec, points)
-        calls.append(len(out))
+        calls.append((print_metric(spec), np.asarray(points, dtype=complex).tobytes(), len(out)))
         return out
 
     for name, module in list(sys.modules.items()):
@@ -141,13 +144,20 @@ def _counted_jets(monkeypatch) -> list:
 def test_the_battery_evaluates_each_catalog_metric_once(monkeypatch):
     calls = _counted_jets(monkeypatch)
     run_checks("all")
-    # one call for each of the 18 catalog metrics; conformal-law makes the other 21, on conformal metrics and
-    # in the surface scalar relations.  The points are those of every criterion's own calls.
-    assert (len(calls), sum(calls)) == (39, 2560)
+    # one call for each of the 18 catalog metrics; conformal-law makes the other 15, one per conformal metric
+    # e^{2F} g and sample.  The points are those of every criterion's own calls.
+    assert (len(calls), sum(m for _, _, m in calls)) == (33, 2520)
     first = list(calls)
     calls.clear()
     run_checks("all")
     assert calls == first  # a second run evaluates what the first did
+
+
+def test_the_battery_evaluates_no_metric_twice_on_the_same_points(monkeypatch):
+    calls = _counted_jets(monkeypatch)
+    run_checks("all")
+    # a call is keyed by its metric's text and its points; list (number of points, calls) of each repeated one
+    assert [(m, k) for (_, _, m), k in Counter(calls).items() if k > 1] == []
 
 
 def test_a_suite_evaluates_only_the_samples_its_criteria_take(monkeypatch):
@@ -155,7 +165,7 @@ def test_a_suite_evaluates_only_the_samples_its_criteria_take(monkeypatch):
     run_checks("core")
     planned = [sample for name in SUITES["core"] for sample in SAMPLES.get(name, ())]
     assert len(calls) == len({name for name, _, _ in planned}) == 4
-    assert sum(calls) == sum(count for _, count, _ in planned) == 540
+    assert sum(m for _, _, m in calls) == sum(count for _, count, _ in planned) == 540
 
 
 def test_criterion_09_hopf_torsion():

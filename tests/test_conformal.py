@@ -121,37 +121,50 @@ def test_chern_laplacian_examples():
     assert abs(chern_laplacian(jh, factor_jet(F, np.array([1.0, 0.0]))) - 1.0) < 1e-14
 
 
+def _surface_jets(spec, F, p):
+    """The jets of g, F and e^{2F} g at p, one point or a batch, as surface_scalar_relation_residual takes them."""
+    if np.ndim(p) == 1:
+        return metric_jet(spec, p), factor_jet(F, p), metric_jet(conformal_metric(spec, F), p)
+    return metric_jets(spec, p), factor_jet(F, p), metric_jets(conformal_metric(spec, F), p)
+
+
 def test_surface_scalar_relations():
     eu = builtin("euclidean-2")
     F = parse_expression("0.1*z1*zbar1 + 0.05*z2*zbar2", 2)
     for p in sample_points(eu, 5, 5):
-        r_u, r_v = surface_scalar_relation_residual(eu.spec, F, p)
+        jet, fj, tjet = _surface_jets(eu.spec, F, p)
+        r_u, r_v = surface_scalar_relation_residual(jet, fj, tjet)
         assert r_u < 1e-8 and r_v < 1e-8
         # flat base: e^{2F} u~ = -4 Delta F
-        jet = metric_jet(eu.spec, p)
-        fj = factor_jet(F, p)
         lap = chern_laplacian(jet, fj)
-        tjet = metric_jet(conformal_metric(eu.spec, F), p)
         tb = ricci_bundle(chern_curvature(tjet))
         assert abs(np.exp(2 * fj.value) * tb.u + 4 * lap) < 1e-8
 
     hopf = builtin("hopf-2")
     F = parse_expression("0.05*z1*zbar1", 2)
     pts = sample_points(hopf, 5, 6)
-    singles = [surface_scalar_relation_residual(hopf.spec, F, p) for p in pts]
+    singles = [surface_scalar_relation_residual(*_surface_jets(hopf.spec, F, p)) for p in pts]
     for r_u, r_v in singles:
         assert r_u < 1e-8 and r_v < 1e-8
     # a batch gives (m,) arrays equal to the per-point calls
-    r_u, r_v = surface_scalar_relation_residual(hopf.spec, F, pts)
+    batch = _surface_jets(hopf.spec, F, pts)
+    r_u, r_v = surface_scalar_relation_residual(*batch)
     assert r_u.shape == r_v.shape == (5,)
     assert np.array_equal(r_u, [s[0] for s in singles]) and np.array_equal(r_v, [s[1] for s in singles])
 
     # zero factor gives exactly zero residuals
-    r_u, r_v = surface_scalar_relation_residual(eu.spec, ex.ZERO, np.array([0.1, 0.2]))
+    r_u, r_v = surface_scalar_relation_residual(*_surface_jets(eu.spec, ex.ZERO, np.array([0.1, 0.2])))
     assert r_u == 0 and r_v == 0
 
     with pytest.raises(ValueError, match="n = 2"):
-        surface_scalar_relation_residual(builtin("euclidean-3").spec, ex.ZERO, [0.1, 0.2, 0.3])
+        surface_scalar_relation_residual(*_surface_jets(builtin("euclidean-3").spec, ex.ZERO, [0.1, 0.2, 0.3]))
+
+    # the three jets must be at the same points, whichever of them is elsewhere
+    elsewhere = _surface_jets(hopf.spec, F, sample_points(hopf, 5, 7))
+    for k in range(3):
+        mixed = [*batch[:k], elsewhere[k], *batch[k + 1 :]]
+        with pytest.raises(ValueError, match="same points"):
+            surface_scalar_relation_residual(*mixed)
 
 
 def test_general_dimension_scalar_laws():
