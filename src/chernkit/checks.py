@@ -14,7 +14,8 @@ criteria: the first time the run takes a metric, one metric_jets call
 evaluates that metric on the concatenated points of all its planned samples,
 and each criterion then takes its own rows (_take), which the plan drops.
 So a run makes one call per catalog metric that it takes (only
-conformal-law's conformal metrics make calls of their own), and a suite
+conformal-law's conformal metrics make calls of their own: one per metric
+and factor, over the points of all that metric's samples), and a suite
 evaluates only what its criteria take.  A criterion called on its
 own, outside run_checks, makes one call per sample.  A point's jets do not
 depend on its batch, so the outcomes are bit-identical either way.  The
@@ -55,8 +56,8 @@ import numpy as np
 from . import expr as ex
 from .catalog import builtin, names, sample_points
 from .conformal import (
+    _conformal_spec,
     conformal_curvature_via_formula,
-    conformal_metric,
     surface_scalar_relation_residual,
 )
 from .dsl import parse_expression
@@ -301,12 +302,27 @@ _FACTORS = (
 
 
 def check_conformal_law():
-    out = []
-    for k, (name, count, seed) in enumerate(SAMPLES["conformal-law"]):
-        pts, jets, Rc = _sampled(name, count, seed)
+    """The conformal law on each sample and factor.  Each (metric, factor) pair takes one factor_jet and
+    one metric_jets call over the points of all that metric's samples, and each sample its rows of both."""
+    samples = SAMPLES["conformal-law"]
+    taken = [_sampled(*sample) for sample in samples]
+    rows = {}  # (sample index, factor) -> (jets of F, jets of e^{2F} g) at that sample's points
+    for name in dict.fromkeys(name for name, _, _ in samples):
+        ks = [k for k, (other, _, _) in enumerate(samples) if other == name]
+        pts = np.concatenate([taken[k][0] for k in ks])
+        ends = np.cumsum([len(taken[k][0]) for k in ks]).tolist()
+        base = builtin(name).spec
         for ftext in _FACTORS:
-            F = parse_expression(ftext, Rc.n)
-            f_jet, tilde_jet = factor_jet(F, pts), metric_jets(conformal_metric(builtin(name).spec, F), pts)
+            f_jets = factor_jet(parse_expression(ftext, base.n), pts)
+            tilde_jets = metric_jets(_conformal_spec(base, ftext), pts)
+            for k, end in zip(ks, ends):
+                part = slice(end - len(taken[k][0]), end)
+                rows[k, ftext] = f_jets[part], tilde_jets[part]
+    out = []
+    for k, (name, _, _) in enumerate(samples):
+        pts, jets, Rc = taken[k]
+        for ftext in _FACTORS:
+            f_jet, tilde_jet = rows[k, ftext]
             if k < 3:  # the equivalence samples come first, then the surface scalar relations'
                 direct = chern_curvature(tilde_jet).tensor
                 pred = conformal_curvature_via_formula(Rc, f_jet)

@@ -16,6 +16,12 @@ and (alpha, beta) pair.  A point that fails, at the jets checks or in a
 kernel, gets its own error: eval writes it into that point's record,
 extremize exits 2 naming the first, and runs its kernels on no point after
 the first that fails the jets checks.
+
+A process builds each metric once, keyed by its source text: a catalog
+name, a metric file's text (read on every call, so an edited file takes
+effect) and an --conformal text on a given base metric each give the same
+spec, which compiles its program once.  A text that fails to parse is not
+kept, and exits 2 on every call.
 """
 
 from __future__ import annotations
@@ -31,8 +37,8 @@ import numpy as np
 from . import report
 from .catalog import builtin, names
 from .checks import SUITES, run_checks
-from .conformal import conformal_metric
-from .dsl import MetricSpec, parse_expression, parse_metric
+from .conformal import _conformal_spec
+from .dsl import MetricSpec, parse_metric
 from .expr import EvaluationError
 from .geometry import (
     chern_curvature,
@@ -53,12 +59,17 @@ class InputError(ValueError):
     pass
 
 
+@functools.lru_cache(maxsize=16)  # keyed by the file's text, so an edited file is parsed again
+def _metric_file(text: str, stem: str) -> MetricSpec:
+    return parse_metric(text, name=stem)
+
+
 def _resolve_metric(source: str) -> MetricSpec:
     if source in names():
         return builtin(source).spec
     path = Path(source)
     if path.is_file():
-        return parse_metric(path.read_text(), name=path.stem)
+        return _metric_file(path.read_text(), path.stem)
     raise InputError(
         f"{source!r} is neither a catalog metric nor a readable file (see `chernkit catalog list`)"
     )
@@ -172,7 +183,7 @@ def _per_point(spec: MetricSpec, pts, kernels, stop=False) -> list:
 def cmd_eval(args) -> int:
     spec = _resolve_metric(args.metric)
     if args.conformal:
-        spec = conformal_metric(spec, parse_expression(args.conformal, spec.n))
+        spec = _conformal_spec(spec, args.conformal)
     pts = _points_for(args, spec)
     pairs = _pairs_for(args)
     results = _per_point(spec, pts, lambda jets: _bodies(jets, pairs))

@@ -17,10 +17,12 @@ themselves: the caller passes the jets of g, F and e^{2F} g.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from . import expr as ex
-from .dsl import MetricSpec
+from .dsl import MetricSpec, parse_expression
 from .geometry import ChernCurvature, chern_curvature, ricci_bundle
 from .jets import FactorJet, MetricJet, _real
 from .mixed import MixedParams, _constancy_residual, _finite, _form
@@ -43,6 +45,15 @@ def conformal_metric(spec: MetricSpec, F: ex.Expr) -> MetricSpec:
     return MetricSpec(
         n=spec.n, entries=entries, name=f"{spec.name}-conformal", domain=spec.domain
     )
+
+
+@lru_cache(maxsize=32)  # a spec hashes by identity, so each base metric has specs of its own
+def _conformal_spec(spec: MetricSpec, factor_text: str) -> MetricSpec:
+    """Spec of e^{2F} g for the factor F written as factor_text, built once per (spec, text) pair.
+
+    A spec compiles its program once, so repeated calls evaluate one program.
+    """
+    return conformal_metric(spec, parse_expression(factor_text, spec.n))
 
 
 def conformal_curvature_via_formula(Rc: ChernCurvature, f_jet: FactorJet) -> ChernCurvature:

@@ -12,6 +12,7 @@ under ~1/_DRAWS_PER_POINT of its cube raises ValueError instead of looping.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,21 +21,31 @@ __all__ = ["Ball", "Annulus", "Polydisc", "Product", "Domain"]
 
 
 _DRAWS_PER_POINT = 2**20  # candidate rows a sample may draw per requested point before giving up
+_CHUNK_VALUES = 2**20  # a later round draws at most this many coordinates (rows times 2n), or as many as the last
 
 
 def _rejection(rng, n, count, half_width, domain):
-    """Draw uniform points from [-w, w]^(2n) until `count` lie in the domain."""
-    out, have = [], 0
+    """Draw uniform points from [-w, w]^(2n) until `count` lie in the domain.
+
+    The first round draws max(4 count, 256) rows.  Each later round is sized from the share accepted
+    so far, with a margin of 2: at most 16 times the last round, and never past the budget of
+    _DRAWS_PER_POINT draws per point.  The rows come from one stream and the first `count` accepted
+    are kept, so the points do not depend on the rounds; what is left of the stream after them does.
+    """
+    out, have, drawn = [], 0, 0
     chunk = max(4 * count, 256)
     while have < count:
-        if len(out) * chunk >= _DRAWS_PER_POINT * count:  # e.g. a ball in C^n fills pi^n/(n! 4^n) of its cube
-            raise ValueError(f"{domain} in n={n}: {have} of {count} sample points accepted in {len(out) * chunk} "
+        if drawn >= _DRAWS_PER_POINT * count:  # e.g. a ball in C^n fills pi^n/(n! 4^n) of its cube
+            raise ValueError(f"{domain} in n={n}: {have} of {count} sample points accepted in {drawn} "
                              "draws; the domain fills too little of its bounding cube, so pass points with --point")
         xy = rng.uniform(-half_width, half_width, size=(chunk, 2 * n))
         z = xy[:, :n] + 1j * xy[:, n:]
         good = z[domain.contains(z)]
         out.append(good)
-        have += len(good)
+        have, drawn = have + len(good), drawn + chunk
+        want = 16 * chunk if have == 0 else max(256, math.ceil(2 * (count - have) * drawn / have))
+        grown = min(want, 16 * chunk, max(chunk, _CHUNK_VALUES // (2 * n)))
+        chunk = min(grown, _DRAWS_PER_POINT * count - drawn)
     return np.concatenate(out)[:count]
 
 

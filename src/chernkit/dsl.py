@@ -48,7 +48,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -429,8 +429,13 @@ def parse_metric(source: str, name: str = "metric") -> MetricSpec:
     return MetricSpec(n=n, entries=entries, name=name, domain=domain or Ball(1.0))
 
 
+@lru_cache(maxsize=128)  # keyed by the text, never by the tree: Expr == takes 0.0 for -0.0
 def parse_expression(text: str, n: int) -> ex.Expr:
-    """Parse a single DSL expression (e.g. a conformal factor) for dimension n."""
+    """Parse a single DSL expression (e.g. a conformal factor) for dimension n.
+
+    The tree of a (text, n) pair is built once and shared (trees are frozen); a
+    DslError is raised again on every call.
+    """
     p = _Parser(_lex_line(text, 1), 1, n, {})
     return p.done(p.expr())
 

@@ -153,6 +153,22 @@ MUTANTS = [
         "np.array_equal(jet.point, f_jet.point)",
         "tests/test_conformal.py::test_surface_scalar_relations",
     ),
+    Mutant(
+        "the metric-file memo keyed by the file's path, not its text",
+        "cli.py",
+        "return _metric_file(path.read_text(), path.stem)",
+        "return _metric_file.__dict__.setdefault(str(path), _metric_file(path.read_text(), path.stem))",
+        "tests/test_cli.py::test_an_edited_metric_file_takes_effect_in_the_same_process",
+    ),
+    Mutant(
+        "the conformal-spec memo keyed by the base metric's dimension, not the metric",
+        "conformal.py",
+        "return conformal_metric(spec, parse_expression(factor_text, spec.n))",
+        "return _conformal_spec.__dict__.setdefault(\n"
+        "        (spec.n, factor_text), conformal_metric(spec, parse_expression(factor_text, spec.n))\n"
+        "    )",
+        "tests/test_cli.py::test_one_factor_text_on_two_base_metrics_gives_two_specs",
+    ),
 ]
 
 

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from chernkit import checks, jets
+from chernkit.catalog import builtin, names
 from chernkit.checks import CRITERIA, SAMPLES, SUITES, _average_pairs, _directions, _unitary, run_checks
 from chernkit.dsl import print_metric
 from chernkit.geometry import ricci_bundle
@@ -144,9 +145,10 @@ def _counted_jets(monkeypatch) -> list:
 def test_the_battery_evaluates_each_catalog_metric_once(monkeypatch):
     calls = _counted_jets(monkeypatch)
     run_checks("all")
-    # one call for each of the 18 catalog metrics; conformal-law makes the other 15, one per conformal metric
-    # e^{2F} g and sample.  The points are those of every criterion's own calls.
-    assert (len(calls), sum(m for _, _, m in calls)) == (33, 2520)
+    # one call for each of the 18 catalog metrics; conformal-law makes the other 9, one per conformal metric
+    # e^{2F} g, over the points of all its base metric's samples.  The points are those of every criterion's own
+    # calls.
+    assert (len(calls), sum(m for _, _, m in calls)) == (27, 2520)
     first = list(calls)
     calls.clear()
     run_checks("all")
@@ -154,10 +156,16 @@ def test_the_battery_evaluates_each_catalog_metric_once(monkeypatch):
 
 
 def test_the_battery_evaluates_no_metric_twice_on_the_same_points(monkeypatch):
-    calls = _counted_jets(monkeypatch)
+    calls, factors, factor_jet = _counted_jets(monkeypatch), [], checks.factor_jet
+    monkeypatch.setattr(checks, "factor_jet", lambda F, p: factors.append(len(p)) or factor_jet(F, p))
     run_checks("all")
     # a call is keyed by its metric's text and its points; list (number of points, calls) of each repeated one
     assert [(m, k) for (_, _, m), k in Counter(calls).items() if k > 1] == []
+    # conformal-law: one factor jet and one e^{2F} g jet for each of its 3 metrics and 3 factors, over the 20 points
+    # of fubini-study-2's and of hopf-2's two samples and complex-hyperbolic-3's 10
+    catalog = {print_metric(builtin(name).spec) for name in names()}
+    conformal = [m for text, _, m in calls if text not in catalog]
+    assert conformal == factors == [20] * 6 + [10] * 3
 
 
 def test_a_suite_evaluates_only_the_samples_its_criteria_take(monkeypatch):

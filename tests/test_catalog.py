@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+import rejection_reference
 
+from chernkit import domains
 from chernkit.catalog import builtin, names, sample_points
-from chernkit.domains import Ball, Polydisc
+from chernkit.domains import Annulus, Ball, Polydisc
 from chernkit.geometry import (
     chern_curvature,
     holomorphic_sectional,
@@ -120,6 +122,53 @@ def test_sampling_gives_up_on_a_domain_too_thin_for_its_cube():
     # the unit ball fills 2.5e-8 of its cube in C^10: rejection would need ~4e7 draws per point
     with pytest.raises(ValueError, match=r"Ball\(radius=1.0\) in n=10: 0 of 2 .* --point"):
         Ball(1.0).sample(10, 2, np.random.default_rng(0))
+
+
+def test_rounds_sized_from_the_acceptance_give_the_points_of_fixed_rounds():
+    # the first round is the old one, so a catalog domain (one that a product's factors fill in one round)
+    # leaves its stream where the old loop did, and its points are the old ones bit for bit
+    for name in names():
+        spec = builtin(name).spec
+        for count in (1, 3, 4, 10, 20, 50, 100, 200, 500):
+            for seed in range(6):
+                got = sample_points(builtin(name), count, seed)
+                want = rejection_reference.sample(spec.domain, spec.n, count, np.random.default_rng(seed))
+                assert np.array_equal(got, want), (name, count, seed)
+    # domains that take many fixed rounds take fewer, and keep the same points
+    fewer = []
+    for domain, n, count in ((Ball(1.0), 4, 50), (Ball(1.0), 6, 20), (Annulus(0.9, 1.0), 2, 200), (Polydisc(1.0), 3, 7)):
+        (new, rounds), (old, fixed) = _counted(3), _counted(3)
+        got, want = domain.sample(n, count, new), rejection_reference.sample(domain, n, count, old)
+        assert np.array_equal(got, want) and len(got) == count
+        assert rounds[0] == fixed[0] == max(4 * count, 256) and all(b <= 16 * a for a, b in zip(rounds, rounds[1:]))
+        fewer.append(len(rounds) < len(fixed) or len(rounds) == len(fixed) == 1)
+    assert all(fewer), fewer
+
+
+def _counted(seed: int):
+    """A generator of the seed's stream, and the list of the row counts of its uniform draws."""
+    rounds, uniform = [], np.random.Generator.uniform
+
+    class Counted(np.random.Generator):
+        def uniform(self, *args, **kwargs):
+            rounds.append(kwargs["size"][0])
+            return uniform(self, *args, **kwargs)
+
+    return Counted(np.random.PCG64(seed)), rounds
+
+
+def test_later_rounds_stop_at_the_draw_budget(monkeypatch):
+    monkeypatch.setattr(domains, "_DRAWS_PER_POINT", 5000)
+    rng, rounds = _counted(0)
+    with pytest.raises(ValueError, match=r"0 of 2 sample points accepted in 10000 draws"):
+        Ball(1.0).sample(10, 2, rng)
+    assert rounds == [256, 4096, 10000 - 256 - 4096]
+    # and past 16 times 4096 rows, by the cap on the coordinates one round draws (2^20, 20 a row at n = 10)
+    monkeypatch.setattr(domains, "_DRAWS_PER_POINT", 100_000)
+    rng, rounds = _counted(0)
+    with pytest.raises(ValueError, match=r"0 of 2 sample points accepted in 200000 draws"):
+        Ball(1.0).sample(10, 2, rng)
+    assert rounds == [256, 4096, *[2**20 // 20] * 3, 200_000 - 256 - 4096 - 3 * (2**20 // 20)]
 
 
 def test_sampler_determinism():

@@ -13,9 +13,11 @@ import numpy as np
 import pytest
 import report_reference
 
-from chernkit import cli, report
+from chernkit import cli, conformal, report
+from chernkit import expr as ex
 from chernkit.catalog import builtin, names
 from chernkit.checks import SUITES, run_checks
+from chernkit.dsl import print_metric
 from chernkit.geometry import chern_curvature, to_unitary_frame
 from chernkit.jets import metric_jet
 
@@ -675,3 +677,59 @@ def test_every_mixed_row_names_its_path(tmp_path, metric, path):
     rows += [row for rec in json.loads((tmp_path / "x.json").read_text())["records"] for row in rec["mixed"]]
     assert len(rows) == 4 and all(row["path"] == path for row in rows)
     assert all(list(row)[-1] == "path" for row in rows)  # an additive key, after bound_gap
+
+
+def _compiles(monkeypatch) -> list:
+    """One entry for each expr.compile_program call from now on."""
+    compiled, compile_program = [], ex.compile_program
+    monkeypatch.setattr(ex, "compile_program", lambda roots: compiled.append(1) or compile_program(roots))
+    return compiled
+
+
+def test_conformal_calls_in_one_process_compile_one_program(monkeypatch):
+    # the factor text on its base metric names one spec per process, and the spec compiles once
+    compiled = _compiles(monkeypatch)
+    conformal._conformal_spec.cache_clear()  # an earlier test may have built this spec already
+    argv = ["eval", "--metric", "hopf-2", "--conformal", "0.05*z1*zbar1 - 0.01", "--point=0.3+0.1i,0.2-0.4i", *_PAIRS]
+    outputs = [_main(*argv) for _ in range(3)]
+    assert outputs[0][0] == 0 and outputs[0] == outputs[1] == outputs[2]
+    assert len(compiled) == 1
+
+
+def test_metric_file_calls_in_one_process_compile_one_program(monkeypatch):
+    compiled = _compiles(monkeypatch)
+    cli._metric_file.cache_clear()  # an earlier test may have run this file already
+    outputs = [_main("eval", "--metric", GENERIC_2, "--points", "2", *_PAIRS) for _ in range(3)]
+    assert outputs[0][0] == 0 and outputs[0] == outputs[1] == outputs[2]
+    assert len(compiled) == 1
+
+
+def test_an_edited_metric_file_takes_effect_in_the_same_process(tmp_path):
+    metric = tmp_path / "edited.metric"
+    argv = ["eval", "--metric", str(metric), "--point=0.3+0.1i", "--alpha", "1", "--beta", "1"]
+    texts = ["dim 1\ng[1,1] = 1 + z1*zbar1\n", "dim 1\ng[1,1] = 2 + z1*zbar1\n"]
+    outputs = []
+    for text in texts + texts[:1]:
+        metric.write_text(text)
+        outputs.append(_main(*argv))
+    assert all(code == 0 for code, _, _ in outputs)
+    assert outputs[0] != outputs[1] and outputs[0] == outputs[2]
+    assert abs(json.loads(outputs[1][1])["records"][0]["g_eigenvalues"][0] - 2.1) < 1e-12
+
+
+def test_one_factor_text_on_two_base_metrics_gives_two_specs():
+    text = "0.05*z1*zbar1"
+    flat, hopf = (builtin(name).spec for name in ("euclidean-2", "hopf-2"))
+    on_flat, on_hopf = conformal._conformal_spec(flat, text), conformal._conformal_spec(hopf, text)
+    assert on_flat is not on_hopf and on_flat.program is not on_hopf.program
+    assert conformal._conformal_spec(flat, text) is on_flat  # and each base metric keeps its own
+    assert print_metric(on_flat) != print_metric(on_hopf)
+    point = "--point=0.3+0.1i,0.2-0.4i"
+    outputs = {_main("eval", "--metric", name, "--conformal", text, point) for name in ("euclidean-2", "hopf-2")}
+    assert len(outputs) == 2
+
+
+def test_a_bad_conformal_text_exits_2_on_every_call():
+    argv = ["eval", "--metric", "hopf-2", "--points", "1", "--conformal", "0.05*z1*"]
+    first, second = _main(*argv), _main(*argv)
+    assert first == second and first[:2] == (2, "") and first[2].startswith("error: line 1, col 9")
