@@ -8,27 +8,25 @@ same points.  The CLI `verify` command and the acceptance test suite both run
 these checks.
 
 The sample plan.  SAMPLES lists, for each criterion, the (metric, count,
-seed) of every catalog sample it takes, and the criterion reads its samples
-from there.  run_checks builds a _Plan from the samples of its suite's
-criteria: the first time the run takes a metric, one metric_jets call
-evaluates that metric on the concatenated points of all its planned samples,
-and each criterion then takes its own rows (_take), which the plan drops.
-So a run makes one call per catalog metric that it takes (only
-conformal-law's conformal metrics make calls of their own: one per metric
-and factor, over the points of all that metric's samples), and a suite
-evaluates only what its criteria take.  A criterion called on its
-own, outside run_checks, makes one call per sample.  A point's jets do not
-depend on its batch, so the outcomes are bit-identical either way.  The
-plan ends with its run.
+seed) of every catalog sample it takes, and every take reads a _Plan
+(_take): run_checks plans its suite's samples, and a criterion called on its
+own plans its own, one sample at a time.  The first time a plan is asked for
+a metric, one metric_jets call evaluates it on the concatenated points of
+all its planned samples; each sample then takes its rows, which the plan
+drops, and a sample the plan does not hold is a KeyError.  So a run makes
+one call per catalog metric that it takes, and a suite evaluates only what
+its criteria take.  A point's jets do not depend on its batch, so the
+outcomes are bit-identical either way.  The plan ends with its run.
 
-Most criteria run each kernel once per metric, over all its points.  The two
-that take only a few points per metric, sphere-average (one) and
-trace-identity (20), group their metrics by dimension instead
-(_by_dimension): the jets of each n are concatenated, and chern_curvature,
-to_unitary_frame and ricci_bundle run once over them; sphere-average then
-makes one mixed_curvature call per dimension and pair, on the batch of R
-with the cubature rows of each.  The outcomes are bit-identical to one
-kernel pass per metric.
+Batching.  Most criteria run each kernel once per sample.  _grouped
+concatenates the points and jets of the samples that share a key, and
+_spans gives each sample its rows.  sphere-average (one point per metric)
+and trace-identity (20) group by dimension: chern_curvature,
+to_unitary_frame and ricci_bundle run once per n, and sphere-average makes
+one mixed_curvature call per dimension and pair.  conformal-law groups by
+metric: one factor_jet and one metric_jets call per factor over the group's
+points (the battery's only calls outside a plan), then its kernels per
+sample on its rows.  The outcomes are bit-identical to one pass per sample.
 
 Criteria (suite assignment in SUITES):
 
@@ -122,47 +120,49 @@ def _directions(rng, count: int, n: int) -> np.ndarray:
     return W[:, 0] + 1j * W[:, 1]
 
 
+def _spans(lengths) -> list:
+    """The slice of each part in the concatenation of parts of these lengths, in order."""
+    ends = np.cumsum(lengths).tolist()
+    return [slice(end - m, end) for m, end in zip(lengths, ends)]
+
+
 class _Plan:
     """The catalog jets of one run: one metric_jets call per metric, over every sample the run plans for it.
 
-    A metric's call is made the first time the run takes one of its samples.  Each sample's rows
-    are copied out and kept until it is taken, then dropped.  A point's jets do not depend on its
-    batch, so a sample's rows are the jets of its own call, bit for bit.
+    samples holds (metric, count, seed) triples, in the run's order.  A metric's call is made the
+    first time the run takes one of its samples.  Each sample's rows are copied out and kept until
+    it is taken, then dropped.  A point's jets do not depend on its batch, so a sample's rows are
+    the jets of its own call, bit for bit.
     """
 
-    def __init__(self, criteria):
+    def __init__(self, samples):
         self.pending = {}  # metric -> its planned (count, seed) pairs, in the run's order
-        for criterion in criteria:
-            for name, count, seed in SAMPLES.get(criterion, ()):
-                self.pending.setdefault(name, []).append((count, seed))
+        for name, count, seed in samples:
+            self.pending.setdefault(name, []).append((count, seed))
         self.ready = {}  # (metric, count, seed) -> (points, jets), until taken
 
     def take(self, name: str, count: int, seed: int):
-        """(points, jets) of a planned sample, or None for a sample the run does not plan."""
+        """(points, jets) of a planned sample; KeyError((name, count, seed)) for one the run does not plan."""
         if name in self.pending:
             entry, samples = builtin(name), self.pending.pop(name)
             pts = [sample_points(entry, c, s) for c, s in samples]
             jets = metric_jets(entry.spec, np.concatenate(pts))
-            ends = np.cumsum([c for c, _ in samples]).tolist()
-            for (c, s), p, end in zip(samples, pts, ends):
+            for (c, s), p, rows in zip(samples, pts, _spans([c for c, _ in samples])):
                 # a copy, not a view, so the call's arrays are freed once every sample has its rows
-                rows = jets[end - c : end]
-                self.ready[name, c, s] = (p, MetricJet(*(getattr(rows, f).copy() for f in _field_names(MetricJet))))
-        return self.ready.pop((name, count, seed), None)
+                part = jets[rows]
+                self.ready[name, c, s] = (p, MetricJet(*(getattr(part, f).copy() for f in _field_names(MetricJet))))
+        return self.ready.pop((name, count, seed))
 
 
 _plan: ContextVar[_Plan | None] = ContextVar("_plan", default=None)  # the plan of the run_checks call in progress
 
 
 def _take(name: str, count: int, seed: int):
-    """(points, jets) of a catalog metric at seeded points: the run's rows, or a call of their own outside a run."""
+    """(points, jets) of a catalog metric at seeded points, from the run's plan or, outside a run, a plan of its own."""
     plan = _plan.get()
-    taken = plan.take(name, count, seed) if plan is not None else None
-    if taken is None:
-        entry = builtin(name)
-        pts = sample_points(entry, count, seed)
-        taken = pts, metric_jets(entry.spec, pts)
-    return taken
+    if plan is None:
+        plan = _Plan([(name, count, seed)])
+    return plan.take(name, count, seed)
 
 
 def _sampled(name: str, count: int, seed: int):
@@ -177,25 +177,21 @@ def _unitary(name: str, count: int, seed: int):
     return pts, to_unitary_frame(Rc)
 
 
-def _by_dimension(samples):
-    """Catalog metrics at seeded points, grouped by dimension: (members, Ru, bundle) for each n.
+def _grouped(samples, key):
+    """Catalog samples, grouped by key(name, jets): (members, points, jets) for each group, in order of first sample.
 
-    samples holds (name, count, seed) triples, each taken as _take does.  The jets of one n are
-    concatenated, so chern_curvature, to_unitary_frame and ricci_bundle run once per dimension, not
-    once per metric.  members holds (i, points, rows) for each sample i of that n, in order, rows
-    being its slice of the unitary-frame curvature Ru and of its Ricci bundle, bit-identical to the
-    metric's own kernel calls.
+    samples holds (name, count, seed) triples, each taken as _take does.  points and jets are the
+    group's samples concatenated, and members holds (i, rows) for each sample i of the group, in
+    order, rows being its slice of them.
     """
     groups = {}
-    for i, sample in enumerate(samples):
-        pts, jets = _take(*sample)
-        groups.setdefault(jets.n, []).append((i, pts, jets))
+    for i, (name, count, seed) in enumerate(samples):
+        pts, jets = _take(name, count, seed)
+        groups.setdefault(key(name, jets), []).append((i, pts, jets))
     for group in groups.values():
+        pts = np.concatenate([p for _, p, _ in group])
         jets = MetricJet(*(np.concatenate([getattr(j, f) for _, _, j in group]) for f in _field_names(MetricJet)))
-        Ru = to_unitary_frame(chern_curvature(jets))
-        ends = np.cumsum([len(pts) for _, pts, _ in group]).tolist()
-        members = [(i, pts, slice(end - len(pts), end)) for (i, pts, _), end in zip(group, ends)]
-        yield members, Ru, ricci_bundle(Ru)
+        yield [(i, rows) for (i, _, _), rows in zip(group, _spans([len(p) for _, p, _ in group]))], pts, jets
 
 
 # ---------------------------------------------------------------------------
@@ -305,33 +301,29 @@ def check_conformal_law():
     """The conformal law on each sample and factor.  Each (metric, factor) pair takes one factor_jet and
     one metric_jets call over the points of all that metric's samples, and each sample its rows of both."""
     samples = SAMPLES["conformal-law"]
-    taken = [_sampled(*sample) for sample in samples]
-    rows = {}  # (sample index, factor) -> (jets of F, jets of e^{2F} g) at that sample's points
-    for name in dict.fromkeys(name for name, _, _ in samples):
-        ks = [k for k, (other, _, _) in enumerate(samples) if other == name]
-        pts = np.concatenate([taken[k][0] for k in ks])
-        ends = np.cumsum([len(taken[k][0]) for k in ks]).tolist()
+    per_sample = [None] * len(samples)
+    for members, pts, jets in _grouped(samples, lambda name, _: name):
+        name = samples[members[0][0]][0]
         base = builtin(name).spec
-        for ftext in _FACTORS:
-            f_jets = factor_jet(parse_expression(ftext, base.n), pts)
-            tilde_jets = metric_jets(_conformal_spec(base, ftext), pts)
-            for k, end in zip(ks, ends):
-                part = slice(end - len(taken[k][0]), end)
-                rows[k, ftext] = f_jets[part], tilde_jets[part]
-    out = []
-    for k, (name, _, _) in enumerate(samples):
-        pts, jets, Rc = taken[k]
-        for ftext in _FACTORS:
-            f_jet, tilde_jet = rows[k, ftext]
-            if k < 3:  # the equivalence samples come first, then the surface scalar relations'
-                direct = chern_curvature(tilde_jet).tensor
-                pred = conformal_curvature_via_formula(Rc, f_jet)
-                res = _max_abs(pred.tensor - direct, 4) / np.maximum(1.0, _max_abs(direct, 4))
-                out.append(_worst(f"conformal-law/equivalence/{ftext}", name, res, 1e-8, "derived", pts))
-            else:
-                res = np.maximum(*surface_scalar_relation_residual(jets, f_jet, tilde_jet))
-                out.append(_worst(f"conformal-law/scalar-relations/{ftext}", name, res, 1e-8, "derived", pts))
-    return out
+        factors = [
+            (ftext, factor_jet(parse_expression(ftext, base.n), pts), metric_jets(_conformal_spec(base, ftext), pts))
+            for ftext in _FACTORS
+        ]
+        for k, rows in members:
+            p, jet = pts[rows], jets[rows]
+            Rc, out = chern_curvature(jet), []
+            for ftext, f_jets, tilde_jets in factors:
+                f_jet, tilde_jet = f_jets[rows], tilde_jets[rows]
+                if k < 3:  # the equivalence samples come first, then the surface scalar relations'
+                    direct = chern_curvature(tilde_jet).tensor
+                    pred = conformal_curvature_via_formula(Rc, f_jet)
+                    res = _max_abs(pred.tensor - direct, 4) / np.maximum(1.0, _max_abs(direct, 4))
+                    out.append(_worst(f"conformal-law/equivalence/{ftext}", name, res, 1e-8, "derived", p))
+                else:
+                    res = np.maximum(*surface_scalar_relation_residual(jet, f_jet, tilde_jet))
+                    out.append(_worst(f"conformal-law/scalar-relations/{ftext}", name, res, 1e-8, "derived", p))
+            per_sample[k] = out
+    return [o for outcomes in per_sample for o in outcomes]
 
 
 # ---------------------------------------------------------------------------
@@ -371,14 +363,15 @@ _TRACE_CONFIGS = (
 
 def check_trace_identity():
     out = [None] * len(_TRACE_CONFIGS)
-    for members, _, bundle in _by_dimension(SAMPLES["trace-identity"]):
-        for i, pts, rows in members:
+    for members, pts, jets in _grouped(SAMPLES["trace-identity"], lambda _, jets: jets.n):
+        bundle = ricci_bundle(to_unitary_frame(chern_curvature(jets)))
+        for i, rows in members:
             name, (a, b_) = _TRACE_CONFIGS[i]
             params, b = MixedParams(a, b_), bundle[rows]
             # the pointwise-constant value, from the scalar identity
             f = sphere_average_closed_form(b, params)
             res = trace_identity_residual(b, params, f)
-            out[i] = _worst(f"trace-identity/alpha{a}-beta{b_}", name, res, 1e-8, "closed-form", pts)
+            out[i] = _worst(f"trace-identity/alpha{a}-beta{b_}", name, res, 1e-8, "closed-form", pts[rows])
     return out
 
 
@@ -400,18 +393,19 @@ def _average_pairs():
 def check_sphere_average():
     pairs, (*design, half) = _average_pairs(), SAMPLES["sphere-average"]
     per_metric = [None] * len(design)
-    for members, Ru, bundle in _by_dimension(design):
-        Z, w = _sphere_design(Ru.n)
+    for members, pts, jets in _grouped(design, lambda _, jets: jets.n):
+        Ru = to_unitary_frame(chern_curvature(jets))
+        bundle, (Z, w) = ricci_bundle(Ru), _sphere_design(Ru.n)
         # one call per pair: C at the design's points for every metric of this n, shape (metrics, points)
         values = [mixed_curvature(Ru, params, np.broadcast_to(Z, (len(Ru), *Z.shape))) for params in pairs]
-        for i, pts, rows in members:
+        for i, rows in members:
             k, out = rows.start, []  # one point per metric, so its row is k
             b = bundle[k]
             for params, C in zip(pairs, values):
                 closed = sphere_average_closed_form(b, params)
                 check_id = f"sphere-average/a{params.alpha:+.2f}-b{params.beta:+.2f}"
                 res = abs(w @ C[k] - closed)  # the design's sum is exact; C @ w would round otherwise
-                out.append(_outcome(check_id, design[i][0], res, 1e-12 * max(1.0, abs(closed)), "derived", pts[0]))
+                out.append(_outcome(check_id, design[i][0], res, 1e-12 * max(1.0, abs(closed)), "derived", pts[k]))
             per_metric[i] = out
     out = [o for outcomes in per_metric for o in outcomes]
     pt, Ru = _unitary(*half)
@@ -549,11 +543,11 @@ SUITES["all"] = [name for suite in ("core", "mixed", "conformal", "surface", "ca
 def run_checks(suite: str = "all", tol_override: float | None = None):
     """Run a suite; tol_override replaces every tolerance (forcing-failure knob).
 
-    The suite's criteria take their catalog jets from one _Plan, which ends with the run.
+    The suite's criteria take their catalog jets from one _Plan of their samples, which ends with the run.
     """
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; pick one of {sorted(SUITES)}")
-    token = _plan.set(_Plan(SUITES[suite]))
+    token = _plan.set(_Plan([sample for name in SUITES[suite] for sample in SAMPLES.get(name, ())]))
     try:
         outcomes = [o for name in SUITES[suite] for o in CRITERIA[name]()]
     finally:

@@ -182,7 +182,7 @@ def _per_point(spec: MetricSpec, pts, kernels, stop=False) -> list:
 
 def cmd_eval(args) -> int:
     spec = _resolve_metric(args.metric)
-    if args.conformal:
+    if args.conformal is not None:
         spec = _conformal_spec(spec, args.conformal)
     pts = _points_for(args, spec)
     pairs = _pairs_for(args)

@@ -128,9 +128,23 @@ MUTANTS = [
     Mutant(
         "each planned sample takes the rows of its metric's call one row late",
         "checks.py",
-        "rows = jets[end - c : end]",
-        "rows = jets[end - c + 1 : end + 1]",
+        "return [slice(end - m, end) for m, end in zip(lengths, ends)]",
+        "return [slice(end - m + 1, end + 1) for m, end in zip(lengths, ends)]",
         "tests/test_acceptance.py::test_a_run_gives_the_outcomes_of_its_criteria_run_on_their_own[core]",
+    ),
+    Mutant(
+        "_grouped ignores its key and groups by dimension",
+        "checks.py",
+        "groups.setdefault(key(name, jets), [])",
+        "groups.setdefault(jets.n, [])",
+        "tests/test_acceptance.py::test_grouped_criteria_give_the_per_metric_outcomes[conformal-law]",
+    ),
+    Mutant(
+        "_take always builds its own plan",
+        "checks.py",
+        "    if plan is None:\n        plan = _Plan([(name, count, seed)])",
+        "    if True:\n        plan = _Plan([(name, count, seed)])",
+        "tests/test_acceptance.py::test_the_battery_evaluates_each_catalog_metric_once",
     ),
     Mutant(
         "the surface scalar relations' base bundle read from the jets of e^{2F} g",

@@ -107,10 +107,11 @@ def test_criterion_08_sphere_average():
         assert o.tolerance == 1e-12 * max(1.0, abs(closed)), o
 
 
-@pytest.mark.parametrize("name", ["sphere-average", "trace-identity"])
+@pytest.mark.parametrize("name", ["sphere-average", "trace-identity", "conformal-law"])
 def test_grouped_criteria_give_the_per_metric_outcomes(name):
-    # these criteria run their kernels once per dimension over the concatenated jets of its metrics;
-    # one pass per metric gives the same outcomes, residuals and witness points to the last bit
+    # these criteria run their kernels once per dimension, or conformal-law its factor and e^{2F} g jets once per
+    # metric, over the concatenated samples of each group; one pass per sample gives the same outcomes, residuals
+    # and witness points to the last bit
     reference = getattr(battery_reference, name.replace("-", "_"))()
     assert [repr(o) for o in _cached_criterion(name)] == [repr(o) for o in reference]
 
@@ -122,6 +123,17 @@ def test_a_run_gives_the_outcomes_of_its_criteria_run_on_their_own(suite):
     want = [repr(o) for name in SUITES[suite] for o in _cached_criterion(name)]
     assert [repr(o) for o in run_checks(suite)] == want
     assert checks._plan.get() is None  # nothing is kept for the next run
+
+
+def test_a_run_raises_for_a_sample_it_does_not_plan():
+    # SAMPLES is the one table of samples: inside a run, a take the run did not plan is an error, not a call
+    token = checks._plan.set(checks._Plan([]))
+    try:
+        with pytest.raises(KeyError) as err:
+            checks.check_hopf_torsion()
+    finally:
+        checks._plan.reset(token)
+    assert err.value.args == (("hopf-2", 50, 85),)
 
 
 def _counted_jets(monkeypatch) -> list:

@@ -514,6 +514,12 @@ def test_a_bad_constant_in_a_conformal_factor_is_an_error_at_its_operator():
     assert (code, out, err) == (2, "", "error: line 1, col 8: constant overflows\n")
 
 
+@pytest.mark.parametrize("text", ["", " "])
+def test_an_empty_conformal_factor_is_an_error_not_the_base_metric(text):
+    code, out, err = _main("eval", "--metric", "hopf-2", "--points", "1", "--conformal", text)
+    assert (code, out, err) == (2, "", "error: line 1, col 1: expected an expression\n")
+
+
 def test_a_constant_that_underflows_folds_to_zero():
     code, out, _ = _main("eval", "--metric", "euclidean-1", "--points", "1", "--conformal", "exp(-1000)*abs2(z)")
     assert code == 0 and json.loads(out)["records"][0]["u"] == 0
